@@ -24,8 +24,7 @@ from .autodiff import GRUParams, Tensor
 from .checkpoint import load_into, read_metadata, save_checkpoint, write_metadata
 from .environment import EnvModel
 from .errors import ConfigError, ContractError, ShapeError
-from .metrics import (RewardConfig, average_proportion, latency_reward,
-                      smoothed_sentence_bleu)
+from .metrics import PrefixBleu, RewardConfig, average_proportion, latency_reward
 from .policies import Policy, Transcript
 from .vocab import BOS, EOS, PAD
 
@@ -51,6 +50,10 @@ class AgentConfig:
     def __post_init__(self):
         if (self.use_init or self.use_att) and (self.feature_rows < 1 or self.feature_dim < 1):
             raise ConfigError("visual agent variants need feature_rows and feature_dim")
+        if self.use_att and self.key_dim != self.emb_dim:
+            # the attention query is the proposed token's embedding
+            raise ConfigError(
+                f"use_att needs key_dim == emb_dim ({self.key_dim} vs {self.emb_dim})")
 
     @property
     def obs_dim(self) -> int:
@@ -381,7 +384,7 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
         if net.cfg.use_init:
             flat = np.stack([f.matrix.reshape(-1) for f in feats])
             return flat @ net.init_proj.data
-        return np.zeros((n, hid))
+        return np.zeros((n, net.cfg.hidden_dim))
 
     agent_h = initial_hidden(agent)
     base_h = initial_hidden(baseline)
@@ -392,8 +395,7 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
     actions_str = [["R"] for _ in range(n)]  # the initial forced READ
     hyp_ids = [[] for _ in range(n)]
     delays = [[] for _ in range(n)]
-    prefix_tokens = [[] for _ in range(n)]
-    prefix_score = np.zeros(n)
+    quality = [PrefixBleu(r) for r in refs]
     cw = np.ones(n, dtype=np.int64)  # after the initial READ
 
     # perform the initial forced READ for everyone
@@ -491,10 +493,7 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
                 cw[i] = 0
                 if tok != EOS:
                     delays[i].append(int(n_read[i]))
-                    prefix_tokens[i].append(env.tgt_vocab.token(tok))
-                    new_score = smoothed_sentence_bleu(prefix_tokens[i], refs[i])
-                    step_reward[i] += new_score - prefix_score[i]
-                    prefix_score[i] = new_score
+                    step_reward[i] += quality[i].append(env.tgt_vocab.token(tok))
                 if tok == EOS or committed[i] >= caps[i]:
                     new_terminal[i] = True
 

@@ -3,6 +3,7 @@
 All functions here are pure; scores are on the conventional 0-100 BLEU
 scale. Latency metrics operate on the delay profile g, where g[t] is the
 number of source tokens read when content token t was committed.
+Every BLEU score is computed from per-sentence n-gram counts by one scorer.
 """
 
 from __future__ import annotations
@@ -75,16 +76,82 @@ class LatencyStats:
 # BLEU
 # ---------------------------------------------------------------------------
 
-def _ngram_counts(tokens, n):
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _brevity_penalty(hyp_len, ref_len):
+    return 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
 
 
-def _clipped_matches(hyp, ref, n):
-    hyp_counts = _ngram_counts(hyp, n)
-    ref_counts = _ngram_counts(ref, n)
-    matches = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-    total = max(len(hyp) - n + 1, 0)
-    return matches, total
+def _bleu(counts, max_order, smooth):
+    """BLEU from (summed) counts laid out as ``PrefixBleu.counts`` returns them.
+
+    Unsmoothed, any zero match count gives 0. Smoothed adds one to the
+    matches and totals of orders above 1, so only a zero unigram match
+    count gives 0.
+    """
+    matches = counts[:max_order]
+    totals = counts[max_order:2 * max_order]
+    hyp_len, ref_len = counts[2 * max_order:]
+    if matches[0] == 0 or (not smooth and 0 in matches):
+        return 0.0
+    log_precisions = [math.log(matches[0] / totals[0])]
+    for m, c in zip(matches[1:], totals[1:]):
+        log_precisions.append(math.log((m + 1.0) / (c + 1.0)) if smooth else math.log(m / c))
+    return 100.0 * _brevity_penalty(hyp_len, ref_len) * math.exp(sum(log_precisions) / max_order)
+
+
+class PrefixBleu:
+    """N-gram counts of a hypothesis against one reference, grown one token at a time.
+
+    ``append`` touches only the n-grams that end at the new token and
+    returns the change in smoothed sentence BLEU, so per-commit rewards
+    cost O(1) each instead of a recount of the prefix.
+    """
+
+    def __init__(self, ref, max_order: int = 4):
+        ref = list(ref)
+        if not ref:
+            raise ContractError("BLEU: empty reference sentence")
+        self.max_order = max_order
+        self.ref_len = len(ref)
+        self.hyp = []
+        self.score = 0.0
+        self._ref_counts = Counter(tuple(ref[i:i + n]) for n in range(1, max_order + 1)
+                                   for i in range(len(ref) - n + 1))
+        self._hyp_counts = Counter()
+        self._matches = [0] * max_order
+
+    def counts(self) -> list:
+        """Clipped matches and totals per order, then hypothesis and reference lengths."""
+        length = len(self.hyp)
+        totals = [max(length - n + 1, 0) for n in range(1, self.max_order + 1)]
+        return self._matches + totals + [length, self.ref_len]
+
+    def add(self, token) -> None:
+        """Extend the hypothesis by ``token`` without rescoring."""
+        hyp = self.hyp
+        hyp.append(token)
+        length = len(hyp)
+        for n in range(1, min(length, self.max_order) + 1):
+            gram = tuple(hyp[length - n:])
+            seen = self._hyp_counts[gram]
+            # the clipped match count rises iff this occurrence is within the reference's
+            if seen < self._ref_counts[gram]:
+                self._matches[n - 1] += 1
+            self._hyp_counts[gram] = seen + 1
+
+    def append(self, token) -> float:
+        """Extend the hypothesis by ``token``; returns the change in smoothed BLEU."""
+        self.add(token)
+        score = _bleu(self.counts(), self.max_order, smooth=True)
+        delta = score - self.score
+        self.score = score
+        return delta
+
+
+def _sentence_counts(hyp, ref, max_order):
+    counter = PrefixBleu(ref, max_order)
+    for token in hyp:
+        counter.add(token)
+    return counter.counts()
 
 
 def smoothed_sentence_bleu(hyp, ref, max_order: int = 4) -> float:
@@ -97,54 +164,22 @@ def smoothed_sentence_bleu(hyp, ref, max_order: int = 4) -> float:
 
 
 def smoothed_sentence_bleu_breakdown(hyp, ref, max_order: int = 4) -> BleuBreakdown:
-    hyp = list(hyp)
-    ref = list(ref)
-    if not ref:
-        raise ContractError("smoothed_sentence_bleu: empty reference")
-    if not hyp:
-        return BleuBreakdown([0] * max_order, [0] * max_order, 0.0, 0.0)
-    matches, totals = [], []
-    log_precisions = []
-    for n in range(1, max_order + 1):
-        m, c = _clipped_matches(hyp, ref, n)
-        matches.append(m)
-        totals.append(c)
-        if n == 1:
-            if m == 0:
-                return BleuBreakdown(matches + [0] * (max_order - n),
-                                     totals + [0] * (max_order - n), 0.0, 0.0)
-            log_precisions.append(math.log(m / c))
-        else:
-            log_precisions.append(math.log((m + 1.0) / (c + 1.0)))
-    bp = 1.0 if len(hyp) >= len(ref) else math.exp(1.0 - len(ref) / len(hyp))
-    score = 100.0 * bp * math.exp(sum(log_precisions) / max_order)
-    return BleuBreakdown(matches, totals, bp, score)
+    counts = _sentence_counts(hyp, ref, max_order)
+    matches, totals = counts[:max_order], counts[max_order:2 * max_order]
+    if matches[0] == 0:
+        return BleuBreakdown(matches, totals, 0.0, 0.0)
+    return BleuBreakdown(matches, totals, _brevity_penalty(*counts[2 * max_order:]),
+                         _bleu(counts, max_order, smooth=True))
 
 
 def corpus_bleu(hyps, refs, max_order: int = 4) -> float:
     """Standard unsmoothed corpus BLEU-4 with aggregated counts."""
-    hyps = [list(h) for h in hyps]
-    refs = [list(r) for r in refs]
+    hyps, refs = list(hyps), list(refs)
     if len(hyps) != len(refs):
         raise DataError(f"corpus_bleu: {len(hyps)} hypotheses vs {len(refs)} references")
-    if any(not r for r in refs):
-        raise ContractError("corpus_bleu: empty reference sentence")
-    matches = [0] * max_order
-    totals = [0] * max_order
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hyps, refs):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, max_order + 1):
-            m, c = _clipped_matches(hyp, ref, n)
-            matches[n - 1] += m
-            totals[n - 1] += c
-    if hyp_len == 0 or any(m == 0 for m in matches):
-        return 0.0
-    log_prec = sum(math.log(m / c) for m, c in zip(matches, totals)) / max_order
-    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return 100.0 * bp * math.exp(log_prec)
+    rows = [_sentence_counts(h, r, max_order) for h, r in zip(hyps, refs)]
+    summed = [sum(col) for col in zip(*rows)] or [0] * (2 * max_order + 2)
+    return _bleu(summed, max_order, smooth=False)
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +190,21 @@ def quality_reward_trace(prefixes, ref):
     """Per-commit differences of smoothed BLEU over growing prefixes.
 
     ``prefixes`` holds the committed content prefix after each content
-    WRITE; the deltas telescope to the final sentence score exactly.
+    WRITE; each must extend the one before by exactly one token. The deltas
+    telescope to the final sentence score exactly.
     """
+    scorer = PrefixBleu(ref)
     deltas = []
-    prev_score = 0.0
-    prev_len = 0
     for prefix in prefixes:
         prefix = list(prefix)
-        if len(prefix) != prev_len + 1:
+        if len(prefix) != len(scorer.hyp) + 1:
             raise ContractError(
                 f"quality_reward_trace: prefixes must grow by one token "
-                f"({prev_len} -> {len(prefix)})")
-        score = smoothed_sentence_bleu(prefix, ref)
-        deltas.append(score - prev_score)
-        prev_score = score
-        prev_len = len(prefix)
+                f"({len(scorer.hyp)} -> {len(prefix)})")
+        if prefix[:-1] != scorer.hyp:
+            raise ContractError(
+                f"quality_reward_trace: prefix {len(prefix)} does not extend the one before")
+        deltas.append(scorer.append(prefix[-1]))
     return deltas
 
 
@@ -266,23 +301,28 @@ def bootstrap_significance(hyps_a, hyps_b, refs, n_resamples: int = 1000, rng=No
 
     Resamples sentence indices with replacement (resample size equals the
     corpus size) and reports the fraction of resamples in which A's corpus
-    BLEU is at least B's. Identical systems therefore give p = 1.0.
+    BLEU is at least B's. Identical systems therefore give p = 1.0. Each
+    sentence is counted once; a resample sums the counts of the sentences
+    it picks.
     """
-    hyps_a = [list(h) for h in hyps_a]
-    hyps_b = [list(h) for h in hyps_b]
-    refs = [list(r) for r in refs]
+    hyps_a, hyps_b, refs = list(hyps_a), list(hyps_b), list(refs)
     if not (len(hyps_a) == len(hyps_b) == len(refs)):
         raise DataError("bootstrap_significance: misaligned system outputs")
+    if not refs:
+        raise DataError("bootstrap_significance: no sentences")
     if n_resamples < 100:
         raise ContractError("bootstrap_significance: need at least 100 resamples")
+    order = 4
+    counts_a, counts_b = (np.array([_sentence_counts(h, r, order) for h, r in zip(hyps, refs)],
+                                   dtype=np.int64) for hyps in (hyps_a, hyps_b))
     if rng is None:
         rng = np.random.default_rng(0)
     n = len(refs)
     wins = 0
     for _ in range(n_resamples):
         idx = rng.integers(0, n, size=n)
-        score_a = corpus_bleu([hyps_a[i] for i in idx], [refs[i] for i in idx])
-        score_b = corpus_bleu([hyps_b[i] for i in idx], [refs[i] for i in idx])
+        score_a = _bleu(counts_a[idx].sum(axis=0).tolist(), order, smooth=False)
+        score_b = _bleu(counts_b[idx].sum(axis=0).tolist(), order, smooth=False)
         if score_a >= score_b:
             wins += 1
     return wins / n_resamples

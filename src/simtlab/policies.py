@@ -17,8 +17,7 @@ from pathlib import Path
 from .environment import (EncoderState, EnvModel, commit, encode_next,
                           output_cap, propose_next)
 from .errors import ContractError, DataError
-from .metrics import (RewardConfig, average_proportion, latency_reward,
-                      smoothed_sentence_bleu)
+from .metrics import PrefixBleu, RewardConfig, average_proportion, latency_reward
 from .vocab import EOS
 
 log = logging.getLogger(__name__)
@@ -106,6 +105,7 @@ class Transcript:
             "actions": self.actions,
             "g": list(self.delays),
             "rewards": [float(r) for r in self.rewards],
+            "forced_overrides": self.forced_overrides,
         }
         if self.attention is not None:
             obj["attention"] = [None if w is None else [float(x) for x in w]
@@ -122,6 +122,7 @@ class Transcript:
             rewards=list(obj.get("rewards", [])),
             attention=obj.get("attention"),
             ended_with_eos=bool(obj["hyp"]) and obj["hyp"][-1] == "<eos>",
+            forced_overrides=int(obj.get("forced_overrides", 0)),
         )
 
 
@@ -200,8 +201,7 @@ def simulate(policy: Policy, env_model: EnvModel, src_tokens, features=None, *,
     n_read = 0
     overrides = 0
     cw = 0
-    prefix_tokens = []
-    prefix_score = 0.0
+    quality = PrefixBleu(ref_tokens) if ref_tokens is not None else None
     eos_row_added = False
 
     while True:
@@ -248,11 +248,8 @@ def simulate(policy: Policy, env_model: EnvModel, src_tokens, features=None, *,
             cw = 0
             if proposal.token != EOS:
                 delays.append(n_read)
-                if ref_tokens is not None:
-                    prefix_tokens.append(env_model.tgt_vocab.token(proposal.token))
-                    new_score = smoothed_sentence_bleu(prefix_tokens, ref_tokens)
-                    quality_delta = new_score - prefix_score
-                    prefix_score = new_score
+                if quality is not None:
+                    quality_delta = quality.append(env_model.tgt_vocab.token(proposal.token))
             terminal = dec.terminal or len(hyp_ids) >= cap
 
         if reward_config is not None:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -77,6 +78,32 @@ def test_quality_trace_telescopes_over_random_episodes():
 def test_quality_trace_rejects_non_growing_prefixes():
     with pytest.raises(ContractError):
         M.quality_reward_trace([["a"], ["a", "b", "c"]], ["a", "b"])
+
+
+def test_quality_trace_rejects_prefix_that_does_not_extend():
+    with pytest.raises(ContractError, match="does not extend"):
+        M.quality_reward_trace([["a"], ["b", "a"]], ["a", "b"])
+
+
+def _trace_by_recount(prefixes, ref):
+    """Reference: rescore every prefix from scratch."""
+    deltas, prev = [], 0.0
+    for prefix in prefixes:
+        score = M.smoothed_sentence_bleu(prefix, ref)
+        deltas.append(score - prev)
+        prev = score
+    return deltas
+
+
+def test_quality_trace_equals_recount_of_every_prefix():
+    rng = np.random.default_rng(8)
+    for case in range(2000):
+        # few word types, so n-grams repeat and clipping is exercised
+        vocab = [f"w{i}" for i in range(2 + case % 4)]
+        ref = [vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(1, 12))]
+        hyp = [vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(1, 16))]
+        prefixes = [hyp[:i + 1] for i in range(len(hyp))]
+        assert M.quality_reward_trace(prefixes, ref) == _trace_by_recount(prefixes, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +259,67 @@ def test_corpus_bleu_matches_brute_force_oracle():
         assert abs(M.corpus_bleu(hyps, refs) - _oracle_corpus_bleu(hyps, refs)) <= 1e-9
 
 
+def _ngram_counts(tokens, n):
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _clipped(hyp, ref, n):
+    hyp_counts, ref_counts = _ngram_counts(hyp, n), _ngram_counts(ref, n)
+    return (sum(min(c, ref_counts[g]) for g, c in hyp_counts.items()),
+            max(len(hyp) - n + 1, 0))
+
+
+def _per_order_sentence_bleu(hyp, ref):
+    """Reference: per-order recount with the scorer's arithmetic."""
+    if not hyp:
+        return 0.0
+    log_p = []
+    for n in range(1, 5):
+        m, c = _clipped(hyp, ref, n)
+        if n == 1:
+            if m == 0:
+                return 0.0
+            log_p.append(math.log(m / c))
+        else:
+            log_p.append(math.log((m + 1.0) / (c + 1.0)))
+    bp = 1.0 if len(hyp) >= len(ref) else math.exp(1.0 - len(ref) / len(hyp))
+    return 100.0 * bp * math.exp(sum(log_p) / 4)
+
+
+def _per_order_corpus_bleu(hyps, refs):
+    """Reference: per-order recount summed over the corpus."""
+    matches, totals = [0] * 4, [0] * 4
+    for hyp, ref in zip(hyps, refs):
+        for n in range(1, 5):
+            m, c = _clipped(hyp, ref, n)
+            matches[n - 1] += m
+            totals[n - 1] += c
+    hyp_len = sum(len(h) for h in hyps)
+    ref_len = sum(len(r) for r in refs)
+    if hyp_len == 0 or any(m == 0 for m in matches):
+        return 0.0
+    log_prec = sum(math.log(m / c) for m, c in zip(matches, totals)) / 4
+    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * bp * math.exp(log_prec)
+
+
+def test_bleu_scores_equal_per_order_recount():
+    rng = np.random.default_rng(9)
+    for case in range(500):
+        vocab = [f"w{i}" for i in range(2 + case % 5)]
+        refs = [[vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(1, 10))]
+                for _ in range(4)]
+        hyps = [[vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(0, 10))]
+                for _ in range(4)]
+        assert M.corpus_bleu(hyps, refs) == _per_order_corpus_bleu(hyps, refs)
+        for hyp, ref in zip(hyps, refs):
+            assert M.smoothed_sentence_bleu(hyp, ref) == _per_order_sentence_bleu(hyp, ref)
+
+
+def test_corpus_bleu_of_no_sentences_is_zero():
+    assert M.corpus_bleu([], []) == 0.0
+
+
 def test_corpus_bleu_count_mismatch():
     with pytest.raises(DataError):
         M.corpus_bleu([["a"]], [["a"], ["b"]])
@@ -279,6 +367,48 @@ def test_bootstrap_fixed_seed_is_deterministic():
 def test_bootstrap_misaligned_inputs():
     with pytest.raises(DataError):
         M.bootstrap_significance([["a"]], [["a"], ["b"]], [["a"], ["b"]])
+
+
+def test_bootstrap_no_sentences_raises():
+    with pytest.raises(DataError):
+        M.bootstrap_significance([], [], [])
+
+
+class _NoDraws:
+    def integers(self, *args, **kwargs):
+        raise AssertionError("resampled before checking the references")
+
+
+def test_bootstrap_empty_reference_raises_before_resampling():
+    with pytest.raises(ContractError):
+        M.bootstrap_significance([["a"], ["b"]], [["a"], ["b"]], [["a"], []],
+                                 rng=_NoDraws())
+
+
+def _bootstrap_by_recount(hyps_a, hyps_b, refs, n_resamples, rng):
+    """Reference: corpus BLEU of both systems on every resample."""
+    n, wins = len(refs), 0
+    for _ in range(n_resamples):
+        idx = rng.integers(0, n, size=n)
+        score_a = M.corpus_bleu([hyps_a[i] for i in idx], [refs[i] for i in idx])
+        score_b = M.corpus_bleu([hyps_b[i] for i in idx], [refs[i] for i in idx])
+        wins += score_a >= score_b
+    return wins / n_resamples
+
+
+def test_bootstrap_equals_corpus_bleu_on_every_resample():
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        refs, good, bad = _toy_systems(rng, n=12)
+        # two random mixtures of the same systems are close, so p is not 0 or 1
+        mix_a, mix_b = ([g if rng.random() < 0.5 else b for g, b in zip(good, bad)]
+                        for _ in range(2))
+        for a, b in ((mix_a, mix_b), (mix_b, mix_a), (bad, good)):
+            p = M.bootstrap_significance(a, b, refs, n_resamples=100,
+                                         rng=np.random.default_rng(seed))
+            assert p == _bootstrap_by_recount(a, b, refs, 100, np.random.default_rng(seed))
+        assert 0.0 < M.bootstrap_significance(mix_a, mix_b, refs, n_resamples=100,
+                                              rng=np.random.default_rng(seed)) < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from simtlab.policies import (Policy, Transcript, consecutive_policy,
                               write_transcripts)
 from simtlab.vocab import EOS, Vocabulary
 
+from recount import quality_rewards_by_recount
+
 
 class ScriptedPolicy(Policy):
     def __init__(self, script):
@@ -201,6 +203,17 @@ def test_wait_k_validation():
         wait_k_policy(0)
 
 
+def test_simulate_quality_rewards_equal_recount(tiny_copy_env):
+    model, train, valid, test, _ = tiny_copy_env
+    cfg = RewardConfig(alpha=0.0, beta=0.0)
+    for s, (src, ref) in enumerate(test[:12]):
+        for policy in (RandomPolicy(s), wait_k_policy(1 + s % 3)):
+            # a reversed reference makes some commits lose BLEU
+            ref_used = list(ref) if s % 2 else list(ref)[::-1]
+            t = simulate(policy, model, src, ref_tokens=ref_used, reward_config=cfg)
+            assert t.rewards == quality_rewards_by_recount(t, ref_used)
+
+
 def test_quality_rewards_telescope_in_simulation(untrained_env):
     model, pairs = untrained_env
     src, ref = pairs[3]
@@ -274,15 +287,21 @@ def test_transcript_jsonl_round_trip(tmp_path, untrained_env):
     model, pairs = untrained_env
     ts = [simulate(RandomPolicy(s), model, pairs[s][0], ref_tokens=pairs[s][1],
                    reward_config=RewardConfig()) for s in range(5)]
+    ts.append(simulate(AlwaysRead(), model, pairs[5][0]))
+    assert ts[-1].forced_overrides > 0
     path = tmp_path / "episodes.jsonl"
     write_transcripts(path, ts)
     lines = path.read_text().splitlines()
     obj = json.loads(lines[0])
-    assert set(obj) == {"src", "hyp", "actions", "g", "rewards"}
+    assert set(obj) == {"src", "hyp", "actions", "g", "rewards", "forced_overrides"}
     back = read_transcripts(path)
+    assert len(back) == len(ts)
     for a, b in zip(ts, back):
         assert a.src == b.src and a.hyp == b.hyp and a.actions == b.actions
         assert a.delays == b.delays and a.ended_with_eos == b.ended_with_eos
+        assert a.forced_overrides == b.forced_overrides
+    del obj["forced_overrides"]
+    assert Transcript.from_json_obj(obj).forced_overrides == 0
 
 
 def test_transcript_validation_catches_bad_counts():

@@ -397,6 +397,8 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
     delays = [[] for _ in range(n)]
     quality = [PrefixBleu(r) for r in refs]
     cw = np.ones(n, dtype=np.int64)  # after the initial READ
+    # the initial forced READ: one consecutive READ, nothing committed yet
+    first_reward = latency_reward(1, 0.0, cfg.reward, is_terminal=False)
 
     # perform the initial forced READ for everyone
     x0 = env.src_emb.data[src_mat[:, 0]]
@@ -564,7 +566,7 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
                 hyp=env.tgt_vocab.decode(hyp_ids[i], strip_reserved=False),
                 actions="".join(actions_str[i]),
                 delays=delays[i],
-                rewards=[0.0] + r["reward"],
+                rewards=[first_reward] + r["reward"],
                 ended_with_eos=bool(hyp_ids[i]) and hyp_ids[i][-1] == EOS,
             )
             entry.transcript.validate()

@@ -71,8 +71,10 @@ def _accum(t: Tensor, g) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy, since ops may pass one gradient array to several inputs
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _track(tape, *tensors) -> bool:
@@ -105,8 +107,13 @@ def uniform_tensor(shape, rng, scale: float = 0.08, requires_grad: bool = True) 
 
 
 def _sigmoid(x):
+    """1 / (1 + exp(-x)), computed in one buffer."""
     # sigmoid saturates to 0/1 in float64 beyond |x| ~ 37, so clipping is exact
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    t = np.clip(x, -60.0, 60.0)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.divide(1.0, t, out=t)
 
 
 def softmax(x):
@@ -135,84 +142,32 @@ def add(tape, a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(tape, a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub: {a.data.shape} vs {b.data.shape}")
-    tracked = _track(tape, a, b)
-    out = _out(tape, a.data - b.data, tracked)
-    if tracked:
-        def bwd():
-            if out.grad is None:
-                return
-            _accum(a, out.grad)
-            _accum(b, -out.grad)
-        tape.record(bwd)
-    return out
-
-
-def mul(tape, a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul: {a.data.shape} vs {b.data.shape}")
-    tracked = _track(tape, a, b)
-    out = _out(tape, a.data * b.data, tracked)
-    if tracked:
-        def bwd():
-            if out.grad is None:
-                return
-            _accum(a, out.grad * b.data)
-            _accum(b, out.grad * a.data)
-        tape.record(bwd)
-    return out
-
-
-def scale(tape, a: Tensor, c: float) -> Tensor:
-    tracked = _track(tape, a)
-    out = _out(tape, a.data * c, tracked)
-    if tracked:
-        def bwd():
-            if out.grad is None:
-                return
-            _accum(a, out.grad * c)
-        tape.record(bwd)
-    return out
-
-
 def matmul(tape, a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 2D x 2D, 1D x 2D, and 2D x 1D operands."""
+    """Product of a (k,), (m, k) or (B, T, k) operand with a (k, n) matrix.
+
+    Leading axes are flattened into the rows of one matrix product.
+    """
     ad, bd = a.data, b.data
-    if ad.ndim == 1 and bd.ndim == 2:
-        if ad.shape[0] != bd.shape[0]:
-            raise ShapeError(f"matmul: {ad.shape} @ {bd.shape}")
-    elif ad.ndim == 2 and bd.ndim in (1, 2):
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul: {ad.shape} @ {bd.shape}")
-    else:
-        raise ShapeError(f"matmul: unsupported ranks {ad.ndim} @ {bd.ndim}")
+    if bd.ndim != 2 or not 1 <= ad.ndim <= 3 or ad.shape[-1] != bd.shape[0]:
+        raise ShapeError(f"matmul: {ad.shape} @ {bd.shape}")
+    a2 = ad.reshape(-1, bd.shape[0])
     tracked = _track(tape, a, b)
-    out = _out(tape, ad @ bd, tracked)
+    out = _out(tape, (a2 @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), tracked)
     if tracked:
         def bwd():
             g = out.grad
             if g is None:
                 return
-            if ad.ndim == 1:          # (k,) @ (k,n) -> (n,)
-                _accum(a, bd @ g)
-                _accum(b, np.outer(ad, g))
-            elif bd.ndim == 1:        # (m,k) @ (k,) -> (m,)
-                _accum(a, np.outer(g, bd))
-                _accum(b, ad.T @ g)
-            else:                     # (m,k) @ (k,n) -> (m,n)
-                _accum(a, g @ bd.T)
-                _accum(b, ad.T @ g)
+            g2 = g.reshape(-1, bd.shape[1])
+            _accum(a, (g2 @ bd.T).reshape(ad.shape))
+            _accum(b, a2.T @ g2)
         tape.record(bwd)
     return out
 
 
 def add_bias(tape, m: Tensor, bias: Tensor) -> Tensor:
-    """Add a vector bias to a vector, or row-wise to a matrix."""
-    if m.data.ndim == 1:
-        return add(tape, m, bias)
-    if m.data.ndim != 2 or bias.data.shape != (m.data.shape[1],):
+    """Add a vector bias along the last axis of a vector, matrix or (B, T, n) block."""
+    if bias.data.shape != m.data.shape[-1:]:
         raise ShapeError(f"add_bias: {m.data.shape} + {bias.data.shape}")
     tracked = _track(tape, m, bias)
     out = _out(tape, m.data + bias.data, tracked)
@@ -222,33 +177,7 @@ def add_bias(tape, m: Tensor, bias: Tensor) -> Tensor:
             if g is None:
                 return
             _accum(m, g)
-            _accum(bias, g.sum(axis=0))
-        tape.record(bwd)
-    return out
-
-
-def sigmoid(tape, a: Tensor) -> Tensor:
-    s = _sigmoid(a.data)
-    tracked = _track(tape, a)
-    out = _out(tape, s, tracked)
-    if tracked:
-        def bwd():
-            if out.grad is None:
-                return
-            _accum(a, out.grad * s * (1.0 - s))
-        tape.record(bwd)
-    return out
-
-
-def tanh(tape, a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-    tracked = _track(tape, a)
-    out = _out(tape, t, tracked)
-    if tracked:
-        def bwd():
-            if out.grad is None:
-                return
-            _accum(a, out.grad * (1.0 - t * t))
+            _accum(bias, g.reshape(-1, g.shape[-1]).sum(axis=0))
         tape.record(bwd)
     return out
 
@@ -269,22 +198,6 @@ def concat(tape, parts, axis: int = -1) -> Tensor:
                 return
             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
                 _accum(p, np.take(g, range(lo, hi), axis=axis))
-        tape.record(bwd)
-    return out
-
-
-def stack_rows(tape, mats) -> Tensor:
-    """Stack S matrices of shape (B, h) into a (B, S, h) tensor."""
-    out_data = np.stack([m.data for m in mats], axis=1)
-    tracked = _track(tape, *mats)
-    out = _out(tape, out_data, tracked)
-    if tracked:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            for s, m in enumerate(mats):
-                _accum(m, g[:, s, :])
         tape.record(bwd)
     return out
 
@@ -326,40 +239,41 @@ def linear_rows3(tape, feats, w: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# GRU cell (fused)
+# GRU (fused gates)
 # ---------------------------------------------------------------------------
 
 class GRUParams:
-    """Gate weights and biases for one GRU cell.
+    """Fused gate weights and biases for one GRU cell.
 
     Update rule: h' = (1 - z) * h + z * tanh(x Wxn + (r * h) Whn + bn)
     with reset gate r and update gate z, so z near 0 keeps the old state.
+    ``w_x`` (in, 3h), ``w_h`` (h, 3h) and ``b`` (3h,) hold the r, z and n
+    gates side by side, in that order.
     """
 
-    FIELDS = ("w_xr", "w_hr", "b_r", "w_xz", "w_hz", "b_z", "w_xn", "w_hn", "b_n")
+    FIELDS = ("w_x", "w_h", "b")
 
-    def __init__(self, w_xr, w_hr, b_r, w_xz, w_hz, b_z, w_xn, w_hn, b_n):
-        self.w_xr, self.w_hr, self.b_r = w_xr, w_hr, b_r
-        self.w_xz, self.w_hz, self.b_z = w_xz, w_hz, b_z
-        self.w_xn, self.w_hn, self.b_n = w_xn, w_hn, b_n
+    def __init__(self, w_x, w_h, b):
+        self.w_x, self.w_h, self.b = w_x, w_h, b
 
     @classmethod
     def create(cls, input_dim: int, hidden_dim: int, rng, scale: float = 0.08) -> "GRUParams":
-        def w(shape):
-            return uniform_tensor(shape, rng, scale)
-        return cls(
-            w((input_dim, hidden_dim)), w((hidden_dim, hidden_dim)), w((hidden_dim,)),
-            w((input_dim, hidden_dim)), w((hidden_dim, hidden_dim)), w((hidden_dim,)),
-            w((input_dim, hidden_dim)), w((hidden_dim, hidden_dim)), w((hidden_dim,)),
-        )
+        # Draw the blocks one gate at a time, (x, h, bias) for r, then z, then
+        # n, and concatenate them: a seed gives the weights of per-gate draws.
+        blocks = [rng.uniform(-scale, scale, size=shape)
+                  for _ in range(3)
+                  for shape in ((input_dim, hidden_dim), (hidden_dim, hidden_dim), (hidden_dim,))]
+        return cls(Tensor(np.concatenate(blocks[0::3], axis=1), requires_grad=True),
+                   Tensor(np.concatenate(blocks[1::3], axis=1), requires_grad=True),
+                   Tensor(np.concatenate(blocks[2::3]), requires_grad=True))
 
     @property
     def input_dim(self) -> int:
-        return self.w_xr.data.shape[0]
+        return self.w_x.data.shape[0]
 
     @property
     def hidden_dim(self) -> int:
-        return self.w_xr.data.shape[1]
+        return self.w_h.data.shape[0]
 
     def named_tensors(self, prefix: str = ""):
         return [(prefix + name, getattr(self, name)) for name in self.FIELDS]
@@ -368,62 +282,120 @@ class GRUParams:
         return [getattr(self, name) for name in self.FIELDS]
 
 
+def _gru_step(xw, hd, w_h, b):
+    """Gate equations for one step from the input projection ``xw = x @ w_x``.
+
+    Each pre-activation is summed as x-part + h-part + bias. Returns
+    (h', [r z], n, r * h).
+    """
+    k = hd.shape[-1]
+    rz = _sigmoid(xw[..., :2 * k] + hd @ w_h[:, :2 * k] + b[:2 * k])
+    r, z = rz[..., :k], rz[..., k:]
+    rh = r * hd
+    n = np.tanh(xw[..., 2 * k:] + rh @ w_h[:, 2 * k:] + b[2 * k:])
+    return (1.0 - z) * hd + z * n, rz, n, rh
+
+
+def _gru_step_bwd(go, hd, rz, n, w_h):
+    """Gradients of one step: (pre-activations (B, 3h), h_prev (B, h))."""
+    k = hd.shape[1]
+    r, z = rz[:, :k], rz[:, k:]
+    da = np.empty((hd.shape[0], 3 * k))
+    da[:, 2 * k:] = dan = go * z * (1.0 - n * n)
+    drh = dan @ w_h[:, 2 * k:].T
+    da[:, k:2 * k] = go * (n - hd) * z * (1.0 - z)
+    da[:, :k] = drh * hd * r * (1.0 - r)
+    dh = go * (1.0 - z) + drh * r + da[:, :2 * k] @ w_h[:, :2 * k].T
+    return da, dh
+
+
+def _gru_weight_grads(p: GRUParams, x2, hp2, rh2, da2) -> None:
+    """Accumulate weight gradients over all rows of (rows, ·) matrices at once."""
+    k = p.hidden_dim
+    dw_h = np.empty_like(p.w_h.data)
+    dw_h[:, :2 * k] = hp2.T @ da2[:, :2 * k]
+    dw_h[:, 2 * k:] = rh2.T @ da2[:, 2 * k:]
+    _accum(p.w_x, x2.T @ da2)
+    _accum(p.w_h, dw_h)
+    _accum(p.b, da2.sum(axis=0))
+
+
+def _check_gru_dims(name, xd, hd, params: GRUParams) -> None:
+    if xd.shape[-1] != params.input_dim or hd.shape[-1] != params.hidden_dim:
+        raise ShapeError(
+            f"{name}: expected input {params.input_dim} / hidden {params.hidden_dim}, "
+            f"got {xd.shape[-1]} / {hd.shape[-1]}")
+
+
 def gru_cell(tape, x: Tensor, h_prev: Tensor, params: GRUParams) -> Tensor:
     """One GRU step for a single vector or a (B, dim) batch."""
-    squeeze = x.data.ndim == 1
-    xd = x.data[None, :] if squeeze else x.data
-    hd = h_prev.data[None, :] if h_prev.data.ndim == 1 else h_prev.data
-    if xd.ndim != 2 or hd.ndim != 2 or xd.shape[0] != hd.shape[0]:
-        raise ShapeError(f"gru_cell: x {x.data.shape} vs h {h_prev.data.shape}")
-    if xd.shape[1] != params.input_dim or hd.shape[1] != params.hidden_dim:
-        raise ShapeError(
-            f"gru_cell: expected input {params.input_dim} / hidden {params.hidden_dim}, "
-            f"got {xd.shape[1]} / {hd.shape[1]}")
+    xd, hd = x.data, h_prev.data
+    if xd.ndim != hd.ndim or xd.ndim not in (1, 2) or xd.shape[:-1] != hd.shape[:-1]:
+        raise ShapeError(f"gru_cell: x {xd.shape} vs h {hd.shape}")
+    _check_gru_dims("gru_cell", xd, hd, params)
 
     p = params
-    r = _sigmoid(xd @ p.w_xr.data + hd @ p.w_hr.data + p.b_r.data)
-    z = _sigmoid(xd @ p.w_xz.data + hd @ p.w_hz.data + p.b_z.data)
-    rh = r * hd
-    n = np.tanh(xd @ p.w_xn.data + rh @ p.w_hn.data + p.b_n.data)
-    new = (1.0 - z) * hd + z * n
-
+    new, rz, n, rh = _gru_step(xd @ p.w_x.data, hd, p.w_h.data, p.b.data)
     tracked = _track(tape, x, h_prev, *p.tensors())
-    out = _out(tape, new[0] if squeeze else new, tracked)
+    out = _out(tape, new, tracked)
     if tracked:
         def bwd():
             g = out.grad
             if g is None:
                 return
-            go = g[None, :] if squeeze else g
-            dz = go * (n - hd)
-            dn = go * z
-            dh = go * (1.0 - z)
+            g2, x2, h2, rz2, n2, rh2 = map(np.atleast_2d, (g, xd, hd, rz, n, rh))
+            da, dh = _gru_step_bwd(g2, h2, rz2, n2, p.w_h.data)
+            _gru_weight_grads(p, x2, h2, rh2, da)
+            _accum(x, (da @ p.w_x.data.T).reshape(xd.shape))
+            _accum(h_prev, dh.reshape(hd.shape))
+        tape.record(bwd)
+    return out
 
-            dan = dn * (1.0 - n * n)
-            _accum(p.w_xn, xd.T @ dan)
-            _accum(p.w_hn, rh.T @ dan)
-            _accum(p.b_n, dan.sum(axis=0))
-            dx = dan @ p.w_xn.data.T
-            drh = dan @ p.w_hn.data.T
-            dr = drh * hd
-            dh += drh * r
 
-            daz = dz * z * (1.0 - z)
-            _accum(p.w_xz, xd.T @ daz)
-            _accum(p.w_hz, hd.T @ daz)
-            _accum(p.b_z, daz.sum(axis=0))
-            dx += daz @ p.w_xz.data.T
-            dh += daz @ p.w_hz.data.T
+def gru_sequence(tape, xs: Tensor, h0: Tensor, params: GRUParams) -> Tensor:
+    """Run a GRU over (B, T, in) inputs from (B, h) initial states.
 
-            dar = dr * r * (1.0 - r)
-            _accum(p.w_xr, xd.T @ dar)
-            _accum(p.w_hr, hd.T @ dar)
-            _accum(p.b_r, dar.sum(axis=0))
-            dx += dar @ p.w_xr.data.T
-            dh += dar @ p.w_hr.data.T
+    Returns the (B, T, h) states. The input projections of all steps are one
+    matmul before the time loop, and backward computes the weight and input
+    gradients as single matmuls over all B*T rows after it; only the
+    h-dependent products stay inside the loop.
+    """
+    xd, hd = xs.data, h0.data
+    if xd.ndim != 3 or hd.ndim != 2 or xd.shape[0] != hd.shape[0]:
+        raise ShapeError(f"gru_sequence: xs {xd.shape} vs h0 {hd.shape}")
+    _check_gru_dims("gru_sequence", xd, hd, params)
 
-            _accum(x, dx[0] if squeeze else dx)
-            _accum(h_prev, dh[0] if h_prev.data.ndim == 1 else dh)
+    p = params
+    bsz, steps, k = xd.shape[0], xd.shape[1], p.hidden_dim
+    x2 = xd.reshape(bsz * steps, -1)
+    xw = (x2 @ p.w_x.data).reshape(bsz, steps, 3 * k)
+    hs = np.empty((bsz, steps, k))
+    rzs = np.empty((bsz, steps, 2 * k))
+    ns = np.empty((bsz, steps, k))
+    h = hd
+    for t in range(steps):
+        h, rzs[:, t], ns[:, t], _ = _gru_step(xw[:, t], h, p.w_h.data, p.b.data)
+        hs[:, t] = h
+
+    tracked = _track(tape, xs, h0, *p.tensors())
+    out = _out(tape, hs, tracked)
+    if tracked:
+        def bwd():
+            g = out.grad
+            if g is None:
+                return
+            # the state each step started from, and r * h, rebuilt rather than kept
+            hp = np.concatenate([hd[:, None], hs[:, :-1]], axis=1)
+            da = np.empty((bsz, steps, 3 * k))
+            dh = np.zeros((bsz, k))
+            for t in range(steps - 1, -1, -1):
+                da[:, t], dh = _gru_step_bwd(g[:, t] + dh, hp[:, t], rzs[:, t], ns[:, t],
+                                             p.w_h.data)
+            hp2, da2 = hp.reshape(bsz * steps, k), da.reshape(bsz * steps, 3 * k)
+            _gru_weight_grads(p, x2, hp2, rzs[..., :k].reshape(bsz * steps, k) * hp2, da2)
+            if xs.requires_grad:
+                _accum(xs, (da2 @ p.w_x.data.T).reshape(xd.shape))
+            _accum(h0, dh)
         tape.record(bwd)
     return out
 
@@ -473,25 +445,35 @@ def dot_attention(tape, keys_values: Tensor, query: Tensor):
     return keyed_attention(tape, keys_values, keys_values, query)
 
 
+def _sum_outer(a, b):
+    """sum over t of the outer products a[:, t] x b[:, t], for (B, T, S) and (B, T, D)."""
+    if a.shape[1] == 1:  # einsum's outer product is faster than a matmul over one term
+        return np.einsum("bs,bd->bsd", a[:, 0], b[:, 0])
+    return a.transpose(0, 2, 1) @ b
+
+
 def batched_attention(tape, keys: Tensor, values: Tensor, query: Tensor, mask=None):
     """Row-masked attention over (B, S, dk) keys and (B, S, dv) values.
 
-    query is (B, dk); mask is a (B, S) boolean array marking valid rows.
-    Returns (context (B, dv), weights (B, S)).
+    query is (B, dk), or (B, T, dk) for T queries per batch row; mask is a
+    (B, S) boolean array marking valid rows. Returns context (B, dv) and
+    weights (B, S), or (B, T, dv) and (B, T, S) for (B, T, dk) queries.
     """
     kd, vd, qd = keys.data, values.data, query.data
-    if kd.ndim != 3 or vd.ndim != 3 or qd.ndim != 2:
-        raise ShapeError("batched_attention expects (B,S,dk), (B,S,dv), (B,dk)")
-    scores = np.einsum("bsk,bk->bs", kd, qd)
+    if kd.ndim != 3 or vd.ndim != 3 or qd.ndim not in (2, 3):
+        raise ShapeError("batched_attention expects (B,S,dk), (B,S,dv), (B,[T,]dk)")
+    single = qd.ndim == 2
+    q3 = qd[:, None, :] if single else qd
+    scores = q3 @ kd.transpose(0, 2, 1)
     if mask is not None:
         if not mask.any(axis=1).all():
             raise ContractError("batched_attention: a batch row has no valid keys")
-        scores = np.where(mask, scores, -np.inf)
+        scores = np.where(mask[:, None, :], scores, -np.inf)
     w = softmax(scores)
-    ctx_data = np.einsum("bs,bsv->bv", w, vd)
+    ctx_data = w @ vd
     tracked = _track(tape, keys, values, query)
-    ctx = _out(tape, ctx_data, tracked)
-    weights = _out(tape, w, tracked)
+    ctx = _out(tape, ctx_data[:, 0] if single else ctx_data, tracked)
+    weights = _out(tape, w[:, 0] if single else w, tracked)
     if tracked:
         def bwd():
             gc = ctx.grad
@@ -500,13 +482,14 @@ def batched_attention(tape, keys: Tensor, values: Tensor, query: Tensor, mask=No
                 return
             dw = np.zeros_like(w)
             if gc is not None:
-                dw += np.einsum("bsv,bv->bs", vd, gc)
-                _accum(values, np.einsum("bs,bv->bsv", w, gc))
+                gc3 = gc[:, None, :] if single else gc
+                dw += gc3 @ vd.transpose(0, 2, 1)
+                _accum(values, _sum_outer(w, gc3))
             if gw is not None:
-                dw += gw
-            ds = w * (dw - np.einsum("bs,bs->b", w, dw)[:, None])
-            _accum(query, np.einsum("bs,bsk->bk", ds, kd))
-            _accum(keys, np.einsum("bs,bk->bsk", ds, qd))
+                dw += gw[:, None, :] if single else gw
+            ds = w * (dw - (w * dw).sum(axis=2, keepdims=True))
+            _accum(query, (ds @ kd).reshape(qd.shape))
+            _accum(keys, _sum_outer(ds, q3))
         tape.record(bwd)
     return ctx, weights
 
@@ -515,53 +498,28 @@ def batched_attention(tape, keys: Tensor, values: Tensor, query: Tensor, mask=No
 # Losses and policy-head pieces
 # ---------------------------------------------------------------------------
 
-def softmax_cross_entropy(tape, logits: Tensor, target: int) -> Tensor:
-    """Negative log softmax probability of the target index."""
-    k = logits.data.shape[0]
-    if logits.data.ndim != 1:
-        raise ShapeError(f"softmax_cross_entropy: logits must be 1D, got {logits.data.shape}")
-    if not 0 <= target < k:
-        raise IndexError(f"target {target} out of range [0, {k})")
-    shifted = logits.data - logits.data.max()
-    logz = np.log(np.exp(shifted).sum())
-    loss = logz - shifted[target]
-    p = np.exp(shifted - logz)
-    tracked = _track(tape, logits)
-    out = _out(tape, np.float64(loss), tracked)
-    if tracked:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            d = p.copy()
-            d[target] -= 1.0
-            _accum(logits, g * d)
-        tape.record(bwd)
-    return out
-
-
 def softmax_cross_entropy_rows(tape, logits: Tensor, targets, mask, denom=None) -> Tensor:
-    """Masked cross-entropy over (B, K) rows, divided by ``denom``.
+    """Masked cross-entropy over (B, K) or (B, T, K) rows, divided by ``denom``.
 
-    With the default denom the result is the mean over unmasked rows;
-    passing a fixed denom lets callers sum per-step losses into a
+    targets and mask have the logits' leading shape. With the default denom
+    the result is the mean over unmasked rows; a fixed denom gives, say, a
     per-token mean across a whole batch.
     """
     ld = logits.data
     idx = np.asarray(targets, dtype=np.int64)
     m = np.asarray(mask, dtype=np.float64)
-    if ld.ndim != 2 or idx.shape != (ld.shape[0],) or m.shape != (ld.shape[0],):
+    if ld.ndim not in (2, 3) or idx.shape != ld.shape[:-1] or m.shape != ld.shape[:-1]:
         raise ShapeError("softmax_cross_entropy_rows: inconsistent shapes")
-    if idx.size and (idx.min() < 0 or idx.max() >= ld.shape[1]):
+    if idx.size and (idx.min() < 0 or idx.max() >= ld.shape[-1]):
         raise IndexError("softmax_cross_entropy_rows: target out of range")
     count = m.sum() if denom is None else float(denom)
     if count == 0:
         raise ContractError("softmax_cross_entropy_rows: empty mask")
-    shifted = ld - ld.max(axis=1, keepdims=True)
+    l2, idx, m = ld.reshape(-1, ld.shape[-1]), idx.reshape(-1), m.reshape(-1)
+    shifted = l2 - l2.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1))
-    rows = np.arange(ld.shape[0])
+    rows = np.arange(l2.shape[0])
     losses = logz - shifted[rows, idx]
-    p = np.exp(shifted - logz[:, None])
     tracked = _track(tape, logits)
     out = _out(tape, np.float64((losses * m).sum() / count), tracked)
     if tracked:
@@ -569,9 +527,9 @@ def softmax_cross_entropy_rows(tape, logits: Tensor, targets, mask, denom=None) 
             g = out.grad
             if g is None:
                 return
-            d = p * m[:, None]
+            d = np.exp(shifted - logz[:, None]) * m[:, None]
             d[rows, idx] -= m
-            _accum(logits, (g / count) * d)
+            _accum(logits, ((g / count) * d).reshape(ld.shape))
         tape.record(bwd)
     return out
 

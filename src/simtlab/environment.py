@@ -319,50 +319,37 @@ def teacher_forced_loss(model: EnvModel, batch, tape, feats3=None):
     """Cross-entropy per target token for one padded batch.
 
     ``batch`` holds (src_ids, tgt_ids) with EOS appended to sources by the
-    caller. Returns the scalar loss tensor.
+    caller. Each layer runs over the whole (B, T) batch in turn; padded
+    positions are computed and masked out of attention and loss. Returns
+    the scalar loss tensor.
     """
+    if model.multimodal and feats3 is None:
+        raise ConfigError("multimodal training requires features")
     src_ids, tgt_ids = batch
     src_mat, src_mask = _pad_batch(src_ids)
-    bsz, src_width = src_mat.shape
+    zeros = Tensor(np.zeros((src_mat.shape[0], model.cfg.hid_dim)))
 
-    h1 = Tensor(np.zeros((bsz, model.cfg.hid_dim)))
-    h2 = Tensor(np.zeros((bsz, model.cfg.hid_dim)))
-    rows = []
-    for t in range(src_width):
-        x = ad.embedding(tape, model.src_emb, src_mat[:, t])
-        h1 = ad.gru_cell(tape, x, h1, model.enc1)
-        h2 = ad.gru_cell(tape, h1, h2, model.enc2)
-        rows.append(h2)
-    h_all = ad.stack_rows(tape, rows)
-
-    v_all = None
-    if model.multimodal:
-        if feats3 is None:
-            raise ConfigError("multimodal training requires features")
-        v_all = ad.linear_rows3(tape, feats3, model.w_vis)
+    xs = ad.embedding(tape, model.src_emb, src_mat)
+    h_all = ad.gru_sequence(tape, ad.gru_sequence(tape, xs, zeros, model.enc1),
+                            zeros, model.enc2)
 
     tgt_in = [[BOS] + ids for ids in tgt_ids]
     tgt_out = [ids + [EOS] for ids in tgt_ids]
     in_mat, _ = _pad_batch(tgt_in)
     out_mat, out_mask = _pad_batch(tgt_out)
-    total_tokens = float(out_mask.sum())
 
-    g1 = Tensor(np.zeros((bsz, model.cfg.hid_dim)))
-    g2 = Tensor(np.zeros((bsz, model.cfg.hid_dim)))
-    losses = []
-    for t in range(out_mat.shape[1]):
-        x = ad.embedding(tape, model.tgt_emb, in_mat[:, t])
-        g1 = ad.gru_cell(tape, x, g1, model.dec1)
-        ctx, _ = ad.batched_attention(tape, h_all, h_all, g1, src_mask)
-        if v_all is not None:
-            vctx, _ = ad.batched_attention(tape, v_all, v_all, g1)
-            ctx = ad.add(tape, ctx, vctx)
-        g2 = ad.gru_cell(tape, ctx, g2, model.dec2)
-        feat = ad.concat(tape, [x, ctx, g2], axis=1)
-        logits = ad.add_bias(tape, ad.matmul(tape, feat, model.w_out), model.b_out)
-        losses.append(ad.softmax_cross_entropy_rows(
-            tape, logits, out_mat[:, t], out_mask[:, t], denom=total_tokens))
-    return ad.sum_scalars(tape, losses)
+    ys = ad.embedding(tape, model.tgt_emb, in_mat)
+    g1 = ad.gru_sequence(tape, ys, zeros, model.dec1)
+    ctx, _ = ad.batched_attention(tape, h_all, h_all, g1, src_mask)
+    if model.multimodal:
+        v_all = ad.linear_rows3(tape, feats3, model.w_vis)
+        vctx, _ = ad.batched_attention(tape, v_all, v_all, g1)
+        ctx = ad.add(tape, ctx, vctx)
+    g2 = ad.gru_sequence(tape, ctx, zeros, model.dec2)
+    feat = ad.concat(tape, [ys, ctx, g2], axis=2)
+    logits = ad.add_bias(tape, ad.matmul(tape, feat, model.w_out), model.b_out)
+    return ad.softmax_cross_entropy_rows(tape, logits, out_mat, out_mask,
+                                         denom=float(out_mask.sum()))
 
 
 def validation_bleu(model: EnvModel, pairs, features=None, cap: int = 0):

@@ -3,9 +3,12 @@ import pytest
 
 from simtlab.agent import (AgentConfig, AgentNetwork, BaselineNetwork, RLTrainConfig,
                            collect_trajectories, reinforce_update)
+from simtlab.environment import EnvConfig, EnvModel
 from simtlab.errors import ConfigError
+from simtlab.features import FeatureSet
 from simtlab.metrics import RewardConfig
 from simtlab.optim import AdamState
+from simtlab.policies import Policy, simulate
 
 from recount import quality_rewards_by_recount
 
@@ -53,3 +56,51 @@ def test_collector_quality_rewards_equal_recount(tiny_copy_env):
         assert entry.transcript.rewards == expected
         # the initial forced READ is not an agent step
         assert entry.rewards.tolist() == expected[1:]
+
+
+class ReplayPolicy(Policy):
+    """Answers with a recorded action string, after its initial forced READ."""
+
+    def __init__(self, actions):
+        self.actions = actions
+
+    def start_episode(self, src_tokens, features=None):
+        self.pos = 1
+
+    def decide(self, ctx):
+        self.pos += 1
+        return self.actions[self.pos - 1]
+
+
+@pytest.mark.parametrize("variant", ["none", "init", "att"])
+@pytest.mark.parametrize("c_star", [1, 2])
+def test_collector_rewards_equal_simulate_replay(untrained_env, variant, c_star):
+    text_env, pairs = untrained_env
+    rows, dim = 3, 5
+    env = text_env
+    if variant != "none":
+        env = EnvModel(text_env.src_vocab, text_env.tgt_vocab,
+                       EnvConfig(emb_dim=20, hid_dim=28, multimodal=True, feature_rows=rows,
+                                 feature_dim=dim), np.random.default_rng(6))
+    cfg = AgentConfig(text_dim=env.cfg.hid_dim, emb_dim=env.cfg.emb_dim, hidden_dim=12,
+                      key_dim=env.cfg.emb_dim, use_init=variant == "init",
+                      use_att=variant == "att", feature_rows=rows, feature_dim=dim,
+                      init_scale=0.5)
+    rng = np.random.default_rng(c_star)
+    agent, baseline = AgentNetwork(cfg, rng), BaselineNetwork(cfg, rng)
+    feats = [FeatureSet("grid", rng.normal(size=(rows, dim))) for _ in range(8)]
+    episodes = [(src, ref, feats[k] if variant != "none" else None)
+                for k, (src, ref) in enumerate(pairs[:8])]
+    reward = RewardConfig(c_star=c_star)
+    batch = collect_trajectories(agent, baseline, env, episodes,
+                                 RLTrainConfig(reward=reward), global_seed=5,
+                                 record_transcripts=True)
+    assert {"R", "W"} <= set("".join(e.transcript.actions[1:] for e in batch.entries))
+    for (src, ref, fs), entry in zip(episodes, batch.entries):
+        got = entry.transcript
+        replay = simulate(ReplayPolicy(got.actions), env, src,
+                          fs if env.multimodal else None,
+                          ref_tokens=ref, reward_config=reward)
+        assert replay.forced_overrides == 0
+        assert (replay.actions, replay.hyp) == (got.actions, got.hyp)
+        assert replay.rewards == got.rewards

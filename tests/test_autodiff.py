@@ -25,7 +25,7 @@ def test_gru_zero_fixed_point():
 def test_gru_saturated_update_gate_keeps_state():
     rng = np.random.default_rng(1)
     p = _params(rng)
-    p.b_z.data[...] = -20.0
+    p.b.data[4:8] = -20.0  # the z slice of the fused bias
     x = ad.Tensor(rng.normal(size=3))
     h = ad.Tensor(rng.normal(size=4))
     out = ad.gru_cell(None, x, h, p)
@@ -67,6 +67,56 @@ def test_gru_gradcheck_random_cell():
     loss = ad.weighted_sum(tape, out, np.ones(4))
     ad.backward(tape, loss)
     assert_grads_close(forward, leaves, [t.grad for t in leaves])
+
+
+def test_gru_create_concatenates_per_gate_draws():
+    # the fused tensors hold the blocks drawn one gate at a time, r z n
+    p = ad.GRUParams.create(3, 4, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    blocks = [rng.uniform(-0.08, 0.08, size=shape)
+              for _ in range(3) for shape in ((3, 4), (4, 4), (4,))]
+    assert np.array_equal(p.w_x.data, np.concatenate(blocks[0::3], axis=1))
+    assert np.array_equal(p.w_h.data, np.concatenate(blocks[1::3], axis=1))
+    assert np.array_equal(p.b.data, np.concatenate(blocks[2::3]))
+
+
+def test_gru_sequence_equals_chained_cells():
+    rng = np.random.default_rng(20)
+    p = ad.GRUParams.create(5, 6, rng, scale=0.5)
+    xs = rng.normal(size=(3, 7, 5))
+    h0 = rng.normal(size=(3, 6))
+    seq = ad.gru_sequence(None, ad.Tensor(xs), ad.Tensor(h0), p).data
+    h = ad.Tensor(h0)
+    for t in range(7):
+        h = ad.gru_cell(None, ad.Tensor(xs[:, t]), h, p)
+        assert np.allclose(seq[:, t], h.data, rtol=0, atol=1e-12)
+
+
+def test_gru_sequence_gradcheck():
+    rng = np.random.default_rng(21)
+    p = ad.GRUParams.create(3, 4, rng, scale=0.5)
+    xs = ad.Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
+    h0 = ad.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    wc = rng.normal(size=(2, 3, 4))
+    leaves = [xs, h0] + p.tensors()
+
+    def forward():
+        return float((ad.gru_sequence(None, xs, h0, p).data * wc).sum())
+
+    tape = ad.Tape()
+    out = ad.gru_sequence(tape, xs, h0, p)
+    assert len(tape) == 1
+    out.grad = wc.copy()
+    ad.backward(tape, ad.Tensor(0.0))
+    assert_grads_close(forward, leaves, [t.grad for t in leaves])
+
+
+def test_gru_sequence_shape_errors():
+    p = _params(np.random.default_rng(22))
+    with pytest.raises(ShapeError):
+        ad.gru_sequence(None, ad.Tensor(np.zeros((2, 3, 5))), ad.Tensor(np.zeros((2, 4))), p)
+    with pytest.raises(ShapeError):
+        ad.gru_sequence(None, ad.Tensor(np.zeros((2, 3, 3))), ad.Tensor(np.zeros((3, 4))), p)
 
 
 def test_dot_attention_single_key():
@@ -159,20 +209,51 @@ def test_batched_attention_masked_gradcheck():
     assert np.all(w.data[~mask] == 0.0)
 
 
+def test_batched_attention_many_queries():
+    # (B, T, dk) queries equal T calls with (B, dk) queries, and gradcheck
+    rng = np.random.default_rng(18)
+    keys = ad.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    values = ad.Tensor(rng.normal(size=(2, 4, 2)), requires_grad=True)
+    q = ad.Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+    mask = np.array([[True, True, False, False], [True, True, True, True]])
+    wc = rng.normal(size=(2, 5, 2))
+    ww = rng.normal(size=(2, 5, 4))
+
+    ctx, w = ad.batched_attention(None, keys, values, q, mask)
+    for t in range(5):
+        ctx_t, w_t = ad.batched_attention(None, keys, values, ad.Tensor(q.data[:, t]), mask)
+        assert np.allclose(ctx.data[:, t], ctx_t.data, rtol=0, atol=1e-14)
+        assert np.allclose(w.data[:, t], w_t.data, rtol=0, atol=1e-14)
+
+    def forward():
+        ctx, w = ad.batched_attention(None, keys, values, q, mask)
+        return float((ctx.data * wc).sum() + (w.data * ww).sum())
+
+    tape = ad.Tape()
+    ctx, w = ad.batched_attention(tape, keys, values, q, mask)
+    ctx.grad, w.grad = wc.copy(), ww.copy()
+    ad.backward(tape, ad.Tensor(0.0))
+    assert_grads_close(forward, [keys, values, q], [keys.grad, values.grad, q.grad])
+
+
+def _row_ce(tape, logits, targets):
+    return ad.softmax_cross_entropy_rows(tape, logits, targets, np.ones(len(targets)))
+
+
 def test_softmax_cross_entropy_uniform():
-    loss = ad.softmax_cross_entropy(None, ad.Tensor(np.zeros(4)), 2)
+    loss = _row_ce(None, ad.Tensor(np.zeros((1, 4))), [2])
     assert abs(float(loss.data) - math.log(4)) <= 1e-12
 
 
 def test_softmax_cross_entropy_saturated():
-    logits = np.zeros(5)
-    logits[3] = 50.0
-    loss = ad.softmax_cross_entropy(None, ad.Tensor(logits), 3)
+    logits = np.zeros((1, 5))
+    logits[0, 3] = 50.0
+    loss = _row_ce(None, ad.Tensor(logits), [3])
     assert float(loss.data) <= 1e-12
 
 
 def test_softmax_cross_entropy_hand_value():
-    loss = ad.softmax_cross_entropy(None, ad.Tensor([1.0, 2.0, 3.0]), 0)
+    loss = _row_ce(None, ad.Tensor([[1.0, 2.0, 3.0]]), [0])
     expect = -1.0 + math.log(math.e + math.e ** 2 + math.e ** 3)
     assert abs(float(loss.data) - expect) <= 1e-12
     assert abs(float(loss.data) - 2.4076) <= 1e-4
@@ -180,24 +261,27 @@ def test_softmax_cross_entropy_hand_value():
 
 def test_softmax_cross_entropy_bad_target():
     with pytest.raises(IndexError):
-        ad.softmax_cross_entropy(None, ad.Tensor(np.zeros(3)), 3)
+        _row_ce(None, ad.Tensor(np.zeros((1, 3))), [3])
+    with pytest.raises(IndexError):
+        _row_ce(None, ad.Tensor(np.zeros((2, 3))), [0, -1])
 
 
 def test_softmax_cross_entropy_gradcheck():
     rng = np.random.default_rng(8)
-    logits = ad.Tensor(rng.normal(size=6), requires_grad=True)
+    logits = ad.Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+    targets = [2, 0, 5]
 
     def forward():
-        return float(ad.softmax_cross_entropy(None, logits, 2).data)
+        return float(_row_ce(None, logits, targets).data)
 
     tape = ad.Tape()
-    loss = ad.softmax_cross_entropy(tape, logits, 2)
+    loss = _row_ce(tape, logits, targets)
     ad.backward(tape, loss)
     assert_grads_close(forward, [logits], [logits.grad])
-    # gradient is softmax minus one-hot
+    # gradient is softmax minus one-hot, over the row count
     p = ad.softmax(logits.data)
-    p[2] -= 1.0
-    assert np.allclose(logits.grad, p, atol=1e-12)
+    p[[0, 1, 2], targets] -= 1.0
+    assert np.allclose(logits.grad, p / 3, atol=1e-12)
 
 
 def test_backward_identity():
@@ -208,18 +292,31 @@ def test_backward_identity():
 
 def test_backward_product_rule():
     tape = ad.Tape()
-    x = ad.Tensor(2.0, requires_grad=True)
-    y = ad.Tensor(3.0, requires_grad=True)
-    ad.backward(tape, ad.mul(tape, x, y))
-    assert x.grad == 3.0 and y.grad == 2.0
+    x = ad.Tensor([2.0], requires_grad=True)
+    y = ad.Tensor([[3.0]], requires_grad=True)
+    ad.backward(tape, ad.weighted_sum(tape, ad.matmul(tape, x, y), [1.0]))
+    assert x.grad.tolist() == [3.0] and y.grad.tolist() == [[2.0]]
 
 
 def test_backward_fanout_accumulates():
     tape = ad.Tape()
-    x = ad.Tensor(2.0, requires_grad=True)
-    loss = ad.add(tape, ad.mul(tape, x, x), ad.scale(tape, x, 3.0))
+    x = ad.Tensor([2.0], requires_grad=True)
+    w = ad.Tensor([[2.0]])
+    loss = ad.sum_scalars(tape, [ad.weighted_sum(tape, ad.matmul(tape, x, w), [1.0]),
+                                 ad.weighted_sum(tape, x, [3.0])])
     ad.backward(tape, loss)
-    assert x.grad == 2.0 * 2.0 + 3.0  # d(x^2 + 3x)/dx at x=2
+    assert x.grad.tolist() == [2.0 + 3.0]  # d(2x + 3x)/dx, x feeding two ops
+
+    # add hands one gradient to both inputs; a later contribution to one of
+    # them must not reach the other
+    tape = ad.Tape()
+    a = ad.Tensor([1.0], requires_grad=True)
+    b = ad.Tensor([1.0], requires_grad=True)
+    y = ad.matmul(tape, b, w)
+    loss = ad.sum_scalars(tape, [ad.weighted_sum(tape, y, [1.0]),
+                                 ad.weighted_sum(tape, ad.add(tape, a, b), [1.0])])
+    ad.backward(tape, loss)
+    assert a.grad.tolist() == [1.0] and b.grad.tolist() == [1.0 + 2.0]
 
 
 def test_backward_rejects_non_scalar():
@@ -233,17 +330,17 @@ def test_composed_graph_gradcheck():
     # gru -> attention -> cross entropy, which is one environment step
     rng = np.random.default_rng(9)
     p = _params(rng, 3, 4)
-    kv = ad.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    kv = ad.Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
     w_out = ad.Tensor(rng.normal(size=(4, 6)) * 0.3, requires_grad=True)
-    x = ad.Tensor(rng.normal(size=3), requires_grad=True)
-    h = ad.Tensor(rng.normal(size=4), requires_grad=True)
+    x = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    h = ad.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     leaves = [x, h, kv, w_out] + p.tensors()
 
     def run(tape):
         q = ad.gru_cell(tape, x, h, p)
-        ctx, _ = ad.dot_attention(tape, kv, q)
+        ctx, _ = ad.batched_attention(tape, kv, kv, q)
         logits = ad.matmul(tape, ctx, w_out)
-        return ad.softmax_cross_entropy(tape, logits, 1)
+        return ad.softmax_cross_entropy_rows(tape, logits, [1, 4], [1.0, 1.0])
 
     tape = ad.Tape()
     ad.backward(tape, run(tape))
@@ -253,24 +350,26 @@ def test_composed_graph_gradcheck():
 
 @pytest.mark.parametrize("seed", range(12))
 def test_elementwise_ops_gradcheck(seed):
+    # add, add_bias, concat, matmul and the masked cross-entropy over (B, T, .) blocks
     rng = np.random.default_rng(100 + seed)
-    a = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    a = ad.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     bias = ad.Tensor(rng.normal(size=4), requires_grad=True)
-    wc = rng.normal(size=(3, 4))
+    w = ad.Tensor(rng.normal(size=(8, 5)), requires_grad=True)
+    targets = rng.integers(0, 5, size=(2, 3))
+    mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
 
     def run(tape):
-        s = ad.sigmoid(tape, ad.add(tape, a, b))
-        t = ad.tanh(tape, ad.sub(tape, ad.mul(tape, a, b), ad.scale(tape, a, 0.5)))
-        m = ad.add_bias(tape, ad.add(tape, s, t), bias)
-        cols = [ad.weighted_sum(tape, ad.pick_rows(tape, m, [j] * 3), wc[:, j])
-                for j in range(4)]
-        return ad.sum_scalars(tape, cols)
+        m = ad.add_bias(tape, ad.add(tape, a, b), bias)
+        logits = ad.matmul(tape, ad.concat(tape, [m, a], axis=2), w)
+        return ad.softmax_cross_entropy_rows(tape, logits, targets, mask)
 
     tape = ad.Tape()
     ad.backward(tape, run(tape))
-    assert_grads_close(lambda: float(run(None).data), [a, b, bias],
-                       [a.grad, b.grad, bias.grad])
+    assert_grads_close(lambda: float(run(None).data), [a, b, bias, w],
+                       [a.grad, b.grad, bias.grad, w.grad])
+    # the masked position reaches neither input through the loss path
+    assert np.all(b.grad[0, 2] == 0.0)
 
 
 def test_embedding_gradcheck_and_bounds():
@@ -378,20 +477,6 @@ def test_linear_rows3_gradcheck():
     assert max_rel_err(w.grad, finite_diff_grads(forward, [w])[0]) <= 1e-4
 
 
-def test_stack_rows_backward_split():
-    rng = np.random.default_rng(17)
-    a = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    b = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    tape = ad.Tape()
-    stacked = ad.stack_rows(tape, [a, b])
-    g = rng.normal(size=(2, 2, 3))
-    stacked.grad = g.copy()
-    for fn in reversed(tape._records):
-        fn()
-    assert np.array_equal(a.grad, g[:, 0, :])
-    assert np.array_equal(b.grad, g[:, 1, :])
-
-
 def test_softmax_properties_many_seeds():
     for seed in range(200):
         rng = np.random.default_rng(seed)
@@ -410,7 +495,7 @@ def test_forward_and_grad_determinism():
         out = ad.gru_cell(tape, x, h, p)
         loss = ad.weighted_sum(tape, out, np.arange(4.0))
         ad.backward(tape, loss)
-        return out.data.copy(), x.grad.copy(), p.w_xn.grad.copy()
+        return out.data.copy(), x.grad.copy(), p.w_x.grad.copy()
 
     a = run(42)
     b = run(42)

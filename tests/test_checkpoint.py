@@ -83,3 +83,65 @@ def test_metadata_round_trip(tmp_path):
     assert meta["multimodal"] == "true"
     assert meta["emb_dim"] == "200"
     assert meta["src_vocab"].split() == ["<pad>", "<bos>", "<eos>", "<unk>", "w01", "w02"]
+
+
+def _tiny_env_model(multimodal=False):
+    from simtlab.environment import EnvConfig, EnvModel
+    from simtlab.vocab import Vocabulary
+
+    cfg = EnvConfig(emb_dim=5, hid_dim=6, multimodal=multimodal,
+                    feature_rows=2 if multimodal else 0, feature_dim=3 if multimodal else 0)
+    return EnvModel(Vocabulary(["a", "b"]), Vocabulary(["x", "y", "z"]), cfg,
+                    np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("multimodal", [False, True])
+def test_env_model_round_trip_fused_layout(tmp_path, multimodal):
+    from simtlab.environment import EnvModel
+
+    model = _tiny_env_model(multimodal)
+    model.save(tmp_path / "env")
+    names = list(load_checkpoint(tmp_path / "env.ckpt"))
+    assert names[2:5] == ["enc1.w_x", "enc1.w_h", "enc1.b"]
+    loaded = EnvModel.load(tmp_path / "env")
+    assert loaded.enc2.w_x.data.shape == (6, 18) and loaded.dec1.w_x.data.shape == (5, 18)
+    assert [n for n, _ in loaded.named_tensors()] == [n for n, _ in model.named_tensors()]
+    for (_, a), (_, b) in zip(loaded.named_tensors(), model.named_tensors()):
+        assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("kind", ["agent", "baseline"])
+def test_agent_round_trip_fused_layout(tmp_path, kind):
+    from simtlab.agent import AgentConfig, AgentNetwork, BaselineNetwork
+
+    net_cls = AgentNetwork if kind == "agent" else BaselineNetwork
+    cfg = AgentConfig(text_dim=6, emb_dim=5, hidden_dim=7, key_dim=5, use_init=True,
+                      use_att=True, feature_rows=2, feature_dim=3)
+    net = net_cls(cfg, np.random.default_rng(5))
+    net.save(tmp_path / kind)
+    names = list(load_checkpoint(tmp_path / f"{kind}.ckpt"))
+    assert names[:3] == ["gru.w_x", "gru.w_h", "gru.b"]
+    loaded = net_cls.load(tmp_path / kind)
+    assert loaded.gru.w_x.data.shape == (cfg.obs_dim, 21)
+    for (name, a), (_, b) in zip(loaded.named_tensors(), net.named_tensors()):
+        assert np.array_equal(a.data, b.data), name
+
+
+def test_per_gate_checkpoint_is_rejected(tmp_path):
+    from simtlab.environment import EnvModel
+
+    model = _tiny_env_model()
+    model.save(tmp_path / "env")
+    # rewrite the GRU tensors in the per-gate layout (w_xr, w_hr, b_r, ...)
+    per_gate = []
+    for name, t in model.named_tensors():
+        prefix, _, field = name.rpartition(".")
+        if field not in ("w_x", "w_h", "b"):
+            per_gate.append((name, t))
+            continue
+        kind = {"w_x": "w_x", "w_h": "w_h", "b": "b_"}[field]
+        for gate, part in zip("rzn", np.split(t.data, 3, axis=-1)):
+            per_gate.append((f"{prefix}.{kind}{gate}", Tensor(part)))
+    save_checkpoint(tmp_path / "env.ckpt", per_gate)
+    with pytest.raises(FormatError, match="missing parameter 'enc1.w_x'"):
+        EnvModel.load(tmp_path / "env")

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from simtlab import autodiff as ad
 from simtlab.environment import (EncoderState, EnvConfig, EnvModel, commit,
                                  encode_next, encode_sequence, propose_next,
-                                 translate_full)
+                                 teacher_forced_loss, translate_full)
 from simtlab.errors import ContractError, DataError
 from simtlab.metrics import RewardConfig, delays_from_actions, smoothed_sentence_bleu
 from simtlab.policies import (Policy, Transcript, consecutive_policy,
@@ -13,7 +14,9 @@ from simtlab.policies import (Policy, Transcript, consecutive_policy,
                               write_transcripts)
 from simtlab.vocab import EOS, Vocabulary
 
+from gradcheck import assert_grads_close
 from recount import quality_rewards_by_recount
+from stepwise import teacher_forced_loss_stepwise
 
 
 class ScriptedPolicy(Policy):
@@ -158,6 +161,49 @@ def test_multimodal_zero_projection_degenerates_to_unimodal():
     p_mm = propose_next(mm.initial_decoder_state(), enc, mm, mm.project_features(feats))
     p_uni = propose_next(uni.initial_decoder_state(), enc, uni)
     assert np.array_equal(p_mm.distribution, p_uni.distribution)
+
+
+# ---------------------------------------------------------------------------
+# teacher-forced training loss
+# ---------------------------------------------------------------------------
+
+def _tiny_training_env(multimodal, emb_dim=3, hid_dim=4, seed=0):
+    cfg = EnvConfig(emb_dim=emb_dim, hid_dim=hid_dim, multimodal=multimodal,
+                    feature_rows=2 if multimodal else 0, feature_dim=3 if multimodal else 0,
+                    init_scale=0.5)
+    model = EnvModel(Vocabulary(["a", "b", "c"]), Vocabulary(["x", "y", "z"]), cfg,
+                     np.random.default_rng(seed))
+    # sources (EOS appended) and targets of unequal lengths, so padding is covered
+    batch = ([[4, 5, EOS], [6, EOS], [4, 4, 6, 5, EOS]], [[4], [5, 6, 4], [6, 6]])
+    feats3 = np.random.default_rng(seed + 1).normal(size=(3, 2, 3)) if multimodal else None
+    return model, batch, feats3
+
+
+@pytest.mark.parametrize("multimodal", [False, True])
+def test_teacher_forced_loss_gradcheck(multimodal):
+    model, batch, feats3 = _tiny_training_env(multimodal)
+    params = [t for _, t in model.named_tensors()]
+    tape = ad.Tape()
+    ad.backward(tape, teacher_forced_loss(model, batch, tape, feats3))
+    assert_grads_close(lambda: float(teacher_forced_loss(model, batch, None, feats3).data),
+                       params, [t.grad for t in params])
+
+
+@pytest.mark.parametrize("multimodal", [False, True])
+def test_teacher_forced_loss_matches_stepwise_reference(multimodal):
+    model, batch, feats3 = _tiny_training_env(multimodal, emb_dim=6, hid_dim=8, seed=4)
+    results = []
+    for loss_fn in (teacher_forced_loss, teacher_forced_loss_stepwise):
+        tape = ad.Tape()
+        loss = loss_fn(model, batch, tape, feats3)
+        ad.backward(tape, loss)
+        results.append((float(loss.data), {n: t.grad for n, t in model.named_tensors()}))
+        ad.zero_grads(t for _, t in model.named_tensors())
+    (loss, grads), (ref_loss, ref_grads) = results
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for name, ref in ref_grads.items():
+        err = np.max(np.abs(grads[name] - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-12, f"{name}: relative gradient error {err:.2e}"
 
 
 # ---------------------------------------------------------------------------

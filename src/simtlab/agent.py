@@ -22,11 +22,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GRUParams, Tensor
 from .checkpoint import load_into, read_metadata, save_checkpoint, write_metadata
-from .environment import EnvModel
+from .environment import EnvModel, EpisodeStepper
 from .errors import ConfigError, ContractError, ShapeError
-from .metrics import PrefixBleu, RewardConfig, average_proportion, latency_reward
-from .policies import Policy, Transcript
-from .vocab import BOS, EOS, PAD
+from .metrics import RewardConfig
+from .policies import Policy, Transcript, episode_transcript
 
 log = logging.getLogger(__name__)
 
@@ -198,20 +197,6 @@ def init_agent_state(network: _RecurrentNet, features=None, tape=None) -> Tensor
     return ad.matmul(tape, flat, network.init_proj)
 
 
-def agent_visual_attention(network: _RecurrentNet, features, token_emb, tape=None):
-    """Attention over projected feature rows, queried by the token embedding.
-
-    Keys live in the embedding-matched key space, values in the text
-    context space; returns (context, weights).
-    """
-    if not network.cfg.use_att:
-        raise ConfigError("agent_visual_attention on a non-attention network")
-    keys = ad.matmul(tape, Tensor(features.matrix), network.key_proj)
-    values = ad.matmul(tape, Tensor(features.matrix), network.val_proj)
-    query = Tensor(np.asarray(token_emb, dtype=np.float64))
-    return ad.keyed_attention(tape, keys, values, query)
-
-
 def gumbel_softmax_sample(logits, tau: float, rng):
     """Sample a relaxed action: (probs, hard_action).
 
@@ -258,14 +243,6 @@ class TrajectoryEntry:
 
     def __len__(self):
         return len(self.actions)
-
-    def observations(self, cfg: AgentConfig) -> np.ndarray:
-        rows = []
-        for t in range(len(self.actions)):
-            rows.append(Observation(
-                self.obs_text[t], self.obs_emb[t], self.obs_prev[t],
-                None if self.visual_ctx is None else self.visual_ctx[t]).vector(cfg))
-        return np.stack(rows) if rows else np.zeros((0, cfg.obs_dim))
 
 
 @dataclass
@@ -315,70 +292,34 @@ def compute_returns(rewards: np.ndarray, cfg: RLTrainConfig) -> np.ndarray:
     return out
 
 
-def _gru_np(x, h, params):
-    return ad.gru_cell(None, Tensor(x), Tensor(h), params).data
-
-
-def _masked_softmax_rows(scores, mask=None):
-    if mask is not None:
-        scores = np.where(mask, scores, -np.inf)
-    return ad.softmax(scores)
-
-
 def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
                          env: EnvModel, episodes, cfg: RLTrainConfig,
                          global_seed: int, start_index: int = 0,
                          record_transcripts: bool = False) -> TrajectoryBatch:
     """Sample one lockstep batch of episodes with per-step rewards.
 
-    ``episodes`` holds (src_tokens, ref_tokens, features) triples. Each
-    episode owns an RNG seeded from (global_seed, episode_index), so the
-    batch decomposition never changes the sampled noise.
+    ``episodes`` holds (src_tokens, ref_tokens, features) triples, each a
+    lane of one ``EpisodeStepper``. Each episode owns an RNG seeded from
+    (global_seed, episode_index), so the batch decomposition never changes
+    the sampled noise.
     """
     n = len(episodes)
     rngs = [np.random.default_rng(np.random.SeedSequence((global_seed, start_index + i)))
             for i in range(n)]
     src_tok = [list(e[0]) for e in episodes]
-    refs = [list(e[1]) for e in episodes]
     feats = [e[2] for e in episodes]
-    if any(not s for s in src_tok):
-        raise ContractError("collect_trajectories: empty source")
-
-    src_ids = [env.src_vocab.encode(s) for s in src_tok]
-    src_lens = np.array([len(s) for s in src_ids])
-    caps = 2 * src_lens + 5
-    width = int(src_lens.max()) + 1  # room for the terminal EOS row
-    hid = env.cfg.hid_dim
-
-    src_mat = np.full((n, width), PAD, dtype=np.int64)
-    for i, ids in enumerate(src_ids):
-        src_mat[i, :len(ids)] = ids
-
-    h_rows = np.zeros((n, width, hid))
-    enc_h1 = np.zeros((n, hid))
-    enc_h2 = np.zeros((n, hid))
-    rows_valid = np.zeros(n, dtype=np.int64)
-    n_read = np.zeros(n, dtype=np.int64)
-    eos_row = np.zeros(n, dtype=bool)
-
-    dec_g1 = np.zeros((n, hid))
-    dec_g2 = np.zeros((n, hid))
-    last_tok = np.full(n, BOS, dtype=np.int64)
-    committed = np.zeros(n, dtype=np.int64)
-    terminal = np.zeros(n, dtype=bool)
-
-    env_vis = (np.stack([env.project_features(f) for f in feats])
-               if env.multimodal else None)
+    stepper = EpisodeStepper(env, src_tok, feats, refs=[list(e[1]) for e in episodes],
+                             reward_config=cfg.reward)
 
     def projections(net):
         if not net.cfg.use_att:
-            return None, None
+            return None
         feats3 = np.stack([f.matrix for f in feats])
-        return (np.einsum("brd,dk->brk", feats3, net.key_proj.data),
-                np.einsum("brd,dk->brk", feats3, net.val_proj.data))
+        return (Tensor(np.einsum("brd,dk->brk", feats3, net.key_proj.data)),
+                Tensor(np.einsum("brd,dk->brk", feats3, net.val_proj.data)))
 
-    a_keys, a_vals = projections(agent)
-    b_keys, b_vals = projections(baseline)
+    a_kv = projections(agent)
+    b_kv = projections(baseline)
 
     def initial_hidden(net):
         if net.cfg.use_init:
@@ -392,73 +333,25 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
 
     rec = [dict(obs_text=[], obs_emb=[], obs_prev=[], vis=[], act=[], forced=[],
                 reward=[], wp=[], logp=[], ent=[], bval=[]) for _ in range(n)]
-    actions_str = [["R"] for _ in range(n)]  # the initial forced READ
-    hyp_ids = [[] for _ in range(n)]
-    delays = [[] for _ in range(n)]
-    quality = [PrefixBleu(r) for r in refs]
-    cw = np.ones(n, dtype=np.int64)  # after the initial READ
-    # the initial forced READ: one consecutive READ, nothing committed yet
-    first_reward = latency_reward(1, 0.0, cfg.reward, is_terminal=False)
-
-    # perform the initial forced READ for everyone
-    x0 = env.src_emb.data[src_mat[:, 0]]
-    enc_h1 = _gru_np(x0, enc_h1, env.enc1)
-    enc_h2 = _gru_np(enc_h1, enc_h2, env.enc2)
-    h_rows[:, 0] = enc_h2
-    rows_valid += 1
-    n_read += 1
 
     col = np.arange(n)
-    while not terminal.all():
-        alive = ~terminal
-        exhausted = n_read == src_lens
-        need_eos = alive & exhausted & ~eos_row
-        if need_eos.any():
-            x = np.tile(env.src_emb.data[EOS], (n, 1))
-            nh1 = _gru_np(x, enc_h1, env.enc1)
-            nh2 = _gru_np(nh1, enc_h2, env.enc2)
-            enc_h1 = np.where(need_eos[:, None], nh1, enc_h1)
-            enc_h2 = np.where(need_eos[:, None], nh2, enc_h2)
-            h_rows[need_eos, rows_valid[need_eos]] = nh2[need_eos]
-            rows_valid = rows_valid + need_eos
-            eos_row |= need_eos
-
-        # environment proposal for every lane (dead lanes masked later)
-        prev_emb = env.tgt_emb.data[last_tok]
-        g1_new = _gru_np(prev_emb, dec_g1, env.dec1)
-        att_mask = np.arange(width)[None, :] < rows_valid[:, None]
-        scores = np.einsum("bsd,bd->bs", h_rows, g1_new)
-        weights = _masked_softmax_rows(scores, att_mask)
-        text_ctx = np.einsum("bs,bsd->bd", weights, h_rows)
-        ctx = text_ctx
-        if env_vis is not None:
-            vw = ad.softmax(np.einsum("brd,bd->br", env_vis, g1_new))
-            ctx = ctx + np.einsum("br,brd->bd", vw, env_vis)
-        g2_new = _gru_np(ctx, dec_g2, env.dec2)
-        logits_env = (np.concatenate([prev_emb, ctx, g2_new], axis=1)
-                      @ env.w_out.data + env.b_out.data)
-        candidate = logits_env.argmax(axis=1)
-        y_emb = env.tgt_emb.data[candidate]
+    while stepper.live.any():
+        alive = stepper.live.copy()
+        proposal, forced = stepper.propose()
+        text_ctx = proposal.text_ctx
+        y_emb = env.tgt_emb.data[proposal.token]
 
         # agent and baseline steps
-        def visual_ctx_for(keys3, vals3):
-            if keys3 is None:
-                return None
-            s = np.einsum("brk,bk->br", keys3, y_emb)
-            w = ad.softmax(s)
-            return np.einsum("br,brv->bv", w, vals3)
-
-        a_vis = visual_ctx_for(a_keys, a_vals)
-        b_vis = visual_ctx_for(b_keys, b_vals)
-
-        def obs_of(vis):
+        def observation(kv):
             parts = [text_ctx, y_emb, a_prev]
-            if vis is not None:
+            vis = None
+            if kv is not None:
+                vis = ad.batched_attention(None, *kv, Tensor(y_emb))[0].data
                 parts.append(vis)
-            return np.concatenate(parts, axis=1)
+            return np.concatenate(parts, axis=1), vis
 
-        a_obs = obs_of(a_vis)
-        b_obs = obs_of(b_vis)
+        a_obs, a_vis = observation(a_kv)
+        b_obs, _ = observation(b_kv)
         agent_h, logits_a = agent.step_np(a_obs, agent_h)
         base_h, base_out = baseline.step_np(b_obs, base_h)
         base_val = base_out[:, 0]
@@ -469,57 +362,15 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
 
         sampled = np.zeros(n, dtype=np.int64)
         soft = np.zeros((n, 2))
-        for i in range(n):
-            if alive[i] and not exhausted[i]:
-                soft[i], sampled[i] = gumbel_softmax_sample(logits_a[i], cfg.tau, rngs[i])
+        for i in np.flatnonzero(alive & ~forced):
+            soft[i], sampled[i] = gumbel_softmax_sample(logits_a[i], cfg.tau, rngs[i])
 
-        forced = exhausted.copy()
         action = np.where(forced, ACT_WRITE, sampled)
         logp = ls[col, action]
         entropy = -(policy_probs * ls).sum(axis=1)
+        step_reward = stepper.apply(action == ACT_WRITE)
 
-        write_mask = alive & (action == ACT_WRITE)
-        read_mask = alive & (action == ACT_READ)
-
-        # apply WRITEs
-        new_terminal = terminal.copy()
-        step_reward = np.zeros(n)
-        if write_mask.any():
-            dec_g1 = np.where(write_mask[:, None], g1_new, dec_g1)
-            dec_g2 = np.where(write_mask[:, None], g2_new, dec_g2)
-            last_tok = np.where(write_mask, candidate, last_tok)
-            committed = committed + write_mask
-            for i in np.nonzero(write_mask)[0]:
-                tok = int(candidate[i])
-                hyp_ids[i].append(tok)
-                cw[i] = 0
-                if tok != EOS:
-                    delays[i].append(int(n_read[i]))
-                    step_reward[i] += quality[i].append(env.tgt_vocab.token(tok))
-                if tok == EOS or committed[i] >= caps[i]:
-                    new_terminal[i] = True
-
-        # apply READs
-        if read_mask.any():
-            pos = np.minimum(n_read, width - 1)
-            x = env.src_emb.data[src_mat[col, pos]]
-            nh1 = _gru_np(x, enc_h1, env.enc1)
-            nh2 = _gru_np(nh1, enc_h2, env.enc2)
-            enc_h1 = np.where(read_mask[:, None], nh1, enc_h1)
-            enc_h2 = np.where(read_mask[:, None], nh2, enc_h2)
-            h_rows[read_mask, rows_valid[read_mask]] = nh2[read_mask]
-            rows_valid = rows_valid + read_mask
-            n_read = n_read + read_mask
-            cw = cw + read_mask
-
-        # latency rewards and per-episode records
-        for i in np.nonzero(alive)[0]:
-            is_term = bool(new_terminal[i])
-            d_t = 0.0
-            if (is_term or cfg.reward.running_avp) and delays[i]:
-                d_t = average_proportion(delays[i], len(src_ids[i]), len(delays[i]))
-            step_reward[i] += latency_reward(int(cw[i]), d_t, cfg.reward,
-                                             is_terminal=is_term)
+        for i in np.flatnonzero(alive):
             r = rec[i]
             r["obs_text"].append(text_ctx[i])
             r["obs_emb"].append(y_emb[i])
@@ -534,12 +385,9 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
             r["logp"].append(float(logp[i]))
             r["ent"].append(float(entropy[i]))
             r["bval"].append(float(base_val[i]))
-            actions_str[i].append("RW"[int(action[i])])
 
-        next_prev = np.where(forced[:, None],
-                             np.eye(2)[action], soft)
+        next_prev = np.where(forced[:, None], np.eye(2)[action], soft)
         a_prev = np.where(alive[:, None], next_prev, a_prev)
-        terminal = new_terminal
 
     entries = []
     for i in range(n):
@@ -561,26 +409,9 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
             visual_ctx=np.array(r["vis"]) if r["vis"] else None,
         )
         if record_transcripts:
-            entry.transcript = Transcript(
-                src=src_tok[i],
-                hyp=env.tgt_vocab.decode(hyp_ids[i], strip_reserved=False),
-                actions="".join(actions_str[i]),
-                delays=delays[i],
-                rewards=[first_reward] + r["reward"],
-                ended_with_eos=bool(hyp_ids[i]) and hyp_ids[i][-1] == EOS,
-            )
-            entry.transcript.validate()
+            entry.transcript = episode_transcript(stepper, i, src_tok[i])
         entries.append(entry)
     return TrajectoryBatch(entries)
-
-
-def rollout(agent, baseline, env, episode, cfg: RLTrainConfig,
-            global_seed: int, episode_index: int = 0) -> TrajectoryEntry:
-    """Single stochastic episode; thin wrapper over the lockstep collector."""
-    batch = collect_trajectories(agent, baseline, env, [episode], cfg,
-                                 global_seed, episode_index,
-                                 record_transcripts=True)
-    return batch.entries[0]
 
 
 # ---------------------------------------------------------------------------
@@ -739,14 +570,13 @@ class AgentGreedyPolicy(Policy):
             self._vals = features.matrix @ self.agent.val_proj.data
 
     def decide(self, ctx) -> str:
-        proposal = ctx.proposal
-        y_emb = self.env.tgt_emb.data[proposal.token]
+        y_emb = self.env.tgt_emb.data[ctx.token]
         vis = None
         if self.agent.cfg.use_att:
             w = ad.softmax(self._keys @ y_emb)
             vis = self._vals.T @ w
             self.step_attention = w
-        obs = Observation(proposal.text_ctx, y_emb, self._a_prev, vis)
+        obs = Observation(ctx.text_ctx, y_emb, self._a_prev, vis)
         self._h, logits = self.agent.step_np(obs.vector(self.agent.cfg), self._h)
         probs = ad.softmax(logits)
         self._a_prev = probs

@@ -108,8 +108,10 @@ def uniform_tensor(shape, rng, scale: float = 0.08, requires_grad: bool = True) 
 
 def _sigmoid(x):
     """1 / (1 + exp(-x)), computed in one buffer."""
-    # sigmoid saturates to 0/1 in float64 beyond |x| ~ 37, so clipping is exact
-    t = np.clip(x, -60.0, 60.0)
+    # sigmoid saturates to 0/1 in float64 beyond |x| ~ 37, so clipping is exact;
+    # maximum then minimum is np.clip without its Python wrappers
+    t = np.maximum(x, -60.0)
+    np.minimum(t, 60.0, out=t)
     np.negative(t, out=t)
     np.exp(t, out=t)
     t += 1.0
@@ -118,7 +120,7 @@ def _sigmoid(x):
 
 def softmax(x):
     """Plain numpy softmax over the last axis (no tape involvement)."""
-    shifted = x - np.max(x, axis=-1, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -320,6 +322,15 @@ def _gru_weight_grads(p: GRUParams, x2, hp2, rh2, da2) -> None:
     _accum(p.b, da2.sum(axis=0))
 
 
+def gru_step(x, h, params: GRUParams) -> np.ndarray:
+    """One GRU step on plain (B, in) and (B, h) arrays, without a tape.
+
+    The arithmetic of ``gru_cell`` without its tensor bookkeeping; the
+    frozen environment's per-step path.
+    """
+    return _gru_step(x @ params.w_x.data, h, params.w_h.data, params.b.data)[0]
+
+
 def _check_gru_dims(name, xd, hd, params: GRUParams) -> None:
     if xd.shape[-1] != params.input_dim or hd.shape[-1] != params.hidden_dim:
         raise ShapeError(
@@ -404,47 +415,6 @@ def gru_sequence(tape, xs: Tensor, h0: Tensor, params: GRUParams) -> Tensor:
 # Attention
 # ---------------------------------------------------------------------------
 
-def keyed_attention(tape, keys: Tensor, values: Tensor, query: Tensor):
-    """Dot-product attention: softmax(keys . query) mixing value rows.
-
-    Returns (context, weights). keys and values may be the same tensor.
-    """
-    kd, vd, qd = keys.data, values.data, query.data
-    if kd.ndim != 2 or kd.shape[0] == 0:
-        raise ContractError("attention requires at least one key row")
-    if kd.shape[0] != vd.shape[0]:
-        raise ShapeError(f"attention: {kd.shape[0]} keys vs {vd.shape[0]} values")
-    if qd.shape != (kd.shape[1],):
-        raise ShapeError(f"attention: query {qd.shape} vs key dim {kd.shape[1]}")
-    w = softmax(kd @ qd)
-    ctx_data = vd.T @ w
-    tracked = _track(tape, keys, values, query)
-    ctx = _out(tape, ctx_data, tracked)
-    weights = _out(tape, w, tracked)
-    if tracked:
-        def bwd():
-            gc = ctx.grad
-            gw = weights.grad
-            if gc is None and gw is None:
-                return
-            dw = np.zeros_like(w)
-            if gc is not None:
-                dw += vd @ gc
-                _accum(values, np.outer(w, gc))
-            if gw is not None:
-                dw += gw
-            ds = w * (dw - float(w @ dw))
-            _accum(query, kd.T @ ds)
-            _accum(keys, np.outer(ds, qd))
-        tape.record(bwd)
-    return ctx, weights
-
-
-def dot_attention(tape, keys_values: Tensor, query: Tensor):
-    """Attention where one matrix serves as both keys and values."""
-    return keyed_attention(tape, keys_values, keys_values, query)
-
-
 def _sum_outer(a, b):
     """sum over t of the outer products a[:, t] x b[:, t], for (B, T, S) and (B, T, D)."""
     if a.shape[1] == 1:  # einsum's outer product is faster than a matmul over one term
@@ -462,6 +432,10 @@ def batched_attention(tape, keys: Tensor, values: Tensor, query: Tensor, mask=No
     kd, vd, qd = keys.data, values.data, query.data
     if kd.ndim != 3 or vd.ndim != 3 or qd.ndim not in (2, 3):
         raise ShapeError("batched_attention expects (B,S,dk), (B,S,dv), (B,[T,]dk)")
+    if kd.shape[1] == 0:
+        raise ContractError("attention requires at least one key row")
+    if kd.shape[1] != vd.shape[1]:
+        raise ShapeError(f"attention: {kd.shape[1]} keys vs {vd.shape[1]} values")
     single = qd.ndim == 2
     q3 = qd[:, None, :] if single else qd
     scores = q3 @ kd.transpose(0, 2, 1)

@@ -2,8 +2,10 @@
 
 During reinforcement learning this model is the frozen environment: it is
 stepped incrementally (one source token per READ, one proposal per step)
-and never receives gradients. The same model trained and decoded with the
-full source is the consecutive baseline.
+and never receives gradients. Its states carry a leading lane axis, so
+``EpisodeStepper`` runs n episodes in lockstep under one set of rules. The
+same model trained and decoded with the full source is the consecutive
+baseline.
 
 Architecture: 2-layer unidirectional GRU encoder, first decoder GRU
 producing attention queries, dot-product attention over emitted encoder
@@ -25,7 +27,8 @@ from .autodiff import GRUParams, Tensor
 from .checkpoint import (load_into, read_metadata, save_checkpoint, write_metadata)
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .features import FeatureSet
-from .metrics import corpus_bleu
+from .metrics import (PrefixBleu, RewardConfig, average_proportion, corpus_bleu,
+                      latency_reward)
 from .vocab import BOS, EOS, PAD, RESERVED, Vocabulary
 
 log = logging.getLogger(__name__)
@@ -88,19 +91,27 @@ class EnvModel:
         for name, t in self.named_tensors():
             t.data = snapshot[name].copy()
 
-    def project_features(self, features: FeatureSet) -> np.ndarray:
-        """Map raw feature rows into the decoder space with w_vis."""
+    def project_features(self, features) -> np.ndarray:
+        """Map raw feature rows into the decoder space with w_vis.
+
+        One FeatureSet gives (R, h); a list of n gives (n, R, h).
+        """
         if not self.multimodal:
             raise ConfigError("project_features on a unimodal environment")
-        if features.dim != self.cfg.feature_dim or features.rows != self.cfg.feature_rows:
-            raise ConfigError(
-                f"feature geometry {features.matrix.shape} does not match configured "
-                f"({self.cfg.feature_rows}, {self.cfg.feature_dim})")
-        return features.matrix @ self.w_vis.data
+        lanes = isinstance(features, (list, tuple))
+        projected = []
+        for f in features if lanes else [features]:
+            if f is None:
+                raise ConfigError("multimodal environment requires visual features")
+            if f.dim != self.cfg.feature_dim or f.rows != self.cfg.feature_rows:
+                raise ConfigError(
+                    f"feature geometry {f.matrix.shape} does not match configured "
+                    f"({self.cfg.feature_rows}, {self.cfg.feature_dim})")
+            projected.append(f.matrix @ self.w_vis.data)
+        return np.stack(projected) if lanes else projected[0]
 
     def initial_decoder_state(self) -> "DecoderState":
-        h = self.cfg.hid_dim
-        return DecoderState(np.zeros(h), np.zeros(h), BOS, 0, False)
+        return DecoderState.initial(self, 1)
 
     def save(self, prefix) -> None:
         prefix = Path(prefix)
@@ -137,128 +148,173 @@ class EnvModel:
 
 
 class EncoderState:
-    """Emitted top-layer states for the source prefix read so far."""
+    """Emitted top-layer encoder states of n lanes.
 
-    __slots__ = ("h1", "h2", "rows", "consumed", "_matrix")
+    ``rows`` (n, W, h) holds each lane's states in the order they were
+    emitted; row j of lane i is valid while j < consumed[i]. A state is
+    never changed once made: ``encode_next`` writes into a copy.
+    """
+
+    __slots__ = ("h1", "h2", "rows", "consumed", "_keys")
 
     def __init__(self, h1, h2, rows, consumed):
         self.h1 = h1
         self.h2 = h2
         self.rows = rows
         self.consumed = consumed
-        self._matrix = None
+        self._keys = None
 
     @classmethod
-    def initial(cls, model: EnvModel) -> "EncoderState":
+    def initial(cls, model: EnvModel, n: int = 1, width: int = 0) -> "EncoderState":
         h = model.cfg.hid_dim
-        return cls(np.zeros(h), np.zeros(h), (), 0)
+        return cls(np.zeros((n, h)), np.zeros((n, h)), np.zeros((n, width, h)),
+                   np.zeros(n, dtype=np.int64))
 
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            if not self.rows:
+    def keys(self):
+        """Rows up to the longest lane, and the valid-row mask.
+
+        The mask is None when every lane has read as many rows.
+        """
+        if self._keys is None:
+            fewest, most = int(self.consumed.min()), int(self.consumed.max())
+            if fewest == 0:
                 raise ContractError("encoder state is empty; READ before attending")
-            self._matrix = np.stack(self.rows)
-        return self._matrix
+            mask = None if fewest == most else np.arange(most) < self.consumed[:, None]
+            self._keys = self.rows[:, :most], mask
+        return self._keys
 
 
 @dataclass
 class DecoderState:
-    """Committed-prefix decoder state; advances only on commit."""
+    """Committed-prefix decoder state of n lanes; a lane advances only on commit."""
 
-    g1_h: np.ndarray
-    g2_h: np.ndarray
-    last_token: int
-    committed: int
-    terminal: bool
+    g1_h: np.ndarray         # (n, h)
+    g2_h: np.ndarray         # (n, h)
+    last_token: np.ndarray   # (n,)
+    committed: np.ndarray    # (n,)
+    terminal: np.ndarray     # (n,) bool: EOS committed
+
+    @classmethod
+    def initial(cls, model: EnvModel, n: int = 1) -> "DecoderState":
+        h = model.cfg.hid_dim
+        return cls(np.zeros((n, h)), np.zeros((n, h)), np.full(n, BOS, dtype=np.int64),
+                   np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool))
 
 
 @dataclass
 class Proposal:
-    """A candidate next token plus everything needed to adopt it."""
+    """A candidate next token per lane plus everything needed to adopt it."""
 
-    token: int
-    distribution: np.ndarray
-    text_ctx: np.ndarray
-    visual_ctx: np.ndarray
-    text_weights: np.ndarray
+    token: np.ndarray          # (n,)
+    logits: np.ndarray         # (n, V)
+    text_ctx: np.ndarray       # (n, h)
+    visual_ctx: np.ndarray     # (n, h), or None on a unimodal environment
+    text_weights: np.ndarray   # (n, rows attended)
     g1_next: np.ndarray
     g2_next: np.ndarray
-    prev_token: int
-    basis_consumed: int
-    basis_committed: int
+    dec: DecoderState          # the states the proposal was produced from
+    enc: EncoderState
 
 
-def _gru(x, h, params) -> np.ndarray:
-    return ad.gru_cell(None, Tensor(x), Tensor(h), params).data
+def _attend(keys, query, mask=None):
+    """(context, weights) of dot-product attention with keys as values."""
+    kv = Tensor(keys)
+    ctx, weights = ad.batched_attention(None, kv, kv, Tensor(query), mask)
+    return ctx.data, weights.data
 
 
-def encode_next(state: EncoderState, token_id: int, model: EnvModel) -> EncoderState:
-    """Consume one more source token; appends exactly one row to H."""
-    if not 0 <= token_id < len(model.src_vocab):
-        raise DataError(f"source token id {token_id} out of vocabulary range")
-    x = model.src_emb.data[token_id]
-    h1 = _gru(x, state.h1, model.enc1)
-    h2 = _gru(h1, state.h2, model.enc2)
-    return EncoderState(h1, h2, state.rows + (h2,), state.consumed + 1)
+def _merge(old, new, lanes):
+    """``new`` on every lane when ``lanes`` is None, else ``old`` with ``lanes`` replaced."""
+    if lanes is None:
+        return new
+    out = old.copy()
+    out[lanes] = new
+    return out
+
+
+def encode_next(state: EncoderState, token_ids, model: EnvModel, lanes=None) -> EncoderState:
+    """Consume one more source token on each of ``lanes`` (every lane when None).
+
+    ``token_ids`` holds one id per advanced lane (a single int for a
+    one-lane state); each advanced lane gains exactly one row.
+    """
+    ids = [token_ids] if np.ndim(token_ids) == 0 else list(token_ids)
+    if not all(0 <= t < len(model.src_vocab) for t in ids):
+        raise DataError(f"source token ids {ids} out of vocabulary range")
+    pick = slice(None) if lanes is None else lanes
+    h1 = ad.gru_step(model.src_emb.data[ids], state.h1[pick], model.enc1)
+    h2 = ad.gru_step(h1, state.h2[pick], model.enc2)
+    at = state.consumed[pick]
+    n, width, h = state.rows.shape
+    grow = int(at.max()) + 1 - width
+    rows = (np.concatenate([state.rows, np.zeros((n, grow, h))], axis=1) if grow > 0
+            else state.rows.copy())
+    rows[np.arange(n) if lanes is None else lanes, at] = h2
+    return EncoderState(_merge(state.h1, h1, lanes), _merge(state.h2, h2, lanes), rows,
+                        _merge(state.consumed, at + 1, lanes))
 
 
 def encode_sequence(model: EnvModel, token_ids) -> EncoderState:
-    state = EncoderState.initial(model)
+    state = EncoderState.initial(model, 1, len(token_ids))
     for token_id in token_ids:
         state = encode_next(state, token_id, model)
     return state
 
 
 def propose_next(dec: DecoderState, enc: EncoderState, model: EnvModel,
-                 projected_visual=None) -> Proposal:
-    """Greedy candidate for the next target token; mutates nothing."""
-    if dec.terminal:
-        raise ContractError("propose_next after EOS was committed")
-    if enc.consumed == 0:
-        raise ContractError("propose_next with empty encoder state; READ first")
-    if model.multimodal and projected_visual is None:
-        raise ConfigError("multimodal environment requires visual features")
+                 projected=None) -> Proposal:
+    """Greedy candidate for the next target token on every lane; mutates nothing.
 
+    ``projected`` is ``project_features`` output: (R, h) shared by every
+    lane or (n, R, h); a multimodal environment needs it.
+    """
+    if dec.terminal.all():
+        raise ContractError("propose_next after EOS was committed")
+    keys, mask = enc.keys()
     prev_emb = model.tgt_emb.data[dec.last_token]
-    g1 = _gru(prev_emb, dec.g1_h, model.dec1)
-    ctx_t, weights_t = ad.dot_attention(None, Tensor(enc.matrix()), Tensor(g1))
-    ctx = ctx_t.data
+    g1 = ad.gru_step(prev_emb, dec.g1_h, model.dec1)
+    text_ctx, weights = _attend(keys, g1, mask)
+    ctx = text_ctx
     visual_ctx = None
     if model.multimodal:
-        vctx_t, _ = ad.dot_attention(None, Tensor(projected_visual), Tensor(g1))
-        visual_ctx = vctx_t.data
+        visual_ctx, _ = _attend(projected if projected.ndim == 3 else projected[None], g1)
         ctx = ctx + visual_ctx
-    g2 = _gru(ctx, dec.g2_h, model.dec2)
-    logits = np.concatenate([prev_emb, ctx, g2]) @ model.w_out.data + model.b_out.data
-    dist = ad.softmax(logits)
+    g2 = ad.gru_step(ctx, dec.g2_h, model.dec2)
+    logits = np.concatenate([prev_emb, ctx, g2], axis=1) @ model.w_out.data + model.b_out.data
     return Proposal(
-        token=int(dist.argmax()),
-        distribution=dist,
-        text_ctx=ctx_t.data,
+        token=logits.argmax(axis=1),
+        logits=logits,
+        text_ctx=text_ctx,
         visual_ctx=visual_ctx,
-        text_weights=weights_t.data,
+        text_weights=weights,
         g1_next=g1,
         g2_next=g2,
-        prev_token=dec.last_token,
-        basis_consumed=enc.consumed,
-        basis_committed=dec.committed,
+        dec=dec,
+        enc=enc,
     )
 
 
-def commit(dec: DecoderState, proposal: Proposal, enc: EncoderState = None) -> DecoderState:
-    """Adopt a proposal: decoder states advance, committed count grows."""
-    if dec.terminal:
+def commit(dec: DecoderState, proposal: Proposal, enc: EncoderState = None,
+           lanes=None) -> DecoderState:
+    """Adopt the proposal on each of ``lanes`` (every lane when None).
+
+    Adopting lanes advance their decoder states and committed counts. The
+    proposal must have been produced from ``dec`` and, when given, ``enc``.
+    """
+    pick = slice(None) if lanes is None else lanes
+    if dec.terminal[pick].any():
         raise ContractError("commit after EOS was already committed")
-    if proposal.basis_committed != dec.committed or proposal.prev_token != dec.last_token:
+    if proposal.dec is not dec:
         raise ContractError("commit: proposal was produced against a different decoder state")
-    if enc is not None and proposal.basis_consumed != enc.consumed:
+    if enc is not None and proposal.enc is not enc:
         raise ContractError("commit: proposal was produced against a different encoder state")
+    token = proposal.token[pick]
     return DecoderState(
-        g1_h=proposal.g1_next,
-        g2_h=proposal.g2_next,
-        last_token=proposal.token,
-        committed=dec.committed + 1,
-        terminal=proposal.token == EOS,
+        g1_h=_merge(dec.g1_h, proposal.g1_next[pick], lanes),
+        g2_h=_merge(dec.g2_h, proposal.g2_next[pick], lanes),
+        last_token=_merge(dec.last_token, token, lanes),
+        committed=_merge(dec.committed, dec.committed[pick] + 1, lanes),
+        terminal=_merge(dec.terminal, token == EOS, lanes),
     )
 
 
@@ -267,22 +323,142 @@ def output_cap(src_len: int) -> int:
     return 2 * src_len + 5
 
 
+READ, WRITE = "R", "W"
+
+
+class EpisodeStepper:
+    """READ/WRITE episodes on n lanes of one environment, stepped in lockstep.
+
+    The rules of the game (Gu et al. 2017) live here. The first action is a
+    forced READ, since the decoder cannot attend to an empty prefix. Once a
+    lane has read its whole source, its EOS row is encoded and WRITE is
+    forced. A lane ends on an EOS commit or at ``output_cap`` committed
+    tokens. Per lane the stepper keeps the consecutive wait (CW), the
+    delays, the hypothesis ids, the action string and, with a
+    ``reward_config``, each step's reward: the BLEU gain of the commit
+    against the reference (when ``refs`` are given) plus the CW/AP latency
+    reward, with the delay proportion running or terminal as configured.
+
+    The constructor takes the first READ; callers then alternate
+    ``propose()`` and ``apply()`` while any lane is ``live``.
+    """
+
+    def __init__(self, model: EnvModel, sources, features=None, *, refs=None,
+                 reward_config: RewardConfig = None):
+        self.model = model
+        self.src_ids = [model.src_vocab.encode(s) for s in sources]
+        if not all(self.src_ids):
+            raise ContractError("episode: empty source")
+        n = self.n = len(self.src_ids)
+        self.projected = model.project_features(features) if model.multimodal else None
+        self.enc = EncoderState.initial(model, n, max(map(len, self.src_ids)) + 1)
+        self.dec = DecoderState.initial(model, n)
+        self.live = np.ones(n, dtype=bool)
+        self._running = list(range(n))   # the live lanes
+        self.n_read = [0] * n
+        self.cw = [0] * n
+        self.hyp_ids = [[] for _ in range(n)]
+        self.delays = [[] for _ in range(n)]
+        self.actions = [[] for _ in range(n)]
+        self.rewards = [[] for _ in range(n)]
+        self.quality = None if refs is None else [PrefixBleu(r) for r in refs]
+        self.reward_config = reward_config
+        self._cap = [output_cap(len(s)) for s in self.src_ids]
+        self._eos_row = [False] * n
+        self._proposal = None
+        self._forced = np.zeros(n, dtype=bool)
+        self.apply(self._forced)
+
+    def _lanes(self, idx):
+        return None if len(idx) == self.n else np.array(idx)
+
+    def propose(self):
+        """Propose the next token on every lane.
+
+        A lane that has read its whole source first gets its EOS row: the
+        terminal marker row, not an agent READ. Returns the proposal and
+        the forced-WRITE mask.
+        """
+        forced = [r == len(s) for r, s in zip(self.n_read, self.src_ids)]
+        eos = [i for i in self._running if forced[i] and not self._eos_row[i]]
+        if eos:
+            self.enc = encode_next(self.enc, [EOS] * len(eos), self.model, self._lanes(eos))
+            for i in eos:
+                self._eos_row[i] = True
+        self._proposal = propose_next(self.dec, self.enc, self.model, self.projected)
+        self._forced = np.array(forced)
+        return self._proposal, self._forced
+
+    def apply(self, write_mask) -> np.ndarray:
+        """Take one action on every live lane: WRITE where ``write_mask`` or
+        forced, READ elsewhere.
+
+        Returns each lane's step reward (0.0 without a reward config and on
+        lanes that had ended).
+        """
+        if self._forced is None:
+            raise ContractError("apply: propose() the next step first")
+        live = self._running
+        wrote = [bool(write_mask[i] or self._forced[i]) for i in live]
+        writes = [i for i, w in zip(live, wrote) if w]
+        reads = [i for i, w in zip(live, wrote) if not w]
+        self._forced = None
+        if writes:
+            self.dec = commit(self.dec, self._proposal, self.enc, self._lanes(writes))
+        if reads:
+            self.enc = encode_next(self.enc, [self.src_ids[i][self.n_read[i]] for i in reads],
+                                   self.model, self._lanes(reads))
+        cfg = self.reward_config
+        step_rewards = np.zeros(self.n)
+        for i, w in zip(live, wrote):
+            terminal = False
+            quality = 0.0
+            if w:
+                token = int(self._proposal.token[i])
+                self.hyp_ids[i].append(token)
+                self.cw[i] = 0
+                if token != EOS:
+                    self.delays[i].append(self.n_read[i])
+                    if self.quality is not None:
+                        quality = self.quality[i].append(self.model.tgt_vocab.token(token))
+                terminal = token == EOS or len(self.hyp_ids[i]) >= self._cap[i]
+            else:
+                self.n_read[i] += 1
+                self.cw[i] += 1
+            self.actions[i].append(WRITE if w else READ)
+            if cfg is not None:
+                delays = self.delays[i]
+                d_t = 0.0
+                if (terminal or cfg.running_avp) and delays:
+                    d_t = average_proportion(delays, len(self.src_ids[i]), len(delays))
+                step_rewards[i] = quality + latency_reward(self.cw[i], d_t, cfg,
+                                                           is_terminal=terminal)
+                self.rewards[i].append(float(step_rewards[i]))
+            if terminal:
+                self.live[i] = False
+        self._running = [i for i in live if self.live[i]]
+        return step_rewards
+
+
+def _decode_consecutive(model: EnvModel, sources, features=None):
+    """Greedy consecutive decodes, one lane per non-empty source; an empty source gives []."""
+    lanes = [i for i, src in enumerate(sources) if src]
+    hyps = [[] for _ in sources]
+    if lanes:
+        episode = EpisodeStepper(model, [sources[i] for i in lanes],
+                                 None if features is None else [features[i] for i in lanes])
+        while episode.live.any():
+            _, forced = episode.propose()
+            episode.apply(forced)
+        for i, ids in zip(lanes, episode.hyp_ids):
+            hyps[i] = model.tgt_vocab.decode(ids)
+    return hyps
+
+
 def translate_full(model: EnvModel, src_tokens, features: FeatureSet = None):
     """Greedy consecutive decode with the whole source read first."""
-    ids = model.src_vocab.encode(src_tokens)
-    if not ids:
-        return []
-    enc = encode_sequence(model, ids + [EOS])
-    projected = model.project_features(features) if model.multimodal else None
-    dec = model.initial_decoder_state()
-    out = []
-    cap = output_cap(len(ids))
-    while not dec.terminal and dec.committed < cap:
-        proposal = propose_next(dec, enc, model, projected)
-        dec = commit(dec, proposal, enc)
-        if proposal.token != EOS:
-            out.append(proposal.token)
-    return model.tgt_vocab.decode(out)
+    return _decode_consecutive(model, [list(src_tokens)],
+                               None if features is None else [features])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +529,12 @@ def teacher_forced_loss(model: EnvModel, batch, tape, feats3=None):
 
 
 def validation_bleu(model: EnvModel, pairs, features=None, cap: int = 0):
+    """Corpus BLEU of greedy consecutive decodes, all pairs stepped as lanes at once."""
     if cap:
         pairs = pairs[:cap]
         features = features[:cap] if features is not None else None
-    hyps = []
-    refs = []
-    for i, (src, tgt) in enumerate(pairs):
-        fs = features[i] if features is not None else None
-        hyps.append(translate_full(model, src, fs))
-        refs.append(list(tgt))
-    return corpus_bleu(hyps, refs)
+    hyps = _decode_consecutive(model, [src for src, _ in pairs], features)
+    return corpus_bleu(hyps, [list(tgt) for _, tgt in pairs])
 
 
 def train_consecutive(train_pairs, valid_pairs, cfg: EnvTrainConfig,

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import FormatError, ShapeError
 
 MAGIC = b"SIMTFEAT1"
@@ -62,18 +61,6 @@ class FeatureSet:
         return self.matrix.shape[1]
 
 
-@dataclass
-class ProjectedFeatures:
-    """Feature rows mapped into model spaces.
-
-    ``values`` lives in the decoder/observation space (hidden size),
-    ``keys`` in the attention key space matched against token embeddings.
-    """
-
-    keys: object = None
-    values: object = None
-
-
 def write_features(path, feature_sets) -> None:
     sets = list(feature_sets)
     if not sets:
@@ -111,19 +98,6 @@ def load_features(path):
         data = np.frombuffer(blob[start:start + sample_bytes], dtype="<f4")
         out.append(FeatureSet(_VARIANTS[tag], data.reshape(rows, cols).astype(np.float64)))
     return out
-
-
-def project(tape, features: FeatureSet, weights) -> "ad.Tensor":
-    """Row-wise linear map of feature rows, no bias."""
-    if features.dim != weights.data.shape[0]:
-        raise ShapeError(
-            f"project: feature dim {features.dim} vs weight input {weights.data.shape[0]}")
-    return ad.matmul(tape, ad.Tensor(features.matrix), weights)
-
-
-def flatten_features(features: FeatureSet) -> np.ndarray:
-    """Row-major flattening, length rows * cols."""
-    return features.matrix.reshape(-1).copy()
 
 
 def concept_table(tokens, seed: int, dim: int = CONCEPT_DIM):

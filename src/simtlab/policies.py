@@ -1,10 +1,11 @@
-"""READ/WRITE simulation loop, deterministic policies, transcript logs.
+"""READ/WRITE simulation of one episode, deterministic policies, transcript logs.
 
-The loop enforces legality: the first action is always READ (the decoder
-cannot attend to an empty prefix) and WRITE is forced once the source is
-exhausted. Policies are still queried on forced steps so stateful agents
-see the full observation stream; an illegal answer is overridden and
-logged, never fatal.
+``simulate`` drives a one-lane ``environment.EpisodeStepper``, which
+enforces legality: the first action is always READ (the decoder cannot
+attend to an empty prefix) and WRITE is forced once the source is
+exhausted. Policies are still queried on forced WRITE steps so stateful
+agents see the full observation stream; an illegal answer is overridden
+and logged, never fatal.
 """
 
 from __future__ import annotations
@@ -14,15 +15,14 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .environment import (EncoderState, EnvModel, commit, encode_next,
-                          output_cap, propose_next)
+import numpy as np
+
+from .environment import READ, WRITE, EnvModel, EpisodeStepper
 from .errors import ContractError, DataError
-from .metrics import PrefixBleu, RewardConfig, average_proportion, latency_reward
+from .metrics import RewardConfig
 from .vocab import EOS
 
 log = logging.getLogger(__name__)
-
-READ, WRITE = "R", "W"
 
 
 @dataclass
@@ -33,7 +33,8 @@ class StepContext:
     n_read: int
     n_written: int
     source_exhausted: bool
-    proposal: object  # environment Proposal; None only before the first READ
+    token: int                # the environment's proposed next token
+    text_ctx: np.ndarray      # the proposal's text attention context
     forced_action: str = None
 
 
@@ -126,6 +127,22 @@ class Transcript:
         )
 
 
+def episode_transcript(episode: EpisodeStepper, lane: int, src_tokens, **extra) -> Transcript:
+    """The validated transcript of one finished lane of ``episode``."""
+    ids = episode.hyp_ids[lane]
+    transcript = Transcript(
+        src=list(src_tokens),
+        hyp=episode.model.tgt_vocab.decode(ids, strip_reserved=False),
+        actions="".join(episode.actions[lane]),
+        delays=episode.delays[lane],
+        rewards=episode.rewards[lane],
+        ended_with_eos=bool(ids) and ids[-1] == EOS,
+        **extra,
+    )
+    transcript.validate()
+    return transcript
+
+
 def write_transcripts(path, transcripts) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for t in transcripts:
@@ -165,12 +182,9 @@ class ConsecutivePolicy(Policy):
         return WRITE if ctx.source_exhausted else READ
 
 
-def wait_k_policy(k: int) -> Policy:
-    return WaitKPolicy(k)
-
-
-def consecutive_policy() -> Policy:
-    return ConsecutivePolicy()
+def _step_attention(policy):
+    w = getattr(policy, "step_attention", None)
+    return None if w is None else [float(x) for x in w]
 
 
 def simulate(policy: Policy, env_model: EnvModel, src_tokens, features=None, *,
@@ -183,96 +197,31 @@ def simulate(policy: Policy, env_model: EnvModel, src_tokens, features=None, *,
     the output-length cap.
     """
     src_tokens = list(src_tokens)
-    if not src_tokens:
-        raise ContractError("simulate: empty source")
-    src_ids = env_model.src_vocab.encode(src_tokens)
-    projected = env_model.project_features(features) if env_model.multimodal else None
+    episode = EpisodeStepper(env_model, [src_tokens], None if features is None else [features],
+                             refs=None if ref_tokens is None else [ref_tokens],
+                             reward_config=reward_config)
     policy.start_episode(src_tokens, features)
-
-    enc = EncoderState.initial(env_model)
-    dec = env_model.initial_decoder_state()
-    cap = output_cap(len(src_ids))
-
-    actions = []
-    hyp_ids = []
-    delays = []
-    rewards = []
-    attention = [] if record_attention else None
-    n_read = 0
+    src_len = len(episode.src_ids[0])
     overrides = 0
-    cw = 0
-    quality = PrefixBleu(ref_tokens) if ref_tokens is not None else None
-    eos_row_added = False
-
-    while True:
-        exhausted = n_read == len(src_ids)
-        if exhausted and not eos_row_added:
-            # terminal marker row for the fully-read source; not an agent READ
-            enc = encode_next(enc, EOS, env_model)
-            eos_row_added = True
-
-        proposal = propose_next(dec, enc, env_model, projected) if enc.consumed else None
-        if proposal is None:
-            forced = READ
-        elif exhausted:
-            forced = WRITE
-        else:
-            forced = None
-
+    # the initial forced READ asks no policy
+    attention = [_step_attention(policy)] if record_attention else None
+    while episode.live[0]:
+        proposal, forced = episode.propose()
+        exhausted = bool(forced[0])
+        n_read, n_written = episode.n_read[0], len(episode.hyp_ids[0])
         ctx = StepContext(
-            src_len=len(src_ids), n_read=n_read, n_written=len(hyp_ids),
-            source_exhausted=exhausted, proposal=proposal, forced_action=forced)
-        wanted = policy.decide(ctx) if proposal is not None else READ
+            src_len=src_len, n_read=n_read, n_written=n_written, source_exhausted=exhausted,
+            token=int(proposal.token[0]), text_ctx=proposal.text_ctx[0],
+            forced_action=WRITE if exhausted else None)
+        wanted = policy.decide(ctx)
         if wanted not in (READ, WRITE):
             raise ContractError(f"policy returned unknown action {wanted!r}")
-        action = forced if forced is not None else wanted
-        if forced is not None and wanted != forced:
+        if exhausted and wanted != WRITE:
             overrides += 1
             log.debug("illegal policy action %s overridden to %s (read %d/%d, written %d)",
-                      wanted, forced, n_read, len(src_ids), len(hyp_ids))
-
+                      wanted, WRITE, n_read, src_len, n_written)
         if attention is not None:
-            w = getattr(policy, "step_attention", None)
-            attention.append(None if w is None else [float(x) for x in w])
-
-        actions.append(action)
-        terminal = False
-        quality_delta = 0.0
-        if action == READ:
-            enc = encode_next(enc, src_ids[n_read], env_model)
-            n_read += 1
-            cw += 1
-        else:
-            dec = commit(dec, proposal, enc)
-            hyp_ids.append(proposal.token)
-            cw = 0
-            if proposal.token != EOS:
-                delays.append(n_read)
-                if quality is not None:
-                    quality_delta = quality.append(env_model.tgt_vocab.token(proposal.token))
-            terminal = dec.terminal or len(hyp_ids) >= cap
-
-        if reward_config is not None:
-            d_t = 0.0
-            if reward_config.running_avp and delays:
-                d_t = average_proportion(delays, len(src_ids), len(delays))
-            if terminal and delays:
-                d_t = average_proportion(delays, len(src_ids), len(delays))
-            rewards.append(quality_delta +
-                           latency_reward(cw, d_t, reward_config, is_terminal=terminal))
-
-        if terminal:
-            break
-
-    transcript = Transcript(
-        src=src_tokens,
-        hyp=env_model.tgt_vocab.decode(hyp_ids, strip_reserved=False),
-        actions="".join(actions),
-        delays=delays,
-        rewards=rewards,
-        attention=attention,
-        ended_with_eos=bool(hyp_ids) and hyp_ids[-1] == EOS,
-        forced_overrides=overrides,
-    )
-    transcript.validate()
-    return transcript
+            attention.append(_step_attention(policy))
+        episode.apply((wanted == WRITE,))
+    return episode_transcript(episode, 0, src_tokens, attention=attention,
+                              forced_overrides=overrides)

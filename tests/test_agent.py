@@ -104,3 +104,57 @@ def test_collector_rewards_equal_simulate_replay(untrained_env, variant, c_star)
         assert replay.forced_overrides == 0
         assert (replay.actions, replay.hyp) == (got.actions, got.hyp)
         assert replay.rewards == got.rewards
+
+
+def _visual_setup(text_env, pairs, variant, n_episodes, seed=0):
+    """Environment, agent, baseline and episodes for one agent variant."""
+    env = text_env
+    if variant != "none":
+        env = EnvModel(text_env.src_vocab, text_env.tgt_vocab,
+                       EnvConfig(emb_dim=20, hid_dim=28, multimodal=True, feature_rows=3,
+                                 feature_dim=5), np.random.default_rng(6))
+    cfg = AgentConfig(text_dim=env.cfg.hid_dim, emb_dim=env.cfg.emb_dim, hidden_dim=12,
+                      key_dim=env.cfg.emb_dim, use_init=variant == "init",
+                      use_att=variant == "att", feature_rows=3, feature_dim=5,
+                      init_scale=0.5)
+    rng = np.random.default_rng(seed)
+    agent, baseline = AgentNetwork(cfg, rng), BaselineNetwork(cfg, rng)
+    episodes = [(src, ref, FeatureSet("grid", rng.normal(size=(3, 5)))
+                 if variant != "none" else None)
+                for src, ref in (pairs * 2)[:n_episodes]]
+    return env, agent, baseline, episodes
+
+
+@pytest.mark.parametrize("variant", ["none", "att"])
+def test_collection_does_not_depend_on_batching(untrained_env, variant):
+    env, agent, baseline, episodes = _visual_setup(*untrained_env, variant, 30)
+    cfg = RLTrainConfig()
+    whole = collect_trajectories(agent, baseline, env, episodes, cfg, global_seed=9,
+                                 record_transcripts=True).entries
+    parts = (collect_trajectories(agent, baseline, env, episodes[:7], cfg, global_seed=9,
+                                  record_transcripts=True).entries
+             + collect_trajectories(agent, baseline, env, episodes[7:], cfg, global_seed=9,
+                                    start_index=7, record_transcripts=True).entries)
+    assert {"R", "W"} <= set("".join(e.transcript.actions[1:] for e in whole))
+    for a, b in zip(whole, parts, strict=True):
+        assert (a.transcript.actions, a.transcript.hyp) == (b.transcript.actions,
+                                                            b.transcript.hyp)
+        assert np.array_equal(a.actions, b.actions) and np.array_equal(a.forced, b.forced)
+        for name in ("log_probs", "rewards", "obs_text", "obs_emb", "obs_prev",
+                     "entropies", "baseline_values"):
+            assert np.allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-12), name
+        if variant == "att":
+            assert np.allclose(a.visual_ctx, b.visual_ctx, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["none", "init", "att"])
+def test_replayed_agent_loss_equals_recorded_log_probs(untrained_env, variant):
+    env, agent, baseline, episodes = _visual_setup(*untrained_env, variant, 12, seed=4)
+    cfg = RLTrainConfig()
+    batch = collect_trajectories(agent, baseline, env, episodes, cfg, global_seed=2)
+    stats = reinforce_update(batch, agent, baseline, cfg, apply=False)
+    # -1/n sum over unforced steps of (R - b) log pi(a|o) + w * entropy
+    recorded = -sum(float(np.sum(~e.forced * ((e.returns - e.baseline_values) * e.log_probs
+                                              + cfg.entropy_weight * e.entropies)))
+                    for e in batch.entries) / len(batch.entries)
+    assert abs(stats["agent_loss"] - recorded) <= 1e-12 * abs(recorded)

@@ -119,68 +119,73 @@ def test_gru_sequence_shape_errors():
         ad.gru_sequence(None, ad.Tensor(np.zeros((2, 3, 3))), ad.Tensor(np.zeros((3, 4))), p)
 
 
+# dot-product and keyed attention: batched_attention on one batch row
+
 def test_dot_attention_single_key():
-    kv = ad.Tensor([[1.0, 2.0, 3.0]])
-    ctx, w = ad.dot_attention(None, kv, ad.Tensor([0.5, -0.5, 1.0]))
-    assert np.array_equal(w.data, [1.0])
-    assert np.array_equal(ctx.data, [1.0, 2.0, 3.0])
+    kv = ad.Tensor([[[1.0, 2.0, 3.0]]])
+    ctx, w = ad.batched_attention(None, kv, kv, ad.Tensor([[0.5, -0.5, 1.0]]))
+    assert np.array_equal(w.data, [[1.0]])
+    assert np.array_equal(ctx.data, [[1.0, 2.0, 3.0]])
 
 
 def test_dot_attention_identical_rows_symmetry():
-    kv = ad.Tensor([[1.0, 2.0], [1.0, 2.0]])
-    _, w = ad.dot_attention(None, kv, ad.Tensor([3.0, -1.0]))
-    assert np.allclose(w.data, [0.5, 0.5], atol=1e-15)
+    kv = ad.Tensor([[[1.0, 2.0], [1.0, 2.0]]])
+    _, w = ad.batched_attention(None, kv, kv, ad.Tensor([[3.0, -1.0]]))
+    assert np.allclose(w.data, [[0.5, 0.5]], atol=1e-15)
 
 
 def test_dot_attention_hand_softmax():
-    kv = ad.Tensor(np.eye(2))
-    ctx, w = ad.dot_attention(None, kv, ad.Tensor([10.0, 0.0]))
+    kv = ad.Tensor(np.eye(2)[None])
+    ctx, w = ad.batched_attention(None, kv, kv, ad.Tensor([[10.0, 0.0]]))
     expect = math.exp(10) / (math.exp(10) + 1)
-    assert abs(w.data[0] - expect) <= 1e-12
-    assert abs(w.data[0] - 0.99995) <= 5e-6
-    assert abs(w.data[1] - 0.00005) <= 5e-6
+    assert abs(w.data[0, 0] - expect) <= 1e-12
+    assert abs(w.data[0, 0] - 0.99995) <= 5e-6
+    assert abs(w.data[0, 1] - 0.00005) <= 5e-6
     assert np.allclose(ctx.data, w.data)
 
 
 def test_dot_attention_empty_keys():
+    kv = ad.Tensor(np.zeros((1, 0, 3)))
     with pytest.raises(ContractError):
-        ad.dot_attention(None, ad.Tensor(np.zeros((0, 3))), ad.Tensor(np.zeros(3)))
+        ad.batched_attention(None, kv, kv, ad.Tensor(np.zeros((1, 3))))
+    with pytest.raises(ShapeError):
+        ad.batched_attention(None, ad.Tensor(np.zeros((1, 2, 3))), ad.Tensor(np.zeros((1, 3, 3))),
+                             ad.Tensor(np.zeros((1, 3))))
 
 
 def test_attention_gradcheck_context_and_weights():
     rng = np.random.default_rng(5)
-    kv = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    q = ad.Tensor(rng.normal(size=3), requires_grad=True)
+    kv = ad.Tensor(rng.normal(size=(1, 4, 3)), requires_grad=True)
+    q = ad.Tensor(rng.normal(size=(1, 3)), requires_grad=True)
     wc = rng.normal(size=3)
     ww = rng.normal(size=4)
 
     def forward():
-        ctx, w = ad.dot_attention(None, kv, q)
-        return float(ctx.data @ wc + w.data @ ww)
+        ctx, w = ad.batched_attention(None, kv, kv, q)
+        return float(ctx.data[0] @ wc + w.data[0] @ ww)
 
     tape = ad.Tape()
-    ctx, w = ad.dot_attention(tape, kv, q)
-    loss = ad.sum_scalars(tape, [ad.weighted_sum(tape, ctx, wc),
-                                 ad.weighted_sum(tape, w, ww)])
-    ad.backward(tape, loss)
+    ctx, w = ad.batched_attention(tape, kv, kv, q)
+    ctx.grad, w.grad = wc[None].copy(), ww[None].copy()
+    ad.backward(tape, ad.Tensor(0.0))
     assert_grads_close(forward, [kv, q], [kv.grad, q.grad])
 
 
 def test_keyed_attention_gradcheck():
     rng = np.random.default_rng(6)
-    keys = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-    values = ad.Tensor(rng.normal(size=(5, 2)), requires_grad=True)
-    q = ad.Tensor(rng.normal(size=3), requires_grad=True)
+    keys = ad.Tensor(rng.normal(size=(1, 5, 3)), requires_grad=True)
+    values = ad.Tensor(rng.normal(size=(1, 5, 2)), requires_grad=True)
+    q = ad.Tensor(rng.normal(size=(1, 3)), requires_grad=True)
     wc = rng.normal(size=2)
 
     def forward():
-        ctx, _ = ad.keyed_attention(None, keys, values, q)
-        return float(ctx.data @ wc)
+        ctx, _ = ad.batched_attention(None, keys, values, q)
+        return float(ctx.data[0] @ wc)
 
     tape = ad.Tape()
-    ctx, _ = ad.keyed_attention(tape, keys, values, q)
-    loss = ad.weighted_sum(tape, ctx, wc)
-    ad.backward(tape, loss)
+    ctx, _ = ad.batched_attention(tape, keys, values, q)
+    ctx.grad = wc[None].copy()
+    ad.backward(tape, ad.Tensor(0.0))
     assert_grads_close(forward, [keys, values, q], [keys.grad, values.grad, q.grad])
 
 

@@ -9,9 +9,8 @@ from simtlab.environment import (EncoderState, EnvConfig, EnvModel, commit,
                                  teacher_forced_loss, translate_full)
 from simtlab.errors import ContractError, DataError
 from simtlab.metrics import RewardConfig, delays_from_actions, smoothed_sentence_bleu
-from simtlab.policies import (Policy, Transcript, consecutive_policy,
-                              read_transcripts, simulate, wait_k_policy,
-                              write_transcripts)
+from simtlab.policies import (ConsecutivePolicy, Policy, Transcript, WaitKPolicy,
+                              read_transcripts, simulate, write_transcripts)
 from simtlab.vocab import EOS, Vocabulary
 
 from gradcheck import assert_grads_close
@@ -57,7 +56,9 @@ def test_encoder_appends_one_row(untrained_env):
     model, pairs = untrained_env
     state = EncoderState.initial(model)
     state = encode_next(state, 5, model)
-    assert state.consumed == 1 and len(state.rows) == 1
+    rows, mask = state.keys()
+    assert state.consumed.tolist() == [1] and rows.shape == (1, 1, model.cfg.hid_dim)
+    assert mask is None
 
 
 def test_encoder_incremental_equals_full(untrained_env):
@@ -67,7 +68,7 @@ def test_encoder_incremental_equals_full(untrained_env):
     for t in ids:
         inc = encode_next(inc, t, model)
     full = encode_sequence(model, ids)
-    assert np.array_equal(inc.matrix(), full.matrix())
+    assert np.array_equal(inc.keys()[0], full.keys()[0])
 
 
 def test_encoder_prefix_rows_frozen(untrained_env):
@@ -76,8 +77,8 @@ def test_encoder_prefix_rows_frozen(untrained_env):
     ids = [int(rng.integers(4, len(model.src_vocab))) for _ in range(8)]
     prefix3 = encode_sequence(model, ids[:3])
     full = encode_sequence(model, ids)
-    assert np.array_equal(full.matrix()[2], prefix3.matrix()[2])
-    assert np.array_equal(full.matrix()[:3], prefix3.matrix())
+    assert np.array_equal(full.keys()[0][0, 2], prefix3.keys()[0][0, 2])
+    assert np.array_equal(full.keys()[0][:, :3], prefix3.keys()[0])
 
 
 def test_encoder_rejects_bad_token(untrained_env):
@@ -99,18 +100,16 @@ def test_proposal_purity_and_basis(untrained_env):
     p1 = propose_next(dec, enc, model)
     p2 = propose_next(dec, enc, model)
     assert p1.token == p2.token
-    assert np.array_equal(p1.distribution, p2.distribution)
-    assert abs(p1.distribution.sum() - 1.0) <= 1e-12
-    assert p1.token == int(p1.distribution.argmax())
+    assert np.array_equal(p1.logits, p2.logits)
+    assert p1.token == int(p1.logits.argmax())
 
     dec2 = commit(dec, p1, enc)
     assert dec2.committed == 1 and dec2.last_token == p1.token
     assert dec.committed == 0  # the original state is untouched
     p3 = propose_next(dec2, enc, model)
-    assert p3.prev_token == p1.token
+    assert p3.dec is dec2 and p3.enc is enc
     # the proposal's prev-embedding input is the committed token's embedding
-    assert np.array_equal(model.tgt_emb.data[p3.prev_token],
-                          model.tgt_emb.data[p1.token])
+    assert np.array_equal(p3.dec.last_token, p1.token)
     with pytest.raises(ContractError):
         commit(dec2, p1, enc)  # stale proposal
 
@@ -120,7 +119,7 @@ def test_commit_eos_sets_terminal(untrained_env):
     enc = encode_sequence(model, model.src_vocab.encode(pairs[0][0]))
     dec = model.initial_decoder_state()
     p = propose_next(dec, enc, model)
-    forced_eos = type(p)(**{**p.__dict__, "token": EOS})
+    forced_eos = type(p)(**{**p.__dict__, "token": np.array([EOS])})
     dec2 = commit(dec, forced_eos, enc)
     assert dec2.terminal
     with pytest.raises(ContractError):
@@ -131,8 +130,8 @@ def test_attention_weights_len_one_for_single_prefix(untrained_env):
     model, pairs = untrained_env
     enc = encode_sequence(model, model.src_vocab.encode(pairs[0][0])[:1])
     p = propose_next(model.initial_decoder_state(), enc, model)
-    assert p.text_weights.shape == (1,)
-    assert p.text_weights[0] == 1.0
+    assert p.text_weights.shape == (1, 1)
+    assert p.text_weights[0, 0] == 1.0
 
 
 def test_multimodal_zero_projection_degenerates_to_unimodal():
@@ -160,7 +159,7 @@ def test_multimodal_zero_projection_degenerates_to_unimodal():
     enc = encode_sequence(mm, mm.src_vocab.encode(src))
     p_mm = propose_next(mm.initial_decoder_state(), enc, mm, mm.project_features(feats))
     p_uni = propose_next(uni.initial_decoder_state(), enc, uni)
-    assert np.array_equal(p_mm.distribution, p_uni.distribution)
+    assert np.array_equal(p_mm.logits, p_uni.logits)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +223,9 @@ def test_simulate_forced_action_safety(untrained_env):
 
 def test_simulate_determinism(untrained_env):
     model, pairs = untrained_env
-    a = simulate(wait_k_policy(2), model, pairs[1][0], ref_tokens=pairs[1][1],
+    a = simulate(WaitKPolicy(2), model, pairs[1][0], ref_tokens=pairs[1][1],
                  reward_config=RewardConfig())
-    b = simulate(wait_k_policy(2), model, pairs[1][0], ref_tokens=pairs[1][1],
+    b = simulate(WaitKPolicy(2), model, pairs[1][0], ref_tokens=pairs[1][1],
                  reward_config=RewardConfig())
     assert a.actions == b.actions and a.hyp == b.hyp and a.rewards == b.rewards
 
@@ -241,19 +240,19 @@ def test_simulate_delay_reconstruction(untrained_env):
 def test_simulate_empty_source_rejected(untrained_env):
     model, _ = untrained_env
     with pytest.raises(ContractError):
-        simulate(consecutive_policy(), model, [])
+        simulate(ConsecutivePolicy(), model, [])
 
 
 def test_wait_k_validation():
     with pytest.raises(ContractError):
-        wait_k_policy(0)
+        WaitKPolicy(0)
 
 
 def test_simulate_quality_rewards_equal_recount(tiny_copy_env):
     model, train, valid, test, _ = tiny_copy_env
     cfg = RewardConfig(alpha=0.0, beta=0.0)
     for s, (src, ref) in enumerate(test[:12]):
-        for policy in (RandomPolicy(s), wait_k_policy(1 + s % 3)):
+        for policy in (RandomPolicy(s), WaitKPolicy(1 + s % 3)):
             # a reversed reference makes some commits lose BLEU
             ref_used = list(ref) if s % 2 else list(ref)[::-1]
             t = simulate(policy, model, src, ref_tokens=ref_used, reward_config=cfg)
@@ -263,7 +262,7 @@ def test_simulate_quality_rewards_equal_recount(tiny_copy_env):
 def test_quality_rewards_telescope_in_simulation(untrained_env):
     model, pairs = untrained_env
     src, ref = pairs[3]
-    t = simulate(wait_k_policy(1), model, src, ref_tokens=ref,
+    t = simulate(WaitKPolicy(1), model, src, ref_tokens=ref,
                  reward_config=RewardConfig(alpha=0.0, beta=0.0))
     # alpha=beta=0 isolates the quality part
     assert abs(sum(t.rewards) - smoothed_sentence_bleu(t.content_hyp, ref)) <= 1e-9
@@ -276,7 +275,7 @@ def test_quality_rewards_telescope_in_simulation(untrained_env):
 def test_consecutive_trace_on_copy_model(tiny_copy_env):
     model, train, valid, test, _ = tiny_copy_env
     src, tgt = next(p for p in test if len(p[0]) == 3)
-    t = simulate(consecutive_policy(), model, src)
+    t = simulate(ConsecutivePolicy(), model, src)
     assert t.actions == "RRRWWWW"
     assert t.delays == [3, 3, 3]
     assert t.ended_with_eos
@@ -286,7 +285,7 @@ def test_consecutive_trace_on_copy_model(tiny_copy_env):
 def test_wait2_trace_on_copy_model(tiny_copy_env):
     model, train, valid, test, _ = tiny_copy_env
     src, tgt = next(p for p in test if len(p[0]) == 5)
-    t = simulate(wait_k_policy(2), model, src)
+    t = simulate(WaitKPolicy(2), model, src)
     assert t.actions == "RRWRWRWRWWW"
     assert t.delays == [2, 3, 4, 5, 5]
     assert t.content_hyp == list(tgt)
@@ -295,8 +294,8 @@ def test_wait2_trace_on_copy_model(tiny_copy_env):
 def test_wait_large_k_degenerates_to_consecutive(tiny_copy_env):
     model, train, valid, test, _ = tiny_copy_env
     src, _ = test[0]
-    a = simulate(wait_k_policy(9 + len(src)), model, src)
-    b = simulate(consecutive_policy(), model, src)
+    a = simulate(WaitKPolicy(9 + len(src)), model, src)
+    b = simulate(ConsecutivePolicy(), model, src)
     assert a.actions == b.actions and a.hyp == b.hyp
 
 
@@ -304,7 +303,7 @@ def test_translate_full_matches_consecutive_simulation(tiny_copy_env):
     model, train, valid, test, _ = tiny_copy_env
     for src, _ in test[:20]:
         assert translate_full(model, src) == \
-            simulate(consecutive_policy(), model, src).content_hyp
+            simulate(ConsecutivePolicy(), model, src).content_hyp
 
 
 def test_translate_full_empty_source(tiny_copy_env):

@@ -2,13 +2,22 @@
 
 The agent is a single GRU over per-step observations
 [text context; proposed-token embedding; previous-action probabilities;
-optional visual context] with a 2-way softmax head. The baseline network
-mirrors the agent's structure and observation stream but ends in a scalar
-head; its regression loss never reaches agent parameters.
+optional visual context] with a 2-way softmax head. The init variant
+starts the GRU from a projection of the flattened visual features; the
+att variant attends over projected feature rows from the proposed
+token's embedding. The baseline network mirrors the agent's structure and
+observation stream but ends in a scalar head; its regression loss never
+reaches agent parameters.
 
-Training collects trajectories in lockstep batches without a tape (the
-environment is frozen), then replays the agent and baseline forward on
-the recorded stream with a tape to apply REINFORCE with control variates.
+One code path serves every caller. ``_RecurrentNet.start`` gives the
+initial states and visual keys and values, ``_observation`` assembles the
+input rows, and ``_RecurrentNet.step_np`` steps without a tape. The
+collector steps agent and baseline on all lanes of an ``EpisodeStepper``
+at once (the environment is frozen), and ``AgentGreedyPolicy`` is its
+one-lane, argmax caller. ``reinforce_update`` then replays the recorded
+observation stream on a tape as one (B, T) block per network: a single
+attention call, one ``autodiff.gru_sequence`` and one head matmul, then
+REINFORCE with control variates.
 """
 
 from __future__ import annotations
@@ -60,29 +69,6 @@ class AgentConfig:
         return base + (self.text_dim if self.use_att else 0)
 
 
-@dataclass
-class Observation:
-    """One agent input step; total dimensionality is checked at assembly."""
-
-    text_ctx: np.ndarray
-    token_emb: np.ndarray
-    prev_action: np.ndarray
-    visual_ctx: np.ndarray = None
-
-    def vector(self, cfg: AgentConfig) -> np.ndarray:
-        parts = [self.text_ctx, self.token_emb, self.prev_action]
-        if cfg.use_att:
-            if self.visual_ctx is None:
-                raise ShapeError("observation missing visual context for an attention agent")
-            parts.append(self.visual_ctx)
-        vec = np.concatenate(parts)
-        if vec.shape != (cfg.obs_dim,):
-            raise ShapeError(f"observation dim {vec.shape[0]} != configured {cfg.obs_dim}")
-        if abs(float(self.prev_action.sum()) - 1.0) > 1e-9 or self.prev_action.min() < 0:
-            raise ShapeError("prev_action must be probability-valued")
-        return vec
-
-
 class _RecurrentNet:
     """Shared recurrent body; subclasses fix the output head width."""
 
@@ -127,15 +113,34 @@ class _RecurrentNet:
         for name, t in self.named_tensors():
             t.data = snapshot[name].copy()
 
-    def step(self, tape, obs: Tensor, h: Tensor):
-        """One recurrent step; returns (new_hidden, head_output)."""
-        h_new = ad.gru_cell(tape, obs, h, self.gru)
-        out = ad.add_bias(tape, ad.matmul(tape, h_new, self.w_head), self.b_head)
-        return h_new, out
+    def start(self, tape, feats3, n: int):
+        """Initial states and visual attention inputs for n episodes.
 
-    def step_np(self, obs_vec, h_vec):
-        h_new, out = self.step(None, Tensor(obs_vec), Tensor(h_vec))
-        return h_new.data, out.data
+        ``feats3`` is the (n, R, D) block from ``_feature_block``. Returns the
+        (n, hidden) initial state (a projection of the flattened features for
+        the init variant, zeros otherwise) and, for the att variant, the
+        (n, R, key_dim) keys and (n, R, text_dim) values, else None.
+        """
+        cfg = self.cfg
+        if cfg.use_init:
+            h0 = ad.matmul(tape, Tensor(feats3.reshape(n, -1)), self.init_proj)
+        else:
+            h0 = Tensor(np.zeros((n, cfg.hidden_dim)))
+        visual_kv = None
+        if cfg.use_att:
+            visual_kv = (ad.linear_rows3(tape, feats3, self.key_proj),
+                         ad.linear_rows3(tape, feats3, self.val_proj))
+        return h0, visual_kv
+
+    def step_np(self, obs, h):
+        """One tapeless step on (n, obs_dim) rows; returns (new hidden, head output)."""
+        h_new = ad.gru_step(obs, h, self.gru)
+        return h_new, h_new @ self.w_head.data + self.b_head.data
+
+    def sequence(self, tape, obs: Tensor, h0: Tensor) -> Tensor:
+        """Head outputs (B, T, head_dim) over a (B, T, obs_dim) observation block."""
+        hs = ad.gru_sequence(tape, obs, h0, self.gru)
+        return ad.add_bias(tape, ad.matmul(tape, hs, self.w_head), self.b_head)
 
     def save(self, prefix) -> None:
         prefix = Path(prefix)
@@ -182,19 +187,49 @@ class BaselineNetwork(_RecurrentNet):
     kind = "baseline"
 
 
-def init_agent_state(network: _RecurrentNet, features=None, tape=None) -> Tensor:
-    """Initial hidden state: zeros, or a projection of flattened features."""
-    cfg = network.cfg
-    if not cfg.use_init or features is None:
-        if cfg.use_init and features is None:
-            raise ConfigError("init-variant network needs features at episode start")
-        return Tensor(np.zeros(cfg.hidden_dim))
-    if features.matrix.shape != (cfg.feature_rows, cfg.feature_dim):
-        raise ShapeError(
-            f"feature geometry {features.matrix.shape} != configured "
-            f"({cfg.feature_rows}, {cfg.feature_dim})")
-    flat = Tensor(features.matrix.reshape(-1))
-    return ad.matmul(tape, flat, network.init_proj)
+def _check_env(env: EnvModel, *nets) -> None:
+    """The observation's text context and token embedding come from ``env``."""
+    for net in nets:
+        cfg = net.cfg
+        if (cfg.text_dim, cfg.emb_dim) != (env.cfg.hid_dim, env.cfg.emb_dim):
+            raise ConfigError(
+                f"{net.kind} text_dim/emb_dim ({cfg.text_dim}, {cfg.emb_dim}) != environment "
+                f"hid_dim/emb_dim ({env.cfg.hid_dim}, {env.cfg.emb_dim})")
+
+
+def _feature_block(features, *nets):
+    """The episodes' features stacked to (n, R, D), checked against each network.
+
+    None when no network has a visual variant, which then ignores features.
+    """
+    visual = [net.cfg for net in nets if net.cfg.use_init or net.cfg.use_att]
+    if not visual:
+        return None
+    if any(f is None for f in features):
+        raise ConfigError("init/att agent variants need visual features for every episode")
+    for cfg in visual:
+        want = (cfg.feature_rows, cfg.feature_dim)
+        for f in features:
+            if f.matrix.shape != want:
+                raise ShapeError(f"feature geometry {f.matrix.shape} != configured {want}")
+    return np.stack([f.matrix for f in features])
+
+
+def _observation(tape, visual_kv, text_ctx, token_emb, prev_action):
+    """Agent input rows [text_ctx; token_emb; prev_action; visual context].
+
+    The parts are (n, ·) lane rows or (B, T, ·) blocks. With an att
+    network's ``visual_kv`` the token embedding attends over its feature
+    rows. Returns the observation and the attention's (context, weights),
+    or None without ``visual_kv``.
+    """
+    emb = Tensor(token_emb)
+    parts = [Tensor(text_ctx), emb, Tensor(prev_action)]
+    attention = None
+    if visual_kv is not None:
+        attention = ad.batched_attention(tape, *visual_kv, emb)
+        parts.append(attention[0])
+    return ad.concat(tape, parts, axis=-1), attention
 
 
 def gumbel_softmax_sample(logits, tau: float, rng):
@@ -304,31 +339,17 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
     the sampled noise.
     """
     n = len(episodes)
+    feats = [e[2] for e in episodes]
+    _check_env(env, agent, baseline)
+    feats3 = _feature_block(feats, agent, baseline)
     rngs = [np.random.default_rng(np.random.SeedSequence((global_seed, start_index + i)))
             for i in range(n)]
     src_tok = [list(e[0]) for e in episodes]
-    feats = [e[2] for e in episodes]
     stepper = EpisodeStepper(env, src_tok, feats, refs=[list(e[1]) for e in episodes],
                              reward_config=cfg.reward)
-
-    def projections(net):
-        if not net.cfg.use_att:
-            return None
-        feats3 = np.stack([f.matrix for f in feats])
-        return (Tensor(np.einsum("brd,dk->brk", feats3, net.key_proj.data)),
-                Tensor(np.einsum("brd,dk->brk", feats3, net.val_proj.data)))
-
-    a_kv = projections(agent)
-    b_kv = projections(baseline)
-
-    def initial_hidden(net):
-        if net.cfg.use_init:
-            flat = np.stack([f.matrix.reshape(-1) for f in feats])
-            return flat @ net.init_proj.data
-        return np.zeros((n, net.cfg.hidden_dim))
-
-    agent_h = initial_hidden(agent)
-    base_h = initial_hidden(baseline)
+    agent_h, a_kv = agent.start(None, feats3, n)
+    base_h, b_kv = baseline.start(None, feats3, n)
+    agent_h, base_h = agent_h.data, base_h.data
     a_prev = np.tile(np.array([1.0, 0.0]), (n, 1))
 
     rec = [dict(obs_text=[], obs_emb=[], obs_prev=[], vis=[], act=[], forced=[],
@@ -341,19 +362,10 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
         text_ctx = proposal.text_ctx
         y_emb = env.tgt_emb.data[proposal.token]
 
-        # agent and baseline steps
-        def observation(kv):
-            parts = [text_ctx, y_emb, a_prev]
-            vis = None
-            if kv is not None:
-                vis = ad.batched_attention(None, *kv, Tensor(y_emb))[0].data
-                parts.append(vis)
-            return np.concatenate(parts, axis=1), vis
-
-        a_obs, a_vis = observation(a_kv)
-        b_obs, _ = observation(b_kv)
-        agent_h, logits_a = agent.step_np(a_obs, agent_h)
-        base_h, base_out = baseline.step_np(b_obs, base_h)
+        a_obs, a_att = _observation(None, a_kv, text_ctx, y_emb, a_prev)
+        b_obs, _ = _observation(None, b_kv, text_ctx, y_emb, a_prev)
+        agent_h, logits_a = agent.step_np(a_obs.data, agent_h)
+        base_h, base_out = baseline.step_np(b_obs.data, base_h)
         base_val = base_out[:, 0]
 
         ls = logits_a - logits_a.max(axis=1, keepdims=True)
@@ -375,8 +387,8 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
             r["obs_text"].append(text_ctx[i])
             r["obs_emb"].append(y_emb[i])
             r["obs_prev"].append(a_prev[i].copy())
-            if a_vis is not None:
-                r["vis"].append(a_vis[i])
+            if a_att is not None:
+                r["vis"].append(a_att[0].data[i])
             r["act"].append(int(action[i]))
             r["forced"].append(bool(forced[i]))
             r["reward"].append(float(step_reward[i]))
@@ -423,7 +435,8 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
                      agent_opt=None, baseline_opt=None, apply: bool = True) -> dict:
     """Replay the batch on a tape and apply both optimizers.
 
-    Agent loss: -sum log pi(a_t|o_t) (R_t - b(o_t)) - entropy bonus,
+    Each network runs once over the padded (B, T) block of recorded
+    observations; padded steps carry zero loss weight. Agent loss: -sum log pi(a_t|o_t) (R_t - b(o_t)) - entropy bonus,
     averaged over episodes; forced steps contribute nothing. Baseline
     loss: mean squared error of predicted vs realized returns. The two
     losses share a tape but no parameters.
@@ -435,6 +448,7 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
     t_max = max(len(e) for e in entries)
     if t_max == 0:
         raise ContractError("reinforce_update: batch has no agent steps")
+    feats3 = _feature_block([e.features for e in entries], agent, baseline)
 
     text_dim, emb_dim = agent.cfg.text_dim, agent.cfg.emb_dim
     obs_text = np.zeros((n, t_max, text_dim))
@@ -458,62 +472,18 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
 
     tape = ad.Tape()
 
-    def visual_setup(net):
-        if not net.cfg.use_att:
-            return None, None
-        feats3 = np.stack([e.features.matrix for e in entries])
-        return (ad.linear_rows3(tape, feats3, net.key_proj),
-                ad.linear_rows3(tape, feats3, net.val_proj))
+    def head_outputs(net):
+        h0, visual_kv = net.start(tape, feats3, n)
+        obs, _ = _observation(tape, visual_kv, obs_text, obs_emb, obs_prev)
+        return net.sequence(tape, obs, h0)
 
-    a_keys, a_vals = visual_setup(agent)
-    b_keys, b_vals = visual_setup(baseline)
-
-    def initial_hidden(net):
-        if net.cfg.use_init:
-            flat = np.stack([e.features.matrix.reshape(-1) for e in entries])
-            return ad.matmul(tape, Tensor(flat), net.init_proj)
-        return Tensor(np.zeros((n, net.cfg.hidden_dim)))
-
-    ah = initial_hidden(agent)
-    bh = initial_hidden(baseline)
-
-    pg_terms = []
-    ent_terms = []
-    mse_terms = []
-    total_steps = float(active.sum())
-    zeros_idx = np.zeros(n, dtype=np.int64)
-    for t in range(t_max):
-        emb_const = Tensor(obs_emb[:, t])
-        parts = [Tensor(obs_text[:, t]), emb_const, Tensor(obs_prev[:, t])]
-        if a_keys is not None:
-            a_vis, _ = ad.batched_attention(tape, a_keys, a_vals, emb_const)
-            obs = ad.concat(tape, parts + [a_vis], axis=1)
-        else:
-            obs = ad.concat(tape, parts, axis=1)
-        ah, logits = agent.step(tape, obs, ah)
-        ls = ad.log_softmax_rows(tape, logits)
-        picked = ad.pick_rows(tape, ls, actions[:, t])
-        ent = ad.rows_entropy(tape, ls)
-        mask = active[:, t] * learn[:, t]
-        pg_terms.append(ad.weighted_sum(tape, picked,
-                                        -(advantages[:, t] * mask) / n))
-        ent_terms.append(ad.weighted_sum(tape, ent,
-                                         -(cfg.entropy_weight * mask) / n))
-
-        if b_keys is not None:
-            b_vis, _ = ad.batched_attention(tape, b_keys, b_vals, emb_const)
-            bobs = ad.concat(tape, parts + [b_vis], axis=1)
-        else:
-            bobs = ad.concat(tape, parts, axis=1)
-        bh, bout = baseline.step(tape, bobs, bh)
-        bval = ad.pick_rows(tape, bout, zeros_idx)
-        mse_terms.append(ad.masked_sq_error(tape, bval, returns[:, t],
-                                            active[:, t].astype(float), total_steps))
-
-    agent_loss = ad.sum_scalars(tape, pg_terms + ent_terms)
-    baseline_loss = ad.sum_scalars(tape, mse_terms)
-    total = ad.sum_scalars(tape, [agent_loss, baseline_loss])
-    ad.backward(tape, total)
+    ls = ad.log_softmax_rows(tape, head_outputs(agent))
+    agent_loss = ad.sum_scalars(tape, [
+        ad.weighted_sum(tape, ad.pick_rows(tape, ls, actions), -(advantages * learn) / n),
+        ad.weighted_sum(tape, ad.rows_entropy(tape, ls), -(cfg.entropy_weight * learn) / n)])
+    values = ad.pick_rows(tape, head_outputs(baseline), np.zeros_like(actions))
+    baseline_loss = ad.masked_sq_error(tape, values, returns, active, float(active.sum()))
+    ad.backward(tape, ad.sum_scalars(tape, [agent_loss, baseline_loss]))
 
     def grad_norm(net):
         total_sq = 0.0
@@ -548,39 +518,25 @@ class AgentGreedyPolicy(Policy):
     """Deterministic policy head: argmax actions, no Gumbel noise."""
 
     def __init__(self, agent: AgentNetwork, env: EnvModel):
+        _check_env(env, agent)
         self.agent = agent
         self.env = env
-        self._h = None
-        self._a_prev = None
-        self._keys = None
-        self._vals = None
-        self._features = None
         self.step_attention = None
 
     def start_episode(self, src_tokens, features=None) -> None:
-        cfg = self.agent.cfg
-        if (cfg.use_init or cfg.use_att) and features is None:
-            raise ConfigError("agent policy needs features for this variant")
-        self._features = features
-        self._h = init_agent_state(self.agent, features if cfg.use_init else None).data
-        self._a_prev = np.array([1.0, 0.0])
+        h0, self._visual_kv = self.agent.start(None, _feature_block([features], self.agent), 1)
+        self._h = h0.data
+        self._a_prev = np.array([[1.0, 0.0]])
         self.step_attention = None
-        if cfg.use_att:
-            self._keys = features.matrix @ self.agent.key_proj.data
-            self._vals = features.matrix @ self.agent.val_proj.data
 
     def decide(self, ctx) -> str:
-        y_emb = self.env.tgt_emb.data[ctx.token]
-        vis = None
-        if self.agent.cfg.use_att:
-            w = ad.softmax(self._keys @ y_emb)
-            vis = self._vals.T @ w
-            self.step_attention = w
-        obs = Observation(ctx.text_ctx, y_emb, self._a_prev, vis)
-        self._h, logits = self.agent.step_np(obs.vector(self.agent.cfg), self._h)
-        probs = ad.softmax(logits)
-        self._a_prev = probs
-        return "RW"[int(np.argmax(logits))]
+        obs, attention = _observation(None, self._visual_kv, ctx.text_ctx[None],
+                                      self.env.tgt_emb.data[[ctx.token]], self._a_prev)
+        self._h, logits = self.agent.step_np(obs.data, self._h)
+        self._a_prev = ad.softmax(logits)
+        if attention is not None:
+            self.step_attention = attention[1].data[0]
+        return "RW"[int(np.argmax(logits[0]))]
 
 
 def select_model(history) -> int:

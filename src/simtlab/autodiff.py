@@ -509,9 +509,10 @@ def softmax_cross_entropy_rows(tape, logits: Tensor, targets, mask, denom=None) 
 
 
 def log_softmax_rows(tape, x: Tensor) -> Tensor:
+    """Log-softmax over the last axis of a (B, K) or (B, T, K) array."""
     xd = x.data
-    shifted = xd - xd.max(axis=1, keepdims=True)
-    ls = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = xd - xd.max(axis=-1, keepdims=True)
+    ls = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     tracked = _track(tape, x)
     out = _out(tape, ls, tracked)
     if tracked:
@@ -521,51 +522,54 @@ def log_softmax_rows(tape, x: Tensor) -> Tensor:
             g = out.grad
             if g is None:
                 return
-            _accum(x, g - p * g.sum(axis=1, keepdims=True))
+            _accum(x, g - p * g.sum(axis=-1, keepdims=True))
         tape.record(bwd)
     return out
 
 
 def pick_rows(tape, x: Tensor, indices) -> Tensor:
+    """Entry ``indices[...]`` of each last-axis row: (B, K) -> (B,), (B, T, K) -> (B, T)."""
     idx = np.asarray(indices, dtype=np.int64)
-    rows = np.arange(x.data.shape[0])
+    if idx.shape != x.data.shape[:-1]:
+        raise ShapeError(f"pick_rows: indices {idx.shape} for rows of {x.data.shape}")
+    idx = idx[..., None]
     tracked = _track(tape, x)
-    out = _out(tape, x.data[rows, idx], tracked)
+    out = _out(tape, np.take_along_axis(x.data, idx, axis=-1)[..., 0], tracked)
     if tracked:
         def bwd():
             g = out.grad
             if g is None:
                 return
             d = np.zeros_like(x.data)
-            d[rows, idx] = g
+            np.put_along_axis(d, idx, g[..., None], axis=-1)
             _accum(x, d)
         tape.record(bwd)
     return out
 
 
 def rows_entropy(tape, log_probs: Tensor) -> Tensor:
-    """Shannon entropy per row of a log-probability matrix."""
+    """Shannon entropy of each last-axis row of log-probabilities."""
     ls = log_probs.data
     p = np.exp(ls)
     tracked = _track(tape, log_probs)
-    out = _out(tape, -(p * ls).sum(axis=1), tracked)
+    out = _out(tape, -(p * ls).sum(axis=-1), tracked)
     if tracked:
         def bwd():
             g = out.grad
             if g is None:
                 return
-            _accum(log_probs, -g[:, None] * p * (ls + 1.0))
+            _accum(log_probs, -g[..., None] * p * (ls + 1.0))
         tape.record(bwd)
     return out
 
 
 def weighted_sum(tape, v: Tensor, weights) -> Tensor:
-    """Dot product of a vector with constant weights, as a scalar tensor."""
+    """Sum of all entries of v times same-shaped constant weights, as a scalar tensor."""
     w = np.asarray(weights, dtype=np.float64)
     if v.data.shape != w.shape:
         raise ShapeError(f"weighted_sum: {v.data.shape} vs {w.shape}")
     tracked = _track(tape, v)
-    out = _out(tape, np.float64(v.data @ w), tracked)
+    out = _out(tape, np.float64(np.vdot(v.data, w)), tracked)
     if tracked:
         def bwd():
             g = out.grad

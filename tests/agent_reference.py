@@ -1,0 +1,137 @@
+"""Per-timestep references for the agent's block replay and its greedy step, for parity tests.
+
+``replay_losses`` is the REINFORCE replay that ``agent.reinforce_update``
+ran before it became one GRU sequence per network: one ``gru_cell`` and one
+``(B, dk)`` attention per timestep and network, with the loss summed term by
+term. ``ReferenceGreedyPolicy`` is the greedy policy's earlier 1-D decide:
+its own observation vector, visual attention and GRU step per call.
+"""
+
+import numpy as np
+
+from simtlab import autodiff as ad
+from simtlab.autodiff import Tensor
+from simtlab.policies import Policy
+
+
+def _step(tape, net, obs, h):
+    h_new = ad.gru_cell(tape, obs, h, net.gru)
+    return h_new, ad.add_bias(tape, ad.matmul(tape, h_new, net.w_head), net.b_head)
+
+
+def replay_losses(batch, agent, baseline, cfg):
+    """Replay ``batch`` step by step on a tape and backpropagate.
+
+    Returns (agent_loss, baseline_loss) as floats; the gradients are left
+    accumulated on the agent's and the baseline's tensors.
+    """
+    entries = batch.entries
+    n = len(entries)
+    t_max = max(len(e) for e in entries)
+    text_dim, emb_dim = agent.cfg.text_dim, agent.cfg.emb_dim
+    obs_text = np.zeros((n, t_max, text_dim))
+    obs_emb = np.zeros((n, t_max, emb_dim))
+    obs_prev = np.zeros((n, t_max, 2))
+    actions = np.zeros((n, t_max), dtype=np.int64)
+    active = np.zeros((n, t_max), dtype=bool)
+    learn = np.zeros((n, t_max))
+    advantages = np.zeros((n, t_max))
+    returns = np.zeros((n, t_max))
+    for i, e in enumerate(entries):
+        t = len(e)
+        obs_text[i, :t] = e.obs_text
+        obs_emb[i, :t] = e.obs_emb
+        obs_prev[i, :t] = e.obs_prev
+        actions[i, :t] = e.actions
+        active[i, :t] = True
+        learn[i, :t] = ~e.forced
+        advantages[i, :t] = e.returns - e.baseline_values
+        returns[i, :t] = e.returns
+
+    tape = ad.Tape()
+
+    def visual_setup(net):
+        if not net.cfg.use_att:
+            return None, None
+        feats3 = np.stack([e.features.matrix for e in entries])
+        return (ad.linear_rows3(tape, feats3, net.key_proj),
+                ad.linear_rows3(tape, feats3, net.val_proj))
+
+    a_keys, a_vals = visual_setup(agent)
+    b_keys, b_vals = visual_setup(baseline)
+
+    def initial_hidden(net):
+        if net.cfg.use_init:
+            flat = np.stack([e.features.matrix.reshape(-1) for e in entries])
+            return ad.matmul(tape, Tensor(flat), net.init_proj)
+        return Tensor(np.zeros((n, net.cfg.hidden_dim)))
+
+    ah = initial_hidden(agent)
+    bh = initial_hidden(baseline)
+
+    pg_terms, ent_terms, mse_terms = [], [], []
+    total_steps = float(active.sum())
+    zeros_idx = np.zeros(n, dtype=np.int64)
+    for t in range(t_max):
+        emb_const = Tensor(obs_emb[:, t])
+        parts = [Tensor(obs_text[:, t]), emb_const, Tensor(obs_prev[:, t])]
+        if a_keys is not None:
+            a_vis, _ = ad.batched_attention(tape, a_keys, a_vals, emb_const)
+            obs = ad.concat(tape, parts + [a_vis], axis=1)
+        else:
+            obs = ad.concat(tape, parts, axis=1)
+        ah, logits = _step(tape, agent, obs, ah)
+        ls = ad.log_softmax_rows(tape, logits)
+        picked = ad.pick_rows(tape, ls, actions[:, t])
+        ent = ad.rows_entropy(tape, ls)
+        mask = active[:, t] * learn[:, t]
+        pg_terms.append(ad.weighted_sum(tape, picked, -(advantages[:, t] * mask) / n))
+        ent_terms.append(ad.weighted_sum(tape, ent, -(cfg.entropy_weight * mask) / n))
+
+        if b_keys is not None:
+            b_vis, _ = ad.batched_attention(tape, b_keys, b_vals, emb_const)
+            bobs = ad.concat(tape, parts + [b_vis], axis=1)
+        else:
+            bobs = ad.concat(tape, parts, axis=1)
+        bh, bout = _step(tape, baseline, bobs, bh)
+        bval = ad.pick_rows(tape, bout, zeros_idx)
+        mse_terms.append(ad.masked_sq_error(tape, bval, returns[:, t],
+                                            active[:, t].astype(float), total_steps))
+
+    agent_loss = ad.sum_scalars(tape, pg_terms + ent_terms)
+    baseline_loss = ad.sum_scalars(tape, mse_terms)
+    ad.backward(tape, ad.sum_scalars(tape, [agent_loss, baseline_loss]))
+    return float(agent_loss.data), float(baseline_loss.data)
+
+
+class ReferenceGreedyPolicy(Policy):
+    """Argmax actions from a per-call 1-D agent step."""
+
+    def __init__(self, agent, env):
+        self.agent = agent
+        self.env = env
+
+    def start_episode(self, src_tokens, features=None) -> None:
+        net = self.agent
+        cfg = net.cfg
+        self._h = np.zeros(cfg.hidden_dim)
+        if cfg.use_init:
+            self._h = ad.matmul(None, Tensor(features.matrix.reshape(-1)), net.init_proj).data
+        self._a_prev = np.array([1.0, 0.0])
+        self.step_attention = None
+        if cfg.use_att:
+            self._keys = features.matrix @ net.key_proj.data
+            self._vals = features.matrix @ net.val_proj.data
+
+    def decide(self, ctx) -> str:
+        net = self.agent
+        y_emb = self.env.tgt_emb.data[ctx.token]
+        parts = [ctx.text_ctx, y_emb, self._a_prev]
+        if net.cfg.use_att:
+            w = ad.softmax(self._keys @ y_emb)
+            parts.append(self._vals.T @ w)
+            self.step_attention = w
+        self._h, logits = _step(None, net, Tensor(np.concatenate(parts)), Tensor(self._h))
+        self._h, logits = self._h.data, logits.data
+        self._a_prev = ad.softmax(logits)
+        return "RW"[int(np.argmax(logits))]

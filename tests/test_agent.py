@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from simtlab.agent import (AgentConfig, AgentNetwork, BaselineNetwork, RLTrainConfig,
+from simtlab import autodiff as ad
+from simtlab.agent import (AgentConfig, AgentGreedyPolicy, AgentNetwork, BaselineNetwork,
+                           RLTrainConfig, TrajectoryBatch, TrajectoryEntry,
                            collect_trajectories, reinforce_update)
 from simtlab.environment import EnvConfig, EnvModel
-from simtlab.errors import ConfigError
+from simtlab.errors import ConfigError, ShapeError
 from simtlab.features import FeatureSet
 from simtlab.metrics import RewardConfig
 from simtlab.optim import AdamState
 from simtlab.policies import Policy, simulate
 
+from agent_reference import ReferenceGreedyPolicy, replay_losses
+from gradcheck import assert_grads_close
 from recount import quality_rewards_by_recount
 
 
@@ -158,3 +162,155 @@ def test_replayed_agent_loss_equals_recorded_log_probs(untrained_env, variant):
                                               + cfg.entropy_weight * e.entropies)))
                     for e in batch.entries) / len(batch.entries)
     assert abs(stats["agent_loss"] - recorded) <= 1e-12 * abs(recorded)
+
+
+def _tiny_agent_pair(variant, seed=0, **overrides):
+    """A tiny agent and baseline: text 3, emb 3, hidden 3, 2x3 features."""
+    fields = dict(text_dim=3, emb_dim=3, hidden_dim=3, key_dim=3, use_init=variant == "init",
+                  use_att=variant == "att", feature_rows=2, feature_dim=3, init_scale=0.5)
+    cfg = AgentConfig(**{**fields, **overrides})
+    rng = np.random.default_rng(seed)
+    return AgentNetwork(cfg, rng), BaselineNetwork(cfg, rng)
+
+
+def _random_batch(cfg, lengths, seed=0):
+    """Hand-built episodes of the given lengths with random observations and returns."""
+    rng = np.random.default_rng(seed)
+    entries = []
+    for t in lengths:
+        features = FeatureSet("grid", rng.normal(size=(cfg.feature_rows, cfg.feature_dim)))
+        entries.append(TrajectoryEntry(
+            obs_text=rng.normal(size=(t, cfg.text_dim)),
+            obs_emb=rng.normal(size=(t, cfg.emb_dim)),
+            obs_prev=rng.dirichlet([1.0, 1.0], size=t),
+            features=features if cfg.use_init or cfg.use_att else None,
+            actions=rng.integers(0, 2, size=t),
+            forced=rng.random(t) < 0.25,
+            rewards=rng.normal(size=t), returns=rng.normal(size=t),
+            write_probs=np.zeros(t), log_probs=np.zeros(t), entropies=np.zeros(t),
+            baseline_values=rng.normal(size=t)))
+    return TrajectoryBatch(entries)
+
+
+@pytest.mark.parametrize("variant", ["none", "init", "att"])
+def test_reinforce_update_gradcheck(variant):
+    agent, baseline = _tiny_agent_pair(variant, seed=1)
+    batch = _random_batch(agent.cfg, [2, 5, 3], seed=2)  # unequal lengths: padded steps
+    cfg = RLTrainConfig(entropy_weight=0.3)
+    params = [p for _, p in agent.named_tensors() + baseline.named_tensors()]
+
+    def total_loss():
+        stats = reinforce_update(batch, agent, baseline, cfg, apply=False)
+        return stats["agent_loss"] + stats["baseline_loss"]
+
+    ad.zero_grads(params)
+    total_loss()
+    analytic = [p.grad.copy() for p in params]
+    assert all(np.any(g != 0.0) for g in analytic)
+    assert_grads_close(total_loss, params, analytic, tol=1e-7)
+
+
+def _loss_and_grads(run, agent, baseline):
+    params = agent.named_tensors() + baseline.named_tensors()
+    ad.zero_grads([p for _, p in params])
+    losses = run()
+    return losses, {name + str(k): p.grad.copy() for k, net in enumerate((agent, baseline))
+                    for name, p in net.named_tensors()}
+
+
+@pytest.mark.parametrize("variant", ["none", "init", "att"])
+def test_block_replay_equals_per_step_replay(untrained_env, variant):
+    env, agent, baseline, episodes = _visual_setup(*untrained_env, variant, 12, seed=4)
+    cfg = RLTrainConfig(entropy_weight=0.1)
+    batch = collect_trajectories(agent, baseline, env, episodes, cfg, global_seed=2)
+    assert len({len(e) for e in batch.entries}) > 1
+
+    def block():
+        stats = reinforce_update(batch, agent, baseline, cfg, apply=False)
+        return stats["agent_loss"], stats["baseline_loss"]
+
+    got, got_grads = _loss_and_grads(block, agent, baseline)
+    want, want_grads = _loss_and_grads(lambda: replay_losses(batch, agent, baseline, cfg),
+                                       agent, baseline)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * abs(w)
+    assert got_grads.keys() == want_grads.keys()
+    for name, w in want_grads.items():
+        assert np.max(np.abs(got_grads[name] - w)) <= 1e-12 * np.max(np.abs(w)), name
+
+
+def test_replay_tape_does_not_grow_with_episode_length(monkeypatch):
+    tapes = []
+
+    class CountingTape(ad.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(ad, "Tape", CountingTape)
+    agent, baseline = _tiny_agent_pair("att")
+    cfg = RLTrainConfig()
+    for lengths in ([3, 2, 3], [30, 27, 31]):
+        reinforce_update(_random_batch(agent.cfg, lengths), agent, baseline, cfg, apply=False)
+    short, long = (len(t) for t in tapes)
+    assert short == long
+
+
+@pytest.mark.parametrize("variant", ["none", "init", "att"])
+def test_greedy_policy_equals_per_step_reference(untrained_env, variant):
+    env, agent, _, episodes = _visual_setup(*untrained_env, variant, 16, seed=4)
+    transcripts = []
+    for src, _, features in episodes:
+        got = simulate(AgentGreedyPolicy(agent, env), env, src, features, record_attention=True)
+        want = simulate(ReferenceGreedyPolicy(agent, env), env, src, features,
+                        record_attention=True)
+        assert (got.actions, got.hyp) == (want.actions, want.hyp)
+        assert len(got.attention) == len(got.actions)
+        for g, w in zip(got.attention, want.attention, strict=True):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert np.allclose(g, w, rtol=0, atol=1e-12)
+        transcripts.append((src, got))
+    # the agent itself chose both a READ after the first and a WRITE before the source ran out
+    assert any("R" in t.actions[1:] for _, t in transcripts)
+    assert any(t.delays and t.delays[0] < len(src) for src, t in transcripts)
+    recorded = [w for _, t in transcripts for w in t.attention[1:]]
+    assert all((w is not None) == (variant == "att") for w in recorded)
+
+
+def _enter(path, env, pairs, agent, baseline, features):
+    """Run one of the agent's entry points on a single episode with ``features``."""
+    src, ref = pairs[0]
+    if path == "collect":
+        collect_trajectories(agent, baseline, env, [(src, ref, features)], RLTrainConfig(),
+                             global_seed=0)
+    elif path == "update":
+        batch = _random_batch(agent.cfg, [2, 3])
+        for entry in batch.entries:
+            entry.features = features
+        reinforce_update(batch, agent, baseline, RLTrainConfig(), apply=False)
+    else:
+        simulate(AgentGreedyPolicy(agent, env), env, src, features)
+
+
+@pytest.mark.parametrize("path", ["collect", "update", "greedy"])
+@pytest.mark.parametrize("variant", ["init", "att"])
+def test_visual_agent_rejects_missing_or_misshaped_features(untrained_env, path, variant):
+    env, pairs = untrained_env
+    agent, baseline = _tiny_agent_pair(variant, text_dim=env.cfg.hid_dim,
+                                       emb_dim=env.cfg.emb_dim, key_dim=env.cfg.emb_dim)
+    with pytest.raises(ConfigError, match="features"):
+        _enter(path, env, pairs, agent, baseline, None)
+    with pytest.raises(ShapeError, match="geometry"):
+        _enter(path, env, pairs, agent, baseline, FeatureSet("grid", np.ones((3, 3))))
+
+
+@pytest.mark.parametrize("path", ["collect", "greedy"])
+@pytest.mark.parametrize("field", ["text_dim", "emb_dim"])
+def test_agent_rejects_environment_dims(untrained_env, path, field):
+    env, pairs = untrained_env
+    dims = dict(text_dim=env.cfg.hid_dim, emb_dim=env.cfg.emb_dim, key_dim=env.cfg.emb_dim)
+    dims[field] += 1
+    agent, baseline = _tiny_agent_pair("none", **dims)
+    with pytest.raises(ConfigError, match="environment"):
+        _enter(path, env, pairs, agent, baseline, None)

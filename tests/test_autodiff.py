@@ -415,6 +415,47 @@ def test_log_softmax_pick_entropy_gradcheck():
     assert_grads_close(lambda: float(run(None).data), [x], [x.grad])
 
 
+def test_row_ops_act_on_the_last_axis_of_blocks():
+    rng = np.random.default_rng(17)
+    x = ad.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    idx = np.array([[0, 3, 1], [2, 2, 0]])
+    wp = rng.normal(size=(2, 3))
+    we = rng.normal(size=(2, 3))
+
+    ls = ad.log_softmax_rows(None, x)
+    rows = ad.log_softmax_rows(None, ad.Tensor(x.data.reshape(6, 4)))
+    assert np.allclose(ls.data.reshape(6, 4), rows.data, rtol=0, atol=1e-15)
+    assert np.array_equal(ad.pick_rows(None, ls, idx).data.reshape(6),
+                          ad.pick_rows(None, rows, idx.reshape(6)).data)
+    assert np.array_equal(ad.rows_entropy(None, ls).data.reshape(6),
+                          ad.rows_entropy(None, rows).data)
+
+    def run(tape):
+        ls = ad.log_softmax_rows(tape, x)
+        return ad.sum_scalars(tape, [
+            ad.weighted_sum(tape, ad.pick_rows(tape, ls, idx), wp),
+            ad.weighted_sum(tape, ad.rows_entropy(tape, ls), we)])
+
+    tape = ad.Tape()
+    ad.backward(tape, run(tape))
+    assert_grads_close(lambda: float(run(None).data), [x], [x.grad])
+    with pytest.raises(ShapeError):
+        ad.pick_rows(None, x, idx[0])
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 5), (2, 3, 4)])
+def test_weighted_sum_of_blocks_is_a_scalar(shape):
+    rng = np.random.default_rng(18)
+    v = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+    w = rng.normal(size=shape)
+    tape = ad.Tape()
+    out = ad.weighted_sum(tape, v, w)
+    assert out.data.shape == ()
+    assert abs(float(out.data) - float((v.data * w).sum())) <= 1e-12
+    ad.backward(tape, out)
+    assert_grads_close(lambda: float(ad.weighted_sum(None, v, w).data), [v], [v.grad])
+
+
 def test_masked_cross_entropy_rows_gradcheck():
     rng = np.random.default_rng(13)
     logits = ad.Tensor(rng.normal(size=(5, 4)), requires_grad=True)

@@ -1,0 +1,41 @@
+import struct
+
+import numpy as np
+import pytest
+
+from simtlab.errors import FormatError
+from simtlab.features import MAGIC, FeatureSet, load_features, write_features
+
+
+def _sets(rng, count=3, rows=4, cols=5):
+    # float32-representable values survive the float32 payload exactly
+    return [FeatureSet("grid", rng.normal(size=(rows, cols)).astype(np.float32))
+            for _ in range(count)]
+
+
+def test_write_load_round_trip_is_exact_at_float32(tmp_path):
+    sets = _sets(np.random.default_rng(0))
+    path = tmp_path / "train.feat"
+    write_features(path, sets)
+    loaded = load_features(path)
+    assert [f.variant for f in loaded] == ["grid"] * 3
+    for got, want in zip(loaded, sets, strict=True):
+        assert got.matrix.dtype == np.float64
+        assert np.array_equal(got.matrix, want.matrix)
+
+
+def _header(tag=0, count=1, rows=2, cols=3):
+    return MAGIC + struct.pack("<BIII", tag, count, rows, cols)
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"SIMTFEAT0" + bytes(13 + 24), "bad magic"),
+    (MAGIC + bytes(5), "truncated header"),
+    (_header() + bytes(23), "expected 46 bytes"),
+    (_header(tag=7) + bytes(24), "unknown variant tag"),
+], ids=["bad-magic", "truncated-header", "short-payload", "unknown-tag"])
+def test_malformed_feature_files_raise_format_error(tmp_path, blob, message):
+    path = tmp_path / "bad.feat"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match=message):
+        load_features(path)

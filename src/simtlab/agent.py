@@ -74,7 +74,7 @@ class _RecurrentNet:
 
     head_dim = None
 
-    def __init__(self, cfg: AgentConfig, rng, key_init: np.ndarray = None):
+    def __init__(self, cfg: AgentConfig, rng):
         self.cfg = cfg
         self.gru = GRUParams.create(cfg.obs_dim, cfg.hidden_dim, rng, cfg.init_scale)
         self.w_head = ad.uniform_tensor((cfg.hidden_dim, self.head_dim), rng, cfg.init_scale)
@@ -86,14 +86,8 @@ class _RecurrentNet:
             flat = cfg.feature_rows * cfg.feature_dim
             self.init_proj = ad.uniform_tensor((flat, cfg.hidden_dim), rng, cfg.init_scale)
         if cfg.use_att:
-            if key_init is not None:
-                if key_init.shape != (cfg.feature_dim, cfg.key_dim):
-                    raise ShapeError(f"key_init shape {key_init.shape} != "
-                                     f"({cfg.feature_dim}, {cfg.key_dim})")
-                self.key_proj = Tensor(key_init.copy(), requires_grad=True)
-            else:
-                self.key_proj = ad.uniform_tensor((cfg.feature_dim, cfg.key_dim), rng,
-                                                  cfg.init_scale)
+            self.key_proj = ad.uniform_tensor((cfg.feature_dim, cfg.key_dim), rng,
+                                              cfg.init_scale)
             self.val_proj = ad.uniform_tensor((cfg.feature_dim, cfg.text_dim), rng,
                                               cfg.init_scale)
 

@@ -1,11 +1,14 @@
 """The pre-trained encoder-decoder translation system.
 
 During reinforcement learning this model is the frozen environment: it is
-stepped incrementally (one source token per READ, one proposal per step)
-and never receives gradients. Its states carry a leading lane axis, so
-``EpisodeStepper`` runs n episodes in lockstep under one set of rules. The
-same model trained and decoded with the full source is the consecutive
-baseline.
+stepped incrementally (one source token per READ, at most one proposal per
+step) and never receives gradients. Its states carry a leading lane axis,
+so ``EpisodeStepper`` runs n episodes in lockstep under one set of rules.
+The stepper computes a step's proposal only when something reads it: a
+policy that looks at the proposed token, or a WRITE that adopts it. A step
+on which every lane READs under a rule that reads only the counters runs
+no decoder work. The same model trained and decoded with the full source is
+the consecutive baseline.
 
 Architecture: 2-layer unidirectional GRU encoder, first decoder GRU
 producing attention queries, dot-product attention over emitted encoder
@@ -339,8 +342,12 @@ class EpisodeStepper:
     against the reference (when ``refs`` are given) plus the CW/AP latency
     reward, with the delay proportion running or terminal as configured.
 
-    The constructor takes the first READ; callers then alternate
-    ``propose()`` and ``apply()`` while any lane is ``live``.
+    The constructor takes the first READ. Each later step is
+    ``start_step()``, which returns the forced-WRITE mask, then
+    ``apply()``. In between, ``proposal()`` computes the step's proposal
+    on first call and caches it for the step; ``apply()`` asks for it only
+    when some lane writes. ``propose()`` is the eager form of a step start,
+    for callers that always read the proposal.
     """
 
     def __init__(self, model: EnvModel, sources, features=None, *, refs=None,
@@ -350,6 +357,10 @@ class EpisodeStepper:
         if not all(self.src_ids):
             raise ContractError("episode: empty source")
         n = self.n = len(self.src_ids)
+        for name, given in (("features", features), ("refs", refs)):
+            if given is not None and (not isinstance(given, (list, tuple)) or len(given) != n):
+                raise DataError(f"episode: {name} must be a list with one entry per source "
+                                f"({n} sources)")
         self.projected = model.project_features(features) if model.multimodal else None
         self.enc = EncoderState.initial(model, n, max(map(len, self.src_ids)) + 1)
         self.dec = DecoderState.initial(model, n)
@@ -372,12 +383,11 @@ class EpisodeStepper:
     def _lanes(self, idx):
         return None if len(idx) == self.n else np.array(idx)
 
-    def propose(self):
-        """Propose the next token on every lane.
+    def start_step(self) -> np.ndarray:
+        """Start the next step and return its forced-WRITE mask.
 
         A lane that has read its whole source first gets its EOS row: the
-        terminal marker row, not an agent READ. Returns the proposal and
-        the forced-WRITE mask.
+        terminal marker row, not an agent READ.
         """
         forced = [r == len(s) for r, s in zip(self.n_read, self.src_ids)]
         eos = [i for i in self._running if forced[i] and not self._eos_row[i]]
@@ -385,9 +395,22 @@ class EpisodeStepper:
             self.enc = encode_next(self.enc, [EOS] * len(eos), self.model, self._lanes(eos))
             for i in eos:
                 self._eos_row[i] = True
-        self._proposal = propose_next(self.dec, self.enc, self.model, self.projected)
+        self._proposal = None
         self._forced = np.array(forced)
-        return self._proposal, self._forced
+        return self._forced
+
+    def proposal(self) -> Proposal:
+        """The current step's proposal on every lane, computed on first call."""
+        if self._forced is None:
+            raise ContractError("proposal: no step started; call start_step() or propose()")
+        if self._proposal is None:
+            self._proposal = propose_next(self.dec, self.enc, self.model, self.projected)
+        return self._proposal
+
+    def propose(self):
+        """Start the next step and compute its proposal: (proposal, forced mask)."""
+        forced = self.start_step()
+        return self.proposal(), forced
 
     def apply(self, write_mask) -> np.ndarray:
         """Take one action on every live lane: WRITE where ``write_mask`` or
@@ -396,15 +419,17 @@ class EpisodeStepper:
         Returns each lane's step reward (0.0 without a reward config and on
         lanes that had ended).
         """
-        if self._forced is None:
-            raise ContractError("apply: propose() the next step first")
+        forced = self._forced
+        if forced is None:
+            raise ContractError("apply: start the next step with start_step() or propose() first")
         live = self._running
-        wrote = [bool(write_mask[i] or self._forced[i]) for i in live]
+        wrote = [bool(write_mask[i] or forced[i]) for i in live]
         writes = [i for i, w in zip(live, wrote) if w]
         reads = [i for i, w in zip(live, wrote) if not w]
+        proposal = self.proposal() if writes else None
         self._forced = None
         if writes:
-            self.dec = commit(self.dec, self._proposal, self.enc, self._lanes(writes))
+            self.dec = commit(self.dec, proposal, self.enc, self._lanes(writes))
         if reads:
             self.enc = encode_next(self.enc, [self.src_ids[i][self.n_read[i]] for i in reads],
                                    self.model, self._lanes(reads))
@@ -414,7 +439,7 @@ class EpisodeStepper:
             terminal = False
             quality = 0.0
             if w:
-                token = int(self._proposal.token[i])
+                token = int(proposal.token[i])
                 self.hyp_ids[i].append(token)
                 self.cw[i] = 0
                 if token != EOS:
@@ -448,8 +473,7 @@ def _decode_consecutive(model: EnvModel, sources, features=None):
         episode = EpisodeStepper(model, [sources[i] for i in lanes],
                                  None if features is None else [features[i] for i in lanes])
         while episode.live.any():
-            _, forced = episode.propose()
-            episode.apply(forced)
+            episode.apply(episode.start_step())  # proposes only when some lane writes
         for i, ids in zip(lanes, episode.hyp_ids):
             hyps[i] = model.tgt_vocab.decode(ids)
     return hyps
@@ -530,6 +554,8 @@ def teacher_forced_loss(model: EnvModel, batch, tape, feats3=None):
 
 def validation_bleu(model: EnvModel, pairs, features=None, cap: int = 0):
     """Corpus BLEU of greedy consecutive decodes, all pairs stepped as lanes at once."""
+    if features is not None and len(features) != len(pairs):
+        raise DataError(f"validation_bleu: {len(features)} feature sets for {len(pairs)} pairs")
     if cap:
         pairs = pairs[:cap]
         features = features[:cap] if features is not None else None
@@ -548,6 +574,8 @@ def train_consecutive(train_pairs, valid_pairs, cfg: EnvTrainConfig,
         raise DataError("train_consecutive: empty train or validation split")
     if features_train is not None and len(features_train) != len(train_pairs):
         raise DataError("train_consecutive: features misaligned with training corpus")
+    if features_valid is not None and len(features_valid) != len(valid_pairs):
+        raise DataError("train_consecutive: features misaligned with validation corpus")
 
     src_vocab = Vocabulary.from_corpus(s for s, _ in train_pairs)
     tgt_vocab = Vocabulary.from_corpus(t for _, t in train_pairs)

@@ -5,7 +5,10 @@ enforces legality: the first action is always READ (the decoder cannot
 attend to an empty prefix) and WRITE is forced once the source is
 exhausted. Policies are still queried on forced WRITE steps so stateful
 agents see the full observation stream; an illegal answer is overridden
-and logged, never fatal.
+and logged, never fatal. The environment's proposal in a ``StepContext``
+is computed on first read. The rule policies (wait-k, consecutive) never
+read it, so their READ steps run no decoder work; the greedy agent reads
+it on every step.
 """
 
 from __future__ import annotations
@@ -25,17 +28,53 @@ from .vocab import EOS
 log = logging.getLogger(__name__)
 
 
-@dataclass
 class StepContext:
-    """What a policy may look at when deciding."""
+    """What a policy may look at when deciding.
 
-    src_len: int
-    n_read: int
-    n_written: int
-    source_exhausted: bool
-    token: int                # the environment's proposed next token
-    text_ctx: np.ndarray      # the proposal's text attention context
-    forced_action: str = None
+    ``token`` is the environment's proposed next token and ``text_ctx`` the
+    proposal's text attention context. A context made ``of`` a running
+    episode, as ``simulate`` makes them, computes both on first read and
+    keeps them; the rule policies never read them. Read after its step,
+    such a context returns what it read during the step or raises
+    ``ContractError``, never a later step's proposal.
+    """
+
+    def __init__(self, src_len, n_read, n_written, source_exhausted, token=None,
+                 text_ctx=None, forced_action=None):
+        self.src_len = src_len
+        self.n_read = n_read
+        self.n_written = n_written
+        self.source_exhausted = source_exhausted
+        self.forced_action = forced_action
+        self._seen = token, text_ctx
+        self._pending = None   # (episode, dec, enc) of the step, until the proposal is read
+
+    @classmethod
+    def of(cls, episode: EpisodeStepper, forced) -> "StepContext":
+        """The current step of the one-lane ``episode``, whose forced-WRITE mask is ``forced``."""
+        exhausted = bool(forced[0])
+        ctx = cls(len(episode.src_ids[0]), episode.n_read[0], len(episode.hyp_ids[0]), exhausted,
+                  forced_action=WRITE if exhausted else None)
+        ctx._pending = episode, episode.dec, episode.enc
+        return ctx
+
+    @property
+    def token(self) -> int:
+        return self._read()[0]
+
+    @property
+    def text_ctx(self) -> np.ndarray:
+        return self._read()[1]
+
+    def _read(self):
+        if self._pending is not None:
+            episode, dec, enc = self._pending
+            proposal = episode.proposal()
+            if proposal.dec is not dec or proposal.enc is not enc:
+                raise ContractError("step context read after its step")
+            self._seen = int(proposal.token[0]), proposal.text_ctx[0]
+            self._pending = None
+        return self._seen
 
 
 class Policy:
@@ -201,25 +240,18 @@ def simulate(policy: Policy, env_model: EnvModel, src_tokens, features=None, *,
                              refs=None if ref_tokens is None else [ref_tokens],
                              reward_config=reward_config)
     policy.start_episode(src_tokens, features)
-    src_len = len(episode.src_ids[0])
     overrides = 0
     # the initial forced READ asks no policy
     attention = [_step_attention(policy)] if record_attention else None
     while episode.live[0]:
-        proposal, forced = episode.propose()
-        exhausted = bool(forced[0])
-        n_read, n_written = episode.n_read[0], len(episode.hyp_ids[0])
-        ctx = StepContext(
-            src_len=src_len, n_read=n_read, n_written=n_written, source_exhausted=exhausted,
-            token=int(proposal.token[0]), text_ctx=proposal.text_ctx[0],
-            forced_action=WRITE if exhausted else None)
+        ctx = StepContext.of(episode, episode.start_step())
         wanted = policy.decide(ctx)
         if wanted not in (READ, WRITE):
             raise ContractError(f"policy returned unknown action {wanted!r}")
-        if exhausted and wanted != WRITE:
+        if ctx.source_exhausted and wanted != WRITE:
             overrides += 1
             log.debug("illegal policy action %s overridden to %s (read %d/%d, written %d)",
-                      wanted, WRITE, n_read, src_len, n_written)
+                      wanted, WRITE, ctx.n_read, ctx.src_len, ctx.n_written)
         if attention is not None:
             attention.append(_step_attention(policy))
         episode.apply((wanted == WRITE,))

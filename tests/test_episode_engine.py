@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from simtlab import environment
-from simtlab.agent import (AgentConfig, AgentNetwork, BaselineNetwork, RLTrainConfig,
-                           collect_trajectories)
-from simtlab.environment import (EnvConfig, EnvModel, EpisodeStepper, translate_full,
+from simtlab.agent import (AgentConfig, AgentGreedyPolicy, AgentNetwork, BaselineNetwork,
+                           RLTrainConfig, collect_trajectories)
+from simtlab.environment import (READ, WRITE, EnvConfig, EnvModel, EnvTrainConfig,
+                                 EpisodeStepper, train_consecutive, translate_full,
                                  validation_bleu)
-from simtlab.errors import ConfigError, ContractError
+from simtlab.errors import ConfigError, ContractError, DataError
 from simtlab.features import FeatureSet
 from simtlab.metrics import RewardConfig, corpus_bleu
 from simtlab.policies import ConsecutivePolicy, Policy, WaitKPolicy, simulate
 
 import episode_reference as ref
+from test_agent import _visual_setup
 from test_policies import AlwaysRead, RandomPolicy, ScriptedPolicy
 
 ROWS, DIM = 3, 5
@@ -31,10 +33,27 @@ def visual_env(untrained_env):
     return env, pairs, feats
 
 
+class PeekingPolicy(Policy):
+    """Reads the proposal on every other decision and lets it pick the action."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def start_episode(self, src_tokens, features=None):
+        self.step = self.seed
+
+    def decide(self, ctx):
+        self.step += 1
+        if self.step % 2:
+            return WRITE if ctx.n_read > ctx.n_written + 1 else READ
+        return "RW"[(ctx.token + int(np.argmax(np.abs(ctx.text_ctx)))) % 2]
+
+
 def _policies():
-    """Fresh policy factories: Random, AlwaysRead, scripted and wait-k."""
+    """Fresh policy factories: Random, AlwaysRead, scripted, wait-k, consecutive, peeking."""
     return [lambda s: RandomPolicy(s), lambda s: AlwaysRead(),
-            lambda s: ScriptedPolicy("RRWRWWRRRWRW"[s % 4:]), lambda s: WaitKPolicy(1 + s % 3)]
+            lambda s: ScriptedPolicy("RRWRWWRRRWRW"[s % 4:]), lambda s: WaitKPolicy(1 + s % 3),
+            lambda s: ConsecutivePolicy(), lambda s: PeekingPolicy(s)]
 
 
 @pytest.mark.parametrize("running_avp", [False, True])
@@ -130,10 +149,52 @@ def test_stepper_contracts(untrained_env):
     with pytest.raises(ContractError, match="empty source"):
         EpisodeStepper(env, [pairs[0][0], []])
     episode = EpisodeStepper(env, [pairs[0][0]])
+    with pytest.raises(ContractError, match="no step started"):
+        episode.proposal()
     episode.propose()
     episode.apply([False])
     with pytest.raises(ContractError, match="propose"):
         episode.apply([False])
+    episode.start_step()
+    assert episode.proposal() is episode.proposal()  # cached for the step
+
+
+class _Hoarder(Policy):
+    """Keeps every context and reads the proposal on every other step."""
+
+    def start_episode(self, src_tokens, features=None):
+        self.kept, self.seen = [], {}
+
+    def decide(self, ctx):
+        if len(self.kept) % 2 == 0:
+            self.seen[len(self.kept)] = (ctx.token, ctx.text_ctx)
+        self.kept.append(ctx)
+        return "RW"[len(self.kept) % 3 == 0]
+
+
+class _LateReader(_Hoarder):
+    """Reads the previous step's unread context during the next step."""
+
+    def decide(self, ctx):
+        if len(self.kept) == 2:
+            self.kept[1].token
+        return super().decide(ctx)
+
+
+def test_kept_step_context_never_yields_a_later_proposal(untrained_env):
+    env, pairs = untrained_env
+    policy = _Hoarder()
+    simulate(policy, env, pairs[0][0])
+    assert len(policy.kept) > 3
+    for step, ctx in enumerate(policy.kept):
+        if step in policy.seen:
+            assert ctx.token == policy.seen[step][0]
+            assert ctx.text_ctx is policy.seen[step][1]
+        else:
+            with pytest.raises(ContractError, match="no step started"):
+                ctx.token
+    with pytest.raises(ContractError, match="after its step"):
+        simulate(_LateReader(), env, pairs[0][0])
 
 
 class _Unknown(Policy):
@@ -145,3 +206,95 @@ def test_simulate_rejects_unknown_action(untrained_env):
     env, pairs = untrained_env
     with pytest.raises(ContractError, match="unknown action"):
         simulate(_Unknown(), env, pairs[0][0])
+
+
+@pytest.fixture
+def proposals(monkeypatch):
+    """The decoder state of every ``environment.propose_next`` call."""
+    calls = []
+    real = environment.propose_next
+
+    def counted(dec, enc, model, projected=None):
+        calls.append(dec)
+        return real(dec, enc, model, projected)
+
+    monkeypatch.setattr(environment, "propose_next", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [lambda: WaitKPolicy(1), lambda: WaitKPolicy(3),
+                                  ConsecutivePolicy], ids=["wait1", "wait3", "consecutive"])
+@pytest.mark.parametrize("multimodal", [False, True])
+def test_rule_policies_propose_once_per_write(untrained_env, visual_env, proposals, make,
+                                              multimodal):
+    env, pairs, feats = visual_env if multimodal else (*untrained_env, None)
+    skipped = 0
+    for s, (src, _) in enumerate(pairs[:10]):
+        proposals.clear()
+        got = simulate(make(), env, src, feats[s] if multimodal else None)
+        assert len(proposals) == got.actions.count(WRITE)
+        skipped += got.actions.count(READ) - 1
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("variant", ["none", "att"])
+def test_greedy_agent_proposes_on_every_decision(untrained_env, proposals, variant):
+    env, agent, _, episodes = _visual_setup(*untrained_env, variant, 8)
+    policy = AgentGreedyPolicy(agent, env)
+    actions = ""
+    for src, _, fs in episodes:
+        proposals.clear()
+        got = simulate(policy, env, src, fs)
+        assert len(proposals) == len(got.actions) - 1  # the first READ asks no policy
+        actions += got.actions[1:]
+    assert {READ, WRITE} <= set(actions)
+
+
+def test_validation_proposes_only_on_steps_with_a_write(tiny_copy_env, proposals, monkeypatch):
+    env, _, _, test, _ = tiny_copy_env
+    steps = []  # (some live lane wrote, proposals made) per step
+    real_apply = EpisodeStepper.apply
+
+    def apply(self, write_mask):
+        live, made = np.flatnonzero(self.live), len(proposals)
+        out = real_apply(self, write_mask)
+        steps.append((any(self.actions[i][-1] == WRITE for i in live), len(proposals) - made))
+        return out
+
+    monkeypatch.setattr(EpisodeStepper, "apply", apply)
+    validation_bleu(env, test[:20])
+    assert [made for _, made in steps] == [int(wrote) for wrote, _ in steps]
+    assert not all(wrote for wrote, _ in steps[1:])
+
+
+def test_collector_proposes_on_every_step(untrained_env, proposals):
+    env, agent, baseline, episodes = _visual_setup(*untrained_env, "none", 6)
+    batch = collect_trajectories(agent, baseline, env, episodes, RLTrainConfig(),
+                                 global_seed=0)
+    assert len(proposals) == max(len(e.actions) for e in batch.entries)
+
+
+def test_stepper_rejects_one_feature_set_for_many_sources(visual_env):
+    env, pairs, feats = visual_env
+    with pytest.raises(DataError, match="features"):
+        EpisodeStepper(env, [src for src, _ in pairs[:12]], feats[0])
+
+
+def test_stepper_rejects_refs_unlike_sources(visual_env):
+    env, pairs, feats = visual_env
+    with pytest.raises(DataError, match="refs"):
+        EpisodeStepper(env, [src for src, _ in pairs[:4]], feats[:4], refs=[pairs[0][1]])
+
+
+@pytest.mark.parametrize("n_feats", [11, 13])
+def test_validation_bleu_rejects_misaligned_features(visual_env, n_feats):
+    env, pairs, feats = visual_env
+    with pytest.raises(DataError, match="feature sets"):
+        validation_bleu(env, pairs[:12], feats[:n_feats])
+
+
+def test_train_consecutive_rejects_misaligned_validation_features(visual_env):
+    _, pairs, feats = visual_env
+    cfg = EnvTrainConfig(max_epochs=1, emb_dim=6, hid_dim=6)
+    with pytest.raises(DataError, match="validation"):
+        train_consecutive(pairs[:20], pairs[20:30], cfg, feats[:20], feats[20:29])

@@ -224,18 +224,23 @@ def embedding(tape, table: Tensor, ids) -> Tensor:
 
 
 def linear_rows3(tape, feats, w: Tensor) -> Tensor:
-    """Project a constant (B, R, D) feature block by a (D, K) matrix."""
+    """Project a constant (B, R, D) feature block by a (D, K) matrix.
+
+    Forward and weight gradient are each one GEMM over the B·R flattened rows.
+    """
     f = np.asarray(feats, dtype=np.float64)
     if f.ndim != 3 or f.shape[2] != w.data.shape[0]:
         raise ShapeError(f"linear_rows3: {f.shape} x {w.data.shape}")
+    bsz, rows, d = f.shape
+    f2 = f.reshape(bsz * rows, d)
     tracked = _track(tape, w)
-    out = _out(tape, np.einsum("brd,dk->brk", f, w.data), tracked)
+    out = _out(tape, (f2 @ w.data).reshape(bsz, rows, -1), tracked)
     if tracked:
         def bwd():
             g = out.grad
             if g is None:
                 return
-            _accum(w, np.einsum("brd,brk->dk", f, g))
+            _accum(w, f2.T @ g.reshape(bsz * rows, -1))
         tape.record(bwd)
     return out
 

@@ -97,21 +97,22 @@ class EnvModel:
     def project_features(self, features) -> np.ndarray:
         """Map raw feature rows into the decoder space with w_vis.
 
-        One FeatureSet gives (R, h); a list of n gives (n, R, h).
+        One FeatureSet gives (R, h); a list of n gives (n, R, h). Both are
+        one ``linear_rows3`` call, the op teacher forcing records.
         """
         if not self.multimodal:
             raise ConfigError("project_features on a unimodal environment")
         lanes = isinstance(features, (list, tuple))
-        projected = []
-        for f in features if lanes else [features]:
+        sets = features if lanes else [features]
+        for f in sets:
             if f is None:
                 raise ConfigError("multimodal environment requires visual features")
             if f.dim != self.cfg.feature_dim or f.rows != self.cfg.feature_rows:
                 raise ConfigError(
                     f"feature geometry {f.matrix.shape} does not match configured "
                     f"({self.cfg.feature_rows}, {self.cfg.feature_dim})")
-            projected.append(f.matrix @ self.w_vis.data)
-        return np.stack(projected) if lanes else projected[0]
+        projected = ad.linear_rows3(None, np.stack([f.matrix for f in sets]), self.w_vis).data
+        return projected if lanes else projected[0]
 
     def initial_decoder_state(self) -> "DecoderState":
         return DecoderState.initial(self, 1)
@@ -361,6 +362,9 @@ class EpisodeStepper:
             if given is not None and (not isinstance(given, (list, tuple)) or len(given) != n):
                 raise DataError(f"episode: {name} must be a list with one entry per source "
                                 f"({n} sources)")
+        if refs is not None and not all(isinstance(r, (list, tuple))
+                                        and all(isinstance(t, str) for t in r) for r in refs):
+            raise DataError("episode: each refs entry must be a list of tokens")
         self.projected = model.project_features(features) if model.multimodal else None
         self.enc = EncoderState.initial(model, n, max(map(len, self.src_ids)) + 1)
         self.dec = DecoderState.initial(model, n)

@@ -523,6 +523,40 @@ def test_linear_rows3_gradcheck():
     assert max_rel_err(w.grad, finite_diff_grads(forward, [w])[0]) <= 1e-4
 
 
+def _scaled_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _per_sample_linear_rows3(feats, w, g):
+    """Forward and weight gradient of linear_rows3, one feats[b] @ w at a time."""
+    out = np.stack([feats[b] @ w for b in range(feats.shape[0])])
+    grad = sum(feats[b].T @ g[b] for b in range(feats.shape[0]))
+    return out, grad
+
+
+@pytest.mark.parametrize("k", [64, 96])
+@pytest.mark.parametrize("layout", ["contiguous", "sliced", "transposed"])
+def test_linear_rows3_matches_per_sample_products(k, layout):
+    rng = np.random.default_rng(k)
+    feats = {"contiguous": lambda: rng.normal(size=(30, 72, 100)),
+             "sliced": lambda: rng.normal(size=(30, 144, 100))[:, ::2],
+             "transposed": lambda: rng.normal(size=(100, 72, 30)).transpose(2, 1, 0)}[layout]()
+    assert feats.shape == (30, 72, 100)
+    assert feats.flags["C_CONTIGUOUS"] == (layout == "contiguous")
+    w = ad.Tensor(rng.normal(size=(100, k)), requires_grad=True)
+    g = rng.normal(size=(30, 72, k))
+    want_out, want_grad = _per_sample_linear_rows3(feats, w.data, g)
+
+    tape = ad.Tape()
+    proj = ad.linear_rows3(tape, feats, w)
+    proj.grad = g.copy()
+    for fn in reversed(tape._records):
+        fn()
+    assert proj.shape == (30, 72, k)
+    assert _scaled_err(proj.data, want_out) <= 1e-12
+    assert _scaled_err(w.grad, want_grad) <= 1e-12
+
+
 def test_softmax_properties_many_seeds():
     for seed in range(200):
         rng = np.random.default_rng(seed)

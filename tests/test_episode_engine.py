@@ -286,6 +286,13 @@ def test_stepper_rejects_refs_unlike_sources(visual_env):
         EpisodeStepper(env, [src for src, _ in pairs[:4]], feats[:4], refs=[pairs[0][1]])
 
 
+def test_stepper_rejects_refs_given_as_one_token_list(visual_env):
+    env, pairs, feats = visual_env
+    with pytest.raises(DataError, match="refs"):
+        EpisodeStepper(env, [src for src, _ in pairs[:4]], feats[:4],
+                       refs=["w13", "w10", "w08", "w04"], reward_config=RewardConfig())
+
+
 @pytest.mark.parametrize("n_feats", [11, 13])
 def test_validation_bleu_rejects_misaligned_features(visual_env, n_feats):
     env, pairs, feats = visual_env

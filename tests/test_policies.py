@@ -7,7 +7,8 @@ from simtlab import autodiff as ad
 from simtlab.environment import (EncoderState, EnvConfig, EnvModel, commit,
                                  encode_next, encode_sequence, propose_next,
                                  teacher_forced_loss, translate_full)
-from simtlab.errors import ContractError, DataError
+from simtlab.errors import ConfigError, ContractError, DataError
+from simtlab.features import FeatureSet
 from simtlab.metrics import RewardConfig, delays_from_actions, smoothed_sentence_bleu
 from simtlab.policies import (ConsecutivePolicy, Policy, Transcript, WaitKPolicy,
                               read_transcripts, simulate, write_transcripts)
@@ -160,6 +161,39 @@ def test_multimodal_zero_projection_degenerates_to_unimodal():
     p_mm = propose_next(mm.initial_decoder_state(), enc, mm, mm.project_features(feats))
     p_uni = propose_next(uni.initial_decoder_state(), enc, uni)
     assert np.array_equal(p_mm.logits, p_uni.logits)
+
+
+def _bench_sized_visual_env(untrained_env):
+    text_env, _ = untrained_env
+    return EnvModel(text_env.src_vocab, text_env.tgt_vocab,
+                    EnvConfig(emb_dim=20, hid_dim=96, multimodal=True, feature_rows=72,
+                              feature_dim=100), np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("n", [1, 30])
+def test_project_features_equals_per_lane_products(untrained_env, n):
+    env = _bench_sized_visual_env(untrained_env)
+    rng = np.random.default_rng(n)
+    feats = [FeatureSet("grid", rng.normal(size=(72, 100))) for _ in range(n)]
+    got = env.project_features(feats)
+    assert got.shape == (n, 72, 96)
+    for f, lane in zip(feats, got):
+        want = f.matrix @ env.w_vis.data
+        assert np.max(np.abs(lane - want)) <= 1e-12 * np.max(np.abs(want))
+    single = env.project_features(feats[0])
+    assert single.shape == (72, 96)
+    assert np.array_equal(single, got[0])
+
+
+def test_project_features_rejects_missing_or_misshaped_features(untrained_env):
+    env = _bench_sized_visual_env(untrained_env)
+    good = FeatureSet("grid", np.ones((72, 100)))
+    for bad in (None, [good, None], FeatureSet("grid", np.ones((72, 99))),
+                [good, FeatureSet("grid", np.ones((71, 100)))]):
+        with pytest.raises(ConfigError):
+            env.project_features(bad)
+    with pytest.raises(ConfigError, match="unimodal"):
+        untrained_env[0].project_features(good)
 
 
 # ---------------------------------------------------------------------------

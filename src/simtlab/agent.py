@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GRUParams, Tensor
-from .checkpoint import load_into, read_metadata, save_checkpoint, write_metadata
+from .checkpoint import load_into, read_config, save_checkpoint, write_metadata
 from .environment import EnvModel, EpisodeStepper
 from .errors import ConfigError, ContractError, ShapeError
 from .metrics import RewardConfig
@@ -39,6 +39,10 @@ from .policies import Policy, Transcript, episode_transcript
 log = logging.getLogger(__name__)
 
 ACT_READ, ACT_WRITE = 0, 1
+
+# the AgentConfig fields a checkpoint's metadata records
+_META = {"text_dim": int, "emb_dim": int, "hidden_dim": int, "key_dim": int,
+         "use_init": bool, "use_att": bool, "feature_rows": int, "feature_dim": int}
 
 
 @dataclass
@@ -140,28 +144,12 @@ class _RecurrentNet:
         prefix = Path(prefix)
         save_checkpoint(prefix.with_suffix(".ckpt"), self.named_tensors())
         write_metadata(prefix.with_suffix(".meta"), {
-            "kind": self.kind,
-            "text_dim": self.cfg.text_dim,
-            "emb_dim": self.cfg.emb_dim,
-            "hidden_dim": self.cfg.hidden_dim,
-            "key_dim": self.cfg.key_dim,
-            "use_init": self.cfg.use_init,
-            "use_att": self.cfg.use_att,
-            "feature_rows": self.cfg.feature_rows,
-            "feature_dim": self.cfg.feature_dim,
-        })
+            "kind": self.kind, **{key: getattr(self.cfg, key) for key in _META}})
 
     @classmethod
     def load(cls, prefix) -> "_RecurrentNet":
         prefix = Path(prefix)
-        meta = read_metadata(prefix.with_suffix(".meta"))
-        if meta.get("kind") != cls.kind:
-            raise ConfigError(f"{prefix}: expected a {cls.kind} checkpoint")
-        cfg = AgentConfig(
-            text_dim=int(meta["text_dim"]), emb_dim=int(meta["emb_dim"]),
-            hidden_dim=int(meta["hidden_dim"]), key_dim=int(meta["key_dim"]),
-            use_init=meta["use_init"] == "true", use_att=meta["use_att"] == "true",
-            feature_rows=int(meta["feature_rows"]), feature_dim=int(meta["feature_dim"]))
+        cfg = AgentConfig(**read_config(prefix.with_suffix(".meta"), cls.kind, _META))
         net = cls(cfg, np.random.default_rng(0))
         load_into(prefix.with_suffix(".ckpt"), net.named_tensors())
         return net
@@ -352,7 +340,7 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
     col = np.arange(n)
     while stepper.live.any():
         alive = stepper.live.copy()
-        proposal, forced = stepper.propose()
+        forced, proposal = stepper.start_step(), stepper.proposal()
         text_ctx = proposal.text_ctx
         y_emb = env.tgt_emb.data[proposal.token]
 

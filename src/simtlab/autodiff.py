@@ -102,8 +102,8 @@ def validate_finite(named_tensors) -> None:
             raise NumericError(f"non-finite values in grad of '{name}'")
 
 
-def uniform_tensor(shape, rng, scale: float = 0.08, requires_grad: bool = True) -> Tensor:
-    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=requires_grad)
+def uniform_tensor(shape, rng, scale: float = 0.08) -> Tensor:
+    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
 
 
 def _sigmoid(x):

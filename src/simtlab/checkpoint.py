@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 MAGIC = b"SIMTCKPT1"
 
@@ -104,6 +104,35 @@ def write_metadata(path, mapping) -> None:
             raise FormatError(f"metadata value for '{key}' contains a newline")
         lines.append(f"{key}={text}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_config(path, kind: str, schema) -> dict:
+    """Typed values from the metadata file of a ``kind`` checkpoint.
+
+    ``schema`` maps each key to ``int``, ``bool`` or ``list``, as
+    ``write_metadata`` wrote it. Another kind raises ConfigError; a missing
+    key or a value that does not parse raises FormatError naming the key.
+    """
+    meta = read_metadata(path)
+    if meta.get("kind") != kind:
+        raise ConfigError(f"{path}: kind is {meta.get('kind')!r}, expected {kind!r}")
+    out = {}
+    for key, typ in schema.items():
+        if key not in meta:
+            raise FormatError(f"{path}: metadata key '{key}' is missing")
+        text = meta[key]
+        try:
+            if typ is list:
+                out[key] = text.split()
+            elif typ is bool:
+                out[key] = {"true": True, "false": False}[text]
+            else:
+                out[key] = int(text)
+        except (KeyError, ValueError):
+            expected = "true or false" if typ is bool else "an integer"
+            raise FormatError(
+                f"{path}: metadata key '{key}' is {text!r}, expected {expected}") from None
+    return out
 
 
 def read_metadata(path):

@@ -64,13 +64,6 @@ class AmbiguousTask:
 
     pairs: dict
 
-    @property
-    def realization_tokens(self):
-        out = []
-        for a, b in self.pairs.values():
-            out.extend((a, b))
-        return out
-
 
 def plain_tokens(spec: TaskSpec):
     return [f"w{i:02d}" for i in range(spec.vocab_size)]
@@ -193,12 +186,11 @@ def make_synthetic_dataset(spec: TaskSpec, out_dir, seed: int) -> dict:
         manifest["feature_seed"] = feature_seed
         table = concept_table(plain_tokens(spec), feature_seed)
         frng = np.random.default_rng(feature_seed)
-        realizations = set(task.realization_tokens)
         for split in SPLITS:
             sets = []
-            for src, tgt in all_pairs[split]:
+            for _, tgt in all_pairs[split]:
                 in_sentence = set(tgt)
-                partners = {partner for amb, pair in task.pairs.items()
+                partners = {partner for pair in task.pairs.values()
                             for partner in pair
                             if any(p in in_sentence for p in pair)}
                 pool = [t for t in plain_tokens(spec)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GRUParams, Tensor
-from .checkpoint import (load_into, read_metadata, save_checkpoint, write_metadata)
+from .checkpoint import load_into, read_config, save_checkpoint, write_metadata
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .features import FeatureSet
 from .metrics import (PrefixBleu, RewardConfig, average_proportion, corpus_bleu,
@@ -35,6 +35,10 @@ from .metrics import (PrefixBleu, RewardConfig, average_proportion, corpus_bleu,
 from .vocab import BOS, EOS, PAD, RESERVED, Vocabulary
 
 log = logging.getLogger(__name__)
+
+# the EnvConfig fields a checkpoint's metadata records
+_META = {"emb_dim": int, "hid_dim": int, "multimodal": bool, "feature_rows": int,
+         "feature_dim": int}
 
 
 @dataclass
@@ -122,11 +126,7 @@ class EnvModel:
         save_checkpoint(prefix.with_suffix(".ckpt"), self.named_tensors())
         write_metadata(prefix.with_suffix(".meta"), {
             "kind": "environment",
-            "emb_dim": self.cfg.emb_dim,
-            "hid_dim": self.cfg.hid_dim,
-            "multimodal": self.cfg.multimodal,
-            "feature_rows": self.cfg.feature_rows,
-            "feature_dim": self.cfg.feature_dim,
+            **{key: getattr(self.cfg, key) for key in _META},
             "src_vocab": list(self.src_vocab.tokens[len(RESERVED):]),
             "tgt_vocab": list(self.tgt_vocab.tokens[len(RESERVED):]),
         })
@@ -134,19 +134,11 @@ class EnvModel:
     @classmethod
     def load(cls, prefix) -> "EnvModel":
         prefix = Path(prefix)
-        meta = read_metadata(prefix.with_suffix(".meta"))
-        if meta.get("kind") != "environment":
-            raise ConfigError(f"{prefix}: not an environment checkpoint")
-        cfg = EnvConfig(
-            emb_dim=int(meta["emb_dim"]),
-            hid_dim=int(meta["hid_dim"]),
-            multimodal=meta["multimodal"] == "true",
-            feature_rows=int(meta["feature_rows"]),
-            feature_dim=int(meta["feature_dim"]),
-        )
-        src_vocab = Vocabulary(meta["src_vocab"].split() if meta["src_vocab"] else [])
-        tgt_vocab = Vocabulary(meta["tgt_vocab"].split() if meta["tgt_vocab"] else [])
-        model = cls(src_vocab, tgt_vocab, cfg, np.random.default_rng(0))
+        values = read_config(prefix.with_suffix(".meta"), "environment",
+                             {**_META, "src_vocab": list, "tgt_vocab": list})
+        src_vocab = Vocabulary(values.pop("src_vocab"))
+        tgt_vocab = Vocabulary(values.pop("tgt_vocab"))
+        model = cls(src_vocab, tgt_vocab, EnvConfig(**values), np.random.default_rng(0))
         load_into(prefix.with_suffix(".ckpt"), model.named_tensors())
         return model
 
@@ -347,8 +339,7 @@ class EpisodeStepper:
     ``start_step()``, which returns the forced-WRITE mask, then
     ``apply()``. In between, ``proposal()`` computes the step's proposal
     on first call and caches it for the step; ``apply()`` asks for it only
-    when some lane writes. ``propose()`` is the eager form of a step start,
-    for callers that always read the proposal.
+    when some lane writes.
     """
 
     def __init__(self, model: EnvModel, sources, features=None, *, refs=None,
@@ -406,15 +397,10 @@ class EpisodeStepper:
     def proposal(self) -> Proposal:
         """The current step's proposal on every lane, computed on first call."""
         if self._forced is None:
-            raise ContractError("proposal: no step started; call start_step() or propose()")
+            raise ContractError("proposal: no step started; call start_step() first")
         if self._proposal is None:
             self._proposal = propose_next(self.dec, self.enc, self.model, self.projected)
         return self._proposal
-
-    def propose(self):
-        """Start the next step and compute its proposal: (proposal, forced mask)."""
-        forced = self.start_step()
-        return self.proposal(), forced
 
     def apply(self, write_mask) -> np.ndarray:
         """Take one action on every live lane: WRITE where ``write_mask`` or
@@ -425,7 +411,7 @@ class EpisodeStepper:
         """
         forced = self._forced
         if forced is None:
-            raise ContractError("apply: start the next step with start_step() or propose() first")
+            raise ContractError("apply: no step started; call start_step() first")
         live = self._running
         wrote = [bool(write_mask[i] or forced[i]) for i in live]
         writes = [i for i, w in zip(live, wrote) if w]
@@ -509,9 +495,9 @@ class EnvTrainConfig:
     stop_bleu: float = 0.0  # stop once validation BLEU reaches this (0 = off)
 
 
-def _pad_batch(seqs, pad_value=PAD):
+def _pad_batch(seqs):
     width = max(len(s) for s in seqs)
-    out = np.full((len(seqs), width), pad_value, dtype=np.int64)
+    out = np.full((len(seqs), width), PAD, dtype=np.int64)
     mask = np.zeros((len(seqs), width), dtype=bool)
     for i, s in enumerate(seqs):
         out[i, :len(s)] = s

@@ -26,7 +26,6 @@ MAGIC = b"SIMTFEAT1"
 GRID, CONCEPTS = "grid", "concepts"
 CONCEPT_ROWS, CONCEPT_DIM = 72, 100
 CONTENT_SLOTS = 36
-DEFAULT_GRID_ROWS, DEFAULT_GRID_DIM = 64, 2048
 
 _TAGS = {GRID: 0, CONCEPTS: 1}
 _VARIANTS = {v: k for k, v in _TAGS.items()}
@@ -100,7 +99,7 @@ def load_features(path):
     return out
 
 
-def concept_table(tokens, seed: int, dim: int = CONCEPT_DIM):
+def concept_table(tokens, seed: int):
     """Deterministic unit-norm concept vector per token.
 
     Stands in for pretrained label embeddings; regenerated from
@@ -109,13 +108,13 @@ def concept_table(tokens, seed: int, dim: int = CONCEPT_DIM):
     rng = np.random.default_rng(seed)
     table = {}
     for token in sorted(set(tokens)):
-        v = rng.standard_normal(dim)
+        v = rng.standard_normal(CONCEPT_DIM)
         table[token] = v / np.linalg.norm(v)
     return table
 
 
 def synth_oracle_concepts(tgt_sentence, embedding_table, rng, noise_level: float,
-                          stop_list=(), distractor_pool=None) -> FeatureSet:
+                          distractor_pool) -> FeatureSet:
     """Concept features that encode the target sentence's content tokens.
 
     Up to 36 slots carry (noised) embeddings of distinct content tokens in
@@ -125,11 +124,10 @@ def synth_oracle_concepts(tgt_sentence, embedding_table, rng, noise_level: float
     """
     if noise_level < 0:
         raise ShapeError("synth_oracle_concepts: negative noise level")
-    stop = set(stop_list)
     seen = set()
     content = []
     for token in tgt_sentence:
-        if token in stop or token in seen:
+        if token in seen:
             continue
         if token not in embedding_table:
             raise FormatError(f"synth_oracle_concepts: token {token!r} missing from table")
@@ -137,10 +135,7 @@ def synth_oracle_concepts(tgt_sentence, embedding_table, rng, noise_level: float
         content.append(token)
     content = content[:CONTENT_SLOTS]
 
-    if distractor_pool is None:
-        pool = [t for t in sorted(embedding_table) if t not in seen and t not in stop]
-    else:
-        pool = [t for t in distractor_pool if t not in seen]
+    pool = [t for t in distractor_pool if t not in seen]
     if not pool:
         raise FormatError("synth_oracle_concepts: empty distractor pool")
 

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DataError
+
+MAX_ORDER = 4   # BLEU-4: n-grams of orders 1 to 4
 
 
 @dataclass
@@ -41,37 +43,6 @@ class RewardConfig:
             raise ContractError("RewardConfig: d_star must be in (0, 1]")
 
 
-@dataclass
-class BleuBreakdown:
-    """N-gram counts behind a smoothed sentence BLEU score."""
-
-    matches: list
-    totals: list
-    brevity_penalty: float
-    score: float
-
-
-@dataclass
-class LatencyStats:
-    """Per-sentence latency numbers plus corpus means."""
-
-    avl: list = field(default_factory=list)
-    avp: list = field(default_factory=list)
-    max_cw: list = field(default_factory=list)
-
-    @property
-    def avl_mean(self) -> float:
-        return float(np.mean(self.avl)) if self.avl else float("nan")
-
-    @property
-    def avp_mean(self) -> float:
-        return float(np.mean(self.avp)) if self.avp else float("nan")
-
-    @property
-    def max_cw_mean(self) -> float:
-        return float(np.mean(self.max_cw)) if self.max_cw else float("nan")
-
-
 # ---------------------------------------------------------------------------
 # BLEU
 # ---------------------------------------------------------------------------
@@ -80,22 +51,22 @@ def _brevity_penalty(hyp_len, ref_len):
     return 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
 
 
-def _bleu(counts, max_order, smooth):
+def _bleu(counts, smooth):
     """BLEU from (summed) counts laid out as ``PrefixBleu.counts`` returns them.
 
     Unsmoothed, any zero match count gives 0. Smoothed adds one to the
     matches and totals of orders above 1, so only a zero unigram match
     count gives 0.
     """
-    matches = counts[:max_order]
-    totals = counts[max_order:2 * max_order]
-    hyp_len, ref_len = counts[2 * max_order:]
+    matches = counts[:MAX_ORDER]
+    totals = counts[MAX_ORDER:2 * MAX_ORDER]
+    hyp_len, ref_len = counts[2 * MAX_ORDER:]
     if matches[0] == 0 or (not smooth and 0 in matches):
         return 0.0
     log_precisions = [math.log(matches[0] / totals[0])]
     for m, c in zip(matches[1:], totals[1:]):
         log_precisions.append(math.log((m + 1.0) / (c + 1.0)) if smooth else math.log(m / c))
-    return 100.0 * _brevity_penalty(hyp_len, ref_len) * math.exp(sum(log_precisions) / max_order)
+    return 100.0 * _brevity_penalty(hyp_len, ref_len) * math.exp(sum(log_precisions) / MAX_ORDER)
 
 
 class PrefixBleu:
@@ -106,23 +77,22 @@ class PrefixBleu:
     cost O(1) each instead of a recount of the prefix.
     """
 
-    def __init__(self, ref, max_order: int = 4):
+    def __init__(self, ref):
         ref = list(ref)
         if not ref:
             raise ContractError("BLEU: empty reference sentence")
-        self.max_order = max_order
         self.ref_len = len(ref)
         self.hyp = []
         self.score = 0.0
-        self._ref_counts = Counter(tuple(ref[i:i + n]) for n in range(1, max_order + 1)
+        self._ref_counts = Counter(tuple(ref[i:i + n]) for n in range(1, MAX_ORDER + 1)
                                    for i in range(len(ref) - n + 1))
         self._hyp_counts = Counter()
-        self._matches = [0] * max_order
+        self._matches = [0] * MAX_ORDER
 
     def counts(self) -> list:
         """Clipped matches and totals per order, then hypothesis and reference lengths."""
         length = len(self.hyp)
-        totals = [max(length - n + 1, 0) for n in range(1, self.max_order + 1)]
+        totals = [max(length - n + 1, 0) for n in range(1, MAX_ORDER + 1)]
         return self._matches + totals + [length, self.ref_len]
 
     def add(self, token) -> None:
@@ -130,7 +100,7 @@ class PrefixBleu:
         hyp = self.hyp
         hyp.append(token)
         length = len(hyp)
-        for n in range(1, min(length, self.max_order) + 1):
+        for n in range(1, min(length, MAX_ORDER) + 1):
             gram = tuple(hyp[length - n:])
             seen = self._hyp_counts[gram]
             # the clipped match count rises iff this occurrence is within the reference's
@@ -141,45 +111,36 @@ class PrefixBleu:
     def append(self, token) -> float:
         """Extend the hypothesis by ``token``; returns the change in smoothed BLEU."""
         self.add(token)
-        score = _bleu(self.counts(), self.max_order, smooth=True)
+        score = _bleu(self.counts(), smooth=True)
         delta = score - self.score
         self.score = score
         return delta
 
 
-def _sentence_counts(hyp, ref, max_order):
-    counter = PrefixBleu(ref, max_order)
+def _sentence_counts(hyp, ref):
+    counter = PrefixBleu(ref)
     for token in hyp:
         counter.add(token)
     return counter.counts()
 
 
-def smoothed_sentence_bleu(hyp, ref, max_order: int = 4) -> float:
+def smoothed_sentence_bleu(hyp, ref) -> float:
     """Sentence BLEU with add-one smoothing on orders above 1.
 
     The unigram precision is left unsmoothed so an empty or fully wrong
     hypothesis scores exactly 0 and an exact match scores exactly 100.
     """
-    return smoothed_sentence_bleu_breakdown(hyp, ref, max_order).score
+    return _bleu(_sentence_counts(hyp, ref), smooth=True)
 
 
-def smoothed_sentence_bleu_breakdown(hyp, ref, max_order: int = 4) -> BleuBreakdown:
-    counts = _sentence_counts(hyp, ref, max_order)
-    matches, totals = counts[:max_order], counts[max_order:2 * max_order]
-    if matches[0] == 0:
-        return BleuBreakdown(matches, totals, 0.0, 0.0)
-    return BleuBreakdown(matches, totals, _brevity_penalty(*counts[2 * max_order:]),
-                         _bleu(counts, max_order, smooth=True))
-
-
-def corpus_bleu(hyps, refs, max_order: int = 4) -> float:
+def corpus_bleu(hyps, refs) -> float:
     """Standard unsmoothed corpus BLEU-4 with aggregated counts."""
     hyps, refs = list(hyps), list(refs)
     if len(hyps) != len(refs):
         raise DataError(f"corpus_bleu: {len(hyps)} hypotheses vs {len(refs)} references")
-    rows = [_sentence_counts(h, r, max_order) for h, r in zip(hyps, refs)]
-    summed = [sum(col) for col in zip(*rows)] or [0] * (2 * max_order + 2)
-    return _bleu(summed, max_order, smooth=False)
+    rows = [_sentence_counts(h, r) for h, r in zip(hyps, refs)]
+    summed = [sum(col) for col in zip(*rows)] or [0] * (2 * MAX_ORDER + 2)
+    return _bleu(summed, smooth=False)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +273,7 @@ def bootstrap_significance(hyps_a, hyps_b, refs, n_resamples: int = 1000, rng=No
         raise DataError("bootstrap_significance: no sentences")
     if n_resamples < 100:
         raise ContractError("bootstrap_significance: need at least 100 resamples")
-    order = 4
-    counts_a, counts_b = (np.array([_sentence_counts(h, r, order) for h, r in zip(hyps, refs)],
+    counts_a, counts_b = (np.array([_sentence_counts(h, r) for h, r in zip(hyps, refs)],
                                    dtype=np.int64) for hyps in (hyps_a, hyps_b))
     if rng is None:
         rng = np.random.default_rng(0)
@@ -321,8 +281,8 @@ def bootstrap_significance(hyps_a, hyps_b, refs, n_resamples: int = 1000, rng=No
     wins = 0
     for _ in range(n_resamples):
         idx = rng.integers(0, n, size=n)
-        score_a = _bleu(counts_a[idx].sum(axis=0).tolist(), order, smooth=False)
-        score_b = _bleu(counts_b[idx].sum(axis=0).tolist(), order, smooth=False)
+        score_a = _bleu(counts_a[idx].sum(axis=0).tolist(), smooth=False)
+        score_b = _bleu(counts_b[idx].sum(axis=0).tolist(), smooth=False)
         if score_a >= score_b:
             wins += 1
     return wins / n_resamples

@@ -4,26 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import NumericError, ShapeError
+
+# the optimizer's published constants
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class AdamState:
     """Per-parameter moment buffers plus the step counter.
 
-    Defaults follow the optimizer's published constants; only the learning
-    rate is routinely overridden.
+    ``params`` holds (name, tensor) pairs; the learning rate is the one
+    setting.
     """
 
-    def __init__(self, params, lr: float = 0.0004,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 0.0004):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
-        self.params = [item if isinstance(item, tuple) else (f"param{i}", item)
-                       for i, item in enumerate(params)]
+        self.params = list(params)
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}
         self._scratch = {}
@@ -35,27 +32,16 @@ class AdamState:
             self._scratch[name] = buf
         return buf
 
-    def tensors(self):
-        return [p for _, p in self.params]
 
-
-def adam_step(state: AdamState, params=None, grads=None) -> None:
+def adam_step(state: AdamState) -> None:
     """Apply one bias-corrected Adam update in place.
 
-    By default gradients are read from each parameter's ``grad`` buffer
-    (None counts as zero). A NaN/Inf gradient rejects the whole update.
+    Gradients are read from each parameter's ``grad`` buffer (None counts
+    as zero). A NaN/Inf gradient rejects the whole update.
     """
-    if params is None:
-        pairs = state.params
-    else:
-        pairs = [item if isinstance(item, tuple) else (f"param{i}", item)
-                 for i, item in enumerate(params)]
-    if grads is not None and len(grads) != len(pairs):
-        raise ShapeError("adam_step: grads length does not match params")
-
     resolved = []
-    for i, (name, p) in enumerate(pairs):
-        g = grads[i] if grads is not None else p.grad
+    for name, p in state.params:
+        g = p.grad
         if g is None:
             g = np.zeros_like(p.data)
         g = np.asarray(g, dtype=np.float64)
@@ -67,22 +53,22 @@ def adam_step(state: AdamState, params=None, grads=None) -> None:
 
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p, g in resolved:
         m = state.m[name]
         v = state.v[name]
         s = state.scratch(name, p.data.shape)
-        np.multiply(m, state.beta1, out=m)
-        np.multiply(g, 1.0 - state.beta1, out=s)
+        np.multiply(m, BETA1, out=m)
+        np.multiply(g, 1.0 - BETA1, out=s)
         np.add(m, s, out=m)
-        np.multiply(v, state.beta2, out=v)
+        np.multiply(v, BETA2, out=v)
         np.multiply(g, g, out=s)
-        np.multiply(s, 1.0 - state.beta2, out=s)
+        np.multiply(s, 1.0 - BETA2, out=s)
         np.add(v, s, out=v)
         np.divide(v, bc2, out=s)
         np.sqrt(s, out=s)
-        np.add(s, state.eps, out=s)
+        np.add(s, EPS, out=s)
         np.divide(m, s, out=s)
         np.multiply(s, state.lr / bc1, out=s)
         np.subtract(p.data, s, out=p.data)

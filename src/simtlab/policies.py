@@ -194,8 +194,14 @@ def read_transcripts(path):
         if not line.strip():
             continue
         try:
-            out.append(Transcript.from_json_obj(json.loads(line)))
-        except (KeyError, json.JSONDecodeError) as exc:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+            for key in ("src", "hyp", "g"):
+                if not isinstance(obj.get(key), list):
+                    raise TypeError(f"'{key}' is not a list")
+            out.append(Transcript.from_json_obj(obj))
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise DataError(f"{path}:{lineno}: bad transcript record: {exc}") from exc
     return out
 

@@ -37,10 +37,6 @@ class Vocabulary:
     def tokens(self):
         return tuple(self._tokens)
 
-    @property
-    def content_tokens(self):
-        return tuple(self._tokens[len(RESERVED):])
-
     def id(self, token: str) -> int:
         return self._ids.get(token, UNK)
 

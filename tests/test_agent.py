@@ -4,7 +4,7 @@ import pytest
 from simtlab import autodiff as ad
 from simtlab.agent import (AgentConfig, AgentGreedyPolicy, AgentNetwork, BaselineNetwork,
                            RLTrainConfig, TrajectoryBatch, TrajectoryEntry,
-                           collect_trajectories, reinforce_update)
+                           collect_trajectories, compute_returns, reinforce_update)
 from simtlab.environment import EnvConfig, EnvModel
 from simtlab.errors import ConfigError, ShapeError
 from simtlab.features import FeatureSet
@@ -29,6 +29,23 @@ def test_agent_config_rejects_key_dim_mismatch():
         AgentConfig(text_dim=8, emb_dim=6, hidden_dim=8, key_dim=5, use_att=True,
                     feature_rows=3, feature_dim=4)
     AgentConfig(text_dim=8, emb_dim=6, hidden_dim=8, key_dim=5)  # unused without attention
+
+
+@pytest.mark.parametrize("discount", [0.95, 1.0])
+def test_compute_returns_is_discounted_reward_to_go(discount):
+    rewards = np.array([0.5, -1.0, 0.0, 2.0, 0.25, -0.125])
+    want = [sum(discount ** (k - t) * rewards[k] for k in range(t, len(rewards)))
+            for t in range(len(rewards))]
+    got = compute_returns(rewards, RLTrainConfig(discount=discount))
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    if discount == 1.0:
+        assert np.allclose(got, np.cumsum(rewards[::-1])[::-1], rtol=0, atol=1e-12)
+
+
+def test_compute_returns_instant_mode_copies_the_rewards():
+    rewards = np.array([0.5, -1.0, 2.0])
+    got = compute_returns(rewards, RLTrainConfig(return_mode="instant", discount=0.5))
+    assert np.array_equal(got, rewards) and got is not rewards
 
 
 def test_collect_and_update_with_agent_hidden_unlike_env(untrained_env):

@@ -145,3 +145,69 @@ def test_per_gate_checkpoint_is_rejected(tmp_path):
     save_checkpoint(tmp_path / "env.ckpt", per_gate)
     with pytest.raises(FormatError, match="missing parameter 'enc1.w_x'"):
         EnvModel.load(tmp_path / "env")
+
+
+# the .meta files EnvModel.save and AgentNetwork.save write for the models of _saved_model
+SAVED_META = {
+    "environment": "kind=environment\nemb_dim=5\nhid_dim=6\nmultimodal=true\nfeature_rows=2\n"
+                   "feature_dim=3\nsrc_vocab=a b\ntgt_vocab=x y z\n",
+    "agent": "kind=agent\ntext_dim=6\nemb_dim=5\nhidden_dim=7\nkey_dim=5\nuse_init=true\n"
+             "use_att=true\nfeature_rows=2\nfeature_dim=3\n",
+}
+
+
+def _saved_model(tmp_path, kind):
+    from simtlab.agent import AgentConfig, AgentNetwork
+    from simtlab.environment import EnvModel
+
+    if kind == "environment":
+        model, cls = _tiny_env_model(multimodal=True), EnvModel
+    else:
+        cfg = AgentConfig(text_dim=6, emb_dim=5, hidden_dim=7, key_dim=5, use_init=True,
+                          use_att=True, feature_rows=2, feature_dim=3)
+        model, cls = AgentNetwork(cfg, np.random.default_rng(5)), AgentNetwork
+    model.save(tmp_path / kind)
+    return model, cls
+
+
+@pytest.mark.parametrize("kind", ["environment", "agent"])
+def test_metadata_layout_is_stable(tmp_path, kind):
+    model, cls = _saved_model(tmp_path, kind)
+    meta = tmp_path / f"{kind}.meta"
+    assert meta.read_text(encoding="utf-8") == SAVED_META[kind]
+    loaded = cls.load(tmp_path / kind)
+    assert loaded.cfg == model.cfg
+    if kind == "environment":
+        assert loaded.src_vocab.tokens == model.src_vocab.tokens
+        assert loaded.tgt_vocab.tokens == model.tgt_vocab.tokens
+
+
+@pytest.mark.parametrize("kind, key, value, problem", [
+    ("environment", "hid_dim", None, "'hid_dim' is missing"),
+    ("environment", "hid_dim", "four", "'hid_dim' is 'four', expected an integer"),
+    ("environment", "multimodal", "yes", "'multimodal' is 'yes', expected true or false"),
+    ("agent", "use_att", None, "'use_att' is missing"),
+    ("agent", "feature_rows", "2.0", "'feature_rows' is '2.0', expected an integer"),
+    ("agent", "use_init", "True", "'use_init' is 'True', expected true or false"),
+], ids=["env-missing", "env-int", "env-bool", "agent-missing", "agent-int", "agent-bool"])
+def test_malformed_metadata_raises_format_error(tmp_path, kind, key, value, problem):
+    _, cls = _saved_model(tmp_path, kind)
+    meta = tmp_path / f"{kind}.meta"
+    lines = [line for line in SAVED_META[kind].splitlines() if not line.startswith(f"{key}=")]
+    if value is not None:
+        lines.append(f"{key}={value}")
+    meta.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=rf"{kind}.meta: metadata key {problem}"):
+        cls.load(tmp_path / kind)
+
+
+def test_checkpoint_of_another_kind_raises_config_error(tmp_path):
+    from simtlab.agent import BaselineNetwork
+    from simtlab.environment import EnvModel
+    from simtlab.errors import ConfigError
+
+    _saved_model(tmp_path, "agent")
+    with pytest.raises(ConfigError, match="kind is 'agent', expected 'baseline'"):
+        BaselineNetwork.load(tmp_path / "agent")
+    with pytest.raises(ConfigError, match="kind is 'agent', expected 'environment'"):
+        EnvModel.load(tmp_path / "agent")

@@ -132,7 +132,8 @@ def test_stepper_lanes_equal_single_lane_episodes(visual_env):
                              refs=[tgt for _, tgt in pairs[:6]], reward_config=RewardConfig())
     step = 0
     while episode.live.any():
-        episode.propose()
+        episode.start_step()
+        episode.proposal()
         episode.apply(np.array([(step + i) % 3 == 0 for i in range(6)]))
         step += 1
     for i in range(6):
@@ -151,9 +152,10 @@ def test_stepper_contracts(untrained_env):
     episode = EpisodeStepper(env, [pairs[0][0]])
     with pytest.raises(ContractError, match="no step started"):
         episode.proposal()
-    episode.propose()
+    episode.start_step()
+    episode.proposal()
     episode.apply([False])
-    with pytest.raises(ContractError, match="propose"):
+    with pytest.raises(ContractError, match="apply: no step started"):
         episode.apply([False])
     episode.start_step()
     assert episode.proposal() is episode.proposal()  # cached for the step

@@ -60,3 +60,63 @@ def test_contraction_check_tells_contractions_from_outer_products():
     assert contraction_problems(source, "m.py") == [
         "m.py:4: 'brd,dk->brk' is a contraction",
         "m.py:5: subscripts are not a literal string"]
+
+
+def unused_locals(source: str, name: str) -> list:
+    """One line per name that a function in ``source`` assigns and never reads.
+
+    Reads anywhere in the function count, nested functions and comprehensions
+    included; ``_``-prefixed names and names declared global or nonlocal are
+    exempt.
+    """
+    problems = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read, outer = {}, set(), set()
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                outer.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored[node.id] = min(stored.get(node.id, node.lineno), node.lineno)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                stored.setdefault(node.name, node.lineno)
+        for var, line in sorted(stored.items(), key=lambda item: item[1]):
+            if var not in read and var not in outer and not var.startswith("_"):
+                problems.append(f"{name}:{line}: {fn.name}() assigns {var!r} and never reads it")
+    return problems
+
+
+def test_no_unused_locals_in_src():
+    """A value nobody reads is dead code; name a deliberately ignored one ``_``."""
+    problems = []
+    for path in sorted(SRC.rglob("*.py")):
+        problems += unused_locals(path.read_text(encoding="utf-8"), path.name)
+    assert not problems, "\n".join(problems)
+
+
+def test_unused_locals_check_tells_dead_names_from_read_ones():
+    source = ("def f(xs, n):\n"
+              "    total = 0\n"
+              "    dead = len(xs)\n"
+              "    for i, x in enumerate(xs):\n"
+              "        total += x\n"
+              "    seen = [k for k, v in xs]\n"
+              "    offset = 0\n"
+              "    def bump():\n"
+              "        nonlocal offset\n"
+              "        offset += n\n"
+              "    bump()\n"
+              "    _ignored, kept = n, n\n"
+              "    try:\n"
+              "        pass\n"
+              "    except ValueError as exc:\n"
+              "        pass\n"
+              "    return total, seen, offset, kept\n")
+    assert unused_locals(source, "m.py") == [
+        "m.py:3: f() assigns 'dead' and never reads it",
+        "m.py:4: f() assigns 'i' and never reads it",
+        "m.py:6: f() assigns 'v' and never reads it",
+        "m.py:15: f() assigns 'exc' and never reads it"]

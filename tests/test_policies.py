@@ -383,6 +383,21 @@ def test_transcript_jsonl_round_trip(tmp_path, untrained_env):
     assert Transcript.from_json_obj(obj).forced_overrides == 0
 
 
+@pytest.mark.parametrize("record, problem", [
+    ("[1, 2]", "expected a JSON object, got list"),
+    ('{"src": ["a"], "hyp": ["x"], "actions": "RW", "g": 1}', "'g' is not a list"),
+    ('{"src": ["a"], "hyp": ["x"], "actions": "RW", "g": "1"}', "'g' is not a list"),
+    ('{"src": ["a"], "hyp": ["x"], "g": [1]}', "'actions'"),
+    ('{"src": ["a"], ', "Expecting"),
+], ids=["list", "int-g", "string-g", "no-actions", "bad-json"])
+def test_read_transcripts_rejects_bad_records_with_line(tmp_path, record, problem):
+    good = json.dumps(Transcript(src=["a"], hyp=["x"], actions="RW", delays=[1]).to_json_obj())
+    path = tmp_path / "episodes.jsonl"
+    path.write_text(f"{good}\n\n{record}\n")
+    with pytest.raises(DataError, match=rf"episodes.jsonl:3: bad transcript record: .*{problem}"):
+        read_transcripts(path)
+
+
 def test_transcript_validation_catches_bad_counts():
     t = Transcript(src=["a"], hyp=["a", "b"], actions="RW", delays=[1])
     with pytest.raises(ContractError):

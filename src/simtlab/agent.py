@@ -11,10 +11,12 @@ reaches agent parameters.
 
 One code path serves every caller. ``_RecurrentNet.start`` gives the
 initial states and visual keys and values, ``_observation`` assembles the
-input rows, and ``_RecurrentNet.step_np`` steps without a tape. The
-collector steps agent and baseline on all lanes of an ``EpisodeStepper``
-at once (the environment is frozen), and ``AgentGreedyPolicy`` is its
-one-lane, argmax caller. ``reinforce_update`` then replays the recorded
+input rows, and ``_RecurrentNet.step_np`` steps without a tape. Both
+agent policies step every lane of an ``EpisodeStepper`` at once (the
+environment is frozen) and are driven by ``policies.run_episodes``:
+``AgentGreedyPolicy`` writes where the WRITE logit is the larger, and the
+collector's ``_SamplingPolicy`` samples Gumbel actions and records what
+the replay needs. ``reinforce_update`` then replays the recorded
 observation stream on a tape as one (B, T) block per network: a single
 attention call, one ``autodiff.gru_sequence`` and one head matmul, then
 REINFORCE with control variates.
@@ -22,8 +24,7 @@ REINFORCE with control variates.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +32,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GRUParams, Tensor
 from .checkpoint import load_into, read_config, save_checkpoint, write_metadata
-from .environment import EnvModel, EpisodeStepper
+from .environment import EnvModel, EpisodeStepper, require_positive
 from .errors import ConfigError, ContractError, ShapeError
 from .metrics import RewardConfig
-from .policies import Policy, Transcript, episode_transcript
-
-log = logging.getLogger(__name__)
+from .policies import Policy, Transcript, run_episodes
 
 ACT_READ, ACT_WRITE = 0, 1
 
@@ -60,6 +59,7 @@ class AgentConfig:
     init_scale: float = 0.08
 
     def __post_init__(self):
+        require_positive(self, "text_dim", "emb_dim", "hidden_dim", "key_dim")
         if (self.use_init or self.use_att) and (self.feature_rows < 1 or self.feature_dim < 1):
             raise ConfigError("visual agent variants need feature_rows and feature_dim")
         if self.use_att and self.key_dim != self.emb_dim:
@@ -309,6 +309,63 @@ def compute_returns(rewards: np.ndarray, cfg: RLTrainConfig) -> np.ndarray:
     return out
 
 
+# what _SamplingPolicy records per step and lane, named as TrajectoryEntry's fields
+_RECORDED = ("obs_text", "obs_emb", "obs_prev", "visual_ctx", "actions", "forced",
+             "write_probs", "log_probs", "entropies", "baseline_values")
+
+
+class _SamplingPolicy(Policy):
+    """Gumbel-sampled agent actions on every lane, with the baseline stepped alongside.
+
+    Each lane owns an RNG, so the sampled noise does not depend on the
+    batching. ``steps`` gets one tuple of (n, ...) rows per decide, in
+    ``_RECORDED`` order; a lane's rows are valid while it is live.
+    """
+
+    def __init__(self, agent: AgentNetwork, baseline: BaselineNetwork, env: EnvModel,
+                 tau: float, rngs):
+        _check_env(env, agent, baseline)
+        self.agent, self.baseline, self.env = agent, baseline, env
+        self.tau, self.rngs = tau, rngs
+
+    def start_episode(self, sources, features) -> None:
+        n = len(sources)
+        feats3 = _feature_block(features, self.agent, self.baseline)
+        agent_h, self.a_kv = self.agent.start(None, feats3, n)
+        base_h, self.b_kv = self.baseline.start(None, feats3, n)
+        self.agent_h, self.base_h = agent_h.data, base_h.data
+        self.a_prev = np.tile(np.array([1.0, 0.0]), (n, 1))
+        self.steps = []
+
+    def decide(self, episode: EpisodeStepper) -> np.ndarray:
+        forced, proposal = episode.forced, episode.proposal()
+        text_ctx = proposal.text_ctx
+        y_emb = self.env.tgt_emb.data[proposal.token]
+
+        a_obs, a_att = _observation(None, self.a_kv, text_ctx, y_emb, self.a_prev)
+        b_obs, _ = _observation(None, self.b_kv, text_ctx, y_emb, self.a_prev)
+        self.agent_h, logits_a = self.agent.step_np(a_obs.data, self.agent_h)
+        self.base_h, base_out = self.baseline.step_np(b_obs.data, self.base_h)
+
+        ls = logits_a - logits_a.max(axis=1, keepdims=True)
+        ls = ls - np.log(np.exp(ls).sum(axis=1, keepdims=True))
+        n = len(ls)
+        sampled = np.zeros(n, dtype=np.int64)
+        soft = np.zeros((n, 2))
+        for i in episode.running:
+            if not forced[i]:
+                soft[i], sampled[i] = gumbel_softmax_sample(logits_a[i], self.tau, self.rngs[i])
+        action = np.where(forced, ACT_WRITE, sampled)
+        visual_ctx = None if a_att is None else a_att[0].data
+        write_probs = np.where(forced, action == ACT_WRITE, soft[:, ACT_WRITE])
+        self.steps.append((text_ctx, y_emb, self.a_prev, visual_ctx, action, forced, write_probs,
+                           ls[np.arange(n), action], -(np.exp(ls) * ls).sum(axis=1),
+                           base_out[:, 0]))
+        next_prev = np.where(forced[:, None], np.eye(2)[action], soft)
+        self.a_prev = np.where(episode.live[:, None], next_prev, self.a_prev)
+        return action == ACT_WRITE
+
+
 def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
                          env: EnvModel, episodes, cfg: RLTrainConfig,
                          global_seed: int, start_index: int = 0,
@@ -316,95 +373,25 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
     """Sample one lockstep batch of episodes with per-step rewards.
 
     ``episodes`` holds (src_tokens, ref_tokens, features) triples, each a
-    lane of one ``EpisodeStepper``. Each episode owns an RNG seeded from
-    (global_seed, episode_index), so the batch decomposition never changes
-    the sampled noise.
+    lane of one ``run_episodes`` call under ``_SamplingPolicy``. Each
+    episode owns an RNG seeded from (global_seed, episode_index), so the
+    batch decomposition never changes the sampled noise.
     """
-    n = len(episodes)
     feats = [e[2] for e in episodes]
-    _check_env(env, agent, baseline)
-    feats3 = _feature_block(feats, agent, baseline)
     rngs = [np.random.default_rng(np.random.SeedSequence((global_seed, start_index + i)))
-            for i in range(n)]
-    src_tok = [list(e[0]) for e in episodes]
-    stepper = EpisodeStepper(env, src_tok, feats, refs=[list(e[1]) for e in episodes],
-                             reward_config=cfg.reward)
-    agent_h, a_kv = agent.start(None, feats3, n)
-    base_h, b_kv = baseline.start(None, feats3, n)
-    agent_h, base_h = agent_h.data, base_h.data
-    a_prev = np.tile(np.array([1.0, 0.0]), (n, 1))
-
-    rec = [dict(obs_text=[], obs_emb=[], obs_prev=[], vis=[], act=[], forced=[],
-                reward=[], wp=[], logp=[], ent=[], bval=[]) for _ in range(n)]
-
-    col = np.arange(n)
-    while stepper.live.any():
-        alive = stepper.live.copy()
-        forced, proposal = stepper.start_step(), stepper.proposal()
-        text_ctx = proposal.text_ctx
-        y_emb = env.tgt_emb.data[proposal.token]
-
-        a_obs, a_att = _observation(None, a_kv, text_ctx, y_emb, a_prev)
-        b_obs, _ = _observation(None, b_kv, text_ctx, y_emb, a_prev)
-        agent_h, logits_a = agent.step_np(a_obs.data, agent_h)
-        base_h, base_out = baseline.step_np(b_obs.data, base_h)
-        base_val = base_out[:, 0]
-
-        ls = logits_a - logits_a.max(axis=1, keepdims=True)
-        ls = ls - np.log(np.exp(ls).sum(axis=1, keepdims=True))
-        policy_probs = np.exp(ls)
-
-        sampled = np.zeros(n, dtype=np.int64)
-        soft = np.zeros((n, 2))
-        for i in np.flatnonzero(alive & ~forced):
-            soft[i], sampled[i] = gumbel_softmax_sample(logits_a[i], cfg.tau, rngs[i])
-
-        action = np.where(forced, ACT_WRITE, sampled)
-        logp = ls[col, action]
-        entropy = -(policy_probs * ls).sum(axis=1)
-        step_reward = stepper.apply(action == ACT_WRITE)
-
-        for i in np.flatnonzero(alive):
-            r = rec[i]
-            r["obs_text"].append(text_ctx[i])
-            r["obs_emb"].append(y_emb[i])
-            r["obs_prev"].append(a_prev[i].copy())
-            if a_att is not None:
-                r["vis"].append(a_att[0].data[i])
-            r["act"].append(int(action[i]))
-            r["forced"].append(bool(forced[i]))
-            r["reward"].append(float(step_reward[i]))
-            r["wp"].append(float(soft[i, ACT_WRITE]) if not forced[i]
-                           else float(action[i] == ACT_WRITE))
-            r["logp"].append(float(logp[i]))
-            r["ent"].append(float(entropy[i]))
-            r["bval"].append(float(base_val[i]))
-
-        next_prev = np.where(forced[:, None], np.eye(2)[action], soft)
-        a_prev = np.where(alive[:, None], next_prev, a_prev)
-
+            for i in range(len(episodes))]
+    policy = _SamplingPolicy(agent, baseline, env, cfg.tau, rngs)
+    transcripts = run_episodes(policy, env, [e[0] for e in episodes], feats,
+                               refs=[list(e[1]) for e in episodes], reward_config=cfg.reward)
+    blocks = {name: np.stack(rows, axis=1)  # (n, steps, ...)
+              for name, rows in zip(_RECORDED, zip(*policy.steps)) if rows[0] is not None}
     entries = []
-    for i in range(n):
-        r = rec[i]
-        rewards = np.array(r["reward"])
-        entry = TrajectoryEntry(
-            obs_text=np.array(r["obs_text"]),
-            obs_emb=np.array(r["obs_emb"]),
-            obs_prev=np.array(r["obs_prev"]),
-            features=feats[i],
-            actions=np.array(r["act"], dtype=np.int64),
-            forced=np.array(r["forced"], dtype=bool),
-            rewards=rewards,
-            returns=compute_returns(rewards, cfg),
-            write_probs=np.array(r["wp"]),
-            log_probs=np.array(r["logp"]),
-            entropies=np.array(r["ent"]),
-            baseline_values=np.array(r["bval"]),
-            visual_ctx=np.array(r["vis"]) if r["vis"] else None,
-        )
-        if record_transcripts:
-            entry.transcript = episode_transcript(stepper, i, src_tok[i])
-        entries.append(entry)
+    for i, (f, transcript) in enumerate(zip(feats, transcripts)):
+        rewards = np.array(transcript.rewards[1:])  # the initial forced READ is no agent step
+        steps = {name: block[i, :len(rewards)] for name, block in blocks.items()}
+        entries.append(TrajectoryEntry(
+            **steps, features=f, rewards=rewards, returns=compute_returns(rewards, cfg),
+            transcript=transcript if record_transcripts else None))
     return TrajectoryBatch(entries)
 
 
@@ -497,7 +484,12 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
 # ---------------------------------------------------------------------------
 
 class AgentGreedyPolicy(Policy):
-    """Deterministic policy head: argmax actions, no Gumbel noise."""
+    """Deterministic policy head on every lane: argmax actions, no Gumbel noise.
+
+    A lane writes where its WRITE logit is the larger; a tie reads.
+    ``step_attention`` holds the att variant's (n, R) visual attention
+    weights of the last decide.
+    """
 
     def __init__(self, agent: AgentNetwork, env: EnvModel):
         _check_env(env, agent)
@@ -505,20 +497,22 @@ class AgentGreedyPolicy(Policy):
         self.env = env
         self.step_attention = None
 
-    def start_episode(self, src_tokens, features=None) -> None:
-        h0, self._visual_kv = self.agent.start(None, _feature_block([features], self.agent), 1)
+    def start_episode(self, sources, features) -> None:
+        n = len(sources)
+        h0, self._visual_kv = self.agent.start(None, _feature_block(features, self.agent), n)
         self._h = h0.data
-        self._a_prev = np.array([[1.0, 0.0]])
+        self._a_prev = np.tile(np.array([1.0, 0.0]), (n, 1))
         self.step_attention = None
 
-    def decide(self, ctx) -> str:
-        obs, attention = _observation(None, self._visual_kv, ctx.text_ctx[None],
-                                      self.env.tgt_emb.data[[ctx.token]], self._a_prev)
+    def decide(self, episode: EpisodeStepper) -> np.ndarray:
+        proposal = episode.proposal()
+        obs, attention = _observation(None, self._visual_kv, proposal.text_ctx,
+                                      self.env.tgt_emb.data[proposal.token], self._a_prev)
         self._h, logits = self.agent.step_np(obs.data, self._h)
         self._a_prev = ad.softmax(logits)
         if attention is not None:
-            self.step_attention = attention[1].data[0]
-        return "RW"[int(np.argmax(logits[0]))]
+            self.step_attention = attention[1].data
+        return logits[:, ACT_WRITE] > logits[:, ACT_READ]
 
 
 def select_model(history) -> int:

@@ -41,6 +41,14 @@ _META = {"emb_dim": int, "hid_dim": int, "multimodal": bool, "feature_rows": int
          "feature_dim": int}
 
 
+def require_positive(cfg, *names) -> None:
+    """Raise ``ConfigError`` naming the first of ``cfg``'s ``names`` that is below 1."""
+    for name in names:
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{type(cfg).__name__}.{name} must be at least 1, "
+                              f"got {getattr(cfg, name)}")
+
+
 @dataclass
 class EnvConfig:
     """Model dimensions and the multimodal switch."""
@@ -53,6 +61,7 @@ class EnvConfig:
     init_scale: float = 0.08
 
     def __post_init__(self):
+        require_positive(self, "emb_dim", "hid_dim")
         if self.multimodal and (self.feature_rows < 1 or self.feature_dim < 1):
             raise ConfigError("multimodal environment needs feature_rows and feature_dim")
 
@@ -337,9 +346,10 @@ class EpisodeStepper:
 
     The constructor takes the first READ. Each later step is
     ``start_step()``, which returns the forced-WRITE mask, then
-    ``apply()``. In between, ``proposal()`` computes the step's proposal
-    on first call and caches it for the step; ``apply()`` asks for it only
-    when some lane writes.
+    ``apply()``. In between, ``forced`` holds that mask and ``proposal()``
+    computes the step's proposal on first call and caches it for the step;
+    ``apply()`` asks for it only when some lane writes. ``running`` lists
+    the live lanes, and ``n_read`` and ``n_written`` are (n,) counters.
     """
 
     def __init__(self, model: EnvModel, sources, features=None, *, refs=None,
@@ -360,8 +370,8 @@ class EpisodeStepper:
         self.enc = EncoderState.initial(model, n, max(map(len, self.src_ids)) + 1)
         self.dec = DecoderState.initial(model, n)
         self.live = np.ones(n, dtype=bool)
-        self._running = list(range(n))   # the live lanes
-        self.n_read = [0] * n
+        self.running = list(range(n))
+        self.n_read = np.zeros(n, dtype=np.int64)
         self.cw = [0] * n
         self.hyp_ids = [[] for _ in range(n)]
         self.delays = [[] for _ in range(n)]
@@ -369,6 +379,7 @@ class EpisodeStepper:
         self.rewards = [[] for _ in range(n)]
         self.quality = None if refs is None else [PrefixBleu(r) for r in refs]
         self.reward_config = reward_config
+        self._src_len = np.array([len(s) for s in self.src_ids])
         self._cap = [output_cap(len(s)) for s in self.src_ids]
         self._eos_row = [False] * n
         self._proposal = None
@@ -378,21 +389,33 @@ class EpisodeStepper:
     def _lanes(self, idx):
         return None if len(idx) == self.n else np.array(idx)
 
+    @property
+    def n_written(self) -> np.ndarray:
+        """Tokens committed per lane, EOS included."""
+        return self.dec.committed
+
+    @property
+    def forced(self) -> np.ndarray:
+        """The current step's forced-WRITE mask: the lanes that have read their whole source."""
+        if self._forced is None:
+            raise ContractError("forced: no step started; call start_step() first")
+        return self._forced
+
     def start_step(self) -> np.ndarray:
         """Start the next step and return its forced-WRITE mask.
 
         A lane that has read its whole source first gets its EOS row: the
         terminal marker row, not an agent READ.
         """
-        forced = [r == len(s) for r, s in zip(self.n_read, self.src_ids)]
-        eos = [i for i in self._running if forced[i] and not self._eos_row[i]]
+        forced = self.n_read == self._src_len
+        eos = [i for i in self.running if forced[i] and not self._eos_row[i]]
         if eos:
             self.enc = encode_next(self.enc, [EOS] * len(eos), self.model, self._lanes(eos))
             for i in eos:
                 self._eos_row[i] = True
         self._proposal = None
-        self._forced = np.array(forced)
-        return self._forced
+        self._forced = forced
+        return forced
 
     def proposal(self) -> Proposal:
         """The current step's proposal on every lane, computed on first call."""
@@ -412,7 +435,7 @@ class EpisodeStepper:
         forced = self._forced
         if forced is None:
             raise ContractError("apply: no step started; call start_step() first")
-        live = self._running
+        live = self.running
         wrote = [bool(write_mask[i] or forced[i]) for i in live]
         writes = [i for i, w in zip(live, wrote) if w]
         reads = [i for i, w in zip(live, wrote) if not w]
@@ -433,7 +456,7 @@ class EpisodeStepper:
                 self.hyp_ids[i].append(token)
                 self.cw[i] = 0
                 if token != EOS:
-                    self.delays[i].append(self.n_read[i])
+                    self.delays[i].append(int(self.n_read[i]))
                     if self.quality is not None:
                         quality = self.quality[i].append(self.model.tgt_vocab.token(token))
                 terminal = token == EOS or len(self.hyp_ids[i]) >= self._cap[i]
@@ -451,7 +474,7 @@ class EpisodeStepper:
                 self.rewards[i].append(float(step_rewards[i]))
             if terminal:
                 self.live[i] = False
-        self._running = [i for i in live if self.live[i]]
+        self.running = [i for i in live if self.live[i]]
         return step_rewards
 
 
@@ -462,7 +485,7 @@ def _decode_consecutive(model: EnvModel, sources, features=None):
     if lanes:
         episode = EpisodeStepper(model, [sources[i] for i in lanes],
                                  None if features is None else [features[i] for i in lanes])
-        while episode.live.any():
+        while episode.running:
             episode.apply(episode.start_step())  # proposes only when some lane writes
         for i, ids in zip(lanes, episode.hyp_ids):
             hyps[i] = model.tgt_vocab.decode(ids)
@@ -493,6 +516,11 @@ class EnvTrainConfig:
     init_scale: float = 0.08
     val_cap: int = 0    # 0 = use the whole validation split
     stop_bleu: float = 0.0  # stop once validation BLEU reaches this (0 = off)
+
+    def __post_init__(self):
+        require_positive(self, "batch_size", "max_epochs")
+        if self.lr <= 0:
+            raise ConfigError(f"EnvTrainConfig.lr must be positive, got {self.lr}")
 
 
 def _pad_batch(seqs):

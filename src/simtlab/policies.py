@@ -1,20 +1,21 @@
-"""READ/WRITE simulation of one episode, deterministic policies, transcript logs.
+"""READ/WRITE episodes under a policy, the rule-based baselines, transcript logs.
 
-``simulate`` drives a one-lane ``environment.EpisodeStepper``, which
-enforces legality: the first action is always READ (the decoder cannot
-attend to an empty prefix) and WRITE is forced once the source is
-exhausted. Policies are still queried on forced WRITE steps so stateful
-agents see the full observation stream; an illegal answer is overridden
-and logged, never fatal. The environment's proposal in a ``StepContext``
-is computed on first read. The rule policies (wait-k, consecutive) never
-read it, so their READ steps run no decoder work; the greedy agent reads
-it on every step.
+``run_episodes`` is the one episode loop: it steps the lanes of one
+``environment.EpisodeStepper`` and asks a ``Policy`` for an (n,) bool
+WRITE mask once per step. The stepper enforces legality: the first action
+is always READ (the decoder cannot attend to an empty prefix) and WRITE is
+forced once the source is exhausted. Policies are still asked on forced
+steps, so stateful agents see the full observation stream; an illegal READ
+there is overridden and counted per lane, never fatal. ``simulate`` is the
+one-lane call. Wait-k and consecutive decide from the stepper's counters
+and forced mask alone and never ask for the proposal, so their READ steps
+run no decoder work; the agents (``agent.AgentGreedyPolicy`` and the
+collector's sampling policy) read it on every step.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,72 +26,29 @@ from .errors import ContractError, DataError
 from .metrics import RewardConfig
 from .vocab import EOS
 
-log = logging.getLogger(__name__)
-
-
-class StepContext:
-    """What a policy may look at when deciding.
-
-    ``token`` is the environment's proposed next token and ``text_ctx`` the
-    proposal's text attention context. A context made ``of`` a running
-    episode, as ``simulate`` makes them, computes both on first read and
-    keeps them; the rule policies never read them. Read after its step,
-    such a context returns what it read during the step or raises
-    ``ContractError``, never a later step's proposal.
-    """
-
-    def __init__(self, src_len, n_read, n_written, source_exhausted, token=None,
-                 text_ctx=None, forced_action=None):
-        self.src_len = src_len
-        self.n_read = n_read
-        self.n_written = n_written
-        self.source_exhausted = source_exhausted
-        self.forced_action = forced_action
-        self._seen = token, text_ctx
-        self._pending = None   # (episode, dec, enc) of the step, until the proposal is read
-
-    @classmethod
-    def of(cls, episode: EpisodeStepper, forced) -> "StepContext":
-        """The current step of the one-lane ``episode``, whose forced-WRITE mask is ``forced``."""
-        exhausted = bool(forced[0])
-        ctx = cls(len(episode.src_ids[0]), episode.n_read[0], len(episode.hyp_ids[0]), exhausted,
-                  forced_action=WRITE if exhausted else None)
-        ctx._pending = episode, episode.dec, episode.enc
-        return ctx
-
-    @property
-    def token(self) -> int:
-        return self._read()[0]
-
-    @property
-    def text_ctx(self) -> np.ndarray:
-        return self._read()[1]
-
-    def _read(self):
-        if self._pending is not None:
-            episode, dec, enc = self._pending
-            proposal = episode.proposal()
-            if proposal.dec is not dec or proposal.enc is not enc:
-                raise ContractError("step context read after its step")
-            self._seen = int(proposal.token[0]), proposal.text_ctx[0]
-            self._pending = None
-        return self._seen
-
 
 class Policy:
-    """Decision procedure over simulation steps.
+    """Decision procedure over the lanes of one ``EpisodeStepper``.
 
-    ``start_episode`` resets internal state; ``decide`` returns "R" or
-    "W". Policies may expose ``step_attention`` after a decide call to
-    have agent-side attention weights recorded into the transcript.
+    ``start_episode(sources, features)`` resets internal state for the
+    stepper's lanes: its source token lists and one feature set (or None)
+    per lane. ``decide(episode)`` is called once per step, between the
+    stepper's ``start_step()`` and ``apply()``, and returns an (n,) bool
+    WRITE mask. It may read ``episode.forced``, the counters ``n_read`` and
+    ``n_written``, the live lanes (``live``, ``running``) and
+    ``episode.proposal()``; a policy that never asks for the proposal lets
+    READ steps skip the decoder. Answers on ended lanes are ignored, and a
+    READ on a forced lane is overridden and counted. Policies may expose
+    ``step_attention``, (n, R) agent-side attention weights from the last
+    decide, to have them recorded into the transcripts.
     """
 
     step_attention = None
 
-    def start_episode(self, src_tokens, features=None) -> None:
+    def start_episode(self, sources, features) -> None:
         pass
 
-    def decide(self, ctx: StepContext) -> str:
+    def decide(self, episode: EpisodeStepper) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -166,22 +124,6 @@ class Transcript:
         )
 
 
-def episode_transcript(episode: EpisodeStepper, lane: int, src_tokens, **extra) -> Transcript:
-    """The validated transcript of one finished lane of ``episode``."""
-    ids = episode.hyp_ids[lane]
-    transcript = Transcript(
-        src=list(src_tokens),
-        hyp=episode.model.tgt_vocab.decode(ids, strip_reserved=False),
-        actions="".join(episode.actions[lane]),
-        delays=episode.delays[lane],
-        rewards=episode.rewards[lane],
-        ended_with_eos=bool(ids) and ids[-1] == EOS,
-        **extra,
-    )
-    transcript.validate()
-    return transcript
-
-
 def write_transcripts(path, transcripts) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for t in transcripts:
@@ -200,8 +142,11 @@ def read_transcripts(path):
             for key in ("src", "hyp", "g"):
                 if not isinstance(obj.get(key), list):
                     raise TypeError(f"'{key}' is not a list")
-            out.append(Transcript.from_json_obj(obj))
-        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            transcript = Transcript.from_json_obj(obj)
+            transcript.validate()
+            out.append(transcript)
+        except (KeyError, TypeError, ValueError, ContractError) as exc:
+            # JSONDecodeError is a ValueError; ContractError is an inconsistent record
             raise DataError(f"{path}:{lineno}: bad transcript record: {exc}") from exc
     return out
 
@@ -214,52 +159,72 @@ class WaitKPolicy(Policy):
             raise ContractError("wait-k requires k >= 1")
         self.k = k
 
-    def decide(self, ctx: StepContext) -> str:
-        if not ctx.source_exhausted and ctx.n_read < self.k + ctx.n_written:
-            return READ
-        return WRITE
+    def decide(self, episode: EpisodeStepper) -> np.ndarray:
+        return episode.forced | (episode.n_read >= self.k + episode.n_written)
 
 
 class ConsecutivePolicy(Policy):
     """Read the whole source before writing anything."""
 
-    def decide(self, ctx: StepContext) -> str:
-        return WRITE if ctx.source_exhausted else READ
+    def decide(self, episode: EpisodeStepper) -> np.ndarray:
+        return episode.forced
 
 
-def _step_attention(policy):
-    w = getattr(policy, "step_attention", None)
-    return None if w is None else [float(x) for x in w]
+def run_episodes(policy: Policy, model: EnvModel, sources, features=None, *, refs=None,
+                 reward_config: RewardConfig = None, record_attention: bool = False) -> list:
+    """Run one episode per source as the lanes of one stepper; return their transcripts.
+
+    ``features`` and ``refs`` hold one entry per source. Rewards are filled
+    when ``reward_config`` is given; the quality part additionally needs
+    ``refs``. A lane ends on an EOS commit or at the output-length cap.
+    """
+    sources = [list(s) for s in sources]
+    n = len(sources)
+    features = [None] * n if features is None else features
+    episode = EpisodeStepper(model, sources, features, refs=refs, reward_config=reward_config)
+    policy.start_episode(sources, features)
+    overrides = [0] * n
+    attention = [[] for _ in range(n)] if record_attention else None
+    lanes = range(n)  # the stepper's first READ asks no policy
+    while True:
+        if attention is not None:
+            weights = policy.step_attention
+            for i in lanes:
+                attention[i].append(None if weights is None else weights[i].tolist())
+        lanes = episode.running
+        if not lanes:
+            break
+        forced = episode.start_step()
+        write = policy.decide(episode)
+        if not (isinstance(write, np.ndarray) and write.dtype == bool and write.shape == (n,)):
+            raise ContractError(f"policy returned unknown action mask {write!r}; "
+                                f"want a ({n},) bool array")
+        for i in lanes:
+            overrides[i] += bool(forced[i] and not write[i])
+        episode.apply(write)
+    transcripts = []
+    for i, src in enumerate(sources):
+        ids = episode.hyp_ids[i]
+        transcript = Transcript(
+            src=src,
+            hyp=model.tgt_vocab.decode(ids, strip_reserved=False),
+            actions="".join(episode.actions[i]),
+            delays=episode.delays[i],
+            rewards=episode.rewards[i],
+            attention=None if attention is None else attention[i],
+            ended_with_eos=bool(ids) and ids[-1] == EOS,
+            forced_overrides=overrides[i],
+        )
+        transcript.validate()
+        transcripts.append(transcript)
+    return transcripts
 
 
 def simulate(policy: Policy, env_model: EnvModel, src_tokens, features=None, *,
              ref_tokens=None, reward_config: RewardConfig = None,
              record_attention: bool = False) -> Transcript:
-    """Run one episode and return its transcript.
-
-    Rewards are filled when ``reward_config`` is given; the quality part
-    additionally needs ``ref_tokens``. Terminates on an EOS commit or at
-    the output-length cap.
-    """
-    src_tokens = list(src_tokens)
-    episode = EpisodeStepper(env_model, [src_tokens], None if features is None else [features],
-                             refs=None if ref_tokens is None else [ref_tokens],
-                             reward_config=reward_config)
-    policy.start_episode(src_tokens, features)
-    overrides = 0
-    # the initial forced READ asks no policy
-    attention = [_step_attention(policy)] if record_attention else None
-    while episode.live[0]:
-        ctx = StepContext.of(episode, episode.start_step())
-        wanted = policy.decide(ctx)
-        if wanted not in (READ, WRITE):
-            raise ContractError(f"policy returned unknown action {wanted!r}")
-        if ctx.source_exhausted and wanted != WRITE:
-            overrides += 1
-            log.debug("illegal policy action %s overridden to %s (read %d/%d, written %d)",
-                      wanted, WRITE, ctx.n_read, ctx.src_len, ctx.n_written)
-        if attention is not None:
-            attention.append(_step_attention(policy))
-        episode.apply((wanted == WRITE,))
-    return episode_transcript(episode, 0, src_tokens, attention=attention,
-                              forced_overrides=overrides)
+    """Run one episode and return its transcript: ``run_episodes`` on one lane."""
+    return run_episodes(policy, env_model, [src_tokens],
+                        None if features is None else [features],
+                        refs=None if ref_tokens is None else [ref_tokens],
+                        reward_config=reward_config, record_attention=record_attention)[0]

@@ -4,7 +4,8 @@
 ran before it became one GRU sequence per network: one ``gru_cell`` and one
 ``(B, dk)`` attention per timestep and network, with the loss summed term by
 term. ``ReferenceGreedyPolicy`` is the greedy policy's earlier 1-D decide:
-its own observation vector, visual attention and GRU step per call.
+its own observation vector, visual attention and GRU step per call, on
+the one lane of the stepper it is handed.
 """
 
 import numpy as np
@@ -105,13 +106,14 @@ def replay_losses(batch, agent, baseline, cfg):
 
 
 class ReferenceGreedyPolicy(Policy):
-    """Argmax actions from a per-call 1-D agent step."""
+    """Argmax actions from a per-call 1-D agent step on a one-lane stepper."""
 
     def __init__(self, agent, env):
         self.agent = agent
         self.env = env
 
-    def start_episode(self, src_tokens, features=None) -> None:
+    def start_episode(self, sources, features) -> None:
+        (features,) = features
         net = self.agent
         cfg = net.cfg
         self._h = np.zeros(cfg.hidden_dim)
@@ -123,15 +125,16 @@ class ReferenceGreedyPolicy(Policy):
             self._keys = features.matrix @ net.key_proj.data
             self._vals = features.matrix @ net.val_proj.data
 
-    def decide(self, ctx) -> str:
+    def decide(self, episode):
         net = self.agent
-        y_emb = self.env.tgt_emb.data[ctx.token]
-        parts = [ctx.text_ctx, y_emb, self._a_prev]
+        proposal = episode.proposal()
+        y_emb = self.env.tgt_emb.data[proposal.token[0]]
+        parts = [proposal.text_ctx[0], y_emb, self._a_prev]
         if net.cfg.use_att:
             w = ad.softmax(self._keys @ y_emb)
             parts.append(self._vals.T @ w)
-            self.step_attention = w
+            self.step_attention = w[None]
         self._h, logits = _step(None, net, Tensor(np.concatenate(parts)), Tensor(self._h))
         self._h, logits = self._h.data, logits.data
         self._a_prev = ad.softmax(logits)
-        return "RW"[int(np.argmax(logits))]
+        return np.array([int(np.argmax(logits)) == 1])

@@ -3,17 +3,19 @@
 The one-episode loop that ``policies.simulate`` and ``translate_full`` ran
 before the environment gained a lane axis: 1-D encoder and decoder states,
 one proposal per step, and the READ/WRITE rules, rewards and override
-counting written out inline.
+counting written out inline. Policies see each step through ``LaneView``,
+the one-lane stepper interface they are written against.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from simtlab import autodiff as ad
 from simtlab.environment import output_cap
 from simtlab.metrics import PrefixBleu, average_proportion, latency_reward
-from simtlab.policies import READ, WRITE, StepContext
+from simtlab.policies import READ, WRITE
 from simtlab.vocab import BOS, EOS
 
 
@@ -46,6 +48,22 @@ def propose_next(dec, rows, model, projected=None):
     return int(ad.softmax(logits).argmax()), text_ctx, g1, g2
 
 
+class LaneView:
+    """One reference step as a one-lane ``EpisodeStepper`` shows it to a policy."""
+
+    n = 1
+
+    def __init__(self, n_read, n_written, exhausted, proposal):
+        self.n_read = np.array([n_read])
+        self.n_written = np.array([n_written])
+        self.forced = np.array([exhausted])
+        token, text_ctx = proposal[:2]
+        self._proposal = SimpleNamespace(token=np.array([token]), text_ctx=text_ctx[None])
+
+    def proposal(self):
+        return self._proposal
+
+
 @dataclass
 class Episode:
     actions: str
@@ -58,7 +76,7 @@ class Episode:
 def simulate(policy, model, src_tokens, features=None, ref_tokens=None, reward_config=None):
     src_ids = model.src_vocab.encode(src_tokens)
     projected = features.matrix @ model.w_vis.data if model.multimodal else None
-    policy.start_episode(list(src_tokens), features)
+    policy.start_episode([list(src_tokens)], [features])
     h = model.cfg.hid_dim
     enc = (np.zeros(h), np.zeros(h), [])
     dec = (np.zeros(h), np.zeros(h), BOS)
@@ -76,10 +94,8 @@ def simulate(policy, model, src_tokens, features=None, ref_tokens=None, reward_c
         if proposal is None:
             action = READ
         else:
-            ctx = StepContext(src_len=len(src_ids), n_read=n_read, n_written=len(hyp_ids),
-                              source_exhausted=exhausted, token=proposal[0],
-                              text_ctx=proposal[1], forced_action=WRITE if exhausted else None)
-            action = policy.decide(ctx)
+            view = LaneView(n_read, len(hyp_ids), exhausted, proposal)
+            action = WRITE if policy.decide(view)[0] else READ
             if exhausted and action != WRITE:
                 overrides += 1
                 action = WRITE

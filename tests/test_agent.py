@@ -4,9 +4,10 @@ import pytest
 from simtlab import autodiff as ad
 from simtlab.agent import (AgentConfig, AgentGreedyPolicy, AgentNetwork, BaselineNetwork,
                            RLTrainConfig, TrajectoryBatch, TrajectoryEntry,
-                           collect_trajectories, compute_returns, reinforce_update)
+                           collect_trajectories, compute_returns, patience_exceeded,
+                           reinforce_update, select_model)
 from simtlab.environment import EnvConfig, EnvModel
-from simtlab.errors import ConfigError, ShapeError
+from simtlab.errors import ConfigError, ContractError, ShapeError
 from simtlab.features import FeatureSet
 from simtlab.metrics import RewardConfig
 from simtlab.optim import AdamState
@@ -29,6 +30,39 @@ def test_agent_config_rejects_key_dim_mismatch():
         AgentConfig(text_dim=8, emb_dim=6, hidden_dim=8, key_dim=5, use_att=True,
                     feature_rows=3, feature_dim=4)
     AgentConfig(text_dim=8, emb_dim=6, hidden_dim=8, key_dim=5)  # unused without attention
+
+
+@pytest.mark.parametrize("field", ["text_dim", "emb_dim", "hidden_dim", "key_dim"])
+def test_agent_config_rejects_non_positive_dims(field):
+    with pytest.raises(ConfigError, match=rf"AgentConfig.{field} must be at least 1, got 0"):
+        AgentConfig(**{field: 0})
+    with pytest.raises(ConfigError, match=rf"AgentConfig.{field} must be at least 1, got -2"):
+        AgentConfig(**{field: -2})
+    AgentConfig(text_dim=1, emb_dim=1, hidden_dim=1, key_dim=1, init_scale=0.0)
+
+
+def test_select_model_picks_the_best_bleu_to_avp_ratio():
+    history = [{"bleu": 20.0, "avp": 0.8}, {"bleu": 30.0, "avp": 0.6},
+               {"bleu": 40.0, "avp": 1.0}]  # ratios 25, 50, 40: not the best BLEU
+    assert select_model(history) == 1
+    # equal ratios select the first
+    assert select_model([{"bleu": 10.0, "avp": 0.5}, {"bleu": 20.0, "avp": 1.0},
+                         {"bleu": 5.0, "avp": 0.25}]) == 0
+    with pytest.raises(ContractError, match="empty history"):
+        select_model([])
+
+
+def test_patience_is_exceeded_once_the_best_is_patience_evaluations_old():
+    best, worse = {"bleu": 30.0, "avp": 0.5}, {"bleu": 30.0, "avp": 0.6}
+    assert not patience_exceeded([], patience=2)
+    assert not patience_exceeded([best], patience=2)
+    assert not patience_exceeded([best, worse], patience=2)
+    assert patience_exceeded([best, worse, worse], patience=2)
+    assert not patience_exceeded([worse, best, worse], patience=2)
+    # a later equal ratio does not renew the best
+    assert patience_exceeded([best, worse, dict(best)], patience=2)
+    assert not patience_exceeded([best] + [worse] * 4)
+    assert patience_exceeded([best] + [worse] * 5)
 
 
 @pytest.mark.parametrize("discount", [0.95, 1.0])
@@ -85,12 +119,12 @@ class ReplayPolicy(Policy):
     def __init__(self, actions):
         self.actions = actions
 
-    def start_episode(self, src_tokens, features=None):
+    def start_episode(self, sources, features):
         self.pos = 1
 
-    def decide(self, ctx):
+    def decide(self, episode):
         self.pos += 1
-        return self.actions[self.pos - 1]
+        return np.array([self.actions[self.pos - 1] == "W"])
 
 
 @pytest.mark.parametrize("variant", ["none", "init", "att"])

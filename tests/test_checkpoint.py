@@ -201,6 +201,18 @@ def test_malformed_metadata_raises_format_error(tmp_path, kind, key, value, prob
         cls.load(tmp_path / kind)
 
 
+def test_metadata_with_a_negative_dim_raises_config_error(tmp_path):
+    from simtlab.environment import EnvModel
+    from simtlab.errors import ConfigError
+
+    _saved_model(tmp_path, "environment")
+    meta = tmp_path / "environment.meta"
+    meta.write_text(SAVED_META["environment"].replace("hid_dim=6", "hid_dim=-3"),
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match="EnvConfig.hid_dim must be at least 1, got -3"):
+        EnvModel.load(tmp_path / "environment")
+
+
 def test_checkpoint_of_another_kind_raises_config_error(tmp_path):
     from simtlab.agent import BaselineNetwork
     from simtlab.environment import EnvModel

@@ -12,7 +12,7 @@ from simtlab.environment import (READ, WRITE, EnvConfig, EnvModel, EnvTrainConfi
 from simtlab.errors import ConfigError, ContractError, DataError
 from simtlab.features import FeatureSet
 from simtlab.metrics import RewardConfig, corpus_bleu
-from simtlab.policies import ConsecutivePolicy, Policy, WaitKPolicy, simulate
+from simtlab.policies import ConsecutivePolicy, Policy, WaitKPolicy, run_episodes, simulate
 
 import episode_reference as ref
 from test_agent import _visual_setup
@@ -39,14 +39,15 @@ class PeekingPolicy(Policy):
     def __init__(self, seed):
         self.seed = seed
 
-    def start_episode(self, src_tokens, features=None):
+    def start_episode(self, sources, features):
         self.step = self.seed
 
-    def decide(self, ctx):
+    def decide(self, episode):
         self.step += 1
         if self.step % 2:
-            return WRITE if ctx.n_read > ctx.n_written + 1 else READ
-        return "RW"[(ctx.token + int(np.argmax(np.abs(ctx.text_ctx)))) % 2]
+            return episode.n_read > episode.n_written + 1
+        proposal = episode.proposal()
+        return (proposal.token + np.argmax(np.abs(proposal.text_ctx), axis=1)) % 2 == 1
 
 
 def _policies():
@@ -145,63 +146,68 @@ def test_stepper_lanes_equal_single_lane_episodes(visual_env):
         assert np.allclose(alone.rewards, episode.rewards[i], rtol=0, atol=1e-12)
 
 
+def _greedy_agent(env, variant):
+    cfg = AgentConfig(text_dim=env.cfg.hid_dim, emb_dim=env.cfg.emb_dim, hidden_dim=12,
+                      key_dim=env.cfg.emb_dim, use_init=variant == "init",
+                      use_att=variant == "att", feature_rows=ROWS, feature_dim=DIM,
+                      init_scale=0.5)
+    return AgentGreedyPolicy(AgentNetwork(cfg, np.random.default_rng(11)), env)
+
+
+@pytest.mark.parametrize("policy", ["wait1", "wait2", "wait3", "wait4", "wait5", "consecutive",
+                                    "agent-none", "agent-init", "agent-att"])
+@pytest.mark.parametrize("multimodal", [False, True])
+def test_lanes_equal_one_lane_simulate(untrained_env, visual_env, multimodal, policy):
+    # 30 episodes of unequal lengths as lanes of one run; each equals its own one-lane run
+    _, pairs, feats = visual_env
+    env = visual_env[0] if multimodal else untrained_env[0]
+    if policy.startswith("wait"):
+        runner = WaitKPolicy(int(policy[4:]))
+    elif policy == "consecutive":
+        runner = ConsecutivePolicy()
+    else:
+        runner = _greedy_agent(env, policy[6:])  # start_episode resets its state
+    reward = RewardConfig()
+    sources, refs, feats = [s for s, _ in pairs[:30]], [t for _, t in pairs[:30]], feats[:30]
+    lanes = run_episodes(runner, env, sources, feats, refs=refs, reward_config=reward,
+                         record_attention=True)
+    assert len(lanes) == 30
+    for i, got in enumerate(lanes):
+        alone = simulate(runner, env, sources[i], feats[i], ref_tokens=refs[i],
+                         reward_config=reward, record_attention=True)
+        assert (got.actions, got.hyp, got.delays) == (alone.actions, alone.hyp, alone.delays)
+        assert got.rewards == alone.rewards
+        assert got.forced_overrides == alone.forced_overrides
+        assert got.attention == alone.attention
+    if policy.startswith("agent"):
+        assert any(t.delays and t.delays[0] < len(t.src) for t in lanes)
+        assert any(READ in t.actions[1:] for t in lanes)
+        assert any(w is not None for t in lanes for w in t.attention) == (policy == "agent-att")
+
+
 def test_stepper_contracts(untrained_env):
     env, pairs = untrained_env
     with pytest.raises(ContractError, match="empty source"):
         EpisodeStepper(env, [pairs[0][0], []])
     episode = EpisodeStepper(env, [pairs[0][0]])
-    with pytest.raises(ContractError, match="no step started"):
+    with pytest.raises(ContractError, match="proposal: no step started"):
         episode.proposal()
-    episode.start_step()
+    with pytest.raises(ContractError, match="forced: no step started"):
+        episode.forced
+    assert episode.start_step() is episode.forced
     episode.proposal()
     episode.apply([False])
+    with pytest.raises(ContractError, match="forced: no step started"):
+        episode.forced
     with pytest.raises(ContractError, match="apply: no step started"):
         episode.apply([False])
     episode.start_step()
     assert episode.proposal() is episode.proposal()  # cached for the step
 
 
-class _Hoarder(Policy):
-    """Keeps every context and reads the proposal on every other step."""
-
-    def start_episode(self, src_tokens, features=None):
-        self.kept, self.seen = [], {}
-
-    def decide(self, ctx):
-        if len(self.kept) % 2 == 0:
-            self.seen[len(self.kept)] = (ctx.token, ctx.text_ctx)
-        self.kept.append(ctx)
-        return "RW"[len(self.kept) % 3 == 0]
-
-
-class _LateReader(_Hoarder):
-    """Reads the previous step's unread context during the next step."""
-
-    def decide(self, ctx):
-        if len(self.kept) == 2:
-            self.kept[1].token
-        return super().decide(ctx)
-
-
-def test_kept_step_context_never_yields_a_later_proposal(untrained_env):
-    env, pairs = untrained_env
-    policy = _Hoarder()
-    simulate(policy, env, pairs[0][0])
-    assert len(policy.kept) > 3
-    for step, ctx in enumerate(policy.kept):
-        if step in policy.seen:
-            assert ctx.token == policy.seen[step][0]
-            assert ctx.text_ctx is policy.seen[step][1]
-        else:
-            with pytest.raises(ContractError, match="no step started"):
-                ctx.token
-    with pytest.raises(ContractError, match="after its step"):
-        simulate(_LateReader(), env, pairs[0][0])
-
-
 class _Unknown(Policy):
-    def decide(self, ctx):
-        return "X"
+    def decide(self, episode):
+        return np.full(episode.n, "X")
 
 
 def test_simulate_rejects_unknown_action(untrained_env):

@@ -120,3 +120,59 @@ def test_unused_locals_check_tells_dead_names_from_read_ones():
         "m.py:4: f() assigns 'i' and never reads it",
         "m.py:6: f() assigns 'v' and never reads it",
         "m.py:15: f() assigns 'exc' and never reads it"]
+
+
+def unused_imports(source: str, name: str) -> list:
+    """One line per name that an import in ``source`` binds and the module never reads.
+
+    A read anywhere in the module counts, inside functions included; names
+    listed in ``__all__`` count as read, and ``__future__`` imports are exempt.
+    """
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(alias.asname or alias.name.split(".")[0], node.lineno)
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(alias.asname or alias.name, node.lineno) for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                 for t in node.targets)):
+            read.update(elt.value for elt in getattr(node.value, "elts", ())
+                        if isinstance(elt, ast.Constant))
+    return [f"{name}:{line}: {var!r} is imported and never used"
+            for var, line in sorted(bound, key=lambda b: b[1]) if var not in read]
+
+
+def test_no_unused_imports_in_src():
+    """An import nobody reads is dead code and hides what a module really depends on."""
+    problems = []
+    for path in sorted(SRC.rglob("*.py")):
+        problems += unused_imports(path.read_text(encoding="utf-8"), path.name)
+    assert not problems, "\n".join(problems)
+
+
+def test_unused_imports_check_tells_dead_imports_from_read_ones():
+    source = ("from __future__ import annotations\n"
+              "import json\n"
+              "import os.path\n"
+              "import numpy as np\n"
+              "from dataclasses import dataclass, field, replace\n"
+              "from .errors import DataError as Bad\n"
+              "from .vocab import EOS\n"
+              "__all__ = ['EOS']\n"
+              "@dataclass\n"
+              "class C:\n"
+              "    x: list = field(default_factory=list)\n"
+              "def f(path):\n"
+              "    from .optim import adam_step, AdamState\n"
+              "    adam_step(os.path.join(path))\n"
+              "    return np.zeros(1)\n")
+    assert unused_imports(source, "m.py") == [
+        "m.py:2: 'json' is imported and never used",
+        "m.py:5: 'replace' is imported and never used",
+        "m.py:6: 'Bad' is imported and never used",
+        "m.py:13: 'AdamState' is imported and never used"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simtlab import autodiff as ad
-from simtlab.environment import (EncoderState, EnvConfig, EnvModel, commit,
+from simtlab.environment import (EncoderState, EnvConfig, EnvModel, EnvTrainConfig, commit,
                                  encode_next, encode_sequence, propose_next,
                                  teacher_forced_loss, translate_full)
 from simtlab.errors import ConfigError, ContractError, DataError
@@ -20,33 +20,55 @@ from stepwise import teacher_forced_loss_stepwise
 
 
 class ScriptedPolicy(Policy):
+    """Plays one action string on every lane, then writes."""
+
     def __init__(self, script):
         self.script = list(script)
         self.pos = 0
 
-    def start_episode(self, src_tokens, features=None):
+    def start_episode(self, sources, features):
         self.pos = 0
 
-    def decide(self, ctx):
+    def decide(self, episode):
         if self.pos < len(self.script):
             action = self.script[self.pos]
         else:
             action = "W"
         self.pos += 1
-        return action
+        return np.full(episode.n, action == "W")
 
 
 class AlwaysRead(Policy):
-    def decide(self, ctx):
-        return "R"
+    def decide(self, episode):
+        return np.zeros(episode.n, dtype=bool)
 
 
 class RandomPolicy(Policy):
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
 
-    def decide(self, ctx):
-        return "RW"[int(self.rng.integers(0, 2))]
+    def decide(self, episode):
+        return self.rng.integers(0, 2, size=episode.n) == 1
+
+
+# ---------------------------------------------------------------------------
+# configuration
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field, value", [("emb_dim", 0), ("hid_dim", -3)])
+def test_env_config_rejects_non_positive_dims(field, value):
+    with pytest.raises(ConfigError, match=rf"EnvConfig.{field} must be at least 1, got {value}"):
+        EnvConfig(**{field: value})
+    EnvConfig(emb_dim=1, hid_dim=1, init_scale=0.0)
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("batch_size", 0, "at least 1, got 0"), ("max_epochs", -1, "at least 1, got -1"),
+    ("lr", 0.0, "positive, got 0.0"), ("lr", -1, "positive, got -1")])
+def test_env_train_config_rejects_non_positive_sizes(field, value, problem):
+    with pytest.raises(ConfigError, match=rf"EnvTrainConfig.{field} must be {problem}"):
+        EnvTrainConfig(**{field: value})
+    EnvTrainConfig(batch_size=1, max_epochs=1, lr=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +411,8 @@ def test_transcript_jsonl_round_trip(tmp_path, untrained_env):
     ('{"src": ["a"], "hyp": ["x"], "actions": "RW", "g": "1"}', "'g' is not a list"),
     ('{"src": ["a"], "hyp": ["x"], "g": [1]}', "'actions'"),
     ('{"src": ["a"], ', "Expecting"),
-], ids=["list", "int-g", "string-g", "no-actions", "bad-json"])
+    ('{"src": ["a"], "hyp": ["x"], "actions": "RRRW", "g": [5]}', "more READs than source"),
+], ids=["list", "int-g", "string-g", "no-actions", "bad-json", "inconsistent"])
 def test_read_transcripts_rejects_bad_records_with_line(tmp_path, record, problem):
     good = json.dumps(Transcript(src=["a"], hyp=["x"], actions="RW", delays=[1]).to_json_obj())
     path = tmp_path / "episodes.jsonl"

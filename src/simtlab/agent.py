@@ -289,9 +289,11 @@ class RLTrainConfig:
     val_cap: int = 120
 
     def __post_init__(self):
-        if min(self.lr, self.tau) <= 0 or min(self.batch_size,
-                                              self.trajectories_per_pair) < 1:
-            raise ConfigError("RLTrainConfig: values must be positive")
+        require_positive(self, "batch_size", "trajectories_per_pair")
+        for name in ("lr", "tau"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"RLTrainConfig.{name} must be positive, "
+                                  f"got {getattr(self, name)}")
         if self.return_mode not in ("returns", "instant"):
             raise ConfigError("return_mode must be 'returns' or 'instant'")
         if not 0 < self.discount <= 1.0:

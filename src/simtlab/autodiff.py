@@ -6,6 +6,13 @@ with dot-product attention. Every op takes the tape as its first argument;
 passing ``tape=None`` runs the same numerics without recording, which is
 how frozen models are evaluated during reinforcement learning.
 
+Each op is its shape checks, its forward, and a ``bwd(g)`` that holds only
+the gradient arithmetic: given the gradient of the op's output, it
+accumulates into the inputs. ``_op`` wraps the forward's result and records
+``bwd`` when a tape is given and some input requires a gradient; ``backward``
+replays the records in reverse and skips an op whose outputs got no
+gradient, since nothing that reached the loss read them.
+
 There is no implicit gradient zeroing: callers own the accumulate/zero
 cycle (see ``zero_grads``).
 """
@@ -39,7 +46,11 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of operations; backward replays it in reverse.
+    """Ordered record of ops; ``backward`` replays it in reverse.
+
+    A record is an op's output tensors and its ``bwd``, which takes one
+    gradient per output, in order, with ``None`` for an output that got none.
+    Replay skips a record when none of its outputs has a gradient.
 
     A tape is single-threaded. Parallel workers each own their own tape.
     """
@@ -47,8 +58,8 @@ class Tape:
     def __init__(self):
         self._records = []
 
-    def record(self, backward_fn):
-        self._records.append(backward_fn)
+    def record(self, outputs, bwd):
+        self._records.append((outputs, bwd))
 
     def __len__(self):
         return len(self._records)
@@ -63,8 +74,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
     loss.grad = loss.grad + 1.0
     if tape is None:
         return
-    for fn in reversed(tape._records):
-        fn()
+    for outputs, bwd in reversed(tape._records):
+        grads = [t.grad for t in outputs]
+        if any(g is not None for g in grads):
+            bwd(*grads)
 
 
 def _accum(t: Tensor, g) -> None:
@@ -77,14 +90,13 @@ def _accum(t: Tensor, g) -> None:
         t.grad += g
 
 
-def _track(tape, *tensors) -> bool:
-    return tape is not None and any(t.requires_grad for t in tensors)
-
-
-def _out(tape, data, tracked: bool) -> Tensor:
-    t = Tensor(data)
-    t.requires_grad = tracked
-    return t
+def _op(tape, data, inputs, bwd) -> Tensor:
+    """The output tensor of an op; records ``bwd`` when some input requires a gradient."""
+    out = Tensor(data)
+    if tape is not None and any(t.requires_grad for t in inputs):
+        out.requires_grad = True
+        tape.record((out,), bwd)
+    return out
 
 
 def zero_grads(tensors) -> None:
@@ -132,16 +144,11 @@ def softmax(x):
 def add(tape, a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: {a.data.shape} vs {b.data.shape}")
-    tracked = _track(tape, a, b)
-    out = _out(tape, a.data + b.data, tracked)
-    if tracked:
-        def bwd():
-            if out.grad is None:
-                return
-            _accum(a, out.grad)
-            _accum(b, out.grad)
-        tape.record(bwd)
-    return out
+
+    def bwd(g):
+        _accum(a, g)
+        _accum(b, g)
+    return _op(tape, a.data + b.data, (a, b), bwd)
 
 
 def matmul(tape, a: Tensor, b: Tensor) -> Tensor:
@@ -153,55 +160,34 @@ def matmul(tape, a: Tensor, b: Tensor) -> Tensor:
     if bd.ndim != 2 or not 1 <= ad.ndim <= 3 or ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul: {ad.shape} @ {bd.shape}")
     a2 = ad.reshape(-1, bd.shape[0])
-    tracked = _track(tape, a, b)
-    out = _out(tape, (a2 @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), tracked)
-    if tracked:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            g2 = g.reshape(-1, bd.shape[1])
-            _accum(a, (g2 @ bd.T).reshape(ad.shape))
-            _accum(b, a2.T @ g2)
-        tape.record(bwd)
-    return out
+
+    def bwd(g):
+        g2 = g.reshape(-1, bd.shape[1])
+        _accum(a, (g2 @ bd.T).reshape(ad.shape))
+        _accum(b, a2.T @ g2)
+    return _op(tape, (a2 @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), (a, b), bwd)
 
 
 def add_bias(tape, m: Tensor, bias: Tensor) -> Tensor:
     """Add a vector bias along the last axis of a vector, matrix or (B, T, n) block."""
     if bias.data.shape != m.data.shape[-1:]:
         raise ShapeError(f"add_bias: {m.data.shape} + {bias.data.shape}")
-    tracked = _track(tape, m, bias)
-    out = _out(tape, m.data + bias.data, tracked)
-    if tracked:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(m, g)
-            _accum(bias, g.reshape(-1, g.shape[-1]).sum(axis=0))
-        tape.record(bwd)
-    return out
+
+    def bwd(g):
+        _accum(m, g)
+        _accum(bias, g.reshape(-1, g.shape[-1]).sum(axis=0))
+    return _op(tape, m.data + bias.data, (m, bias), bwd)
 
 
 def concat(tape, parts, axis: int = -1) -> Tensor:
     """Concatenate tensors along an axis; backward splits the gradient."""
     datas = [p.data for p in parts]
-    out_data = np.concatenate(datas, axis=axis)
-    tracked = _track(tape, *parts)
-    out = _out(tape, out_data, tracked)
-    if tracked:
-        sizes = [d.shape[axis] for d in datas]
-        offsets = np.cumsum([0] + sizes)
 
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                _accum(p, np.take(g, range(lo, hi), axis=axis))
-        tape.record(bwd)
-    return out
+    def bwd(g):
+        offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            _accum(p, np.take(g, range(lo, hi), axis=axis))
+    return _op(tape, np.concatenate(datas, axis=axis), parts, bwd)
 
 
 def embedding(tape, table: Tensor, ids) -> Tensor:
@@ -209,18 +195,12 @@ def embedding(tape, table: Tensor, ids) -> Tensor:
     idx = np.asarray(ids, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise IndexError(f"embedding ids out of range [0, {table.data.shape[0]})")
-    tracked = _track(tape, table)
-    out = _out(tape, table.data[idx], tracked)
-    if tracked:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g)
-        tape.record(bwd)
-    return out
+
+    def bwd(g):
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, idx, g)
+    return _op(tape, table.data[idx], (table,), bwd)
 
 
 def linear_rows3(tape, feats, w: Tensor) -> Tensor:
@@ -233,16 +213,10 @@ def linear_rows3(tape, feats, w: Tensor) -> Tensor:
         raise ShapeError(f"linear_rows3: {f.shape} x {w.data.shape}")
     bsz, rows, d = f.shape
     f2 = f.reshape(bsz * rows, d)
-    tracked = _track(tape, w)
-    out = _out(tape, (f2 @ w.data).reshape(bsz, rows, -1), tracked)
-    if tracked:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(w, f2.T @ g.reshape(bsz * rows, -1))
-        tape.record(bwd)
-    return out
+
+    def bwd(g):
+        _accum(w, f2.T @ g.reshape(bsz * rows, -1))
+    return _op(tape, (f2 @ w.data).reshape(bsz, rows, -1), (w,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +326,14 @@ def gru_cell(tape, x: Tensor, h_prev: Tensor, params: GRUParams) -> Tensor:
 
     p = params
     new, rz, n, rh = _gru_step(xd @ p.w_x.data, hd, p.w_h.data, p.b.data)
-    tracked = _track(tape, x, h_prev, *p.tensors())
-    out = _out(tape, new, tracked)
-    if tracked:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            g2, x2, h2, rz2, n2, rh2 = map(np.atleast_2d, (g, xd, hd, rz, n, rh))
-            da, dh = _gru_step_bwd(g2, h2, rz2, n2, p.w_h.data)
-            _gru_weight_grads(p, x2, h2, rh2, da)
-            _accum(x, (da @ p.w_x.data.T).reshape(xd.shape))
-            _accum(h_prev, dh.reshape(hd.shape))
-        tape.record(bwd)
-    return out
+
+    def bwd(g):
+        g2, x2, h2, rz2, n2, rh2 = map(np.atleast_2d, (g, xd, hd, rz, n, rh))
+        da, dh = _gru_step_bwd(g2, h2, rz2, n2, p.w_h.data)
+        _gru_weight_grads(p, x2, h2, rh2, da)
+        _accum(x, (da @ p.w_x.data.T).reshape(xd.shape))
+        _accum(h_prev, dh.reshape(hd.shape))
+    return _op(tape, new, (x, h_prev, *p.tensors()), bwd)
 
 
 def gru_sequence(tape, xs: Tensor, h0: Tensor, params: GRUParams) -> Tensor:
@@ -393,27 +361,20 @@ def gru_sequence(tape, xs: Tensor, h0: Tensor, params: GRUParams) -> Tensor:
         h, rzs[:, t], ns[:, t], _ = _gru_step(xw[:, t], h, p.w_h.data, p.b.data)
         hs[:, t] = h
 
-    tracked = _track(tape, xs, h0, *p.tensors())
-    out = _out(tape, hs, tracked)
-    if tracked:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            # the state each step started from, and r * h, rebuilt rather than kept
-            hp = np.concatenate([hd[:, None], hs[:, :-1]], axis=1)
-            da = np.empty((bsz, steps, 3 * k))
-            dh = np.zeros((bsz, k))
-            for t in range(steps - 1, -1, -1):
-                da[:, t], dh = _gru_step_bwd(g[:, t] + dh, hp[:, t], rzs[:, t], ns[:, t],
-                                             p.w_h.data)
-            hp2, da2 = hp.reshape(bsz * steps, k), da.reshape(bsz * steps, 3 * k)
-            _gru_weight_grads(p, x2, hp2, rzs[..., :k].reshape(bsz * steps, k) * hp2, da2)
-            if xs.requires_grad:
-                _accum(xs, (da2 @ p.w_x.data.T).reshape(xd.shape))
-            _accum(h0, dh)
-        tape.record(bwd)
-    return out
+    def bwd(g):
+        # the state each step started from, and r * h, rebuilt rather than kept
+        hp = np.concatenate([hd[:, None], hs[:, :-1]], axis=1)
+        da = np.empty((bsz, steps, 3 * k))
+        dh = np.zeros((bsz, k))
+        for t in range(steps - 1, -1, -1):
+            da[:, t], dh = _gru_step_bwd(g[:, t] + dh, hp[:, t], rzs[:, t], ns[:, t],
+                                         p.w_h.data)
+        hp2, da2 = hp.reshape(bsz * steps, k), da.reshape(bsz * steps, 3 * k)
+        _gru_weight_grads(p, x2, hp2, rzs[..., :k].reshape(bsz * steps, k) * hp2, da2)
+        if xs.requires_grad:
+            _accum(xs, (da2 @ p.w_x.data.T).reshape(xd.shape))
+        _accum(h0, dh)
+    return _op(tape, hs, (xs, h0, *p.tensors()), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +411,11 @@ def batched_attention(tape, keys: Tensor, values: Tensor, query: Tensor, mask=No
         scores = np.where(mask[:, None, :], scores, -np.inf)
     w = softmax(scores)
     ctx_data = w @ vd
-    tracked = _track(tape, keys, values, query)
-    ctx = _out(tape, ctx_data[:, 0] if single else ctx_data, tracked)
-    weights = _out(tape, w[:, 0] if single else w, tracked)
-    if tracked:
-        def bwd():
-            gc = ctx.grad
-            gw = weights.grad
-            if gc is None and gw is None:
-                return
+    ctx = Tensor(ctx_data[:, 0] if single else ctx_data)
+    weights = Tensor(w[:, 0] if single else w)
+    if tape is not None and (keys.requires_grad or values.requires_grad
+                             or query.requires_grad):
+        def bwd(gc, gw):
             dw = np.zeros_like(w)
             if gc is not None:
                 gc3 = gc[:, None, :] if single else gc
@@ -469,7 +426,8 @@ def batched_attention(tape, keys: Tensor, values: Tensor, query: Tensor, mask=No
             ds = w * (dw - (w * dw).sum(axis=2, keepdims=True))
             _accum(query, (ds @ kd).reshape(qd.shape))
             _accum(keys, _sum_outer(ds, q3))
-        tape.record(bwd)
+        ctx.requires_grad = weights.requires_grad = True
+        tape.record((ctx, weights), bwd)
     return ctx, weights
 
 
@@ -499,18 +457,12 @@ def softmax_cross_entropy_rows(tape, logits: Tensor, targets, mask, denom=None) 
     logz = np.log(np.exp(shifted).sum(axis=1))
     rows = np.arange(l2.shape[0])
     losses = logz - shifted[rows, idx]
-    tracked = _track(tape, logits)
-    out = _out(tape, np.float64((losses * m).sum() / count), tracked)
-    if tracked:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            d = np.exp(shifted - logz[:, None]) * m[:, None]
-            d[rows, idx] -= m
-            _accum(logits, ((g / count) * d).reshape(ld.shape))
-        tape.record(bwd)
-    return out
+
+    def bwd(g):
+        d = np.exp(shifted - logz[:, None]) * m[:, None]
+        d[rows, idx] -= m
+        _accum(logits, ((g / count) * d).reshape(ld.shape))
+    return _op(tape, np.float64((losses * m).sum() / count), (logits,), bwd)
 
 
 def log_softmax_rows(tape, x: Tensor) -> Tensor:
@@ -518,18 +470,10 @@ def log_softmax_rows(tape, x: Tensor) -> Tensor:
     xd = x.data
     shifted = xd - xd.max(axis=-1, keepdims=True)
     ls = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    tracked = _track(tape, x)
-    out = _out(tape, ls, tracked)
-    if tracked:
-        p = np.exp(ls)
 
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(x, g - p * g.sum(axis=-1, keepdims=True))
-        tape.record(bwd)
-    return out
+    def bwd(g):
+        _accum(x, g - np.exp(ls) * g.sum(axis=-1, keepdims=True))
+    return _op(tape, ls, (x,), bwd)
 
 
 def pick_rows(tape, x: Tensor, indices) -> Tensor:
@@ -538,34 +482,22 @@ def pick_rows(tape, x: Tensor, indices) -> Tensor:
     if idx.shape != x.data.shape[:-1]:
         raise ShapeError(f"pick_rows: indices {idx.shape} for rows of {x.data.shape}")
     idx = idx[..., None]
-    tracked = _track(tape, x)
-    out = _out(tape, np.take_along_axis(x.data, idx, axis=-1)[..., 0], tracked)
-    if tracked:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            d = np.zeros_like(x.data)
-            np.put_along_axis(d, idx, g[..., None], axis=-1)
-            _accum(x, d)
-        tape.record(bwd)
-    return out
+
+    def bwd(g):
+        d = np.zeros_like(x.data)
+        np.put_along_axis(d, idx, g[..., None], axis=-1)
+        _accum(x, d)
+    return _op(tape, np.take_along_axis(x.data, idx, axis=-1)[..., 0], (x,), bwd)
 
 
 def rows_entropy(tape, log_probs: Tensor) -> Tensor:
     """Shannon entropy of each last-axis row of log-probabilities."""
     ls = log_probs.data
     p = np.exp(ls)
-    tracked = _track(tape, log_probs)
-    out = _out(tape, -(p * ls).sum(axis=-1), tracked)
-    if tracked:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(log_probs, -g[..., None] * p * (ls + 1.0))
-        tape.record(bwd)
-    return out
+
+    def bwd(g):
+        _accum(log_probs, -g[..., None] * p * (ls + 1.0))
+    return _op(tape, -(p * ls).sum(axis=-1), (log_probs,), bwd)
 
 
 def weighted_sum(tape, v: Tensor, weights) -> Tensor:
@@ -573,30 +505,17 @@ def weighted_sum(tape, v: Tensor, weights) -> Tensor:
     w = np.asarray(weights, dtype=np.float64)
     if v.data.shape != w.shape:
         raise ShapeError(f"weighted_sum: {v.data.shape} vs {w.shape}")
-    tracked = _track(tape, v)
-    out = _out(tape, np.float64(np.vdot(v.data, w)), tracked)
-    if tracked:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(v, g * w)
-        tape.record(bwd)
-    return out
+
+    def bwd(g):
+        _accum(v, g * w)
+    return _op(tape, np.float64(np.vdot(v.data, w)), (v,), bwd)
 
 
 def sum_scalars(tape, scalars) -> Tensor:
-    tracked = _track(tape, *scalars)
-    out = _out(tape, np.float64(sum(float(s.data) for s in scalars)), tracked)
-    if tracked:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            for s in scalars:
-                _accum(s, g)
-        tape.record(bwd)
-    return out
+    def bwd(g):
+        for s in scalars:
+            _accum(s, g)
+    return _op(tape, np.float64(sum(float(s.data) for s in scalars)), scalars, bwd)
 
 
 def masked_sq_error(tape, v: Tensor, targets, mask, denom: float) -> Tensor:
@@ -604,13 +523,7 @@ def masked_sq_error(tape, v: Tensor, targets, mask, denom: float) -> Tensor:
     t = np.asarray(targets, dtype=np.float64)
     m = np.asarray(mask, dtype=np.float64)
     diff = (v.data - t) * m
-    tracked = _track(tape, v)
-    out = _out(tape, np.float64((diff * diff).sum() / denom), tracked)
-    if tracked:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(v, g * 2.0 * diff / denom)
-        tape.record(bwd)
-    return out
+
+    def bwd(g):
+        _accum(v, g * 2.0 * diff / denom)
+    return _op(tape, np.float64((diff * diff).sum() / denom), (v,), bwd)

@@ -356,6 +356,8 @@ class EpisodeStepper:
                  reward_config: RewardConfig = None):
         self.model = model
         self.src_ids = [model.src_vocab.encode(s) for s in sources]
+        if not self.src_ids:
+            raise ContractError("episode: no sources")
         if not all(self.src_ids):
             raise ContractError("episode: empty source")
         n = self.n = len(self.src_ids)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .errors import ConfigError, ContractError, DataError
 
 MAX_ORDER = 4   # BLEU-4: n-grams of orders 1 to 4
 
@@ -38,9 +38,9 @@ class RewardConfig:
 
     def __post_init__(self):
         if self.c_star < 1:
-            raise ContractError("RewardConfig: c_star must be >= 1")
+            raise ConfigError(f"RewardConfig.c_star must be at least 1, got {self.c_star}")
         if not 0.0 < self.d_star <= 1.0:
-            raise ContractError("RewardConfig: d_star must be in (0, 1]")
+            raise ConfigError(f"RewardConfig.d_star must be in (0, 1], got {self.d_star}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ import numpy as np
 from .environment import READ, WRITE, EnvModel, EpisodeStepper
 from .errors import ContractError, DataError
 from .metrics import RewardConfig
-from .vocab import EOS
 
 
 class Policy:
@@ -67,8 +66,11 @@ class Transcript:
     delays: list
     rewards: list = field(default_factory=list)
     attention: list = None
-    ended_with_eos: bool = False
     forced_overrides: int = 0
+
+    @property
+    def ended_with_eos(self) -> bool:
+        return bool(self.hyp) and self.hyp[-1] == "<eos>"
 
     @property
     def content_hyp(self):
@@ -119,7 +121,6 @@ class Transcript:
             delays=list(obj["g"]),
             rewards=list(obj.get("rewards", [])),
             attention=obj.get("attention"),
-            ended_with_eos=bool(obj["hyp"]) and obj["hyp"][-1] == "<eos>",
             forced_overrides=int(obj.get("forced_overrides", 0)),
         )
 
@@ -212,7 +213,6 @@ def run_episodes(policy: Policy, model: EnvModel, sources, features=None, *, ref
             delays=episode.delays[i],
             rewards=episode.rewards[i],
             attention=None if attention is None else attention[i],
-            ended_with_eos=bool(ids) and ids[-1] == EOS,
             forced_overrides=overrides[i],
         )
         transcript.validate()

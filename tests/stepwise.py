@@ -19,12 +19,11 @@ def _stack_steps(tape, mats):
     if tape is not None:
         out.requires_grad = True
 
-        def bwd():
+        def bwd(g):
             for s, m in enumerate(mats):
-                if m.requires_grad and out.grad is not None:
-                    g = out.grad[:, s]
-                    m.grad = g.copy() if m.grad is None else m.grad + g
-        tape.record(bwd)
+                if m.requires_grad:
+                    m.grad = g[:, s].copy() if m.grad is None else m.grad + g[:, s]
+        tape.record((out,), bwd)
     return out
 
 

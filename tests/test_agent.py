@@ -41,6 +41,14 @@ def test_agent_config_rejects_non_positive_dims(field):
     AgentConfig(text_dim=1, emb_dim=1, hidden_dim=1, key_dim=1, init_scale=0.0)
 
 
+@pytest.mark.parametrize("field, value", [("batch_size", 0), ("trajectories_per_pair", -1),
+                                          ("lr", 0.0), ("tau", -0.5)])
+def test_rl_train_config_error_names_the_field(field, value):
+    with pytest.raises(ConfigError, match=rf"RLTrainConfig.{field} must .*, got {value}"):
+        RLTrainConfig(**{field: value})
+    RLTrainConfig(batch_size=1, trajectories_per_pair=1, lr=1e-9, tau=1e-9)
+
+
 def test_select_model_picks_the_best_bleu_to_avp_ratio():
     history = [{"bleu": 20.0, "avp": 0.8}, {"bleu": 30.0, "avp": 0.6},
                {"bleu": 40.0, "avp": 1.0}]  # ratios 25, 50, 40: not the best BLEU

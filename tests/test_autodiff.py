@@ -331,6 +331,73 @@ def test_backward_rejects_non_scalar():
         ad.backward(tape, x)
 
 
+def test_backward_replays_in_reverse_and_skips_ops_without_output_gradients():
+    x, y, z, loss = (ad.Tensor(0.0) for _ in range(4))
+    calls = []
+    tape = ad.Tape()
+    tape.record((x, y), lambda gx, gy: calls.append(("xy", gx, gy)))
+    tape.record((z,), lambda gz: calls.append(("z", gz)))  # z never reaches the loss
+
+    def loss_bwd(g):
+        calls.append(("loss", float(g)))
+        y.grad = np.float64(5.0)
+    tape.record((loss,), loss_bwd)
+    ad.backward(tape, loss)
+    assert calls == [("loss", 1.0), ("xy", None, 5.0)]
+
+
+def _every_op(tape, requires_grad):
+    """Call each of the 16 ops once on inputs that do or do not require a gradient."""
+    rng = np.random.default_rng(17)
+
+    def t(*shape):
+        return ad.Tensor(rng.normal(size=shape), requires_grad=requires_grad)
+
+    p = _params(rng)
+    for tensor in p.tensors():
+        tensor.requires_grad = requires_grad
+    m, s = t(2, 3), t()
+    rows = np.ones(2)
+    return [ad.add(tape, m, t(2, 3)), ad.matmul(tape, m, t(3, 4)), ad.add_bias(tape, m, t(3)),
+            ad.concat(tape, [m, t(2, 1)], axis=1), ad.embedding(tape, t(5, 3), [0, 4]),
+            ad.linear_rows3(tape, rng.normal(size=(2, 4, 3)), t(3, 2)),
+            ad.gru_cell(tape, m, t(2, 4), p), ad.gru_sequence(tape, t(2, 5, 3), t(2, 4), p),
+            *ad.batched_attention(tape, t(2, 4, 3), t(2, 4, 5), m),
+            ad.softmax_cross_entropy_rows(tape, m, [0, 2], rows),
+            ad.log_softmax_rows(tape, m), ad.pick_rows(tape, m, [1, 2]),
+            ad.rows_entropy(tape, m), ad.weighted_sum(tape, m, np.ones((2, 3))),
+            ad.sum_scalars(tape, [s, t()]), ad.masked_sq_error(tape, m, np.zeros((2, 3)),
+                                                               rows[:, None], 2.0)]
+
+
+def test_ops_record_only_on_a_tape_with_inputs_that_need_gradients():
+    tape = ad.Tape()
+    for outs in (_every_op(None, True), _every_op(tape, False)):
+        assert len(tape) == 0
+        assert not any(out.requires_grad for out in outs)
+    outs = _every_op(tape, True)
+    assert len(tape) == 16  # attention's two outputs share one record
+    assert all(out.requires_grad for out in outs)
+
+
+def test_attention_weights_alone_send_gradients_to_query_and_keys():
+    rng = np.random.default_rng(18)
+    keys = ad.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    values = ad.Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
+    query = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    score = rng.normal(size=(2, 4))
+
+    tape = ad.Tape()
+    ctx, weights = ad.batched_attention(tape, keys, values, query)
+    ad.backward(tape, ad.weighted_sum(tape, weights, score))
+    assert ctx.grad is None and values.grad is None
+
+    def fwd():
+        return float((ad.softmax(np.einsum("bk,bsk->bs", query.data, keys.data)) * score).sum())
+
+    assert_grads_close(fwd, [query, keys], [query.grad, keys.grad])
+
+
 def test_composed_graph_gradcheck():
     # gru -> attention -> cross entropy, which is one environment step
     rng = np.random.default_rng(9)
@@ -518,8 +585,8 @@ def test_linear_rows3_gradcheck():
     tape = ad.Tape()
     proj = ad.linear_rows3(tape, feats, w)
     proj.grad = score.copy()
-    for fn in reversed(tape._records):
-        fn()
+    for outputs, bwd in reversed(tape._records):
+        bwd(*(t.grad for t in outputs))
     assert max_rel_err(w.grad, finite_diff_grads(forward, [w])[0]) <= 1e-4
 
 
@@ -550,8 +617,8 @@ def test_linear_rows3_matches_per_sample_products(k, layout):
     tape = ad.Tape()
     proj = ad.linear_rows3(tape, feats, w)
     proj.grad = g.copy()
-    for fn in reversed(tape._records):
-        fn()
+    for outputs, bwd in reversed(tape._records):
+        bwd(*(t.grad for t in outputs))
     assert proj.shape == (30, 72, k)
     assert _scaled_err(proj.data, want_out) <= 1e-12
     assert _scaled_err(w.grad, want_grad) <= 1e-12

@@ -205,6 +205,17 @@ def test_stepper_contracts(untrained_env):
     assert episode.proposal() is episode.proposal()  # cached for the step
 
 
+@pytest.mark.parametrize("path", ["text", "visual", "collect-att"])
+def test_no_sources_raise_contract_error(untrained_env, visual_env, path):
+    with pytest.raises(ContractError, match="episode: no sources"):
+        if path == "collect-att":
+            env, agent, baseline, _ = _visual_setup(*untrained_env, "att", 1)
+            collect_trajectories(agent, baseline, env, [], RLTrainConfig(), global_seed=0)
+        else:
+            env = untrained_env[0] if path == "text" else visual_env[0]
+            run_episodes(WaitKPolicy(1), env, [])
+
+
 class _Unknown(Policy):
     def decide(self, episode):
         return np.full(episode.n, "X")

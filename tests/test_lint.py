@@ -176,3 +176,58 @@ def test_unused_imports_check_tells_dead_imports_from_read_ones():
         "m.py:5: 'replace' is imported and never used",
         "m.py:6: 'Bad' is imported and never used",
         "m.py:13: 'AdamState' is imported and never used"]
+
+
+RECORDERS = {("autodiff.py", "_op"), ("autodiff.py", "batched_attention")}
+
+
+def record_calls(source: str, name: str) -> list:
+    """(``file:line``, enclosing function) for each ``.record(`` call in ``source``.
+
+    Methods are named ``Class.method`` and nested functions ``outer.inner``;
+    a call outside any function is in ``<module>``.
+    """
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "record"):
+                found.append((f"{name}:{child.lineno}", ".".join(scope) or "<module>"))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_tape_records_only_through_op():
+    """``_op`` (and two-output attention) are the one place an op is recorded, so the
+    tape's skip rule lives in ``backward`` alone instead of in each op."""
+    problems = []
+    for path in sorted(SRC.rglob("*.py")):
+        problems += [f"{where}: {fn}() calls .record("
+                     for where, fn in record_calls(path.read_text(encoding="utf-8"), path.name)
+                     if (path.name, fn) not in RECORDERS]
+    assert not problems, "\n".join(problems)
+
+
+def test_record_check_names_the_enclosing_function():
+    source = ("def _op(tape, out, bwd):\n"
+              "    tape.record((out,), bwd)\n"
+              "class Net:\n"
+              "    def step(self, tape):\n"
+              "        def bwd(g):\n"
+              "            return g\n"
+              "        tape.record((self.out,), bwd)\n"
+              "        self.log.record_event()\n"
+              "def helper(tape):\n"
+              "    def inner():\n"
+              "        tape.record(x)\n"
+              "    return inner\n"
+              "tape.record(y)\n")
+    assert record_calls(source, "m.py") == [
+        ("m.py:2", "_op"), ("m.py:7", "Net.step"), ("m.py:11", "helper.inner"),
+        ("m.py:13", "<module>")]

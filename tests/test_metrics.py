@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from simtlab import metrics as M
-from simtlab.errors import ContractError, DataError
+from simtlab.errors import ConfigError, ContractError, DataError
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +462,18 @@ def test_lag_histogram_validates_edges():
 
 
 def test_reward_config_validation():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         M.RewardConfig(c_star=0)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         M.RewardConfig(d_star=0.0)
+
+
+@pytest.mark.parametrize("field, value", [("c_star", 0), ("c_star", -1), ("d_star", 0.0),
+                                          ("d_star", 1.5), ("d_star", -0.2)])
+def test_reward_config_error_names_the_field(field, value):
+    with pytest.raises(ConfigError, match=rf"RewardConfig.{field} must .*, got {value}"):
+        M.RewardConfig(**{field: value})
+    M.RewardConfig(c_star=1, d_star=1.0)
 
 
 def test_bleu_avp_selection_ordering_scale_invariant():

@@ -425,3 +425,15 @@ def test_transcript_validation_catches_bad_counts():
     t = Transcript(src=["a"], hyp=["a", "b"], actions="RW", delays=[1])
     with pytest.raises(ContractError):
         t.validate()
+
+
+@pytest.mark.parametrize("hyp, ended", [([], False), (["x"], False), (["x", "<eos>"], True),
+                                        (["<eos>"], True), (["<eos>", "x"], False)])
+def test_transcript_ended_with_eos_follows_hyp(hyp, ended):
+    t = Transcript(src=["a"], hyp=hyp, actions="R" + "W" * len(hyp), delays=[])
+    assert t.ended_with_eos is ended
+    assert Transcript.from_json_obj(t.to_json_obj()).ended_with_eos is ended
+    t.hyp = hyp + ["<eos>"]
+    assert t.ended_with_eos
+    with pytest.raises(AttributeError):
+        t.ended_with_eos = False

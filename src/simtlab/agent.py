@@ -18,8 +18,9 @@ environment is frozen) and are driven by ``policies.run_episodes``:
 collector's ``_SamplingPolicy`` samples Gumbel actions and records what
 the replay needs. ``reinforce_update`` then replays the recorded
 observation stream on a tape as one (B, T) block per network: a single
-attention call, one ``autodiff.gru_sequence`` and one head matmul, then
-REINFORCE with control variates.
+attention call, one ``autodiff.gru_sequence`` that steps each episode over
+its own length only, and one head matmul, then REINFORCE with control
+variates.
 """
 
 from __future__ import annotations
@@ -135,9 +136,13 @@ class _RecurrentNet:
         h_new = ad.gru_step(obs, h, self.gru)
         return h_new, h_new @ self.w_head.data + self.b_head.data
 
-    def sequence(self, tape, obs: Tensor, h0: Tensor) -> Tensor:
-        """Head outputs (B, T, head_dim) over a (B, T, obs_dim) observation block."""
-        hs = ad.gru_sequence(tape, obs, h0, self.gru)
+    def sequence(self, tape, obs: Tensor, h0: Tensor, lengths) -> Tensor:
+        """Head outputs (B, T, head_dim) over a (B, T, obs_dim) observation block.
+
+        Row b's GRU runs its first ``lengths[b]`` steps; past them the
+        output is the head's bias.
+        """
+        hs = ad.gru_sequence(tape, obs, h0, self.gru, lengths)
         return ad.add_bias(tape, ad.matmul(tape, hs, self.w_head), self.b_head)
 
     def save(self, prefix) -> None:
@@ -214,20 +219,23 @@ def _observation(tape, visual_kv, text_ctx, token_emb, prev_action):
     return ad.concat(tape, parts, axis=-1), attention
 
 
-def gumbel_softmax_sample(logits, tau: float, rng):
-    """Sample a relaxed action: (probs, hard_action).
+def gumbel_softmax_sample(logits, tau: float, rngs):
+    """Sample relaxed actions for (m, K) logits: (probs, hard_actions).
 
-    probs = softmax((logits + Gumbel noise) / tau); the hard action is its
-    argmax (an exact sample from softmax(logits) for any tau > 0), while
-    the probabilities feed the next observation's previous-action slot.
+    Row i draws its K uniforms from ``rngs[i]``, so its sample does not
+    depend on the other rows. probs = softmax((logits + Gumbel noise) / tau);
+    each hard action is its row's argmax (an exact sample from
+    softmax(logits) for any tau > 0), while the probabilities feed the next
+    observation's previous-action slot.
     """
     if tau <= 0:
         raise ContractError("gumbel_softmax_sample: temperature must be positive")
     logits = np.asarray(logits, dtype=np.float64)
-    u = np.clip(rng.random(logits.shape), 1e-12, 1.0 - 1e-12)
+    u = np.array([rng.random(logits.shape[-1]) for rng in rngs]).reshape(logits.shape)
+    np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
     noise = -np.log(-np.log(u))
     probs = ad.softmax((logits + noise) / tau)
-    return probs, int(np.argmax(probs, axis=-1))
+    return probs, np.argmax(probs, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +362,9 @@ class _SamplingPolicy(Policy):
         n = len(ls)
         sampled = np.zeros(n, dtype=np.int64)
         soft = np.zeros((n, 2))
-        for i in episode.running:
-            if not forced[i]:
-                soft[i], sampled[i] = gumbel_softmax_sample(logits_a[i], self.tau, self.rngs[i])
+        free = [i for i in episode.running if not forced[i]]
+        soft[free], sampled[free] = gumbel_softmax_sample(
+            logits_a[free], self.tau, [self.rngs[i] for i in free])
         action = np.where(forced, ACT_WRITE, sampled)
         visual_ctx = None if a_att is None else a_att[0].data
         write_probs = np.where(forced, action == ACT_WRITE, soft[:, ACT_WRITE])
@@ -407,8 +415,10 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
     """Replay the batch on a tape and apply both optimizers.
 
     Each network runs once over the padded (B, T) block of recorded
-    observations; padded steps carry zero loss weight. Agent loss: -sum log pi(a_t|o_t) (R_t - b(o_t)) - entropy bonus,
-    averaged over episodes; forced steps contribute nothing. Baseline
+    observations. Its GRU steps each episode over its own length only, and
+    padded steps carry zero loss weight. Agent loss:
+    -sum log pi(a_t|o_t) (R_t - b(o_t)) - entropy bonus, averaged over
+    episodes; forced steps contribute nothing. Baseline
     loss: mean squared error of predicted vs realized returns. The two
     losses share a tape but no parameters.
     """
@@ -441,12 +451,13 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
         advantages[i, :t] = e.returns - e.baseline_values
         returns[i, :t] = e.returns
 
+    lengths = active.sum(axis=1)
     tape = ad.Tape()
 
     def head_outputs(net):
         h0, visual_kv = net.start(tape, feats3, n)
         obs, _ = _observation(tape, visual_kv, obs_text, obs_emb, obs_prev)
-        return net.sequence(tape, obs, h0)
+        return net.sequence(tape, obs, h0, lengths)
 
     ls = ad.log_softmax_rows(tape, head_outputs(agent))
     agent_loss = ad.sum_scalars(tape, [

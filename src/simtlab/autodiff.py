@@ -336,13 +336,38 @@ def gru_cell(tape, x: Tensor, h_prev: Tensor, params: GRUParams) -> Tensor:
     return _op(tape, new, (x, h_prev, *p.tensors()), bwd)
 
 
-def gru_sequence(tape, xs: Tensor, h0: Tensor, params: GRUParams) -> Tensor:
+def _packing(lengths, bsz: int, steps: int):
+    """Time-major packing of the live positions of a (B, T) block.
+
+    Rows are sorted by length, longest first (stable), so the rows live at
+    step t are a prefix of that order. Returns the sorted row order, the
+    live-row count of each step that has one, and the (row, step) index of
+    each packed position: step 0's rows first, then step 1's, and so on.
+    """
+    if lengths is None:
+        lengths = np.full(bsz, steps)
+    lengths = np.asarray(lengths)
+    if lengths.shape != (bsz,) or lengths.dtype.kind not in "iu":
+        raise ShapeError(f"gru_sequence: lengths {lengths.shape} {lengths.dtype} "
+                         f"for {bsz} rows")
+    if bsz and (lengths.min() < 0 or lengths.max() > steps):
+        raise ContractError(f"gru_sequence: lengths must lie in [0, {steps}]")
+    order = np.argsort(-lengths.astype(np.int64), kind="stable")
+    live = lengths[order][None, :] > np.arange(steps)[:, None]  # (T, B), prefix per step
+    ts, js = np.nonzero(live)
+    counts = live.sum(axis=1)
+    return order, counts[counts > 0], (order[js], ts)
+
+
+def gru_sequence(tape, xs: Tensor, h0: Tensor, params: GRUParams, lengths=None) -> Tensor:
     """Run a GRU over (B, T, in) inputs from (B, h) initial states.
 
-    Returns the (B, T, h) states. The input projections of all steps are one
-    matmul before the time loop, and backward computes the weight and input
-    gradients as single matmuls over all B*T rows after it; only the
-    h-dependent products stay inside the loop.
+    Row b runs its first ``lengths[b]`` steps only (all T when ``lengths``
+    is None); the returned (B, T, h) states are zero past each length. The
+    live positions are packed time-major, so step t is one contiguous
+    block: the input projection, and in backward the weight and input
+    gradients, are one GEMM each over the live rows, and only the
+    h-dependent products stay inside the time loop.
     """
     xd, hd = xs.data, h0.data
     if xd.ndim != 3 or hd.ndim != 2 or xd.shape[0] != hd.shape[0]:
@@ -351,29 +376,38 @@ def gru_sequence(tape, xs: Tensor, h0: Tensor, params: GRUParams) -> Tensor:
 
     p = params
     bsz, steps, k = xd.shape[0], xd.shape[1], p.hidden_dim
-    x2 = xd.reshape(bsz * steps, -1)
-    xw = (x2 @ p.w_x.data).reshape(bsz, steps, 3 * k)
-    hs = np.empty((bsz, steps, k))
-    rzs = np.empty((bsz, steps, 2 * k))
-    ns = np.empty((bsz, steps, k))
-    h = hd
-    for t in range(steps):
-        h, rzs[:, t], ns[:, t], _ = _gru_step(xw[:, t], h, p.w_h.data, p.b.data)
-        hs[:, t] = h
+    order, counts, at = _packing(lengths, bsz, steps)
+    blocks = [slice(end - c, end) for c, end in zip(counts, np.cumsum(counts))]
+    xw = xd[at] @ p.w_x.data
+    hs_p = np.empty((len(xw), k))
+    rzs = np.empty((len(xw), 2 * k))
+    ns = np.empty((len(xw), k))
+    h = hd[order]
+    for t, blk in enumerate(blocks):
+        h, rzs[blk], ns[blk], _ = _gru_step(xw[blk], h[:counts[t]], p.w_h.data, p.b.data)
+        hs_p[blk] = h
+    hs = np.zeros((bsz, steps, k))
+    hs[at] = hs_p
 
     def bwd(g):
-        # the state each step started from, and r * h, rebuilt rather than kept
-        hp = np.concatenate([hd[:, None], hs[:, :-1]], axis=1)
-        da = np.empty((bsz, steps, 3 * k))
-        dh = np.zeros((bsz, k))
-        for t in range(steps - 1, -1, -1):
-            da[:, t], dh = _gru_step_bwd(g[:, t] + dh, hp[:, t], rzs[:, t], ns[:, t],
-                                         p.w_h.data)
-        hp2, da2 = hp.reshape(bsz * steps, k), da.reshape(bsz * steps, 3 * k)
-        _gru_weight_grads(p, x2, hp2, rzs[..., :k].reshape(bsz * steps, k) * hp2, da2)
+        # the state each step started from, gathered from h0 and the output
+        hp = np.where((at[1] == 0)[:, None], hd[at[0]], hs[at[0], at[1] - 1])
+        gp = g[at]
+        da = np.empty((len(hp), 3 * k))
+        dh = np.zeros((0, k))
+        for blk in reversed(blocks):
+            go = gp[blk]
+            go[:len(dh)] += dh
+            da[blk], dh = _gru_step_bwd(go, hp[blk], rzs[blk], ns[blk], p.w_h.data)
+        _gru_weight_grads(p, xd[at], hp, rzs[:, :k] * hp, da)
         if xs.requires_grad:
-            _accum(xs, (da2 @ p.w_x.data.T).reshape(xd.shape))
-        _accum(h0, dh)
+            dx = np.zeros(xd.shape)
+            dx[at] = da @ p.w_x.data.T
+            _accum(xs, dx)
+        if h0.requires_grad:
+            dh0 = np.zeros(hd.shape)
+            dh0[order[:len(dh)]] = dh
+            _accum(h0, dh0)
     return _op(tape, hs, (xs, h0, *p.tensors()), bwd)
 
 

@@ -213,7 +213,6 @@ class Proposal:
     token: np.ndarray          # (n,)
     logits: np.ndarray         # (n, V)
     text_ctx: np.ndarray       # (n, h)
-    visual_ctx: np.ndarray     # (n, h), or None on a unimodal environment
     text_weights: np.ndarray   # (n, rows attended)
     g1_next: np.ndarray
     g2_next: np.ndarray
@@ -280,17 +279,14 @@ def propose_next(dec: DecoderState, enc: EncoderState, model: EnvModel,
     g1 = ad.gru_step(prev_emb, dec.g1_h, model.dec1)
     text_ctx, weights = _attend(keys, g1, mask)
     ctx = text_ctx
-    visual_ctx = None
     if model.multimodal:
-        visual_ctx, _ = _attend(projected if projected.ndim == 3 else projected[None], g1)
-        ctx = ctx + visual_ctx
+        ctx = ctx + _attend(projected if projected.ndim == 3 else projected[None], g1)[0]
     g2 = ad.gru_step(ctx, dec.g2_h, model.dec2)
     logits = np.concatenate([prev_emb, ctx, g2], axis=1) @ model.w_out.data + model.b_out.data
     return Proposal(
         token=logits.argmax(axis=1),
         logits=logits,
         text_ctx=text_ctx,
-        visual_ctx=visual_ctx,
         text_weights=weights,
         g1_next=g1,
         g2_next=g2,
@@ -539,9 +535,10 @@ def teacher_forced_loss(model: EnvModel, batch, tape, feats3=None):
     """Cross-entropy per target token for one padded batch.
 
     ``batch`` holds (src_ids, tgt_ids) with EOS appended to sources by the
-    caller. Each layer runs over the whole (B, T) batch in turn; padded
-    positions are computed and masked out of attention and loss. Returns
-    the scalar loss tensor.
+    caller. Each layer runs over the whole (B, T) batch in turn; the GRU
+    layers run each sentence's own length only (zero states past it), and
+    padded positions are masked out of attention and loss. Returns the
+    scalar loss tensor.
     """
     if model.multimodal and feats3 is None:
         raise ConfigError("multimodal training requires features")
@@ -549,23 +546,25 @@ def teacher_forced_loss(model: EnvModel, batch, tape, feats3=None):
     src_mat, src_mask = _pad_batch(src_ids)
     zeros = Tensor(np.zeros((src_mat.shape[0], model.cfg.hid_dim)))
 
+    src_len = src_mask.sum(axis=1)
     xs = ad.embedding(tape, model.src_emb, src_mat)
-    h_all = ad.gru_sequence(tape, ad.gru_sequence(tape, xs, zeros, model.enc1),
-                            zeros, model.enc2)
+    h_all = ad.gru_sequence(tape, ad.gru_sequence(tape, xs, zeros, model.enc1, src_len),
+                            zeros, model.enc2, src_len)
 
     tgt_in = [[BOS] + ids for ids in tgt_ids]
     tgt_out = [ids + [EOS] for ids in tgt_ids]
     in_mat, _ = _pad_batch(tgt_in)
     out_mat, out_mask = _pad_batch(tgt_out)
+    tgt_len = out_mask.sum(axis=1)
 
     ys = ad.embedding(tape, model.tgt_emb, in_mat)
-    g1 = ad.gru_sequence(tape, ys, zeros, model.dec1)
+    g1 = ad.gru_sequence(tape, ys, zeros, model.dec1, tgt_len)
     ctx, _ = ad.batched_attention(tape, h_all, h_all, g1, src_mask)
     if model.multimodal:
         v_all = ad.linear_rows3(tape, feats3, model.w_vis)
         vctx, _ = ad.batched_attention(tape, v_all, v_all, g1)
         ctx = ad.add(tape, ctx, vctx)
-    g2 = ad.gru_sequence(tape, ctx, zeros, model.dec2)
+    g2 = ad.gru_sequence(tape, ctx, zeros, model.dec2, tgt_len)
     feat = ad.concat(tape, [ys, ctx, g2], axis=2)
     logits = ad.add_bias(tape, ad.matmul(tape, feat, model.w_out), model.b_out)
     return ad.softmax_cross_entropy_rows(tape, logits, out_mat, out_mask,

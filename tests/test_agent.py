@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -277,12 +279,21 @@ def _loss_and_grads(run, agent, baseline):
                     for name, p in net.named_tensors()}
 
 
-@pytest.mark.parametrize("variant", ["none", "init", "att"])
-def test_block_replay_equals_per_step_replay(untrained_env, variant):
+@pytest.mark.parametrize("variant, short", [
+    pytest.param("none", False, id="none"), pytest.param("init", False, id="init"),
+    pytest.param("att", False, id="att"), pytest.param("att", True, id="att-short")])
+def test_block_replay_equals_per_step_replay(untrained_env, variant, short):
     env, agent, baseline, episodes = _visual_setup(*untrained_env, variant, 12, seed=4)
     cfg = RLTrainConfig(entropy_weight=0.1)
     batch = collect_trajectories(agent, baseline, env, episodes, cfg, global_seed=2)
     assert len({len(e) for e in batch.entries}) > 1
+    if short:  # one episode cut to its first two steps, far shorter than the rest
+        e = batch.entries[5]
+        batch.entries[5] = replace(e, **{name: getattr(e, name)[:2] for name in (
+            "obs_text", "obs_emb", "obs_prev", "actions", "forced", "rewards", "returns",
+            "baseline_values")})
+        others = batch.entries[:5] + batch.entries[6:]
+        assert min(len(e) for e in others) >= 4 * len(batch.entries[5])
 
     def block():
         stats = reinforce_update(batch, agent, baseline, cfg, apply=False)

@@ -119,6 +119,62 @@ def test_gru_sequence_shape_errors():
         ad.gru_sequence(None, ad.Tensor(np.zeros((2, 3, 3))), ad.Tensor(np.zeros((3, 4))), p)
 
 
+RAGGED = [3, 1, 5, 0, 5, 2]  # includes 1 and T = 5, a tie, and an empty row
+
+
+def _ragged_sequence(seed):
+    rng = np.random.default_rng(seed)
+    p = ad.GRUParams.create(3, 4, rng, scale=0.5)
+    xs = ad.Tensor(rng.normal(size=(len(RAGGED), 5, 3)), requires_grad=True)
+    h0 = ad.Tensor(rng.normal(size=(len(RAGGED), 4)), requires_grad=True)
+    return p, xs, h0, rng.normal(size=(len(RAGGED), 5, 4))
+
+
+def test_gru_sequence_ragged_gradcheck():
+    p, xs, h0, wc = _ragged_sequence(23)
+    leaves = [xs, h0] + p.tensors()
+
+    def forward():
+        return float((ad.gru_sequence(None, xs, h0, p, RAGGED).data * wc).sum())
+
+    tape = ad.Tape()
+    out = ad.gru_sequence(tape, xs, h0, p, RAGGED)
+    out.grad = wc.copy()
+    ad.backward(tape, ad.Tensor(0.0))
+    assert_grads_close(forward, leaves, [t.grad for t in leaves])
+
+
+def test_gru_sequence_is_zero_past_each_length():
+    p, xs, h0, wc = _ragged_sequence(24)
+    tape = ad.Tape()
+    out = ad.gru_sequence(tape, xs, h0, p, RAGGED)
+    out.grad = wc.copy()
+    ad.backward(tape, ad.Tensor(0.0))
+    for b, n in enumerate(RAGGED):
+        assert np.all(out.data[b, n:] == 0.0) and np.all(xs.grad[b, n:] == 0.0)
+        assert np.all(out.data[b, :n] != 0.0) and np.all(xs.grad[b, :n] != 0.0)
+    assert np.all(h0.grad[RAGGED.index(0)] == 0.0)
+
+
+def test_gru_sequence_rows_equal_rows_run_alone():
+    p, xs, h0, _ = _ragged_sequence(25)
+    out = ad.gru_sequence(None, xs, h0, p, np.array(RAGGED)).data
+    for b, n in enumerate(RAGGED):
+        alone = ad.gru_sequence(None, ad.Tensor(xs.data[b:b + 1, :n]),
+                                ad.Tensor(h0.data[b:b + 1]), p).data
+        assert np.allclose(out[b, :n], alone[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lengths, error", [
+    ([3, 1, 5], ShapeError), ([[3, 1, 5, 0, 5, 2]], ShapeError),
+    ([3.0, 1, 5, 0, 5, 2], ShapeError), ([3, 1, 6, 0, 5, 2], ContractError),
+    ([3, 1, 5, -1, 5, 2], ContractError)])
+def test_gru_sequence_rejects_bad_lengths(lengths, error):
+    p, xs, h0, _ = _ragged_sequence(26)
+    with pytest.raises(error, match="lengths"):
+        ad.gru_sequence(None, xs, h0, p, lengths)
+
+
 # dot-product and keyed attention: batched_attention on one batch row
 
 def test_dot_attention_single_key():

@@ -10,6 +10,7 @@ from simtlab.environment import (EncoderState, EnvConfig, EnvModel, EnvTrainConf
 from simtlab.errors import ConfigError, ContractError, DataError
 from simtlab.features import FeatureSet
 from simtlab.metrics import RewardConfig, delays_from_actions, smoothed_sentence_bleu
+from simtlab.optim import AdamState, adam_step
 from simtlab.policies import (ConsecutivePolicy, Policy, Transcript, WaitKPolicy,
                               read_transcripts, simulate, write_transcripts)
 from simtlab.vocab import EOS, Vocabulary
@@ -259,6 +260,66 @@ def test_teacher_forced_loss_matches_stepwise_reference(multimodal):
     for name, ref in ref_grads.items():
         err = np.max(np.abs(grads[name] - ref)) / np.max(np.abs(ref))
         assert err <= 1e-12, f"{name}: relative gradient error {err:.2e}"
+
+
+def _loss_and_grads(model, batch, feats3):
+    tape = ad.Tape()
+    loss = teacher_forced_loss(model, batch, tape, feats3)
+    ad.backward(tape, loss)
+    grads = {n: t.grad for n, t in model.named_tensors()}
+    ad.zero_grads(t for _, t in model.named_tensors())
+    return float(loss.data), grads
+
+
+@pytest.mark.parametrize("multimodal", [False, True])
+def test_ragged_batch_loss_is_token_weighted_sum_of_single_sentences(multimodal):
+    model, batch, feats3 = _tiny_training_env(multimodal, emb_dim=6, hid_dim=8, seed=5)
+    loss, grads = _loss_and_grads(model, batch, feats3)
+    tokens = [len(t) + 1 for t in batch[1]]  # with EOS
+    want_loss, want_grads = 0.0, {n: np.zeros_like(g) for n, g in grads.items()}
+    for i, n in enumerate(tokens):
+        one = _loss_and_grads(model, ([batch[0][i]], [batch[1][i]]),
+                              feats3[i:i + 1] if multimodal else None)
+        want_loss += n / sum(tokens) * one[0]
+        for name, g in one[1].items():
+            if g is not None:
+                want_grads[name] += n / sum(tokens) * g
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    for name, want in want_grads.items():
+        err = np.max(np.abs(grads[name] - want)) / np.max(np.abs(want))
+        assert err <= 1e-12, f"{name}: relative gradient error {err:.2e}"
+
+
+# Losses of three Adam steps and the loss after them, recorded from the
+# padded-loop teacher-forced loss; a change that alters the arithmetic of
+# pretraining (beyond summation order) moves them.
+GOLDEN_PRETRAIN_LOSSES = {
+    False: [1.994000073513977, 1.6214266546304013, 1.4013625687527538, 1.296018993731957],
+    True: [2.012162993875021, 1.5973820779060703, 1.3084113589218311, 1.149768101386455],
+}
+
+
+@pytest.mark.parametrize("multimodal", [False, True])
+def test_pretrain_steps_match_recorded_losses(multimodal):
+    cfg = EnvConfig(emb_dim=6, hid_dim=8, multimodal=multimodal,
+                    feature_rows=2 if multimodal else 0, feature_dim=3 if multimodal else 0,
+                    init_scale=0.5)
+    model = EnvModel(Vocabulary(["a", "b", "c"]), Vocabulary(["x", "y", "z"]), cfg,
+                     np.random.default_rng(11))
+    batch = ([[4, 5, EOS], [6, EOS], [4, 4, 6, 5, 6, 4, EOS], [5, EOS]],
+             [[4], [5, 6, 4, 6, 5], [6, 6], [4, 5]])
+    feats3 = np.random.default_rng(12).normal(size=(4, 2, 3)) if multimodal else None
+    opt = AdamState(model.named_tensors(), lr=0.05)
+    losses = []
+    for _ in range(3):
+        tape = ad.Tape()
+        loss = teacher_forced_loss(model, batch, tape, feats3)
+        ad.backward(tape, loss)
+        adam_step(opt)
+        ad.zero_grads(t for _, t in model.named_tensors())
+        losses.append(float(loss.data))
+    losses.append(float(teacher_forced_loss(model, batch, None, feats3).data))
+    assert np.allclose(losses, GOLDEN_PRETRAIN_LOSSES[multimodal], rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

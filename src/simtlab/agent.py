@@ -12,11 +12,12 @@ reaches agent parameters.
 One code path serves every caller. ``_RecurrentNet.start`` gives the
 initial states and visual keys and values, ``_observation`` assembles the
 input rows, and ``_RecurrentNet.step_np`` steps without a tape. Both
-agent policies step every lane of an ``EpisodeStepper`` at once (the
-environment is frozen) and are driven by ``policies.run_episodes``:
-``AgentGreedyPolicy`` writes where the WRITE logit is the larger, and the
-collector's ``_SamplingPolicy`` samples Gumbel actions and records what
-the replay needs. ``reinforce_update`` then replays the recorded
+agent policies step the running lanes of an ``EpisodeStepper`` at once
+(the environment is frozen), through one ``_LaneState`` per network, and
+are driven by ``policies.run_episodes``: ``AgentGreedyPolicy`` writes
+where the WRITE logit is the larger, and the collector's
+``_SamplingPolicy`` samples Gumbel actions and records what the replay
+needs. ``reinforce_update`` then replays the recorded
 observation stream on a tape as one (B, T) block per network: a single
 attention call, one ``autodiff.gru_sequence`` that steps each episode over
 its own length only, and one head matmul, then REINFORCE with control
@@ -33,7 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GRUParams, Tensor
 from .checkpoint import load_into, read_config, save_checkpoint, write_metadata
-from .environment import EnvModel, EpisodeStepper, require_positive
+from .environment import EnvModel, EpisodeStepper, on_lanes, require_positive
 from .errors import ConfigError, ContractError, ShapeError
 from .metrics import RewardConfig
 from .policies import Policy, Transcript, run_episodes
@@ -219,6 +220,33 @@ def _observation(tape, visual_kv, text_ctx, token_emb, prev_action):
     return ad.concat(tape, parts, axis=-1), attention
 
 
+class _LaneState:
+    """A network's tapeless state on the lanes of one episode, stepped on the running lanes.
+
+    Lanes only end, so the att variant's (n, R, ·) visual keys and values
+    are gathered to the running lanes again only when their number drops.
+    """
+
+    def __init__(self, net: _RecurrentNet, feats3, n: int):
+        h0, self._visual_kv = net.start(None, feats3, n)
+        self.net, self.h, self._live_kv = net, h0.data, self._visual_kv
+
+    def step(self, lanes, text_ctx, token_emb, prev_action):
+        """Step the running ``lanes`` (every lane when None) on their (m, ·) observation parts.
+
+        Returns the (m, head_dim) head outputs and the attention's
+        (context, weights), or None without visual attention.
+        """
+        kv = self._live_kv
+        if lanes is not None and kv is not None and len(kv[0].data) != len(lanes):
+            kv = self._live_kv = tuple(Tensor(t.data[lanes]) for t in self._visual_kv)
+        obs, attention = _observation(None, kv, text_ctx, token_emb, prev_action)
+        pick = slice(None) if lanes is None else lanes
+        h, out = self.net.step_np(obs.data, self.h[pick])
+        self.h[pick] = h
+        return out, attention
+
+
 def gumbel_softmax_sample(logits, tau: float, rngs):
     """Sample relaxed actions for (m, K) logits: (probs, hard_actions).
 
@@ -325,11 +353,11 @@ _RECORDED = ("obs_text", "obs_emb", "obs_prev", "visual_ctx", "actions", "forced
 
 
 class _SamplingPolicy(Policy):
-    """Gumbel-sampled agent actions on every lane, with the baseline stepped alongside.
+    """Gumbel-sampled agent actions on the running lanes, with the baseline stepped alongside.
 
     Each lane owns an RNG, so the sampled noise does not depend on the
     batching. ``steps`` gets one tuple of (n, ...) rows per decide, in
-    ``_RECORDED`` order; a lane's rows are valid while it is live.
+    ``_RECORDED`` order; a lane's rows are zero once it has ended.
     """
 
     def __init__(self, agent: AgentNetwork, baseline: BaselineNetwork, env: EnvModel,
@@ -341,39 +369,39 @@ class _SamplingPolicy(Policy):
     def start_episode(self, sources, features) -> None:
         n = len(sources)
         feats3 = _feature_block(features, self.agent, self.baseline)
-        agent_h, self.a_kv = self.agent.start(None, feats3, n)
-        base_h, self.b_kv = self.baseline.start(None, feats3, n)
-        self.agent_h, self.base_h = agent_h.data, base_h.data
+        self.agent_lanes = _LaneState(self.agent, feats3, n)
+        self.base_lanes = _LaneState(self.baseline, feats3, n)
         self.a_prev = np.tile(np.array([1.0, 0.0]), (n, 1))
         self.steps = []
 
     def decide(self, episode: EpisodeStepper) -> np.ndarray:
-        forced, proposal = episode.forced, episode.proposal()
-        text_ctx = proposal.text_ctx
-        y_emb = self.env.tgt_emb.data[proposal.token]
+        lanes, run, proposal = episode.running_lanes, episode.running, episode.proposal()
+        pick = slice(None) if lanes is None else lanes
+        forced = episode.forced[pick]
+        text_ctx = proposal.text_ctx[pick]
+        y_emb = self.env.tgt_emb.data[proposal.token[pick]]
+        a_prev = self.a_prev[pick].copy()  # recorded; self.a_prev changes in place below
 
-        a_obs, a_att = _observation(None, self.a_kv, text_ctx, y_emb, self.a_prev)
-        b_obs, _ = _observation(None, self.b_kv, text_ctx, y_emb, self.a_prev)
-        self.agent_h, logits_a = self.agent.step_np(a_obs.data, self.agent_h)
-        self.base_h, base_out = self.baseline.step_np(b_obs.data, self.base_h)
+        logits_a, a_att = self.agent_lanes.step(lanes, text_ctx, y_emb, a_prev)
+        base_out, _ = self.base_lanes.step(lanes, text_ctx, y_emb, a_prev)
 
         ls = logits_a - logits_a.max(axis=1, keepdims=True)
         ls = ls - np.log(np.exp(ls).sum(axis=1, keepdims=True))
-        n = len(ls)
-        sampled = np.zeros(n, dtype=np.int64)
-        soft = np.zeros((n, 2))
-        free = [i for i in episode.running if not forced[i]]
+        m = len(run)
+        sampled = np.zeros(m, dtype=np.int64)
+        soft = np.zeros((m, 2))
+        free = np.flatnonzero(~forced)
         soft[free], sampled[free] = gumbel_softmax_sample(
-            logits_a[free], self.tau, [self.rngs[i] for i in free])
+            logits_a[free], self.tau, [self.rngs[run[k]] for k in free])
         action = np.where(forced, ACT_WRITE, sampled)
         visual_ctx = None if a_att is None else a_att[0].data
         write_probs = np.where(forced, action == ACT_WRITE, soft[:, ACT_WRITE])
-        self.steps.append((text_ctx, y_emb, self.a_prev, visual_ctx, action, forced, write_probs,
-                           ls[np.arange(n), action], -(np.exp(ls) * ls).sum(axis=1),
-                           base_out[:, 0]))
-        next_prev = np.where(forced[:, None], np.eye(2)[action], soft)
-        self.a_prev = np.where(episode.live[:, None], next_prev, self.a_prev)
-        return action == ACT_WRITE
+        rows = (text_ctx, y_emb, a_prev, visual_ctx, action, forced, write_probs,
+                ls[np.arange(m), action], -(np.exp(ls) * ls).sum(axis=1), base_out[:, 0])
+        self.steps.append(tuple(None if r is None else on_lanes(episode.n, lanes, r)
+                                for r in rows))
+        self.a_prev[pick] = np.where(forced[:, None], np.eye(2)[action], soft)
+        return on_lanes(episode.n, lanes, action == ACT_WRITE)
 
 
 def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
@@ -497,11 +525,11 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
 # ---------------------------------------------------------------------------
 
 class AgentGreedyPolicy(Policy):
-    """Deterministic policy head on every lane: argmax actions, no Gumbel noise.
+    """Deterministic policy head on the running lanes: argmax actions, no Gumbel noise.
 
     A lane writes where its WRITE logit is the larger; a tie reads.
     ``step_attention`` holds the att variant's (n, R) visual attention
-    weights of the last decide.
+    weights of the last decide, zero on lanes that had ended.
     """
 
     def __init__(self, agent: AgentNetwork, env: EnvModel):
@@ -512,20 +540,20 @@ class AgentGreedyPolicy(Policy):
 
     def start_episode(self, sources, features) -> None:
         n = len(sources)
-        h0, self._visual_kv = self.agent.start(None, _feature_block(features, self.agent), n)
-        self._h = h0.data
+        self._lanes = _LaneState(self.agent, _feature_block(features, self.agent), n)
         self._a_prev = np.tile(np.array([1.0, 0.0]), (n, 1))
         self.step_attention = None
 
     def decide(self, episode: EpisodeStepper) -> np.ndarray:
-        proposal = episode.proposal()
-        obs, attention = _observation(None, self._visual_kv, proposal.text_ctx,
-                                      self.env.tgt_emb.data[proposal.token], self._a_prev)
-        self._h, logits = self.agent.step_np(obs.data, self._h)
-        self._a_prev = ad.softmax(logits)
+        lanes, proposal = episode.running_lanes, episode.proposal()
+        pick = slice(None) if lanes is None else lanes
+        logits, attention = self._lanes.step(lanes, proposal.text_ctx[pick],
+                                             self.env.tgt_emb.data[proposal.token[pick]],
+                                             self._a_prev[pick])
+        self._a_prev[pick] = ad.softmax(logits)
         if attention is not None:
-            self.step_attention = attention[1].data
-        return logits[:, ACT_WRITE] > logits[:, ACT_READ]
+            self.step_attention = on_lanes(episode.n, lanes, attention[1].data)
+        return on_lanes(episode.n, lanes, logits[:, ACT_WRITE] > logits[:, ACT_READ])
 
 
 def select_model(history) -> int:

@@ -1,14 +1,16 @@
 """The pre-trained encoder-decoder translation system.
 
 During reinforcement learning this model is the frozen environment: it is
-stepped incrementally (one source token per READ, at most one proposal per
-step) and never receives gradients. Its states carry a leading lane axis,
-so ``EpisodeStepper`` runs n episodes in lockstep under one set of rules.
-The stepper computes a step's proposal only when something reads it: a
-policy that looks at the proposed token, or a WRITE that adopts it. A step
-on which every lane READs under a rule that reads only the counters runs
-no decoder work. The same model trained and decoded with the full source is
-the consecutive baseline.
+stepped incrementally (at most one proposal per step) and never receives
+gradients. Its states carry a leading lane axis, so ``EpisodeStepper`` runs
+n episodes in lockstep under one set of rules. The encoder is
+unidirectional, so the stepper encodes every lane's whole source once, up
+front, and a READ only makes one more of those rows visible. The stepper
+computes a step's proposal only when something reads it (a policy that
+looks at the proposed token, or a WRITE that adopts it), and then only on
+the lanes still running. A step on which every lane READs under a rule that
+reads only the counters runs no decoder work. The same model trained and
+decoded with the full source is the consecutive baseline.
 
 Architecture: 2-layer unidirectional GRU encoder, first decoder GRU
 producing attention queries, dot-product attention over emitted encoder
@@ -28,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GRUParams, Tensor
 from .checkpoint import load_into, read_config, save_checkpoint, write_metadata
-from .errors import ConfigError, ContractError, DataError, NumericError
+from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 from .features import FeatureSet
 from .metrics import (PrefixBleu, RewardConfig, average_proportion, corpus_bleu,
                       latency_reward)
@@ -153,11 +155,13 @@ class EnvModel:
 
 
 class EncoderState:
-    """Emitted top-layer encoder states of n lanes.
+    """Top-layer encoder states of n lanes.
 
-    ``rows`` (n, W, h) holds each lane's states in the order they were
-    emitted; row j of lane i is valid while j < consumed[i]. A state is
-    never changed once made: ``encode_next`` writes into a copy.
+    ``rows`` (n, W, h) holds each lane's states in source order; row j of
+    lane i is valid while j < consumed[i]. ``h1`` and ``h2`` are the
+    recurrent states that ``encode_next`` continues from. A state is never
+    changed once made: ``encode_next`` writes its new rows into a copy, and
+    ``advance`` shares the rows of a state that ``encode`` built up front.
     """
 
     __slots__ = ("h1", "h2", "rows", "consumed", "_keys")
@@ -174,6 +178,36 @@ class EncoderState:
         h = model.cfg.hid_dim
         return cls(np.zeros((n, h)), np.zeros((n, h)), np.zeros((n, width, h)),
                    np.zeros(n, dtype=np.int64))
+
+    @classmethod
+    def encode(cls, model: EnvModel, id_lists) -> "EncoderState":
+        """Every row of n id lists, from one tapeless pass per layer, none read yet.
+
+        Row j depends only on ids up to j, so it equals the row that j + 1
+        ``encode_next`` calls emit, up to the last bits: the input
+        projection is one GEMM over all lanes' packed rows. Rows past a
+        lane's length are zero. The state has no recurrent states; it only
+        ``advance``s.
+        """
+        padded, mask = _pad_batch(id_lists)
+        if padded.min() < 0 or padded.max() >= len(model.src_vocab):
+            raise DataError(f"source token ids out of vocabulary range "
+                            f"[0, {len(model.src_vocab)})")
+        lengths = mask.sum(axis=1)
+        zeros = Tensor(np.zeros((len(id_lists), model.cfg.hid_dim)))
+        h1 = ad.gru_sequence(None, Tensor(model.src_emb.data[padded]), zeros, model.enc1,
+                             lengths)
+        rows = ad.gru_sequence(None, h1, zeros, model.enc2, lengths).data
+        return cls(None, None, rows, np.zeros(len(id_lists), dtype=np.int64))
+
+    def advance(self, lanes=None) -> "EncoderState":
+        """This state with one more row read on each of ``lanes`` (every lane when None)."""
+        if lanes is None:
+            consumed = self.consumed + 1
+        else:
+            consumed = self.consumed.copy()
+            consumed[lanes] += 1
+        return EncoderState(self.h1, self.h2, self.rows, consumed)
 
     def keys(self):
         """Rows up to the longest lane, and the valid-row mask.
@@ -208,7 +242,11 @@ class DecoderState:
 
 @dataclass
 class Proposal:
-    """A candidate next token per lane plus everything needed to adopt it."""
+    """A candidate next token per proposed lane plus everything needed to adopt it.
+
+    The arrays have one row per lane of the state; rows of lanes outside
+    ``lanes`` are zero.
+    """
 
     token: np.ndarray          # (n,)
     logits: np.ndarray         # (n, V)
@@ -218,6 +256,7 @@ class Proposal:
     g2_next: np.ndarray
     dec: DecoderState          # the states the proposal was produced from
     enc: EncoderState
+    lanes: np.ndarray = None   # the proposed lanes; None = every lane
 
 
 def _attend(keys, query, mask=None):
@@ -236,12 +275,23 @@ def _merge(old, new, lanes):
     return out
 
 
+def on_lanes(n: int, lanes, rows) -> np.ndarray:
+    """``rows`` placed on ``lanes`` of an (n, ...) array, zero elsewhere; ``rows`` when None."""
+    if lanes is None:
+        return rows
+    out = np.zeros((n,) + rows.shape[1:], rows.dtype)
+    out[lanes] = rows
+    return out
+
+
 def encode_next(state: EncoderState, token_ids, model: EnvModel, lanes=None) -> EncoderState:
     """Consume one more source token on each of ``lanes`` (every lane when None).
 
     ``token_ids`` holds one id per advanced lane (a single int for a
     one-lane state); each advanced lane gains exactly one row.
     """
+    if state.h1 is None:
+        raise ContractError("encode_next on a state encoded up front; advance() it instead")
     ids = [token_ids] if np.ndim(token_ids) == 0 else list(token_ids)
     if not all(0 <= t < len(model.src_vocab) for t in ids):
         raise DataError(f"source token ids {ids} out of vocabulary range")
@@ -266,32 +316,43 @@ def encode_sequence(model: EnvModel, token_ids) -> EncoderState:
 
 
 def propose_next(dec: DecoderState, enc: EncoderState, model: EnvModel,
-                 projected=None) -> Proposal:
-    """Greedy candidate for the next target token on every lane; mutates nothing.
+                 projected=None, lanes=None) -> Proposal:
+    """Greedy candidate for the next target token on each of ``lanes``; mutates nothing.
 
-    ``projected`` is ``project_features`` output: (R, h) shared by every
-    lane or (n, R, h); a multimodal environment needs it.
+    ``lanes`` None proposes on every lane. The decoder, the attentions and
+    the output layer run on the proposed lanes' rows only. ``projected`` is
+    ``project_features`` output: (R, h) shared by every lane, or one (R, h)
+    block per proposed lane, in ``lanes`` order; a multimodal environment
+    needs it.
     """
-    if dec.terminal.all():
-        raise ContractError("propose_next after EOS was committed")
+    pick = slice(None) if lanes is None else lanes
+    if dec.terminal[pick].any():
+        raise ContractError("propose_next on a lane that already committed EOS")
     keys, mask = enc.keys()
-    prev_emb = model.tgt_emb.data[dec.last_token]
-    g1 = ad.gru_step(prev_emb, dec.g1_h, model.dec1)
+    if lanes is not None:
+        keys, mask = keys[lanes], None if mask is None else mask[lanes]
+    prev_emb = model.tgt_emb.data[dec.last_token[pick]]
+    g1 = ad.gru_step(prev_emb, dec.g1_h[pick], model.dec1)
     text_ctx, weights = _attend(keys, g1, mask)
     ctx = text_ctx
     if model.multimodal:
+        if projected.ndim == 3 and len(projected) != len(g1):
+            raise ShapeError(f"propose_next: {len(projected)} projected feature blocks "
+                             f"for {len(g1)} proposed lanes")
         ctx = ctx + _attend(projected if projected.ndim == 3 else projected[None], g1)[0]
-    g2 = ad.gru_step(ctx, dec.g2_h, model.dec2)
+    g2 = ad.gru_step(ctx, dec.g2_h[pick], model.dec2)
     logits = np.concatenate([prev_emb, ctx, g2], axis=1) @ model.w_out.data + model.b_out.data
+    n = len(dec.terminal)
     return Proposal(
-        token=logits.argmax(axis=1),
-        logits=logits,
-        text_ctx=text_ctx,
-        text_weights=weights,
-        g1_next=g1,
-        g2_next=g2,
+        token=on_lanes(n, lanes, logits.argmax(axis=1)),
+        logits=on_lanes(n, lanes, logits),
+        text_ctx=on_lanes(n, lanes, text_ctx),
+        text_weights=on_lanes(n, lanes, weights),
+        g1_next=on_lanes(n, lanes, g1),
+        g2_next=on_lanes(n, lanes, g2),
         dec=dec,
         enc=enc,
+        lanes=lanes,
     )
 
 
@@ -309,6 +370,11 @@ def commit(dec: DecoderState, proposal: Proposal, enc: EncoderState = None,
         raise ContractError("commit: proposal was produced against a different decoder state")
     if enc is not None and proposal.enc is not enc:
         raise ContractError("commit: proposal was produced against a different encoder state")
+    if proposal.lanes is not None:
+        proposed = np.zeros(len(dec.terminal), dtype=bool)
+        proposed[proposal.lanes] = True
+        if not proposed[pick].all():
+            raise ContractError("commit: a lane has no proposal")
     token = proposal.token[pick]
     return DecoderState(
         g1_h=_merge(dec.g1_h, proposal.g1_next[pick], lanes),
@@ -330,22 +396,26 @@ READ, WRITE = "R", "W"
 class EpisodeStepper:
     """READ/WRITE episodes on n lanes of one environment, stepped in lockstep.
 
-    The rules of the game (Gu et al. 2017) live here. The first action is a
-    forced READ, since the decoder cannot attend to an empty prefix. Once a
-    lane has read its whole source, its EOS row is encoded and WRITE is
-    forced. A lane ends on an EOS commit or at ``output_cap`` committed
-    tokens. Per lane the stepper keeps the consecutive wait (CW), the
-    delays, the hypothesis ids, the action string and, with a
-    ``reward_config``, each step's reward: the BLEU gain of the commit
-    against the reference (when ``refs`` are given) plus the CW/AP latency
-    reward, with the delay proportion running or terminal as configured.
+    The rules of the game (Gu et al. 2017) live here. The constructor
+    encodes every lane's source plus EOS in one pass per encoder layer
+    (``EncoderState.encode``); a READ then makes the lane's next row
+    visible and runs no encoder. The first action is a forced READ, since
+    the decoder cannot attend to an empty prefix. Once a lane has read its
+    whole source, its EOS row becomes visible and WRITE is forced. A lane
+    ends on an EOS commit or at ``output_cap`` committed tokens. Per lane
+    the stepper keeps the consecutive wait (CW), the delays, the hypothesis
+    ids, the action string and, with a ``reward_config``, each step's
+    reward: the BLEU gain of the commit against the reference (when
+    ``refs`` are given) plus the CW/AP latency reward, with the delay
+    proportion running or terminal as configured.
 
     The constructor takes the first READ. Each later step is
     ``start_step()``, which returns the forced-WRITE mask, then
     ``apply()``. In between, ``forced`` holds that mask and ``proposal()``
-    computes the step's proposal on first call and caches it for the step;
-    ``apply()`` asks for it only when some lane writes. ``running`` lists
-    the live lanes, and ``n_read`` and ``n_written`` are (n,) counters.
+    computes the step's proposal, on the running lanes only, on first call
+    and caches it for the step; ``apply()`` asks for it only when some lane
+    writes. ``running`` lists the live lanes in order, and ``n_read`` and
+    ``n_written`` are (n,) counters.
     """
 
     def __init__(self, model: EnvModel, sources, features=None, *, refs=None,
@@ -365,7 +435,8 @@ class EpisodeStepper:
                                         and all(isinstance(t, str) for t in r) for r in refs):
             raise DataError("episode: each refs entry must be a list of tokens")
         self.projected = model.project_features(features) if model.multimodal else None
-        self.enc = EncoderState.initial(model, n, max(map(len, self.src_ids)) + 1)
+        self._live_projected = self.projected  # gathered to the running lanes as they end
+        self.enc = EncoderState.encode(model, [ids + [EOS] for ids in self.src_ids])
         self.dec = DecoderState.initial(model, n)
         self.live = np.ones(n, dtype=bool)
         self.running = list(range(n))
@@ -379,13 +450,17 @@ class EpisodeStepper:
         self.reward_config = reward_config
         self._src_len = np.array([len(s) for s in self.src_ids])
         self._cap = [output_cap(len(s)) for s in self.src_ids]
-        self._eos_row = [False] * n
         self._proposal = None
         self._forced = np.zeros(n, dtype=bool)
         self.apply(self._forced)
 
     def _lanes(self, idx):
         return None if len(idx) == self.n else np.array(idx)
+
+    @property
+    def running_lanes(self):
+        """``running`` as a ``lanes=`` argument: an index array, or None while every lane runs."""
+        return self._lanes(self.running)
 
     @property
     def n_written(self) -> np.ndarray:
@@ -402,25 +477,31 @@ class EpisodeStepper:
     def start_step(self) -> np.ndarray:
         """Start the next step and return its forced-WRITE mask.
 
-        A lane that has read its whole source first gets its EOS row: the
+        A lane that has read its whole source first sees its EOS row: the
         terminal marker row, not an agent READ.
         """
         forced = self.n_read == self._src_len
-        eos = [i for i in self.running if forced[i] and not self._eos_row[i]]
+        consumed = self.enc.consumed
+        eos = [i for i in self.running if forced[i] and consumed[i] == self.n_read[i]]
         if eos:
-            self.enc = encode_next(self.enc, [EOS] * len(eos), self.model, self._lanes(eos))
-            for i in eos:
-                self._eos_row[i] = True
+            self.enc = self.enc.advance(self._lanes(eos))
         self._proposal = None
         self._forced = forced
         return forced
 
     def proposal(self) -> Proposal:
-        """The current step's proposal on every lane, computed on first call."""
+        """The current step's proposal on the running lanes, computed on first call.
+
+        Lanes only end, so the running lanes' feature blocks are gathered
+        again only when their number drops.
+        """
         if self._forced is None:
             raise ContractError("proposal: no step started; call start_step() first")
         if self._proposal is None:
-            self._proposal = propose_next(self.dec, self.enc, self.model, self.projected)
+            lanes, projected = self.running_lanes, self._live_projected
+            if projected is not None and lanes is not None and len(projected) != len(lanes):
+                projected = self._live_projected = self.projected[lanes]
+            self._proposal = propose_next(self.dec, self.enc, self.model, projected, lanes)
         return self._proposal
 
     def apply(self, write_mask) -> np.ndarray:
@@ -442,8 +523,7 @@ class EpisodeStepper:
         if writes:
             self.dec = commit(self.dec, proposal, self.enc, self._lanes(writes))
         if reads:
-            self.enc = encode_next(self.enc, [self.src_ids[i][self.n_read[i]] for i in reads],
-                                   self.model, self._lanes(reads))
+            self.enc = self.enc.advance(self._lanes(reads))
         cfg = self.reward_config
         step_rewards = np.zeros(self.n)
         for i, w in zip(live, wrote):

@@ -7,10 +7,12 @@ is always READ (the decoder cannot attend to an empty prefix) and WRITE is
 forced once the source is exhausted. Policies are still asked on forced
 steps, so stateful agents see the full observation stream; an illegal READ
 there is overridden and counted per lane, never fatal. ``simulate`` is the
-one-lane call. Wait-k and consecutive decide from the stepper's counters
-and forced mask alone and never ask for the proposal, so their READ steps
-run no decoder work; the agents (``agent.AgentGreedyPolicy`` and the
-collector's sampling policy) read it on every step.
+one-lane call. The stepper encodes every source once when it is built, so
+a READ runs no encoder. Wait-k and consecutive decide from the stepper's
+counters and forced mask alone and never ask for the proposal, so their
+READ steps run no decoder work; the agents (``agent.AgentGreedyPolicy``
+and the collector's sampling policy) read it on every step. The proposal,
+and the agents' own networks, run on the lanes still running only.
 """
 
 from __future__ import annotations
@@ -34,12 +36,13 @@ class Policy:
     per lane. ``decide(episode)`` is called once per step, between the
     stepper's ``start_step()`` and ``apply()``, and returns an (n,) bool
     WRITE mask. It may read ``episode.forced``, the counters ``n_read`` and
-    ``n_written``, the live lanes (``live``, ``running``) and
-    ``episode.proposal()``; a policy that never asks for the proposal lets
-    READ steps skip the decoder. Answers on ended lanes are ignored, and a
-    READ on a forced lane is overridden and counted. Policies may expose
-    ``step_attention``, (n, R) agent-side attention weights from the last
-    decide, to have them recorded into the transcripts.
+    ``n_written``, the live lanes (``live``, ``running``, ``running_lanes``)
+    and ``episode.proposal()``, whose rows are zero on ended lanes; a policy
+    that never asks for the proposal lets READ steps skip the decoder.
+    Answers on ended lanes are ignored, and a READ on a forced lane is
+    overridden and counted. Policies may expose ``step_attention``, (n, R)
+    agent-side attention weights from the last decide, to have them
+    recorded into the transcripts.
     """
 
     step_attention = None

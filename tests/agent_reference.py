@@ -5,7 +5,9 @@ ran before it became one GRU sequence per network: one ``gru_cell`` and one
 ``(B, dk)`` attention per timestep and network, with the loss summed term by
 term. ``ReferenceGreedyPolicy`` is the greedy policy's earlier 1-D decide:
 its own observation vector, visual attention and GRU step per call, on
-the one lane of the stepper it is handed.
+the one lane of the stepper it is handed. ``ReferenceSamplingPolicy`` is
+the collector's Gumbel sampling written the same way, one episode at a
+time.
 """
 
 import numpy as np
@@ -105,6 +107,31 @@ def replay_losses(batch, agent, baseline, cfg):
     return float(agent_loss.data), float(baseline_loss.data)
 
 
+class _OneLane:
+    """A network's 1-D state in one episode: its hidden vector and, for att, keys and values."""
+
+    def __init__(self, net, features):
+        cfg = net.cfg
+        self.net = net
+        self.h = np.zeros(cfg.hidden_dim)
+        if cfg.use_init:
+            self.h = ad.matmul(None, Tensor(features.matrix.reshape(-1)), net.init_proj).data
+        if cfg.use_att:
+            self._keys = features.matrix @ net.key_proj.data
+            self._vals = features.matrix @ net.val_proj.data
+        self.attention = None
+
+    def step(self, text_ctx, y_emb, a_prev):
+        """One GRU step on [text_ctx; y_emb; a_prev; visual context]; returns the head output."""
+        parts = [text_ctx, y_emb, a_prev]
+        if self.net.cfg.use_att:
+            self.attention = ad.softmax(self._keys @ y_emb)
+            parts.append(self._vals.T @ self.attention)
+        h, out = _step(None, self.net, Tensor(np.concatenate(parts)), Tensor(self.h))
+        self.h = h.data
+        return out.data
+
+
 class ReferenceGreedyPolicy(Policy):
     """Argmax actions from a per-call 1-D agent step on a one-lane stepper."""
 
@@ -114,27 +141,54 @@ class ReferenceGreedyPolicy(Policy):
 
     def start_episode(self, sources, features) -> None:
         (features,) = features
-        net = self.agent
-        cfg = net.cfg
-        self._h = np.zeros(cfg.hidden_dim)
-        if cfg.use_init:
-            self._h = ad.matmul(None, Tensor(features.matrix.reshape(-1)), net.init_proj).data
+        self._net = _OneLane(self.agent, features)
         self._a_prev = np.array([1.0, 0.0])
         self.step_attention = None
-        if cfg.use_att:
-            self._keys = features.matrix @ net.key_proj.data
-            self._vals = features.matrix @ net.val_proj.data
 
     def decide(self, episode):
-        net = self.agent
         proposal = episode.proposal()
-        y_emb = self.env.tgt_emb.data[proposal.token[0]]
-        parts = [proposal.text_ctx[0], y_emb, self._a_prev]
-        if net.cfg.use_att:
-            w = ad.softmax(self._keys @ y_emb)
-            parts.append(self._vals.T @ w)
-            self.step_attention = w[None]
-        self._h, logits = _step(None, net, Tensor(np.concatenate(parts)), Tensor(self._h))
-        self._h, logits = self._h.data, logits.data
+        logits = self._net.step(proposal.text_ctx[0], self.env.tgt_emb.data[proposal.token[0]],
+                                self._a_prev)
+        if self._net.attention is not None:
+            self.step_attention = self._net.attention[None]
         self._a_prev = ad.softmax(logits)
         return np.array([int(np.argmax(logits)) == 1])
+
+
+class ReferenceSamplingPolicy(Policy):
+    """The collector's sampling from per-call 1-D agent and baseline steps on a one-lane stepper.
+
+    An unforced decision draws two uniforms from ``rng`` for its Gumbel
+    noise; a forced one draws none and writes. ``record`` keeps, per
+    decision, the action, the WRITE probability, the action's
+    log-probability and the baseline value.
+    """
+
+    def __init__(self, agent, baseline, env, tau, rng):
+        self.agent, self.baseline, self.env = agent, baseline, env
+        self.tau, self.rng = tau, rng
+
+    def start_episode(self, sources, features) -> None:
+        (features,) = features
+        self._agent = _OneLane(self.agent, features)
+        self._baseline = _OneLane(self.baseline, features)
+        self._a_prev = np.array([1.0, 0.0])
+        self.record = {"actions": [], "write_probs": [], "log_probs": [], "baseline_values": []}
+
+    def decide(self, episode):
+        proposal = episode.proposal()
+        obs = (proposal.text_ctx[0], self.env.tgt_emb.data[proposal.token[0]], self._a_prev)
+        logits = self._agent.step(*obs)
+        value = self._baseline.step(*obs)[0]
+        if episode.forced[0]:
+            action, probs = 1, np.array([0.0, 1.0])
+        else:
+            u = np.clip(self.rng.random(2), 1e-12, 1.0 - 1e-12)
+            probs = ad.softmax((logits - np.log(-np.log(u))) / self.tau)
+            action = int(np.argmax(probs))
+        shifted = logits - logits.max()
+        for name, v in zip(self.record, (action, probs[1],
+                                         shifted[action] - np.log(np.exp(shifted).sum()), value)):
+            self.record[name].append(v)
+        self._a_prev = probs
+        return np.array([action == 1])

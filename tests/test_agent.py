@@ -15,7 +15,7 @@ from simtlab.metrics import RewardConfig
 from simtlab.optim import AdamState
 from simtlab.policies import Policy, simulate
 
-from agent_reference import ReferenceGreedyPolicy, replay_losses
+from agent_reference import ReferenceGreedyPolicy, ReferenceSamplingPolicy, replay_losses
 from gradcheck import assert_grads_close
 from recount import quality_rewards_by_recount
 
@@ -210,6 +210,28 @@ def test_collection_does_not_depend_on_batching(untrained_env, variant):
             assert np.allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-12), name
         if variant == "att":
             assert np.allclose(a.visual_ctx, b.visual_ctx, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["none", "init", "att"])
+def test_collector_equals_per_episode_reference(untrained_env, variant):
+    # one 1-token episode among longer ones, so most steps run on fewer lanes than the batch
+    env, agent, baseline, episodes = _visual_setup(*untrained_env, variant, 10, seed=3)
+    src, ref, fs = episodes[4]
+    episodes[4] = (src[:1], ref[:1], fs)
+    cfg = RLTrainConfig()
+    batch = collect_trajectories(agent, baseline, env, episodes, cfg, global_seed=6,
+                                 start_index=2)
+    lengths = [len(e) for e in batch.entries]
+    assert lengths[4] == min(lengths) and 3 * lengths[4] <= max(lengths)
+    for k, ((src, _, fs), entry) in enumerate(zip(episodes, batch.entries)):
+        rng = np.random.default_rng(np.random.SeedSequence((6, 2 + k)))
+        reference = ReferenceSamplingPolicy(agent, baseline, env, cfg.tau, rng)
+        simulate(reference, env, src, fs)
+        assert entry.actions.tolist() == reference.record["actions"]
+        for name in ("write_probs", "log_probs", "baseline_values"):
+            assert np.allclose(getattr(entry, name), reference.record[name],
+                               rtol=0, atol=1e-12), name
+    assert {0, 1} <= {a for e in batch.entries for a in e.actions[~e.forced]}
 
 
 @pytest.mark.parametrize("variant", ["none", "init", "att"])

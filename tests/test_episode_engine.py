@@ -1,18 +1,23 @@
 """The lane-batched episode engine against the per-episode reference."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from simtlab import autodiff as ad
 from simtlab import environment
 from simtlab.agent import (AgentConfig, AgentGreedyPolicy, AgentNetwork, BaselineNetwork,
                            RLTrainConfig, collect_trajectories)
 from simtlab.environment import (READ, WRITE, EnvConfig, EnvModel, EnvTrainConfig,
-                                 EpisodeStepper, train_consecutive, translate_full,
+                                 EpisodeStepper, commit, encode_next, encode_sequence,
+                                 propose_next, train_consecutive, translate_full,
                                  validation_bleu)
-from simtlab.errors import ConfigError, ContractError, DataError
+from simtlab.errors import ConfigError, ContractError, DataError, ShapeError
 from simtlab.features import FeatureSet
 from simtlab.metrics import RewardConfig, corpus_bleu
 from simtlab.policies import ConsecutivePolicy, Policy, WaitKPolicy, run_episodes, simulate
+from simtlab.vocab import EOS
 
 import episode_reference as ref
 from test_agent import _visual_setup
@@ -205,6 +210,115 @@ def test_stepper_contracts(untrained_env):
     assert episode.proposal() is episode.proposal()  # cached for the step
 
 
+def _ragged(untrained_env, visual_env, multimodal):
+    """Environment, 8 ragged sources (lane 0 has one token) and their features or None."""
+    env, pairs, feats = visual_env if multimodal else (*untrained_env, None)
+    sources = [pairs[0][0][:1]] + [src for src, _ in pairs[1:8]]
+    assert len({len(s) for s in sources}) > 3
+    return env, sources, None if feats is None else feats[:8]
+
+
+@pytest.mark.parametrize("multimodal", [False, True])
+def test_encoder_pass_equals_one_lane_encode_next(untrained_env, visual_env, multimodal):
+    env, sources, feats = _ragged(untrained_env, visual_env, multimodal)
+    enc = EpisodeStepper(env, sources, feats).enc
+    assert enc.consumed.tolist() == [1] * 8  # the constructor's first READ
+    for i, src in enumerate(sources):
+        ids = env.src_vocab.encode(src) + [EOS]
+        alone = encode_sequence(env, ids).rows[0]
+        assert np.max(np.abs(enc.rows[i, :len(ids)] - alone)) <= 1e-12
+        assert not enc.rows[i, len(ids):].any()
+
+
+@pytest.mark.parametrize("multimodal", [False, True])
+def test_proposal_on_lanes_equals_all_lane_rows(untrained_env, visual_env, multimodal):
+    env, sources, feats = _ragged(untrained_env, visual_env, multimodal)
+    episode = EpisodeStepper(env, sources, feats)
+    projected = episode.projected
+    rng = np.random.default_rng(5)
+    ragged_steps = 0
+    while episode.running:
+        episode.start_step()
+        dec, enc = episode.dec, episode.enc
+        # the all-lane reference proposes on lanes that committed EOS too
+        whole = propose_next(replace(dec, terminal=np.zeros(8, dtype=bool)), enc, env, projected)
+        open_lanes = np.flatnonzero(~dec.terminal)
+        for idx in (open_lanes, np.sort(rng.permutation(open_lanes)[:3]),
+                    open_lanes[[-1]], np.array(episode.running)):
+            if not len(idx):
+                continue
+            got = propose_next(dec, enc, env, None if projected is None else projected[idx],
+                               lanes=idx)
+            rest = np.setdiff1d(np.arange(8), idx)
+            assert np.array_equal(got.token[idx], whole.token[idx])
+            # BLAS may round a product's rows differently with another row count
+            for name in ("logits", "text_ctx", "text_weights", "g1_next", "g2_next"):
+                assert np.allclose(getattr(got, name)[idx], getattr(whole, name)[idx],
+                                   rtol=0, atol=1e-12), name
+            for name in ("token", "logits", "text_ctx", "text_weights", "g1_next", "g2_next"):
+                assert not getattr(got, name)[rest].any(), name
+        ragged_steps += len(set(enc.consumed[episode.running])) > 1
+        episode.apply(rng.random(8) < 0.4)
+    assert ragged_steps > 3
+    if multimodal:
+        with pytest.raises(ShapeError, match="projected feature blocks"):
+            propose_next(episode.dec, episode.enc, env, projected, lanes=np.array([0, 1]))
+
+
+def test_propose_next_rejects_lanes_that_committed_eos(untrained_env):
+    env, pairs = untrained_env
+    episode = EpisodeStepper(env, [src for src, _ in pairs[:3]])
+    episode.start_step()
+    p, enc = episode.proposal(), episode.enc
+    dec = commit(episode.dec, replace(p, token=np.full(3, EOS)), enc, lanes=np.array([1]))
+    assert dec.terminal.tolist() == [False, True, False]
+    propose_next(dec, enc, env, lanes=np.array([0, 2]))
+    for lanes in (np.array([0, 1]), None):
+        with pytest.raises(ContractError, match="lane that already committed EOS"):
+            propose_next(dec, enc, env, lanes=lanes)
+    # only the proposed lanes can adopt a proposal
+    part = propose_next(dec, enc, env, lanes=np.array([2]))
+    with pytest.raises(ContractError, match="a lane has no proposal"):
+        commit(dec, part, enc, lanes=np.array([0, 2]))
+    assert commit(dec, part, enc, lanes=np.array([2])).committed.tolist() == [0, 1, 1]
+    # the stepper's encoder state was encoded up front; READs only advance it
+    with pytest.raises(ContractError, match="advance"):
+        encode_next(enc, 4, env, lanes=np.array([0]))
+
+
+def test_steps_run_no_encoder_gru_and_only_live_rows(untrained_env, monkeypatch):
+    # a 2-token source among 10-token ones: the lane set shrinks step by step
+    env, agent, baseline, episodes = _visual_setup(*untrained_env, "att", 6, seed=2)
+    tokens = list(env.src_vocab.tokens[4:]) * 2
+    sources = [tokens[:2]] + [tokens[k:k + 10] for k in range(1, 6)]
+    episodes = [(src, ref, fs) for src, (_, ref, fs) in zip(sources, episodes)]
+    calls = []  # every ad.gru_step call: (params, rows)
+    steps = []  # per step: (live lanes, index of its first gru_step call)
+    real_gru, real_start = ad.gru_step, EpisodeStepper.start_step
+
+    def gru_step(x, h, params):
+        calls.append((params, len(x)))
+        return real_gru(x, h, params)
+
+    def start_step(self):
+        steps.append((len(self.running), len(calls)))
+        return real_start(self)
+
+    monkeypatch.setattr(ad, "gru_step", gru_step)
+    monkeypatch.setattr(EpisodeStepper, "start_step", start_step)
+    batch = collect_trajectories(agent, baseline, env, episodes, RLTrainConfig(), global_seed=1)
+    assert steps[0][1] == 0  # construction, first READ included, steps no GRU
+    grus = {id(p) for p in (env.dec1, env.dec2, agent.gru, baseline.gru)}
+    for (live, first), (_, end) in zip(steps, steps[1:] + [(0, len(calls))]):
+        step_calls = calls[first:end]
+        assert len(step_calls) == 4 and {id(p) for p, _ in step_calls} == grus
+        assert all(rows == live for _, rows in step_calls)
+    lengths = [len(e) for e in batch.entries]
+    assert [live for live, _ in steps] == [sum(t < k for k in lengths)
+                                           for t in range(max(lengths))]
+    assert 3 * lengths[0] < max(lengths)
+
+
 @pytest.mark.parametrize("path", ["text", "visual", "collect-att"])
 def test_no_sources_raise_contract_error(untrained_env, visual_env, path):
     with pytest.raises(ContractError, match="episode: no sources"):
@@ -233,9 +347,9 @@ def proposals(monkeypatch):
     calls = []
     real = environment.propose_next
 
-    def counted(dec, enc, model, projected=None):
+    def counted(dec, enc, model, projected=None, lanes=None):
         calls.append(dec)
-        return real(dec, enc, model, projected)
+        return real(dec, enc, model, projected, lanes)
 
     monkeypatch.setattr(environment, "propose_next", counted)
     return calls

@@ -13,8 +13,9 @@ One code path serves every caller. ``_RecurrentNet.start`` gives the
 initial states and visual keys and values, ``_observation`` assembles the
 input rows, and ``_RecurrentNet.step_np`` steps without a tape. Both
 agent policies step the running lanes of an ``EpisodeStepper`` at once
-(the environment is frozen), through one ``_LaneState`` per network, and
-are driven by ``policies.run_episodes``: ``AgentGreedyPolicy`` writes
+(the environment is frozen) on the rows of its proposal, one per running
+lane, through one ``_LaneState`` per network, and are driven by
+``policies.run_episodes``: ``AgentGreedyPolicy`` writes
 where the WRITE logit is the larger, and the collector's
 ``_SamplingPolicy`` samples Gumbel actions and records what the replay
 needs. ``reinforce_update`` then replays the recorded
@@ -34,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GRUParams, Tensor
 from .checkpoint import load_into, read_config, save_checkpoint, write_metadata
-from .environment import EnvModel, EpisodeStepper, on_lanes, require_positive
+from .environment import EnvModel, EpisodeStepper, require_positive
 from .errors import ConfigError, ContractError, ShapeError
 from .metrics import RewardConfig
 from .policies import Policy, Transcript, run_episodes
@@ -221,30 +222,40 @@ def _observation(tape, visual_kv, text_ctx, token_emb, prev_action):
 
 
 class _LaneState:
-    """A network's tapeless state on the lanes of one episode, stepped on the running lanes.
+    """A network's tapeless state on the running lanes of one episode.
 
-    Lanes only end, so the att variant's (n, R, ·) visual keys and values
-    are gathered to the running lanes again only when their number drops.
+    ``h`` and the att variant's visual keys and values hold one row per
+    lane in ``lanes``. Lanes only end, so they are gathered to the running
+    lanes once each time that set shrinks.
     """
 
     def __init__(self, net: _RecurrentNet, feats3, n: int):
-        h0, self._visual_kv = net.start(None, feats3, n)
-        self.net, self.h, self._live_kv = net, h0.data, self._visual_kv
+        h0, self.visual_kv = net.start(None, feats3, n)
+        self.net, self.h, self.lanes = net, h0.data, list(range(n))
 
-    def step(self, lanes, text_ctx, token_emb, prev_action):
-        """Step the running ``lanes`` (every lane when None) on their (m, ·) observation parts.
+    def step(self, running, text_ctx, token_emb, prev_action):
+        """Step the ``running`` lanes on their (m, ·) observation parts, in ``running`` order.
 
         Returns the (m, head_dim) head outputs and the attention's
         (context, weights), or None without visual attention.
         """
-        kv = self._live_kv
-        if lanes is not None and kv is not None and len(kv[0].data) != len(lanes):
-            kv = self._live_kv = tuple(Tensor(t.data[lanes]) for t in self._visual_kv)
-        obs, attention = _observation(None, kv, text_ctx, token_emb, prev_action)
-        pick = slice(None) if lanes is None else lanes
-        h, out = self.net.step_np(obs.data, self.h[pick])
-        self.h[pick] = h
+        if len(running) != len(self.lanes):
+            keep = np.searchsorted(self.lanes, running)  # both in ascending lane order
+            self.h, self.lanes = self.h[keep], running
+            if self.visual_kv is not None:
+                self.visual_kv = tuple(Tensor(t.data[keep]) for t in self.visual_kv)
+        obs, attention = _observation(None, self.visual_kv, text_ctx, token_emb, prev_action)
+        self.h, out = self.net.step_np(obs.data, self.h)
         return out, attention
+
+
+def on_lanes(n: int, lanes, rows) -> np.ndarray:
+    """``rows`` placed on ``lanes`` of an (n, ...) array, zero elsewhere; ``rows`` when all n."""
+    if len(lanes) == n:
+        return rows
+    out = np.zeros((n,) + rows.shape[1:], rows.dtype)
+    out[lanes] = rows
+    return out
 
 
 def gumbel_softmax_sample(logits, tau: float, rngs):
@@ -316,7 +327,6 @@ class RLTrainConfig:
     entropy_weight: float = 0.001
     tau: float = 1.0
     discount: float = 0.95
-    return_mode: str = "returns"  # or "instant"
     reward: RewardConfig = field(default_factory=RewardConfig)
     patience: int = 5
     updates_per_epoch: int = 150
@@ -330,15 +340,12 @@ class RLTrainConfig:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"RLTrainConfig.{name} must be positive, "
                                   f"got {getattr(self, name)}")
-        if self.return_mode not in ("returns", "instant"):
-            raise ConfigError("return_mode must be 'returns' or 'instant'")
         if not 0 < self.discount <= 1.0:
             raise ConfigError("discount must be in (0, 1]")
 
 
 def compute_returns(rewards: np.ndarray, cfg: RLTrainConfig) -> np.ndarray:
-    if cfg.return_mode == "instant":
-        return rewards.copy()
+    """Discounted reward-to-go at each step."""
     out = np.zeros_like(rewards)
     acc = 0.0
     for t in range(len(rewards) - 1, -1, -1):
@@ -356,8 +363,9 @@ class _SamplingPolicy(Policy):
     """Gumbel-sampled agent actions on the running lanes, with the baseline stepped alongside.
 
     Each lane owns an RNG, so the sampled noise does not depend on the
-    batching. ``steps`` gets one tuple of (n, ...) rows per decide, in
-    ``_RECORDED`` order; a lane's rows are zero once it has ended.
+    batching. ``steps`` gets one tuple of lane-indexed (n, ...) rows per
+    decide, in ``_RECORDED`` order; a lane's rows are zero once it has
+    ended.
     """
 
     def __init__(self, agent: AgentNetwork, baseline: BaselineNetwork, env: EnvModel,
@@ -375,15 +383,14 @@ class _SamplingPolicy(Policy):
         self.steps = []
 
     def decide(self, episode: EpisodeStepper) -> np.ndarray:
-        lanes, run, proposal = episode.running_lanes, episode.running, episode.proposal()
-        pick = slice(None) if lanes is None else lanes
-        forced = episode.forced[pick]
-        text_ctx = proposal.text_ctx[pick]
-        y_emb = self.env.tgt_emb.data[proposal.token[pick]]
-        a_prev = self.a_prev[pick].copy()  # recorded; self.a_prev changes in place below
+        run, proposal = episode.running, episode.proposal()
+        forced = episode.forced[run]
+        text_ctx = proposal.text_ctx
+        y_emb = self.env.tgt_emb.data[proposal.token]
+        a_prev = self.a_prev[run]  # a copy, recorded; self.a_prev changes below
 
-        logits_a, a_att = self.agent_lanes.step(lanes, text_ctx, y_emb, a_prev)
-        base_out, _ = self.base_lanes.step(lanes, text_ctx, y_emb, a_prev)
+        logits_a, a_att = self.agent_lanes.step(run, text_ctx, y_emb, a_prev)
+        base_out, _ = self.base_lanes.step(run, text_ctx, y_emb, a_prev)
 
         ls = logits_a - logits_a.max(axis=1, keepdims=True)
         ls = ls - np.log(np.exp(ls).sum(axis=1, keepdims=True))
@@ -398,10 +405,10 @@ class _SamplingPolicy(Policy):
         write_probs = np.where(forced, action == ACT_WRITE, soft[:, ACT_WRITE])
         rows = (text_ctx, y_emb, a_prev, visual_ctx, action, forced, write_probs,
                 ls[np.arange(m), action], -(np.exp(ls) * ls).sum(axis=1), base_out[:, 0])
-        self.steps.append(tuple(None if r is None else on_lanes(episode.n, lanes, r)
+        self.steps.append(tuple(None if r is None else on_lanes(episode.n, run, r)
                                 for r in rows))
-        self.a_prev[pick] = np.where(forced[:, None], np.eye(2)[action], soft)
-        return on_lanes(episode.n, lanes, action == ACT_WRITE)
+        self.a_prev[run] = np.where(forced[:, None], np.eye(2)[action], soft)
+        return on_lanes(episode.n, run, action == ACT_WRITE)
 
 
 def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
@@ -540,20 +547,19 @@ class AgentGreedyPolicy(Policy):
 
     def start_episode(self, sources, features) -> None:
         n = len(sources)
-        self._lanes = _LaneState(self.agent, _feature_block(features, self.agent), n)
+        self._state = _LaneState(self.agent, _feature_block(features, self.agent), n)
         self._a_prev = np.tile(np.array([1.0, 0.0]), (n, 1))
         self.step_attention = None
 
     def decide(self, episode: EpisodeStepper) -> np.ndarray:
-        lanes, proposal = episode.running_lanes, episode.proposal()
-        pick = slice(None) if lanes is None else lanes
-        logits, attention = self._lanes.step(lanes, proposal.text_ctx[pick],
-                                             self.env.tgt_emb.data[proposal.token[pick]],
-                                             self._a_prev[pick])
-        self._a_prev[pick] = ad.softmax(logits)
+        run, proposal = episode.running, episode.proposal()
+        logits, attention = self._state.step(run, proposal.text_ctx,
+                                             self.env.tgt_emb.data[proposal.token],
+                                             self._a_prev[run])
+        self._a_prev[run] = ad.softmax(logits)
         if attention is not None:
-            self.step_attention = on_lanes(episode.n, lanes, attention[1].data)
-        return on_lanes(episode.n, lanes, logits[:, ACT_WRITE] > logits[:, ACT_READ])
+            self.step_attention = on_lanes(episode.n, run, attention[1].data)
+        return on_lanes(episode.n, run, logits[:, ACT_WRITE] > logits[:, ACT_READ])
 
 
 def select_model(history) -> int:

@@ -7,10 +7,11 @@ n episodes in lockstep under one set of rules. The encoder is
 unidirectional, so the stepper encodes every lane's whole source once, up
 front, and a READ only makes one more of those rows visible. The stepper
 computes a step's proposal only when something reads it (a policy that
-looks at the proposed token, or a WRITE that adopts it), and then only on
-the lanes still running. A step on which every lane READs under a rule that
-reads only the counters runs no decoder work. The same model trained and
-decoded with the full source is the consecutive baseline.
+looks at the proposed token, or a WRITE that adopts it). Its model states
+keep rows for the lanes still running only, so the proposal is computed on
+those lanes alone. A step on which every lane READs under a rule that reads
+only the counters runs no decoder work. The same model trained and decoded
+with the full source is the consecutive baseline.
 
 Architecture: 2-layer unidirectional GRU encoder, first decoder GRU
 producing attention queries, dot-product attention over emitted encoder
@@ -159,9 +160,10 @@ class EncoderState:
 
     ``rows`` (n, W, h) holds each lane's states in source order; row j of
     lane i is valid while j < consumed[i]. ``h1`` and ``h2`` are the
-    recurrent states that ``encode_next`` continues from. A state is never
-    changed once made: ``encode_next`` writes its new rows into a copy, and
-    ``advance`` shares the rows of a state that ``encode`` built up front.
+    recurrent states of a one-lane state that ``encode_next`` continues
+    from. A state is never changed once made: ``encode_next`` appends its
+    new row to a copy, and ``advance`` shares the rows of a state that
+    ``encode`` built up front.
     """
 
     __slots__ = ("h1", "h2", "rows", "consumed", "_keys")
@@ -174,10 +176,11 @@ class EncoderState:
         self._keys = None
 
     @classmethod
-    def initial(cls, model: EnvModel, n: int = 1, width: int = 0) -> "EncoderState":
+    def initial(cls, model: EnvModel) -> "EncoderState":
+        """An empty one-lane state."""
         h = model.cfg.hid_dim
-        return cls(np.zeros((n, h)), np.zeros((n, h)), np.zeros((n, width, h)),
-                   np.zeros(n, dtype=np.int64))
+        return cls(np.zeros((1, h)), np.zeros((1, h)), np.zeros((1, 0, h)),
+                   np.zeros(1, dtype=np.int64))
 
     @classmethod
     def encode(cls, model: EnvModel, id_lists) -> "EncoderState":
@@ -200,14 +203,16 @@ class EncoderState:
         rows = ad.gru_sequence(None, h1, zeros, model.enc2, lengths).data
         return cls(None, None, rows, np.zeros(len(id_lists), dtype=np.int64))
 
-    def advance(self, lanes=None) -> "EncoderState":
-        """This state with one more row read on each of ``lanes`` (every lane when None)."""
-        if lanes is None:
-            consumed = self.consumed + 1
-        else:
-            consumed = self.consumed.copy()
-            consumed[lanes] += 1
+    def advance(self, lanes) -> "EncoderState":
+        """This state with one more row read on each of ``lanes``."""
+        consumed = self.consumed.copy()
+        consumed[lanes] += 1
         return EncoderState(self.h1, self.h2, self.rows, consumed)
+
+    def take(self, lanes) -> "EncoderState":
+        """The state of ``lanes`` only, in that order."""
+        h1, h2 = (None, None) if self.h1 is None else (self.h1[lanes], self.h2[lanes])
+        return EncoderState(h1, h2, self.rows[lanes], self.consumed[lanes])
 
     def keys(self):
         """Rows up to the longest lane, and the valid-row mask.
@@ -230,23 +235,23 @@ class DecoderState:
     g1_h: np.ndarray         # (n, h)
     g2_h: np.ndarray         # (n, h)
     last_token: np.ndarray   # (n,)
-    committed: np.ndarray    # (n,)
     terminal: np.ndarray     # (n,) bool: EOS committed
 
     @classmethod
     def initial(cls, model: EnvModel, n: int = 1) -> "DecoderState":
         h = model.cfg.hid_dim
         return cls(np.zeros((n, h)), np.zeros((n, h)), np.full(n, BOS, dtype=np.int64),
-                   np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool))
+                   np.zeros(n, dtype=bool))
+
+    def take(self, lanes) -> "DecoderState":
+        """The state of ``lanes`` only, in that order."""
+        return DecoderState(self.g1_h[lanes], self.g2_h[lanes], self.last_token[lanes],
+                            self.terminal[lanes])
 
 
 @dataclass
 class Proposal:
-    """A candidate next token per proposed lane plus everything needed to adopt it.
-
-    The arrays have one row per lane of the state; rows of lanes outside
-    ``lanes`` are zero.
-    """
+    """A candidate next token per lane of its states, plus everything needed to adopt it."""
 
     token: np.ndarray          # (n,)
     logits: np.ndarray         # (n, V)
@@ -256,7 +261,6 @@ class Proposal:
     g2_next: np.ndarray
     dec: DecoderState          # the states the proposal was produced from
     enc: EncoderState
-    lanes: np.ndarray = None   # the proposed lanes; None = every lane
 
 
 def _attend(keys, query, mask=None):
@@ -275,93 +279,56 @@ def _merge(old, new, lanes):
     return out
 
 
-def on_lanes(n: int, lanes, rows) -> np.ndarray:
-    """``rows`` placed on ``lanes`` of an (n, ...) array, zero elsewhere; ``rows`` when None."""
-    if lanes is None:
-        return rows
-    out = np.zeros((n,) + rows.shape[1:], rows.dtype)
-    out[lanes] = rows
-    return out
-
-
-def encode_next(state: EncoderState, token_ids, model: EnvModel, lanes=None) -> EncoderState:
-    """Consume one more source token on each of ``lanes`` (every lane when None).
-
-    ``token_ids`` holds one id per advanced lane (a single int for a
-    one-lane state); each advanced lane gains exactly one row.
-    """
+def encode_next(state: EncoderState, token_id: int, model: EnvModel) -> EncoderState:
+    """Consume one more source token on a one-lane state, which gains one row."""
     if state.h1 is None:
         raise ContractError("encode_next on a state encoded up front; advance() it instead")
-    ids = [token_ids] if np.ndim(token_ids) == 0 else list(token_ids)
-    if not all(0 <= t < len(model.src_vocab) for t in ids):
-        raise DataError(f"source token ids {ids} out of vocabulary range")
-    pick = slice(None) if lanes is None else lanes
-    h1 = ad.gru_step(model.src_emb.data[ids], state.h1[pick], model.enc1)
-    h2 = ad.gru_step(h1, state.h2[pick], model.enc2)
-    at = state.consumed[pick]
-    n, width, h = state.rows.shape
-    grow = int(at.max()) + 1 - width
-    rows = (np.concatenate([state.rows, np.zeros((n, grow, h))], axis=1) if grow > 0
-            else state.rows.copy())
-    rows[np.arange(n) if lanes is None else lanes, at] = h2
-    return EncoderState(_merge(state.h1, h1, lanes), _merge(state.h2, h2, lanes), rows,
-                        _merge(state.consumed, at + 1, lanes))
+    if not 0 <= token_id < len(model.src_vocab):
+        raise DataError(f"source token id {token_id} out of vocabulary range")
+    h1 = ad.gru_step(model.src_emb.data[[token_id]], state.h1, model.enc1)
+    h2 = ad.gru_step(h1, state.h2, model.enc2)
+    return EncoderState(h1, h2, np.concatenate([state.rows, h2[:, None]], axis=1),
+                        state.consumed + 1)
 
 
 def encode_sequence(model: EnvModel, token_ids) -> EncoderState:
-    state = EncoderState.initial(model, 1, len(token_ids))
+    state = EncoderState.initial(model)
     for token_id in token_ids:
         state = encode_next(state, token_id, model)
     return state
 
 
 def propose_next(dec: DecoderState, enc: EncoderState, model: EnvModel,
-                 projected=None, lanes=None) -> Proposal:
-    """Greedy candidate for the next target token on each of ``lanes``; mutates nothing.
+                 projected=None) -> Proposal:
+    """Greedy candidate for the next target token on every lane; mutates nothing.
 
-    ``lanes`` None proposes on every lane. The decoder, the attentions and
-    the output layer run on the proposed lanes' rows only. ``projected`` is
-    ``project_features`` output: (R, h) shared by every lane, or one (R, h)
-    block per proposed lane, in ``lanes`` order; a multimodal environment
-    needs it.
+    ``projected`` is ``project_features`` output: (R, h) shared by every
+    lane, or one (R, h) block per lane; a multimodal environment needs it.
     """
-    pick = slice(None) if lanes is None else lanes
-    if dec.terminal[pick].any():
+    if dec.terminal.any():
         raise ContractError("propose_next on a lane that already committed EOS")
     keys, mask = enc.keys()
-    if lanes is not None:
-        keys, mask = keys[lanes], None if mask is None else mask[lanes]
-    prev_emb = model.tgt_emb.data[dec.last_token[pick]]
-    g1 = ad.gru_step(prev_emb, dec.g1_h[pick], model.dec1)
+    prev_emb = model.tgt_emb.data[dec.last_token]
+    g1 = ad.gru_step(prev_emb, dec.g1_h, model.dec1)
     text_ctx, weights = _attend(keys, g1, mask)
     ctx = text_ctx
     if model.multimodal:
         if projected.ndim == 3 and len(projected) != len(g1):
             raise ShapeError(f"propose_next: {len(projected)} projected feature blocks "
-                             f"for {len(g1)} proposed lanes")
+                             f"for {len(g1)} lanes")
         ctx = ctx + _attend(projected if projected.ndim == 3 else projected[None], g1)[0]
-    g2 = ad.gru_step(ctx, dec.g2_h[pick], model.dec2)
+    g2 = ad.gru_step(ctx, dec.g2_h, model.dec2)
     logits = np.concatenate([prev_emb, ctx, g2], axis=1) @ model.w_out.data + model.b_out.data
-    n = len(dec.terminal)
-    return Proposal(
-        token=on_lanes(n, lanes, logits.argmax(axis=1)),
-        logits=on_lanes(n, lanes, logits),
-        text_ctx=on_lanes(n, lanes, text_ctx),
-        text_weights=on_lanes(n, lanes, weights),
-        g1_next=on_lanes(n, lanes, g1),
-        g2_next=on_lanes(n, lanes, g2),
-        dec=dec,
-        enc=enc,
-        lanes=lanes,
-    )
+    return Proposal(token=logits.argmax(axis=1), logits=logits, text_ctx=text_ctx,
+                    text_weights=weights, g1_next=g1, g2_next=g2, dec=dec, enc=enc)
 
 
 def commit(dec: DecoderState, proposal: Proposal, enc: EncoderState = None,
            lanes=None) -> DecoderState:
     """Adopt the proposal on each of ``lanes`` (every lane when None).
 
-    Adopting lanes advance their decoder states and committed counts. The
-    proposal must have been produced from ``dec`` and, when given, ``enc``.
+    Adopting lanes advance their decoder states. The proposal must have
+    been produced from ``dec`` and, when given, ``enc``.
     """
     pick = slice(None) if lanes is None else lanes
     if dec.terminal[pick].any():
@@ -370,17 +337,11 @@ def commit(dec: DecoderState, proposal: Proposal, enc: EncoderState = None,
         raise ContractError("commit: proposal was produced against a different decoder state")
     if enc is not None and proposal.enc is not enc:
         raise ContractError("commit: proposal was produced against a different encoder state")
-    if proposal.lanes is not None:
-        proposed = np.zeros(len(dec.terminal), dtype=bool)
-        proposed[proposal.lanes] = True
-        if not proposed[pick].all():
-            raise ContractError("commit: a lane has no proposal")
     token = proposal.token[pick]
     return DecoderState(
         g1_h=_merge(dec.g1_h, proposal.g1_next[pick], lanes),
         g2_h=_merge(dec.g2_h, proposal.g2_next[pick], lanes),
         last_token=_merge(dec.last_token, token, lanes),
-        committed=_merge(dec.committed, dec.committed[pick] + 1, lanes),
         terminal=_merge(dec.terminal, token == EOS, lanes),
     )
 
@@ -406,16 +367,20 @@ class EpisodeStepper:
     the stepper keeps the consecutive wait (CW), the delays, the hypothesis
     ids, the action string and, with a ``reward_config``, each step's
     reward: the BLEU gain of the commit against the reference (when
-    ``refs`` are given) plus the CW/AP latency reward, with the delay
-    proportion running or terminal as configured.
+    ``refs`` are given) plus the CW/AP latency reward, whose delay
+    proportion term is paid on the terminal step.
 
     The constructor takes the first READ. Each later step is
     ``start_step()``, which returns the forced-WRITE mask, then
     ``apply()``. In between, ``forced`` holds that mask and ``proposal()``
-    computes the step's proposal, on the running lanes only, on first call
-    and caches it for the step; ``apply()`` asks for it only when some lane
-    writes. ``running`` lists the live lanes in order, and ``n_read`` and
-    ``n_written`` are (n,) counters.
+    computes the step's proposal on first call and caches it for the step;
+    ``apply()`` asks for it only when some lane writes. ``running`` lists
+    the live lanes in order. The model states ``dec`` and ``enc`` and the
+    projected features ``projected`` hold one row per running lane, in
+    ``running`` order, so the proposal has one row per running lane too;
+    ``apply()`` drops the rows of the lanes it ends. The per-lane
+    bookkeeping (``live``, the ``n_read`` and ``n_written`` counters, and
+    the lists above) is indexed by lane.
     """
 
     def __init__(self, model: EnvModel, sources, features=None, *, refs=None,
@@ -435,12 +400,12 @@ class EpisodeStepper:
                                         and all(isinstance(t, str) for t in r) for r in refs):
             raise DataError("episode: each refs entry must be a list of tokens")
         self.projected = model.project_features(features) if model.multimodal else None
-        self._live_projected = self.projected  # gathered to the running lanes as they end
         self.enc = EncoderState.encode(model, [ids + [EOS] for ids in self.src_ids])
         self.dec = DecoderState.initial(model, n)
         self.live = np.ones(n, dtype=bool)
         self.running = list(range(n))
         self.n_read = np.zeros(n, dtype=np.int64)
+        self.n_written = np.zeros(n, dtype=np.int64)  # EOS included
         self.cw = [0] * n
         self.hyp_ids = [[] for _ in range(n)]
         self.delays = [[] for _ in range(n)]
@@ -453,19 +418,6 @@ class EpisodeStepper:
         self._proposal = None
         self._forced = np.zeros(n, dtype=bool)
         self.apply(self._forced)
-
-    def _lanes(self, idx):
-        return None if len(idx) == self.n else np.array(idx)
-
-    @property
-    def running_lanes(self):
-        """``running`` as a ``lanes=`` argument: an index array, or None while every lane runs."""
-        return self._lanes(self.running)
-
-    @property
-    def n_written(self) -> np.ndarray:
-        """Tokens committed per lane, EOS included."""
-        return self.dec.committed
 
     @property
     def forced(self) -> np.ndarray:
@@ -482,26 +434,20 @@ class EpisodeStepper:
         """
         forced = self.n_read == self._src_len
         consumed = self.enc.consumed
-        eos = [i for i in self.running if forced[i] and consumed[i] == self.n_read[i]]
+        eos = [k for k, i in enumerate(self.running)
+               if forced[i] and consumed[k] == self.n_read[i]]
         if eos:
-            self.enc = self.enc.advance(self._lanes(eos))
+            self.enc = self.enc.advance(eos)
         self._proposal = None
         self._forced = forced
         return forced
 
     def proposal(self) -> Proposal:
-        """The current step's proposal on the running lanes, computed on first call.
-
-        Lanes only end, so the running lanes' feature blocks are gathered
-        again only when their number drops.
-        """
+        """The current step's proposal, one row per running lane, computed on first call."""
         if self._forced is None:
             raise ContractError("proposal: no step started; call start_step() first")
         if self._proposal is None:
-            lanes, projected = self.running_lanes, self._live_projected
-            if projected is not None and lanes is not None and len(projected) != len(lanes):
-                projected = self._live_projected = self.projected[lanes]
-            self._proposal = propose_next(self.dec, self.enc, self.model, projected, lanes)
+            self._proposal = propose_next(self.dec, self.enc, self.model, self.projected)
         return self._proposal
 
     def apply(self, write_mask) -> np.ndarray:
@@ -516,22 +462,23 @@ class EpisodeStepper:
             raise ContractError("apply: no step started; call start_step() first")
         live = self.running
         wrote = [bool(write_mask[i] or forced[i]) for i in live]
-        writes = [i for i, w in zip(live, wrote) if w]
-        reads = [i for i, w in zip(live, wrote) if not w]
+        writes = [k for k, w in enumerate(wrote) if w]  # row positions
+        reads = [k for k, w in enumerate(wrote) if not w]
         proposal = self.proposal() if writes else None
         self._forced = None
         if writes:
-            self.dec = commit(self.dec, proposal, self.enc, self._lanes(writes))
+            self.dec = commit(self.dec, proposal, self.enc, writes if reads else None)
         if reads:
-            self.enc = self.enc.advance(self._lanes(reads))
+            self.enc = self.enc.advance(reads)
         cfg = self.reward_config
         step_rewards = np.zeros(self.n)
-        for i, w in zip(live, wrote):
+        for k, (i, w) in enumerate(zip(live, wrote)):
             terminal = False
             quality = 0.0
             if w:
-                token = int(proposal.token[i])
+                token = int(proposal.token[k])
                 self.hyp_ids[i].append(token)
+                self.n_written[i] += 1
                 self.cw[i] = 0
                 if token != EOS:
                     self.delays[i].append(int(self.n_read[i]))
@@ -545,7 +492,7 @@ class EpisodeStepper:
             if cfg is not None:
                 delays = self.delays[i]
                 d_t = 0.0
-                if (terminal or cfg.running_avp) and delays:
+                if terminal and delays:
                     d_t = average_proportion(delays, len(self.src_ids[i]), len(delays))
                 step_rewards[i] = quality + latency_reward(self.cw[i], d_t, cfg,
                                                            is_terminal=terminal)
@@ -553,6 +500,11 @@ class EpisodeStepper:
             if terminal:
                 self.live[i] = False
         self.running = [i for i in live if self.live[i]]
+        if len(self.running) < len(live):
+            keep = [k for k, i in enumerate(live) if self.live[i]]
+            self.dec, self.enc = self.dec.take(keep), self.enc.take(keep)
+            if self.projected is not None:
+                self.projected = self.projected[keep]
         return step_rewards
 
 

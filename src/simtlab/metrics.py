@@ -26,15 +26,14 @@ class RewardConfig:
     ``alpha`` weighs the consecutive-wait term, ``beta`` the hinge on the
     average proportion above ``d_star``. Positive alpha (the literal
     published setting) turns the wait term into a bonus; experiment presets
-    flip it to a penalty. ``running_avp`` switches the proportion term from
-    terminal-only to a per-step running value.
+    flip it to a penalty. The proportion hinge is paid on the terminal step
+    only.
     """
 
     alpha: float = 0.025
     beta: float = -1.0
     c_star: int = 2
     d_star: float = 0.3
-    running_avp: bool = False
 
     def __post_init__(self):
         if self.c_star < 1:
@@ -170,12 +169,12 @@ def quality_reward_trace(prefixes, ref):
 
 
 def latency_reward(c_t: int, d_t: float, cfg: RewardConfig, is_terminal: bool) -> float:
-    """Consecutive-wait term plus the hinge on the delay proportion."""
+    """Consecutive-wait term plus, on the terminal step, the hinge on the delay proportion."""
     if c_t < 0:
         raise ContractError("latency_reward: negative consecutive-wait count")
     sign = (c_t > cfg.c_star) - (c_t < cfg.c_star)
     reward = cfg.alpha * (sign + 1.0)
-    if is_terminal or cfg.running_avp:
+    if is_terminal:
         reward += cfg.beta * max(d_t - cfg.d_star, 0.0)
     return reward
 
@@ -199,15 +198,21 @@ def consecutive_wait_trace(actions):
 # Latency metrics
 # ---------------------------------------------------------------------------
 
-def average_proportion(g, src_len: int, tgt_len: int) -> float:
-    """Mean fraction of source read at each commit: sum(g) / (|src| * |tgt|)."""
+def _delay_profile(name: str, g, src_len: int, tgt_len: int) -> list:
+    """``g`` as a list, once it is a non-empty profile of ``tgt_len`` values in [1, src_len]."""
     g = list(g)
     if not g:
-        raise ContractError("average_proportion: empty delay profile")
+        raise ContractError(f"{name}: empty delay profile")
     if len(g) != tgt_len:
-        raise ContractError(f"average_proportion: len(g)={len(g)} vs tgt_len={tgt_len}")
+        raise ContractError(f"{name}: len(g)={len(g)} vs tgt_len={tgt_len}")
     if min(g) < 1 or max(g) > src_len:
-        raise ContractError("average_proportion: g values outside [1, src_len]")
+        raise ContractError(f"{name}: g values outside [1, src_len={src_len}]")
+    return g
+
+
+def average_proportion(g, src_len: int, tgt_len: int) -> float:
+    """Mean fraction of source read at each commit: sum(g) / (|src| * |tgt|)."""
+    g = _delay_profile("average_proportion", g, src_len, tgt_len)
     return sum(g) / (src_len * tgt_len)
 
 
@@ -217,11 +222,7 @@ def average_lagging(g, src_len: int, tgt_len: int) -> float:
     Averages g[t] - (t - 1) / r over commits up to the first one made with
     the source fully read, where r is the target/source length ratio.
     """
-    g = list(g)
-    if not g:
-        raise ContractError("average_lagging: empty delay profile")
-    if tgt_len < 1:
-        raise ContractError("average_lagging: tgt_len must be >= 1")
+    g = _delay_profile("average_lagging", g, src_len, tgt_len)
     r = tgt_len / src_len
     tau = len(g)
     for t, gt in enumerate(g, start=1):

@@ -36,9 +36,10 @@ class Policy:
     per lane. ``decide(episode)`` is called once per step, between the
     stepper's ``start_step()`` and ``apply()``, and returns an (n,) bool
     WRITE mask. It may read ``episode.forced``, the counters ``n_read`` and
-    ``n_written``, the live lanes (``live``, ``running``, ``running_lanes``)
-    and ``episode.proposal()``, whose rows are zero on ended lanes; a policy
-    that never asks for the proposal lets READ steps skip the decoder.
+    ``n_written``, the live lanes (``live``, ``running``) and
+    ``episode.proposal()``, which has one row per running lane, in
+    ``running`` order; a policy that never asks for the proposal lets READ
+    steps skip the decoder.
     Answers on ended lanes are ignored, and a READ on a forced lane is
     overridden and counted. Policies may expose ``step_attention``, (n, R)
     agent-side attention weights from the last decide, to have them

@@ -118,7 +118,7 @@ def simulate(policy, model, src_tokens, features=None, ref_tokens=None, reward_c
             terminal = token == EOS or len(hyp_ids) >= cap
         if reward_config is not None:
             d_t = 0.0
-            if (terminal or reward_config.running_avp) and delays:
+            if terminal and delays:
                 d_t = average_proportion(delays, len(src_ids), len(delays))
             rewards.append(quality_delta +
                            latency_reward(cw, d_t, reward_config, is_terminal=terminal))

@@ -86,12 +86,6 @@ def test_compute_returns_is_discounted_reward_to_go(discount):
         assert np.allclose(got, np.cumsum(rewards[::-1])[::-1], rtol=0, atol=1e-12)
 
 
-def test_compute_returns_instant_mode_copies_the_rewards():
-    rewards = np.array([0.5, -1.0, 2.0])
-    got = compute_returns(rewards, RLTrainConfig(return_mode="instant", discount=0.5))
-    assert np.array_equal(got, rewards) and got is not rewards
-
-
 def test_collect_and_update_with_agent_hidden_unlike_env(untrained_env):
     env, pairs = untrained_env
     assert env.cfg.hid_dim != 16

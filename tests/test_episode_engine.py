@@ -62,15 +62,17 @@ def _policies():
             lambda s: ConsecutivePolicy(), lambda s: PeekingPolicy(s)]
 
 
-@pytest.mark.parametrize("running_avp", [False, True])
+@pytest.mark.parametrize("latency_only", [False, True])
 @pytest.mark.parametrize("c_star", [1, 2])
 @pytest.mark.parametrize("multimodal", [False, True])
 def test_simulate_matches_per_episode_reference(untrained_env, visual_env, multimodal,
-                                                c_star, running_avp):
+                                                c_star, latency_only):
+    # latency_only: no reference, so the rewards have no BLEU term
     env, pairs, feats = visual_env if multimodal else (*untrained_env, None)
-    reward = RewardConfig(c_star=c_star, running_avp=running_avp)
+    reward = RewardConfig(c_star=c_star)
     for s, (src, tgt) in enumerate(pairs[:10]):
         fs = feats[s] if multimodal else None
+        tgt = None if latency_only else tgt
         for make in _policies():
             got = simulate(make(s), env, src, fs, ref_tokens=tgt, reward_config=reward)
             want = ref.simulate(make(s), env, src, fs, ref_tokens=tgt, reward_config=reward)
@@ -131,6 +133,21 @@ def test_multimodal_entry_points_need_features(visual_env):
                              [(src, tgt, None)], RLTrainConfig(), global_seed=0)
 
 
+def _check_rows_follow_running(episode):
+    """The stepper's model states and features hold one row per running lane, in order."""
+    m, run = len(episode.running), episode.running
+    rows = [len(episode.dec.g1_h), len(episode.dec.g2_h), len(episode.dec.last_token),
+            len(episode.dec.terminal), len(episode.enc.rows), len(episode.enc.consumed)]
+    if episode.projected is not None:
+        rows.append(len(episode.projected))
+    assert rows == [m] * len(rows)
+    assert not episode.dec.terminal.any()
+    # a running lane sees n_read rows, plus its EOS row once a step forced it to write
+    n_read, src_len = episode.n_read[run], np.array([len(episode.src_ids[i]) for i in run])
+    extra = episode.enc.consumed - n_read
+    assert np.all((extra == 0) | ((extra == 1) & (n_read == src_len)))
+
+
 def test_stepper_lanes_equal_single_lane_episodes(visual_env):
     # lanes of unequal lengths finish at different steps; each matches its own run
     env, pairs, feats = visual_env
@@ -141,6 +158,7 @@ def test_stepper_lanes_equal_single_lane_episodes(visual_env):
         episode.start_step()
         episode.proposal()
         episode.apply(np.array([(step + i) % 3 == 0 for i in range(6)]))
+        _check_rows_follow_running(episode)
         step += 1
     for i in range(6):
         lane = "".join(episode.actions[i])
@@ -232,37 +250,35 @@ def test_encoder_pass_equals_one_lane_encode_next(untrained_env, visual_env, mul
 
 @pytest.mark.parametrize("multimodal", [False, True])
 def test_proposal_on_lanes_equals_all_lane_rows(untrained_env, visual_env, multimodal):
+    # proposing on some of the stepper's rows alone gives those rows of its proposal
     env, sources, feats = _ragged(untrained_env, visual_env, multimodal)
     episode = EpisodeStepper(env, sources, feats)
-    projected = episode.projected
     rng = np.random.default_rng(5)
     ragged_steps = 0
     while episode.running:
         episode.start_step()
-        dec, enc = episode.dec, episode.enc
-        # the all-lane reference proposes on lanes that committed EOS too
-        whole = propose_next(replace(dec, terminal=np.zeros(8, dtype=bool)), enc, env, projected)
-        open_lanes = np.flatnonzero(~dec.terminal)
-        for idx in (open_lanes, np.sort(rng.permutation(open_lanes)[:3]),
-                    open_lanes[[-1]], np.array(episode.running)):
-            if not len(idx):
-                continue
-            got = propose_next(dec, enc, env, None if projected is None else projected[idx],
-                               lanes=idx)
-            rest = np.setdiff1d(np.arange(8), idx)
-            assert np.array_equal(got.token[idx], whole.token[idx])
+        whole, m = episode.proposal(), len(episode.running)
+        for idx in (np.arange(m), np.sort(rng.permutation(m)[:3]), np.array([m - 1])):
+            projected = None if episode.projected is None else episode.projected[idx]
+            got = propose_next(episode.dec.take(idx), episode.enc.take(idx), env, projected)
+            assert np.array_equal(got.token, whole.token[idx])
             # BLAS may round a product's rows differently with another row count
-            for name in ("logits", "text_ctx", "text_weights", "g1_next", "g2_next"):
-                assert np.allclose(getattr(got, name)[idx], getattr(whole, name)[idx],
+            for name in ("logits", "text_ctx", "g1_next", "g2_next"):
+                assert np.allclose(getattr(got, name), getattr(whole, name)[idx],
                                    rtol=0, atol=1e-12), name
-            for name in ("token", "logits", "text_ctx", "text_weights", "g1_next", "g2_next"):
-                assert not getattr(got, name)[rest].any(), name
-        ragged_steps += len(set(enc.consumed[episode.running])) > 1
+            # attention spans the longest of the given rows' prefixes
+            width = got.text_weights.shape[1]
+            assert np.allclose(got.text_weights, whole.text_weights[idx, :width],
+                               rtol=0, atol=1e-12)
+            assert not whole.text_weights[idx, width:].any()
+        ragged_steps += len(set(episode.enc.consumed)) > 1
         episode.apply(rng.random(8) < 0.4)
+        _check_rows_follow_running(episode)
     assert ragged_steps > 3
     if multimodal:
+        fresh = EpisodeStepper(env, sources, feats)
         with pytest.raises(ShapeError, match="projected feature blocks"):
-            propose_next(episode.dec, episode.enc, env, projected, lanes=np.array([0, 1]))
+            propose_next(fresh.dec.take([0, 1]), fresh.enc.take([0, 1]), env, fresh.projected)
 
 
 def test_propose_next_rejects_lanes_that_committed_eos(untrained_env):
@@ -272,18 +288,20 @@ def test_propose_next_rejects_lanes_that_committed_eos(untrained_env):
     p, enc = episode.proposal(), episode.enc
     dec = commit(episode.dec, replace(p, token=np.full(3, EOS)), enc, lanes=np.array([1]))
     assert dec.terminal.tolist() == [False, True, False]
-    propose_next(dec, enc, env, lanes=np.array([0, 2]))
-    for lanes in (np.array([0, 1]), None):
+    open_dec, open_enc = dec.take([0, 2]), enc.take([0, 2])
+    part = propose_next(open_dec, open_enc, env)
+    for rows in ([0, 1], [0, 1, 2]):
         with pytest.raises(ContractError, match="lane that already committed EOS"):
-            propose_next(dec, enc, env, lanes=lanes)
-    # only the proposed lanes can adopt a proposal
-    part = propose_next(dec, enc, env, lanes=np.array([2]))
-    with pytest.raises(ContractError, match="a lane has no proposal"):
+            propose_next(dec.take(rows), enc.take(rows), env)
+    with pytest.raises(ContractError, match="commit after EOS"):
+        commit(dec, p, enc, lanes=np.array([0, 1]))
+    # a proposal adopts only onto the states it was produced from
+    with pytest.raises(ContractError, match="different decoder state"):
         commit(dec, part, enc, lanes=np.array([0, 2]))
-    assert commit(dec, part, enc, lanes=np.array([2])).committed.tolist() == [0, 1, 1]
+    assert commit(open_dec, part, open_enc).last_token.tolist() == part.token.tolist()
     # the stepper's encoder state was encoded up front; READs only advance it
     with pytest.raises(ContractError, match="advance"):
-        encode_next(enc, 4, env, lanes=np.array([0]))
+        encode_next(enc.take([0]), 4, env)
 
 
 def test_steps_run_no_encoder_gru_and_only_live_rows(untrained_env, monkeypatch):
@@ -347,9 +365,9 @@ def proposals(monkeypatch):
     calls = []
     real = environment.propose_next
 
-    def counted(dec, enc, model, projected=None, lanes=None):
+    def counted(dec, enc, model, projected=None):
         calls.append(dec)
-        return real(dec, enc, model, projected, lanes)
+        return real(dec, enc, model, projected)
 
     monkeypatch.setattr(environment, "propose_next", counted)
     return calls
@@ -391,6 +409,7 @@ def test_validation_proposes_only_on_steps_with_a_write(tiny_copy_env, proposals
     def apply(self, write_mask):
         live, made = np.flatnonzero(self.live), len(proposals)
         out = real_apply(self, write_mask)
+        _check_rows_follow_running(self)
         steps.append((any(self.actions[i][-1] == WRITE for i in live), len(proposals) - made))
         return out
 

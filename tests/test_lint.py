@@ -231,3 +231,68 @@ def test_record_check_names_the_enclosing_function():
     assert record_calls(source, "m.py") == [
         ("m.py:2", "_op"), ("m.py:7", "Net.step"), ("m.py:11", "helper.inner"),
         ("m.py:13", "<module>")]
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+# public names that nothing in src/ or perfbench/ uses yet, each with the ROADMAP item
+# that wires it up; a name leaves this list when it gains a caller or is deleted
+UNREFERENCED = {
+    "patience_exceeded": "ROADMAP 2 (train_agent stops with it)",
+    "validate_finite": "ROADMAP 5 (finiteness check after each update)",
+    "load_manifest": "ROADMAP 3 (the task grid reads its datasets)",
+    "ambiguous_text_ceiling": "ROADMAP 3 (the text-only ceiling in the table)",
+    "translate_full": "ROADMAP 7 (wired up or moved to tests/)",
+    "smoothed_sentence_bleu": "ROADMAP 7 (wired up or moved to tests/)",
+    "attention_norm_profile": "ROADMAP 5 (simtlab report)",
+    "lag_histogram": "ROADMAP 5 (simtlab report)",
+    "write_transcripts": "ROADMAP 5 (transcripts.jsonl)",
+    "read_transcripts": "ROADMAP 5 (simtlab report)",
+}
+
+
+def public_definitions(source: str) -> list:
+    """Names of the module-level functions and classes in ``source`` without a leading ``_``."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def referenced_names(source: str) -> set:
+    """Every name ``source`` uses as a variable or an attribute; defining one is no use."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_definition_in_src_is_referenced():
+    """A public function or class with no caller is dead code: wire it to one or delete it."""
+    used = set()
+    for path in sorted(SRC.rglob("*.py")) + sorted(PERFBENCH.rglob("*.py")):
+        used |= referenced_names(path.read_text(encoding="utf-8"))
+    unused = {name: path.name for path in sorted(SRC.rglob("*.py"))
+              for name in public_definitions(path.read_text(encoding="utf-8"))
+              if name not in used}
+    problems = [f"{where}: {name} has no reference in src/ or perfbench/"
+                for name, where in sorted(unused.items()) if name not in UNREFERENCED]
+    problems += [f"{name} is allowlisted but now referenced or gone"
+                 for name in sorted(set(UNREFERENCED) - set(unused))]
+    assert not problems, "\n".join(problems)
+
+
+def test_reference_check_tells_definitions_from_uses():
+    source = ("import numpy as np\n"
+              "class Used:\n"
+              "    def method(self):\n"
+              "        return helper_attr\n"
+              "class _Private:\n"
+              "    pass\n"
+              "def dead():\n"
+              "    return Used()\n"
+              "async def called_as_attribute():\n"
+              "    pass\n"
+              "x = np.mod.called_as_attribute\n")
+    assert public_definitions(source) == ["Used", "dead", "called_as_attribute"]
+    names = referenced_names(source)
+    assert {"Used", "called_as_attribute", "helper_attr", "np"} <= names
+    assert not {"dead", "method", "_Private"} & names

@@ -176,6 +176,16 @@ def test_average_lagging_can_be_negative():
     assert M.average_lagging([1, 1, 1, 1, 1, 1, 2, 4], 4, 8) < 0.0
 
 
+@pytest.mark.parametrize("g, src_len, tgt_len", [
+    ([], 3, 0), ([1, 2], 0, 2), ([0, 1], 3, 2), ([5, 6], 3, 2), ([1, 2], 3, 3)],
+    ids=["empty", "empty-source", "below-one", "past-source", "tgt-len-unlike-g"])
+@pytest.mark.parametrize("metric", ["average_lagging", "average_proportion"])
+def test_latency_metrics_reject_bad_delay_profiles(metric, g, src_len, tgt_len):
+    # AL used to divide by zero at src_len=0 and score [0, 1] as -0.25, [5, 6] as 5.0
+    with pytest.raises(ContractError, match=metric):
+        getattr(M, metric)(g, src_len, tgt_len)
+
+
 def test_wait_k_lagging_is_k_for_equal_lengths():
     for n in range(2, 21):
         for k in range(1, min(n, 11)):

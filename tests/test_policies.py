@@ -13,7 +13,7 @@ from simtlab.metrics import RewardConfig, delays_from_actions, smoothed_sentence
 from simtlab.optim import AdamState, adam_step
 from simtlab.policies import (ConsecutivePolicy, Policy, Transcript, WaitKPolicy,
                               read_transcripts, simulate, write_transcripts)
-from simtlab.vocab import EOS, Vocabulary
+from simtlab.vocab import BOS, EOS, Vocabulary
 
 from gradcheck import assert_grads_close
 from recount import quality_rewards_by_recount
@@ -128,8 +128,8 @@ def test_proposal_purity_and_basis(untrained_env):
     assert p1.token == int(p1.logits.argmax())
 
     dec2 = commit(dec, p1, enc)
-    assert dec2.committed == 1 and dec2.last_token == p1.token
-    assert dec.committed == 0  # the original state is untouched
+    assert dec2.last_token == p1.token and np.array_equal(dec2.g2_h, p1.g2_next)
+    assert dec.last_token == BOS and not dec.g2_h.any()  # the original state is untouched
     p3 = propose_next(dec2, enc, model)
     assert p3.dec is dec2 and p3.enc is enc
     # the proposal's prev-embedding input is the committed token's embedding

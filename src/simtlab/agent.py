@@ -224,27 +224,31 @@ def _observation(tape, visual_kv, text_ctx, token_emb, prev_action):
 class _LaneState:
     """A network's tapeless state on the running lanes of one episode.
 
-    ``h`` and the att variant's visual keys and values hold one row per
-    lane in ``lanes``. Lanes only end, so they are gathered to the running
-    lanes once each time that set shrinks.
+    ``h``, the previous-action rows ``a_prev`` (READ at the start) and the
+    att variant's visual keys and values hold one row per lane in
+    ``lanes``. Lanes only end, so they are gathered to the running lanes
+    once each time that set shrinks. The policy sets ``a_prev`` after each
+    step.
     """
 
     def __init__(self, net: _RecurrentNet, feats3, n: int):
         h0, self.visual_kv = net.start(None, feats3, n)
         self.net, self.h, self.lanes = net, h0.data, list(range(n))
+        self.a_prev = np.tile(np.array([1.0, 0.0]), (n, 1))
 
-    def step(self, running, text_ctx, token_emb, prev_action):
+    def step(self, running, text_ctx, token_emb):
         """Step the ``running`` lanes on their (m, ·) observation parts, in ``running`` order.
 
-        Returns the (m, head_dim) head outputs and the attention's
-        (context, weights), or None without visual attention.
+        The previous-action part is ``a_prev``. Returns the (m, head_dim)
+        head outputs and the attention's (context, weights), or None
+        without visual attention.
         """
         if len(running) != len(self.lanes):
             keep = np.searchsorted(self.lanes, running)  # both in ascending lane order
-            self.h, self.lanes = self.h[keep], running
+            self.h, self.a_prev, self.lanes = self.h[keep], self.a_prev[keep], running
             if self.visual_kv is not None:
                 self.visual_kv = tuple(Tensor(t.data[keep]) for t in self.visual_kv)
-        obs, attention = _observation(None, self.visual_kv, text_ctx, token_emb, prev_action)
+        obs, attention = _observation(None, self.visual_kv, text_ctx, token_emb, self.a_prev)
         self.h, out = self.net.step_np(obs.data, self.h)
         return out, attention
 
@@ -342,6 +346,8 @@ class RLTrainConfig:
                                   f"got {getattr(self, name)}")
         if not 0 < self.discount <= 1.0:
             raise ConfigError("discount must be in (0, 1]")
+        if self.val_cap < 0:
+            raise ConfigError(f"RLTrainConfig.val_cap must be at least 0, got {self.val_cap}")
 
 
 def compute_returns(rewards: np.ndarray, cfg: RLTrainConfig) -> np.ndarray:
@@ -379,7 +385,6 @@ class _SamplingPolicy(Policy):
         feats3 = _feature_block(features, self.agent, self.baseline)
         self.agent_lanes = _LaneState(self.agent, feats3, n)
         self.base_lanes = _LaneState(self.baseline, feats3, n)
-        self.a_prev = np.tile(np.array([1.0, 0.0]), (n, 1))
         self.steps = []
 
     def decide(self, episode: EpisodeStepper) -> np.ndarray:
@@ -387,10 +392,10 @@ class _SamplingPolicy(Policy):
         forced = episode.forced[run]
         text_ctx = proposal.text_ctx
         y_emb = self.env.tgt_emb.data[proposal.token]
-        a_prev = self.a_prev[run]  # a copy, recorded; self.a_prev changes below
 
-        logits_a, a_att = self.agent_lanes.step(run, text_ctx, y_emb, a_prev)
-        base_out, _ = self.base_lanes.step(run, text_ctx, y_emb, a_prev)
+        logits_a, a_att = self.agent_lanes.step(run, text_ctx, y_emb)
+        base_out, _ = self.base_lanes.step(run, text_ctx, y_emb)
+        a_prev = self.agent_lanes.a_prev  # recorded; replaced, not written, below
 
         ls = logits_a - logits_a.max(axis=1, keepdims=True)
         ls = ls - np.log(np.exp(ls).sum(axis=1, keepdims=True))
@@ -407,7 +412,8 @@ class _SamplingPolicy(Policy):
                 ls[np.arange(m), action], -(np.exp(ls) * ls).sum(axis=1), base_out[:, 0])
         self.steps.append(tuple(None if r is None else on_lanes(episode.n, run, r)
                                 for r in rows))
-        self.a_prev[run] = np.where(forced[:, None], np.eye(2)[action], soft)
+        self.agent_lanes.a_prev = self.base_lanes.a_prev = np.where(
+            forced[:, None], np.eye(2)[action], soft)
         return on_lanes(episode.n, run, action == ACT_WRITE)
 
 
@@ -548,15 +554,13 @@ class AgentGreedyPolicy(Policy):
     def start_episode(self, sources, features) -> None:
         n = len(sources)
         self._state = _LaneState(self.agent, _feature_block(features, self.agent), n)
-        self._a_prev = np.tile(np.array([1.0, 0.0]), (n, 1))
         self.step_attention = None
 
     def decide(self, episode: EpisodeStepper) -> np.ndarray:
         run, proposal = episode.running, episode.proposal()
         logits, attention = self._state.step(run, proposal.text_ctx,
-                                             self.env.tgt_emb.data[proposal.token],
-                                             self._a_prev[run])
-        self._a_prev[run] = ad.softmax(logits)
+                                             self.env.tgt_emb.data[proposal.token])
+        self._state.a_prev = ad.softmax(logits)
         if attention is not None:
             self.step_attention = on_lanes(episode.n, run, attention[1].data)
         return on_lanes(episode.n, run, logits[:, ACT_WRITE] > logits[:, ACT_READ])

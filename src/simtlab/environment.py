@@ -551,6 +551,10 @@ class EnvTrainConfig:
         require_positive(self, "batch_size", "max_epochs")
         if self.lr <= 0:
             raise ConfigError(f"EnvTrainConfig.lr must be positive, got {self.lr}")
+        if self.val_cap < 0:
+            raise ConfigError(f"EnvTrainConfig.val_cap must be at least 0, got {self.val_cap}")
+        if not 0.0 <= self.stop_bleu <= 100.0:
+            raise ConfigError(f"EnvTrainConfig.stop_bleu must be in [0, 100], got {self.stop_bleu}")
 
 
 def _pad_batch(seqs):
@@ -604,7 +608,12 @@ def teacher_forced_loss(model: EnvModel, batch, tape, feats3=None):
 
 
 def validation_bleu(model: EnvModel, pairs, features=None, cap: int = 0):
-    """Corpus BLEU of greedy consecutive decodes, all pairs stepped as lanes at once."""
+    """Corpus BLEU of greedy consecutive decodes, all pairs stepped as lanes at once.
+
+    A positive ``cap`` scores the first ``cap`` pairs only; 0 scores all.
+    """
+    if cap < 0:
+        raise ContractError(f"validation_bleu: cap must be at least 0, got {cap}")
     if features is not None and len(features) != len(pairs):
         raise DataError(f"validation_bleu: {len(features)} feature sets for {len(pairs)} pairs")
     if cap:

@@ -3,7 +3,10 @@
 All functions here are pure; scores are on the conventional 0-100 BLEU
 scale. Latency metrics operate on the delay profile g, where g[t] is the
 number of source tokens read when content token t was committed.
-Every BLEU score is computed from per-sentence n-gram counts by one scorer.
+Every BLEU score is computed from per-sentence n-gram counts by one scorer,
+in two forms with one formula: ``_bleu`` scores one count vector with
+Python floats (rewards and corpus BLEU), ``_bleu_rows`` scores every row of
+a count array at once (the bootstrap's resamples).
 """
 
 from __future__ import annotations
@@ -66,6 +69,26 @@ def _bleu(counts, smooth):
     for m, c in zip(matches[1:], totals[1:]):
         log_precisions.append(math.log((m + 1.0) / (c + 1.0)) if smooth else math.log(m / c))
     return 100.0 * _brevity_penalty(hyp_len, ref_len) * math.exp(sum(log_precisions) / MAX_ORDER)
+
+
+def _bleu_rows(counts) -> np.ndarray:
+    """Unsmoothed ``_bleu`` of each row of an (R, 10) count array.
+
+    Follows ``_bleu``'s arithmetic step for step, so a row agrees with
+    ``_bleu(row, smooth=False)`` to the last bit or two (``np.exp`` and
+    ``math.exp`` may round apart), and is exactly 0 wherever that is.
+    """
+    matches = counts[:, :MAX_ORDER]
+    totals = counts[:, MAX_ORDER:2 * MAX_ORDER]
+    hyp_len, ref_len = counts[:, 2 * MAX_ORDER], counts[:, 2 * MAX_ORDER + 1]
+    scored = (matches > 0).all(axis=1)
+    # unscored rows divide 1 by 1, so no 0/0 or log(0) is ever taken
+    log_p = np.log(np.where(scored[:, None], matches, 1) / np.where(scored[:, None], totals, 1))
+    log_sum = ((log_p[:, 0] + log_p[:, 1]) + log_p[:, 2]) + log_p[:, 3]  # as sum() adds
+    short = scored & (hyp_len < ref_len)
+    bp = np.ones(len(counts))
+    bp[short] = np.exp(1.0 - ref_len[short] / hyp_len[short])
+    return np.where(scored, 100.0 * bp * np.exp(log_sum / MAX_ORDER), 0.0)
 
 
 class PrefixBleu:
@@ -266,6 +289,13 @@ def bootstrap_significance(hyps_a, hyps_b, refs, n_resamples: int = 1000, rng=No
     BLEU is at least B's. Identical systems therefore give p = 1.0. Each
     sentence is counted once; a resample sums the counts of the sentences
     it picks.
+
+    All resamples are drawn by one ``rng.integers(0, n, size=(n_resamples,
+    n))`` call, whose rows are the indices ``n_resamples`` successive
+    ``integers(0, n, size=n)`` calls return, so a seeded ``rng`` gives the
+    same p-value as drawing one resample at a time. A resample's summed
+    counts are its per-sentence multiplicities times the count table, one
+    exact integer product for both systems.
     """
     hyps_a, hyps_b, refs = list(hyps_a), list(hyps_b), list(refs)
     if not (len(hyps_a) == len(hyps_b) == len(refs)):
@@ -274,19 +304,18 @@ def bootstrap_significance(hyps_a, hyps_b, refs, n_resamples: int = 1000, rng=No
         raise DataError("bootstrap_significance: no sentences")
     if n_resamples < 100:
         raise ContractError("bootstrap_significance: need at least 100 resamples")
-    counts_a, counts_b = (np.array([_sentence_counts(h, r) for h, r in zip(hyps, refs)],
-                                   dtype=np.int64) for hyps in (hyps_a, hyps_b))
+    counts = np.array([_sentence_counts(ha, r) + _sentence_counts(hb, r)
+                       for ha, hb, r in zip(hyps_a, hyps_b, refs)], dtype=np.int64)
     if rng is None:
         rng = np.random.default_rng(0)
     n = len(refs)
-    wins = 0
-    for _ in range(n_resamples):
-        idx = rng.integers(0, n, size=n)
-        score_a = _bleu(counts_a[idx].sum(axis=0).tolist(), smooth=False)
-        score_b = _bleu(counts_b[idx].sum(axis=0).tolist(), smooth=False)
-        if score_a >= score_b:
-            wins += 1
-    return wins / n_resamples
+    idx = rng.integers(0, n, size=(n_resamples, n))
+    idx += n * np.arange(n_resamples)[:, None]  # resample r counts into row r
+    picks = np.bincount(idx.ravel(), minlength=n_resamples * n).reshape(n_resamples, n)
+    sums = picks @ counts
+    width = 2 * MAX_ORDER + 2
+    wins = np.count_nonzero(_bleu_rows(sums[:, :width]) >= _bleu_rows(sums[:, width:]))
+    return int(wins) / n_resamples
 
 
 def attention_norm_profile(attention_sequence) -> float:

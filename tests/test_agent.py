@@ -51,6 +51,12 @@ def test_rl_train_config_error_names_the_field(field, value):
     RLTrainConfig(batch_size=1, trajectories_per_pair=1, lr=1e-9, tau=1e-9)
 
 
+def test_rl_train_config_rejects_a_negative_val_cap():
+    with pytest.raises(ConfigError, match=r"RLTrainConfig.val_cap must be at least 0, got -3"):
+        RLTrainConfig(val_cap=-3)
+    RLTrainConfig(val_cap=0)
+
+
 def test_select_model_picks_the_best_bleu_to_avp_ratio():
     history = [{"bleu": 20.0, "avp": 0.8}, {"bleu": 30.0, "avp": 0.6},
                {"bleu": 40.0, "avp": 1.0}]  # ratios 25, 50, 40: not the best BLEU

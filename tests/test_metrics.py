@@ -421,6 +421,61 @@ def test_bootstrap_equals_corpus_bleu_on_every_resample():
                                               rng=np.random.default_rng(seed)) < 1.0
 
 
+@pytest.mark.parametrize("n", [1, 13, 200])
+def test_bootstrap_equals_recount_across_corpus_sizes(n):
+    rng = np.random.default_rng(n)
+    refs, good, bad = _toy_systems(rng, n=n)
+    mix_a, mix_b = ([g if rng.random() < 0.5 else b for g, b in zip(good, bad)]
+                    for _ in range(2))
+    p = M.bootstrap_significance(mix_a, mix_b, refs, n_resamples=100,
+                                 rng=np.random.default_rng(3))
+    assert p == _bootstrap_by_recount(mix_a, mix_b, refs, 100, np.random.default_rng(3))
+
+
+class _RecordingRng:
+    def __init__(self, seed):
+        self.calls, self._rng = [], np.random.default_rng(seed)
+
+    def integers(self, low, high, size):
+        self.calls.append((low, high, size))
+        return self._rng.integers(low, high, size=size)
+
+
+def test_bootstrap_draws_every_resample_in_one_call():
+    refs, good, bad = _toy_systems(np.random.default_rng(8), n=13)
+    rng = _RecordingRng(0)
+    p = M.bootstrap_significance(bad, good, refs, n_resamples=250, rng=rng)
+    assert rng.calls == [(0, 13, (250, 13))]
+    assert p == _bootstrap_by_recount(bad, good, refs, 250, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [1, 13, 200])
+def test_bootstrap_identical_systems_give_exactly_one(n):
+    refs, good, bad = _toy_systems(np.random.default_rng(n), n=n)
+    for hyps in (good, bad, [[] for _ in refs]):
+        p = M.bootstrap_significance(hyps, hyps, refs, n_resamples=100)
+        assert p == 1.0 and type(p) is float
+
+
+def test_bleu_rows_match_the_scalar_scorer():
+    rng = np.random.default_rng(11)
+    rows = []
+    for _ in range(3000):
+        hyp_len = int(rng.integers(0, 60))
+        totals = [max(hyp_len - k, 0) for k in range(4)]
+        matches = [int(rng.integers(0, t + 1)) for t in totals]
+        if rng.random() < 0.2:  # a zero match count in one order
+            matches[int(rng.integers(0, 4))] = 0
+        rows.append(matches + totals + [hyp_len, int(rng.integers(1, 60))])
+    rows.append([0] * 8 + [0, 5])  # empty hypothesis
+    rows.append([4, 3, 2, 1, 4, 3, 2, 1, 4, 4])  # exact match
+    got = M._bleu_rows(np.array(rows, dtype=np.int64))
+    want = np.array([M._bleu(row, smooth=False) for row in rows])
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert (want == 0.0).sum() > 500 and (want > 0.0).sum() > 500
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
 # ---------------------------------------------------------------------------
 # analysis statistics
 # ---------------------------------------------------------------------------

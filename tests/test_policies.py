@@ -6,7 +6,7 @@ import pytest
 from simtlab import autodiff as ad
 from simtlab.environment import (EncoderState, EnvConfig, EnvModel, EnvTrainConfig, commit,
                                  encode_next, encode_sequence, propose_next,
-                                 teacher_forced_loss, translate_full)
+                                 teacher_forced_loss, translate_full, validation_bleu)
 from simtlab.errors import ConfigError, ContractError, DataError
 from simtlab.features import FeatureSet
 from simtlab.metrics import RewardConfig, delays_from_actions, smoothed_sentence_bleu
@@ -70,6 +70,22 @@ def test_env_train_config_rejects_non_positive_sizes(field, value, problem):
     with pytest.raises(ConfigError, match=rf"EnvTrainConfig.{field} must be {problem}"):
         EnvTrainConfig(**{field: value})
     EnvTrainConfig(batch_size=1, max_epochs=1, lr=1e-9)
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("val_cap", -5, r"at least 0, got -5"), ("stop_bleu", -1, r"in \[0, 100\], got -1"),
+    ("stop_bleu", 100.5, r"in \[0, 100\], got 100.5")])
+def test_env_train_config_rejects_negative_cap_and_out_of_range_stop(field, value, problem):
+    with pytest.raises(ConfigError, match=rf"EnvTrainConfig.{field} must be {problem}"):
+        EnvTrainConfig(**{field: value})
+    EnvTrainConfig(val_cap=0, stop_bleu=0.0)
+    EnvTrainConfig(val_cap=1, stop_bleu=100.0)
+
+
+def test_validation_bleu_rejects_a_negative_cap(untrained_env):
+    model, pairs = untrained_env
+    with pytest.raises(ContractError, match="cap must be at least 0, got -5"):
+        validation_bleu(model, pairs, cap=-5)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,10 @@ class TaskSpec:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
+        if self.vocab_size < 1:
+            raise ConfigError(f"TaskSpec.vocab_size must be at least 1, got {self.vocab_size}")
+        if not self.feature_noise >= 0.0:  # inf is pure noise; NaN fails too
+            raise ConfigError(f"TaskSpec.feature_noise must be at least 0, got {self.feature_noise}")
         if self.min_len < 1 or self.max_len < self.min_len:
             raise ConfigError("invalid sentence length range")
         if min(self.n_train, self.n_valid, self.n_test) < 1:
@@ -159,20 +163,22 @@ def load_split(directory, split: str):
 
 def make_synthetic_dataset(spec: TaskSpec, out_dir, seed: int) -> dict:
     """Emit train/valid/test files plus features and a dataset manifest."""
+    if seed < 0:
+        raise ConfigError(f"make_synthetic_dataset: seed must be at least 0, got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     task = build_ambiguous_task(spec, rng) if spec.task == "ambiguous" else None
 
+    counts = {"train": spec.n_train, "valid": spec.n_valid, "test": spec.n_test}
     manifest = {
         "task": spec.task,
         "seed": seed,
         "vocab_size": spec.vocab_size,
         "min_len": spec.min_len,
         "max_len": spec.max_len,
-        "counts": {"train": spec.n_train, "valid": spec.n_valid, "test": spec.n_test},
+        "counts": counts,
     }
-    counts = {"train": spec.n_train, "valid": spec.n_valid, "test": spec.n_test}
     all_pairs = {}
     for split in SPLITS:
         pairs = generate_pairs(spec, counts[split], rng, task)

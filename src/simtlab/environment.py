@@ -7,11 +7,12 @@ n episodes in lockstep under one set of rules. The encoder is
 unidirectional, so the stepper encodes every lane's whole source once, up
 front, and a READ only makes one more of those rows visible. The stepper
 computes a step's proposal only when something reads it (a policy that
-looks at the proposed token, or a WRITE that adopts it). Its model states
-keep rows for the lanes still running only, so the proposal is computed on
-those lanes alone. A step on which every lane READs under a rule that reads
-only the counters runs no decoder work. The same model trained and decoded
-with the full source is the consecutive baseline.
+looks at the proposed token, or a WRITE that adopts it), and is the only
+writer of decoder state: a WRITE copies the proposal's rows into its own.
+Its model states keep rows for the lanes still running only, so the
+proposal is computed on those lanes alone. A step on which every lane READs
+under a rule that reads only the counters runs no decoder work. The same
+model trained and decoded with the full source is the consecutive baseline.
 
 Architecture: 2-layer unidirectional GRU encoder, first decoder GRU
 producing attention queries, dot-product attention over emitted encoder
@@ -32,7 +33,6 @@ from . import autodiff as ad
 from .autodiff import GRUParams, Tensor
 from .checkpoint import load_into, read_config, save_checkpoint, write_metadata
 from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
-from .features import FeatureSet
 from .metrics import (PrefixBleu, RewardConfig, average_proportion, corpus_bleu,
                       latency_reward)
 from .vocab import BOS, EOS, PAD, RESERVED, Vocabulary
@@ -230,37 +230,36 @@ class EncoderState:
 
 @dataclass
 class DecoderState:
-    """Committed-prefix decoder state of n lanes; a lane advances only on commit."""
+    """Decoder state of n lanes after their written prefixes.
+
+    ``EpisodeStepper`` owns the rows of its state and updates them in place
+    when a lane WRITEs; nothing else changes a state.
+    """
 
     g1_h: np.ndarray         # (n, h)
     g2_h: np.ndarray         # (n, h)
     last_token: np.ndarray   # (n,)
-    terminal: np.ndarray     # (n,) bool: EOS committed
 
     @classmethod
     def initial(cls, model: EnvModel, n: int = 1) -> "DecoderState":
         h = model.cfg.hid_dim
-        return cls(np.zeros((n, h)), np.zeros((n, h)), np.full(n, BOS, dtype=np.int64),
-                   np.zeros(n, dtype=bool))
+        return cls(np.zeros((n, h)), np.zeros((n, h)), np.full(n, BOS, dtype=np.int64))
 
     def take(self, lanes) -> "DecoderState":
-        """The state of ``lanes`` only, in that order."""
-        return DecoderState(self.g1_h[lanes], self.g2_h[lanes], self.last_token[lanes],
-                            self.terminal[lanes])
+        """A copy of the state of ``lanes`` only, in that order."""
+        return DecoderState(self.g1_h[lanes], self.g2_h[lanes], self.last_token[lanes])
 
 
 @dataclass
 class Proposal:
-    """A candidate next token per lane of its states, plus everything needed to adopt it."""
+    """A candidate next token per lane, plus the decoder rows that adopting it gives."""
 
     token: np.ndarray          # (n,)
     logits: np.ndarray         # (n, V)
     text_ctx: np.ndarray       # (n, h)
     text_weights: np.ndarray   # (n, rows attended)
-    g1_next: np.ndarray
-    g2_next: np.ndarray
-    dec: DecoderState          # the states the proposal was produced from
-    enc: EncoderState
+    g1_next: np.ndarray        # (n, h)
+    g2_next: np.ndarray        # (n, h)
 
 
 def _attend(keys, query, mask=None):
@@ -268,15 +267,6 @@ def _attend(keys, query, mask=None):
     kv = Tensor(keys)
     ctx, weights = ad.batched_attention(None, kv, kv, Tensor(query), mask)
     return ctx.data, weights.data
-
-
-def _merge(old, new, lanes):
-    """``new`` on every lane when ``lanes`` is None, else ``old`` with ``lanes`` replaced."""
-    if lanes is None:
-        return new
-    out = old.copy()
-    out[lanes] = new
-    return out
 
 
 def encode_next(state: EncoderState, token_id: int, model: EnvModel) -> EncoderState:
@@ -305,8 +295,6 @@ def propose_next(dec: DecoderState, enc: EncoderState, model: EnvModel,
     ``projected`` is ``project_features`` output: (R, h) shared by every
     lane, or one (R, h) block per lane; a multimodal environment needs it.
     """
-    if dec.terminal.any():
-        raise ContractError("propose_next on a lane that already committed EOS")
     keys, mask = enc.keys()
     prev_emb = model.tgt_emb.data[dec.last_token]
     g1 = ad.gru_step(prev_emb, dec.g1_h, model.dec1)
@@ -320,30 +308,7 @@ def propose_next(dec: DecoderState, enc: EncoderState, model: EnvModel,
     g2 = ad.gru_step(ctx, dec.g2_h, model.dec2)
     logits = np.concatenate([prev_emb, ctx, g2], axis=1) @ model.w_out.data + model.b_out.data
     return Proposal(token=logits.argmax(axis=1), logits=logits, text_ctx=text_ctx,
-                    text_weights=weights, g1_next=g1, g2_next=g2, dec=dec, enc=enc)
-
-
-def commit(dec: DecoderState, proposal: Proposal, enc: EncoderState = None,
-           lanes=None) -> DecoderState:
-    """Adopt the proposal on each of ``lanes`` (every lane when None).
-
-    Adopting lanes advance their decoder states. The proposal must have
-    been produced from ``dec`` and, when given, ``enc``.
-    """
-    pick = slice(None) if lanes is None else lanes
-    if dec.terminal[pick].any():
-        raise ContractError("commit after EOS was already committed")
-    if proposal.dec is not dec:
-        raise ContractError("commit: proposal was produced against a different decoder state")
-    if enc is not None and proposal.enc is not enc:
-        raise ContractError("commit: proposal was produced against a different encoder state")
-    token = proposal.token[pick]
-    return DecoderState(
-        g1_h=_merge(dec.g1_h, proposal.g1_next[pick], lanes),
-        g2_h=_merge(dec.g2_h, proposal.g2_next[pick], lanes),
-        last_token=_merge(dec.last_token, token, lanes),
-        terminal=_merge(dec.terminal, token == EOS, lanes),
-    )
+                    text_weights=weights, g1_next=g1, g2_next=g2)
 
 
 def output_cap(src_len: int) -> int:
@@ -377,8 +342,9 @@ class EpisodeStepper:
     ``apply()`` asks for it only when some lane writes. ``running`` lists
     the live lanes in order. The model states ``dec`` and ``enc`` and the
     projected features ``projected`` hold one row per running lane, in
-    ``running`` order, so the proposal has one row per running lane too;
-    ``apply()`` drops the rows of the lanes it ends. The per-lane
+    ``running`` order, so the proposal has one row per running lane too.
+    ``apply()`` copies the proposal onto the decoder rows of the lanes that
+    write, in place, and drops the rows of the lanes it ends. The per-lane
     bookkeeping (``live``, the ``n_read`` and ``n_written`` counters, and
     the lists above) is indexed by lane.
     """
@@ -467,7 +433,10 @@ class EpisodeStepper:
         proposal = self.proposal() if writes else None
         self._forced = None
         if writes:
-            self.dec = commit(self.dec, proposal, self.enc, writes if reads else None)
+            rows, dec = writes if reads else slice(None), self.dec
+            dec.g1_h[rows] = proposal.g1_next[rows]
+            dec.g2_h[rows] = proposal.g2_next[rows]
+            dec.last_token[rows] = proposal.token[rows]
         if reads:
             self.enc = self.enc.advance(reads)
         cfg = self.reward_config
@@ -508,26 +477,6 @@ class EpisodeStepper:
         return step_rewards
 
 
-def _decode_consecutive(model: EnvModel, sources, features=None):
-    """Greedy consecutive decodes, one lane per non-empty source; an empty source gives []."""
-    lanes = [i for i, src in enumerate(sources) if src]
-    hyps = [[] for _ in sources]
-    if lanes:
-        episode = EpisodeStepper(model, [sources[i] for i in lanes],
-                                 None if features is None else [features[i] for i in lanes])
-        while episode.running:
-            episode.apply(episode.start_step())  # proposes only when some lane writes
-        for i, ids in zip(lanes, episode.hyp_ids):
-            hyps[i] = model.tgt_vocab.decode(ids)
-    return hyps
-
-
-def translate_full(model: EnvModel, src_tokens, features: FeatureSet = None):
-    """Greedy consecutive decode with the whole source read first."""
-    return _decode_consecutive(model, [list(src_tokens)],
-                               None if features is None else [features])[0]
-
-
 # ---------------------------------------------------------------------------
 # Consecutive (teacher-forced) training
 # ---------------------------------------------------------------------------
@@ -551,6 +500,8 @@ class EnvTrainConfig:
         require_positive(self, "batch_size", "max_epochs")
         if self.lr <= 0:
             raise ConfigError(f"EnvTrainConfig.lr must be positive, got {self.lr}")
+        if self.seed < 0:
+            raise ConfigError(f"EnvTrainConfig.seed must be at least 0, got {self.seed}")
         if self.val_cap < 0:
             raise ConfigError(f"EnvTrainConfig.val_cap must be at least 0, got {self.val_cap}")
         if not 0.0 <= self.stop_bleu <= 100.0:
@@ -610,7 +561,8 @@ def teacher_forced_loss(model: EnvModel, batch, tape, feats3=None):
 def validation_bleu(model: EnvModel, pairs, features=None, cap: int = 0):
     """Corpus BLEU of greedy consecutive decodes, all pairs stepped as lanes at once.
 
-    A positive ``cap`` scores the first ``cap`` pairs only; 0 scores all.
+    A positive ``cap`` scores the first ``cap`` pairs only; 0 scores all. An
+    empty source decodes to no tokens.
     """
     if cap < 0:
         raise ContractError(f"validation_bleu: cap must be at least 0, got {cap}")
@@ -619,7 +571,15 @@ def validation_bleu(model: EnvModel, pairs, features=None, cap: int = 0):
     if cap:
         pairs = pairs[:cap]
         features = features[:cap] if features is not None else None
-    hyps = _decode_consecutive(model, [src for src, _ in pairs], features)
+    lanes = [i for i, (src, _) in enumerate(pairs) if src]
+    hyps = [[] for _ in pairs]
+    if lanes:
+        episode = EpisodeStepper(model, [pairs[i][0] for i in lanes],
+                                 None if features is None else [features[i] for i in lanes])
+        while episode.running:
+            episode.apply(episode.start_step())  # proposes only when some lane writes
+        for i, ids in zip(lanes, episode.hyp_ids):
+            hyps[i] = model.tgt_vocab.decode(ids)
     return corpus_bleu(hyps, [list(tgt) for _, tgt in pairs])
 
 

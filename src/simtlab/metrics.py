@@ -27,10 +27,9 @@ class RewardConfig:
     """Reward hyperparameters: consecutive-wait and proportion targets.
 
     ``alpha`` weighs the consecutive-wait term, ``beta`` the hinge on the
-    average proportion above ``d_star``. Positive alpha (the literal
-    published setting) turns the wait term into a bonus; experiment presets
-    flip it to a penalty. The proportion hinge is paid on the terminal step
-    only.
+    average proportion above ``d_star``. With alpha > 0 (the literal
+    published setting) the wait term is a bonus; ROADMAP item 1 settles its
+    sign. The proportion hinge is paid on the terminal step only.
     """
 
     alpha: float = 0.025
@@ -144,15 +143,6 @@ def _sentence_counts(hyp, ref):
     for token in hyp:
         counter.add(token)
     return counter.counts()
-
-
-def smoothed_sentence_bleu(hyp, ref) -> float:
-    """Sentence BLEU with add-one smoothing on orders above 1.
-
-    The unigram precision is left unsmoothed so an empty or fully wrong
-    hypothesis scores exactly 0 and an exact match scores exactly 100.
-    """
-    return _bleu(_sentence_counts(hyp, ref), smooth=True)
 
 
 def corpus_bleu(hyps, refs) -> float:

@@ -1,6 +1,18 @@
 """Reference quality rewards, recounted from scratch for parity tests."""
 
-from simtlab.metrics import smoothed_sentence_bleu
+from simtlab.metrics import PrefixBleu
+
+
+def smoothed_sentence_bleu(hyp, ref) -> float:
+    """Sentence BLEU with add-one smoothing on orders above 1.
+
+    The unigram precision is left unsmoothed so an empty or fully wrong
+    hypothesis scores exactly 0 and an exact match scores exactly 100.
+    """
+    scorer = PrefixBleu(ref)
+    for token in hyp:
+        scorer.append(token)
+    return scorer.score
 
 
 def quality_rewards_by_recount(t, ref):

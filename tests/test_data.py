@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
-from simtlab.data import ambiguous_text_ceiling, load_manifest
-from simtlab.errors import DataError
+from simtlab.data import TaskSpec, ambiguous_text_ceiling, load_manifest, make_synthetic_dataset
+from simtlab.errors import ConfigError, DataError
 from simtlab.metrics import corpus_bleu
 
 
@@ -23,3 +25,28 @@ def test_ambiguous_text_ceiling_picks_each_types_majority_realization():
     ceiling = ambiguous_text_ceiling(manifest, train, test)
     assert ceiling == corpus_bleu(hyps, [tgt for _, tgt in test])
     assert 0.0 < ceiling < corpus_bleu([tgt for _, tgt in test], [tgt for _, tgt in test])
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("vocab_size", 0, "vocab_size must be at least 1, got 0"),
+    ("feature_noise", -1.0, "feature_noise must be at least 0, got -1.0"),
+    ("feature_noise", math.nan, "feature_noise must be at least 0, got nan")])
+def test_task_spec_rejects_an_empty_vocabulary_and_negative_or_nan_noise(field, value, problem):
+    with pytest.raises(ConfigError, match=f"TaskSpec.{problem}"):
+        TaskSpec(task="copy" if field == "vocab_size" else "ambiguous", **{field: value})
+    TaskSpec(vocab_size=1)
+
+
+def test_pure_noise_features_are_generated(tmp_path):
+    spec = TaskSpec(task="ambiguous", n_train=2, n_valid=1, n_test=1, feature_noise=math.inf)
+    manifest = make_synthetic_dataset(spec, tmp_path, seed=0)
+    assert manifest["feature_noise"] == math.inf
+    assert manifest["counts"] == {"train": 2, "valid": 1, "test": 1}
+    assert (tmp_path / "test.feat").exists()
+
+
+def test_make_synthetic_dataset_rejects_a_negative_seed_before_writing(tmp_path):
+    out = tmp_path / "data"
+    with pytest.raises(ConfigError, match="seed must be at least 0, got -1"):
+        make_synthetic_dataset(TaskSpec(), out, seed=-1)
+    assert not out.exists()

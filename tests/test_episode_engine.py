@@ -1,7 +1,5 @@
 """The lane-batched episode engine against the per-episode reference."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -10,9 +8,8 @@ from simtlab import environment
 from simtlab.agent import (AgentConfig, AgentGreedyPolicy, AgentNetwork, BaselineNetwork,
                            RLTrainConfig, collect_trajectories)
 from simtlab.environment import (READ, WRITE, EnvConfig, EnvModel, EnvTrainConfig,
-                                 EpisodeStepper, commit, encode_next, encode_sequence,
-                                 propose_next, train_consecutive, translate_full,
-                                 validation_bleu)
+                                 EpisodeStepper, encode_next, encode_sequence, propose_next,
+                                 train_consecutive, validation_bleu)
 from simtlab.errors import ConfigError, ContractError, DataError, ShapeError
 from simtlab.features import FeatureSet
 from simtlab.metrics import RewardConfig, corpus_bleu
@@ -21,7 +18,7 @@ from simtlab.vocab import EOS
 
 import episode_reference as ref
 from test_agent import _visual_setup
-from test_policies import AlwaysRead, RandomPolicy, ScriptedPolicy
+from test_policies import AlwaysRead, RandomPolicy, ScriptedPolicy, translate_full
 
 ROWS, DIM = 3, 5
 
@@ -105,8 +102,8 @@ def test_validation_decodes_match_reference_translate_full(untrained_env, visual
     want = [ref.translate_full(env, src, None if feats is None else feats[i])
             for i, (src, _) in enumerate(pairs)]
     got = [translate_full(env, src, None if feats is None else feats[i])
-           for i, (src, _) in enumerate(pairs)]
-    assert got == want
+           for i, (src, _) in enumerate(pairs) if src]
+    assert want[0] == [] and got == want[1:]
     assert any(want)
     refs = [list(tgt) for _, tgt in pairs]
     assert validation_bleu(env, pairs, feats) == corpus_bleu(want, refs)
@@ -137,11 +134,10 @@ def _check_rows_follow_running(episode):
     """The stepper's model states and features hold one row per running lane, in order."""
     m, run = len(episode.running), episode.running
     rows = [len(episode.dec.g1_h), len(episode.dec.g2_h), len(episode.dec.last_token),
-            len(episode.dec.terminal), len(episode.enc.rows), len(episode.enc.consumed)]
+            len(episode.enc.rows), len(episode.enc.consumed)]
     if episode.projected is not None:
         rows.append(len(episode.projected))
     assert rows == [m] * len(rows)
-    assert not episode.dec.terminal.any()
     # a running lane sees n_read rows, plus its EOS row once a step forced it to write
     n_read, src_len = episode.n_read[run], np.array([len(episode.src_ids[i]) for i in run])
     extra = episode.enc.consumed - n_read
@@ -281,27 +277,54 @@ def test_proposal_on_lanes_equals_all_lane_rows(untrained_env, visual_env, multi
             propose_next(fresh.dec.take([0, 1]), fresh.enc.take([0, 1]), env, fresh.projected)
 
 
-def test_propose_next_rejects_lanes_that_committed_eos(untrained_env):
+@pytest.mark.parametrize("multimodal", [False, True])
+def test_apply_copies_the_proposal_onto_writing_rows(untrained_env, visual_env, multimodal):
+    # writing rows take the proposal's rows bit for bit; reading rows keep theirs
+    env, sources, feats = _ragged(untrained_env, visual_env, multimodal)
+    episode = EpisodeStepper(env, sources, feats)
+    rng = np.random.default_rng(3)
+    written = read = 0
+    while episode.running:
+        episode.start_step()
+        before, p = episode.running, episode.proposal()
+        rows = [a.copy() for a in (episode.dec.g1_h, episode.dec.g2_h, episode.dec.last_token)]
+        episode.apply(rng.random(8) < 0.5)
+        for k, i in enumerate(episode.running):
+            was = before.index(i)
+            if episode.actions[i][-1] == WRITE:
+                want = (p.g1_next[was], p.g2_next[was], p.token[was])
+                written += 1
+            else:
+                want = tuple(a[was] for a in rows)
+                read += 1
+            got = (episode.dec.g1_h[k], episode.dec.g2_h[k], episode.dec.last_token[k])
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert written > 3 and read > 3
+
+
+def test_apply_keeps_no_reference_to_the_proposal(untrained_env):
+    # after a step on which every row writes, the stepper's rows are its own
+    env, pairs = untrained_env
+    probe = EpisodeStepper(env, [src for src, _ in pairs[:20]])
+    probe.start_step()
+    episode = EpisodeStepper(env, [pairs[i][0]
+                                   for i in np.flatnonzero(probe.proposal().token != EOS)[:3]])
+    episode.start_step()
+    p = episode.proposal()
+    episode.apply(np.ones(3, dtype=bool))
+    assert episode.running == [0, 1, 2]  # no lane ended, so no row was gathered
+    dec = episode.dec
+    rows = [a.copy() for a in (dec.g1_h, dec.g2_h, dec.last_token)]
+    p.g1_next[...], p.g2_next[...], p.token[...] = 7.0, 7.0, EOS
+    assert all(np.array_equal(a, b) for a, b in zip((dec.g1_h, dec.g2_h, dec.last_token), rows))
+
+
+def test_encode_next_rejects_a_state_encoded_up_front(untrained_env):
     env, pairs = untrained_env
     episode = EpisodeStepper(env, [src for src, _ in pairs[:3]])
-    episode.start_step()
-    p, enc = episode.proposal(), episode.enc
-    dec = commit(episode.dec, replace(p, token=np.full(3, EOS)), enc, lanes=np.array([1]))
-    assert dec.terminal.tolist() == [False, True, False]
-    open_dec, open_enc = dec.take([0, 2]), enc.take([0, 2])
-    part = propose_next(open_dec, open_enc, env)
-    for rows in ([0, 1], [0, 1, 2]):
-        with pytest.raises(ContractError, match="lane that already committed EOS"):
-            propose_next(dec.take(rows), enc.take(rows), env)
-    with pytest.raises(ContractError, match="commit after EOS"):
-        commit(dec, p, enc, lanes=np.array([0, 1]))
-    # a proposal adopts only onto the states it was produced from
-    with pytest.raises(ContractError, match="different decoder state"):
-        commit(dec, part, enc, lanes=np.array([0, 2]))
-    assert commit(open_dec, part, open_enc).last_token.tolist() == part.token.tolist()
     # the stepper's encoder state was encoded up front; READs only advance it
     with pytest.raises(ContractError, match="advance"):
-        encode_next(enc.take([0]), 4, env)
+        encode_next(episode.enc.take([0]), 4, env)
 
 
 def test_steps_run_no_encoder_gru_and_only_live_rows(untrained_env, monkeypatch):

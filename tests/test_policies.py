@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 
 from simtlab import autodiff as ad
-from simtlab.environment import (EncoderState, EnvConfig, EnvModel, EnvTrainConfig, commit,
-                                 encode_next, encode_sequence, propose_next,
-                                 teacher_forced_loss, translate_full, validation_bleu)
+from simtlab.environment import (EncoderState, EnvConfig, EnvModel, EnvTrainConfig,
+                                 EpisodeStepper, encode_next, encode_sequence, propose_next,
+                                 teacher_forced_loss, validation_bleu)
 from simtlab.errors import ConfigError, ContractError, DataError
 from simtlab.features import FeatureSet
-from simtlab.metrics import RewardConfig, delays_from_actions, smoothed_sentence_bleu
+from simtlab.metrics import RewardConfig, corpus_bleu, delays_from_actions
 from simtlab.optim import AdamState, adam_step
 from simtlab.policies import (ConsecutivePolicy, Policy, Transcript, WaitKPolicy,
                               read_transcripts, simulate, write_transcripts)
 from simtlab.vocab import BOS, EOS, Vocabulary
 
 from gradcheck import assert_grads_close
-from recount import quality_rewards_by_recount
+from recount import quality_rewards_by_recount, smoothed_sentence_bleu
 from stepwise import teacher_forced_loss_stepwise
 
 
@@ -37,6 +37,14 @@ class ScriptedPolicy(Policy):
             action = "W"
         self.pos += 1
         return np.full(episode.n, action == "W")
+
+
+def translate_full(model, src_tokens, features=None):
+    """Greedy consecutive decode of one non-empty source, read whole before any WRITE."""
+    episode = EpisodeStepper(model, [list(src_tokens)], None if features is None else [features])
+    while episode.running:
+        episode.apply(episode.start_step())
+    return model.tgt_vocab.decode(episode.hyp_ids[0])
 
 
 class AlwaysRead(Policy):
@@ -70,6 +78,12 @@ def test_env_train_config_rejects_non_positive_sizes(field, value, problem):
     with pytest.raises(ConfigError, match=rf"EnvTrainConfig.{field} must be {problem}"):
         EnvTrainConfig(**{field: value})
     EnvTrainConfig(batch_size=1, max_epochs=1, lr=1e-9)
+
+
+def test_env_train_config_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="EnvTrainConfig.seed must be at least 0, got -1"):
+        EnvTrainConfig(seed=-1)
+    EnvTrainConfig(seed=0)
 
 
 @pytest.mark.parametrize("field, value, problem", [
@@ -137,33 +151,15 @@ def test_proposal_purity_and_basis(untrained_env):
     model, pairs = untrained_env
     enc = encode_sequence(model, model.src_vocab.encode(pairs[0][0]))
     dec = model.initial_decoder_state()
+    rows = enc.rows.copy()
     p1 = propose_next(dec, enc, model)
     p2 = propose_next(dec, enc, model)
     assert p1.token == p2.token
     assert np.array_equal(p1.logits, p2.logits)
     assert p1.token == int(p1.logits.argmax())
-
-    dec2 = commit(dec, p1, enc)
-    assert dec2.last_token == p1.token and np.array_equal(dec2.g2_h, p1.g2_next)
-    assert dec.last_token == BOS and not dec.g2_h.any()  # the original state is untouched
-    p3 = propose_next(dec2, enc, model)
-    assert p3.dec is dec2 and p3.enc is enc
-    # the proposal's prev-embedding input is the committed token's embedding
-    assert np.array_equal(p3.dec.last_token, p1.token)
-    with pytest.raises(ContractError):
-        commit(dec2, p1, enc)  # stale proposal
-
-
-def test_commit_eos_sets_terminal(untrained_env):
-    model, pairs = untrained_env
-    enc = encode_sequence(model, model.src_vocab.encode(pairs[0][0]))
-    dec = model.initial_decoder_state()
-    p = propose_next(dec, enc, model)
-    forced_eos = type(p)(**{**p.__dict__, "token": np.array([EOS])})
-    dec2 = commit(dec, forced_eos, enc)
-    assert dec2.terminal
-    with pytest.raises(ContractError):
-        commit(dec2, p, enc)
+    # neither state is touched
+    assert dec.last_token == BOS and not dec.g1_h.any() and not dec.g2_h.any()
+    assert np.array_equal(enc.rows, rows) and enc.consumed.tolist() == [len(pairs[0][0])]
 
 
 def test_attention_weights_len_one_for_single_prefix(untrained_env):
@@ -439,9 +435,13 @@ def test_translate_full_matches_consecutive_simulation(tiny_copy_env):
             simulate(ConsecutivePolicy(), model, src).content_hyp
 
 
-def test_translate_full_empty_source(tiny_copy_env):
-    model = tiny_copy_env[0]
-    assert translate_full(model, []) == []
+def test_validation_bleu_decodes_an_empty_source_to_nothing(tiny_copy_env):
+    model, _, _, test, _ = tiny_copy_env
+    pairs = [([], list(test[0][1]))] + list(test[:5])
+    hyps = [[]] + [translate_full(model, src) for src, _ in test[:5]]
+    assert validation_bleu(model, pairs) == corpus_bleu(hyps, [list(tgt) for _, tgt in pairs])
+    assert validation_bleu(model, pairs) < validation_bleu(model, pairs[1:])
+    assert validation_bleu(model, pairs[:1]) == 0.0
 
 
 def test_translate_full_respects_cap(untrained_env):

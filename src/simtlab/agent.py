@@ -323,7 +323,11 @@ class TrajectoryBatch:
 
 @dataclass
 class RLTrainConfig:
-    """REINFORCE hyperparameters; defaults follow the reference regime."""
+    """REINFORCE hyperparameters; defaults follow the reference regime.
+
+    Nothing reads ``seed`` yet: ``collect_trajectories`` takes its own
+    ``global_seed``. ROADMAP item 3's ``train_agent`` will pass it there.
+    """
 
     lr: float = 0.0004
     batch_size: int = 6
@@ -346,8 +350,10 @@ class RLTrainConfig:
                                   f"got {getattr(self, name)}")
         if not 0 < self.discount <= 1.0:
             raise ConfigError("discount must be in (0, 1]")
-        if self.val_cap < 0:
-            raise ConfigError(f"RLTrainConfig.val_cap must be at least 0, got {self.val_cap}")
+        for name in ("val_cap", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"RLTrainConfig.{name} must be at least 0, "
+                                  f"got {getattr(self, name)}")
 
 
 def compute_returns(rewards: np.ndarray, cfg: RLTrainConfig) -> np.ndarray:
@@ -428,6 +434,9 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
     episode owns an RNG seeded from (global_seed, episode_index), so the
     batch decomposition never changes the sampled noise.
     """
+    if global_seed < 0:
+        raise ConfigError(
+            f"collect_trajectories: global_seed must be at least 0, got {global_seed}")
     feats = [e[2] for e in episodes]
     rngs = [np.random.default_rng(np.random.SeedSequence((global_seed, start_index + i)))
             for i in range(len(episodes))]

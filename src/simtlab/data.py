@@ -13,6 +13,7 @@ line; source and target files align by line number. The synthetic tasks:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -205,8 +206,11 @@ def make_synthetic_dataset(spec: TaskSpec, out_dir, seed: int) -> dict:
                     tgt, table, frng, spec.feature_noise, distractor_pool=pool))
             write_features(out_dir / f"{split}.feat", sets)
 
-    (out_dir / "dataset.json").write_text(json.dumps(manifest, indent=2, sort_keys=True),
-                                          encoding="utf-8")
+    stored = dict(manifest)
+    if stored.get("feature_noise") == math.inf:
+        stored["feature_noise"] = "inf"  # JSON has no infinity; load_manifest reads it back
+    (out_dir / "dataset.json").write_text(
+        json.dumps(stored, indent=2, sort_keys=True, allow_nan=False), encoding="utf-8")
     return manifest
 
 
@@ -214,7 +218,10 @@ def load_manifest(directory) -> dict:
     path = Path(directory) / "dataset.json"
     if not path.exists():
         raise DataError(f"missing dataset manifest {path}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    if manifest.get("feature_noise") == "inf":
+        manifest["feature_noise"] = math.inf
+    return manifest
 
 
 def ambiguous_text_ceiling(manifest: dict, train_pairs, test_pairs) -> float:

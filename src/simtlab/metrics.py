@@ -3,10 +3,13 @@
 All functions here are pure; scores are on the conventional 0-100 BLEU
 scale. Latency metrics operate on the delay profile g, where g[t] is the
 number of source tokens read when content token t was committed.
-Every BLEU score is computed from per-sentence n-gram counts by one scorer,
-in two forms with one formula: ``_bleu`` scores one count vector with
-Python floats (rewards and corpus BLEU), ``_bleu_rows`` scores every row of
-a count array at once (the bootstrap's resamples).
+Every BLEU score is computed from per-sentence n-gram counts in one layout,
+filled by two counters: ``PrefixBleu`` grows one hypothesis a token at a
+time (per-commit rewards), and ``_count_table`` counts a whole corpus in
+array passes (corpus BLEU and the bootstrap). A parity test keeps them
+equal. One formula scores the counts, in two forms: ``_bleu`` scores one
+count vector with Python floats (rewards and corpus BLEU), ``_bleu_rows``
+scores every row of a count array at once (the bootstrap's resamples).
 """
 
 from __future__ import annotations
@@ -138,11 +141,39 @@ class PrefixBleu:
         return delta
 
 
-def _sentence_counts(hyp, ref):
-    counter = PrefixBleu(ref)
-    for token in hyp:
-        counter.add(token)
-    return counter.counts()
+def _count_table(hyps, refs) -> np.ndarray:
+    """An (n, 10) int64 array: row i is ``PrefixBleu(refs[i]).counts()`` after adding ``hyps[i]``.
+
+    Counts the whole corpus in array passes. An n-gram's id is a dense id of
+    (its (n-1)-gram's id, its last token), and the 0-gram is the sentence
+    pair, so one id is one n-gram of one pair and no key exceeds the number
+    of tokens times the vocabulary size. A pair's clipped matches per order
+    sum, over its n-grams, the smaller of the hypothesis and reference counts.
+    """
+    if any(len(r) == 0 for r in refs):
+        raise ContractError("BLEU: empty reference sentence")
+    n = len(refs)
+    sents = hyps + refs
+    lens = np.array([len(s) for s in sents], dtype=np.int64)
+    vocab = {}
+    tokens = np.array([vocab.setdefault(t, len(vocab)) for s in sents for t in s], dtype=np.int64)
+    left = np.repeat(np.cumsum(lens), lens) - np.arange(len(tokens))  # tokens to the sentence end
+    pair = np.repeat(np.tile(np.arange(n), 2), lens)
+    is_ref = np.arange(len(tokens)) >= lens[:n].sum()
+    table = np.zeros((n, 2 * MAX_ORDER + 2), dtype=np.int64)
+    start, gram = np.arange(len(tokens)), pair  # where each n-gram starts, and its id
+    for order in range(MAX_ORDER):
+        fits = left[start] > order
+        start, gram = start[fits], gram[fits]
+        keys, gram = np.unique(gram * len(vocab) + tokens[start + order], return_inverse=True)
+        sides = np.bincount(2 * gram + is_ref[start], minlength=2 * len(keys)).reshape(-1, 2)
+        owner = np.zeros(len(keys), dtype=np.int64)
+        owner[gram] = pair[start]
+        table[:, order] = np.bincount(owner, weights=sides.min(axis=1), minlength=n)
+        table[:, MAX_ORDER + order] = np.maximum(lens[:n] - order, 0)
+    table[:, 2 * MAX_ORDER] = lens[:n]
+    table[:, 2 * MAX_ORDER + 1] = lens[n:]
+    return table
 
 
 def corpus_bleu(hyps, refs) -> float:
@@ -150,9 +181,7 @@ def corpus_bleu(hyps, refs) -> float:
     hyps, refs = list(hyps), list(refs)
     if len(hyps) != len(refs):
         raise DataError(f"corpus_bleu: {len(hyps)} hypotheses vs {len(refs)} references")
-    rows = [_sentence_counts(h, r) for h, r in zip(hyps, refs)]
-    summed = [sum(col) for col in zip(*rows)] or [0] * (2 * MAX_ORDER + 2)
-    return _bleu(summed, smooth=False)
+    return _bleu(_count_table(hyps, refs).sum(axis=0).tolist(), smooth=False)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +323,11 @@ def bootstrap_significance(hyps_a, hyps_b, refs, n_resamples: int = 1000, rng=No
         raise DataError("bootstrap_significance: no sentences")
     if n_resamples < 100:
         raise ContractError("bootstrap_significance: need at least 100 resamples")
-    counts = np.array([_sentence_counts(ha, r) + _sentence_counts(hb, r)
-                       for ha, hb, r in zip(hyps_a, hyps_b, refs)], dtype=np.int64)
+    n = len(refs)
+    both = _count_table(hyps_a + hyps_b, refs + refs)
+    counts = np.hstack([both[:n], both[n:]])  # row i: system A's counts, then B's
     if rng is None:
         rng = np.random.default_rng(0)
-    n = len(refs)
     idx = rng.integers(0, n, size=(n_resamples, n))
     idx += n * np.arange(n_resamples)[:, None]  # resample r counts into row r
     picks = np.bincount(idx.ravel(), minlength=n_resamples * n).reshape(n_resamples, n)

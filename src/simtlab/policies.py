@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .environment import READ, WRITE, EnvModel, EpisodeStepper
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, NumericError
 from .metrics import RewardConfig
 
 
@@ -131,8 +131,12 @@ class Transcript:
 
 def write_transcripts(path, transcripts) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for t in transcripts:
-            fh.write(json.dumps(t.to_json_obj()) + "\n")
+        for lineno, t in enumerate(transcripts, 1):
+            try:
+                record = json.dumps(t.to_json_obj(), allow_nan=False)
+            except ValueError as exc:  # a NaN or infinite reward or attention weight
+                raise NumericError(f"{path}:{lineno}: transcript record is not finite") from exc
+            fh.write(record + "\n")
 
 
 def read_transcripts(path):

@@ -44,7 +44,7 @@ def test_agent_config_rejects_non_positive_dims(field):
 
 
 @pytest.mark.parametrize("field, value", [("batch_size", 0), ("trajectories_per_pair", -1),
-                                          ("lr", 0.0), ("tau", -0.5)])
+                                          ("lr", 0.0), ("tau", -0.5), ("seed", -1)])
 def test_rl_train_config_error_names_the_field(field, value):
     with pytest.raises(ConfigError, match=rf"RLTrainConfig.{field} must .*, got {value}"):
         RLTrainConfig(**{field: value})
@@ -55,6 +55,20 @@ def test_rl_train_config_rejects_a_negative_val_cap():
     with pytest.raises(ConfigError, match=r"RLTrainConfig.val_cap must be at least 0, got -3"):
         RLTrainConfig(val_cap=-3)
     RLTrainConfig(val_cap=0)
+
+
+def test_collect_trajectories_rejects_a_negative_seed_before_any_episode(untrained_env,
+                                                                        monkeypatch):
+    env, pairs = untrained_env
+    agent, baseline = _agent_pair(env, hidden_dim=8)
+
+    def no_episodes(*args, **kwargs):
+        raise AssertionError("ran an episode before checking the seed")
+
+    monkeypatch.setattr("simtlab.agent.run_episodes", no_episodes)
+    with pytest.raises(ConfigError, match=r"global_seed must be at least 0, got -1"):
+        collect_trajectories(agent, baseline, env, [(src, ref, None) for src, ref in pairs[:2]],
+                             RLTrainConfig(), global_seed=-1)
 
 
 def test_select_model_picks_the_best_bleu_to_avp_ratio():

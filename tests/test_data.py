@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -43,6 +45,20 @@ def test_pure_noise_features_are_generated(tmp_path):
     assert manifest["feature_noise"] == math.inf
     assert manifest["counts"] == {"train": 2, "valid": 1, "test": 1}
     assert (tmp_path / "test.feat").exists()
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")
+
+
+def test_pure_noise_manifest_is_valid_json_and_loads_back_as_inf(tmp_path):
+    spec = TaskSpec(task="ambiguous", n_train=2, n_valid=1, n_test=1, feature_noise=math.inf)
+    make_synthetic_dataset(spec, tmp_path, seed=0)
+    text = (tmp_path / "dataset.json").read_text(encoding="utf-8")
+    assert json.loads(text, parse_constant=_reject_constant)["feature_noise"] == "inf"
+    assert load_manifest(tmp_path)["feature_noise"] == math.inf
+    make_synthetic_dataset(replace(spec, feature_noise=0.25), tmp_path, seed=0)
+    assert load_manifest(tmp_path)["feature_noise"] == 0.25
 
 
 def test_make_synthetic_dataset_rejects_a_negative_seed_before_writing(tmp_path):

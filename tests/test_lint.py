@@ -62,6 +62,51 @@ def test_contraction_check_tells_contractions_from_outer_products():
         "m.py:5: subscripts are not a literal string"]
 
 
+def nan_permitting_json_writes(source: str, name: str) -> list:
+    """One line per ``json.dump``/``json.dumps`` call in ``source`` without ``allow_nan=False``.
+
+    Bare ``dump``/``dumps`` calls count too, as a ``from json import`` would bind them.
+    """
+    problems = []
+    for node in ast.walk(ast.parse(source)):
+        func = getattr(node, "func", None)
+        if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "json":
+            called = func.attr
+        else:
+            called = getattr(func, "id", None)
+        if called not in ("dump", "dumps"):
+            continue
+        if not any(kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant)
+                   and kw.value.value is False for kw in node.keywords):
+            problems.append(f"{name}:{node.lineno}: {called}() without allow_nan=False")
+    return problems
+
+
+def test_json_writers_in_src_reject_nan():
+    """By default ``json`` writes NaN and Infinity, which no strict JSON parser reads back."""
+    problems = []
+    for path in sorted(SRC.rglob("*.py")):
+        problems += nan_permitting_json_writes(path.read_text(encoding="utf-8"), path.name)
+    assert not problems, "\n".join(problems)
+
+
+def test_nan_check_tells_strict_json_writes_from_permissive_ones():
+    source = ("import json, pickle\n"
+              "from json import dumps\n"
+              "a = json.dumps(x, allow_nan=False)\n"
+              "b = json.dumps(x)\n"
+              "json.dump(x, fh, indent=2, allow_nan=True)\n"
+              "c = dumps(x)\n"
+              "d = pickle.dumps(x)\n"
+              "e = json.loads(text)\n"
+              "json.dump(x, fh, allow_nan=strict)\n")
+    assert nan_permitting_json_writes(source, "m.py") == [
+        "m.py:4: dumps() without allow_nan=False",
+        "m.py:5: dump() without allow_nan=False",
+        "m.py:6: dumps() without allow_nan=False",
+        "m.py:9: dump() without allow_nan=False"]
+
+
 def unused_locals(source: str, name: str) -> list:
     """One line per name that a function in ``source`` assigns and never reads.
 

@@ -328,6 +328,51 @@ def test_bleu_scores_equal_per_order_recount():
             assert smoothed_sentence_bleu(hyp, ref) == _per_order_sentence_bleu(hyp, ref)
 
 
+def _prefix_counts(hyp, ref):
+    counter = M.PrefixBleu(ref)
+    for token in hyp:
+        counter.add(token)
+    return counter.counts()
+
+
+def test_count_table_equals_prefix_bleu_counts():
+    rng = np.random.default_rng(12)
+    for case in range(600):
+        vocab = [f"w{i}" for i in range(1 + case % 8)]  # few types: n-grams repeat, clipping binds
+        n = 1 if case % 10 == 0 else int(rng.integers(2, 7))
+        refs = [[vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(1, 9))]
+                for _ in range(n)]
+        hyps = [[vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(0, 14))]
+                for _ in range(n)]
+        refs[0] = refs[0][:1] if case % 3 == 0 else refs[0]
+        hyps[-1] = [] if case % 4 == 0 else hyps[-1]
+        table = M._count_table(hyps, refs)
+        assert table.dtype == np.int64
+        assert table.tolist() == [_prefix_counts(h, r) for h, r in zip(hyps, refs)]
+    assert M._count_table([], []).shape == (0, 2 * M.MAX_ORDER + 2)
+
+
+def test_count_table_of_a_vocabulary_past_the_fourth_root_of_int64():
+    # A key packing four token ids in base 70,001 passes 2 ** 64 and wraps; the first
+    # hypothesis makes every token's id its value, so the 4-grams (0, 0, 0, 0) and the
+    # base-70,001 digits of 2 ** 64 would then share one key and count a false match.
+    size = 70_001
+    wrapped = [2 ** 64 // size ** k % size for k in (3, 2, 1, 0)]
+    types = np.random.default_rng(13).permutation(size).tolist()
+    refs = [[0, 1, 2], wrapped] + [types[i:i + 50] for i in range(0, size, 50)]
+    hyps = [list(range(size)), [0, 0, 0, 0]] + [r[10:40] + r[:20] + types[::-7][:5]
+                                                 for r in refs[2:]]
+    table = M._count_table(hyps, refs)
+    assert table.tolist() == [_prefix_counts(h, r) for h, r in zip(hyps, refs)]
+    assert table[1, :M.MAX_ORDER].tolist() == [0, 0, 0, 0]
+    assert table[2:, M.MAX_ORDER - 1].sum() > 0
+
+
+def test_corpus_bleu_empty_reference_raises():
+    with pytest.raises(ContractError, match="empty reference"):
+        M.corpus_bleu([["a"]], [[]])
+
+
 def test_corpus_bleu_of_no_sentences_is_zero():
     assert M.corpus_bleu([], []) == 0.0
 

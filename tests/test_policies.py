@@ -7,7 +7,7 @@ from simtlab import autodiff as ad
 from simtlab.environment import (EncoderState, EnvConfig, EnvModel, EnvTrainConfig,
                                  EpisodeStepper, encode_next, encode_sequence, propose_next,
                                  teacher_forced_loss, validation_bleu)
-from simtlab.errors import ConfigError, ContractError, DataError
+from simtlab.errors import ConfigError, ContractError, DataError, NumericError
 from simtlab.features import FeatureSet
 from simtlab.metrics import RewardConfig, corpus_bleu, delays_from_actions
 from simtlab.optim import AdamState, adam_step
@@ -480,6 +480,15 @@ def test_transcript_jsonl_round_trip(tmp_path, untrained_env):
         assert a.forced_overrides == b.forced_overrides
     del obj["forced_overrides"]
     assert Transcript.from_json_obj(obj).forced_overrides == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_write_transcripts_rejects_a_non_finite_reward_with_line(tmp_path, bad):
+    good = Transcript(src=["a"], hyp=["x"], actions="RW", delays=[1], rewards=[0.0, 1.5])
+    path = tmp_path / "episodes.jsonl"
+    with pytest.raises(NumericError, match=r"episodes.jsonl:2: transcript record is not finite"):
+        write_transcripts(path, [good, Transcript(src=["a"], hyp=["x"], actions="RW",
+                                                  delays=[1], rewards=[0.0, bad])])
 
 
 @pytest.mark.parametrize("record, problem", [

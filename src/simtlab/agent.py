@@ -187,7 +187,7 @@ def _check_env(env: EnvModel, *nets) -> None:
 
 
 def _feature_block(features, *nets):
-    """The episodes' features stacked to (n, R, D), checked against each network.
+    """The episodes' features stacked to (n, R, D) float64, checked against each network.
 
     None when no network has a visual variant, which then ignores features.
     """
@@ -201,7 +201,7 @@ def _feature_block(features, *nets):
         for f in features:
             if f.matrix.shape != want:
                 raise ShapeError(f"feature geometry {f.matrix.shape} != configured {want}")
-    return np.stack([f.matrix for f in features])
+    return np.stack([f.matrix for f in features], dtype=np.float64)
 
 
 def _observation(tape, visual_kv, text_ctx, token_emb, prev_action):

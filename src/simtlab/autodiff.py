@@ -13,6 +13,12 @@ accumulates into the inputs. ``_op`` wraps the forward's result and records
 replays the records in reverse and skips an op whose outputs got no
 gradient, since nothing that reached the loss read them.
 
+``backward`` consumes its tape: it drops each record, its ``bwd`` and the
+arrays that closure saved as well as its outputs, right after replaying
+it, so the forward's memory is freed while the gradients are built. The
+tape still counts its records; a second ``backward`` on it raises
+``ContractError``.
+
 There is no implicit gradient zeroing: callers own the accumulate/zero
 cycle (see ``zero_grads``).
 """
@@ -53,10 +59,12 @@ class Tape:
     Replay skips a record when none of its outputs has a gradient.
 
     A tape is single-threaded. Parallel workers each own their own tape.
+    ``len`` counts the records made, also after ``backward`` consumed them.
     """
 
     def __init__(self):
         self._records = []
+        self._consumed = False
 
     def record(self, outputs, bwd):
         self._records.append((outputs, bwd))
@@ -66,15 +74,25 @@ class Tape:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Populate gradients of everything reachable from a scalar loss."""
+    """Populate gradients of everything reachable from a scalar loss.
+
+    Consumes ``tape``: each record is dropped once replayed, and a second
+    call on the same tape raises ``ContractError``.
+    """
     if loss.data.shape != ():
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    if tape is not None and tape._consumed:
+        raise ContractError("backward: this tape was consumed by an earlier backward")
     if loss.grad is None:
         loss.grad = np.zeros(())
     loss.grad = loss.grad + 1.0
     if tape is None:
         return
-    for outputs, bwd in reversed(tape._records):
+    tape._consumed = True
+    records = tape._records
+    for i in range(len(records) - 1, -1, -1):
+        outputs, bwd = records[i]
+        records[i] = None
         grads = [t.grad for t in outputs]
         if any(g is not None for g in grads):
             bwd(*grads)

@@ -113,8 +113,11 @@ class EnvModel:
     def project_features(self, features) -> np.ndarray:
         """Map raw feature rows into the decoder space with w_vis.
 
-        One FeatureSet gives (R, h); a list of n gives (n, R, h). Both are
-        one ``linear_rows3`` call, the op teacher forcing records.
+        One FeatureSet gives (R, h); a list of n gives (n, R, h). Each lane
+        is one ``linear_rows3`` call, the op teacher forcing records, written
+        into a preallocated float64 output, so no (n, R, D) float64 stack of
+        the inputs is built. A lane's product equals its rows of one GEMM
+        over all lanes.
         """
         if not self.multimodal:
             raise ConfigError("project_features on a unimodal environment")
@@ -127,7 +130,9 @@ class EnvModel:
                 raise ConfigError(
                     f"feature geometry {f.matrix.shape} does not match configured "
                     f"({self.cfg.feature_rows}, {self.cfg.feature_dim})")
-        projected = ad.linear_rows3(None, np.stack([f.matrix for f in sets]), self.w_vis).data
+        projected = np.empty((len(sets), self.cfg.feature_rows, self.cfg.hid_dim))
+        for out, f in zip(projected, sets):
+            out[...] = ad.linear_rows3(None, f.matrix[None], self.w_vis).data[0]
         return projected if lanes else projected[0]
 
     def initial_decoder_state(self) -> "DecoderState":
@@ -344,9 +349,11 @@ class EpisodeStepper:
     projected features ``projected`` hold one row per running lane, in
     ``running`` order, so the proposal has one row per running lane too.
     ``apply()`` copies the proposal onto the decoder rows of the lanes that
-    write, in place, and drops the rows of the lanes it ends. The per-lane
-    bookkeeping (``live``, the ``n_read`` and ``n_written`` counters, and
-    the lists above) is indexed by lane.
+    write, in place, and drops the rows of the lanes it ends. ``projected``
+    is the one block ``project_features`` preallocated: dropping lanes moves
+    the kept rows down in place and keeps a prefix view of it, so no second
+    block is allocated. The per-lane bookkeeping (``live``, the ``n_read``
+    and ``n_written`` counters, and the lists above) is indexed by lane.
     """
 
     def __init__(self, model: EnvModel, sources, features=None, *, refs=None,
@@ -473,7 +480,11 @@ class EpisodeStepper:
             keep = [k for k, i in enumerate(live) if self.live[i]]
             self.dec, self.enc = self.dec.take(keep), self.enc.take(keep)
             if self.projected is not None:
-                self.projected = self.projected[keep]
+                block = self.projected
+                for row, k in enumerate(keep):  # keep is ascending: row <= k
+                    if row != k:
+                        block[row] = block[k]
+                self.projected = block[:len(keep)]
         return step_rewards
 
 
@@ -596,6 +607,9 @@ def train_consecutive(train_pairs, valid_pairs, cfg: EnvTrainConfig,
         raise DataError("train_consecutive: features misaligned with training corpus")
     if features_valid is not None and len(features_valid) != len(valid_pairs):
         raise DataError("train_consecutive: features misaligned with validation corpus")
+    if (features_train is None) != (features_valid is None):
+        raise ConfigError("train_consecutive: give features for both the training and the "
+                          "validation split, or for neither")
 
     src_vocab = Vocabulary.from_corpus(s for s, _ in train_pairs)
     tgt_vocab = Vocabulary.from_corpus(t for _, t in train_pairs)
@@ -625,7 +639,7 @@ def train_consecutive(train_pairs, valid_pairs, cfg: EnvTrainConfig,
         for start in range(0, len(perm), cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             batch = ([src_ids[i] for i in idx], [tgt_ids[i] for i in idx])
-            feats3 = (np.stack([features_train[i].matrix for i in idx])
+            feats3 = (np.stack([features_train[i].matrix for i in idx], dtype=np.float64)
                       if multimodal else None)
             tape = ad.Tape()
             loss = teacher_forced_loss(model, batch, tape, feats3)

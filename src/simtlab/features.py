@@ -9,6 +9,12 @@ File layout (little-endian):
     rows   u32
     cols   u32
     data   count contiguous float32 row-major matrices
+
+A ``FeatureSet`` keeps a float32 matrix as float32, which is what
+``load_features`` reads, and holds any other matrix as float64. Code that
+computes with features converts them to float64 once, where it builds a
+block from them, so arithmetic stays float64 and a loaded matrix takes
+the memory of its file, not twice that.
 """
 
 from __future__ import annotations
@@ -33,13 +39,20 @@ _VARIANTS = {v: k for k, v in _TAGS.items()}
 
 @dataclass
 class FeatureSet:
-    """One sample's visual features: a float matrix plus its variant."""
+    """One sample's visual features: a float matrix plus its variant.
+
+    ``matrix`` stays float32 when given as float32 (as ``load_features``
+    gives it); any other input is held as float64.
+    """
 
     variant: str
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        matrix = np.asarray(self.matrix)
+        if matrix.dtype != np.float32:
+            matrix = matrix.astype(np.float64, copy=False)
+        self.matrix = matrix
         if self.variant not in _TAGS:
             raise ShapeError(f"unknown feature variant {self.variant!r}")
         if self.matrix.ndim != 2 or 0 in self.matrix.shape:
@@ -95,7 +108,7 @@ def load_features(path):
     for i in range(count):
         start = 22 + i * sample_bytes
         data = np.frombuffer(blob[start:start + sample_bytes], dtype="<f4")
-        out.append(FeatureSet(_VARIANTS[tag], data.reshape(rows, cols).astype(np.float64)))
+        out.append(FeatureSet(_VARIANTS[tag], data.reshape(rows, cols)))
     return out
 
 

@@ -130,13 +130,18 @@ class Transcript:
 
 
 def write_transcripts(path, transcripts) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for lineno, t in enumerate(transcripts, 1):
-            try:
-                record = json.dumps(t.to_json_obj(), allow_nan=False)
-            except ValueError as exc:  # a NaN or infinite reward or attention weight
-                raise NumericError(f"{path}:{lineno}: transcript record is not finite") from exc
-            fh.write(record + "\n")
+    """Write one JSON line per transcript.
+
+    Every record is serialized before the file is opened, so a record that
+    is not finite raises ``NumericError`` and leaves ``path`` as it was.
+    """
+    lines = []
+    for lineno, t in enumerate(transcripts, 1):
+        try:
+            lines.append(json.dumps(t.to_json_obj(), allow_nan=False) + "\n")
+        except ValueError as exc:  # a NaN or infinite reward or attention weight
+            raise NumericError(f"{path}:{lineno}: transcript record is not finite") from exc
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def read_transcripts(path):

@@ -244,6 +244,23 @@ def test_encoder_pass_equals_one_lane_encode_next(untrained_env, visual_env, mul
         assert not enc.rows[i, len(ids):].any()
 
 
+def test_stepper_drops_ended_lanes_from_projected_in_place(visual_env):
+    env, pairs, feats = visual_env
+    episode = EpisodeStepper(env, [src for src, _ in pairs[:8]], feats[:8])
+    block, lanes = episode.projected, env.project_features(feats[:8])
+    rng = np.random.default_rng(12)
+    partial = 0
+    while episode.running:
+        episode.start_step()
+        episode.apply(rng.random(8) < 0.4)
+        run = episode.running
+        if run:
+            assert np.shares_memory(episode.projected, block)
+            assert np.array_equal(episode.projected, lanes[run])
+            partial += len(run) < 8
+    assert partial > 3
+
+
 @pytest.mark.parametrize("multimodal", [False, True])
 def test_proposal_on_lanes_equals_all_lane_rows(untrained_env, visual_env, multimodal):
     # proposing on some of the stepper's rows alone gives those rows of its proposal
@@ -480,3 +497,17 @@ def test_train_consecutive_rejects_misaligned_validation_features(visual_env):
     cfg = EnvTrainConfig(max_epochs=1, emb_dim=6, hid_dim=6)
     with pytest.raises(DataError, match="validation"):
         train_consecutive(pairs[:20], pairs[20:30], cfg, feats[:20], feats[20:29])
+
+
+@pytest.mark.parametrize("given", ["train", "valid"])
+def test_train_consecutive_rejects_features_for_one_split_before_training(visual_env,
+                                                                          monkeypatch, given):
+    _, pairs, feats = visual_env
+
+    def no_step(*args):
+        raise AssertionError("trained before rejecting the features")
+    monkeypatch.setattr(environment, "teacher_forced_loss", no_step)
+    cfg = EnvTrainConfig(max_epochs=1, emb_dim=6, hid_dim=6)
+    split = {"train": (feats[:20], None), "valid": (None, feats[20:30])}[given]
+    with pytest.raises(ConfigError, match="both the training and the validation split"):
+        train_consecutive(pairs[:20], pairs[20:30], cfg, *split)

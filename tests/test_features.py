@@ -20,8 +20,19 @@ def test_write_load_round_trip_is_exact_at_float32(tmp_path):
     loaded = load_features(path)
     assert [f.variant for f in loaded] == ["grid"] * 3
     for got, want in zip(loaded, sets, strict=True):
-        assert got.matrix.dtype == np.float64
+        assert got.matrix.dtype == np.float32
         assert np.array_equal(got.matrix, want.matrix)
+
+
+@pytest.mark.parametrize("given, held", [(np.float32, np.float32), (np.float64, np.float64),
+                                         (np.float16, np.float64), (np.int64, np.float64)])
+def test_feature_set_keeps_float32_and_holds_anything_else_as_float64(given, held):
+    matrix = np.arange(6).reshape(2, 3).astype(given)
+    fs = FeatureSet("grid", matrix)
+    assert fs.matrix.dtype == held
+    assert np.array_equal(fs.matrix, matrix)
+    if given in (np.float32, np.float64):
+        assert fs.matrix is matrix  # no copy at the precision it already has
 
 
 def _header(tag=0, count=1, rows=2, cols=3):

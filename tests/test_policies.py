@@ -16,6 +16,7 @@ from simtlab.policies import (ConsecutivePolicy, Policy, Transcript, WaitKPolicy
 from simtlab.vocab import BOS, EOS, Vocabulary
 
 from gradcheck import assert_grads_close
+from memory import peak_bytes
 from recount import quality_rewards_by_recount, smoothed_sentence_bleu
 from stepwise import teacher_forced_loss_stepwise
 
@@ -218,6 +219,83 @@ def test_project_features_equals_per_lane_products(untrained_env, n):
     single = env.project_features(feats[0])
     assert single.shape == (72, 96)
     assert np.array_equal(single, got[0])
+
+
+def _file_precision_features(rng, n):
+    """n bench-sized feature sets at float32, as ``load_features`` gives them."""
+    return [FeatureSet("concepts", rng.normal(size=(72, 100)).astype(np.float32))
+            for _ in range(n)]
+
+
+def test_project_features_peaks_at_its_output_plus_one_lane(untrained_env):
+    env = _bench_sized_visual_env(untrained_env)
+    feats = _file_precision_features(np.random.default_rng(9), 200)
+    got, peak = peak_bytes(lambda: env.project_features(feats))
+    assert got.shape == (200, 72, 96) and got.dtype == np.float64
+    lane_temporaries = (72 * 100 + 72 * 96) * 8  # one lane at float64, and its product
+    assert peak <= got.nbytes + 2 * lane_temporaries
+    # equal, bit for bit, to one GEMM over the stacked float64 lanes
+    stacked = np.stack([f.matrix for f in feats], dtype=np.float64)
+    assert np.array_equal(got, ad.linear_rows3(None, stacked, env.w_vis).data)
+
+
+def _visual_training_batch(env, pairs, feats3_dtype):
+    """A 32-pair teacher-forcing batch for ``env`` with bench-sized features."""
+    src = [env.src_vocab.encode(s) + [EOS] for s, _ in pairs[:32]]
+    tgt = [env.tgt_vocab.encode(t) for _, t in pairs[:32]]
+    feats = _file_precision_features(np.random.default_rng(10), 32)
+    return (src, tgt), np.stack([f.matrix for f in feats], dtype=feats3_dtype)
+
+
+def test_float32_features_give_the_results_of_their_float64_values(untrained_env):
+    env = _bench_sized_visual_env(untrained_env)
+    feats = _file_precision_features(np.random.default_rng(11), 5)
+    wide = [FeatureSet(f.variant, f.matrix.astype(np.float64)) for f in feats]
+    assert wide[0].matrix.dtype == np.float64
+    assert np.array_equal(env.project_features(feats), env.project_features(wide))
+    assert np.array_equal(env.project_features(feats[0]), env.project_features(wide[0]))
+
+    results = []
+    for dtype in (np.float32, np.float64):
+        batch, feats3 = _visual_training_batch(env, untrained_env[1], dtype)
+        assert feats3.dtype == dtype
+        results.append(_loss_and_grads(env, batch, feats3))
+    (loss32, grads32), (loss64, grads64) = results
+    assert loss32 == loss64
+    for name, g in grads64.items():
+        assert np.array_equal(grads32[name], g), name
+
+
+def _replay_keeping_records(tape, loss):
+    """Reverse replay that leaves every record on the tape, as backward once did."""
+    loss.grad = np.ones(())
+    for outputs, bwd in reversed(tape._records):
+        grads = [t.grad for t in outputs]
+        if any(g is not None for g in grads):
+            bwd(*grads)
+
+
+def test_visual_teacher_forced_backward_frees_the_tape_as_it_goes(untrained_env):
+    env = _bench_sized_visual_env(untrained_env)
+    batch, feats3 = _visual_training_batch(env, untrained_env[1], np.float64)
+
+    def step(replay):
+        tape = ad.Tape()
+        loss = teacher_forced_loss(env, batch, tape, feats3)
+        recorded = len(tape)
+        replay(tape, loss)
+        return tape, loss, recorded
+
+    _, keeping = peak_bytes(lambda: step(_replay_keeping_records))
+    want = {name: t.grad for name, t in env.named_tensors()}
+    ad.zero_grads(t for _, t in env.named_tensors())
+    (tape, loss, recorded), consuming = peak_bytes(lambda: step(ad.backward))
+    for name, t in env.named_tensors():
+        assert np.array_equal(t.grad, want[name]), name
+    assert consuming < 0.85 * keeping
+    assert len(tape) == recorded > 0
+    with pytest.raises(ContractError, match="consumed"):
+        ad.backward(tape, loss)
 
 
 def test_project_features_rejects_missing_or_misshaped_features(untrained_env):
@@ -482,13 +560,26 @@ def test_transcript_jsonl_round_trip(tmp_path, untrained_env):
     assert Transcript.from_json_obj(obj).forced_overrides == 0
 
 
+def _finite_then(bad):
+    good = Transcript(src=["a"], hyp=["x"], actions="RW", delays=[1], rewards=[0.0, 1.5])
+    return [good, Transcript(src=["a"], hyp=["x"], actions="RW", delays=[1],
+                             rewards=[0.0, bad])]
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_write_transcripts_rejects_a_non_finite_reward_with_line(tmp_path, bad):
-    good = Transcript(src=["a"], hyp=["x"], actions="RW", delays=[1], rewards=[0.0, 1.5])
     path = tmp_path / "episodes.jsonl"
     with pytest.raises(NumericError, match=r"episodes.jsonl:2: transcript record is not finite"):
-        write_transcripts(path, [good, Transcript(src=["a"], hyp=["x"], actions="RW",
-                                                  delays=[1], rewards=[0.0, bad])])
+        write_transcripts(path, _finite_then(bad))
+    assert not path.exists()  # the finite first record was not written either
+
+
+def test_write_transcripts_leaves_an_existing_file_unchanged_on_a_bad_record(tmp_path):
+    path = tmp_path / "episodes.jsonl"
+    path.write_text("earlier log\n", encoding="utf-8")
+    with pytest.raises(NumericError):
+        write_transcripts(path, _finite_then(float("nan")))
+    assert path.read_text(encoding="utf-8") == "earlier log\n"
 
 
 @pytest.mark.parametrize("record, problem", [

@@ -14,15 +14,15 @@ initial states and visual keys and values, ``_observation`` assembles the
 input rows, and ``_RecurrentNet.step_np`` steps without a tape. Both
 agent policies step the running lanes of an ``EpisodeStepper`` at once
 (the environment is frozen) on the rows of its proposal, one per running
-lane, through one ``_LaneState`` per network, and are driven by
+lane, through the agent's ``_LaneState``, and are driven by
 ``policies.run_episodes``: ``AgentGreedyPolicy`` writes
 where the WRITE logit is the larger, and the collector's
 ``_SamplingPolicy`` samples Gumbel actions and records what the replay
-needs. ``reinforce_update`` then replays the recorded
-observation stream on a tape as one (B, T) block per network: a single
-attention call, one ``autodiff.gru_sequence`` that steps each episode over
-its own length only, and one head matmul, then REINFORCE with control
-variates.
+needs. Collection never steps the baseline. ``reinforce_update`` then
+replays the recorded observation stream on a tape as one (B, T) block per
+network: a single attention call, one ``autodiff.gru_sequence`` that steps
+each episode over its own length only, and one head matmul, then REINFORCE
+with the baseline's replayed values as control variates.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GRUParams, Tensor
 from .checkpoint import load_into, read_config, save_checkpoint, write_metadata
-from .environment import EnvModel, EpisodeStepper, require_positive
+from .environment import EnvModel, EpisodeStepper, distinct_items, require_positive
 from .errors import ConfigError, ContractError, ShapeError
 from .metrics import RewardConfig
 from .policies import Policy, Transcript, run_episodes
@@ -187,13 +187,15 @@ def _check_env(env: EnvModel, *nets) -> None:
 
 
 def _feature_block(features, *nets):
-    """The episodes' features stacked to (n, R, D) float64, checked against each network.
+    """The distinct FeatureSet objects stacked to (u, R, D) float64, and each episode's row.
 
-    None when no network has a visual variant, which then ignores features.
+    Checked against each network. The rows are None when every episode has
+    its own FeatureSet, and the block is None when there are no episodes or
+    no network has a visual variant, which then ignores features.
     """
     visual = [net.cfg for net in nets if net.cfg.use_init or net.cfg.use_att]
-    if not visual:
-        return None
+    if not (visual and features):
+        return None, None
     if any(f is None for f in features):
         raise ConfigError("init/att agent variants need visual features for every episode")
     for cfg in visual:
@@ -201,7 +203,8 @@ def _feature_block(features, *nets):
         for f in features:
             if f.matrix.shape != want:
                 raise ShapeError(f"feature geometry {f.matrix.shape} != configured {want}")
-    return np.stack([f.matrix for f in features], dtype=np.float64)
+    distinct, index = distinct_items(features, id)
+    return np.stack([f.matrix for f in distinct], dtype=np.float64), index
 
 
 def _observation(tape, visual_kv, text_ctx, token_emb, prev_action):
@@ -222,19 +225,29 @@ def _observation(tape, visual_kv, text_ctx, token_emb, prev_action):
 
 
 class _LaneState:
-    """A network's tapeless state on the running lanes of one episode.
+    """The agent's tapeless state on the running lanes of one episode.
 
     ``h``, the previous-action rows ``a_prev`` (READ at the start) and the
     att variant's visual keys and values hold one row per lane in
-    ``lanes``. Lanes only end, so they are gathered to the running lanes
-    once each time that set shrinks. The policy sets ``a_prev`` after each
-    step.
+    ``lanes``. They start once per distinct feature set of
+    ``_feature_block``, gathered to its lanes, and lanes only end, so they
+    are gathered to the running lanes each time that set shrinks. The
+    policy sets ``a_prev`` after each step.
     """
 
-    def __init__(self, net: _RecurrentNet, feats3, n: int):
-        h0, self.visual_kv = net.start(None, feats3, n)
-        self.net, self.h, self.lanes = net, h0.data, list(range(n))
-        self.a_prev = np.tile(np.array([1.0, 0.0]), (n, 1))
+    def __init__(self, net: _RecurrentNet, features, n: int):
+        block, index = features
+        starts = n if index is None else len(block)
+        h0, self.visual_kv = net.start(None, block, starts)
+        self.net, self.h, self.lanes = net, h0.data, np.arange(n)
+        self.a_prev = np.tile(np.array([1.0, 0.0]), (starts, 1))
+        if index is not None:
+            self._gather(index)
+
+    def _gather(self, rows):
+        self.h, self.a_prev = self.h[rows], self.a_prev[rows]
+        if self.visual_kv is not None:
+            self.visual_kv = tuple(Tensor(t.data[rows]) for t in self.visual_kv)
 
     def step(self, running, text_ctx, token_emb):
         """Step the ``running`` lanes on their (m, ·) observation parts, in ``running`` order.
@@ -245,9 +258,8 @@ class _LaneState:
         """
         if len(running) != len(self.lanes):
             keep = np.searchsorted(self.lanes, running)  # both in ascending lane order
-            self.h, self.a_prev, self.lanes = self.h[keep], self.a_prev[keep], running
-            if self.visual_kv is not None:
-                self.visual_kv = tuple(Tensor(t.data[keep]) for t in self.visual_kv)
+            self._gather(keep)
+            self.lanes = running
         obs, attention = _observation(None, self.visual_kv, text_ctx, token_emb, self.a_prev)
         self.h, out = self.net.step_np(obs.data, self.h)
         return out, attention
@@ -291,7 +303,7 @@ class TrajectoryEntry:
 
     Arrays cover agent decision steps; the initial forced READ that
     happens before the first proposal exists is part of the transcript
-    but not an agent step.
+    but not an agent step. ``reinforce_update`` computes the baseline values.
     """
 
     obs_text: np.ndarray      # (T, text_dim)
@@ -305,7 +317,6 @@ class TrajectoryEntry:
     write_probs: np.ndarray   # (T,)
     log_probs: np.ndarray     # (T,)
     entropies: np.ndarray     # (T,)
-    baseline_values: np.ndarray  # (T,)
     visual_ctx: np.ndarray = None  # (T, text_dim) collection-time, for inspection
     transcript: Transcript = None
 
@@ -368,29 +379,25 @@ def compute_returns(rewards: np.ndarray, cfg: RLTrainConfig) -> np.ndarray:
 
 # what _SamplingPolicy records per step and lane, named as TrajectoryEntry's fields
 _RECORDED = ("obs_text", "obs_emb", "obs_prev", "visual_ctx", "actions", "forced",
-             "write_probs", "log_probs", "entropies", "baseline_values")
+             "write_probs", "log_probs", "entropies")
 
 
 class _SamplingPolicy(Policy):
-    """Gumbel-sampled agent actions on the running lanes, with the baseline stepped alongside.
+    """Gumbel-sampled agent actions on the running lanes.
 
     Each lane owns an RNG, so the sampled noise does not depend on the
-    batching. ``steps`` gets one tuple of lane-indexed (n, ...) rows per
+    batching. ``features`` is the collector's ``_feature_block`` of the
+    episodes. ``steps`` gets one tuple of lane-indexed (n, ...) rows per
     decide, in ``_RECORDED`` order; a lane's rows are zero once it has
     ended.
     """
 
-    def __init__(self, agent: AgentNetwork, baseline: BaselineNetwork, env: EnvModel,
-                 tau: float, rngs):
-        _check_env(env, agent, baseline)
-        self.agent, self.baseline, self.env = agent, baseline, env
+    def __init__(self, agent: AgentNetwork, env: EnvModel, tau: float, rngs, features):
+        self.agent, self.env, self.features = agent, env, features
         self.tau, self.rngs = tau, rngs
 
     def start_episode(self, sources, features) -> None:
-        n = len(sources)
-        feats3 = _feature_block(features, self.agent, self.baseline)
-        self.agent_lanes = _LaneState(self.agent, feats3, n)
-        self.base_lanes = _LaneState(self.baseline, feats3, n)
+        self.agent_lanes = _LaneState(self.agent, self.features, len(sources))
         self.steps = []
 
     def decide(self, episode: EpisodeStepper) -> np.ndarray:
@@ -400,7 +407,6 @@ class _SamplingPolicy(Policy):
         y_emb = self.env.tgt_emb.data[proposal.token]
 
         logits_a, a_att = self.agent_lanes.step(run, text_ctx, y_emb)
-        base_out, _ = self.base_lanes.step(run, text_ctx, y_emb)
         a_prev = self.agent_lanes.a_prev  # recorded; replaced, not written, below
 
         ls = logits_a - logits_a.max(axis=1, keepdims=True)
@@ -415,11 +421,10 @@ class _SamplingPolicy(Policy):
         visual_ctx = None if a_att is None else a_att[0].data
         write_probs = np.where(forced, action == ACT_WRITE, soft[:, ACT_WRITE])
         rows = (text_ctx, y_emb, a_prev, visual_ctx, action, forced, write_probs,
-                ls[np.arange(m), action], -(np.exp(ls) * ls).sum(axis=1), base_out[:, 0])
+                ls[np.arange(m), action], -(np.exp(ls) * ls).sum(axis=1))
         self.steps.append(tuple(None if r is None else on_lanes(episode.n, run, r)
                                 for r in rows))
-        self.agent_lanes.a_prev = self.base_lanes.a_prev = np.where(
-            forced[:, None], np.eye(2)[action], soft)
+        self.agent_lanes.a_prev = np.where(forced[:, None], np.eye(2)[action], soft)
         return on_lanes(episode.n, run, action == ACT_WRITE)
 
 
@@ -432,15 +437,18 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
     ``episodes`` holds (src_tokens, ref_tokens, features) triples, each a
     lane of one ``run_episodes`` call under ``_SamplingPolicy``. Each
     episode owns an RNG seeded from (global_seed, episode_index), so the
-    batch decomposition never changes the sampled noise.
+    batch decomposition never changes the sampled noise. A repeated source
+    is encoded, and a shared FeatureSet projected, once. Only the agent is
+    stepped; ``baseline`` is only checked, before any episode runs.
     """
     if global_seed < 0:
         raise ConfigError(
             f"collect_trajectories: global_seed must be at least 0, got {global_seed}")
+    _check_env(env, agent, baseline)
     feats = [e[2] for e in episodes]
     rngs = [np.random.default_rng(np.random.SeedSequence((global_seed, start_index + i)))
             for i in range(len(episodes))]
-    policy = _SamplingPolicy(agent, baseline, env, cfg.tau, rngs)
+    policy = _SamplingPolicy(agent, env, cfg.tau, rngs, _feature_block(feats, agent, baseline))
     transcripts = run_episodes(policy, env, [e[0] for e in episodes], feats,
                                refs=[list(e[1]) for e in episodes], reward_config=cfg.reward)
     blocks = {name: np.stack(rows, axis=1)  # (n, steps, ...)
@@ -466,11 +474,12 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
 
     Each network runs once over the padded (B, T) block of recorded
     observations. Its GRU steps each episode over its own length only, and
-    padded steps carry zero loss weight. Agent loss:
+    padded steps carry zero loss weight. Baseline loss: mean squared error
+    of the replayed values b(o_t) vs realized returns R_t. Agent loss:
     -sum log pi(a_t|o_t) (R_t - b(o_t)) - entropy bonus, averaged over
-    episodes; forced steps contribute nothing. Baseline
-    loss: mean squared error of predicted vs realized returns. The two
-    losses share a tape but no parameters.
+    episodes; forced steps contribute nothing. The advantage R_t - b(o_t)
+    is a constant there, so the agent loss sends no gradient to the
+    baseline. The two losses share a tape but no parameters.
     """
     entries = batch.entries
     if not entries:
@@ -479,7 +488,8 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
     t_max = max(len(e) for e in entries)
     if t_max == 0:
         raise ContractError("reinforce_update: batch has no agent steps")
-    feats3 = _feature_block([e.features for e in entries], agent, baseline)
+    block, index = _feature_block([e.features for e in entries], agent, baseline)
+    feats3 = block if index is None else block[index]
 
     text_dim, emb_dim = agent.cfg.text_dim, agent.cfg.emb_dim
     obs_text = np.zeros((n, t_max, text_dim))
@@ -488,7 +498,6 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
     actions = np.zeros((n, t_max), dtype=np.int64)
     active = np.zeros((n, t_max), dtype=bool)
     learn = np.zeros((n, t_max))
-    advantages = np.zeros((n, t_max))
     returns = np.zeros((n, t_max))
     for i, e in enumerate(entries):
         t = len(e)
@@ -498,7 +507,6 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
         actions[i, :t] = e.actions
         active[i, :t] = True
         learn[i, :t] = ~e.forced
-        advantages[i, :t] = e.returns - e.baseline_values
         returns[i, :t] = e.returns
 
     lengths = active.sum(axis=1)
@@ -509,12 +517,13 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
         obs, _ = _observation(tape, visual_kv, obs_text, obs_emb, obs_prev)
         return net.sequence(tape, obs, h0, lengths)
 
+    values = ad.pick_rows(tape, head_outputs(baseline), np.zeros_like(actions))
+    baseline_loss = ad.masked_sq_error(tape, values, returns, active, float(active.sum()))
+    advantages = returns - values.data
     ls = ad.log_softmax_rows(tape, head_outputs(agent))
     agent_loss = ad.sum_scalars(tape, [
         ad.weighted_sum(tape, ad.pick_rows(tape, ls, actions), -(advantages * learn) / n),
         ad.weighted_sum(tape, ad.rows_entropy(tape, ls), -(cfg.entropy_weight * learn) / n)])
-    values = ad.pick_rows(tape, head_outputs(baseline), np.zeros_like(actions))
-    baseline_loss = ad.masked_sq_error(tape, values, returns, active, float(active.sum()))
     ad.backward(tape, ad.sum_scalars(tape, [agent_loss, baseline_loss]))
 
     def grad_norm(net):

@@ -385,7 +385,8 @@ def gru_sequence(tape, xs: Tensor, h0: Tensor, params: GRUParams, lengths=None) 
     live positions are packed time-major, so step t is one contiguous
     block: the input projection, and in backward the weight and input
     gradients, are one GEMM each over the live rows, and only the
-    h-dependent products stay inside the time loop.
+    h-dependent products stay inside the time loop. The gate arrays that
+    only backward reads are kept only when the op is recorded.
     """
     xd, hd = xs.data, h0.data
     if xd.ndim != 3 or hd.ndim != 2 or xd.shape[0] != hd.shape[0]:
@@ -398,12 +399,16 @@ def gru_sequence(tape, xs: Tensor, h0: Tensor, params: GRUParams, lengths=None) 
     blocks = [slice(end - c, end) for c, end in zip(counts, np.cumsum(counts))]
     xw = xd[at] @ p.w_x.data
     hs_p = np.empty((len(xw), k))
-    rzs = np.empty((len(xw), 2 * k))
-    ns = np.empty((len(xw), k))
+    inputs = (xs, h0, *p.tensors())
+    taped = tape is not None and any(t.requires_grad for t in inputs)  # _op will record
+    if taped:
+        rzs, ns = np.empty((len(xw), 2 * k)), np.empty((len(xw), k))
     h = hd[order]
     for t, blk in enumerate(blocks):
-        h, rzs[blk], ns[blk], _ = _gru_step(xw[blk], h[:counts[t]], p.w_h.data, p.b.data)
+        h, rz, n, _ = _gru_step(xw[blk], h[:counts[t]], p.w_h.data, p.b.data)
         hs_p[blk] = h
+        if taped:
+            rzs[blk], ns[blk] = rz, n
     hs = np.zeros((bsz, steps, k))
     hs[at] = hs_p
 
@@ -426,7 +431,7 @@ def gru_sequence(tape, xs: Tensor, h0: Tensor, params: GRUParams, lengths=None) 
             dh0 = np.zeros(hd.shape)
             dh0[order[:len(dh)]] = dh
             _accum(h0, dh0)
-    return _op(tape, hs, (xs, h0, *p.tensors()), bwd)
+    return _op(tape, hs, inputs, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -113,11 +113,11 @@ class EnvModel:
     def project_features(self, features) -> np.ndarray:
         """Map raw feature rows into the decoder space with w_vis.
 
-        One FeatureSet gives (R, h); a list of n gives (n, R, h). Each lane
-        is one ``linear_rows3`` call, the op teacher forcing records, written
-        into a preallocated float64 output, so no (n, R, D) float64 stack of
-        the inputs is built. A lane's product equals its rows of one GEMM
-        over all lanes.
+        One FeatureSet gives (R, h); a list of n gives (n, R, h). Each
+        distinct FeatureSet object is one ``linear_rows3`` call, the op
+        teacher forcing records, written into a preallocated float64 output
+        and copied to the lanes that share it: no (n, R, D) stack is built.
+        A lane's product equals its rows of one GEMM over all lanes.
         """
         if not self.multimodal:
             raise ConfigError("project_features on a unimodal environment")
@@ -131,8 +131,11 @@ class EnvModel:
                     f"feature geometry {f.matrix.shape} does not match configured "
                     f"({self.cfg.feature_rows}, {self.cfg.feature_dim})")
         projected = np.empty((len(sets), self.cfg.feature_rows, self.cfg.hid_dim))
-        for out, f in zip(projected, sets):
-            out[...] = ad.linear_rows3(None, f.matrix[None], self.w_vis).data[0]
+        first = {}  # id of a FeatureSet -> the lane that projected it
+        for i, f in enumerate(sets):
+            j = first.setdefault(id(f), i)
+            projected[i] = (ad.linear_rows3(None, f.matrix[None], self.w_vis).data[0]
+                            if j == i else projected[j])
         return projected if lanes else projected[0]
 
     def initial_decoder_state(self) -> "DecoderState":
@@ -160,15 +163,36 @@ class EnvModel:
         return model
 
 
+def distinct_items(items, key):
+    """The first item of each ``key``, and every item's position among them.
+
+    ``items`` and None when all keys differ.
+    """
+    firsts = {}
+    index = np.array([firsts.setdefault(key(x), (len(firsts), x))[0] for x in items])
+    if len(firsts) == len(items):
+        return items, None
+    return [x for _, x in firsts.values()], index
+
+
+def _compact(block, keep):
+    """The ``keep`` rows (ascending) of ``block`` moved down in place: a prefix view."""
+    for row, k in enumerate(keep):  # row <= k
+        if row != k:
+            block[row] = block[k]
+    return block[:len(keep)]
+
+
 class EncoderState:
     """Top-layer encoder states of n lanes.
 
     ``rows`` (n, W, h) holds each lane's states in source order; row j of
     lane i is valid while j < consumed[i]. ``h1`` and ``h2`` are the
     recurrent states of a one-lane state that ``encode_next`` continues
-    from. A state is never changed once made: ``encode_next`` appends its
-    new row to a copy, and ``advance`` shares the rows of a state that
-    ``encode`` built up front.
+    from. ``encode_next`` appends its new row to a copy, and ``advance``
+    shares the rows of a state that ``encode`` built up front. An
+    ``EpisodeStepper`` owns its state's rows and compacts them in place
+    when lanes end, so a state it has left behind may lose its rows.
     """
 
     __slots__ = ("h1", "h2", "rows", "consumed", "_keys")
@@ -191,33 +215,30 @@ class EncoderState:
     def encode(cls, model: EnvModel, id_lists) -> "EncoderState":
         """Every row of n id lists, from one tapeless pass per layer, none read yet.
 
-        Row j depends only on ids up to j, so it equals the row that j + 1
-        ``encode_next`` calls emit, up to the last bits: the input
-        projection is one GEMM over all lanes' packed rows. Rows past a
-        lane's length are zero. The state has no recurrent states; it only
-        ``advance``s.
+        Each distinct id list is encoded once; lanes that repeat it get a
+        copy of its rows. Row j depends only on ids up to j, so it equals the
+        row that j + 1 ``encode_next`` calls emit, up to the last bits: the
+        input projection is one GEMM over the packed rows. Rows past a lane's
+        length are zero. The state only ``advance``s.
         """
-        padded, mask = _pad_batch(id_lists)
+        distinct, index = distinct_items(id_lists, tuple)
+        padded, mask = _pad_batch(distinct)
         if padded.min() < 0 or padded.max() >= len(model.src_vocab):
             raise DataError(f"source token ids out of vocabulary range "
                             f"[0, {len(model.src_vocab)})")
         lengths = mask.sum(axis=1)
-        zeros = Tensor(np.zeros((len(id_lists), model.cfg.hid_dim)))
+        zeros = Tensor(np.zeros((len(distinct), model.cfg.hid_dim)))
         h1 = ad.gru_sequence(None, Tensor(model.src_emb.data[padded]), zeros, model.enc1,
                              lengths)
         rows = ad.gru_sequence(None, h1, zeros, model.enc2, lengths).data
-        return cls(None, None, rows, np.zeros(len(id_lists), dtype=np.int64))
+        return cls(None, None, rows if index is None else rows[index],
+                   np.zeros(len(id_lists), dtype=np.int64))
 
     def advance(self, lanes) -> "EncoderState":
         """This state with one more row read on each of ``lanes``."""
         consumed = self.consumed.copy()
         consumed[lanes] += 1
         return EncoderState(self.h1, self.h2, self.rows, consumed)
-
-    def take(self, lanes) -> "EncoderState":
-        """The state of ``lanes`` only, in that order."""
-        h1, h2 = (None, None) if self.h1 is None else (self.h1[lanes], self.h2[lanes])
-        return EncoderState(h1, h2, self.rows[lanes], self.consumed[lanes])
 
     def keys(self):
         """Rows up to the longest lane, and the valid-row mask.
@@ -344,14 +365,14 @@ class EpisodeStepper:
     ``start_step()``, which returns the forced-WRITE mask, then
     ``apply()``. In between, ``forced`` holds that mask and ``proposal()``
     computes the step's proposal on first call and caches it for the step;
-    ``apply()`` asks for it only when some lane writes. ``running`` lists
-    the live lanes in order. The model states ``dec`` and ``enc`` and the
-    projected features ``projected`` hold one row per running lane, in
-    ``running`` order, so the proposal has one row per running lane too.
+    ``apply()`` asks for it only when some lane writes. ``running`` is the
+    index array of the live lanes, in order. The model states ``dec`` and
+    ``enc`` and the projected features ``projected`` hold one row per
+    running lane, in ``running`` order, so the proposal does too.
     ``apply()`` copies the proposal onto the decoder rows of the lanes that
-    write, in place, and drops the rows of the lanes it ends. ``projected``
-    is the one block ``project_features`` preallocated: dropping lanes moves
-    the kept rows down in place and keeps a prefix view of it, so no second
+    write, in place, and drops the rows of the lanes it ends. The encoder
+    rows and ``projected`` are blocks made for this stepper: dropping lanes
+    moves the kept rows down in place and keeps a prefix view, so no second
     block is allocated. The per-lane bookkeeping (``live``, the ``n_read``
     and ``n_written`` counters, and the lists above) is indexed by lane.
     """
@@ -376,7 +397,7 @@ class EpisodeStepper:
         self.enc = EncoderState.encode(model, [ids + [EOS] for ids in self.src_ids])
         self.dec = DecoderState.initial(model, n)
         self.live = np.ones(n, dtype=bool)
-        self.running = list(range(n))
+        self.running = np.arange(n)
         self.n_read = np.zeros(n, dtype=np.int64)
         self.n_written = np.zeros(n, dtype=np.int64)  # EOS included
         self.cw = [0] * n
@@ -406,10 +427,9 @@ class EpisodeStepper:
         terminal marker row, not an agent READ.
         """
         forced = self.n_read == self._src_len
-        consumed = self.enc.consumed
-        eos = [k for k, i in enumerate(self.running)
-               if forced[i] and consumed[k] == self.n_read[i]]
-        if eos:
+        # a row consumes n_read rows plus its EOS row: src_len means forced, EOS still hidden
+        eos = (self.enc.consumed == self._src_len[self.running]).nonzero()[0]
+        if len(eos):
             self.enc = self.enc.advance(eos)
         self._proposal = None
         self._forced = forced
@@ -434,21 +454,21 @@ class EpisodeStepper:
         if forced is None:
             raise ContractError("apply: no step started; call start_step() first")
         live = self.running
-        wrote = [bool(write_mask[i] or forced[i]) for i in live]
-        writes = [k for k, w in enumerate(wrote) if w]  # row positions
-        reads = [k for k, w in enumerate(wrote) if not w]
-        proposal = self.proposal() if writes else None
+        wrote = (write_mask | forced)[live]
+        writes, reads = wrote.nonzero()[0], (~wrote).nonzero()[0]  # row positions
+        proposal = self.proposal() if len(writes) else None
         self._forced = None
-        if writes:
-            rows, dec = writes if reads else slice(None), self.dec
+        if len(writes):
+            rows, dec = writes if len(reads) else slice(None), self.dec
             dec.g1_h[rows] = proposal.g1_next[rows]
             dec.g2_h[rows] = proposal.g2_next[rows]
             dec.last_token[rows] = proposal.token[rows]
-        if reads:
+        if len(reads):
             self.enc = self.enc.advance(reads)
         cfg = self.reward_config
         step_rewards = np.zeros(self.n)
-        for k, (i, w) in enumerate(zip(live, wrote)):
+        ended = False
+        for k, (i, w) in enumerate(zip(live.tolist(), wrote.tolist())):
             terminal = False
             quality = 0.0
             if w:
@@ -474,17 +494,14 @@ class EpisodeStepper:
                                                            is_terminal=terminal)
                 self.rewards[i].append(float(step_rewards[i]))
             if terminal:
-                self.live[i] = False
-        self.running = [i for i in live if self.live[i]]
-        if len(self.running) < len(live):
-            keep = [k for k, i in enumerate(live) if self.live[i]]
-            self.dec, self.enc = self.dec.take(keep), self.enc.take(keep)
+                self.live[i], ended = False, True
+        if ended:
+            keep = self.live[live].nonzero()[0]
+            self.running, enc = live[keep], self.enc
+            self.dec = self.dec.take(keep)
+            self.enc = EncoderState(None, None, _compact(enc.rows, keep), enc.consumed[keep])
             if self.projected is not None:
-                block = self.projected
-                for row, k in enumerate(keep):  # keep is ascending: row <= k
-                    if row != k:
-                        block[row] = block[k]
-                self.projected = block[:len(keep)]
+                self.projected = _compact(self.projected, keep)
         return step_rewards
 
 
@@ -587,7 +604,7 @@ def validation_bleu(model: EnvModel, pairs, features=None, cap: int = 0):
     if lanes:
         episode = EpisodeStepper(model, [pairs[i][0] for i in lanes],
                                  None if features is None else [features[i] for i in lanes])
-        while episode.running:
+        while len(episode.running):
             episode.apply(episode.start_step())  # proposes only when some lane writes
         for i, ids in zip(lanes, episode.hyp_ids):
             hyps[i] = model.tgt_vocab.decode(ids)

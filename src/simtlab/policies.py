@@ -206,14 +206,14 @@ def run_episodes(policy: Policy, model: EnvModel, sources, features=None, *, ref
             for i in lanes:
                 attention[i].append(None if weights is None else weights[i].tolist())
         lanes = episode.running
-        if not lanes:
+        if not len(lanes):
             break
         forced = episode.start_step()
         write = policy.decide(episode)
         if not (isinstance(write, np.ndarray) and write.dtype == bool and write.shape == (n,)):
             raise ContractError(f"policy returned unknown action mask {write!r}; "
                                 f"want a ({n},) bool array")
-        for i in lanes:
+        for i in lanes.tolist():
             overrides[i] += bool(forced[i] and not write[i])
         episode.apply(write)
     transcripts = []

@@ -3,9 +3,10 @@
 ``replay_losses`` is the REINFORCE replay that ``agent.reinforce_update``
 ran before it became one GRU sequence per network: one ``gru_cell`` and one
 ``(B, dk)`` attention per timestep and network, with the loss summed term by
-term. ``ReferenceGreedyPolicy`` is the greedy policy's earlier 1-D decide:
-its own observation vector, visual attention and GRU step per call, on
-the one lane of the stepper it is handed. ``ReferenceSamplingPolicy`` is
+term and each step's advantage taken from that step's baseline output.
+``ReferenceGreedyPolicy`` is the greedy policy's earlier 1-D decide: its own
+observation vector, visual attention and GRU step per call, on the one lane
+of the stepper it is handed. ``ReferenceSamplingPolicy`` is
 the collector's Gumbel sampling written the same way, one episode at a
 time.
 """
@@ -38,7 +39,6 @@ def replay_losses(batch, agent, baseline, cfg):
     actions = np.zeros((n, t_max), dtype=np.int64)
     active = np.zeros((n, t_max), dtype=bool)
     learn = np.zeros((n, t_max))
-    advantages = np.zeros((n, t_max))
     returns = np.zeros((n, t_max))
     for i, e in enumerate(entries):
         t = len(e)
@@ -48,7 +48,6 @@ def replay_losses(batch, agent, baseline, cfg):
         actions[i, :t] = e.actions
         active[i, :t] = True
         learn[i, :t] = ~e.forced
-        advantages[i, :t] = e.returns - e.baseline_values
         returns[i, :t] = e.returns
 
     tape = ad.Tape()
@@ -83,14 +82,6 @@ def replay_losses(batch, agent, baseline, cfg):
             obs = ad.concat(tape, parts + [a_vis], axis=1)
         else:
             obs = ad.concat(tape, parts, axis=1)
-        ah, logits = _step(tape, agent, obs, ah)
-        ls = ad.log_softmax_rows(tape, logits)
-        picked = ad.pick_rows(tape, ls, actions[:, t])
-        ent = ad.rows_entropy(tape, ls)
-        mask = active[:, t] * learn[:, t]
-        pg_terms.append(ad.weighted_sum(tape, picked, -(advantages[:, t] * mask) / n))
-        ent_terms.append(ad.weighted_sum(tape, ent, -(cfg.entropy_weight * mask) / n))
-
         if b_keys is not None:
             b_vis, _ = ad.batched_attention(tape, b_keys, b_vals, emb_const)
             bobs = ad.concat(tape, parts + [b_vis], axis=1)
@@ -100,6 +91,15 @@ def replay_losses(batch, agent, baseline, cfg):
         bval = ad.pick_rows(tape, bout, zeros_idx)
         mse_terms.append(ad.masked_sq_error(tape, bval, returns[:, t],
                                             active[:, t].astype(float), total_steps))
+
+        ah, logits = _step(tape, agent, obs, ah)
+        ls = ad.log_softmax_rows(tape, logits)
+        picked = ad.pick_rows(tape, ls, actions[:, t])
+        ent = ad.rows_entropy(tape, ls)
+        mask = active[:, t] * learn[:, t]
+        advantage = returns[:, t] - bval.data  # a constant: no gradient reaches the baseline
+        pg_terms.append(ad.weighted_sum(tape, picked, -(advantage * mask) / n))
+        ent_terms.append(ad.weighted_sum(tape, ent, -(cfg.entropy_weight * mask) / n))
 
     agent_loss = ad.sum_scalars(tape, pg_terms + ent_terms)
     baseline_loss = ad.sum_scalars(tape, mse_terms)
@@ -156,12 +156,13 @@ class ReferenceGreedyPolicy(Policy):
 
 
 class ReferenceSamplingPolicy(Policy):
-    """The collector's sampling from per-call 1-D agent and baseline steps on a one-lane stepper.
+    """The collector's sampling from a per-call 1-D agent step on a one-lane stepper.
 
     An unforced decision draws two uniforms from ``rng`` for its Gumbel
     noise; a forced one draws none and writes. ``record`` keeps, per
     decision, the action, the WRITE probability, the action's
-    log-probability and the baseline value.
+    log-probability and the value of a per-call 1-D baseline step on the
+    same observation, which the collector no longer computes.
     """
 
     def __init__(self, agent, baseline, env, tau, rng):

@@ -3,12 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from simtlab import agent as agent_module
 from simtlab import autodiff as ad
 from simtlab.agent import (AgentConfig, AgentGreedyPolicy, AgentNetwork, BaselineNetwork,
                            RLTrainConfig, TrajectoryBatch, TrajectoryEntry,
                            collect_trajectories, compute_returns, patience_exceeded,
                            reinforce_update, select_model)
-from simtlab.environment import EnvConfig, EnvModel
+from simtlab.environment import EncoderState, EnvConfig, EnvModel
 from simtlab.errors import ConfigError, ContractError, ShapeError
 from simtlab.features import FeatureSet
 from simtlab.metrics import RewardConfig
@@ -219,11 +220,76 @@ def test_collection_does_not_depend_on_batching(untrained_env, variant):
         assert (a.transcript.actions, a.transcript.hyp) == (b.transcript.actions,
                                                             b.transcript.hyp)
         assert np.array_equal(a.actions, b.actions) and np.array_equal(a.forced, b.forced)
-        for name in ("log_probs", "rewards", "obs_text", "obs_emb", "obs_prev",
-                     "entropies", "baseline_values"):
+        for name in ("log_probs", "rewards", "obs_text", "obs_emb", "obs_prev", "entropies"):
             assert np.allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-12), name
         if variant == "att":
             assert np.allclose(a.visual_ctx, b.visual_ctx, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["init", "att"])
+def test_shared_sources_collect_as_distinct_equal_copies(untrained_env, variant):
+    # 6 sources x 5 samples sharing one FeatureSet object each, against an equal copy per sample
+    env, agent, baseline, episodes = _visual_setup(*untrained_env, variant, 6, seed=7)
+    shared = [e for e in episodes for _ in range(5)]
+    copies = [(list(src), list(ref), FeatureSet(fs.variant, fs.matrix.copy()))
+              for src, ref, fs in shared]
+    cfg = RLTrainConfig()
+    got, want = (collect_trajectories(agent, baseline, env, eps, cfg, global_seed=4,
+                                      record_transcripts=True).entries
+                 for eps in (shared, copies))
+    assert {"R", "W"} <= set("".join(e.transcript.actions[1:] for e in got))
+    for a, b in zip(got, want, strict=True):
+        assert (a.transcript.actions, a.transcript.hyp) == (b.transcript.actions,
+                                                            b.transcript.hyp)
+        assert np.allclose(a.transcript.rewards, b.transcript.rewards, rtol=0, atol=1e-12)
+        assert np.array_equal(a.actions, b.actions) and np.array_equal(a.forced, b.forced)
+        names = ["log_probs", "rewards", "obs_text", "obs_emb", "obs_prev"]
+        for name in names + (["visual_ctx"] if variant == "att" else []):
+            assert np.allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-12), name
+
+
+def test_collection_does_each_distinct_source_once(untrained_env, monkeypatch):
+    # counts, not seconds: one encoder pass over the 6 distinct sources, one projection per
+    # FeatureSet, one agent key/value projection over the 6 distinct ones, one step per decision
+    env, agent, baseline, episodes = _visual_setup(*untrained_env, "att", 6, seed=7)
+    episodes = [e for e in episodes for _ in range(5)]
+    encodes, sequences, products, steps, decisions = [], [], [], [], []
+    real_encode, real_sequence = EncoderState.encode.__func__, ad.gru_sequence
+    real_rows3 = ad.linear_rows3
+    real_step, real_decide = agent_module._LaneState.step, agent_module._SamplingPolicy.decide
+
+    def encode(cls, model, id_lists):
+        encodes.append(len(id_lists))
+        return real_encode(cls, model, id_lists)
+
+    def gru_sequence(tape, xs, h0, params, lengths=None):
+        sequences.append((id(params), len(xs.data)))
+        return real_sequence(tape, xs, h0, params, lengths)
+
+    def linear_rows3(tape, feats, w):
+        products.append((id(w), len(feats)))
+        return real_rows3(tape, feats, w)
+
+    def step(self, *args):
+        steps.append(len(decisions))
+        return real_step(self, *args)
+
+    def decide(self, episode):
+        decisions.append(len(episode.running))
+        return real_decide(self, episode)
+
+    monkeypatch.setattr(EncoderState, "encode", classmethod(encode))
+    monkeypatch.setattr(ad, "gru_sequence", gru_sequence)
+    monkeypatch.setattr(ad, "linear_rows3", linear_rows3)
+    monkeypatch.setattr(agent_module._LaneState, "step", step)
+    monkeypatch.setattr(agent_module._SamplingPolicy, "decide", decide)
+    batch = collect_trajectories(agent, baseline, env, episodes, RLTrainConfig(), global_seed=1)
+    assert encodes == [30]
+    assert sequences == [(id(env.enc1), 6), (id(env.enc2), 6)]
+    assert products == [(id(env.w_vis), 1)] * 6 + [(id(agent.key_proj), 6),
+                                                   (id(agent.val_proj), 6)]
+    assert steps == list(range(1, len(decisions) + 1))
+    assert len(decisions) == max(len(e) for e in batch.entries) and decisions[0] == 30
 
 
 @pytest.mark.parametrize("variant", ["none", "init", "att"])
@@ -242,7 +308,7 @@ def test_collector_equals_per_episode_reference(untrained_env, variant):
         reference = ReferenceSamplingPolicy(agent, baseline, env, cfg.tau, rng)
         simulate(reference, env, src, fs)
         assert entry.actions.tolist() == reference.record["actions"]
-        for name in ("write_probs", "log_probs", "baseline_values"):
+        for name in ("write_probs", "log_probs"):
             assert np.allclose(getattr(entry, name), reference.record[name],
                                rtol=0, atol=1e-12), name
     assert {0, 1} <= {a for e in batch.entries for a in e.actions[~e.forced]}
@@ -254,10 +320,18 @@ def test_replayed_agent_loss_equals_recorded_log_probs(untrained_env, variant):
     cfg = RLTrainConfig()
     batch = collect_trajectories(agent, baseline, env, episodes, cfg, global_seed=2)
     stats = reinforce_update(batch, agent, baseline, cfg, apply=False)
-    # -1/n sum over unforced steps of (R - b) log pi(a|o) + w * entropy
-    recorded = -sum(float(np.sum(~e.forced * ((e.returns - e.baseline_values) * e.log_probs
+    # -1/n sum over unforced steps of (R - b) log pi(a|o) + w * entropy, with b from
+    # per-step 1-D baseline steps on each episode's observations
+    recorded = 0.0
+    for k, ((src, _, fs), e) in enumerate(zip(episodes, batch.entries)):
+        reference = ReferenceSamplingPolicy(agent, baseline, env, cfg.tau,
+                                            np.random.default_rng(np.random.SeedSequence((2, k))))
+        simulate(reference, env, src, fs)
+        assert e.actions.tolist() == reference.record["actions"]
+        values = np.array(reference.record["baseline_values"])
+        recorded -= float(np.sum(~e.forced * ((e.returns - values) * e.log_probs
                                               + cfg.entropy_weight * e.entropies)))
-                    for e in batch.entries) / len(batch.entries)
+    recorded /= len(batch.entries)
     assert abs(stats["agent_loss"] - recorded) <= 1e-12 * abs(recorded)
 
 
@@ -284,27 +358,27 @@ def _random_batch(cfg, lengths, seed=0):
             actions=rng.integers(0, 2, size=t),
             forced=rng.random(t) < 0.25,
             rewards=rng.normal(size=t), returns=rng.normal(size=t),
-            write_probs=np.zeros(t), log_probs=np.zeros(t), entropies=np.zeros(t),
-            baseline_values=rng.normal(size=t)))
+            write_probs=np.zeros(t), log_probs=np.zeros(t), entropies=np.zeros(t)))
     return TrajectoryBatch(entries)
 
 
 @pytest.mark.parametrize("variant", ["none", "init", "att"])
 def test_reinforce_update_gradcheck(variant):
+    # the advantage is a constant taken from the baseline's forward, so the agent's
+    # gradients are checked against the agent loss and the baseline's against its own
     agent, baseline = _tiny_agent_pair(variant, seed=1)
     batch = _random_batch(agent.cfg, [2, 5, 3], seed=2)  # unequal lengths: padded steps
     cfg = RLTrainConfig(entropy_weight=0.3)
-    params = [p for _, p in agent.named_tensors() + baseline.named_tensors()]
-
-    def total_loss():
-        stats = reinforce_update(batch, agent, baseline, cfg, apply=False)
-        return stats["agent_loss"] + stats["baseline_loss"]
-
-    ad.zero_grads(params)
-    total_loss()
-    analytic = [p.grad.copy() for p in params]
-    assert all(np.any(g != 0.0) for g in analytic)
-    assert_grads_close(total_loss, params, analytic, tol=1e-7)
+    params = {"agent_loss": [p for _, p in agent.named_tensors()],
+              "baseline_loss": [p for _, p in baseline.named_tensors()]}
+    ad.zero_grads(params["agent_loss"] + params["baseline_loss"])
+    reinforce_update(batch, agent, baseline, cfg, apply=False)
+    analytic = {loss: [p.grad.copy() for p in tensors] for loss, tensors in params.items()}
+    for loss, tensors in params.items():
+        assert all(np.any(g != 0.0) for g in analytic[loss]), loss
+        assert_grads_close(
+            lambda loss=loss: reinforce_update(batch, agent, baseline, cfg, apply=False)[loss],
+            tensors, analytic[loss], tol=1e-7)
 
 
 def _loss_and_grads(run, agent, baseline):
@@ -326,8 +400,7 @@ def test_block_replay_equals_per_step_replay(untrained_env, variant, short):
     if short:  # one episode cut to its first two steps, far shorter than the rest
         e = batch.entries[5]
         batch.entries[5] = replace(e, **{name: getattr(e, name)[:2] for name in (
-            "obs_text", "obs_emb", "obs_prev", "actions", "forced", "rewards", "returns",
-            "baseline_values")})
+            "obs_text", "obs_emb", "obs_prev", "actions", "forced", "rewards", "returns")})
         others = batch.entries[:5] + batch.entries[6:]
         assert min(len(e) for e in others) >= 4 * len(batch.entries[5])
 

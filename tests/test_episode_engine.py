@@ -7,9 +7,9 @@ from simtlab import autodiff as ad
 from simtlab import environment
 from simtlab.agent import (AgentConfig, AgentGreedyPolicy, AgentNetwork, BaselineNetwork,
                            RLTrainConfig, collect_trajectories)
-from simtlab.environment import (READ, WRITE, EnvConfig, EnvModel, EnvTrainConfig,
-                                 EpisodeStepper, encode_next, encode_sequence, propose_next,
-                                 train_consecutive, validation_bleu)
+from simtlab.environment import (READ, WRITE, EncoderState, EnvConfig, EnvModel,
+                                 EnvTrainConfig, EpisodeStepper, encode_next, encode_sequence,
+                                 propose_next, train_consecutive, validation_bleu)
 from simtlab.errors import ConfigError, ContractError, DataError, ShapeError
 from simtlab.features import FeatureSet
 from simtlab.metrics import RewardConfig, corpus_bleu
@@ -128,6 +128,11 @@ def test_multimodal_entry_points_need_features(visual_env):
     with pytest.raises(ConfigError, match="requires visual features"):
         collect_trajectories(AgentNetwork(cfg, rng), BaselineNetwork(cfg, rng), env,
                              [(src, tgt, None)], RLTrainConfig(), global_seed=0)
+
+
+def _take(enc, lanes):
+    """The rows and counters of ``lanes`` of a stepper's encoder state, copied."""
+    return EncoderState(None, None, enc.rows[lanes], enc.consumed[lanes])
 
 
 def _check_rows_follow_running(episode):
@@ -250,13 +255,32 @@ def test_stepper_drops_ended_lanes_from_projected_in_place(visual_env):
     block, lanes = episode.projected, env.project_features(feats[:8])
     rng = np.random.default_rng(12)
     partial = 0
-    while episode.running:
+    while len(episode.running):
         episode.start_step()
         episode.apply(rng.random(8) < 0.4)
         run = episode.running
-        if run:
+        if len(run):
             assert np.shares_memory(episode.projected, block)
             assert np.array_equal(episode.projected, lanes[run])
+            partial += len(run) < 8
+    assert partial > 3
+
+
+def test_stepper_drops_ended_lanes_from_encoder_rows_in_place(visual_env):
+    env, pairs, feats = visual_env
+    sources = [src for src, _ in pairs[:8]]
+    episode = EpisodeStepper(env, sources, feats[:8])
+    block = episode.enc.rows
+    lanes = EncoderState.encode(env, [env.src_vocab.encode(s) + [EOS] for s in sources]).rows
+    rng = np.random.default_rng(12)
+    partial = 0
+    while len(episode.running):
+        episode.start_step()
+        episode.apply(rng.random(8) < 0.4)
+        run = episode.running
+        if len(run):
+            assert np.shares_memory(episode.enc.rows, block)
+            assert np.array_equal(episode.enc.rows, lanes[run])
             partial += len(run) < 8
     assert partial > 3
 
@@ -268,12 +292,12 @@ def test_proposal_on_lanes_equals_all_lane_rows(untrained_env, visual_env, multi
     episode = EpisodeStepper(env, sources, feats)
     rng = np.random.default_rng(5)
     ragged_steps = 0
-    while episode.running:
+    while len(episode.running):
         episode.start_step()
         whole, m = episode.proposal(), len(episode.running)
         for idx in (np.arange(m), np.sort(rng.permutation(m)[:3]), np.array([m - 1])):
             projected = None if episode.projected is None else episode.projected[idx]
-            got = propose_next(episode.dec.take(idx), episode.enc.take(idx), env, projected)
+            got = propose_next(episode.dec.take(idx), _take(episode.enc, idx), env, projected)
             assert np.array_equal(got.token, whole.token[idx])
             # BLAS may round a product's rows differently with another row count
             for name in ("logits", "text_ctx", "g1_next", "g2_next"):
@@ -291,7 +315,8 @@ def test_proposal_on_lanes_equals_all_lane_rows(untrained_env, visual_env, multi
     if multimodal:
         fresh = EpisodeStepper(env, sources, feats)
         with pytest.raises(ShapeError, match="projected feature blocks"):
-            propose_next(fresh.dec.take([0, 1]), fresh.enc.take([0, 1]), env, fresh.projected)
+            propose_next(fresh.dec.take([0, 1]), _take(fresh.enc, [0, 1]), env,
+                         fresh.projected)
 
 
 @pytest.mark.parametrize("multimodal", [False, True])
@@ -301,9 +326,9 @@ def test_apply_copies_the_proposal_onto_writing_rows(untrained_env, visual_env, 
     episode = EpisodeStepper(env, sources, feats)
     rng = np.random.default_rng(3)
     written = read = 0
-    while episode.running:
+    while len(episode.running):
         episode.start_step()
-        before, p = episode.running, episode.proposal()
+        before, p = episode.running.tolist(), episode.proposal()
         rows = [a.copy() for a in (episode.dec.g1_h, episode.dec.g2_h, episode.dec.last_token)]
         episode.apply(rng.random(8) < 0.5)
         for k, i in enumerate(episode.running):
@@ -329,7 +354,7 @@ def test_apply_keeps_no_reference_to_the_proposal(untrained_env):
     episode.start_step()
     p = episode.proposal()
     episode.apply(np.ones(3, dtype=bool))
-    assert episode.running == [0, 1, 2]  # no lane ended, so no row was gathered
+    assert episode.running.tolist() == [0, 1, 2]  # no lane ended, so no row was gathered
     dec = episode.dec
     rows = [a.copy() for a in (dec.g1_h, dec.g2_h, dec.last_token)]
     p.g1_next[...], p.g2_next[...], p.token[...] = 7.0, 7.0, EOS
@@ -341,7 +366,7 @@ def test_encode_next_rejects_a_state_encoded_up_front(untrained_env):
     episode = EpisodeStepper(env, [src for src, _ in pairs[:3]])
     # the stepper's encoder state was encoded up front; READs only advance it
     with pytest.raises(ContractError, match="advance"):
-        encode_next(episode.enc.take([0]), 4, env)
+        encode_next(episode.enc, 4, env)
 
 
 def test_steps_run_no_encoder_gru_and_only_live_rows(untrained_env, monkeypatch):
@@ -366,10 +391,11 @@ def test_steps_run_no_encoder_gru_and_only_live_rows(untrained_env, monkeypatch)
     monkeypatch.setattr(EpisodeStepper, "start_step", start_step)
     batch = collect_trajectories(agent, baseline, env, episodes, RLTrainConfig(), global_seed=1)
     assert steps[0][1] == 0  # construction, first READ included, steps no GRU
-    grus = {id(p) for p in (env.dec1, env.dec2, agent.gru, baseline.gru)}
+    # the baseline is not stepped during collection: its values come from the replay
+    grus = {id(p) for p in (env.dec1, env.dec2, agent.gru)}
     for (live, first), (_, end) in zip(steps, steps[1:] + [(0, len(calls))]):
         step_calls = calls[first:end]
-        assert len(step_calls) == 4 and {id(p) for p, _ in step_calls} == grus
+        assert len(step_calls) == 3 and {id(p) for p, _ in step_calls} == grus
         assert all(rows == live for _, rows in step_calls)
     lengths = [len(e) for e in batch.entries]
     assert [live for live, _ in steps] == [sum(t < k for k in lengths)

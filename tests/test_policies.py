@@ -43,7 +43,7 @@ class ScriptedPolicy(Policy):
 def translate_full(model, src_tokens, features=None):
     """Greedy consecutive decode of one non-empty source, read whole before any WRITE."""
     episode = EpisodeStepper(model, [list(src_tokens)], None if features is None else [features])
-    while episode.running:
+    while len(episode.running):
         episode.apply(episode.start_step())
     return model.tgt_vocab.decode(episode.hyp_ids[0])
 
@@ -219,6 +219,19 @@ def test_project_features_equals_per_lane_products(untrained_env, n):
     single = env.project_features(feats[0])
     assert single.shape == (72, 96)
     assert np.array_equal(single, got[0])
+
+
+def test_tapeless_encode_keeps_no_backward_buffers(untrained_env):
+    # each tapeless layer call holds its (P, 3h) input projection, its (P, h) states and a
+    # (P, h) gather of its input beside the (B, T, h) blocks; the gate arrays that only
+    # backward reads, (P, 2h) and (P, h), would add 3 more (P, h) blocks
+    env = _bench_sized_visual_env(untrained_env)
+    rng = np.random.default_rng(13)
+    ids = [[int(t) for t in rng.integers(4, len(env.src_vocab), size=rng.integers(3, 15))]
+           + [EOS] for _ in range(200)]
+    state, peak = peak_bytes(lambda: EncoderState.encode(env, ids))
+    packed = sum(len(i) for i in ids) * env.cfg.hid_dim * 8
+    assert peak <= 2 * state.rows.nbytes + 5 * packed
 
 
 def _file_precision_features(rng, n):

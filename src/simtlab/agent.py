@@ -10,19 +10,21 @@ observation stream but ends in a scalar head; its regression loss never
 reaches agent parameters.
 
 One code path serves every caller. ``_RecurrentNet.start`` gives the
-initial states and visual keys and values, ``_observation`` assembles the
-input rows, and ``_RecurrentNet.step_np`` steps without a tape. Both
-agent policies step the running lanes of an ``EpisodeStepper`` at once
-(the environment is frozen) on the rows of its proposal, one per running
-lane, through the agent's ``_LaneState``, and are driven by
-``policies.run_episodes``: ``AgentGreedyPolicy`` writes
-where the WRITE logit is the larger, and the collector's
-``_SamplingPolicy`` samples Gumbel actions and records what the replay
-needs. Collection never steps the baseline. ``reinforce_update`` then
-replays the recorded observation stream on a tape as one (B, T) block per
+initial states and visual keys and values, projecting each distinct
+FeatureSet once, ``_observation`` assembles the input rows, and
+``_RecurrentNet.step_np`` steps without a tape. Both agent policies step
+the running lanes of an ``EpisodeStepper`` at once (the environment is
+frozen) on the rows of its proposal, one per running lane, through the
+agent's ``_LaneState``, and are driven by ``policies.run_episodes``:
+``AgentGreedyPolicy`` writes where the WRITE logit is the larger, and the
+collector's ``_SamplingPolicy`` samples Gumbel actions and records what
+the replay needs. Collection never steps the baseline. ``reinforce_update``
+then replays the recorded observation stream on a tape as one block per
 network: a single attention call, one ``autodiff.gru_sequence`` that steps
 each episode over its own length only, and one head matmul, then REINFORCE
-with the baseline's replayed values as control variates.
+with the baseline's replayed values as control variates. The baseline
+replays every step; the agent only up to each episode's last unforced
+step, since later steps carry no loss.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GRUParams, Tensor
 from .checkpoint import load_into, read_config, save_checkpoint, write_metadata
-from .environment import EnvModel, EpisodeStepper, distinct_items, require_positive
+from .environment import EnvModel, EpisodeStepper, _compact, distinct_items, require_positive
 from .errors import ConfigError, ContractError, ShapeError
 from .metrics import RewardConfig
 from .policies import Policy, Transcript, run_episodes
@@ -114,23 +116,29 @@ class _RecurrentNet:
         for name, t in self.named_tensors():
             t.data = snapshot[name].copy()
 
-    def start(self, tape, feats3, n: int):
+    def start(self, tape, features, n: int):
         """Initial states and visual attention inputs for n episodes.
 
-        ``feats3`` is the (n, R, D) block from ``_feature_block``. Returns the
-        (n, hidden) initial state (a projection of the flattened features for
-        the init variant, zeros otherwise) and, for the att variant, the
-        (n, R, key_dim) keys and (n, R, text_dim) values, else None.
+        ``features`` is ``_feature_block``'s (block, index): each distinct
+        FeatureSet is projected once, and ``autodiff.embedding`` gathers the
+        episodes' rows by ``index``. Returns the (n, hidden) initial state (a
+        projection of the flattened features for the init variant, zeros
+        otherwise) and, for the att variant, the (n, R, key_dim) keys and
+        (n, R, text_dim) values, else None.
         """
-        cfg = self.cfg
+        cfg, (block, index) = self.cfg, features
+
+        def per_episode(t):
+            return t if index is None else ad.embedding(tape, t, index)
         if cfg.use_init:
-            h0 = ad.matmul(tape, Tensor(feats3.reshape(n, -1)), self.init_proj)
+            h0 = per_episode(ad.matmul(tape, Tensor(block.reshape(len(block), -1)),
+                                       self.init_proj))
         else:
             h0 = Tensor(np.zeros((n, cfg.hidden_dim)))
         visual_kv = None
         if cfg.use_att:
-            visual_kv = (ad.linear_rows3(tape, feats3, self.key_proj),
-                         ad.linear_rows3(tape, feats3, self.val_proj))
+            visual_kv = tuple(per_episode(ad.linear_rows3(tape, block, w))
+                              for w in (self.key_proj, self.val_proj))
         return h0, visual_kv
 
     def step_np(self, obs, h):
@@ -229,25 +237,17 @@ class _LaneState:
 
     ``h``, the previous-action rows ``a_prev`` (READ at the start) and the
     att variant's visual keys and values hold one row per lane in
-    ``lanes``. They start once per distinct feature set of
-    ``_feature_block``, gathered to its lanes, and lanes only end, so they
-    are gathered to the running lanes each time that set shrinks. The
-    policy sets ``a_prev`` after each step.
+    ``lanes``. They start from ``_RecurrentNet.start``, which projects each
+    distinct feature set once. Lanes only end: when the running set
+    shrinks, ``h`` and ``a_prev`` are gathered to it and the keys and
+    values, which this state owns, are compacted in place. The policy sets
+    ``a_prev`` after each step.
     """
 
     def __init__(self, net: _RecurrentNet, features, n: int):
-        block, index = features
-        starts = n if index is None else len(block)
-        h0, self.visual_kv = net.start(None, block, starts)
+        h0, self.visual_kv = net.start(None, features, n)
         self.net, self.h, self.lanes = net, h0.data, np.arange(n)
-        self.a_prev = np.tile(np.array([1.0, 0.0]), (starts, 1))
-        if index is not None:
-            self._gather(index)
-
-    def _gather(self, rows):
-        self.h, self.a_prev = self.h[rows], self.a_prev[rows]
-        if self.visual_kv is not None:
-            self.visual_kv = tuple(Tensor(t.data[rows]) for t in self.visual_kv)
+        self.a_prev = np.tile(np.array([1.0, 0.0]), (n, 1))
 
     def step(self, running, text_ctx, token_emb):
         """Step the ``running`` lanes on their (m, ·) observation parts, in ``running`` order.
@@ -258,7 +258,9 @@ class _LaneState:
         """
         if len(running) != len(self.lanes):
             keep = np.searchsorted(self.lanes, running)  # both in ascending lane order
-            self._gather(keep)
+            self.h, self.a_prev = self.h[keep], self.a_prev[keep]
+            if self.visual_kv is not None:
+                self.visual_kv = tuple(Tensor(_compact(t.data, keep)) for t in self.visual_kv)
             self.lanes = running
         obs, attention = _observation(None, self.visual_kv, text_ctx, token_emb, self.a_prev)
         self.h, out = self.net.step_np(obs.data, self.h)
@@ -472,14 +474,15 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
                      agent_opt=None, baseline_opt=None, apply: bool = True) -> dict:
     """Replay the batch on a tape and apply both optimizers.
 
-    Each network runs once over the padded (B, T) block of recorded
-    observations. Its GRU steps each episode over its own length only, and
-    padded steps carry zero loss weight. Baseline loss: mean squared error
-    of the replayed values b(o_t) vs realized returns R_t. Agent loss:
-    -sum log pi(a_t|o_t) (R_t - b(o_t)) - entropy bonus, averaged over
-    episodes; forced steps contribute nothing. The advantage R_t - b(o_t)
-    is a constant there, so the agent loss sends no gradient to the
-    baseline. The two losses share a tape but no parameters.
+    Each network runs once over a padded block of recorded observations,
+    its GRU stepping each episode over its own length only. Baseline loss:
+    mean squared error of the replayed values b(o_t) vs realized returns
+    R_t over every step. Agent loss: -sum log pi(a_t|o_t) (R_t - b(o_t)) -
+    entropy bonus over unforced steps, averaged over episodes. The GRU is
+    causal, so the agent replays each episode only up to its last unforced
+    step, and a batch with none gives it a zero loss. The advantage is a
+    constant there, so the agent loss sends no gradient to the baseline.
+    The two losses share a tape but no parameters.
     """
     entries = batch.entries
     if not entries:
@@ -488,42 +491,44 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
     t_max = max(len(e) for e in entries)
     if t_max == 0:
         raise ContractError("reinforce_update: batch has no agent steps")
-    block, index = _feature_block([e.features for e in entries], agent, baseline)
-    feats3 = block if index is None else block[index]
+    features = _feature_block([e.features for e in entries], agent, baseline)
 
-    text_dim, emb_dim = agent.cfg.text_dim, agent.cfg.emb_dim
-    obs_text = np.zeros((n, t_max, text_dim))
-    obs_emb = np.zeros((n, t_max, emb_dim))
-    obs_prev = np.zeros((n, t_max, 2))
-    actions = np.zeros((n, t_max), dtype=np.int64)
-    active = np.zeros((n, t_max), dtype=bool)
-    learn = np.zeros((n, t_max))
-    returns = np.zeros((n, t_max))
-    for i, e in enumerate(entries):
-        t = len(e)
-        obs_text[i, :t] = e.obs_text
-        obs_emb[i, :t] = e.obs_emb
-        obs_prev[i, :t] = e.obs_prev
-        actions[i, :t] = e.actions
-        active[i, :t] = True
-        learn[i, :t] = ~e.forced
-        returns[i, :t] = e.returns
+    def padded(name, dtype=np.float64):
+        """Field ``name`` of each entry, zero-padded to (n, t_max, ...)."""
+        out = np.zeros((n, t_max) + getattr(entries[0], name).shape[1:], dtype)
+        for i, e in enumerate(entries):
+            out[i, :len(e)] = getattr(e, name)
+        return out
 
-    lengths = active.sum(axis=1)
+    obs_text, obs_emb, obs_prev, returns = map(padded, ("obs_text", "obs_emb", "obs_prev",
+                                                        "returns"))
+    actions, lengths = padded("actions", np.int64), np.array([len(e) for e in entries])
+    active = np.arange(t_max) < lengths[:, None]
+    learn = active & ~padded("forced", bool)
+    # each episode's last unforced step + 1, or 0
+    decided = np.where(learn.any(axis=1), t_max - learn[:, ::-1].argmax(axis=1), 0)
     tape = ad.Tape()
 
-    def head_outputs(net):
-        h0, visual_kv = net.start(tape, feats3, n)
-        obs, _ = _observation(tape, visual_kv, obs_text, obs_emb, obs_prev)
-        return net.sequence(tape, obs, h0, lengths)
+    def head_outputs(net, steps, runs):
+        """Head outputs over the first ``steps`` columns, row b's GRU running ``runs[b]``."""
+        h0, visual_kv = net.start(tape, features, n)
+        obs, _ = _observation(tape, visual_kv, obs_text[:, :steps], obs_emb[:, :steps],
+                              obs_prev[:, :steps])
+        return net.sequence(tape, obs, h0, runs)
 
-    values = ad.pick_rows(tape, head_outputs(baseline), np.zeros_like(actions))
-    baseline_loss = ad.masked_sq_error(tape, values, returns, active, float(active.sum()))
-    advantages = returns - values.data
-    ls = ad.log_softmax_rows(tape, head_outputs(agent))
-    agent_loss = ad.sum_scalars(tape, [
-        ad.weighted_sum(tape, ad.pick_rows(tape, ls, actions), -(advantages * learn) / n),
-        ad.weighted_sum(tape, ad.rows_entropy(tape, ls), -(cfg.entropy_weight * learn) / n)])
+    values = ad.pick_rows(tape, head_outputs(baseline, t_max, lengths), np.zeros_like(actions))
+    baseline_loss = ad.masked_sq_error(tape, values, returns, active, float(lengths.sum()))
+    t_dec = decided.max()
+    if t_dec == 0:
+        agent_loss = Tensor(np.float64(0.0))
+    else:
+        learn = learn[:, :t_dec]
+        advantages = (returns - values.data)[:, :t_dec]
+        ls = ad.log_softmax_rows(tape, head_outputs(agent, t_dec, decided))
+        agent_loss = ad.sum_scalars(tape, [
+            ad.weighted_sum(tape, ad.pick_rows(tape, ls, actions[:, :t_dec]),
+                            -(advantages * learn) / n),
+            ad.weighted_sum(tape, ad.rows_entropy(tape, ls), -(cfg.entropy_weight * learn) / n)])
     ad.backward(tape, ad.sum_scalars(tape, [agent_loss, baseline_loss]))
 
     def grad_norm(net):
@@ -585,10 +590,14 @@ class AgentGreedyPolicy(Policy):
 
 
 def select_model(history) -> int:
-    """Index of the evaluation with the best quality-to-latency ratio."""
+    """Index of the evaluation with the best quality-to-latency ratio.
+
+    An ``avp`` of 0 means no content token was written; such a row ranks
+    with ratio 0.
+    """
     if not history:
         raise ContractError("select_model: empty history")
-    ratios = [h["bleu"] / h["avp"] for h in history]
+    ratios = [h["bleu"] / h["avp"] if h["avp"] else 0.0 for h in history]
     return int(np.argmax(ratios))
 
 

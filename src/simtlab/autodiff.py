@@ -181,8 +181,10 @@ def matmul(tape, a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         g2 = g.reshape(-1, bd.shape[1])
-        _accum(a, (g2 @ bd.T).reshape(ad.shape))
-        _accum(b, a2.T @ g2)
+        if a.requires_grad:
+            _accum(a, (g2 @ bd.T).reshape(ad.shape))
+        if b.requires_grad:
+            _accum(b, a2.T @ g2)
     return _op(tape, (a2 @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), (a, b), bwd)
 
 
@@ -193,7 +195,8 @@ def add_bias(tape, m: Tensor, bias: Tensor) -> Tensor:
 
     def bwd(g):
         _accum(m, g)
-        _accum(bias, g.reshape(-1, g.shape[-1]).sum(axis=0))
+        if bias.requires_grad:
+            _accum(bias, g.reshape(-1, g.shape[-1]).sum(axis=0))
     return _op(tape, m.data + bias.data, (m, bias), bwd)
 
 
@@ -204,12 +207,17 @@ def concat(tape, parts, axis: int = -1) -> Tensor:
     def bwd(g):
         offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, np.take(g, range(lo, hi), axis=axis))
+            if p.requires_grad:
+                _accum(p, np.take(g, range(lo, hi), axis=axis))
     return _op(tape, np.concatenate(datas, axis=axis), parts, bwd)
 
 
 def embedding(tape, table: Tensor, ids) -> Tensor:
-    """Gather embedding rows; backward scatter-adds into the table."""
+    """Gather table rows; backward scatter-adds into the table, bit for bit as ``np.add.at``.
+
+    Positions are grouped by how many earlier ones share their id, so a
+    group's ids differ and it is one fancy-index add; groups go in that order.
+    """
     idx = np.asarray(ids, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise IndexError(f"embedding ids out of range [0, {table.data.shape[0]})")
@@ -217,7 +225,14 @@ def embedding(tape, table: Tensor, ids) -> Tensor:
     def bwd(g):
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
+        flat = idx.reshape(-1)
+        g2 = g.reshape(flat.shape + table.data.shape[1:])
+        order = np.argsort(flat, kind="stable")
+        ids = flat[order]
+        rank = np.arange(len(ids)) - np.searchsorted(ids, ids)  # position order[j]'s rank
+        by_rank = order[np.argsort(rank, kind="stable")]
+        for at in np.split(by_rank, np.cumsum(np.bincount(rank))[:-1]):
+            table.grad[flat[at]] += g2[at]
     return _op(tape, table.data[idx], (table,), bwd)
 
 
@@ -349,8 +364,10 @@ def gru_cell(tape, x: Tensor, h_prev: Tensor, params: GRUParams) -> Tensor:
         g2, x2, h2, rz2, n2, rh2 = map(np.atleast_2d, (g, xd, hd, rz, n, rh))
         da, dh = _gru_step_bwd(g2, h2, rz2, n2, p.w_h.data)
         _gru_weight_grads(p, x2, h2, rh2, da)
-        _accum(x, (da @ p.w_x.data.T).reshape(xd.shape))
-        _accum(h_prev, dh.reshape(hd.shape))
+        if x.requires_grad:
+            _accum(x, (da @ p.w_x.data.T).reshape(xd.shape))
+        if h_prev.requires_grad:
+            _accum(h_prev, dh.reshape(hd.shape))
     return _op(tape, new, (x, h_prev, *p.tensors()), bwd)
 
 
@@ -477,12 +494,15 @@ def batched_attention(tape, keys: Tensor, values: Tensor, query: Tensor, mask=No
             if gc is not None:
                 gc3 = gc[:, None, :] if single else gc
                 dw += gc3 @ vd.transpose(0, 2, 1)
-                _accum(values, _sum_outer(w, gc3))
+                if values.requires_grad:
+                    _accum(values, _sum_outer(w, gc3))
             if gw is not None:
                 dw += gw[:, None, :] if single else gw
             ds = w * (dw - (w * dw).sum(axis=2, keepdims=True))
-            _accum(query, (ds @ kd).reshape(qd.shape))
-            _accum(keys, _sum_outer(ds, q3))
+            if query.requires_grad:
+                _accum(query, (ds @ kd).reshape(qd.shape))
+            if keys.requires_grad:
+                _accum(keys, _sum_outer(ds, q3))
         ctx.requires_grad = weights.requires_grad = True
         tape.record((ctx, weights), bwd)
     return ctx, weights

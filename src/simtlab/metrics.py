@@ -240,13 +240,16 @@ def consecutive_wait_trace(actions):
 # Latency metrics
 # ---------------------------------------------------------------------------
 
-def _delay_profile(name: str, g, src_len: int, tgt_len: int) -> list:
-    """``g`` as a list, once it is a non-empty profile of ``tgt_len`` values in [1, src_len]."""
+def _delay_profile(name: str, g, src_len: int, tgt_len: int = None, ref_len: int = 1) -> list:
+    """``g`` as a list, once it is a non-empty profile of values in [1, src_len], of
+    ``tgt_len`` values when that is given, and ``ref_len`` is at least 1."""
     g = list(g)
     if not g:
         raise ContractError(f"{name}: empty delay profile")
-    if len(g) != tgt_len:
+    if tgt_len is not None and len(g) != tgt_len:
         raise ContractError(f"{name}: len(g)={len(g)} vs tgt_len={tgt_len}")
+    if ref_len < 1:
+        raise ContractError(f"{name}: ref_len={ref_len} must be at least 1")
     if min(g) < 1 or max(g) > src_len:
         raise ContractError(f"{name}: g values outside [1, src_len={src_len}]")
     return g
@@ -258,20 +261,36 @@ def average_proportion(g, src_len: int, tgt_len: int) -> float:
     return sum(g) / (src_len * tgt_len)
 
 
-def average_lagging(g, src_len: int, tgt_len: int) -> float:
+def average_lagging(g, src_len: int, ref_len: int) -> float:
     """Tokens the writer lags behind an ideal proportional reader.
 
     Averages g[t] - (t - 1) / r over commits up to the first one made with
-    the source fully read, where r is the target/source length ratio.
+    the source fully read, where r = ref_len / src_len is the reference's
+    rate, as in SimulEval, so an output that ends early scores no lower.
     """
-    g = _delay_profile("average_lagging", g, src_len, tgt_len)
-    r = tgt_len / src_len
+    g = _delay_profile("average_lagging", g, src_len, ref_len=ref_len)
+    r = ref_len / src_len
     tau = len(g)
     for t, gt in enumerate(g, start=1):
         if gt >= src_len:
             tau = t
             break
     return sum(g[t - 1] - (t - 1) / r for t in range(1, tau + 1)) / tau
+
+
+def differentiable_average_lagging(g, src_len: int, ref_len: int) -> float:
+    """Differentiable average lagging (Cherry and Foster 2019), which a burst of writes pays for.
+
+    With g'[1] = g[1] and g'[t] = max(g[t], g'[t - 1] + src_len / ref_len),
+    the mean over all commits of g'[t] - (t - 1) * src_len / ref_len.
+    """
+    g = _delay_profile("differentiable_average_lagging", g, src_len, ref_len=ref_len)
+    step = src_len / ref_len
+    total, raised = 0.0, g[0]
+    for t, gt in enumerate(g):
+        raised = max(gt, raised + step) if t else gt
+        total += raised - t * step
+    return total / len(g)
 
 
 def delays_from_actions(actions, ends_with_eos: bool):

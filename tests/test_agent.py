@@ -81,6 +81,12 @@ def test_select_model_picks_the_best_bleu_to_avp_ratio():
                          {"bleu": 5.0, "avp": 0.25}]) == 0
     with pytest.raises(ContractError, match="empty history"):
         select_model([])
+    # an avp of 0 (no content token written) ranks with ratio 0, below any positive ratio
+    silent = {"bleu": 0.0, "avp": 0.0}
+    assert select_model([silent, {"bleu": 1.0, "avp": 1.0}]) == 1
+    assert select_model([silent, {"bleu": 0.0, "avp": 0.5}]) == 0
+    assert patience_exceeded([{"bleu": 30.0, "avp": 0.5}, silent, silent], patience=2)
+    assert not patience_exceeded([silent, silent, {"bleu": 1.0, "avp": 1.0}], patience=2)
 
 
 def test_patience_is_exceeded_once_the_best_is_patience_evaluations_old():
@@ -292,6 +298,58 @@ def test_collection_does_each_distinct_source_once(untrained_env, monkeypatch):
     assert len(decisions) == max(len(e) for e in batch.entries) and decisions[0] == 30
 
 
+def test_replay_does_each_distinct_source_once_and_the_agent_to_its_last_decision(
+        untrained_env, monkeypatch):
+    # counts, not seconds: one key and one value projection per network over the 6
+    # distinct FeatureSets; the baseline's GRU runs every step, the agent's to its last decision
+    env, agent, baseline, episodes = _visual_setup(*untrained_env, "att", 6, seed=7)
+    episodes = [e for e in episodes for _ in range(5)]
+    cfg = RLTrainConfig()
+    batch = collect_trajectories(agent, baseline, env, episodes, cfg, global_seed=1)
+    sequences, products = [], []
+    real_sequence, real_rows3 = ad.gru_sequence, ad.linear_rows3
+
+    def gru_sequence(tape, xs, h0, params, lengths=None):
+        sequences.append((id(params), xs.data.shape[1], list(lengths)))
+        return real_sequence(tape, xs, h0, params, lengths)
+
+    def linear_rows3(tape, feats, w):
+        products.append((id(w), len(feats)))
+        return real_rows3(tape, feats, w)
+
+    monkeypatch.setattr(ad, "gru_sequence", gru_sequence)
+    monkeypatch.setattr(ad, "linear_rows3", linear_rows3)
+    reinforce_update(batch, agent, baseline, cfg, apply=False)
+    assert products == [(id(baseline.key_proj), 6), (id(baseline.val_proj), 6),
+                        (id(agent.key_proj), 6), (id(agent.val_proj), 6)]
+    full = [len(e) for e in batch.entries]
+    decided = [int(np.flatnonzero(~e.forced)[-1]) + 1 if (~e.forced).any() else 0
+               for e in batch.entries]  # each episode's last unforced step + 1
+    assert sequences == [(id(baseline.gru), max(full), full),
+                         (id(agent.gru), max(decided), decided)]
+    assert sum(decided) < sum(full) and max(decided) < max(full)
+
+
+def test_an_all_forced_batch_updates_and_leaves_the_agent_a_zero_gradient(untrained_env):
+    # one-token sources: the initial READ reads the whole source, so every agent step is forced
+    env, agent, baseline, episodes = _visual_setup(*untrained_env, "att", 4, seed=2)
+    episodes = [(src[:1], ref, fs) for src, ref, fs in episodes]
+    cfg = RLTrainConfig()
+    batch = collect_trajectories(agent, baseline, env, episodes, cfg, global_seed=0)
+    assert all(len(e) and e.forced.all() for e in batch.entries)
+    stats = reinforce_update(batch, agent, baseline, cfg, apply=False)
+    assert stats["agent_loss"] == 0.0 and stats["agent_grad_norm"] == 0.0
+    assert all(p.grad is None or not p.grad.any() for _, p in agent.named_tensors())
+    assert stats["baseline_loss"] > 0.0 and stats["baseline_grad_norm"] > 0.0
+    ad.zero_grads([p for _, p in baseline.named_tensors()])
+    agent_before, baseline_before = agent.snapshot(), baseline.snapshot()
+    reinforce_update(batch, agent, baseline, cfg, AdamState(agent.named_tensors(), lr=cfg.lr),
+                     AdamState(baseline.named_tensors(), lr=cfg.lr))
+    assert all(np.array_equal(v, agent.snapshot()[k]) for k, v in agent_before.items())
+    assert any(not np.array_equal(v, baseline.snapshot()[k])
+               for k, v in baseline_before.items())
+
+
 @pytest.mark.parametrize("variant", ["none", "init", "att"])
 def test_collector_equals_per_episode_reference(untrained_env, variant):
     # one 1-token episode among longer ones, so most steps run on fewer lanes than the batch
@@ -414,6 +472,29 @@ def test_block_replay_equals_per_step_replay(untrained_env, variant, short):
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * abs(w)
     assert got_grads.keys() == want_grads.keys()
+    for name, w in want_grads.items():
+        assert np.max(np.abs(got_grads[name] - w)) <= 1e-12 * np.max(np.abs(w)), name
+
+
+@pytest.mark.parametrize("variant", ["init", "att"])
+def test_replay_of_shared_sources_equals_replay_of_copies(untrained_env, variant):
+    # 6 sources x 5 samples sharing one FeatureSet object each, against an equal copy per sample
+    env, agent, baseline, episodes = _visual_setup(*untrained_env, variant, 6, seed=7)
+    cfg = RLTrainConfig(entropy_weight=0.1)
+    shared = collect_trajectories(agent, baseline, env, [e for e in episodes for _ in range(5)],
+                                  cfg, global_seed=4)
+    copies = TrajectoryBatch([replace(e, features=FeatureSet(e.features.variant,
+                                                             e.features.matrix.copy()))
+                              for e in shared.entries])
+
+    def losses(batch):
+        stats = reinforce_update(batch, agent, baseline, cfg, apply=False)
+        return stats["agent_loss"], stats["baseline_loss"]
+
+    got, got_grads = _loss_and_grads(lambda: losses(shared), agent, baseline)
+    want, want_grads = _loss_and_grads(lambda: losses(copies), agent, baseline)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * abs(w)
     for name, w in want_grads.items():
         assert np.max(np.abs(got_grads[name] - w)) <= 1e-12 * np.max(np.abs(w)), name
 

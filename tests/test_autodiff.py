@@ -500,6 +500,26 @@ def test_elementwise_ops_gradcheck(seed):
     assert np.all(b.grad[0, 2] == 0.0)
 
 
+@pytest.mark.parametrize("ids_shape, table_shape", [((30,), (6, 4, 5)), ((8, 9), (5, 3)),
+                                                   ((0,), (3, 2))])
+@pytest.mark.parametrize("start", ["none", "accumulated"])
+def test_embedding_backward_equals_add_at_bit_for_bit(ids_shape, table_shape, start):
+    # repeated ids in a shuffled order: each row's terms must be added in index order
+    rng = np.random.default_rng(5)
+    table = ad.Tensor(rng.normal(size=table_shape), requires_grad=True)
+    ids = rng.integers(0, table_shape[0], size=ids_shape)
+    assert ids.size == 0 or len(np.unique(ids)) < ids.size
+    g = rng.normal(size=ids_shape + table_shape[1:]) * 10.0 ** rng.integers(-8, 8, ids_shape)[
+        (...,) + (None,) * (len(table_shape) - 1)]
+    want = np.zeros(table_shape) if start == "none" else rng.normal(size=table_shape)
+    table.grad = None if start == "none" else want.copy()
+    np.add.at(want, ids, g)
+    tape = ad.Tape()
+    out = ad.embedding(tape, table, ids)
+    ad.backward(tape, ad.weighted_sum(tape, out, g))
+    assert table.grad.tobytes() == want.tobytes()
+
+
 def test_embedding_gradcheck_and_bounds():
     rng = np.random.default_rng(11)
     table = ad.Tensor(rng.normal(size=(7, 3)), requires_grad=True)

@@ -278,6 +278,104 @@ def test_record_check_names_the_enclosing_function():
         ("m.py:13", "<module>")]
 
 
+def _several_inputs(fn) -> bool:
+    """True when op ``fn`` records directly, or passes ``_op`` more than one tensor input."""
+    for node in ast.walk(fn):
+        func = getattr(node, "func", None)
+        callee = getattr(func, "id", None) or getattr(func, "attr", None)
+        if callee == "record":
+            return True
+        if callee == "_op" and len(node.args) >= 3:
+            inputs = node.args[2]
+            if not (isinstance(inputs, ast.Tuple) and len(inputs.elts) == 1
+                    and not isinstance(inputs.elts[0], ast.Starred)):
+                return True
+    return False
+
+
+def _required(test) -> set:
+    """The tensors whose ``.requires_grad`` an ``if`` test requires: alone or in an ``and``."""
+    terms = test.values if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And) else [test]
+    return {ast.unparse(t.value) for t in terms
+            if isinstance(t, ast.Attribute) and t.attr == "requires_grad"}
+
+
+def unguarded_accums(source: str, name: str) -> list:
+    """One line per ``_accum(x, <expression>)`` that no ``if x.requires_grad`` encloses,
+    in the ``bwd`` of a module-level op with more than one tensor input.
+
+    A bare name as the gradient is an array already made, so it needs no guard.
+    """
+    problems = []
+
+    def check(node, guarded, op):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_accum"
+                and len(node.args) == 2 and not isinstance(node.args[1], ast.Name)
+                and ast.unparse(node.args[0]) not in guarded):
+            x = ast.unparse(node.args[0])
+            problems.append(f"{name}:{node.lineno}: {op}() computes {x}'s gradient "
+                            f"without testing {x}.requires_grad")
+        if isinstance(node, ast.If):
+            check(node.test, guarded, op)
+            for child in node.body:
+                check(child, guarded | _required(node.test), op)
+            for child in node.orelse:
+                check(child, guarded, op)
+            return
+        for child in ast.iter_child_nodes(node):
+            check(child, guarded, op)
+
+    for fn in ast.parse(source).body:
+        if isinstance(fn, ast.FunctionDef) and _several_inputs(fn):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.FunctionDef) and node.name == "bwd":
+                    check(node, set(), fn.name)
+    return problems
+
+
+def test_multi_input_ops_compute_only_required_gradients():
+    """An op whose inputs are partly constants (token embeddings, feature rows) must not
+    build their gradients only for ``_accum`` to drop them."""
+    problems = unguarded_accums((SRC / "autodiff.py").read_text(encoding="utf-8"), "autodiff.py")
+    assert not problems, "\n".join(problems)
+
+
+def test_guard_check_tells_guarded_gradients_from_dropped_ones():
+    source = ("def two(tape, a, b):\n"
+              "    def bwd(g):\n"
+              "        _accum(a, g)\n"
+              "        _accum(b, g * 2.0)\n"
+              "        if a.requires_grad and b.requires_grad:\n"
+              "            _accum(a, g.T)\n"
+              "        if a.requires_grad or b.requires_grad:\n"
+              "            _accum(b, g.T)\n"
+              "        else:\n"
+              "            _accum(a, -g)\n"
+              "    return _op(tape, a.data, (a, b), bwd)\n"
+              "def one(tape, a):\n"
+              "    def bwd(g):\n"
+              "        _accum(a, g * 2.0)\n"
+              "    return _op(tape, a.data, (a,), bwd)\n"
+              "def many(tape, parts):\n"
+              "    def bwd(g):\n"
+              "        for p in parts:\n"
+              "            if p.requires_grad:\n"
+              "                _accum(p, g[0])\n"
+              "            _accum(p, g[1])\n"
+              "    return _op(tape, g, parts, bwd)\n"
+              "def direct(tape, k, q):\n"
+              "    def bwd(g):\n"
+              "        if k.requires_grad:\n"
+              "            _accum(q, g.T)\n"
+              "    tape.record((out,), bwd)\n")
+    assert unguarded_accums(source, "m.py") == [
+        "m.py:4: two() computes b's gradient without testing b.requires_grad",
+        "m.py:8: two() computes b's gradient without testing b.requires_grad",
+        "m.py:10: two() computes a's gradient without testing a.requires_grad",
+        "m.py:21: many() computes p's gradient without testing p.requires_grad",
+        "m.py:26: direct() computes q's gradient without testing q.requires_grad"]
+
+
 PERFBENCH = SRC.parent.parent / "perfbench"
 
 # public names that nothing in src/ or perfbench/ uses yet, each with the ROADMAP item
@@ -291,6 +389,7 @@ UNREFERENCED = {
     "lag_histogram": "ROADMAP 7 (simtlab report)",
     "write_transcripts": "ROADMAP 7 (transcripts.jsonl)",
     "read_transcripts": "ROADMAP 7 (simtlab report)",
+    "differentiable_average_lagging": "ROADMAP 3 (evaluate reports DAL beside AL)",
 }
 
 

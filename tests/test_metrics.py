@@ -178,14 +178,47 @@ def test_average_lagging_can_be_negative():
     assert M.average_lagging([1, 1, 1, 1, 1, 1, 2, 4], 4, 8) < 0.0
 
 
-@pytest.mark.parametrize("g, src_len, tgt_len", [
-    ([], 3, 0), ([1, 2], 0, 2), ([0, 1], 3, 2), ([5, 6], 3, 2), ([1, 2], 3, 3)],
-    ids=["empty", "empty-source", "below-one", "past-source", "tgt-len-unlike-g"])
-@pytest.mark.parametrize("metric", ["average_lagging", "average_proportion"])
-def test_latency_metrics_reject_bad_delay_profiles(metric, g, src_len, tgt_len):
+_BAD_PROFILES = {"empty": ([], 3, 0), "empty-source": ([1, 2], 0, 2), "below-one": ([0, 1], 3, 2),
+                 "past-source": ([5, 6], 3, 2)}
+_LAGS = ["average_lagging", "differentiable_average_lagging"]
+
+
+@pytest.mark.parametrize("metric, g, src_len, third", [
+    pytest.param(metric, *args, id=f"{metric}-{case}")
+    for metric in _LAGS + ["average_proportion"] for case, args in _BAD_PROFILES.items()] + [
+    # AP's third argument is the hypothesis length; AL's and DAL's is the reference's
+    pytest.param("average_proportion", [1, 2], 3, 3, id="average_proportion-tgt-len-unlike-g")] + [
+    pytest.param(metric, [1, 2], 3, 0, id=f"{metric}-ref-len-below-one") for metric in _LAGS])
+def test_latency_metrics_reject_bad_delay_profiles(metric, g, src_len, third):
     # AL used to divide by zero at src_len=0 and score [0, 1] as -0.25, [5, 6] as 5.0
     with pytest.raises(ContractError, match=metric):
-        getattr(M, metric)(g, src_len, tgt_len)
+        getattr(M, metric)(g, src_len, third)
+
+
+def test_burst_writes_pay_under_dal_only():
+    # read a window of 3, write its 3 tokens at once: AL rewards the burst, DAL does not
+    for n in (3, 6, 9, 12):
+        burst = [min(3 * ((t - 1) // 3 + 1), n) for t in range(1, n + 1)]
+        wait3 = [min(t + 2, n) for t in range(1, n + 1)]
+        assert M.differentiable_average_lagging(burst, n, n) == 3.0
+        assert M.differentiable_average_lagging(wait3, n, n) == 3.0
+        if n > 3:
+            assert M.average_lagging(burst, n, n) < M.average_lagging(wait3, n, n)
+    assert M.average_lagging([3, 3, 3, 6, 6, 6], 6, 6) == 9 / 4
+
+
+def test_an_early_eos_does_not_lower_al():
+    # wait-1 on 4 source and 4 reference tokens, stopped after 2 writes
+    assert M.average_lagging([1, 2], 4, 4) == M.average_lagging([1, 2, 3, 4], 4, 4) == 1.0
+    assert M.average_lagging([1, 2], 4, 2) == 0.5  # the rate of the 2-token hypothesis
+    assert M.differentiable_average_lagging([1, 2], 4, 4) == 1.0
+
+
+def test_dal_on_unequal_lengths_by_hand():
+    # src 4, ref 2: step 2; g' = [2, 4, 6], minus (0, 2, 4): mean of [2, 2, 2]
+    assert M.differentiable_average_lagging([2, 3, 4], 4, 2) == 2.0
+    # src 2, ref 4: step 0.5; g' = [1, 1.5, 2, 2.5], minus (0, .5, 1, 1.5): all 1
+    assert M.differentiable_average_lagging([1, 1, 2, 2], 2, 4) == 1.0
 
 
 def test_wait_k_lagging_is_k_for_equal_lengths():
@@ -193,6 +226,7 @@ def test_wait_k_lagging_is_k_for_equal_lengths():
         for k in range(1, min(n, 11)):
             g = [min(t + k - 1, n) for t in range(1, n + 1)]
             assert M.average_lagging(g, n, n) == float(k)
+            assert M.differentiable_average_lagging(g, n, n) == float(k)
 
 
 def test_delay_reconstruction_matches_recorded():

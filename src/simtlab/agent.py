@@ -39,7 +39,7 @@ from .autodiff import GRUParams, Tensor
 from .checkpoint import load_into, read_config, save_checkpoint, write_metadata
 from .environment import EnvModel, EpisodeStepper, _compact, distinct_items, require_positive
 from .errors import ConfigError, ContractError, ShapeError
-from .metrics import RewardConfig
+from .metrics import RewardConfig, step_rewards
 from .policies import Policy, Transcript, run_episodes
 
 ACT_READ, ACT_WRITE = 0, 1
@@ -316,10 +316,8 @@ class TrajectoryEntry:
     forced: np.ndarray        # (T,) bool
     rewards: np.ndarray       # (T,)
     returns: np.ndarray       # (T,)
-    write_probs: np.ndarray   # (T,)
     log_probs: np.ndarray     # (T,)
     entropies: np.ndarray     # (T,)
-    visual_ctx: np.ndarray = None  # (T, text_dim) collection-time, for inspection
     transcript: Transcript = None
 
     def __len__(self):
@@ -380,8 +378,7 @@ def compute_returns(rewards: np.ndarray, cfg: RLTrainConfig) -> np.ndarray:
 
 
 # what _SamplingPolicy records per step and lane, named as TrajectoryEntry's fields
-_RECORDED = ("obs_text", "obs_emb", "obs_prev", "visual_ctx", "actions", "forced",
-             "write_probs", "log_probs", "entropies")
+_RECORDED = ("obs_text", "obs_emb", "obs_prev", "actions", "forced", "log_probs", "entropies")
 
 
 class _SamplingPolicy(Policy):
@@ -408,7 +405,7 @@ class _SamplingPolicy(Policy):
         text_ctx = proposal.text_ctx
         y_emb = self.env.tgt_emb.data[proposal.token]
 
-        logits_a, a_att = self.agent_lanes.step(run, text_ctx, y_emb)
+        logits_a, _ = self.agent_lanes.step(run, text_ctx, y_emb)
         a_prev = self.agent_lanes.a_prev  # recorded; replaced, not written, below
 
         ls = logits_a - logits_a.max(axis=1, keepdims=True)
@@ -420,12 +417,9 @@ class _SamplingPolicy(Policy):
         soft[free], sampled[free] = gumbel_softmax_sample(
             logits_a[free], self.tau, [self.rngs[run[k]] for k in free])
         action = np.where(forced, ACT_WRITE, sampled)
-        visual_ctx = None if a_att is None else a_att[0].data
-        write_probs = np.where(forced, action == ACT_WRITE, soft[:, ACT_WRITE])
-        rows = (text_ctx, y_emb, a_prev, visual_ctx, action, forced, write_probs,
-                ls[np.arange(m), action], -(np.exp(ls) * ls).sum(axis=1))
-        self.steps.append(tuple(None if r is None else on_lanes(episode.n, run, r)
-                                for r in rows))
+        rows = (text_ctx, y_emb, a_prev, action, forced, ls[np.arange(m), action],
+                -(np.exp(ls) * ls).sum(axis=1))
+        self.steps.append(tuple(on_lanes(episode.n, run, r) for r in rows))
         self.agent_lanes.a_prev = np.where(forced[:, None], np.eye(2)[action], soft)
         return on_lanes(episode.n, run, action == ACT_WRITE)
 
@@ -437,7 +431,9 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
     """Sample one lockstep batch of episodes with per-step rewards.
 
     ``episodes`` holds (src_tokens, ref_tokens, features) triples, each a
-    lane of one ``run_episodes`` call under ``_SamplingPolicy``. Each
+    lane of one ``run_episodes`` call under ``_SamplingPolicy``. Once the
+    batch is over, ``metrics.step_rewards`` scores each transcript against
+    its reference into ``transcript.rewards``. Each
     episode owns an RNG seeded from (global_seed, episode_index), so the
     batch decomposition never changes the sampled noise. A repeated source
     is encoded, and a shared FeatureSet projected, once. Only the agent is
@@ -451,17 +447,17 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
     rngs = [np.random.default_rng(np.random.SeedSequence((global_seed, start_index + i)))
             for i in range(len(episodes))]
     policy = _SamplingPolicy(agent, env, cfg.tau, rngs, _feature_block(feats, agent, baseline))
-    transcripts = run_episodes(policy, env, [e[0] for e in episodes], feats,
-                               refs=[list(e[1]) for e in episodes], reward_config=cfg.reward)
+    transcripts = run_episodes(policy, env, [e[0] for e in episodes], feats)
     blocks = {name: np.stack(rows, axis=1)  # (n, steps, ...)
-              for name, rows in zip(_RECORDED, zip(*policy.steps)) if rows[0] is not None}
+              for name, rows in zip(_RECORDED, zip(*policy.steps))}
     entries = []
-    for i, (f, transcript) in enumerate(zip(feats, transcripts)):
-        rewards = np.array(transcript.rewards[1:])  # the initial forced READ is no agent step
+    for i, ((_, ref, f), t) in enumerate(zip(episodes, transcripts)):
+        t.rewards = step_rewards(t.actions, t.hyp, t.delays, len(t.src), ref, cfg.reward)
+        rewards = np.array(t.rewards[1:])  # the initial forced READ is no agent step
         steps = {name: block[i, :len(rewards)] for name, block in blocks.items()}
         entries.append(TrajectoryEntry(
             **steps, features=f, rewards=rewards, returns=compute_returns(rewards, cfg),
-            transcript=transcript if record_transcripts else None))
+            transcript=t if record_transcripts else None))
     return TrajectoryBatch(entries)
 
 

@@ -63,13 +63,6 @@ class TaskSpec:
                 raise ConfigError("ambiguous task needs min_len >= 3")
 
 
-@dataclass
-class AmbiguousTask:
-    """Realization pairs: source token -> (realization_a, realization_b)."""
-
-    pairs: dict
-
-
 def plain_tokens(spec: TaskSpec):
     return [f"w{i:02d}" for i in range(spec.vocab_size)]
 
@@ -78,17 +71,17 @@ def ambiguous_tokens(spec: TaskSpec):
     return [f"amb{i:02d}" for i in range(spec.n_ambiguous_types)]
 
 
-def build_ambiguous_task(spec: TaskSpec, rng) -> AmbiguousTask:
-    """Assign disjoint realization pairs from the plain vocabulary."""
+def build_ambiguous_task(spec: TaskSpec, rng) -> dict:
+    """Each ambiguous token's two realizations, all disjoint, from the plain vocabulary."""
     plain = plain_tokens(spec)
     chosen = rng.choice(len(plain), size=2 * spec.n_ambiguous_types, replace=False)
     pairs = {}
     for i, amb in enumerate(ambiguous_tokens(spec)):
         pairs[amb] = (plain[chosen[2 * i]], plain[chosen[2 * i + 1]])
-    return AmbiguousTask(pairs)
+    return pairs
 
 
-def _sample_sentence(spec: TaskSpec, task: AmbiguousTask, rng):
+def _sample_sentence(spec: TaskSpec, task: dict, rng):
     """One (source, target) pair; ambiguous slots stay clear of the tail."""
     length = int(rng.integers(spec.min_len, spec.max_len + 1))
     plain = plain_tokens(spec)
@@ -104,7 +97,7 @@ def _sample_sentence(spec: TaskSpec, task: AmbiguousTask, rng):
                                         replace=False)] if amb_positions else []
     excluded = set()
     for t in types:
-        excluded.update(task.pairs[t])
+        excluded.update(task[t])
     pool = [t for t in plain if t not in excluded]
     picks = rng.choice(len(pool), size=length, replace=False)
     src, tgt = [], []
@@ -112,7 +105,7 @@ def _sample_sentence(spec: TaskSpec, task: AmbiguousTask, rng):
     for i in range(length):
         if i in amb_positions:
             amb = next(type_iter)
-            realization = task.pairs[amb][int(rng.integers(0, 2))]
+            realization = task[amb][int(rng.integers(0, 2))]
             src.append(amb)
             tgt.append(realization)
         else:
@@ -122,7 +115,7 @@ def _sample_sentence(spec: TaskSpec, task: AmbiguousTask, rng):
     return src, tgt
 
 
-def generate_pairs(spec: TaskSpec, count: int, rng, task: AmbiguousTask = None):
+def generate_pairs(spec: TaskSpec, count: int, rng, task: dict = None):
     if spec.task == "ambiguous" and task is None:
         raise ConfigError("ambiguous task requires realization pairs")
     return [_sample_sentence(spec, task, rng) for _ in range(count)]
@@ -187,7 +180,7 @@ def make_synthetic_dataset(spec: TaskSpec, out_dir, seed: int) -> dict:
         all_pairs[split] = pairs
 
     if spec.task == "ambiguous":
-        manifest["pairs"] = {k: list(v) for k, v in task.pairs.items()}
+        manifest["pairs"] = {k: list(v) for k, v in task.items()}
         manifest["feature_noise"] = spec.feature_noise
         feature_seed = seed + 1_000_003
         manifest["feature_seed"] = feature_seed
@@ -197,7 +190,7 @@ def make_synthetic_dataset(spec: TaskSpec, out_dir, seed: int) -> dict:
             sets = []
             for _, tgt in all_pairs[split]:
                 in_sentence = set(tgt)
-                partners = {partner for pair in task.pairs.values()
+                partners = {partner for pair in task.values()
                             for partner in pair
                             if any(p in in_sentence for p in pair)}
                 pool = [t for t in plain_tokens(spec)

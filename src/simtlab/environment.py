@@ -11,7 +11,9 @@ looks at the proposed token, or a WRITE that adopts it), and is the only
 writer of decoder state: a WRITE copies the proposal's rows into its own.
 Its model states keep rows for the lanes still running only, so the
 proposal is computed on those lanes alone. A step on which every lane READs
-under a rule that reads only the counters runs no decoder work. The same
+under a rule that reads only the counters runs no decoder work. The
+stepper records each episode's actions, delays and hypothesis and computes
+no reward: ``metrics.step_rewards`` scores the finished transcript. The same
 model trained and decoded with the full source is the consecutive baseline.
 
 Architecture: 2-layer unidirectional GRU encoder, first decoder GRU
@@ -33,8 +35,7 @@ from . import autodiff as ad
 from .autodiff import GRUParams, Tensor
 from .checkpoint import load_into, read_config, save_checkpoint, write_metadata
 from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
-from .metrics import (PrefixBleu, RewardConfig, average_proportion, corpus_bleu,
-                      latency_reward)
+from .metrics import corpus_bleu
 from .vocab import BOS, EOS, PAD, RESERVED, Vocabulary
 
 log = logging.getLogger(__name__)
@@ -355,11 +356,9 @@ class EpisodeStepper:
     the decoder cannot attend to an empty prefix. Once a lane has read its
     whole source, its EOS row becomes visible and WRITE is forced. A lane
     ends on an EOS commit or at ``output_cap`` committed tokens. Per lane
-    the stepper keeps the consecutive wait (CW), the delays, the hypothesis
-    ids, the action string and, with a ``reward_config``, each step's
-    reward: the BLEU gain of the commit against the reference (when
-    ``refs`` are given) plus the CW/AP latency reward, whose delay
-    proportion term is paid on the terminal step.
+    the stepper keeps the delays, the hypothesis ids and the action string:
+    the transcript that ``metrics.step_rewards`` scores once the episode is
+    over.
 
     The constructor takes the first READ. Each later step is
     ``start_step()``, which returns the forced-WRITE mask, then
@@ -377,8 +376,7 @@ class EpisodeStepper:
     and ``n_written`` counters, and the lists above) is indexed by lane.
     """
 
-    def __init__(self, model: EnvModel, sources, features=None, *, refs=None,
-                 reward_config: RewardConfig = None):
+    def __init__(self, model: EnvModel, sources, features=None):
         self.model = model
         self.src_ids = [model.src_vocab.encode(s) for s in sources]
         if not self.src_ids:
@@ -386,13 +384,10 @@ class EpisodeStepper:
         if not all(self.src_ids):
             raise ContractError("episode: empty source")
         n = self.n = len(self.src_ids)
-        for name, given in (("features", features), ("refs", refs)):
-            if given is not None and (not isinstance(given, (list, tuple)) or len(given) != n):
-                raise DataError(f"episode: {name} must be a list with one entry per source "
-                                f"({n} sources)")
-        if refs is not None and not all(isinstance(r, (list, tuple))
-                                        and all(isinstance(t, str) for t in r) for r in refs):
-            raise DataError("episode: each refs entry must be a list of tokens")
+        if features is not None and (not isinstance(features, (list, tuple))
+                                     or len(features) != n):
+            raise DataError(f"episode: features must be a list with one entry per source "
+                            f"({n} sources)")
         self.projected = model.project_features(features) if model.multimodal else None
         self.enc = EncoderState.encode(model, [ids + [EOS] for ids in self.src_ids])
         self.dec = DecoderState.initial(model, n)
@@ -400,13 +395,9 @@ class EpisodeStepper:
         self.running = np.arange(n)
         self.n_read = np.zeros(n, dtype=np.int64)
         self.n_written = np.zeros(n, dtype=np.int64)  # EOS included
-        self.cw = [0] * n
         self.hyp_ids = [[] for _ in range(n)]
         self.delays = [[] for _ in range(n)]
         self.actions = [[] for _ in range(n)]
-        self.rewards = [[] for _ in range(n)]
-        self.quality = None if refs is None else [PrefixBleu(r) for r in refs]
-        self.reward_config = reward_config
         self._src_len = np.array([len(s) for s in self.src_ids])
         self._cap = [output_cap(len(s)) for s in self.src_ids]
         self._proposal = None
@@ -443,13 +434,9 @@ class EpisodeStepper:
             self._proposal = propose_next(self.dec, self.enc, self.model, self.projected)
         return self._proposal
 
-    def apply(self, write_mask) -> np.ndarray:
+    def apply(self, write_mask) -> None:
         """Take one action on every live lane: WRITE where ``write_mask`` or
-        forced, READ elsewhere.
-
-        Returns each lane's step reward (0.0 without a reward config and on
-        lanes that had ended).
-        """
+        forced, READ elsewhere."""
         forced = self._forced
         if forced is None:
             raise ContractError("apply: no step started; call start_step() first")
@@ -465,35 +452,18 @@ class EpisodeStepper:
             dec.last_token[rows] = proposal.token[rows]
         if len(reads):
             self.enc = self.enc.advance(reads)
-        cfg = self.reward_config
-        step_rewards = np.zeros(self.n)
         ended = False
         for k, (i, w) in enumerate(zip(live.tolist(), wrote.tolist())):
-            terminal = False
-            quality = 0.0
-            if w:
-                token = int(proposal.token[k])
-                self.hyp_ids[i].append(token)
-                self.n_written[i] += 1
-                self.cw[i] = 0
-                if token != EOS:
-                    self.delays[i].append(int(self.n_read[i]))
-                    if self.quality is not None:
-                        quality = self.quality[i].append(self.model.tgt_vocab.token(token))
-                terminal = token == EOS or len(self.hyp_ids[i]) >= self._cap[i]
-            else:
-                self.n_read[i] += 1
-                self.cw[i] += 1
             self.actions[i].append(WRITE if w else READ)
-            if cfg is not None:
-                delays = self.delays[i]
-                d_t = 0.0
-                if terminal and delays:
-                    d_t = average_proportion(delays, len(self.src_ids[i]), len(delays))
-                step_rewards[i] = quality + latency_reward(self.cw[i], d_t, cfg,
-                                                           is_terminal=terminal)
-                self.rewards[i].append(float(step_rewards[i]))
-            if terminal:
+            if not w:
+                self.n_read[i] += 1
+                continue
+            token = int(proposal.token[k])
+            self.hyp_ids[i].append(token)
+            self.n_written[i] += 1
+            if token != EOS:
+                self.delays[i].append(int(self.n_read[i]))
+            if token == EOS or len(self.hyp_ids[i]) >= self._cap[i]:
                 self.live[i], ended = False, True
         if ended:
             keep = self.live[live].nonzero()[0]
@@ -502,7 +472,6 @@ class EpisodeStepper:
             self.enc = EncoderState(None, None, _compact(enc.rows, keep), enc.consumed[keep])
             if self.projected is not None:
                 self.projected = _compact(self.projected, keep)
-        return step_rewards
 
 
 # ---------------------------------------------------------------------------
@@ -627,16 +596,24 @@ def train_consecutive(train_pairs, valid_pairs, cfg: EnvTrainConfig,
     if (features_train is None) != (features_valid is None):
         raise ConfigError("train_consecutive: give features for both the training and the "
                           "validation split, or for neither")
+    multimodal = features_train is not None
+    rows = dim = 0
+    if multimodal:
+        sets = [*features_train, *features_valid]
+        if any(f is None for f in sets):
+            raise ConfigError("train_consecutive: multimodal training requires visual features "
+                              "for every pair")
+        rows, dim = sets[0].matrix.shape
+        for f in sets:
+            if f.matrix.shape != (rows, dim):
+                raise ConfigError(f"train_consecutive: feature geometry {f.matrix.shape} does "
+                                  f"not match the first training set's ({rows}, {dim})")
 
     src_vocab = Vocabulary.from_corpus(s for s, _ in train_pairs)
     tgt_vocab = Vocabulary.from_corpus(t for _, t in train_pairs)
     rng = np.random.default_rng(cfg.seed)
-    multimodal = features_train is not None
-    env_cfg = EnvConfig(
-        emb_dim=cfg.emb_dim, hid_dim=cfg.hid_dim, multimodal=multimodal,
-        feature_rows=features_train[0].rows if multimodal else 0,
-        feature_dim=features_train[0].dim if multimodal else 0,
-        init_scale=cfg.init_scale)
+    env_cfg = EnvConfig(emb_dim=cfg.emb_dim, hid_dim=cfg.hid_dim, multimodal=multimodal,
+                        feature_rows=rows, feature_dim=dim, init_scale=cfg.init_scale)
     model = EnvModel(src_vocab, tgt_vocab, env_cfg, rng)
 
     from .optim import AdamState, adam_step

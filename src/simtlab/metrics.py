@@ -236,6 +236,33 @@ def consecutive_wait_trace(actions):
     return trace
 
 
+def step_rewards(actions, hyp, delays, src_len: int, ref, cfg: RewardConfig) -> list:
+    """The reward of every action of one finished episode, read from its transcript.
+
+    ``hyp`` lists the committed tokens, a terminal EOS included, and
+    ``delays`` the delay profile, so the first ``len(delays)`` commits are
+    the content tokens. Each step earns the consecutive-wait term; a content
+    commit adds its gain in smoothed BLEU against ``ref``, and the last
+    action, which ended the episode, the hinge on the average proportion
+    (0 without content).
+    """
+    if not (isinstance(ref, (list, tuple)) and all(isinstance(t, str) for t in ref)):
+        raise DataError("step_rewards: the reference must be a list of tokens")
+    quality = PrefixBleu(ref)
+    d_end = average_proportion(delays, src_len, len(delays)) if delays else 0.0
+    rewards, k, last = [], 0, len(actions) - 1
+    for t, (action, c_t) in enumerate(zip(actions, consecutive_wait_trace(actions))):
+        gain = 0.0
+        if action == "W":
+            if k < len(delays):
+                gain = quality.append(hyp[k])
+            k += 1
+        terminal = t == last
+        rewards.append(gain + latency_reward(c_t, d_end if terminal else 0.0, cfg,
+                                             is_terminal=terminal))
+    return rewards
+
+
 # ---------------------------------------------------------------------------
 # Latency metrics
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ import numpy as np
 
 from .environment import READ, WRITE, EnvModel, EpisodeStepper
 from .errors import ContractError, DataError, NumericError
-from .metrics import RewardConfig
 
 
 class Policy:
@@ -62,6 +61,8 @@ class Transcript:
     ``hyp`` lists every committed token including a terminal "<eos>";
     ``delays`` records, per content token, how many source tokens had been
     read at commit time (the EOS commit carries no delay entry).
+    ``rewards`` stays empty unless a caller scores the episode with
+    ``metrics.step_rewards``, as the trajectory collector does.
     """
 
     src: list
@@ -184,18 +185,18 @@ class ConsecutivePolicy(Policy):
         return episode.forced
 
 
-def run_episodes(policy: Policy, model: EnvModel, sources, features=None, *, refs=None,
-                 reward_config: RewardConfig = None, record_attention: bool = False) -> list:
+def run_episodes(policy: Policy, model: EnvModel, sources, features=None, *,
+                 record_attention: bool = False) -> list:
     """Run one episode per source as the lanes of one stepper; return their transcripts.
 
-    ``features`` and ``refs`` hold one entry per source. Rewards are filled
-    when ``reward_config`` is given; the quality part additionally needs
-    ``refs``. A lane ends on an EOS commit or at the output-length cap.
+    ``features`` holds one entry per source. A lane ends on an EOS commit or
+    at the output-length cap. The transcripts carry no rewards;
+    ``metrics.step_rewards`` computes them from a transcript.
     """
     sources = [list(s) for s in sources]
     n = len(sources)
     features = [None] * n if features is None else features
-    episode = EpisodeStepper(model, sources, features, refs=refs, reward_config=reward_config)
+    episode = EpisodeStepper(model, sources, features)
     policy.start_episode(sources, features)
     overrides = [0] * n
     attention = [[] for _ in range(n)] if record_attention else None
@@ -224,7 +225,6 @@ def run_episodes(policy: Policy, model: EnvModel, sources, features=None, *, ref
             hyp=model.tgt_vocab.decode(ids, strip_reserved=False),
             actions="".join(episode.actions[i]),
             delays=episode.delays[i],
-            rewards=episode.rewards[i],
             attention=None if attention is None else attention[i],
             forced_overrides=overrides[i],
         )
@@ -234,10 +234,8 @@ def run_episodes(policy: Policy, model: EnvModel, sources, features=None, *, ref
 
 
 def simulate(policy: Policy, env_model: EnvModel, src_tokens, features=None, *,
-             ref_tokens=None, reward_config: RewardConfig = None,
              record_attention: bool = False) -> Transcript:
     """Run one episode and return its transcript: ``run_episodes`` on one lane."""
     return run_episodes(policy, env_model, [src_tokens],
                         None if features is None else [features],
-                        refs=None if ref_tokens is None else [ref_tokens],
-                        reward_config=reward_config, record_attention=record_attention)[0]
+                        record_attention=record_attention)[0]

@@ -1,6 +1,12 @@
-"""Reference quality rewards, recounted from scratch for parity tests."""
+"""Reference quality rewards, recounted from scratch for parity tests, and the rewards
+``metrics.step_rewards`` gives a transcript."""
 
-from simtlab.metrics import PrefixBleu
+from simtlab.metrics import PrefixBleu, step_rewards
+
+
+def transcript_rewards(t, ref, cfg) -> list:
+    """``metrics.step_rewards`` of transcript ``t`` against reference ``ref``."""
+    return step_rewards(t.actions, t.hyp, t.delays, len(t.src), ref, cfg)
 
 
 def smoothed_sentence_bleu(hyp, ref) -> float:

@@ -18,7 +18,7 @@ from simtlab.policies import Policy, simulate
 
 from agent_reference import ReferenceGreedyPolicy, ReferenceSamplingPolicy, replay_losses
 from gradcheck import assert_grads_close
-from recount import quality_rewards_by_recount
+from recount import quality_rewards_by_recount, transcript_rewards
 
 
 def _agent_pair(env, hidden_dim, seed=0):
@@ -185,11 +185,10 @@ def test_collector_rewards_equal_simulate_replay(untrained_env, variant, c_star)
     for (src, ref, fs), entry in zip(episodes, batch.entries):
         got = entry.transcript
         replay = simulate(ReplayPolicy(got.actions), env, src,
-                          fs if env.multimodal else None,
-                          ref_tokens=ref, reward_config=reward)
+                          fs if env.multimodal else None)
         assert replay.forced_overrides == 0
         assert (replay.actions, replay.hyp) == (got.actions, got.hyp)
-        assert replay.rewards == got.rewards
+        assert transcript_rewards(replay, ref, reward) == got.rewards
 
 
 def _visual_setup(text_env, pairs, variant, n_episodes, seed=0):
@@ -228,8 +227,6 @@ def test_collection_does_not_depend_on_batching(untrained_env, variant):
         assert np.array_equal(a.actions, b.actions) and np.array_equal(a.forced, b.forced)
         for name in ("log_probs", "rewards", "obs_text", "obs_emb", "obs_prev", "entropies"):
             assert np.allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-12), name
-        if variant == "att":
-            assert np.allclose(a.visual_ctx, b.visual_ctx, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["init", "att"])
@@ -249,8 +246,7 @@ def test_shared_sources_collect_as_distinct_equal_copies(untrained_env, variant)
                                                             b.transcript.hyp)
         assert np.allclose(a.transcript.rewards, b.transcript.rewards, rtol=0, atol=1e-12)
         assert np.array_equal(a.actions, b.actions) and np.array_equal(a.forced, b.forced)
-        names = ["log_probs", "rewards", "obs_text", "obs_emb", "obs_prev"]
-        for name in names + (["visual_ctx"] if variant == "att" else []):
+        for name in ("log_probs", "rewards", "obs_text", "obs_emb", "obs_prev"):
             assert np.allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-12), name
 
 
@@ -366,9 +362,10 @@ def test_collector_equals_per_episode_reference(untrained_env, variant):
         reference = ReferenceSamplingPolicy(agent, baseline, env, cfg.tau, rng)
         simulate(reference, env, src, fs)
         assert entry.actions.tolist() == reference.record["actions"]
-        for name in ("write_probs", "log_probs"):
-            assert np.allclose(getattr(entry, name), reference.record[name],
-                               rtol=0, atol=1e-12), name
+        assert np.allclose(entry.log_probs, reference.record["log_probs"], rtol=0, atol=1e-12)
+        # the WRITE probability of a decision is the previous-action slot of the next one
+        assert np.allclose(entry.obs_prev[1:, 1], reference.record["write_probs"][:-1],
+                           rtol=0, atol=1e-12)
     assert {0, 1} <= {a for e in batch.entries for a in e.actions[~e.forced]}
 
 
@@ -416,7 +413,7 @@ def _random_batch(cfg, lengths, seed=0):
             actions=rng.integers(0, 2, size=t),
             forced=rng.random(t) < 0.25,
             rewards=rng.normal(size=t), returns=rng.normal(size=t),
-            write_probs=np.zeros(t), log_probs=np.zeros(t), entropies=np.zeros(t)))
+            log_probs=np.zeros(t), entropies=np.zeros(t)))
     return TrajectoryBatch(entries)
 
 

@@ -13,10 +13,12 @@ from simtlab.environment import (READ, WRITE, EncoderState, EnvConfig, EnvModel,
 from simtlab.errors import ConfigError, ContractError, DataError, ShapeError
 from simtlab.features import FeatureSet
 from simtlab.metrics import RewardConfig, corpus_bleu
-from simtlab.policies import ConsecutivePolicy, Policy, WaitKPolicy, run_episodes, simulate
+from simtlab.policies import (ConsecutivePolicy, Policy, Transcript, WaitKPolicy, run_episodes,
+                              simulate)
 from simtlab.vocab import EOS
 
 import episode_reference as ref
+from recount import transcript_rewards
 from test_agent import _visual_setup
 from test_policies import AlwaysRead, RandomPolicy, ScriptedPolicy, translate_full
 
@@ -59,33 +61,36 @@ def _policies():
             lambda s: ConsecutivePolicy(), lambda s: PeekingPolicy(s)]
 
 
-@pytest.mark.parametrize("latency_only", [False, True])
+@pytest.mark.parametrize("reversed_ref", [False, True])
 @pytest.mark.parametrize("c_star", [1, 2])
 @pytest.mark.parametrize("multimodal", [False, True])
 def test_simulate_matches_per_episode_reference(untrained_env, visual_env, multimodal,
-                                                c_star, latency_only):
-    # latency_only: no reference, so the rewards have no BLEU term
+                                                c_star, reversed_ref):
+    # the rewards step_rewards reads from the transcript equal the reference's inline ones;
+    # a reversed reference makes some commits lose BLEU
     env, pairs, feats = visual_env if multimodal else (*untrained_env, None)
     reward = RewardConfig(c_star=c_star)
     for s, (src, tgt) in enumerate(pairs[:10]):
         fs = feats[s] if multimodal else None
-        tgt = None if latency_only else tgt
+        tgt = list(tgt)[::-1] if reversed_ref else list(tgt)
         for make in _policies():
-            got = simulate(make(s), env, src, fs, ref_tokens=tgt, reward_config=reward)
+            got = simulate(make(s), env, src, fs)
             want = ref.simulate(make(s), env, src, fs, ref_tokens=tgt, reward_config=reward)
             assert (got.actions, got.hyp, got.delays) == (want.actions, want.hyp, want.delays)
             assert got.forced_overrides == want.forced_overrides
-            assert np.allclose(got.rewards, want.rewards, rtol=0, atol=1e-12)
+            assert np.allclose(transcript_rewards(got, tgt, reward), want.rewards,
+                               rtol=0, atol=1e-12)
 
 
 def test_trained_simulate_matches_per_episode_reference(tiny_copy_env):
     env, _, _, test, _ = tiny_copy_env
     for s, (src, tgt) in enumerate(test[:12]):
         for make in _policies():
-            got = simulate(make(s), env, src, ref_tokens=tgt, reward_config=RewardConfig())
+            got = simulate(make(s), env, src)
             want = ref.simulate(make(s), env, src, ref_tokens=tgt, reward_config=RewardConfig())
             assert (got.actions, got.hyp, got.delays) == (want.actions, want.hyp, want.delays)
-            assert np.allclose(got.rewards, want.rewards, rtol=0, atol=1e-12)
+            assert np.allclose(transcript_rewards(got, tgt, RewardConfig()), want.rewards,
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("multimodal", [False, True])
@@ -152,8 +157,7 @@ def _check_rows_follow_running(episode):
 def test_stepper_lanes_equal_single_lane_episodes(visual_env):
     # lanes of unequal lengths finish at different steps; each matches its own run
     env, pairs, feats = visual_env
-    episode = EpisodeStepper(env, [src for src, _ in pairs[:6]], feats[:6],
-                             refs=[tgt for _, tgt in pairs[:6]], reward_config=RewardConfig())
+    episode = EpisodeStepper(env, [src for src, _ in pairs[:6]], feats[:6])
     step = 0
     while episode.live.any():
         episode.start_step()
@@ -161,13 +165,13 @@ def test_stepper_lanes_equal_single_lane_episodes(visual_env):
         episode.apply(np.array([(step + i) % 3 == 0 for i in range(6)]))
         _check_rows_follow_running(episode)
         step += 1
-    for i in range(6):
-        lane = "".join(episode.actions[i])
-        alone = simulate(ScriptedPolicy(lane[1:]), env, pairs[i][0], feats[i],
-                         ref_tokens=pairs[i][1], reward_config=RewardConfig())
-        assert alone.actions == lane
-        assert alone.hyp == env.tgt_vocab.decode(episode.hyp_ids[i], strip_reserved=False)
-        assert np.allclose(alone.rewards, episode.rewards[i], rtol=0, atol=1e-12)
+    for i, (src, tgt) in enumerate(pairs[:6]):
+        lane = Transcript(src, env.tgt_vocab.decode(episode.hyp_ids[i], strip_reserved=False),
+                          "".join(episode.actions[i]), episode.delays[i])
+        alone = simulate(ScriptedPolicy(lane.actions[1:]), env, src, feats[i])
+        assert (alone.actions, alone.hyp, alone.delays) == (lane.actions, lane.hyp, lane.delays)
+        assert np.allclose(transcript_rewards(alone, tgt, RewardConfig()),
+                           transcript_rewards(lane, tgt, RewardConfig()), rtol=0, atol=1e-12)
 
 
 def _greedy_agent(env, variant):
@@ -193,14 +197,13 @@ def test_lanes_equal_one_lane_simulate(untrained_env, visual_env, multimodal, po
         runner = _greedy_agent(env, policy[6:])  # start_episode resets its state
     reward = RewardConfig()
     sources, refs, feats = [s for s, _ in pairs[:30]], [t for _, t in pairs[:30]], feats[:30]
-    lanes = run_episodes(runner, env, sources, feats, refs=refs, reward_config=reward,
-                         record_attention=True)
+    lanes = run_episodes(runner, env, sources, feats, record_attention=True)
     assert len(lanes) == 30
     for i, got in enumerate(lanes):
-        alone = simulate(runner, env, sources[i], feats[i], ref_tokens=refs[i],
-                         reward_config=reward, record_attention=True)
+        alone = simulate(runner, env, sources[i], feats[i], record_attention=True)
         assert (got.actions, got.hyp, got.delays) == (alone.actions, alone.hyp, alone.delays)
-        assert got.rewards == alone.rewards
+        assert (transcript_rewards(got, refs[i], reward)
+                == transcript_rewards(alone, refs[i], reward))
         assert got.forced_overrides == alone.forced_overrides
         assert got.attention == alone.attention
     if policy.startswith("agent"):
@@ -474,10 +477,9 @@ def test_validation_proposes_only_on_steps_with_a_write(tiny_copy_env, proposals
 
     def apply(self, write_mask):
         live, made = np.flatnonzero(self.live), len(proposals)
-        out = real_apply(self, write_mask)
+        real_apply(self, write_mask)
         _check_rows_follow_running(self)
         steps.append((any(self.actions[i][-1] == WRITE for i in live), len(proposals) - made))
-        return out
 
     monkeypatch.setattr(EpisodeStepper, "apply", apply)
     validation_bleu(env, test[:20])
@@ -498,19 +500,6 @@ def test_stepper_rejects_one_feature_set_for_many_sources(visual_env):
         EpisodeStepper(env, [src for src, _ in pairs[:12]], feats[0])
 
 
-def test_stepper_rejects_refs_unlike_sources(visual_env):
-    env, pairs, feats = visual_env
-    with pytest.raises(DataError, match="refs"):
-        EpisodeStepper(env, [src for src, _ in pairs[:4]], feats[:4], refs=[pairs[0][1]])
-
-
-def test_stepper_rejects_refs_given_as_one_token_list(visual_env):
-    env, pairs, feats = visual_env
-    with pytest.raises(DataError, match="refs"):
-        EpisodeStepper(env, [src for src, _ in pairs[:4]], feats[:4],
-                       refs=["w13", "w10", "w08", "w04"], reward_config=RewardConfig())
-
-
 @pytest.mark.parametrize("n_feats", [11, 13])
 def test_validation_bleu_rejects_misaligned_features(visual_env, n_feats):
     env, pairs, feats = visual_env
@@ -523,6 +512,26 @@ def test_train_consecutive_rejects_misaligned_validation_features(visual_env):
     cfg = EnvTrainConfig(max_epochs=1, emb_dim=6, hid_dim=6)
     with pytest.raises(DataError, match="validation"):
         train_consecutive(pairs[:20], pairs[20:30], cfg, feats[:20], feats[20:29])
+
+
+@pytest.mark.parametrize("split", ["train", "valid"])
+def test_train_consecutive_rejects_mixed_feature_geometry_before_training(visual_env,
+                                                                          monkeypatch, split):
+    # one set in the split has a row more than the first training set, then is missing
+    _, pairs, feats = visual_env
+
+    def no_step(*args):
+        raise AssertionError("trained before rejecting the features")
+    monkeypatch.setattr(environment, "teacher_forced_loss", no_step)
+    given = {"train": list(feats[:20]), "valid": list(feats[20:30])}
+    given[split][3] = FeatureSet("grid", np.ones((ROWS + 1, DIM)))
+    cfg = EnvTrainConfig(max_epochs=1, emb_dim=6, hid_dim=6)
+    with pytest.raises(ConfigError, match=r"feature geometry \(4, 5\) does not match the "
+                                          r"first training set's \(3, 5\)"):
+        train_consecutive(pairs[:20], pairs[20:30], cfg, given["train"], given["valid"])
+    given[split][3] = None
+    with pytest.raises(ConfigError, match="requires visual features for every pair"):
+        train_consecutive(pairs[:20], pairs[20:30], cfg, given["train"], given["valid"])
 
 
 @pytest.mark.parametrize("given", ["train", "valid"])

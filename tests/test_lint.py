@@ -376,6 +376,45 @@ def test_guard_check_tells_guarded_gradients_from_dropped_ones():
         "m.py:26: direct() computes q's gradient without testing q.requires_grad"]
 
 
+REWARD_NAMES = {"RewardConfig", "PrefixBleu", "latency_reward", "average_proportion",
+                "step_rewards"}
+
+
+def reward_uses(source: str, name: str) -> list:
+    """One line per reward name in ``source`` that a ``from`` import binds or an
+    attribute reads (``metrics.step_rewards``)."""
+    problems = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            used = [alias.name for alias in node.names if alias.name in REWARD_NAMES]
+        else:
+            used = [node.attr] if getattr(node, "attr", None) in REWARD_NAMES else []
+        problems += [f"{name}:{node.lineno}: uses {var}" for var in used]
+    return problems
+
+
+def test_episode_code_knows_no_reward():
+    """The stepper and the episode loop record transcripts and ``metrics.step_rewards``
+    alone scores them, so a change to the reward touches one function."""
+    problems = []
+    for file in ("environment.py", "policies.py"):
+        problems += reward_uses((SRC / file).read_text(encoding="utf-8"), file)
+    assert not problems, "\n".join(problems)
+
+
+def test_reward_check_finds_imports_and_attribute_reads():
+    source = ("from .metrics import corpus_bleu, step_rewards\n"
+              "from .metrics import RewardConfig as Cfg\n"
+              "from . import metrics\n"
+              "x = metrics.latency_reward(0, 0.0, cfg, True)\n"
+              "y = metrics.corpus_bleu(hyps, refs)\n"
+              "def f(t):\n"
+              "    return t.rewards, average_proportion\n")
+    assert reward_uses(source, "m.py") == [
+        "m.py:1: uses step_rewards", "m.py:2: uses RewardConfig",
+        "m.py:4: uses latency_reward"]
+
+
 PERFBENCH = SRC.parent.parent / "perfbench"
 
 # public names that nothing in src/ or perfbench/ uses yet, each with the ROADMAP item

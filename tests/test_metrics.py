@@ -140,6 +140,44 @@ def test_consecutive_wait_traces():
 
 
 # ---------------------------------------------------------------------------
+# step rewards of a finished episode
+# ---------------------------------------------------------------------------
+
+def test_step_rewards_of_an_eos_terminated_episode():
+    # CW 1 2 0 1 0 0 pays 0, alpha, 0, 0, 0, 0; "x" scores BLEU 100 * BP = 100 / e and
+    # "x y" 100; the EOS step pays the hinge on AP = (2 + 3) / (3 * 2)
+    got = M.step_rewards("RRWRWW", ["x", "y", "<eos>"], [2, 3], 3, ["x", "y"],
+                         M.RewardConfig())
+    first = 100.0 * math.exp(-1.0)
+    want = [0.0, 0.025, first, 0.0, 100.0 - first, -(5.0 / 6.0 - 0.3)]
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_step_rewards_of_an_episode_ended_at_the_cap():
+    # one source token, so 2 * 1 + 5 = 7 content commits end it without EOS; only the last
+    # matches: p1 = 1/7, smoothed p2..p4 = 1/7, 1/6, 1/5, BP = 1
+    hyp = ["z"] * 6 + ["x"]
+    cfg = M.RewardConfig(alpha=0.5, beta=-2.0, c_star=1, d_star=0.5)
+    got = M.step_rewards("R" + "W" * 7, hyp, [1] * 7, 1, ["x"], cfg)
+    # CW 1 is at c* = 1: alpha; AP = 1 pays beta * (1 - 0.5) on the last commit
+    want = [0.5] + [0.0] * 6 + [100.0 * (7 * 7 * 6 * 5) ** -0.25 - 1.0]
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_step_rewards_of_an_eos_only_episode():
+    # no content: no BLEU, and the hinge on an empty delay profile pays 0
+    got = M.step_rewards("RRRW", ["<eos>"], [], 3, ["x"], M.RewardConfig())
+    assert np.allclose(got, [0.0, 0.025, 0.05, 0.0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("ref", ["w13 w10", [["w13", "w10"]], ["w13", 10]],
+                         ids=["string", "batch", "non-string-token"])
+def test_step_rewards_rejects_a_reference_that_is_not_a_token_list(ref):
+    with pytest.raises(DataError, match="reference must be a list of tokens"):
+        M.step_rewards("RW", ["w13"], [1], 1, ref, M.RewardConfig())
+
+
+# ---------------------------------------------------------------------------
 # AVP / AVL
 # ---------------------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from simtlab.vocab import BOS, EOS, Vocabulary
 
 from gradcheck import assert_grads_close
 from memory import peak_bytes
-from recount import quality_rewards_by_recount, smoothed_sentence_bleu
+from recount import quality_rewards_by_recount, smoothed_sentence_bleu, transcript_rewards
 from stepwise import teacher_forced_loss_stepwise
 
 
@@ -443,11 +443,11 @@ def test_simulate_forced_action_safety(untrained_env):
 
 def test_simulate_determinism(untrained_env):
     model, pairs = untrained_env
-    a = simulate(WaitKPolicy(2), model, pairs[1][0], ref_tokens=pairs[1][1],
-                 reward_config=RewardConfig())
-    b = simulate(WaitKPolicy(2), model, pairs[1][0], ref_tokens=pairs[1][1],
-                 reward_config=RewardConfig())
-    assert a.actions == b.actions and a.hyp == b.hyp and a.rewards == b.rewards
+    a = simulate(WaitKPolicy(2), model, pairs[1][0])
+    b = simulate(WaitKPolicy(2), model, pairs[1][0])
+    assert a.actions == b.actions and a.hyp == b.hyp
+    assert (transcript_rewards(a, pairs[1][1], RewardConfig())
+            == transcript_rewards(b, pairs[1][1], RewardConfig()))
 
 
 def test_simulate_delay_reconstruction(untrained_env):
@@ -475,17 +475,17 @@ def test_simulate_quality_rewards_equal_recount(tiny_copy_env):
         for policy in (RandomPolicy(s), WaitKPolicy(1 + s % 3)):
             # a reversed reference makes some commits lose BLEU
             ref_used = list(ref) if s % 2 else list(ref)[::-1]
-            t = simulate(policy, model, src, ref_tokens=ref_used, reward_config=cfg)
-            assert t.rewards == quality_rewards_by_recount(t, ref_used)
+            t = simulate(policy, model, src)
+            assert transcript_rewards(t, ref_used, cfg) == quality_rewards_by_recount(t, ref_used)
 
 
 def test_quality_rewards_telescope_in_simulation(untrained_env):
     model, pairs = untrained_env
     src, ref = pairs[3]
-    t = simulate(WaitKPolicy(1), model, src, ref_tokens=ref,
-                 reward_config=RewardConfig(alpha=0.0, beta=0.0))
+    t = simulate(WaitKPolicy(1), model, src)
     # alpha=beta=0 isolates the quality part
-    assert abs(sum(t.rewards) - smoothed_sentence_bleu(t.content_hyp, ref)) <= 1e-9
+    rewards = transcript_rewards(t, ref, RewardConfig(alpha=0.0, beta=0.0))
+    assert abs(sum(rewards) - smoothed_sentence_bleu(t.content_hyp, ref)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +554,9 @@ def test_copy_model_identity_on_heldout(tiny_copy_env):
 
 def test_transcript_jsonl_round_trip(tmp_path, untrained_env):
     model, pairs = untrained_env
-    ts = [simulate(RandomPolicy(s), model, pairs[s][0], ref_tokens=pairs[s][1],
-                   reward_config=RewardConfig()) for s in range(5)]
+    ts = [simulate(RandomPolicy(s), model, pairs[s][0]) for s in range(5)]
+    for s, t in enumerate(ts):
+        t.rewards = transcript_rewards(t, pairs[s][1], RewardConfig())
     ts.append(simulate(AlwaysRead(), model, pairs[5][0]))
     assert ts[-1].forced_overrides > 0
     path = tmp_path / "episodes.jsonl"
@@ -568,7 +569,7 @@ def test_transcript_jsonl_round_trip(tmp_path, untrained_env):
     for a, b in zip(ts, back):
         assert a.src == b.src and a.hyp == b.hyp and a.actions == b.actions
         assert a.delays == b.delays and a.ended_with_eos == b.ended_with_eos
-        assert a.forced_overrides == b.forced_overrides
+        assert a.rewards == b.rewards and a.forced_overrides == b.forced_overrides
     del obj["forced_overrides"]
     assert Transcript.from_json_obj(obj).forced_overrides == 0
 

@@ -39,7 +39,7 @@ from .autodiff import GRUParams, Tensor
 from .checkpoint import load_into, read_config, save_checkpoint, write_metadata
 from .environment import EnvModel, EpisodeStepper, _compact, distinct_items, require_positive
 from .errors import ConfigError, ContractError, ShapeError
-from .metrics import RewardConfig, step_rewards
+from .metrics import RewardConfig, check_references, step_rewards
 from .policies import Policy, Transcript, run_episodes
 
 ACT_READ, ACT_WRITE = 0, 1
@@ -431,9 +431,9 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
     """Sample one lockstep batch of episodes with per-step rewards.
 
     ``episodes`` holds (src_tokens, ref_tokens, features) triples, each a
-    lane of one ``run_episodes`` call under ``_SamplingPolicy``. Once the
-    batch is over, ``metrics.step_rewards`` scores each transcript against
-    its reference into ``transcript.rewards``. Each
+    lane of one ``run_episodes`` call under ``_SamplingPolicy``. The
+    references are checked first; after the batch, one ``step_rewards``
+    call fills every ``transcript.rewards``. Each
     episode owns an RNG seeded from (global_seed, episode_index), so the
     batch decomposition never changes the sampled noise. A repeated source
     is encoded, and a shared FeatureSet projected, once. Only the agent is
@@ -443,6 +443,8 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
         raise ConfigError(
             f"collect_trajectories: global_seed must be at least 0, got {global_seed}")
     _check_env(env, agent, baseline)
+    refs = [e[1] for e in episodes]
+    check_references(refs)
     feats = [e[2] for e in episodes]
     rngs = [np.random.default_rng(np.random.SeedSequence((global_seed, start_index + i)))
             for i in range(len(episodes))]
@@ -450,9 +452,10 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
     transcripts = run_episodes(policy, env, [e[0] for e in episodes], feats)
     blocks = {name: np.stack(rows, axis=1)  # (n, steps, ...)
               for name, rows in zip(_RECORDED, zip(*policy.steps))}
+    for t, rewards in zip(transcripts, step_rewards(transcripts, refs, cfg.reward)):
+        t.rewards = rewards
     entries = []
-    for i, ((_, ref, f), t) in enumerate(zip(episodes, transcripts)):
-        t.rewards = step_rewards(t.actions, t.hyp, t.delays, len(t.src), ref, cfg.reward)
+    for i, (f, t) in enumerate(zip(feats, transcripts)):
         rewards = np.array(t.rewards[1:])  # the initial forced READ is no agent step
         steps = {name: block[i, :len(rewards)] for name, block in blocks.items()}
         entries.append(TrajectoryEntry(

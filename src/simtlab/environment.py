@@ -116,9 +116,9 @@ class EnvModel:
 
         One FeatureSet gives (R, h); a list of n gives (n, R, h). Each
         distinct FeatureSet object is one ``linear_rows3`` call, the op
-        teacher forcing records, written into a preallocated float64 output
-        and copied to the lanes that share it: no (n, R, D) stack is built.
-        A lane's product equals its rows of one GEMM over all lanes.
+        teacher forcing records, into a float64 block that is the output
+        unless lanes share a set: no (n, R, D) stack is built. A lane's
+        product equals its rows of one GEMM over all lanes.
         """
         if not self.multimodal:
             raise ConfigError("project_features on a unimodal environment")
@@ -131,12 +131,12 @@ class EnvModel:
                 raise ConfigError(
                     f"feature geometry {f.matrix.shape} does not match configured "
                     f"({self.cfg.feature_rows}, {self.cfg.feature_dim})")
-        projected = np.empty((len(sets), self.cfg.feature_rows, self.cfg.hid_dim))
-        first = {}  # id of a FeatureSet -> the lane that projected it
-        for i, f in enumerate(sets):
-            j = first.setdefault(id(f), i)
-            projected[i] = (ad.linear_rows3(None, f.matrix[None], self.w_vis).data[0]
-                            if j == i else projected[j])
+        distinct, index = distinct_items(sets, id)
+        projected = np.empty((len(distinct), self.cfg.feature_rows, self.cfg.hid_dim))
+        for k, f in enumerate(distinct):
+            projected[k] = ad.linear_rows3(None, f.matrix[None], self.w_vis).data[0]
+        if index is not None:
+            projected = projected[index]
         return projected if lanes else projected[0]
 
     def initial_decoder_state(self) -> "DecoderState":

@@ -3,19 +3,18 @@
 All functions here are pure; scores are on the conventional 0-100 BLEU
 scale. Latency metrics operate on the delay profile g, where g[t] is the
 number of source tokens read when content token t was committed.
-Every BLEU score is computed from per-sentence n-gram counts in one layout,
-filled by two counters: ``PrefixBleu`` grows one hypothesis a token at a
-time (per-commit rewards), and ``_count_table`` counts a whole corpus in
-array passes (corpus BLEU and the bootstrap). A parity test keeps them
-equal. One formula scores the counts, in two forms: ``_bleu`` scores one
-count vector with Python floats (rewards and corpus BLEU), ``_bleu_rows``
-scores every row of a count array at once (the bootstrap's resamples).
+One pass, ``_running_counts``, counts every BLEU score's n-grams. Summed
+per sentence, they give corpus BLEU's and the bootstrap's count table
+(``_count_table``); summed as they run, every prefix's counts, whose
+smoothed BLEU gains are the per-commit rewards (``_prefix_rows``). One
+formula scores the counts, in two forms: ``_bleu`` scores one count row
+with Python floats (rewards and corpus BLEU), ``_bleu_rows`` scores every
+row of a count array at once (the bootstrap's resamples).
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,8 @@ def _brevity_penalty(hyp_len, ref_len):
 
 
 def _bleu(counts, smooth):
-    """BLEU from (summed) counts laid out as ``PrefixBleu.counts`` returns them.
+    """BLEU from a (summed) count row: clipped matches and totals per order, then the
+    hypothesis and reference lengths.
 
     Unsmoothed, any zero match count gives 0. Smoothed adds one to the
     matches and totals of orders above 1, so only a zero unigram match
@@ -93,87 +93,71 @@ def _bleu_rows(counts) -> np.ndarray:
     return np.where(scored, 100.0 * bp * np.exp(log_sum / MAX_ORDER), 0.0)
 
 
-class PrefixBleu:
-    """N-gram counts of a hypothesis against one reference, grown one token at a time.
+def _running_counts(hyps, refs):
+    """Running n-gram counts over the H hypothesis tokens, and the lengths.
 
-    ``append`` touches only the n-grams that end at the new token and
-    returns the change in smoothed sentence BLEU, so per-commit rewards
-    cost O(1) each instead of a recount of the prefix.
-    """
-
-    def __init__(self, ref):
-        ref = list(ref)
-        if not ref:
-            raise ContractError("BLEU: empty reference sentence")
-        self.ref_len = len(ref)
-        self.hyp = []
-        self.score = 0.0
-        self._ref_counts = Counter(tuple(ref[i:i + n]) for n in range(1, MAX_ORDER + 1)
-                                   for i in range(len(ref) - n + 1))
-        self._hyp_counts = Counter()
-        self._matches = [0] * MAX_ORDER
-
-    def counts(self) -> list:
-        """Clipped matches and totals per order, then hypothesis and reference lengths."""
-        length = len(self.hyp)
-        totals = [max(length - n + 1, 0) for n in range(1, MAX_ORDER + 1)]
-        return self._matches + totals + [length, self.ref_len]
-
-    def add(self, token) -> None:
-        """Extend the hypothesis by ``token`` without rescoring."""
-        hyp = self.hyp
-        hyp.append(token)
-        length = len(hyp)
-        for n in range(1, min(length, MAX_ORDER) + 1):
-            gram = tuple(hyp[length - n:])
-            seen = self._hyp_counts[gram]
-            # the clipped match count rises iff this occurrence is within the reference's
-            if seen < self._ref_counts[gram]:
-                self._matches[n - 1] += 1
-            self._hyp_counts[gram] = seen + 1
-
-    def append(self, token) -> float:
-        """Extend the hypothesis by ``token``; returns the change in smoothed BLEU."""
-        self.add(token)
-        score = _bleu(self.counts(), smooth=True)
-        delta = score - self.score
-        self.score = score
-        return delta
-
-
-def _count_table(hyps, refs) -> np.ndarray:
-    """An (n, 10) int64 array: row i is ``PrefixBleu(refs[i]).counts()`` after adding ``hyps[i]``.
-
-    Counts the whole corpus in array passes. An n-gram's id is a dense id of
-    (its (n-1)-gram's id, its last token), and the 0-gram is the sentence
-    pair, so one id is one n-gram of one pair and no key exceeds the number
-    of tokens times the vocabulary size. A pair's clipped matches per order
-    sum, over its n-grams, the smaller of the hypothesis and reference counts.
+    Row t of the (H + 1, 9) array sums the first t tokens' increments: per
+    order, a clipped match and an n-gram ending at the token, then the token
+    itself. An n-gram ending at a token matches when the hypothesis holds
+    fewer earlier occurrences of it than the reference holds. An n-gram's id
+    is a dense id of (its (n-1)-gram's id, its last token), and the 0-gram
+    is the sentence pair, so one id is one n-gram of one pair and no key
+    exceeds the number of tokens times the vocabulary size.
     """
     if any(len(r) == 0 for r in refs):
         raise ContractError("BLEU: empty reference sentence")
-    n = len(refs)
     sents = hyps + refs
     lens = np.array([len(s) for s in sents], dtype=np.int64)
     vocab = {}
     tokens = np.array([vocab.setdefault(t, len(vocab)) for s in sents for t in s], dtype=np.int64)
+    n_hyp = int(lens[:len(hyps)].sum())  # the hypotheses' tokens come first
     left = np.repeat(np.cumsum(lens), lens) - np.arange(len(tokens))  # tokens to the sentence end
-    pair = np.repeat(np.tile(np.arange(n), 2), lens)
-    is_ref = np.arange(len(tokens)) >= lens[:n].sum()
-    table = np.zeros((n, 2 * MAX_ORDER + 2), dtype=np.int64)
-    start, gram = np.arange(len(tokens)), pair  # where each n-gram starts, and its id
+    increments = np.zeros((n_hyp + 1, 2 * MAX_ORDER + 1), dtype=np.int64)
+    before = np.repeat(lens, lens)[:n_hyp] - left[:n_hyp]  # tokens before it in its sentence
+    increments[1:, MAX_ORDER:2 * MAX_ORDER] = before[:, None] >= np.arange(MAX_ORDER)
+    increments[1:, 2 * MAX_ORDER] = 1
+    start = np.arange(len(tokens))  # where each n-gram starts, and its id
+    gram = np.repeat(np.tile(np.arange(len(refs)), 2), lens)
     for order in range(MAX_ORDER):
         fits = left[start] > order
-        start, gram = start[fits], gram[fits]
-        keys, gram = np.unique(gram * len(vocab) + tokens[start + order], return_inverse=True)
-        sides = np.bincount(2 * gram + is_ref[start], minlength=2 * len(keys)).reshape(-1, 2)
-        owner = np.zeros(len(keys), dtype=np.int64)
-        owner[gram] = pair[start]
-        table[:, order] = np.bincount(owner, weights=sides.min(axis=1), minlength=n)
-        table[:, MAX_ORDER + order] = np.maximum(lens[:n] - order, 0)
-    table[:, 2 * MAX_ORDER] = lens[:n]
-    table[:, 2 * MAX_ORDER + 1] = lens[n:]
-    return table
+        start = start[fits]
+        key = gram[fits] * len(vocab) + tokens[start + order]
+        # occurrences of one key came in text order (they share one (n-1)-gram id), and a
+        # stable sort keeps them so, the hypothesis's first
+        by_key = np.argsort(key, kind="stable")
+        key, start = key[by_key], start[by_key]
+        new = np.ones(len(key), dtype=bool)  # the first occurrence of each key
+        new[1:] = key[1:] != key[:-1]
+        gram = np.cumsum(new) - 1
+        in_hyp = start < n_hyp
+        first = np.flatnonzero(new)
+        # the hypothesis occurrence at sorted position i has i - first earlier ones, so it
+        # matches when i is below its key's first position plus its reference count
+        limit = first + np.bincount(gram[~in_hyp], minlength=len(first))
+        at = np.flatnonzero(in_hyp)
+        increments[start[at] + (order + 1), order] = at < limit[gram[at]]
+    return np.cumsum(increments, axis=0, out=increments), lens[:len(hyps)], lens[len(hyps):]
+
+
+def _count_table(hyps, refs) -> np.ndarray:
+    """An (n, 10) int64 array: row i counts hypothesis ``hyps[i]`` against ``refs[i]``:
+    clipped matches and totals per order, then the two lengths, as ``_bleu`` reads them."""
+    running, hyp_len, ref_len = _running_counts(hyps, refs)
+    end = np.cumsum(hyp_len)
+    return np.hstack([running[end] - running[end - hyp_len], ref_len[:, None]])
+
+
+def _prefix_rows(hyps, refs) -> np.ndarray:
+    """An (H, 10) int64 array: per hypothesis token, the count row of the prefix ending there."""
+    running, hyp_len, ref_len = _running_counts(hyps, refs)
+    first = np.repeat(np.cumsum(hyp_len) - hyp_len, hyp_len)  # each token's sentence start
+    return np.hstack([running[1:] - running[first], np.repeat(ref_len, hyp_len)[:, None]])
+
+
+def _smoothed_gains(rows) -> list:
+    """The change in smoothed BLEU at each prefix count row of one hypothesis, from 0."""
+    scores = [0.0] + [_bleu(row, smooth=True) for row in rows]
+    return [after - before for before, after in zip(scores, scores[1:])]
 
 
 def corpus_bleu(hyps, refs) -> float:
@@ -195,19 +179,18 @@ def quality_reward_trace(prefixes, ref):
     WRITE; each must extend the one before by exactly one token. The deltas
     telescope to the final sentence score exactly.
     """
-    scorer = PrefixBleu(ref)
-    deltas = []
+    hyp = []
     for prefix in prefixes:
         prefix = list(prefix)
-        if len(prefix) != len(scorer.hyp) + 1:
+        if len(prefix) != len(hyp) + 1:
             raise ContractError(
                 f"quality_reward_trace: prefixes must grow by one token "
-                f"({len(scorer.hyp)} -> {len(prefix)})")
-        if prefix[:-1] != scorer.hyp:
+                f"({len(hyp)} -> {len(prefix)})")
+        if prefix[:-1] != hyp:
             raise ContractError(
                 f"quality_reward_trace: prefix {len(prefix)} does not extend the one before")
-        deltas.append(scorer.append(prefix[-1]))
-    return deltas
+        hyp = prefix
+    return _smoothed_gains(_prefix_rows([hyp], [list(ref)]).tolist())
 
 
 def latency_reward(c_t: int, d_t: float, cfg: RewardConfig, is_terminal: bool) -> float:
@@ -236,31 +219,40 @@ def consecutive_wait_trace(actions):
     return trace
 
 
-def step_rewards(actions, hyp, delays, src_len: int, ref, cfg: RewardConfig) -> list:
-    """The reward of every action of one finished episode, read from its transcript.
+def check_references(refs) -> None:
+    """Raise ``DataError`` unless every reference is a list (or tuple) of string tokens."""
+    for i, ref in enumerate(refs):
+        if not (isinstance(ref, (list, tuple)) and all(isinstance(t, str) for t in ref)):
+            raise DataError(f"step_rewards: the reference must be a list of tokens (episode {i})")
 
-    ``hyp`` lists the committed tokens, a terminal EOS included, and
-    ``delays`` the delay profile, so the first ``len(delays)`` commits are
-    the content tokens. Each step earns the consecutive-wait term; a content
-    commit adds its gain in smoothed BLEU against ``ref``, and the last
-    action, which ended the episode, the hinge on the average proportion
-    (0 without content).
+
+def step_rewards(transcripts, refs, cfg: RewardConfig) -> list:
+    """The reward of every action of each finished episode, read from its transcript.
+
+    Each transcript gives ``actions``, ``src``, ``hyp``, the committed
+    tokens with a terminal EOS included, and ``delays``, the delay profile,
+    so its first ``len(delays)`` commits are the content tokens. Each step
+    earns the consecutive-wait term; a content commit adds its gain in
+    smoothed BLEU against the episode's reference, and the last action,
+    which ended the episode, the hinge on the average proportion (0 without
+    content). One counting pass serves the batch, but each episode's counts
+    are its own, so no reward depends on the other episodes.
     """
-    if not (isinstance(ref, (list, tuple)) and all(isinstance(t, str) for t in ref)):
-        raise DataError("step_rewards: the reference must be a list of tokens")
-    quality = PrefixBleu(ref)
-    d_end = average_proportion(delays, src_len, len(delays)) if delays else 0.0
-    rewards, k, last = [], 0, len(actions) - 1
-    for t, (action, c_t) in enumerate(zip(actions, consecutive_wait_trace(actions))):
-        gain = 0.0
-        if action == "W":
-            if k < len(delays):
-                gain = quality.append(hyp[k])
-            k += 1
-        terminal = t == last
-        rewards.append(gain + latency_reward(c_t, d_end if terminal else 0.0, cfg,
-                                             is_terminal=terminal))
-    return rewards
+    transcripts, refs = list(transcripts), list(refs)
+    if len(transcripts) != len(refs):
+        raise DataError(f"step_rewards: {len(transcripts)} transcripts vs {len(refs)} references")
+    check_references(refs)
+    contents = [t.hyp[:len(t.delays)] for t in transcripts]
+    out, rows = [], iter(_prefix_rows(contents, refs).tolist())
+    for t, content in zip(transcripts, contents):
+        gains = iter(_smoothed_gains([next(rows) for _ in content]))
+        d_end = average_proportion(t.delays, len(t.src), len(t.delays)) if t.delays else 0.0
+        rewards, last = [], len(t.actions) - 1
+        for k, (action, c_t) in enumerate(zip(t.actions, consecutive_wait_trace(t.actions))):
+            gain = next(gains, 0.0) if action == "W" else 0.0  # an EOS commit gains nothing
+            rewards.append(gain + latency_reward(c_t, d_end, cfg, is_terminal=k == last))
+        out.append(rewards)
+    return out
 
 
 # ---------------------------------------------------------------------------

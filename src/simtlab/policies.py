@@ -61,8 +61,8 @@ class Transcript:
     ``hyp`` lists every committed token including a terminal "<eos>";
     ``delays`` records, per content token, how many source tokens had been
     read at commit time (the EOS commit carries no delay entry).
-    ``rewards`` stays empty unless a caller scores the episode with
-    ``metrics.step_rewards``, as the trajectory collector does.
+    ``rewards`` stays empty unless a caller stores what
+    ``metrics.step_rewards`` gives it, as the trajectory collector does.
     """
 
     src: list
@@ -157,6 +157,13 @@ def read_transcripts(path):
             for key in ("src", "hyp", "g"):
                 if not isinstance(obj.get(key), list):
                     raise TypeError(f"'{key}' is not a list")
+            rewards = obj.get("rewards", [])  # bool is no number here, and NaN < inf is False
+            if not (isinstance(rewards, list)
+                    and all(type(r) in (int, float) and abs(r) < np.inf for r in rewards)):
+                raise TypeError("'rewards' is not a list of finite numbers")
+            overrides = obj.get("forced_overrides", 0)
+            if not (type(overrides) is int and overrides >= 0):
+                raise TypeError("'forced_overrides' is not a non-negative int")
             transcript = Transcript.from_json_obj(obj)
             transcript.validate()
             out.append(transcript)

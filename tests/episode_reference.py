@@ -14,9 +14,11 @@ import numpy as np
 
 from simtlab import autodiff as ad
 from simtlab.environment import output_cap
-from simtlab.metrics import PrefixBleu, average_proportion, latency_reward
+from simtlab.metrics import average_proportion, latency_reward
 from simtlab.policies import READ, WRITE
 from simtlab.vocab import BOS, EOS
+
+from recount import smoothed_sentence_bleu
 
 
 def _gru(x, h, params):
@@ -83,7 +85,7 @@ def simulate(policy, model, src_tokens, features=None, ref_tokens=None, reward_c
     cap = output_cap(len(src_ids))
     actions, hyp_ids, delays, rewards = [], [], [], []
     n_read = overrides = cw = 0
-    quality = PrefixBleu(ref_tokens) if ref_tokens is not None else None
+    score = 0.0  # smoothed BLEU of the content committed so far
     eos_row_added = False
     while True:
         exhausted = n_read == len(src_ids)
@@ -113,8 +115,10 @@ def simulate(policy, model, src_tokens, features=None, ref_tokens=None, reward_c
             cw = 0
             if token != EOS:
                 delays.append(n_read)
-                if quality is not None:
-                    quality_delta = quality.append(model.tgt_vocab.token(token))
+                if ref_tokens is not None:
+                    before, score = score, smoothed_sentence_bleu(
+                        model.tgt_vocab.decode(hyp_ids, strip_reserved=False), ref_tokens)
+                    quality_delta = score - before
             terminal = token == EOS or len(hyp_ids) >= cap
         if reward_config is not None:
             d_t = 0.0

@@ -9,8 +9,8 @@ from simtlab.agent import (AgentConfig, AgentGreedyPolicy, AgentNetwork, Baselin
                            RLTrainConfig, TrajectoryBatch, TrajectoryEntry,
                            collect_trajectories, compute_returns, patience_exceeded,
                            reinforce_update, select_model)
-from simtlab.environment import EncoderState, EnvConfig, EnvModel
-from simtlab.errors import ConfigError, ContractError, ShapeError
+from simtlab.environment import EncoderState, EnvConfig, EnvModel, EpisodeStepper
+from simtlab.errors import ConfigError, ContractError, DataError, ShapeError
 from simtlab.features import FeatureSet
 from simtlab.metrics import RewardConfig
 from simtlab.optim import AdamState
@@ -70,6 +70,25 @@ def test_collect_trajectories_rejects_a_negative_seed_before_any_episode(untrain
     with pytest.raises(ConfigError, match=r"global_seed must be at least 0, got -1"):
         collect_trajectories(agent, baseline, env, [(src, ref, None) for src, ref in pairs[:2]],
                              RLTrainConfig(), global_seed=-1)
+
+
+def test_collect_trajectories_rejects_a_string_reference_before_any_step(untrained_env,
+                                                                          monkeypatch):
+    env, pairs = untrained_env
+    agent, baseline = _agent_pair(env, hidden_dim=8)
+    steps = []
+    start_step = EpisodeStepper.start_step
+
+    def counted(self):
+        steps.append(1)
+        return start_step(self)
+
+    monkeypatch.setattr(EpisodeStepper, "start_step", counted)
+    episodes = [(src, ref, None) for src, ref in pairs[:30]]
+    episodes[17] = (episodes[17][0], " ".join(episodes[17][1]), None)
+    with pytest.raises(DataError, match=r"reference must be a list of tokens \(episode 17"):
+        collect_trajectories(agent, baseline, env, episodes, RLTrainConfig(), global_seed=0)
+    assert steps == []
 
 
 def test_select_model_picks_the_best_bleu_to_avp_ratio():

@@ -376,8 +376,8 @@ def test_guard_check_tells_guarded_gradients_from_dropped_ones():
         "m.py:26: direct() computes q's gradient without testing q.requires_grad"]
 
 
-REWARD_NAMES = {"RewardConfig", "PrefixBleu", "latency_reward", "average_proportion",
-                "step_rewards"}
+REWARD_NAMES = {"RewardConfig", "_running_counts", "_prefix_rows", "latency_reward",
+                "average_proportion", "step_rewards"}
 
 
 def reward_uses(source: str, name: str) -> list:

@@ -6,8 +6,9 @@ import pytest
 
 from simtlab import metrics as M
 from simtlab.errors import ConfigError, ContractError, DataError
+from simtlab.policies import Transcript
 
-from recount import smoothed_sentence_bleu
+from recount import count_row, prefix_count_rows, smoothed_sentence_bleu
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +144,18 @@ def test_consecutive_wait_traces():
 # step rewards of a finished episode
 # ---------------------------------------------------------------------------
 
+def _episode(actions, hyp, delays, src_len):
+    t = Transcript(src=[f"s{i}" for i in range(src_len)], hyp=hyp, actions=actions,
+                   delays=delays)
+    t.validate()
+    return t
+
+
 def test_step_rewards_of_an_eos_terminated_episode():
     # CW 1 2 0 1 0 0 pays 0, alpha, 0, 0, 0, 0; "x" scores BLEU 100 * BP = 100 / e and
     # "x y" 100; the EOS step pays the hinge on AP = (2 + 3) / (3 * 2)
-    got = M.step_rewards("RRWRWW", ["x", "y", "<eos>"], [2, 3], 3, ["x", "y"],
-                         M.RewardConfig())
+    [got] = M.step_rewards([_episode("RRWRWW", ["x", "y", "<eos>"], [2, 3], 3)], [["x", "y"]],
+                           M.RewardConfig())
     first = 100.0 * math.exp(-1.0)
     want = [0.0, 0.025, first, 0.0, 100.0 - first, -(5.0 / 6.0 - 0.3)]
     assert np.allclose(got, want, rtol=0, atol=1e-12)
@@ -158,7 +166,7 @@ def test_step_rewards_of_an_episode_ended_at_the_cap():
     # matches: p1 = 1/7, smoothed p2..p4 = 1/7, 1/6, 1/5, BP = 1
     hyp = ["z"] * 6 + ["x"]
     cfg = M.RewardConfig(alpha=0.5, beta=-2.0, c_star=1, d_star=0.5)
-    got = M.step_rewards("R" + "W" * 7, hyp, [1] * 7, 1, ["x"], cfg)
+    [got] = M.step_rewards([_episode("R" + "W" * 7, hyp, [1] * 7, 1)], [["x"]], cfg)
     # CW 1 is at c* = 1: alpha; AP = 1 pays beta * (1 - 0.5) on the last commit
     want = [0.5] + [0.0] * 6 + [100.0 * (7 * 7 * 6 * 5) ** -0.25 - 1.0]
     assert np.allclose(got, want, rtol=0, atol=1e-12)
@@ -166,15 +174,39 @@ def test_step_rewards_of_an_episode_ended_at_the_cap():
 
 def test_step_rewards_of_an_eos_only_episode():
     # no content: no BLEU, and the hinge on an empty delay profile pays 0
-    got = M.step_rewards("RRRW", ["<eos>"], [], 3, ["x"], M.RewardConfig())
+    [got] = M.step_rewards([_episode("RRRW", ["<eos>"], [], 3)], [["x"]], M.RewardConfig())
     assert np.allclose(got, [0.0, 0.025, 0.05, 0.0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("ref", ["w13 w10", [["w13", "w10"]], ["w13", 10]],
                          ids=["string", "batch", "non-string-token"])
 def test_step_rewards_rejects_a_reference_that_is_not_a_token_list(ref):
+    good = _episode("RW", ["w13"], [1], 1)
     with pytest.raises(DataError, match="reference must be a list of tokens"):
-        M.step_rewards("RW", ["w13"], [1], 1, ref, M.RewardConfig())
+        M.step_rewards([good, good], [["w13"], ref], M.RewardConfig())
+
+
+def test_step_rewards_rejects_transcripts_unlike_references():
+    with pytest.raises(DataError, match="1 transcripts vs 2 references"):
+        M.step_rewards([_episode("RW", ["w13"], [1], 1)], [["w13"], ["w13"]], M.RewardConfig())
+
+
+def test_step_rewards_do_not_depend_on_the_batch():
+    ref = ["a", "b", "a", "c"]
+    batch = [
+        (_episode("RWRWRWRWW", ["a", "b", "a", "c", "<eos>"], [1, 2, 3, 4], 4), ref),
+        (_episode("RWWRWW", ["a", "a", "b", "<eos>"], [1, 1, 2], 2), ref),  # ref repeated
+        (_episode("RRRW", ["<eos>"], [], 3), ["a"]),  # EOS only
+        (_episode("R" + "W" * 7, ["a"] * 7, [1] * 7, 1), ["a", "a"]),  # ended at the cap
+        (_episode("RRWWWWW", ["a", "b", "a", "c", "<eos>"], [2, 2, 2, 2], 2),
+         ref[::-1]),  # reversed
+    ]
+    cfg = M.RewardConfig()
+    alone = [M.step_rewards([t], [r], cfg)[0] for t, r in batch]
+    assert M.step_rewards(*zip(*batch), cfg) == alone
+    order = np.random.default_rng(5).permutation(len(batch)).tolist()
+    assert M.step_rewards(*zip(*[batch[i] for i in order]), cfg) == [alone[i] for i in order]
+    assert any(g < 0 for g in alone[4])  # the reversed reference makes a commit lose BLEU
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +432,13 @@ def test_bleu_scores_equal_per_order_recount():
             assert smoothed_sentence_bleu(hyp, ref) == _per_order_sentence_bleu(hyp, ref)
 
 
-def _prefix_counts(hyp, ref):
-    counter = M.PrefixBleu(ref)
-    for token in hyp:
-        counter.add(token)
-    return counter.counts()
+def _split(rows, hyps) -> list:
+    """The rows of ``_prefix_rows`` as one list per hypothesis."""
+    ends = np.cumsum([len(h) for h in hyps])
+    return [part.tolist() for part in np.split(rows, ends[:-1])] if hyps else []
 
 
-def test_count_table_equals_prefix_bleu_counts():
+def test_count_table_and_prefix_rows_equal_recount():
     rng = np.random.default_rng(12)
     for case in range(600):
         vocab = [f"w{i}" for i in range(1 + case % 8)]  # few types: n-grams repeat, clipping binds
@@ -418,10 +449,13 @@ def test_count_table_equals_prefix_bleu_counts():
                 for _ in range(n)]
         refs[0] = refs[0][:1] if case % 3 == 0 else refs[0]
         hyps[-1] = [] if case % 4 == 0 else hyps[-1]
-        table = M._count_table(hyps, refs)
-        assert table.dtype == np.int64
-        assert table.tolist() == [_prefix_counts(h, r) for h, r in zip(hyps, refs)]
+        table, rows = M._count_table(hyps, refs), M._prefix_rows(hyps, refs)
+        assert table.dtype == rows.dtype == np.int64
+        assert table.tolist() == [count_row(h, r) for h, r in zip(hyps, refs)]
+        assert _split(rows, hyps) == [[count_row(h[:k], r) for k in range(1, len(h) + 1)]
+                                      for h, r in zip(hyps, refs)]
     assert M._count_table([], []).shape == (0, 2 * M.MAX_ORDER + 2)
+    assert M._prefix_rows([], []).shape == (0, 2 * M.MAX_ORDER + 2)
 
 
 def test_count_table_of_a_vocabulary_past_the_fourth_root_of_int64():
@@ -435,7 +469,9 @@ def test_count_table_of_a_vocabulary_past_the_fourth_root_of_int64():
     hyps = [list(range(size)), [0, 0, 0, 0]] + [r[10:40] + r[:20] + types[::-7][:5]
                                                  for r in refs[2:]]
     table = M._count_table(hyps, refs)
-    assert table.tolist() == [_prefix_counts(h, r) for h, r in zip(hyps, refs)]
+    assert table.tolist() == [count_row(h, r) for h, r in zip(hyps, refs)]
+    assert _split(M._prefix_rows(hyps, refs), hyps) == [prefix_count_rows(h, r)
+                                                        for h, r in zip(hyps, refs)]
     assert table[1, :M.MAX_ORDER].tolist() == [0, 0, 0, 0]
     assert table[2:, M.MAX_ORDER - 1].sum() > 0
 

@@ -603,7 +603,14 @@ def test_write_transcripts_leaves_an_existing_file_unchanged_on_a_bad_record(tmp
     ('{"src": ["a"], "hyp": ["x"], "g": [1]}', "'actions'"),
     ('{"src": ["a"], ', "Expecting"),
     ('{"src": ["a"], "hyp": ["x"], "actions": "RRRW", "g": [5]}', "more READs than source"),
-], ids=["list", "int-g", "string-g", "no-actions", "bad-json", "inconsistent"])
+    ('{"src": ["a"], "hyp": ["x"], "actions": "RW", "g": [1], "rewards": [NaN, "x"]}',
+     "'rewards' is not a list of finite numbers"),
+    ('{"src": ["a"], "hyp": ["x"], "actions": "RW", "g": [1], "rewards": "ab"}',
+     "'rewards' is not a list of finite numbers"),
+    ('{"src": ["a"], "hyp": ["x"], "actions": "RW", "g": [1], "forced_overrides": -3}',
+     "'forced_overrides' is not a non-negative int"),
+], ids=["list", "int-g", "string-g", "no-actions", "bad-json", "inconsistent", "nan-rewards",
+        "string-rewards", "negative-overrides"])
 def test_read_transcripts_rejects_bad_records_with_line(tmp_path, record, problem):
     good = json.dumps(Transcript(src=["a"], hyp=["x"], actions="RW", delays=[1]).to_json_obj())
     path = tmp_path / "episodes.jsonl"

@@ -38,8 +38,10 @@ from . import autodiff as ad
 from .autodiff import GRUParams, Tensor
 from .checkpoint import load_into, read_config, save_checkpoint, write_metadata
 from .environment import EnvModel, EpisodeStepper, _compact, distinct_items, require_positive
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError
+from .features import check_feature_sets
 from .metrics import RewardConfig, check_references, step_rewards
+from .optim import adam_step
 from .policies import Policy, Transcript, run_episodes
 
 ACT_READ, ACT_WRITE = 0, 1
@@ -201,16 +203,12 @@ def _feature_block(features, *nets):
     its own FeatureSet, and the block is None when there are no episodes or
     no network has a visual variant, which then ignores features.
     """
-    visual = [net.cfg for net in nets if net.cfg.use_init or net.cfg.use_att]
+    visual = [net for net in nets if net.cfg.use_init or net.cfg.use_att]
     if not (visual and features):
         return None, None
-    if any(f is None for f in features):
-        raise ConfigError("init/att agent variants need visual features for every episode")
-    for cfg in visual:
-        want = (cfg.feature_rows, cfg.feature_dim)
-        for f in features:
-            if f.matrix.shape != want:
-                raise ShapeError(f"feature geometry {f.matrix.shape} != configured {want}")
+    for net in visual:
+        check_feature_sets(features, (net.cfg.feature_rows, net.cfg.feature_dim),
+                           f"visual {net.kind} network")
     distinct, index = distinct_items(features, id)
     return np.stack([f.matrix for f in distinct], dtype=np.float64), index
 
@@ -239,9 +237,9 @@ class _LaneState:
     att variant's visual keys and values hold one row per lane in
     ``lanes``. They start from ``_RecurrentNet.start``, which projects each
     distinct feature set once. Lanes only end: when the running set
-    shrinks, ``h`` and ``a_prev`` are gathered to it and the keys and
-    values, which this state owns, are compacted in place. The policy sets
-    ``a_prev`` after each step.
+    shrinks, all four, which this state owns, are compacted to it in place.
+    Each step replaces ``h``, and the policy replaces ``a_prev``, with a
+    fresh array, so compaction never changes a row that was recorded.
     """
 
     def __init__(self, net: _RecurrentNet, features, n: int):
@@ -258,7 +256,7 @@ class _LaneState:
         """
         if len(running) != len(self.lanes):
             keep = np.searchsorted(self.lanes, running)  # both in ascending lane order
-            self.h, self.a_prev = self.h[keep], self.a_prev[keep]
+            self.h, self.a_prev = _compact(self.h, keep), _compact(self.a_prev, keep)
             if self.visual_kv is not None:
                 self.visual_kv = tuple(Tensor(_compact(t.data, keep)) for t in self.visual_kv)
             self.lanes = running
@@ -470,8 +468,8 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
 
 def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
                      baseline: BaselineNetwork, cfg: RLTrainConfig,
-                     agent_opt=None, baseline_opt=None, apply: bool = True) -> dict:
-    """Replay the batch on a tape and apply both optimizers.
+                     agent_opt=None, baseline_opt=None) -> dict:
+    """Replay the batch on a tape, and step the optimizers if given.
 
     Each network runs once over a padded block of recorded observations,
     its GRU stepping each episode over its own length only. Baseline loss:
@@ -479,10 +477,14 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
     R_t over every step. Agent loss: -sum log pi(a_t|o_t) (R_t - b(o_t)) -
     entropy bonus over unforced steps, averaged over episodes. The GRU is
     causal, so the agent replays each episode only up to its last unforced
-    step, and a batch with none gives it a zero loss. The advantage is a
-    constant there, so the agent loss sends no gradient to the baseline.
-    The two losses share a tape but no parameters.
+    step; a batch with none replays no column, a zero loss. The advantage
+    is a constant there, so the agent loss sends no gradient to the
+    baseline. The two losses share a tape but no parameters. With both
+    optimizers it steps them and zeroes the gradients; with neither it
+    leaves the gradients to the caller.
     """
+    if (agent_opt is None) != (baseline_opt is None):
+        raise ConfigError("reinforce_update: give both optimizers or neither")
     entries = batch.entries
     if not entries:
         raise ContractError("reinforce_update: empty batch")
@@ -518,16 +520,13 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
     values = ad.pick_rows(tape, head_outputs(baseline, t_max, lengths), np.zeros_like(actions))
     baseline_loss = ad.masked_sq_error(tape, values, returns, active, float(lengths.sum()))
     t_dec = decided.max()
-    if t_dec == 0:
-        agent_loss = Tensor(np.float64(0.0))
-    else:
-        learn = learn[:, :t_dec]
-        advantages = (returns - values.data)[:, :t_dec]
-        ls = ad.log_softmax_rows(tape, head_outputs(agent, t_dec, decided))
-        agent_loss = ad.sum_scalars(tape, [
-            ad.weighted_sum(tape, ad.pick_rows(tape, ls, actions[:, :t_dec]),
-                            -(advantages * learn) / n),
-            ad.weighted_sum(tape, ad.rows_entropy(tape, ls), -(cfg.entropy_weight * learn) / n)])
+    learn = learn[:, :t_dec]
+    advantages = (returns - values.data)[:, :t_dec]
+    ls = ad.log_softmax_rows(tape, head_outputs(agent, t_dec, decided))
+    agent_loss = ad.sum_scalars(tape, [
+        ad.weighted_sum(tape, ad.pick_rows(tape, ls, actions[:, :t_dec]),
+                        -(advantages * learn) / n),
+        ad.weighted_sum(tape, ad.rows_entropy(tape, ls), -(cfg.entropy_weight * learn) / n)])
     ad.backward(tape, ad.sum_scalars(tape, [agent_loss, baseline_loss]))
 
     def grad_norm(net):
@@ -544,10 +543,7 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
         "baseline_grad_norm": grad_norm(baseline),
         "mean_reward": batch.mean_episode_reward(),
     }
-    if apply:
-        from .optim import adam_step
-        if agent_opt is None or baseline_opt is None:
-            raise ConfigError("reinforce_update: optimizers required when applying")
+    if agent_opt is not None:
         adam_step(agent_opt)
         adam_step(baseline_opt)
         ad.zero_grads([p for _, p in agent.named_tensors()])

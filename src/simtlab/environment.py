@@ -35,14 +35,15 @@ from . import autodiff as ad
 from .autodiff import GRUParams, Tensor
 from .checkpoint import load_into, read_config, save_checkpoint, write_metadata
 from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
+from .features import check_feature_sets
 from .metrics import corpus_bleu
+from .optim import AdamState, adam_step
 from .vocab import BOS, EOS, PAD, RESERVED, Vocabulary
 
 log = logging.getLogger(__name__)
 
 # the EnvConfig fields a checkpoint's metadata records
-_META = {"emb_dim": int, "hid_dim": int, "multimodal": bool, "feature_rows": int,
-         "feature_dim": int}
+_META = {"emb_dim": int, "hid_dim": int, "feature_rows": int, "feature_dim": int}
 
 
 def require_positive(cfg, *names) -> None:
@@ -55,19 +56,24 @@ def require_positive(cfg, *names) -> None:
 
 @dataclass
 class EnvConfig:
-    """Model dimensions and the multimodal switch."""
+    """Model dimensions; a feature geometry (both 0 for text only) makes it ``multimodal``."""
 
     emb_dim: int = 200
     hid_dim: int = 320
-    multimodal: bool = False
     feature_rows: int = 0
     feature_dim: int = 0
     init_scale: float = 0.08
 
     def __post_init__(self):
         require_positive(self, "emb_dim", "hid_dim")
-        if self.multimodal and (self.feature_rows < 1 or self.feature_dim < 1):
-            raise ConfigError("multimodal environment needs feature_rows and feature_dim")
+        geometry = (self.feature_rows, self.feature_dim)
+        if not (geometry == (0, 0) or min(geometry) >= 1):
+            raise ConfigError(f"EnvConfig.feature_rows and feature_dim must both be 0 or both "
+                              f"at least 1, got {geometry}")
+
+    @property
+    def multimodal(self) -> bool:
+        return min(self.feature_rows, self.feature_dim) >= 1
 
 
 class EnvModel:
@@ -112,32 +118,25 @@ class EnvModel:
             t.data = snapshot[name].copy()
 
     def project_features(self, features) -> np.ndarray:
-        """Map raw feature rows into the decoder space with w_vis.
+        """Map raw feature rows into the decoder space with w_vis: (n, R, h).
 
-        One FeatureSet gives (R, h); a list of n gives (n, R, h). Each
-        distinct FeatureSet object is one ``linear_rows3`` call, the op
-        teacher forcing records, into a float64 block that is the output
-        unless lanes share a set: no (n, R, D) stack is built. A lane's
-        product equals its rows of one GEMM over all lanes.
+        ``features`` is a list of n FeatureSets, one per lane, or a single
+        FeatureSet, which is one lane: (1, R, h). Each distinct FeatureSet
+        object is one ``linear_rows3`` call, the op teacher forcing records,
+        into a float64 block that is the output unless lanes share a set: no
+        (n, R, D) stack is built. A lane's product equals its rows of one
+        GEMM over all lanes.
         """
         if not self.multimodal:
             raise ConfigError("project_features on a unimodal environment")
-        lanes = isinstance(features, (list, tuple))
-        sets = features if lanes else [features]
-        for f in sets:
-            if f is None:
-                raise ConfigError("multimodal environment requires visual features")
-            if f.dim != self.cfg.feature_dim or f.rows != self.cfg.feature_rows:
-                raise ConfigError(
-                    f"feature geometry {f.matrix.shape} does not match configured "
-                    f"({self.cfg.feature_rows}, {self.cfg.feature_dim})")
+        sets = features if isinstance(features, (list, tuple)) else [features]
+        check_feature_sets(sets, (self.cfg.feature_rows, self.cfg.feature_dim),
+                           "multimodal environment")
         distinct, index = distinct_items(sets, id)
         projected = np.empty((len(distinct), self.cfg.feature_rows, self.cfg.hid_dim))
         for k, f in enumerate(distinct):
             projected[k] = ad.linear_rows3(None, f.matrix[None], self.w_vis).data[0]
-        if index is not None:
-            projected = projected[index]
-        return projected if lanes else projected[0]
+        return projected if index is None else projected[index]
 
     def initial_decoder_state(self) -> "DecoderState":
         return DecoderState.initial(self, 1)
@@ -259,8 +258,8 @@ class EncoderState:
 class DecoderState:
     """Decoder state of n lanes after their written prefixes.
 
-    ``EpisodeStepper`` owns the rows of its state and updates them in place
-    when a lane WRITEs; nothing else changes a state.
+    ``EpisodeStepper`` owns the rows of its state and changes them in place
+    when a lane WRITEs or lanes end; nothing else changes a state.
     """
 
     g1_h: np.ndarray         # (n, h)
@@ -271,10 +270,6 @@ class DecoderState:
     def initial(cls, model: EnvModel, n: int = 1) -> "DecoderState":
         h = model.cfg.hid_dim
         return cls(np.zeros((n, h)), np.zeros((n, h)), np.full(n, BOS, dtype=np.int64))
-
-    def take(self, lanes) -> "DecoderState":
-        """A copy of the state of ``lanes`` only, in that order."""
-        return DecoderState(self.g1_h[lanes], self.g2_h[lanes], self.last_token[lanes])
 
 
 @dataclass
@@ -319,8 +314,8 @@ def propose_next(dec: DecoderState, enc: EncoderState, model: EnvModel,
                  projected=None) -> Proposal:
     """Greedy candidate for the next target token on every lane; mutates nothing.
 
-    ``projected`` is ``project_features`` output: (R, h) shared by every
-    lane, or one (R, h) block per lane; a multimodal environment needs it.
+    ``projected`` is ``project_features`` output, one (R, h) block per lane;
+    a multimodal environment needs it.
     """
     keys, mask = enc.keys()
     prev_emb = model.tgt_emb.data[dec.last_token]
@@ -328,10 +323,10 @@ def propose_next(dec: DecoderState, enc: EncoderState, model: EnvModel,
     text_ctx, weights = _attend(keys, g1, mask)
     ctx = text_ctx
     if model.multimodal:
-        if projected.ndim == 3 and len(projected) != len(g1):
+        if len(projected) != len(g1):
             raise ShapeError(f"propose_next: {len(projected)} projected feature blocks "
                              f"for {len(g1)} lanes")
-        ctx = ctx + _attend(projected if projected.ndim == 3 else projected[None], g1)[0]
+        ctx = ctx + _attend(projected, g1)[0]
     g2 = ad.gru_step(ctx, dec.g2_h, model.dec2)
     logits = np.concatenate([prev_emb, ctx, g2], axis=1) @ model.w_out.data + model.b_out.data
     return Proposal(token=logits.argmax(axis=1), logits=logits, text_ctx=text_ctx,
@@ -369,11 +364,12 @@ class EpisodeStepper:
     ``enc`` and the projected features ``projected`` hold one row per
     running lane, in ``running`` order, so the proposal does too.
     ``apply()`` copies the proposal onto the decoder rows of the lanes that
-    write, in place, and drops the rows of the lanes it ends. The encoder
-    rows and ``projected`` are blocks made for this stepper: dropping lanes
-    moves the kept rows down in place and keeps a prefix view, so no second
-    block is allocated. The per-lane bookkeeping (``live``, the ``n_read``
-    and ``n_written`` counters, and the lists above) is indexed by lane.
+    write, in place, and drops the rows of the lanes it ends. The decoder and
+    encoder rows and ``projected`` are blocks made for this stepper:
+    dropping lanes moves the kept rows down in place and keeps a prefix
+    view, so no second block is allocated. The per-lane bookkeeping (the
+    ``n_read`` and ``n_written`` counters and the lists above) is indexed by
+    lane.
     """
 
     def __init__(self, model: EnvModel, sources, features=None):
@@ -381,8 +377,9 @@ class EpisodeStepper:
         self.src_ids = [model.src_vocab.encode(s) for s in sources]
         if not self.src_ids:
             raise ContractError("episode: no sources")
-        if not all(self.src_ids):
-            raise ContractError("episode: empty source")
+        for lane, ids in enumerate(self.src_ids):
+            if not ids:
+                raise DataError(f"episode: empty source on lane {lane}")
         n = self.n = len(self.src_ids)
         if features is not None and (not isinstance(features, (list, tuple))
                                      or len(features) != n):
@@ -391,7 +388,6 @@ class EpisodeStepper:
         self.projected = model.project_features(features) if model.multimodal else None
         self.enc = EncoderState.encode(model, [ids + [EOS] for ids in self.src_ids])
         self.dec = DecoderState.initial(model, n)
-        self.live = np.ones(n, dtype=bool)
         self.running = np.arange(n)
         self.n_read = np.zeros(n, dtype=np.int64)
         self.n_written = np.zeros(n, dtype=np.int64)  # EOS included
@@ -452,7 +448,7 @@ class EpisodeStepper:
             dec.last_token[rows] = proposal.token[rows]
         if len(reads):
             self.enc = self.enc.advance(reads)
-        ended = False
+        ended = []  # row positions
         for k, (i, w) in enumerate(zip(live.tolist(), wrote.tolist())):
             self.actions[i].append(WRITE if w else READ)
             if not w:
@@ -464,11 +460,12 @@ class EpisodeStepper:
             if token != EOS:
                 self.delays[i].append(int(self.n_read[i]))
             if token == EOS or len(self.hyp_ids[i]) >= self._cap[i]:
-                self.live[i], ended = False, True
+                ended.append(k)
         if ended:
-            keep = self.live[live].nonzero()[0]
-            self.running, enc = live[keep], self.enc
-            self.dec = self.dec.take(keep)
+            keep = np.delete(np.arange(len(live)), ended)
+            self.running, enc, dec = live[keep], self.enc, self.dec
+            self.dec = DecoderState(*(_compact(a, keep) for a in (dec.g1_h, dec.g2_h,
+                                                                  dec.last_token)))
             self.enc = EncoderState(None, None, _compact(enc.rows, keep), enc.consumed[keep])
             if self.projected is not None:
                 self.projected = _compact(self.projected, keep)
@@ -596,27 +593,19 @@ def train_consecutive(train_pairs, valid_pairs, cfg: EnvTrainConfig,
     if (features_train is None) != (features_valid is None):
         raise ConfigError("train_consecutive: give features for both the training and the "
                           "validation split, or for neither")
-    multimodal = features_train is not None
     rows = dim = 0
-    if multimodal:
+    if features_train is not None:
         sets = [*features_train, *features_valid]
-        if any(f is None for f in sets):
-            raise ConfigError("train_consecutive: multimodal training requires visual features "
-                              "for every pair")
-        rows, dim = sets[0].matrix.shape
-        for f in sets:
-            if f.matrix.shape != (rows, dim):
-                raise ConfigError(f"train_consecutive: feature geometry {f.matrix.shape} does "
-                                  f"not match the first training set's ({rows}, {dim})")
+        if sets[0] is not None:
+            rows, dim = sets[0].matrix.shape
+        check_feature_sets(sets, (rows, dim), "train_consecutive")
 
     src_vocab = Vocabulary.from_corpus(s for s, _ in train_pairs)
     tgt_vocab = Vocabulary.from_corpus(t for _, t in train_pairs)
     rng = np.random.default_rng(cfg.seed)
-    env_cfg = EnvConfig(emb_dim=cfg.emb_dim, hid_dim=cfg.hid_dim, multimodal=multimodal,
-                        feature_rows=rows, feature_dim=dim, init_scale=cfg.init_scale)
+    env_cfg = EnvConfig(emb_dim=cfg.emb_dim, hid_dim=cfg.hid_dim, feature_rows=rows,
+                        feature_dim=dim, init_scale=cfg.init_scale)
     model = EnvModel(src_vocab, tgt_vocab, env_cfg, rng)
-
-    from .optim import AdamState, adam_step
     opt = AdamState(model.named_tensors(), lr=cfg.lr)
 
     src_ids = [src_vocab.encode(s) + [EOS] for s, _ in train_pairs]
@@ -634,7 +623,7 @@ def train_consecutive(train_pairs, valid_pairs, cfg: EnvTrainConfig,
             idx = perm[start:start + cfg.batch_size]
             batch = ([src_ids[i] for i in idx], [tgt_ids[i] for i in idx])
             feats3 = (np.stack([features_train[i].matrix for i in idx], dtype=np.float64)
-                      if multimodal else None)
+                      if model.multimodal else None)
             tape = ad.Tape()
             loss = teacher_forced_loss(model, batch, tape, feats3)
             value = float(loss.data)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError
 
 MAGIC = b"SIMTFEAT1"
 GRID, CONCEPTS = "grid", "concepts"
@@ -64,13 +64,19 @@ class FeatureSet:
         if not np.all(np.isfinite(self.matrix)):
             raise ShapeError("feature matrix contains NaN/Inf")
 
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
+def check_feature_sets(sets, shape, who: str) -> None:
+    """Raise ``ConfigError`` unless every entry of ``sets`` is a FeatureSet of ``shape``.
+
+    ``shape`` is the (rows, dim) a model was configured for; ``who`` names
+    the model or entry point in the message.
+    """
+    for i, f in enumerate(sets):
+        if f is None:
+            raise ConfigError(f"{who} requires visual features; entry {i} has none")
+        if f.matrix.shape != shape:
+            raise ConfigError(f"{who}: feature geometry {f.matrix.shape} of entry {i} does "
+                              f"not match the configured {shape}")
 
 
 def write_features(path, feature_sets) -> None:
@@ -90,6 +96,7 @@ def write_features(path, feature_sets) -> None:
 
 
 def load_features(path):
+    """The FeatureSets in ``path``; a broken layout or a bad sample raises ``FormatError``."""
     blob = Path(path).read_bytes()
     if blob[:9] != MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:9]!r}")
@@ -105,10 +112,13 @@ def load_features(path):
             f"{path}: expected {expected} bytes for {count} samples of "
             f"{rows}x{cols}, file has {len(blob)} (payload starts at byte 22)")
     out = []
-    for i in range(count):
-        start = 22 + i * sample_bytes
-        data = np.frombuffer(blob[start:start + sample_bytes], dtype="<f4")
-        out.append(FeatureSet(_VARIANTS[tag], data.reshape(rows, cols)))
+    try:
+        for i in range(count):
+            start = 22 + i * sample_bytes
+            data = np.frombuffer(blob[start:start + sample_bytes], dtype="<f4")
+            out.append(FeatureSet(_VARIANTS[tag], data.reshape(rows, cols)))
+    except ShapeError as exc:
+        raise FormatError(f"{path}: sample {i}: {exc}") from None
     return out
 
 

@@ -35,7 +35,7 @@ class Policy:
     per lane. ``decide(episode)`` is called once per step, between the
     stepper's ``start_step()`` and ``apply()``, and returns an (n,) bool
     WRITE mask. It may read ``episode.forced``, the counters ``n_read`` and
-    ``n_written``, the live lanes (``live``, ``running``) and
+    ``n_written``, the index array ``running`` of the live lanes and
     ``episode.proposal()``, which has one row per running lane, in
     ``running`` order; a policy that never asks for the proposal lets READ
     steps skip the decoder.

@@ -10,7 +10,7 @@ from simtlab.agent import (AgentConfig, AgentGreedyPolicy, AgentNetwork, Baselin
                            collect_trajectories, compute_returns, patience_exceeded,
                            reinforce_update, select_model)
 from simtlab.environment import EncoderState, EnvConfig, EnvModel, EpisodeStepper
-from simtlab.errors import ConfigError, ContractError, DataError, ShapeError
+from simtlab.errors import ConfigError, ContractError, DataError
 from simtlab.features import FeatureSet
 from simtlab.metrics import RewardConfig
 from simtlab.optim import AdamState
@@ -185,7 +185,7 @@ def test_collector_rewards_equal_simulate_replay(untrained_env, variant, c_star)
     env = text_env
     if variant != "none":
         env = EnvModel(text_env.src_vocab, text_env.tgt_vocab,
-                       EnvConfig(emb_dim=20, hid_dim=28, multimodal=True, feature_rows=rows,
+                       EnvConfig(emb_dim=20, hid_dim=28, feature_rows=rows,
                                  feature_dim=dim), np.random.default_rng(6))
     cfg = AgentConfig(text_dim=env.cfg.hid_dim, emb_dim=env.cfg.emb_dim, hidden_dim=12,
                       key_dim=env.cfg.emb_dim, use_init=variant == "init",
@@ -215,7 +215,7 @@ def _visual_setup(text_env, pairs, variant, n_episodes, seed=0):
     env = text_env
     if variant != "none":
         env = EnvModel(text_env.src_vocab, text_env.tgt_vocab,
-                       EnvConfig(emb_dim=20, hid_dim=28, multimodal=True, feature_rows=3,
+                       EnvConfig(emb_dim=20, hid_dim=28, feature_rows=3,
                                  feature_dim=5), np.random.default_rng(6))
     cfg = AgentConfig(text_dim=env.cfg.hid_dim, emb_dim=env.cfg.emb_dim, hidden_dim=12,
                       key_dim=env.cfg.emb_dim, use_init=variant == "init",
@@ -334,7 +334,7 @@ def test_replay_does_each_distinct_source_once_and_the_agent_to_its_last_decisio
 
     monkeypatch.setattr(ad, "gru_sequence", gru_sequence)
     monkeypatch.setattr(ad, "linear_rows3", linear_rows3)
-    reinforce_update(batch, agent, baseline, cfg, apply=False)
+    reinforce_update(batch, agent, baseline, cfg)
     assert products == [(id(baseline.key_proj), 6), (id(baseline.val_proj), 6),
                         (id(agent.key_proj), 6), (id(agent.val_proj), 6)]
     full = [len(e) for e in batch.entries]
@@ -352,7 +352,7 @@ def test_an_all_forced_batch_updates_and_leaves_the_agent_a_zero_gradient(untrai
     cfg = RLTrainConfig()
     batch = collect_trajectories(agent, baseline, env, episodes, cfg, global_seed=0)
     assert all(len(e) and e.forced.all() for e in batch.entries)
-    stats = reinforce_update(batch, agent, baseline, cfg, apply=False)
+    stats = reinforce_update(batch, agent, baseline, cfg)
     assert stats["agent_loss"] == 0.0 and stats["agent_grad_norm"] == 0.0
     assert all(p.grad is None or not p.grad.any() for _, p in agent.named_tensors())
     assert stats["baseline_loss"] > 0.0 and stats["baseline_grad_norm"] > 0.0
@@ -393,7 +393,7 @@ def test_replayed_agent_loss_equals_recorded_log_probs(untrained_env, variant):
     env, agent, baseline, episodes = _visual_setup(*untrained_env, variant, 12, seed=4)
     cfg = RLTrainConfig()
     batch = collect_trajectories(agent, baseline, env, episodes, cfg, global_seed=2)
-    stats = reinforce_update(batch, agent, baseline, cfg, apply=False)
+    stats = reinforce_update(batch, agent, baseline, cfg)
     # -1/n sum over unforced steps of (R - b) log pi(a|o) + w * entropy, with b from
     # per-step 1-D baseline steps on each episode's observations
     recorded = 0.0
@@ -446,12 +446,12 @@ def test_reinforce_update_gradcheck(variant):
     params = {"agent_loss": [p for _, p in agent.named_tensors()],
               "baseline_loss": [p for _, p in baseline.named_tensors()]}
     ad.zero_grads(params["agent_loss"] + params["baseline_loss"])
-    reinforce_update(batch, agent, baseline, cfg, apply=False)
+    reinforce_update(batch, agent, baseline, cfg)
     analytic = {loss: [p.grad.copy() for p in tensors] for loss, tensors in params.items()}
     for loss, tensors in params.items():
         assert all(np.any(g != 0.0) for g in analytic[loss]), loss
         assert_grads_close(
-            lambda loss=loss: reinforce_update(batch, agent, baseline, cfg, apply=False)[loss],
+            lambda loss=loss: reinforce_update(batch, agent, baseline, cfg)[loss],
             tensors, analytic[loss], tol=1e-7)
 
 
@@ -479,7 +479,7 @@ def test_block_replay_equals_per_step_replay(untrained_env, variant, short):
         assert min(len(e) for e in others) >= 4 * len(batch.entries[5])
 
     def block():
-        stats = reinforce_update(batch, agent, baseline, cfg, apply=False)
+        stats = reinforce_update(batch, agent, baseline, cfg)
         return stats["agent_loss"], stats["baseline_loss"]
 
     got, got_grads = _loss_and_grads(block, agent, baseline)
@@ -504,7 +504,7 @@ def test_replay_of_shared_sources_equals_replay_of_copies(untrained_env, variant
                               for e in shared.entries])
 
     def losses(batch):
-        stats = reinforce_update(batch, agent, baseline, cfg, apply=False)
+        stats = reinforce_update(batch, agent, baseline, cfg)
         return stats["agent_loss"], stats["baseline_loss"]
 
     got, got_grads = _loss_and_grads(lambda: losses(shared), agent, baseline)
@@ -527,9 +527,31 @@ def test_replay_tape_does_not_grow_with_episode_length(monkeypatch):
     agent, baseline = _tiny_agent_pair("att")
     cfg = RLTrainConfig()
     for lengths in ([3, 2, 3], [30, 27, 31]):
-        reinforce_update(_random_batch(agent.cfg, lengths), agent, baseline, cfg, apply=False)
+        reinforce_update(_random_batch(agent.cfg, lengths), agent, baseline, cfg)
     short, long = (len(t) for t in tapes)
     assert short == long
+
+
+def test_reinforce_update_steps_the_optimizers_it_is_given():
+    agent, baseline = _tiny_agent_pair("att", seed=3)
+    batch, cfg = _random_batch(agent.cfg, [4, 2, 5], seed=3), RLTrainConfig()
+    nets = (agent, baseline)
+    for given in ((AdamState(agent.named_tensors()), None),
+                  (None, AdamState(baseline.named_tensors()))):
+        with pytest.raises(ConfigError, match="both optimizers or neither"):
+            reinforce_update(batch, agent, baseline, cfg, *given)
+    assert all(p.grad is None for net in nets for _, p in net.named_tensors())
+    before = [net.snapshot() for net in nets]
+    reinforce_update(batch, agent, baseline, cfg)  # neither: the gradients are the caller's
+    assert all(p.grad.any() for net in nets for _, p in net.named_tensors())
+    assert all(np.array_equal(v, net.snapshot()[k])
+               for net, b in zip(nets, before) for k, v in b.items())
+    ad.zero_grads([p for net in nets for _, p in net.named_tensors()])
+    reinforce_update(batch, agent, baseline, cfg, *(AdamState(net.named_tensors())
+                                                    for net in nets))
+    assert all(p.grad is None for net in nets for _, p in net.named_tensors())
+    assert all(not np.array_equal(v, net.snapshot()[k])
+               for net, b in zip(nets, before) for k, v in b.items())
 
 
 @pytest.mark.parametrize("variant", ["none", "init", "att"])
@@ -564,7 +586,7 @@ def _enter(path, env, pairs, agent, baseline, features):
         batch = _random_batch(agent.cfg, [2, 3])
         for entry in batch.entries:
             entry.features = features
-        reinforce_update(batch, agent, baseline, RLTrainConfig(), apply=False)
+        reinforce_update(batch, agent, baseline, RLTrainConfig())
     else:
         simulate(AgentGreedyPolicy(agent, env), env, src, features)
 
@@ -577,7 +599,7 @@ def test_visual_agent_rejects_missing_or_misshaped_features(untrained_env, path,
                                        emb_dim=env.cfg.emb_dim, key_dim=env.cfg.emb_dim)
     with pytest.raises(ConfigError, match="features"):
         _enter(path, env, pairs, agent, baseline, None)
-    with pytest.raises(ShapeError, match="geometry"):
+    with pytest.raises(ConfigError, match="geometry"):
         _enter(path, env, pairs, agent, baseline, FeatureSet("grid", np.ones((3, 3))))
 
 

@@ -89,8 +89,8 @@ def _tiny_env_model(multimodal=False):
     from simtlab.environment import EnvConfig, EnvModel
     from simtlab.vocab import Vocabulary
 
-    cfg = EnvConfig(emb_dim=5, hid_dim=6, multimodal=multimodal,
-                    feature_rows=2 if multimodal else 0, feature_dim=3 if multimodal else 0)
+    cfg = EnvConfig(emb_dim=5, hid_dim=6, feature_rows=2 if multimodal else 0,
+                    feature_dim=3 if multimodal else 0)
     return EnvModel(Vocabulary(["a", "b"]), Vocabulary(["x", "y", "z"]), cfg,
                     np.random.default_rng(4))
 
@@ -149,8 +149,8 @@ def test_per_gate_checkpoint_is_rejected(tmp_path):
 
 # the .meta files EnvModel.save and AgentNetwork.save write for the models of _saved_model
 SAVED_META = {
-    "environment": "kind=environment\nemb_dim=5\nhid_dim=6\nmultimodal=true\nfeature_rows=2\n"
-                   "feature_dim=3\nsrc_vocab=a b\ntgt_vocab=x y z\n",
+    "environment": "kind=environment\nemb_dim=5\nhid_dim=6\nfeature_rows=2\nfeature_dim=3\n"
+                   "src_vocab=a b\ntgt_vocab=x y z\n",
     "agent": "kind=agent\ntext_dim=6\nemb_dim=5\nhidden_dim=7\nkey_dim=5\nuse_init=true\n"
              "use_att=true\nfeature_rows=2\nfeature_dim=3\n",
 }
@@ -182,14 +182,26 @@ def test_metadata_layout_is_stable(tmp_path, kind):
         assert loaded.tgt_vocab.tokens == model.tgt_vocab.tokens
 
 
+def test_environment_metadata_with_the_multimodal_key_loads(tmp_path):
+    # a .meta that still records multimodal=, as older versions wrote, loads: only the
+    # schema's keys are read, and the feature geometry gives the same config
+    from simtlab.environment import EnvModel
+
+    model, _ = _saved_model(tmp_path, "environment")
+    meta = tmp_path / "environment.meta"
+    old = SAVED_META["environment"].replace("hid_dim=6\n", "hid_dim=6\nmultimodal=true\n")
+    meta.write_text(old, encoding="utf-8")
+    loaded = EnvModel.load(tmp_path / "environment")
+    assert loaded.cfg == model.cfg and loaded.multimodal
+
+
 @pytest.mark.parametrize("kind, key, value, problem", [
     ("environment", "hid_dim", None, "'hid_dim' is missing"),
     ("environment", "hid_dim", "four", "'hid_dim' is 'four', expected an integer"),
-    ("environment", "multimodal", "yes", "'multimodal' is 'yes', expected true or false"),
     ("agent", "use_att", None, "'use_att' is missing"),
     ("agent", "feature_rows", "2.0", "'feature_rows' is '2.0', expected an integer"),
     ("agent", "use_init", "True", "'use_init' is 'True', expected true or false"),
-], ids=["env-missing", "env-int", "env-bool", "agent-missing", "agent-int", "agent-bool"])
+], ids=["env-missing", "env-int", "agent-missing", "agent-int", "agent-bool"])
 def test_malformed_metadata_raises_format_error(tmp_path, kind, key, value, problem):
     _, cls = _saved_model(tmp_path, kind)
     meta = tmp_path / f"{kind}.meta"

@@ -7,7 +7,7 @@ from simtlab import autodiff as ad
 from simtlab import environment
 from simtlab.agent import (AgentConfig, AgentGreedyPolicy, AgentNetwork, BaselineNetwork,
                            RLTrainConfig, collect_trajectories)
-from simtlab.environment import (READ, WRITE, EncoderState, EnvConfig, EnvModel,
+from simtlab.environment import (READ, WRITE, DecoderState, EncoderState, EnvConfig, EnvModel,
                                  EnvTrainConfig, EpisodeStepper, encode_next, encode_sequence,
                                  propose_next, train_consecutive, validation_bleu)
 from simtlab.errors import ConfigError, ContractError, DataError, ShapeError
@@ -30,7 +30,7 @@ def visual_env(untrained_env):
     """A multimodal environment over the untrained environment's vocabularies."""
     text_env, pairs = untrained_env
     env = EnvModel(text_env.src_vocab, text_env.tgt_vocab,
-                   EnvConfig(emb_dim=20, hid_dim=28, multimodal=True, feature_rows=ROWS,
+                   EnvConfig(emb_dim=20, hid_dim=28, feature_rows=ROWS,
                              feature_dim=DIM, init_scale=0.3), np.random.default_rng(6))
     rng = np.random.default_rng(8)
     feats = [FeatureSet("grid", rng.normal(size=(ROWS, DIM))) for _ in pairs]
@@ -140,6 +140,11 @@ def _take(enc, lanes):
     return EncoderState(None, None, enc.rows[lanes], enc.consumed[lanes])
 
 
+def _take_dec(dec, lanes):
+    """The rows of ``lanes`` of a stepper's decoder state, copied."""
+    return DecoderState(dec.g1_h[lanes], dec.g2_h[lanes], dec.last_token[lanes])
+
+
 def _check_rows_follow_running(episode):
     """The stepper's model states and features hold one row per running lane, in order."""
     m, run = len(episode.running), episode.running
@@ -159,7 +164,7 @@ def test_stepper_lanes_equal_single_lane_episodes(visual_env):
     env, pairs, feats = visual_env
     episode = EpisodeStepper(env, [src for src, _ in pairs[:6]], feats[:6])
     step = 0
-    while episode.live.any():
+    while len(episode.running):
         episode.start_step()
         episode.proposal()
         episode.apply(np.array([(step + i) % 3 == 0 for i in range(6)]))
@@ -214,7 +219,7 @@ def test_lanes_equal_one_lane_simulate(untrained_env, visual_env, multimodal, po
 
 def test_stepper_contracts(untrained_env):
     env, pairs = untrained_env
-    with pytest.raises(ContractError, match="empty source"):
+    with pytest.raises(DataError, match="empty source on lane 1"):
         EpisodeStepper(env, [pairs[0][0], []])
     episode = EpisodeStepper(env, [pairs[0][0]])
     with pytest.raises(ContractError, match="proposal: no step started"):
@@ -300,7 +305,8 @@ def test_proposal_on_lanes_equals_all_lane_rows(untrained_env, visual_env, multi
         whole, m = episode.proposal(), len(episode.running)
         for idx in (np.arange(m), np.sort(rng.permutation(m)[:3]), np.array([m - 1])):
             projected = None if episode.projected is None else episode.projected[idx]
-            got = propose_next(episode.dec.take(idx), _take(episode.enc, idx), env, projected)
+            got = propose_next(_take_dec(episode.dec, idx), _take(episode.enc, idx), env,
+                               projected)
             assert np.array_equal(got.token, whole.token[idx])
             # BLAS may round a product's rows differently with another row count
             for name in ("logits", "text_ctx", "g1_next", "g2_next"):
@@ -318,7 +324,7 @@ def test_proposal_on_lanes_equals_all_lane_rows(untrained_env, visual_env, multi
     if multimodal:
         fresh = EpisodeStepper(env, sources, feats)
         with pytest.raises(ShapeError, match="projected feature blocks"):
-            propose_next(fresh.dec.take([0, 1]), _take(fresh.enc, [0, 1]), env,
+            propose_next(_take_dec(fresh.dec, [0, 1]), _take(fresh.enc, [0, 1]), env,
                          fresh.projected)
 
 
@@ -476,7 +482,7 @@ def test_validation_proposes_only_on_steps_with_a_write(tiny_copy_env, proposals
     real_apply = EpisodeStepper.apply
 
     def apply(self, write_mask):
-        live, made = np.flatnonzero(self.live), len(proposals)
+        live, made = self.running, len(proposals)
         real_apply(self, write_mask)
         _check_rows_follow_running(self)
         steps.append((any(self.actions[i][-1] == WRITE for i in live), len(proposals) - made))
@@ -526,11 +532,14 @@ def test_train_consecutive_rejects_mixed_feature_geometry_before_training(visual
     given = {"train": list(feats[:20]), "valid": list(feats[20:30])}
     given[split][3] = FeatureSet("grid", np.ones((ROWS + 1, DIM)))
     cfg = EnvTrainConfig(max_epochs=1, emb_dim=6, hid_dim=6)
-    with pytest.raises(ConfigError, match=r"feature geometry \(4, 5\) does not match the "
-                                          r"first training set's \(3, 5\)"):
+    entry = {"train": 3, "valid": 23}[split]
+    with pytest.raises(ConfigError, match=rf"train_consecutive: feature geometry \(4, 5\) "
+                                          rf"of entry {entry} does not match the configured "
+                                          rf"\(3, 5\)"):
         train_consecutive(pairs[:20], pairs[20:30], cfg, given["train"], given["valid"])
     given[split][3] = None
-    with pytest.raises(ConfigError, match="requires visual features for every pair"):
+    with pytest.raises(ConfigError, match=f"train_consecutive requires visual features; "
+                                          f"entry {entry} has none"):
         train_consecutive(pairs[:20], pairs[20:30], cfg, given["train"], given["valid"])
 
 

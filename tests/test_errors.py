@@ -1,0 +1,104 @@
+"""Bad inputs raise the errors that errors.py maps to exit codes."""
+
+import struct
+
+import numpy as np
+import pytest
+
+from simtlab.agent import RLTrainConfig, collect_trajectories
+from simtlab.environment import EnvConfig, EnvModel
+from simtlab.errors import ConfigError, ContractError, DataError, NumericError, ShapeError
+from simtlab.features import MAGIC, FeatureSet, load_features
+from simtlab.policies import ConsecutivePolicy, run_episodes, simulate
+
+from test_agent import _enter, _tiny_agent_pair
+
+MAPPED = (ConfigError, DataError, NumericError)  # exit codes 2, 3 and 4
+
+
+def _feature_file(tmp_path, tag, rows, cols, values):
+    """A one-sample features file written byte by byte, as no FeatureSet would allow."""
+    path = tmp_path / "bad.feat"
+    path.write_bytes(MAGIC + struct.pack("<BIII", tag, 1, rows, cols)
+                     + np.asarray(values, dtype="<f4").tobytes())
+    return path
+
+
+def _visual_env(text_env):
+    return EnvModel(text_env.src_vocab, text_env.tgt_vocab,
+                    EnvConfig(emb_dim=20, hid_dim=28, feature_rows=3, feature_dim=5),
+                    np.random.default_rng(6))
+
+
+def _truncated_checkpoint(tmp_path, text_env):
+    text_env.save(tmp_path / "env")
+    ckpt = tmp_path / "env.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    return EnvModel.load(tmp_path / "env")
+
+
+def _agents(env, variant):
+    """A tiny agent and baseline that fit ``env``'s text geometry."""
+    return _tiny_agent_pair(variant, text_dim=env.cfg.hid_dim, emb_dim=env.cfg.emb_dim,
+                            key_dim=env.cfg.emb_dim)
+
+
+def _agent_entry(path, features):
+    """An att agent's entry point ``path`` of ``test_agent._enter`` on a text environment."""
+    return lambda tmp, env, pairs: _enter(path, env, pairs, *_agents(env, "att"), features)
+
+
+CASES = {
+    "empty-source-simulate": (
+        DataError, "empty source on lane 0",
+        lambda tmp, env, pairs: simulate(ConsecutivePolicy(), env, [])),
+    "empty-source-run-episodes": (
+        DataError, "empty source on lane 1",
+        lambda tmp, env, pairs: run_episodes(ConsecutivePolicy(), env, [pairs[0][0], []])),
+    "empty-source-collect": (
+        DataError, "empty source on lane 1",
+        lambda tmp, env, pairs: collect_trajectories(
+            *_agents(env, "none"), env,
+            [(pairs[0][0], pairs[0][1], None), ([], pairs[1][1], None)], RLTrainConfig(),
+            global_seed=0)),
+    "feature-file-nan": (
+        DataError, r"bad.feat: sample 0: feature matrix contains NaN",
+        lambda tmp, env, pairs: load_features(_feature_file(tmp, 0, 2, 3,
+                                                            [0, 1, np.nan, 3, 4, 5]))),
+    "feature-file-concepts-2x3": (
+        DataError, r"bad.feat: sample 0: concept features are fixed at 72x100, got \(2, 3\)",
+        lambda tmp, env, pairs: load_features(_feature_file(tmp, 1, 2, 3, np.ones(6)))),
+    "feature-file-no-rows": (
+        DataError, r"bad.feat: sample 0: feature matrix must be 2D and non-empty",
+        lambda tmp, env, pairs: load_features(_feature_file(tmp, 0, 0, 3, []))),
+    "env-features-missing": (
+        ConfigError, "multimodal environment requires visual features; entry 0 has none",
+        lambda tmp, env, pairs: simulate(ConsecutivePolicy(), _visual_env(env), pairs[0][0])),
+    "env-features-misshaped": (
+        ConfigError, r"feature geometry \(3, 4\) of entry 0 does not match the configured",
+        lambda tmp, env, pairs: simulate(ConsecutivePolicy(), _visual_env(env), pairs[0][0],
+                                         FeatureSet("grid", np.ones((3, 4))))),
+    **{f"agent-features-{what}-{path}": (
+        ConfigError, "visual (agent|baseline) network" + (
+            " requires visual features" if what == "missing" else ": feature geometry"),
+        _agent_entry(path, None if what == "missing" else FeatureSet("grid", np.ones((3, 3)))))
+       for what in ("missing", "misshaped") for path in ("collect", "update", "greedy")},
+    "env-config-rows-without-dim": (
+        ConfigError, r"feature_rows and feature_dim must both be 0 or both at least 1, "
+                     r"got \(2, 0\)",
+        lambda tmp, env, pairs: EnvConfig(feature_rows=2)),
+    "truncated-checkpoint": (
+        DataError, "env.ckpt: truncated while reading",
+        lambda tmp, env, pairs: _truncated_checkpoint(tmp, env)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_bad_input_raises_a_mapped_error(tmp_path, untrained_env, case):
+    expected, message, run = CASES[case]
+    env, pairs = untrained_env
+    with pytest.raises(MAPPED) as caught:
+        run(tmp_path, env, pairs)
+    assert isinstance(caught.value, expected)
+    assert not isinstance(caught.value, (ShapeError, ContractError))  # both mean a bug
+    assert caught.match(message)

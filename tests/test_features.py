@@ -3,8 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from simtlab.errors import FormatError
-from simtlab.features import MAGIC, FeatureSet, load_features, write_features
+from simtlab.errors import ConfigError, FormatError, ShapeError
+from simtlab.features import MAGIC, FeatureSet, check_feature_sets, load_features, write_features
 
 
 def _sets(rng, count=3, rows=4, cols=5):
@@ -50,3 +50,26 @@ def test_malformed_feature_files_raise_format_error(tmp_path, blob, message):
     path.write_bytes(blob)
     with pytest.raises(FormatError, match=message):
         load_features(path)
+
+
+def test_a_sample_no_feature_set_allows_names_the_file_and_sample(tmp_path):
+    # the second of two samples holds an Inf; in memory the same matrix is a ShapeError
+    values = np.ones((2, 2, 3), dtype=np.float32)
+    values[1, 0, 2] = np.inf
+    path = tmp_path / "bad.feat"
+    path.write_bytes(_header(count=2) + values.astype("<f4").tobytes())
+    with pytest.raises(FormatError, match=r"bad.feat: sample 1: feature matrix contains NaN/Inf"):
+        load_features(path)
+    with pytest.raises(ShapeError, match="NaN/Inf"):
+        FeatureSet("grid", values[1])
+
+
+def test_check_feature_sets_accepts_only_sets_of_the_configured_shape():
+    good = FeatureSet("grid", np.ones((2, 3)))
+    check_feature_sets([good, good], (2, 3), "model")
+    check_feature_sets([], (2, 3), "model")
+    with pytest.raises(ConfigError, match="model requires visual features; entry 1 has none"):
+        check_feature_sets([good, None], (2, 3), "model")
+    with pytest.raises(ConfigError, match=r"model: feature geometry \(3, 2\) of entry 0 does not "
+                                          r"match the configured \(2, 3\)"):
+        check_feature_sets([FeatureSet("grid", np.ones((3, 2))), good], (2, 3), "model")

@@ -223,6 +223,56 @@ def test_unused_imports_check_tells_dead_imports_from_read_ones():
         "m.py:13: 'AdamState' is imported and never used"]
 
 
+def function_imports(source: str, name: str) -> list:
+    """One line per ``import`` in ``source`` inside a function body, named by that function.
+
+    Methods are named ``Class.method`` and nested functions ``outer.inner``.
+    """
+    found = []
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and in_function:
+                found.append(f"{name}:{child.lineno}: {'.'.join(scope)}() imports in its body")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name], True)
+            else:
+                visit(child, scope + [child.name] if isinstance(child, ast.ClassDef) else scope,
+                      in_function)
+
+    visit(ast.parse(source), [], False)
+    return found
+
+
+def test_no_imports_inside_functions_in_src():
+    """An import in a function body hides a module's dependencies and an import cycle."""
+    problems = []
+    for path in sorted(SRC.rglob("*.py")):
+        problems += function_imports(path.read_text(encoding="utf-8"), path.name)
+    assert not problems, "\n".join(problems)
+
+
+def test_function_import_check_tells_body_imports_from_module_ones():
+    source = ("import json\n"
+              "from .optim import adam_step\n"
+              "if json:\n"
+              "    import os\n"
+              "class Net:\n"
+              "    from .vocab import EOS\n"
+              "    def step(self):\n"
+              "        from .optim import AdamState\n"
+              "        def inner():\n"
+              "            import math\n"
+              "        return inner\n"
+              "async def fetch():\n"
+              "    if True:\n"
+              "        import struct\n")
+    assert function_imports(source, "m.py") == [
+        "m.py:8: Net.step() imports in its body",
+        "m.py:10: Net.step.inner() imports in its body",
+        "m.py:14: fetch() imports in its body"]
+
+
 RECORDERS = {("autodiff.py", "_op"), ("autodiff.py", "batched_attention")}
 
 

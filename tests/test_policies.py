@@ -179,8 +179,7 @@ def test_multimodal_zero_projection_degenerates_to_unimodal():
     pairs = generate_pairs(TaskSpec(task="copy", vocab_size=12), 10, rng)
     sv = Vocabulary.from_corpus(s for s, _ in pairs)
     tv = Vocabulary.from_corpus(t for _, t in pairs)
-    mm = EnvModel(sv, tv, EnvConfig(emb_dim=12, hid_dim=16, multimodal=True,
-                                    feature_rows=5, feature_dim=7), rng)
+    mm = EnvModel(sv, tv, EnvConfig(emb_dim=12, hid_dim=16, feature_rows=5, feature_dim=7), rng)
     uni = EnvModel(sv, tv, EnvConfig(emb_dim=12, hid_dim=16), np.random.default_rng(9))
     shared = dict(mm.named_tensors())
     for name, t in uni.named_tensors():
@@ -202,8 +201,8 @@ def test_multimodal_zero_projection_degenerates_to_unimodal():
 def _bench_sized_visual_env(untrained_env):
     text_env, _ = untrained_env
     return EnvModel(text_env.src_vocab, text_env.tgt_vocab,
-                    EnvConfig(emb_dim=20, hid_dim=96, multimodal=True, feature_rows=72,
-                              feature_dim=100), np.random.default_rng(4))
+                    EnvConfig(emb_dim=20, hid_dim=96, feature_rows=72, feature_dim=100),
+                    np.random.default_rng(4))
 
 
 @pytest.mark.parametrize("n", [1, 30])
@@ -217,8 +216,8 @@ def test_project_features_equals_per_lane_products(untrained_env, n):
         want = f.matrix @ env.w_vis.data
         assert np.max(np.abs(lane - want)) <= 1e-12 * np.max(np.abs(want))
     single = env.project_features(feats[0])
-    assert single.shape == (72, 96)
-    assert np.array_equal(single, got[0])
+    assert single.shape == (1, 72, 96)
+    assert np.array_equal(single, got[:1])
 
 
 def test_tapeless_encode_keeps_no_backward_buffers(untrained_env):
@@ -327,9 +326,8 @@ def test_project_features_rejects_missing_or_misshaped_features(untrained_env):
 # ---------------------------------------------------------------------------
 
 def _tiny_training_env(multimodal, emb_dim=3, hid_dim=4, seed=0):
-    cfg = EnvConfig(emb_dim=emb_dim, hid_dim=hid_dim, multimodal=multimodal,
-                    feature_rows=2 if multimodal else 0, feature_dim=3 if multimodal else 0,
-                    init_scale=0.5)
+    cfg = EnvConfig(emb_dim=emb_dim, hid_dim=hid_dim, feature_rows=2 if multimodal else 0,
+                    feature_dim=3 if multimodal else 0, init_scale=0.5)
     model = EnvModel(Vocabulary(["a", "b", "c"]), Vocabulary(["x", "y", "z"]), cfg,
                      np.random.default_rng(seed))
     # sources (EOS appended) and targets of unequal lengths, so padding is covered
@@ -404,9 +402,8 @@ GOLDEN_PRETRAIN_LOSSES = {
 
 @pytest.mark.parametrize("multimodal", [False, True])
 def test_pretrain_steps_match_recorded_losses(multimodal):
-    cfg = EnvConfig(emb_dim=6, hid_dim=8, multimodal=multimodal,
-                    feature_rows=2 if multimodal else 0, feature_dim=3 if multimodal else 0,
-                    init_scale=0.5)
+    cfg = EnvConfig(emb_dim=6, hid_dim=8, feature_rows=2 if multimodal else 0,
+                    feature_dim=3 if multimodal else 0, init_scale=0.5)
     model = EnvModel(Vocabulary(["a", "b", "c"]), Vocabulary(["x", "y", "z"]), cfg,
                      np.random.default_rng(11))
     batch = ([[4, 5, EOS], [6, EOS], [4, 4, 6, 5, 6, 4, EOS], [5, EOS]],
@@ -459,7 +456,7 @@ def test_simulate_delay_reconstruction(untrained_env):
 
 def test_simulate_empty_source_rejected(untrained_env):
     model, _ = untrained_env
-    with pytest.raises(ContractError):
+    with pytest.raises(DataError, match="empty source on lane 0"):
         simulate(ConsecutivePolicy(), model, [])
 
 

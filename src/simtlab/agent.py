@@ -392,6 +392,7 @@ class _SamplingPolicy(Policy):
     def __init__(self, agent: AgentNetwork, env: EnvModel, tau: float, rngs, features):
         self.agent, self.env, self.features = agent, env, features
         self.tau, self.rngs = tau, rngs
+        self.reads_features = features[0] is not None  # a visual network's feature block
 
     def start_episode(self, sources, features) -> None:
         self.agent_lanes = _LaneState(self.agent, self.features, len(sources))
@@ -568,6 +569,7 @@ class AgentGreedyPolicy(Policy):
         self.agent = agent
         self.env = env
         self.step_attention = None
+        self.reads_features = agent.cfg.use_init or agent.cfg.use_att
 
     def start_episode(self, sources, features) -> None:
         n = len(sources)

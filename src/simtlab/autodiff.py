@@ -136,18 +136,6 @@ def uniform_tensor(shape, rng, scale: float = 0.08) -> Tensor:
     return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
 
 
-def _sigmoid(x):
-    """1 / (1 + exp(-x)), computed in one buffer."""
-    # sigmoid saturates to 0/1 in float64 beyond |x| ~ 37, so clipping is exact;
-    # maximum then minimum is np.clip without its Python wrappers
-    t = np.maximum(x, -60.0)
-    np.minimum(t, 60.0, out=t)
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    t += 1.0
-    return np.divide(1.0, t, out=t)
-
-
 def softmax(x):
     """Plain numpy softmax over the last axis (no tape involvement)."""
     shifted = x - x.max(axis=-1, keepdims=True)
@@ -208,31 +196,30 @@ def concat(tape, parts, axis: int = -1) -> Tensor:
         offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                _accum(p, np.take(g, range(lo, hi), axis=axis))
+                _accum(p, g[(slice(None),) * (axis % g.ndim) + (slice(lo, hi),)])
     return _op(tape, np.concatenate(datas, axis=axis), parts, bwd)
 
 
 def embedding(tape, table: Tensor, ids) -> Tensor:
     """Gather table rows; backward scatter-adds into the table, bit for bit as ``np.add.at``.
 
-    Positions are grouped by how many earlier ones share their id, so a
-    group's ids differ and it is one fancy-index add; groups go in that order.
+    Backward takes one of two paths. A table with no gradient yet gets one
+    ``np.bincount`` over (id, column) bins, which sums each bin's terms in
+    position order from zero; an existing gradient gets ``np.add.at``.
     """
     idx = np.asarray(ids, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise IndexError(f"embedding ids out of range [0, {table.data.shape[0]})")
 
     def bwd(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
         flat = idx.reshape(-1)
-        g2 = g.reshape(flat.shape + table.data.shape[1:])
-        order = np.argsort(flat, kind="stable")
-        ids = flat[order]
-        rank = np.arange(len(ids)) - np.searchsorted(ids, ids)  # position order[j]'s rank
-        by_rank = order[np.argsort(rank, kind="stable")]
-        for at in np.split(by_rank, np.cumsum(np.bincount(rank))[:-1]):
-            table.grad[flat[at]] += g2[at]
+        if table.grad is not None:
+            np.add.at(table.grad, flat, g.reshape(flat.shape + table.data.shape[1:]))
+            return
+        width = int(np.prod(table.data.shape[1:]))
+        bins = (flat[:, None] * width + np.arange(width)).reshape(-1)
+        table.grad = np.bincount(bins, weights=g.reshape(-1),
+                                 minlength=table.data.size).reshape(table.data.shape)
     return _op(tape, table.data[idx], (table,), bwd)
 
 
@@ -259,10 +246,12 @@ def linear_rows3(tape, feats, w: Tensor) -> Tensor:
 class GRUParams:
     """Fused gate weights and biases for one GRU cell.
 
-    Update rule: h' = (1 - z) * h + z * tanh(x Wxn + (r * h) Whn + bn)
-    with reset gate r and update gate z, so z near 0 keeps the old state.
-    ``w_x`` (in, 3h), ``w_h`` (h, 3h) and ``b`` (3h,) hold the r, z and n
-    gates side by side, in that order.
+    A step from state h and input x, in the order it is evaluated, with the
+    bias folded into the input projection a = x w_x + b:
+    [r z] = sigmoid(a[:2h] + h w_h[:, :2h]), n = tanh(a[2h:] + (r * h) w_h[:, 2h:]),
+    h' = h + z * (n - h). Reset gate r and update gate z: z near 0 keeps the
+    old state. ``w_x`` (in, 3h), ``w_h`` (h, 3h) and ``b`` (3h,) hold the r,
+    z and n gates side by side, in that order.
     """
 
     FIELDS = ("w_x", "w_h", "b")
@@ -296,42 +285,77 @@ class GRUParams:
         return [getattr(self, name) for name in self.FIELDS]
 
 
-def _gru_step(xw, hd, w_h, b):
-    """Gate equations for one step from the input projection ``xw = x @ w_x``.
+def _input_projection(x, p: GRUParams):
+    """-(x w_x + b) for gates r and z (exact, and saves sigmoid a pass), x w_x + b for n."""
+    k, w, b = p.hidden_dim, p.w_x.data, p.b.data
+    neg_rz, a_n = x @ w[:, :2 * k], x @ w[:, 2 * k:]
+    np.subtract(-b[:2 * k], neg_rz, out=neg_rz)
+    a_n += b[2 * k:]
+    return neg_rz, a_n
 
-    Each pre-activation is summed as x-part + h-part + bias. Returns
-    (h', [r z], n, r * h).
+
+def _gru_step(neg_rz, a_n, h, w_h, out):
+    """One GRU step in place in its ``_input_projection`` buffers, in evaluation order.
+
+    The bias is folded into the input projection:
+    [r z] = 1 / (1 + exp(neg_rz - h w_h[:, :2h])), n = tanh(a_n + (r * h) w_h[:, 2h:]),
+    h' = h + z * (n - h). The gates replace their buffers; h' goes to
+    ``out``, which must not overlap ``h``. Returns ``out``.
     """
-    k = hd.shape[-1]
-    rz = _sigmoid(xw[..., :2 * k] + hd @ w_h[:, :2 * k] + b[:2 * k])
-    r, z = rz[..., :k], rz[..., k:]
-    rh = r * hd
-    n = np.tanh(xw[..., 2 * k:] + rh @ w_h[:, 2 * k:] + b[2 * k:])
-    return (1.0 - z) * hd + z * n, rz, n, rh
+    k = h.shape[-1]
+    neg_rz -= h @ w_h[:, :2 * k]
+    np.minimum(neg_rz, 60.0, out=neg_rz)  # keeps exp from overflowing
+    np.exp(neg_rz, out=neg_rz)
+    neg_rz += 1.0
+    rz = np.divide(1.0, neg_rz, out=neg_rz)
+    np.multiply(rz[..., :k], h, out=out)
+    a_n += out @ w_h[:, 2 * k:]
+    np.tanh(a_n, out=a_n)
+    np.subtract(a_n, h, out=out)
+    out *= rz[..., k:]
+    out += h
+    return out
 
 
-def _gru_step_bwd(go, hd, rz, n, w_h):
-    """Gradients of one step: (pre-activations (B, 3h), h_prev (B, h))."""
-    k = hd.shape[1]
+def _gru_backward(p: GRUParams, x2, g, hp, rz, n, blocks):
+    """Accumulate the weight gradients of packed steps; return da (N, 3h) and dh of block 0.
+
+    Row i of the inputs ``x2``, the output gradient ``g`` (consumed), the
+    previous state ``hp`` and the gates ``rz`` and ``n`` is one position;
+    ``blocks`` slice the steps in time order. The factors that do not depend
+    on the incoming gradient are made once, gate-major, so each step is one
+    multiply for the z and n pre-activations, one for r, the dh update and
+    GEMMs, all on contiguous rows.
+    """
+    k, w_h = hp.shape[1], p.w_h.data
     r, z = rz[:, :k], rz[:, k:]
-    da = np.empty((hd.shape[0], 3 * k))
-    da[:, 2 * k:] = dan = go * z * (1.0 - n * n)
-    drh = dan @ w_h[:, 2 * k:].T
-    da[:, k:2 * k] = go * (n - hd) * z * (1.0 - z)
-    da[:, :k] = drh * hd * r * (1.0 - r)
-    dh = go * (1.0 - z) + drh * r + da[:, :2 * k] @ w_h[:, :2 * k].T
+    one_minus_z = 1.0 - z
+    f_zn = np.empty((2, len(hp), k))  # d pre_z and d pre_n per unit dh'
+    np.multiply(np.subtract(n, hp, out=f_zn[0]), z * one_minus_z, out=f_zn[0])
+    np.multiply(z, 1.0 - n * n, out=f_zn[1])
+    rh = r * hp
+    f_r = rh * (1.0 - r)  # d pre_r per unit d(r h)
+    r = np.ascontiguousarray(r)
+    w_r_t, w_z_t, w_n_t = (np.ascontiguousarray(w_h[:, i * k:(i + 1) * k].T) for i in range(3))
+    da = np.empty((3, len(hp), k))
+    dh = np.zeros((0, k))
+    for blk in reversed(blocks):
+        go = g[blk]
+        go[:len(dh)] += dh
+        np.multiply(go, f_zn[:, blk], out=da[1:, blk])
+        drh = da[2, blk] @ w_n_t
+        np.multiply(drh, f_r[blk], out=da[0, blk])
+        dh = da[0, blk] @ w_r_t
+        dh += da[1, blk] @ w_z_t
+        drh *= r[blk]
+        dh += drh
+        go *= one_minus_z[blk]
+        dh += go
+    da = np.concatenate(da, axis=1)
+    _accum(p.w_h, np.concatenate([hp.T @ da[:, :2 * k], rh.T @ da[:, 2 * k:]], axis=1))
+    _accum(p.w_x, x2.T @ da)
+    _accum(p.b, da.sum(axis=0))
     return da, dh
-
-
-def _gru_weight_grads(p: GRUParams, x2, hp2, rh2, da2) -> None:
-    """Accumulate weight gradients over all rows of (rows, ·) matrices at once."""
-    k = p.hidden_dim
-    dw_h = np.empty_like(p.w_h.data)
-    dw_h[:, :2 * k] = hp2.T @ da2[:, :2 * k]
-    dw_h[:, 2 * k:] = rh2.T @ da2[:, 2 * k:]
-    _accum(p.w_x, x2.T @ da2)
-    _accum(p.w_h, dw_h)
-    _accum(p.b, da2.sum(axis=0))
 
 
 def gru_step(x, h, params: GRUParams) -> np.ndarray:
@@ -340,7 +364,7 @@ def gru_step(x, h, params: GRUParams) -> np.ndarray:
     The arithmetic of ``gru_cell`` without its tensor bookkeeping; the
     frozen environment's per-step path.
     """
-    return _gru_step(x @ params.w_x.data, h, params.w_h.data, params.b.data)[0]
+    return _gru_step(*_input_projection(x, params), h, params.w_h.data, np.empty_like(h))
 
 
 def _check_gru_dims(name, xd, hd, params: GRUParams) -> None:
@@ -358,12 +382,12 @@ def gru_cell(tape, x: Tensor, h_prev: Tensor, params: GRUParams) -> Tensor:
     _check_gru_dims("gru_cell", xd, hd, params)
 
     p = params
-    new, rz, n, rh = _gru_step(xd @ p.w_x.data, hd, p.w_h.data, p.b.data)
+    rz, n = _input_projection(xd, p)
+    new = _gru_step(rz, n, hd, p.w_h.data, np.empty_like(hd))
 
     def bwd(g):
-        g2, x2, h2, rz2, n2, rh2 = map(np.atleast_2d, (g, xd, hd, rz, n, rh))
-        da, dh = _gru_step_bwd(g2, h2, rz2, n2, p.w_h.data)
-        _gru_weight_grads(p, x2, h2, rh2, da)
+        da, dh = _gru_backward(p, np.atleast_2d(xd), np.array(g, ndmin=2), np.atleast_2d(hd),
+                               np.atleast_2d(rz), np.atleast_2d(n), [slice(None)])
         if x.requires_grad:
             _accum(x, (da @ p.w_x.data.T).reshape(xd.shape))
         if h_prev.requires_grad:
@@ -376,8 +400,9 @@ def _packing(lengths, bsz: int, steps: int):
 
     Rows are sorted by length, longest first (stable), so the rows live at
     step t are a prefix of that order. Returns the sorted row order, the
-    live-row count of each step that has one, and the (row, step) index of
-    each packed position: step 0's rows first, then step 1's, and so on.
+    live-row count of each step that has one, and the flat index
+    row * steps + step of each packed position: step 0's rows first, then
+    step 1's, and so on.
     """
     if lengths is None:
         lengths = np.full(bsz, steps)
@@ -391,7 +416,7 @@ def _packing(lengths, bsz: int, steps: int):
     live = lengths[order][None, :] > np.arange(steps)[:, None]  # (T, B), prefix per step
     ts, js = np.nonzero(live)
     counts = live.sum(axis=1)
-    return order, counts[counts > 0], (order[js], ts)
+    return order, counts[counts > 0], order[js] * steps + ts
 
 
 def gru_sequence(tape, xs: Tensor, h0: Tensor, params: GRUParams, lengths=None) -> Tensor:
@@ -402,8 +427,9 @@ def gru_sequence(tape, xs: Tensor, h0: Tensor, params: GRUParams, lengths=None) 
     live positions are packed time-major, so step t is one contiguous
     block: the input projection, and in backward the weight and input
     gradients, are one GEMM each over the live rows, and only the
-    h-dependent products stay inside the time loop. The gate arrays that
-    only backward reads are kept only when the op is recorded.
+    h-dependent products stay inside the time loop. Each step computes its
+    gates in place in its rows of the packed input projection, which
+    backward reads when the op is recorded; nothing else is kept for it.
     """
     xd, hd = xs.data, h0.data
     if xd.ndim != 3 or hd.ndim != 2 or xd.shape[0] != hd.shape[0]:
@@ -414,41 +440,29 @@ def gru_sequence(tape, xs: Tensor, h0: Tensor, params: GRUParams, lengths=None) 
     bsz, steps, k = xd.shape[0], xd.shape[1], p.hidden_dim
     order, counts, at = _packing(lengths, bsz, steps)
     blocks = [slice(end - c, end) for c, end in zip(counts, np.cumsum(counts))]
-    xw = xd[at] @ p.w_x.data
-    hs_p = np.empty((len(xw), k))
-    inputs = (xs, h0, *p.tensors())
-    taped = tape is not None and any(t.requires_grad for t in inputs)  # _op will record
-    if taped:
-        rzs, ns = np.empty((len(xw), 2 * k)), np.empty((len(xw), k))
+    x2 = xd.reshape(-1, xd.shape[2])
+    rz, n = _input_projection(x2.take(at, axis=0), p)
+    hs_p = np.empty((len(at), k))
     h = hd[order]
-    for t, blk in enumerate(blocks):
-        h, rz, n, _ = _gru_step(xw[blk], h[:counts[t]], p.w_h.data, p.b.data)
-        hs_p[blk] = h
-        if taped:
-            rzs[blk], ns[blk] = rz, n
+    for c, blk in zip(counts, blocks):
+        h = _gru_step(rz[blk], n[blk], h[:c], p.w_h.data, hs_p[blk])
     hs = np.zeros((bsz, steps, k))
-    hs[at] = hs_p
+    hs.reshape(-1, k)[at] = hs_p
 
     def bwd(g):
-        # the state each step started from, gathered from h0 and the output
-        hp = np.where((at[1] == 0)[:, None], hd[at[0]], hs[at[0], at[1] - 1])
-        gp = g[at]
-        da = np.empty((len(hp), 3 * k))
-        dh = np.zeros((0, k))
-        for blk in reversed(blocks):
-            go = gp[blk]
-            go[:len(dh)] += dh
-            da[blk], dh = _gru_step_bwd(go, hp[blk], rzs[blk], ns[blk], p.w_h.data)
-        _gru_weight_grads(p, xd[at], hp, rzs[:, :k] * hp, da)
+        # the state each step started from: h0 at step 0, else the output one step back
+        hp = np.where((at % steps == 0)[:, None], hd[at // steps], hs.reshape(-1, k)[at - 1])
+        da, dh = _gru_backward(p, x2.take(at, axis=0), g.reshape(-1, k).take(at, axis=0), hp,
+                               rz, n, blocks)
         if xs.requires_grad:
             dx = np.zeros(xd.shape)
-            dx[at] = da @ p.w_x.data.T
+            dx.reshape(x2.shape)[at] = da @ p.w_x.data.T
             _accum(xs, dx)
         if h0.requires_grad:
             dh0 = np.zeros(hd.shape)
             dh0[order[:len(dh)]] = dh
             _accum(h0, dh0)
-    return _op(tape, hs, inputs, bwd)
+    return _op(tape, hs, (xs, h0, *p.tensors()), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -344,7 +344,8 @@ READ, WRITE = "R", "W"
 class EpisodeStepper:
     """READ/WRITE episodes on n lanes of one environment, stepped in lockstep.
 
-    The rules of the game (Gu et al. 2017) live here. The constructor
+    The rules of the game (Gu et al. 2017) live here. ``features`` has one
+    entry per source, None on a text-only environment. The constructor
     encodes every lane's source plus EOS in one pass per encoder layer
     (``EncoderState.encode``); a READ then makes the lane's next row
     visible and runs no encoder. The first action is a forced READ, since
@@ -385,6 +386,8 @@ class EpisodeStepper:
                                      or len(features) != n):
             raise DataError(f"episode: features must be a list with one entry per source "
                             f"({n} sources)")
+        if not model.multimodal and any(f is not None for f in features or ()):
+            raise ConfigError("episode: a text-only environment takes no visual features")
         self.projected = model.project_features(features) if model.multimodal else None
         self.enc = EncoderState.encode(model, [ids + [EOS] for ids in self.src_ids])
         self.dec = DecoderState.initial(model, n)
@@ -518,12 +521,16 @@ def teacher_forced_loss(model: EnvModel, batch, tape, feats3=None):
     ``batch`` holds (src_ids, tgt_ids) with EOS appended to sources by the
     caller. Each layer runs over the whole (B, T) batch in turn; the GRU
     layers run each sentence's own length only (zero states past it), and
-    padded positions are masked out of attention and loss. Returns the
-    scalar loss tensor.
+    padded positions are masked out of attention and loss. ``feats3`` is
+    None on a text-only environment. Returns the scalar loss tensor.
     """
-    if model.multimodal and feats3 is None:
-        raise ConfigError("multimodal training requires features")
     src_ids, tgt_ids = batch
+    got = None if feats3 is None else np.shape(feats3)
+    rows, dim = model.cfg.feature_rows, model.cfg.feature_dim
+    want = (len(src_ids), rows, dim) if model.multimodal else None
+    if got != want:
+        raise ConfigError(f"teacher_forced_loss: expected a (B, rows, dim) = {want} feature "
+                          f"block (None on a text-only environment), got {got}")
     src_mat, src_mask = _pad_batch(src_ids)
     zeros = Tensor(np.zeros((src_mat.shape[0], model.cfg.hid_dim)))
 

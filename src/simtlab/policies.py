@@ -42,10 +42,13 @@ class Policy:
     Answers on ended lanes are ignored, and a READ on a forced lane is
     overridden and counted. Policies may expose ``step_attention``, (n, R)
     agent-side attention weights from the last decide, to have them
-    recorded into the transcripts.
+    recorded into the transcripts. ``reads_features`` says whether
+    ``start_episode`` uses the features; a text-only environment refuses
+    features that neither it nor the policy reads.
     """
 
     step_attention = None
+    reads_features = False
 
     def start_episode(self, sources, features) -> None:
         pass
@@ -196,14 +199,17 @@ def run_episodes(policy: Policy, model: EnvModel, sources, features=None, *,
                  record_attention: bool = False) -> list:
     """Run one episode per source as the lanes of one stepper; return their transcripts.
 
-    ``features`` holds one entry per source. A lane ends on an EOS commit or
-    at the output-length cap. The transcripts carry no rewards;
+    ``features`` holds one entry per source, for the environment and the
+    policy; neither reading them is a ``ConfigError``. A lane ends on an EOS
+    commit or at the output-length cap. The transcripts carry no rewards;
     ``metrics.step_rewards`` computes them from a transcript.
     """
     sources = [list(s) for s in sources]
     n = len(sources)
     features = [None] * n if features is None else features
-    episode = EpisodeStepper(model, sources, features)
+    # the environment gets the features when it reads them, or when nothing does, to refuse them
+    env_features = None if policy.reads_features and not model.multimodal else features
+    episode = EpisodeStepper(model, sources, env_features)
     policy.start_episode(sources, features)
     overrides = [0] * n
     attention = [[] for _ in range(n)] if record_attention else None

@@ -6,6 +6,7 @@ import pytest
 from simtlab import autodiff as ad
 from simtlab.errors import ContractError, ShapeError
 
+import gru_reference
 from gradcheck import assert_grads_close, finite_diff_grads, max_rel_err
 
 
@@ -173,6 +174,99 @@ def test_gru_sequence_rejects_bad_lengths(lengths, error):
     p, xs, h0, _ = _ragged_sequence(26)
     with pytest.raises(error, match="lengths"):
         ad.gru_sequence(None, xs, h0, p, lengths)
+
+
+# the GRU against gru_reference, which shares no code with autodiff
+
+def _reference_case(lanes, seed=30, steps=6, input_dim=5, hidden_dim=7):
+    """Params, (lanes, steps, in) inputs, h0, an output gradient and ragged lengths.
+
+    Thirty lanes hold a zero-length row and a full-length one; one lane runs
+    every step.
+    """
+    rng = np.random.default_rng(seed)
+    p = ad.GRUParams.create(input_dim, hidden_dim, rng, scale=0.5)
+    xs = rng.normal(size=(lanes, steps, input_dim))
+    h0 = rng.normal(size=(lanes, hidden_dim))
+    lengths = np.concatenate([[steps, 0], rng.integers(0, steps + 1, size=lanes)])[:lanes]
+    return p, xs, h0, rng.normal(size=(lanes, steps, hidden_dim)), lengths
+
+
+@pytest.mark.parametrize("lanes", [1, 30])
+@pytest.mark.parametrize("taped", [False, True])
+def test_gru_outputs_equal_the_reference(lanes, taped):
+    p, xs, h0, _, lengths = _reference_case(lanes)
+    want = gru_reference.sequence(xs, h0, p, lengths)
+    tape = ad.Tape() if taped else None
+    got = ad.gru_sequence(tape, ad.Tensor(xs, requires_grad=taped), ad.Tensor(h0), p, lengths)
+    assert not taped or len(tape) == 1
+    assert np.max(np.abs(got.data - want)) <= 1e-12
+    one = np.array([gru_reference.step(x, h, p)[0] for x, h in zip(xs[:, 0], h0)])
+    assert np.max(np.abs(ad.gru_step(xs[:, 0], h0, p) - one)) <= 1e-12
+    cell = ad.gru_cell(tape, ad.Tensor(xs[:, 0], requires_grad=taped), ad.Tensor(h0), p)
+    assert np.max(np.abs(cell.data - one)) <= 1e-12
+    vector = ad.gru_cell(tape, ad.Tensor(xs[0, 0], requires_grad=taped), ad.Tensor(h0[0]), p)
+    assert np.max(np.abs(vector.data - one[0])) <= 1e-12
+
+
+def _assert_relative_to_largest(got, want, tol):
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("lanes", [1, 30])
+def test_gru_sequence_gradients_equal_the_reference(lanes):
+    p, xs, h0, g, lengths = _reference_case(lanes, seed=31)
+    x_t, h_t = ad.Tensor(xs, requires_grad=True), ad.Tensor(h0, requires_grad=True)
+    tape = ad.Tape()
+    out = ad.gru_sequence(tape, x_t, h_t, p, lengths)
+    out.grad = g.copy()
+    ad.backward(tape, ad.Tensor(0.0))
+    dxs, dh0, dweights = gru_reference.sequence_grads(xs, h0, p, lengths, g)
+    for got, want in zip([x_t.grad, h_t.grad, *(t.grad for t in p.tensors())],
+                         [dxs, dh0, *dweights]):
+        _assert_relative_to_largest(got, want, 1e-10)
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4)])
+def test_gru_cell_gradients_equal_the_reference(shape):
+    rng = np.random.default_rng(32)
+    p = ad.GRUParams.create(4, 4, rng, scale=0.5)
+    x = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+    h = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+    g = rng.normal(size=shape)
+    tape = ad.Tape()
+    out = ad.gru_cell(tape, x, h, p)
+    out.grad = g.copy()
+    ad.backward(tape, ad.Tensor(0.0))
+    rows = np.atleast_2d
+    dxs, dh0, dweights = gru_reference.sequence_grads(
+        rows(x.data)[:, None], rows(h.data), p, [1] * len(rows(x.data)), rows(g)[:, None])
+    for got, want in zip([rows(x.grad), rows(h.grad), *(t.grad for t in p.tensors())],
+                         [dxs[:, 0], dh0, *dweights]):
+        _assert_relative_to_largest(got, want, 1e-10)
+
+
+def test_gru_saturated_preactivations_equal_the_reference():
+    # every pre-activation is +40 or -40: the gates sit at 0 or 1 and stay finite
+    rng = np.random.default_rng(33)
+    p = ad.GRUParams.create(3, 4, rng)
+    p.w_x.data[...] = 0.0
+    p.w_h.data[...] = 0.0
+    p.b.data[...] = np.where(np.arange(12) % 2, 40.0, -40.0)
+    xs, h0, g = rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 4)), rng.normal(size=(2, 3, 4))
+    want = gru_reference.sequence(xs, h0, p, [3, 3])
+    step = ad.gru_step(xs[:, 0], h0, p)
+    assert np.all(np.isfinite(step)) and np.max(np.abs(step - want[:, 0])) <= 1e-15
+    x_t, h_t = ad.Tensor(xs, requires_grad=True), ad.Tensor(h0, requires_grad=True)
+    tape = ad.Tape()
+    out = ad.gru_sequence(tape, x_t, h_t, p)
+    assert np.all(np.isfinite(out.data)) and np.max(np.abs(out.data - want)) <= 1e-15
+    out.grad = g.copy()
+    ad.backward(tape, ad.Tensor(0.0))
+    dxs, dh0, dweights = gru_reference.sequence_grads(xs, h0, p, [3, 3], g)
+    for got, ref in zip([x_t.grad, h_t.grad, *(t.grad for t in p.tensors())],
+                        [dxs, dh0, *dweights]):
+        assert np.all(np.isfinite(got)) and np.max(np.abs(got - ref)) <= 1e-15
 
 
 # dot-product and keyed attention: batched_attention on one batch row

@@ -202,6 +202,8 @@ def test_lanes_equal_one_lane_simulate(untrained_env, visual_env, multimodal, po
         runner = _greedy_agent(env, policy[6:])  # start_episode resets its state
     reward = RewardConfig()
     sources, refs, feats = [s for s, _ in pairs[:30]], [t for _, t in pairs[:30]], feats[:30]
+    if not (multimodal or runner.reads_features):
+        feats = [None] * 30  # a text-only environment refuses features that nothing reads
     lanes = run_episodes(runner, env, sources, feats, record_attention=True)
     assert len(lanes) == 30
     for i, got in enumerate(lanes):

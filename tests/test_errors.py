@@ -5,11 +5,13 @@ import struct
 import numpy as np
 import pytest
 
+from simtlab import autodiff as ad
 from simtlab.agent import RLTrainConfig, collect_trajectories
-from simtlab.environment import EnvConfig, EnvModel
+from simtlab.environment import EnvConfig, EnvModel, teacher_forced_loss, validation_bleu
 from simtlab.errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 from simtlab.features import MAGIC, FeatureSet, load_features
-from simtlab.policies import ConsecutivePolicy, run_episodes, simulate
+from simtlab.policies import ConsecutivePolicy, WaitKPolicy, run_episodes, simulate
+from simtlab.vocab import EOS
 
 from test_agent import _enter, _tiny_agent_pair
 
@@ -35,6 +37,16 @@ def _truncated_checkpoint(tmp_path, text_env):
     ckpt = tmp_path / "env.ckpt"
     ckpt.write_bytes(ckpt.read_bytes()[:-8])
     return EnvModel.load(tmp_path / "env")
+
+
+def _teacher_forced(env, pairs, feats3):
+    """``teacher_forced_loss`` on the first pair as a one-row batch."""
+    src, tgt = pairs[0]
+    batch = ([env.src_vocab.encode(src) + [EOS]], [env.tgt_vocab.encode(tgt)])
+    return teacher_forced_loss(env, batch, ad.Tape(), feats3)
+
+
+GRID_7X7 = FeatureSet("grid", np.ones((7, 7)))
 
 
 def _agents(env, variant):
@@ -83,6 +95,27 @@ CASES = {
             " requires visual features" if what == "missing" else ": feature geometry"),
         _agent_entry(path, None if what == "missing" else FeatureSet("grid", np.ones((3, 3)))))
        for what in ("missing", "misshaped") for path in ("collect", "update", "greedy")},
+    "env-teacher-forced-features-misshaped": (
+        ConfigError, r"expected a \(B, rows, dim\) = \(1, 3, 5\) feature block .* got \(1, 2, 4\)",
+        lambda tmp, env, pairs: _teacher_forced(_visual_env(env), pairs, np.zeros((1, 2, 4)))),
+    "text-env-features-teacher-forced": (
+        ConfigError, r"= None feature block \(None on a text-only environment\), got \(1, 3, 5\)",
+        lambda tmp, env, pairs: _teacher_forced(env, pairs, np.zeros((1, 3, 5)))),
+    "text-env-features-simulate": (
+        ConfigError, "a text-only environment takes no visual features",
+        lambda tmp, env, pairs: simulate(WaitKPolicy(1), env, pairs[0][0], GRID_7X7)),
+    "text-env-features-run-episodes": (
+        ConfigError, "a text-only environment takes no visual features",
+        lambda tmp, env, pairs: run_episodes(ConsecutivePolicy(), env,
+                                             [pairs[0][0], pairs[1][0]], [None, GRID_7X7])),
+    "text-env-features-validation-bleu": (
+        ConfigError, "a text-only environment takes no visual features",
+        lambda tmp, env, pairs: validation_bleu(env, pairs[:2], [GRID_7X7, GRID_7X7])),
+    "text-env-features-collect": (
+        ConfigError, "a text-only environment takes no visual features",
+        lambda tmp, env, pairs: collect_trajectories(
+            *_agents(env, "none"), env, [(pairs[0][0], pairs[0][1], GRID_7X7)],
+            RLTrainConfig(), global_seed=0)),
     "env-config-rows-without-dim": (
         ConfigError, r"feature_rows and feature_dim must both be 0 or both at least 1, "
                      r"got \(2, 0\)",

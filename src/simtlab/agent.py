@@ -102,6 +102,11 @@ class _RecurrentNet:
             self.val_proj = ad.uniform_tensor((cfg.feature_dim, cfg.text_dim), rng,
                                               cfg.init_scale)
 
+    @property
+    def visual(self) -> bool:
+        """Whether the network reads visual features (its init or att variant)."""
+        return self.cfg.use_init or self.cfg.use_att
+
     def named_tensors(self):
         out = list(self.gru.named_tensors("gru."))
         out += [("w_head", self.w_head), ("b_head", self.b_head)]
@@ -203,7 +208,7 @@ def _feature_block(features, *nets):
     its own FeatureSet, and the block is None when there are no episodes or
     no network has a visual variant, which then ignores features.
     """
-    visual = [net for net in nets if net.cfg.use_init or net.cfg.use_att]
+    visual = [net for net in nets if net.visual]
     if not (visual and features):
         return None, None
     for net in visual:
@@ -383,16 +388,17 @@ class _SamplingPolicy(Policy):
     """Gumbel-sampled agent actions on the running lanes.
 
     Each lane owns an RNG, so the sampled noise does not depend on the
-    batching. ``features`` is the collector's ``_feature_block`` of the
-    episodes. ``steps`` gets one tuple of lane-indexed (n, ...) rows per
-    decide, in ``_RECORDED`` order; a lane's rows are zero once it has
-    ended.
+    batching. The agent reads the episodes' ``features`` here, the baseline
+    later from the trajectory entries. ``steps`` gets one tuple of
+    lane-indexed (n, ...) rows per decide, in ``_RECORDED`` order; a lane's
+    rows are zero once it has ended.
     """
 
-    def __init__(self, agent: AgentNetwork, env: EnvModel, tau: float, rngs, features):
-        self.agent, self.env, self.features = agent, env, features
-        self.tau, self.rngs = tau, rngs
-        self.reads_features = features[0] is not None  # a visual network's feature block
+    def __init__(self, agent: AgentNetwork, baseline: BaselineNetwork, env: EnvModel,
+                 tau: float, rngs, features):
+        self.agent, self.env, self.tau, self.rngs = agent, env, tau, rngs
+        self.features = _feature_block(features, agent, baseline)
+        self.reads_features = agent.visual or baseline.visual
 
     def start_episode(self, sources, features) -> None:
         self.agent_lanes = _LaneState(self.agent, self.features, len(sources))
@@ -447,7 +453,7 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
     feats = [e[2] for e in episodes]
     rngs = [np.random.default_rng(np.random.SeedSequence((global_seed, start_index + i)))
             for i in range(len(episodes))]
-    policy = _SamplingPolicy(agent, env, cfg.tau, rngs, _feature_block(feats, agent, baseline))
+    policy = _SamplingPolicy(agent, baseline, env, cfg.tau, rngs, feats)
     transcripts = run_episodes(policy, env, [e[0] for e in episodes], feats)
     blocks = {name: np.stack(rows, axis=1)  # (n, steps, ...)
               for name, rows in zip(_RECORDED, zip(*policy.steps))}
@@ -569,7 +575,7 @@ class AgentGreedyPolicy(Policy):
         self.agent = agent
         self.env = env
         self.step_attention = None
-        self.reads_features = agent.cfg.use_init or agent.cfg.use_att
+        self.reads_features = agent.visual
 
     def start_episode(self, sources, features) -> None:
         n = len(sources)

@@ -201,25 +201,18 @@ def concat(tape, parts, axis: int = -1) -> Tensor:
 
 
 def embedding(tape, table: Tensor, ids) -> Tensor:
-    """Gather table rows; backward scatter-adds into the table, bit for bit as ``np.add.at``.
+    """Gather table rows; backward scatter-adds into the table with one ``np.add.at``.
 
-    Backward takes one of two paths. A table with no gradient yet gets one
-    ``np.bincount`` over (id, column) bins, which sums each bin's terms in
-    position order from zero; an existing gradient gets ``np.add.at``.
+    A table with no gradient yet gets a zero one first.
     """
     idx = np.asarray(ids, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise IndexError(f"embedding ids out of range [0, {table.data.shape[0]})")
 
     def bwd(g):
-        flat = idx.reshape(-1)
-        if table.grad is not None:
-            np.add.at(table.grad, flat, g.reshape(flat.shape + table.data.shape[1:]))
-            return
-        width = int(np.prod(table.data.shape[1:]))
-        bins = (flat[:, None] * width + np.arange(width)).reshape(-1)
-        table.grad = np.bincount(bins, weights=g.reshape(-1),
-                                 minlength=table.data.size).reshape(table.data.shape)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, idx.reshape(-1), g.reshape((idx.size,) + table.data.shape[1:]))
     return _op(tape, table.data[idx], (table,), bwd)
 
 

@@ -207,9 +207,10 @@ def run_episodes(policy: Policy, model: EnvModel, sources, features=None, *,
     sources = [list(s) for s in sources]
     n = len(sources)
     features = [None] * n if features is None else features
-    # the environment gets the features when it reads them, or when nothing does, to refuse them
-    env_features = None if policy.reads_features and not model.multimodal else features
-    episode = EpisodeStepper(model, sources, env_features)
+    lane_features = features  # a text-only environment refuses features nothing reads
+    if policy.reads_features and not model.multimodal and isinstance(features, (list, tuple)):
+        lane_features = [None] * len(features)  # the policy reads them; the stepper counts them
+    episode = EpisodeStepper(model, sources, lane_features)
     policy.start_episode(sources, features)
     overrides = [0] * n
     attention = [[] for _ in range(n)] if record_attention else None

@@ -147,6 +147,20 @@ def test_collect_and_update_with_agent_hidden_unlike_env(untrained_env):
     assert all(np.isfinite(v) for v in stats.values())
 
 
+def test_visual_baseline_reads_features_on_a_text_env(untrained_env):
+    """A text agent's collector keeps the features for a visual baseline's update."""
+    env, pairs = untrained_env
+    kw = dict(text_dim=env.cfg.hid_dim, emb_dim=env.cfg.emb_dim, key_dim=env.cfg.emb_dim)
+    agent = _tiny_agent_pair("none", **kw)[0]
+    baseline = _tiny_agent_pair("att", **kw)[1]
+    feats = [FeatureSet("grid", np.full((2, 3), i)) for i in range(2)]
+    episodes = [(src, ref, f) for (src, ref), f in zip(pairs[:2], feats)]
+    batch = collect_trajectories(agent, baseline, env, episodes, RLTrainConfig(), global_seed=0)
+    assert [e.features for e in batch.entries] == feats
+    stats = reinforce_update(batch, agent, baseline, RLTrainConfig())
+    assert all(np.isfinite(v) for v in stats.values())
+
+
 def test_collector_quality_rewards_equal_recount(tiny_copy_env):
     env, train, valid, test, _ = tiny_copy_env
     agent, baseline = _agent_pair(env, hidden_dim=env.cfg.hid_dim, seed=1)

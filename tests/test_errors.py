@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from simtlab import autodiff as ad
-from simtlab.agent import RLTrainConfig, collect_trajectories
+from simtlab.agent import AgentGreedyPolicy, RLTrainConfig, collect_trajectories
 from simtlab.environment import EnvConfig, EnvModel, teacher_forced_loss, validation_bleu
 from simtlab.errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 from simtlab.features import MAGIC, FeatureSet, load_features
@@ -47,12 +47,19 @@ def _teacher_forced(env, pairs, feats3):
 
 
 GRID_7X7 = FeatureSet("grid", np.ones((7, 7)))
+GRID_2X3 = FeatureSet("grid", np.ones((2, 3)))  # the tiny agents' geometry
 
 
 def _agents(env, variant):
     """A tiny agent and baseline that fit ``env``'s text geometry."""
     return _tiny_agent_pair(variant, text_dim=env.cfg.hid_dim, emb_dim=env.cfg.emb_dim,
                             key_dim=env.cfg.emb_dim)
+
+
+def _att_greedy_on_text_env(env, pairs, features):
+    """A greedy att agent over ``env``'s first two sources with ``features``."""
+    policy = AgentGreedyPolicy(_agents(env, "att")[0], env)
+    return run_episodes(policy, env, [pairs[0][0], pairs[1][0]], features)
 
 
 def _agent_entry(path, features):
@@ -111,6 +118,12 @@ CASES = {
     "text-env-features-validation-bleu": (
         ConfigError, "a text-only environment takes no visual features",
         lambda tmp, env, pairs: validation_bleu(env, pairs[:2], [GRID_7X7, GRID_7X7])),
+    "agent-features-wrong-count-run-episodes": (
+        DataError, r"features must be a list with one entry per source \(2 sources\)",
+        lambda tmp, env, pairs: _att_greedy_on_text_env(env, pairs, [GRID_2X3])),
+    "agent-features-bare-set-run-episodes": (
+        DataError, r"features must be a list with one entry per source \(2 sources\)",
+        lambda tmp, env, pairs: _att_greedy_on_text_env(env, pairs, GRID_2X3)),
     "text-env-features-collect": (
         ConfigError, "a text-only environment takes no visual features",
         lambda tmp, env, pairs: collect_trajectories(

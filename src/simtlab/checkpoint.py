@@ -14,6 +14,7 @@ never contain newlines, list values are space-joined.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from pathlib import Path
 
@@ -62,10 +63,13 @@ def load_checkpoint(path):
     out = {}
     for i in range(count):
         (name_len,) = struct.unpack("<I", take(4, f"record {i} name length"))
-        name = take(name_len, f"record {i} name").decode("utf-8")
+        try:
+            name = take(name_len, f"record {i} name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: record {i} name is not UTF-8") from None
         (rank,) = struct.unpack("<I", take(4, f"'{name}' rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"'{name}' dims"))
-        n_items = int(np.prod(dims)) if rank else 1
+        n_items = math.prod(dims)  # exact: np.prod wraps around in int64
         data = np.frombuffer(take(8 * n_items, f"'{name}' data"), dtype="<f8")
         out[name] = data.reshape(dims).astype(np.float64)
     if offset != len(blob):
@@ -136,8 +140,12 @@ def read_config(path, kind: str, schema) -> dict:
 
 
 def read_metadata(path):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except ValueError as exc:  # UnicodeDecodeError
+        raise FormatError(f"{path}: metadata is not UTF-8 text: {exc}") from None
     mapping = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

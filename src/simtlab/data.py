@@ -4,7 +4,6 @@ Corpus files are UTF-8, one whitespace-tokenized lowercase sentence per
 line; source and target files align by line number. The synthetic tasks:
 
 - copy:      target equals source
-- reverse:   target is the source reversed
 - ambiguous: some source tokens have two equally likely target
   realizations drawn from the plain vocabulary; the chosen realization is
   recoverable only from the oracle concept features generated alongside.
@@ -23,7 +22,7 @@ from .errors import ConfigError, DataError
 from .features import concept_table, synth_oracle_concepts, write_features
 from .metrics import corpus_bleu
 
-TASKS = ("copy", "reverse", "ambiguous")
+TASKS = ("copy", "ambiguous")
 SPLITS = ("train", "valid", "test")
 
 
@@ -85,10 +84,9 @@ def _sample_sentence(spec: TaskSpec, task: dict, rng):
     """One (source, target) pair; ambiguous slots stay clear of the tail."""
     length = int(rng.integers(spec.min_len, spec.max_len + 1))
     plain = plain_tokens(spec)
-    if spec.task in ("copy", "reverse"):
+    if spec.task == "copy":
         src = [plain[i] for i in rng.integers(0, len(plain), size=length)]
-        tgt = src[:] if spec.task == "copy" else src[::-1]
-        return src, tgt
+        return src, src[:]
 
     amb_positions = [i for i in range(length - 2)
                      if rng.random() < spec.ambiguity_rate]
@@ -133,7 +131,10 @@ def write_parallel(directory, split: str, pairs) -> None:
 def load_parallel(src_path, tgt_path):
     """Read aligned corpus files; sentences come back lowercased."""
     def read(path):
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except ValueError as exc:  # UnicodeDecodeError
+            raise DataError(f"{path}: corpus file is not UTF-8 text: {exc}") from None
         return [line.lower().split() for line in text.splitlines()]
 
     src = read(src_path)
@@ -211,7 +212,13 @@ def load_manifest(directory) -> dict:
     path = Path(directory) / "dataset.json"
     if not path.exists():
         raise DataError(f"missing dataset manifest {path}")
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise DataError(f"{path}: dataset manifest is not UTF-8 JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: dataset manifest must be a JSON object, "
+                        f"got {type(manifest).__name__}")
     if manifest.get("feature_noise") == "inf":
         manifest["feature_noise"] = math.inf
     return manifest

@@ -356,21 +356,20 @@ class EpisodeStepper:
     the transcript that ``metrics.step_rewards`` scores once the episode is
     over.
 
-    The constructor takes the first READ. Each later step is
-    ``start_step()``, which returns the forced-WRITE mask, then
-    ``apply()``. In between, ``forced`` holds that mask and ``proposal()``
-    computes the step's proposal on first call and caches it for the step;
-    ``apply()`` asks for it only when some lane writes. ``running`` is the
-    index array of the live lanes, in order. The model states ``dec`` and
-    ``enc`` and the projected features ``projected`` hold one row per
-    running lane, in ``running`` order, so the proposal does too.
-    ``apply()`` copies the proposal onto the decoder rows of the lanes that
-    write, in place, and drops the rows of the lanes it ends. The decoder and
-    encoder rows and ``projected`` are blocks made for this stepper:
-    dropping lanes moves the kept rows down in place and keeps a prefix
-    view, so no second block is allocated. The per-lane bookkeeping (the
-    ``n_read`` and ``n_written`` counters and the lists above) is indexed by
-    lane.
+    The constructor takes the first READ and each ``apply()`` ends by
+    starting the next step, so ``forced``, the step's forced-WRITE mask, is
+    always current. ``proposal()`` computes the step's proposal on first
+    call and caches it for the step; ``apply()`` asks for it only when some
+    lane writes. ``running`` is the index array of the live lanes, in
+    order. The model states ``dec`` and ``enc`` and the projected features
+    ``projected`` hold one row per running lane, in ``running`` order, so
+    the proposal does too. ``apply()`` copies the proposal onto the decoder
+    rows of the lanes that write, in place, and drops the rows of the lanes
+    it ends. The decoder and encoder rows and ``projected`` are blocks made
+    for this stepper: dropping lanes moves the kept rows down in place and
+    keeps a prefix view, so no second block is allocated. The per-lane
+    bookkeeping (the ``n_read`` and ``n_written`` counters and the lists
+    above) is indexed by lane.
     """
 
     def __init__(self, model: EnvModel, sources, features=None):
@@ -400,50 +399,24 @@ class EpisodeStepper:
         self._src_len = np.array([len(s) for s in self.src_ids])
         self._cap = [output_cap(len(s)) for s in self.src_ids]
         self._proposal = None
-        self._forced = np.zeros(n, dtype=bool)
-        self.apply(self._forced)
-
-    @property
-    def forced(self) -> np.ndarray:
-        """The current step's forced-WRITE mask: the lanes that have read their whole source."""
-        if self._forced is None:
-            raise ContractError("forced: no step started; call start_step() first")
-        return self._forced
-
-    def start_step(self) -> np.ndarray:
-        """Start the next step and return its forced-WRITE mask.
-
-        A lane that has read its whole source first sees its EOS row: the
-        terminal marker row, not an agent READ.
-        """
-        forced = self.n_read == self._src_len
-        # a row consumes n_read rows plus its EOS row: src_len means forced, EOS still hidden
-        eos = (self.enc.consumed == self._src_len[self.running]).nonzero()[0]
-        if len(eos):
-            self.enc = self.enc.advance(eos)
-        self._proposal = None
-        self._forced = forced
-        return forced
+        self.forced = np.zeros(n, dtype=bool)
+        self.apply(self.forced)
 
     def proposal(self) -> Proposal:
         """The current step's proposal, one row per running lane, computed on first call."""
-        if self._forced is None:
-            raise ContractError("proposal: no step started; call start_step() first")
         if self._proposal is None:
+            if not len(self.running):
+                raise ContractError("proposal: every lane has ended")
             self._proposal = propose_next(self.dec, self.enc, self.model, self.projected)
         return self._proposal
 
     def apply(self, write_mask) -> None:
-        """Take one action on every live lane: WRITE where ``write_mask`` or
-        forced, READ elsewhere."""
-        forced = self._forced
-        if forced is None:
-            raise ContractError("apply: no step started; call start_step() first")
+        """Take one action on every live lane, WRITE where ``write_mask`` or
+        forced and READ elsewhere, then start the next step."""
         live = self.running
-        wrote = (write_mask | forced)[live]
+        wrote = (write_mask | self.forced)[live]
         writes, reads = wrote.nonzero()[0], (~wrote).nonzero()[0]  # row positions
         proposal = self.proposal() if len(writes) else None
-        self._forced = None
         if len(writes):
             rows, dec = writes if len(reads) else slice(None), self.dec
             dec.g1_h[rows] = proposal.g1_next[rows]
@@ -472,6 +445,12 @@ class EpisodeStepper:
             self.enc = EncoderState(None, None, _compact(enc.rows, keep), enc.consumed[keep])
             if self.projected is not None:
                 self.projected = _compact(self.projected, keep)
+        # start the next step; a row consumes n_read rows, plus its EOS row once forced
+        self.forced = self.n_read == self._src_len
+        eos = (self.enc.consumed == self._src_len[self.running]).nonzero()[0]
+        if len(eos):
+            self.enc = self.enc.advance(eos)
+        self._proposal = None
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +468,6 @@ class EnvTrainConfig:
     seed: int = 0
     emb_dim: int = 200
     hid_dim: int = 320
-    init_scale: float = 0.08
     val_cap: int = 0    # 0 = use the whole validation split
     stop_bleu: float = 0.0  # stop once validation BLEU reaches this (0 = off)
 
@@ -578,7 +556,7 @@ def validation_bleu(model: EnvModel, pairs, features=None, cap: int = 0):
         episode = EpisodeStepper(model, [pairs[i][0] for i in lanes],
                                  None if features is None else [features[i] for i in lanes])
         while len(episode.running):
-            episode.apply(episode.start_step())  # proposes only when some lane writes
+            episode.apply(episode.forced)  # proposes only when some lane writes
         for i, ids in zip(lanes, episode.hyp_ids):
             hyps[i] = model.tgt_vocab.decode(ids)
     return corpus_bleu(hyps, [list(tgt) for _, tgt in pairs])
@@ -611,7 +589,7 @@ def train_consecutive(train_pairs, valid_pairs, cfg: EnvTrainConfig,
     tgt_vocab = Vocabulary.from_corpus(t for _, t in train_pairs)
     rng = np.random.default_rng(cfg.seed)
     env_cfg = EnvConfig(emb_dim=cfg.emb_dim, hid_dim=cfg.hid_dim, feature_rows=rows,
-                        feature_dim=dim, init_scale=cfg.init_scale)
+                        feature_dim=dim)
     model = EnvModel(src_vocab, tgt_vocab, env_cfg, rng)
     opt = AdamState(model.named_tensors(), lr=cfg.lr)
 

@@ -32,13 +32,13 @@ class Policy:
 
     ``start_episode(sources, features)`` resets internal state for the
     stepper's lanes: its source token lists and one feature set (or None)
-    per lane. ``decide(episode)`` is called once per step, between the
-    stepper's ``start_step()`` and ``apply()``, and returns an (n,) bool
-    WRITE mask. It may read ``episode.forced``, the counters ``n_read`` and
-    ``n_written``, the index array ``running`` of the live lanes and
-    ``episode.proposal()``, which has one row per running lane, in
-    ``running`` order; a policy that never asks for the proposal lets READ
-    steps skip the decoder.
+    per lane. ``decide(episode)`` is called once per step, before the
+    stepper's ``apply()``, and returns an (n,) bool WRITE mask. It may read
+    the step's forced-WRITE mask ``episode.forced``, the counters
+    ``n_read`` and ``n_written``, the index array ``running`` of the live
+    lanes and ``episode.proposal()``, which has one row per running lane,
+    in ``running`` order; a policy that never asks for the proposal lets
+    READ steps skip the decoder.
     Answers on ended lanes are ignored, and a READ on a forced lane is
     overridden and counted. Policies may expose ``step_attention``, (n, R)
     agent-side attention weights from the last decide, to have them
@@ -149,8 +149,12 @@ def write_transcripts(path, transcripts) -> None:
 
 
 def read_transcripts(path):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except ValueError as exc:  # UnicodeDecodeError
+        raise DataError(f"{path}: transcripts file is not UTF-8 text: {exc}") from None
     out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -223,7 +227,7 @@ def run_episodes(policy: Policy, model: EnvModel, sources, features=None, *,
         lanes = episode.running
         if not len(lanes):
             break
-        forced = episode.start_step()
+        forced = episode.forced
         write = policy.decide(episode)
         if not (isinstance(write, np.ndarray) and write.dtype == bool and write.shape == (n,)):
             raise ContractError(f"policy returned unknown action mask {write!r}; "

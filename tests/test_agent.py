@@ -77,13 +77,13 @@ def test_collect_trajectories_rejects_a_string_reference_before_any_step(untrain
     env, pairs = untrained_env
     agent, baseline = _agent_pair(env, hidden_dim=8)
     steps = []
-    start_step = EpisodeStepper.start_step
+    apply = EpisodeStepper.apply
 
-    def counted(self):
+    def counted(self, write_mask):
         steps.append(1)
-        return start_step(self)
+        return apply(self, write_mask)
 
-    monkeypatch.setattr(EpisodeStepper, "start_step", counted)
+    monkeypatch.setattr(EpisodeStepper, "apply", counted)
     episodes = [(src, ref, None) for src, ref in pairs[:30]]
     episodes[17] = (episodes[17][0], " ".join(episodes[17][1]), None)
     with pytest.raises(DataError, match=r"reference must be a list of tokens \(episode 17"):

@@ -165,7 +165,6 @@ def test_stepper_lanes_equal_single_lane_episodes(visual_env):
     episode = EpisodeStepper(env, [src for src, _ in pairs[:6]], feats[:6])
     step = 0
     while len(episode.running):
-        episode.start_step()
         episode.proposal()
         episode.apply(np.array([(step + i) % 3 == 0 for i in range(6)]))
         _check_rows_follow_running(episode)
@@ -223,20 +222,22 @@ def test_stepper_contracts(untrained_env):
     env, pairs = untrained_env
     with pytest.raises(DataError, match="empty source on lane 1"):
         EpisodeStepper(env, [pairs[0][0], []])
-    episode = EpisodeStepper(env, [pairs[0][0]])
-    with pytest.raises(ContractError, match="proposal: no step started"):
-        episode.proposal()
-    with pytest.raises(ContractError, match="forced: no step started"):
-        episode.forced
-    assert episode.start_step() is episode.forced
-    episode.proposal()
-    episode.apply([False])
-    with pytest.raises(ContractError, match="forced: no step started"):
-        episode.forced
-    with pytest.raises(ContractError, match="apply: no step started"):
-        episode.apply([False])
-    episode.start_step()
+    episode = EpisodeStepper(env, [pairs[0][0], pairs[1][0][:1]])
+    # construction takes the first READ and starts the next step; no other call is needed
+    src_len = np.array([len(ids) for ids in episode.src_ids])
+    assert np.array_equal(episode.forced, episode.n_read == src_len) and episode.forced[1]
+    assert len(episode.proposal().token) == 2
+    episode.apply(np.array([False, False]))
     assert episode.proposal() is episode.proposal()  # cached for the step
+
+
+def test_proposal_after_every_lane_ended_raises_contract_error(untrained_env):
+    env, pairs = untrained_env
+    episode = EpisodeStepper(env, [src for src, _ in pairs[:3]])
+    while len(episode.running):
+        episode.apply(episode.forced)
+    with pytest.raises(ContractError, match="proposal: every lane has ended"):
+        episode.proposal()
 
 
 def _ragged(untrained_env, visual_env, multimodal):
@@ -251,7 +252,8 @@ def _ragged(untrained_env, visual_env, multimodal):
 def test_encoder_pass_equals_one_lane_encode_next(untrained_env, visual_env, multimodal):
     env, sources, feats = _ragged(untrained_env, visual_env, multimodal)
     enc = EpisodeStepper(env, sources, feats).enc
-    assert enc.consumed.tolist() == [1] * 8  # the constructor's first READ
+    # the constructor's first READ; lane 0 has read its only token, so its EOS row shows
+    assert enc.consumed.tolist() == [2] + [1] * 7
     for i, src in enumerate(sources):
         ids = env.src_vocab.encode(src) + [EOS]
         alone = encode_sequence(env, ids).rows[0]
@@ -266,7 +268,6 @@ def test_stepper_drops_ended_lanes_from_projected_in_place(visual_env):
     rng = np.random.default_rng(12)
     partial = 0
     while len(episode.running):
-        episode.start_step()
         episode.apply(rng.random(8) < 0.4)
         run = episode.running
         if len(run):
@@ -285,7 +286,6 @@ def test_stepper_drops_ended_lanes_from_encoder_rows_in_place(visual_env):
     rng = np.random.default_rng(12)
     partial = 0
     while len(episode.running):
-        episode.start_step()
         episode.apply(rng.random(8) < 0.4)
         run = episode.running
         if len(run):
@@ -303,7 +303,6 @@ def test_proposal_on_lanes_equals_all_lane_rows(untrained_env, visual_env, multi
     rng = np.random.default_rng(5)
     ragged_steps = 0
     while len(episode.running):
-        episode.start_step()
         whole, m = episode.proposal(), len(episode.running)
         for idx in (np.arange(m), np.sort(rng.permutation(m)[:3]), np.array([m - 1])):
             projected = None if episode.projected is None else episode.projected[idx]
@@ -338,7 +337,6 @@ def test_apply_copies_the_proposal_onto_writing_rows(untrained_env, visual_env, 
     rng = np.random.default_rng(3)
     written = read = 0
     while len(episode.running):
-        episode.start_step()
         before, p = episode.running.tolist(), episode.proposal()
         rows = [a.copy() for a in (episode.dec.g1_h, episode.dec.g2_h, episode.dec.last_token)]
         episode.apply(rng.random(8) < 0.5)
@@ -359,10 +357,8 @@ def test_apply_keeps_no_reference_to_the_proposal(untrained_env):
     # after a step on which every row writes, the stepper's rows are its own
     env, pairs = untrained_env
     probe = EpisodeStepper(env, [src for src, _ in pairs[:20]])
-    probe.start_step()
     episode = EpisodeStepper(env, [pairs[i][0]
                                    for i in np.flatnonzero(probe.proposal().token != EOS)[:3]])
-    episode.start_step()
     p = episode.proposal()
     episode.apply(np.ones(3, dtype=bool))
     assert episode.running.tolist() == [0, 1, 2]  # no lane ended, so no row was gathered
@@ -388,18 +384,19 @@ def test_steps_run_no_encoder_gru_and_only_live_rows(untrained_env, monkeypatch)
     episodes = [(src, ref, fs) for src, (_, ref, fs) in zip(sources, episodes)]
     calls = []  # every ad.gru_step call: (params, rows)
     steps = []  # per step: (live lanes, index of its first gru_step call)
-    real_gru, real_start = ad.gru_step, EpisodeStepper.start_step
+    real_gru, real_apply = ad.gru_step, EpisodeStepper.apply
 
     def gru_step(x, h, params):
         calls.append((params, len(x)))
         return real_gru(x, h, params)
 
-    def start_step(self):
-        steps.append((len(self.running), len(calls)))
-        return real_start(self)
+    def apply(self, write_mask):
+        real_apply(self, write_mask)
+        if len(self.running):  # apply ends by starting the next step
+            steps.append((len(self.running), len(calls)))
 
     monkeypatch.setattr(ad, "gru_step", gru_step)
-    monkeypatch.setattr(EpisodeStepper, "start_step", start_step)
+    monkeypatch.setattr(EpisodeStepper, "apply", apply)
     batch = collect_trajectories(agent, baseline, env, episodes, RLTrainConfig(), global_seed=1)
     assert steps[0][1] == 0  # construction, first READ included, steps no GRU
     # the baseline is not stepped during collection: its values come from the replay

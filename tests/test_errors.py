@@ -7,10 +7,14 @@ import pytest
 
 from simtlab import autodiff as ad
 from simtlab.agent import AgentGreedyPolicy, RLTrainConfig, collect_trajectories
+from simtlab.checkpoint import MAGIC as CKPT_MAGIC, load_checkpoint
+from simtlab.data import load_manifest, load_parallel
 from simtlab.environment import EnvConfig, EnvModel, teacher_forced_loss, validation_bleu
-from simtlab.errors import ConfigError, ContractError, DataError, NumericError, ShapeError
+from simtlab.errors import (ConfigError, ContractError, DataError, FormatError, NumericError,
+                           ShapeError)
 from simtlab.features import MAGIC, FeatureSet, load_features
-from simtlab.policies import ConsecutivePolicy, WaitKPolicy, run_episodes, simulate
+from simtlab.policies import (ConsecutivePolicy, WaitKPolicy, read_transcripts, run_episodes,
+                              simulate)
 from simtlab.vocab import EOS
 
 from test_agent import _enter, _tiny_agent_pair
@@ -36,6 +40,31 @@ def _truncated_checkpoint(tmp_path, text_env):
     text_env.save(tmp_path / "env")
     ckpt = tmp_path / "env.ckpt"
     ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    return EnvModel.load(tmp_path / "env")
+
+
+def _checkpoint_record(tmp_path, name, dims):
+    """A one-record checkpoint header whose record has raw ``name`` bytes and ``dims``."""
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(CKPT_MAGIC + struct.pack("<II", 1, len(name)) + name
+                     + struct.pack(f"<I{len(dims)}I", len(dims), *dims))
+    return load_checkpoint(path)
+
+
+def _file(tmp_path, name, content: bytes):
+    """``tmp_path / name`` holding ``content``."""
+    path = tmp_path / name
+    path.write_bytes(content)
+    return path
+
+
+NOT_UTF8 = b"w01 \xff\xfe w02\n"
+
+
+def _env_with_metadata(tmp_path, text_env, content: bytes):
+    """``EnvModel.load`` of ``text_env`` saved with ``content`` in place of its metadata."""
+    text_env.save(tmp_path / "env")
+    _file(tmp_path, "env.meta", content)
     return EnvModel.load(tmp_path / "env")
 
 
@@ -136,6 +165,28 @@ CASES = {
     "truncated-checkpoint": (
         DataError, "env.ckpt: truncated while reading",
         lambda tmp, env, pairs: _truncated_checkpoint(tmp, env)),
+    "checkpoint-name-not-utf8": (
+        FormatError, "bad.ckpt: record 0 name is not UTF-8",
+        lambda tmp, env, pairs: _checkpoint_record(tmp, b"\xff\xfe", (2, 3))),
+    "checkpoint-dims-overflow-int64": (
+        FormatError, r"bad.ckpt: truncated while reading 'w' data",
+        lambda tmp, env, pairs: _checkpoint_record(tmp, b"w", (2 ** 31, 2 ** 31, 4))),
+    "env-metadata-not-utf8": (
+        FormatError, "env.meta: metadata is not UTF-8 text",
+        lambda tmp, env, pairs: _env_with_metadata(tmp, env, b"kind=environment\n" + NOT_UTF8)),
+    "corpus-not-utf8": (
+        DataError, "train.src: corpus file is not UTF-8 text",
+        lambda tmp, env, pairs: load_parallel(_file(tmp, "train.src", NOT_UTF8),
+                                              _file(tmp, "train.tgt", b"w01 w02\n"))),
+    "manifest-not-json": (
+        DataError, "dataset.json: dataset manifest is not UTF-8 JSON",
+        lambda tmp, env, pairs: load_manifest(_file(tmp, "dataset.json", b"{task: copy").parent)),
+    "manifest-json-array": (
+        DataError, "dataset.json: dataset manifest must be a JSON object, got list",
+        lambda tmp, env, pairs: load_manifest(_file(tmp, "dataset.json", b"[1, 2]").parent)),
+    "transcripts-not-utf8": (
+        DataError, "t.jsonl: transcripts file is not UTF-8 text",
+        lambda tmp, env, pairs: read_transcripts(_file(tmp, "t.jsonl", NOT_UTF8))),
 }
 
 

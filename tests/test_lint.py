@@ -107,6 +107,84 @@ def test_nan_check_tells_strict_json_writes_from_permissive_ones():
         "m.py:9: dump() without allow_nan=False"]
 
 
+def unguarded_text_reads(source: str, name: str) -> list:
+    """One line per ``read_text(...)`` or ``json.loads(...)`` call in ``source`` that no
+    ``try`` body in the same function encloses with a handler naming ``ValueError``.
+
+    Bare ``loads`` calls count too, as a ``from json import`` would bind them.
+    """
+    problems = []
+
+    def catches_value_error(handler):
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return any(getattr(t, "id", None) == "ValueError" for t in types)
+
+    def visit(node, guarded):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            guarded = False  # a try around a definition does not enclose its calls
+        elif isinstance(node, ast.Try):
+            for child in node.body:
+                visit(child, guarded or any(catches_value_error(h) for h in node.handlers))
+            for child in node.handlers + node.orelse + node.finalbody:
+                visit(child, guarded)
+            return
+        elif isinstance(node, ast.Call) and not guarded:
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                on_json = getattr(func.value, "id", None) == "json"
+                called = func.attr if func.attr == "read_text" or on_json else None
+            else:
+                called = getattr(func, "id", None)
+            if called in ("read_text", "loads"):
+                problems.append(f"{name}:{node.lineno}: {called}() outside a try that catches "
+                                f"ValueError")
+        for child in ast.iter_child_nodes(node):
+            visit(child, guarded)
+
+    visit(ast.parse(source), False)
+    return problems
+
+
+def test_text_reads_in_src_map_decode_errors():
+    """A file that is not UTF-8 raises ``UnicodeDecodeError`` and text that is not JSON
+    raises ``JSONDecodeError``. Both are ``ValueError``s that no exit code maps, so each
+    read must turn them into a typed error naming the file."""
+    problems = []
+    for path in sorted(SRC.rglob("*.py")):
+        problems += unguarded_text_reads(path.read_text(encoding="utf-8"), path.name)
+    assert not problems, "\n".join(problems)
+
+
+def test_text_read_check_tells_guarded_reads_from_bare_ones():
+    source = ("import json\n"
+              "from json import loads\n"
+              "def f(path, line):\n"
+              "    try:\n"
+              "        text = path.read_text(encoding='utf-8')\n"
+              "        obj = json.loads(line)\n"
+              "    except (KeyError, ValueError):\n"
+              "        path.read_text()\n"
+              "    else:\n"
+              "        json.loads(text)\n"
+              "    try:\n"
+              "        def inner():\n"
+              "            return path.read_text()\n"
+              "        loads(line)\n"
+              "    except OSError:\n"
+              "        pass\n"
+              "    try:\n"
+              "        for x in path.read_text().split():\n"
+              "            pass\n"
+              "    except ValueError:\n"
+              "        pass\n"
+              "    return obj, inner, other.loads(line), json.dumps(obj), a.b.loads(line)\n")
+    assert unguarded_text_reads(source, "m.py") == [
+        "m.py:8: read_text() outside a try that catches ValueError",
+        "m.py:10: loads() outside a try that catches ValueError",
+        "m.py:13: read_text() outside a try that catches ValueError",
+        "m.py:14: loads() outside a try that catches ValueError"]
+
+
 def unused_locals(source: str, name: str) -> list:
     """One line per name that a function in ``source`` assigns and never reads.
 

@@ -44,7 +44,7 @@ def translate_full(model, src_tokens, features=None):
     """Greedy consecutive decode of one non-empty source, read whole before any WRITE."""
     episode = EpisodeStepper(model, [list(src_tokens)], None if features is None else [features])
     while len(episode.running):
-        episode.apply(episode.start_step())
+        episode.apply(episode.forced)
     return model.tgt_vocab.decode(episode.hyp_ids[0])
 
 

@@ -144,7 +144,7 @@ class _RecurrentNet:
             h0 = Tensor(np.zeros((n, cfg.hidden_dim)))
         visual_kv = None
         if cfg.use_att:
-            visual_kv = tuple(per_episode(ad.linear_rows3(tape, block, w))
+            visual_kv = tuple(per_episode(ad.matmul(tape, Tensor(block), w))
                               for w in (self.key_proj, self.val_proj))
         return h0, visual_kv
 
@@ -232,7 +232,7 @@ def _observation(tape, visual_kv, text_ctx, token_emb, prev_action):
     if visual_kv is not None:
         attention = ad.batched_attention(tape, *visual_kv, emb)
         parts.append(attention[0])
-    return ad.concat(tape, parts, axis=-1), attention
+    return ad.concat(tape, parts), attention
 
 
 class _LaneState:

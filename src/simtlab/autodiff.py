@@ -7,14 +7,16 @@ passing ``tape=None`` runs the same numerics without recording, which is
 how frozen models are evaluated during reinforcement learning.
 
 Each op is its shape checks, its forward, and a ``bwd(g)`` that holds only
-the gradient arithmetic: given the gradient of the op's output, it
-accumulates into the inputs. ``_op`` wraps the forward's result and records
-``bwd`` when a tape is given and some input requires a gradient; ``backward``
-replays the records in reverse and skips an op whose outputs got no
-gradient, since nothing that reached the loss read them.
+the gradient arithmetic: given the gradient of the op's one output, it
+accumulates into the inputs. ``_op``, the only recorder, wraps the
+forward's result and records it with ``bwd`` when a tape is given and some
+input requires a gradient; ``backward`` replays the records in reverse and
+skips an op whose output got no gradient, since nothing that reached the
+loss read it. ``batched_attention`` also returns its weights, as a
+constant: no model differentiates through them.
 
 ``backward`` consumes its tape: it drops each record, its ``bwd`` and the
-arrays that closure saved as well as its outputs, right after replaying
+arrays that closure saved as well as its output, right after replaying
 it, so the forward's memory is freed while the gradients are built. The
 tape still counts its records; a second ``backward`` on it raises
 ``ContractError``.
@@ -54,9 +56,9 @@ class Tensor:
 class Tape:
     """Ordered record of ops; ``backward`` replays it in reverse.
 
-    A record is an op's output tensors and its ``bwd``, which takes one
-    gradient per output, in order, with ``None`` for an output that got none.
-    Replay skips a record when none of its outputs has a gradient.
+    A record is an op's output tensor and its ``bwd``, which takes that
+    output's gradient; ``_op`` makes every record. Replay skips a record
+    whose output got no gradient.
 
     A tape is single-threaded. Parallel workers each own their own tape.
     ``len`` counts the records made, also after ``backward`` consumed them.
@@ -66,8 +68,8 @@ class Tape:
         self._records = []
         self._consumed = False
 
-    def record(self, outputs, bwd):
-        self._records.append((outputs, bwd))
+    def record(self, output, bwd):
+        self._records.append((output, bwd))
 
     def __len__(self):
         return len(self._records)
@@ -81,21 +83,18 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """
     if loss.data.shape != ():
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if tape is not None and tape._consumed:
+    if tape._consumed:
         raise ContractError("backward: this tape was consumed by an earlier backward")
     if loss.grad is None:
         loss.grad = np.zeros(())
     loss.grad = loss.grad + 1.0
-    if tape is None:
-        return
     tape._consumed = True
     records = tape._records
     for i in range(len(records) - 1, -1, -1):
-        outputs, bwd = records[i]
+        output, bwd = records[i]
         records[i] = None
-        grads = [t.grad for t in outputs]
-        if any(g is not None for g in grads):
-            bwd(*grads)
+        if output.grad is not None:
+            bwd(output.grad)
 
 
 def _accum(t: Tensor, g) -> None:
@@ -113,7 +112,7 @@ def _op(tape, data, inputs, bwd) -> Tensor:
     out = Tensor(data)
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.record((out,), bwd)
+        tape.record(out, bwd)
     return out
 
 
@@ -188,16 +187,16 @@ def add_bias(tape, m: Tensor, bias: Tensor) -> Tensor:
     return _op(tape, m.data + bias.data, (m, bias), bwd)
 
 
-def concat(tape, parts, axis: int = -1) -> Tensor:
-    """Concatenate tensors along an axis; backward splits the gradient."""
+def concat(tape, parts) -> Tensor:
+    """Concatenate tensors along the last axis; backward splits the gradient."""
     datas = [p.data for p in parts]
 
     def bwd(g):
-        offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
+        offsets = np.cumsum([0] + [d.shape[-1] for d in datas])
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                _accum(p, g[(slice(None),) * (axis % g.ndim) + (slice(lo, hi),)])
-    return _op(tape, np.concatenate(datas, axis=axis), parts, bwd)
+                _accum(p, g[..., lo:hi])
+    return _op(tape, np.concatenate(datas, axis=-1), parts, bwd)
 
 
 def embedding(tape, table: Tensor, ids) -> Tensor:
@@ -214,22 +213,6 @@ def embedding(tape, table: Tensor, ids) -> Tensor:
             table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, idx.reshape(-1), g.reshape((idx.size,) + table.data.shape[1:]))
     return _op(tape, table.data[idx], (table,), bwd)
-
-
-def linear_rows3(tape, feats, w: Tensor) -> Tensor:
-    """Project a constant (B, R, D) feature block by a (D, K) matrix.
-
-    Forward and weight gradient are each one GEMM over the B·R flattened rows.
-    """
-    f = np.asarray(feats, dtype=np.float64)
-    if f.ndim != 3 or f.shape[2] != w.data.shape[0]:
-        raise ShapeError(f"linear_rows3: {f.shape} x {w.data.shape}")
-    bsz, rows, d = f.shape
-    f2 = f.reshape(bsz * rows, d)
-
-    def bwd(g):
-        _accum(w, f2.T @ g.reshape(bsz * rows, -1))
-    return _op(tape, (f2 @ w.data).reshape(bsz, rows, -1), (w,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +445,13 @@ def gru_sequence(tape, xs: Tensor, h0: Tensor, params: GRUParams, lengths=None) 
 # Attention
 # ---------------------------------------------------------------------------
 
-def _sum_outer(a, b):
-    """sum over t of the outer products a[:, t] x b[:, t], for (B, T, S) and (B, T, D)."""
-    if a.shape[1] == 1:  # einsum's outer product is faster than a matmul over one term
-        return np.einsum("bs,bd->bsd", a[:, 0], b[:, 0])
-    return a.transpose(0, 2, 1) @ b
-
-
 def batched_attention(tape, keys: Tensor, values: Tensor, query: Tensor, mask=None):
     """Row-masked attention over (B, S, dk) keys and (B, S, dv) values.
 
     query is (B, dk), or (B, T, dk) for T queries per batch row; mask is a
     (B, S) boolean array marking valid rows. Returns context (B, dv) and
-    weights (B, S), or (B, T, dv) and (B, T, S) for (B, T, dk) queries.
+    weights (B, S), or (B, T, dv) and (B, T, S) for (B, T, dk) queries. Only
+    the context is recorded; the weights are a constant tensor.
     """
     kd, vd, qd = keys.data, values.data, query.data
     if kd.ndim != 3 or vd.ndim != 3 or qd.ndim not in (2, 3):
@@ -491,28 +468,20 @@ def batched_attention(tape, keys: Tensor, values: Tensor, query: Tensor, mask=No
             raise ContractError("batched_attention: a batch row has no valid keys")
         scores = np.where(mask[:, None, :], scores, -np.inf)
     w = softmax(scores)
-    ctx_data = w @ vd
-    ctx = Tensor(ctx_data[:, 0] if single else ctx_data)
-    weights = Tensor(w[:, 0] if single else w)
-    if tape is not None and (keys.requires_grad or values.requires_grad
-                             or query.requires_grad):
-        def bwd(gc, gw):
-            dw = np.zeros_like(w)
-            if gc is not None:
-                gc3 = gc[:, None, :] if single else gc
-                dw += gc3 @ vd.transpose(0, 2, 1)
-                if values.requires_grad:
-                    _accum(values, _sum_outer(w, gc3))
-            if gw is not None:
-                dw += gw[:, None, :] if single else gw
-            ds = w * (dw - (w * dw).sum(axis=2, keepdims=True))
-            if query.requires_grad:
-                _accum(query, (ds @ kd).reshape(qd.shape))
-            if keys.requires_grad:
-                _accum(keys, _sum_outer(ds, q3))
-        ctx.requires_grad = weights.requires_grad = True
-        tape.record((ctx, weights), bwd)
-    return ctx, weights
+    ctx = w @ vd
+
+    def bwd(gc):
+        gc3 = gc[:, None, :] if single else gc
+        dw = gc3 @ vd.transpose(0, 2, 1)
+        if values.requires_grad:
+            _accum(values, w.transpose(0, 2, 1) @ gc3)
+        ds = w * (dw - (w * dw).sum(axis=2, keepdims=True))
+        if query.requires_grad:
+            _accum(query, (ds @ kd).reshape(qd.shape))
+        if keys.requires_grad:
+            _accum(keys, ds.transpose(0, 2, 1) @ q3)
+    return (_op(tape, ctx[:, 0] if single else ctx, (keys, values, query), bwd),
+            Tensor(w[:, 0] if single else w))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DataError, FormatError
 
 MAGIC = b"SIMTCKPT1"
 
@@ -44,7 +44,10 @@ def save_checkpoint(path, named_tensors) -> None:
 
 def load_checkpoint(path):
     """Read a checkpoint back as an ordered dict of name -> ndarray."""
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read checkpoint: {exc.strerror}") from None
     if blob[:9] != MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:9]!r}")
     offset = 9
@@ -93,7 +96,10 @@ def load_into(path, named_tensors) -> None:
 
 
 def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read file: {exc.strerror}") from None
 
 
 def write_metadata(path, mapping) -> None:
@@ -142,6 +148,8 @@ def read_config(path, kind: str, schema) -> dict:
 def read_metadata(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read metadata: {exc.strerror}") from None
     except ValueError as exc:  # UnicodeDecodeError
         raise FormatError(f"{path}: metadata is not UTF-8 text: {exc}") from None
     mapping = {}

@@ -47,6 +47,9 @@ class TaskSpec:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
         if self.vocab_size < 1:
             raise ConfigError(f"TaskSpec.vocab_size must be at least 1, got {self.vocab_size}")
+        if self.n_ambiguous_types < 0:
+            raise ConfigError(f"TaskSpec.n_ambiguous_types must be at least 0, "
+                              f"got {self.n_ambiguous_types}")
         if not self.feature_noise >= 0.0:  # inf is pure noise; NaN fails too
             raise ConfigError(f"TaskSpec.feature_noise must be at least 0, got {self.feature_noise}")
         if self.min_len < 1 or self.max_len < self.min_len:
@@ -133,6 +136,8 @@ def load_parallel(src_path, tgt_path):
     def read(path):
         try:
             text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise DataError(f"{path}: cannot read corpus file: {exc.strerror}") from None
         except ValueError as exc:  # UnicodeDecodeError
             raise DataError(f"{path}: corpus file is not UTF-8 text: {exc}") from None
         return [line.lower().split() for line in text.splitlines()]
@@ -210,10 +215,10 @@ def make_synthetic_dataset(spec: TaskSpec, out_dir, seed: int) -> dict:
 
 def load_manifest(directory) -> dict:
     path = Path(directory) / "dataset.json"
-    if not path.exists():
-        raise DataError(f"missing dataset manifest {path}")
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read dataset manifest: {exc.strerror}") from None
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise DataError(f"{path}: dataset manifest is not UTF-8 JSON: {exc}") from None
     if not isinstance(manifest, dict):

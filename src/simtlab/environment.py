@@ -122,7 +122,7 @@ class EnvModel:
 
         ``features`` is a list of n FeatureSets, one per lane, or a single
         FeatureSet, which is one lane: (1, R, h). Each distinct FeatureSet
-        object is one ``linear_rows3`` call, the op teacher forcing records,
+        object is one tapeless ``matmul``, the op teacher forcing records,
         into a float64 block that is the output unless lanes share a set: no
         (n, R, D) stack is built. A lane's product equals its rows of one
         GEMM over all lanes.
@@ -135,7 +135,7 @@ class EnvModel:
         distinct, index = distinct_items(sets, id)
         projected = np.empty((len(distinct), self.cfg.feature_rows, self.cfg.hid_dim))
         for k, f in enumerate(distinct):
-            projected[k] = ad.linear_rows3(None, f.matrix[None], self.w_vis).data[0]
+            projected[k] = ad.matmul(None, Tensor(f.matrix), self.w_vis).data
         return projected if index is None else projected[index]
 
     def initial_decoder_state(self) -> "DecoderState":
@@ -189,20 +189,19 @@ class EncoderState:
     ``rows`` (n, W, h) holds each lane's states in source order; row j of
     lane i is valid while j < consumed[i]. ``h1`` and ``h2`` are the
     recurrent states of a one-lane state that ``encode_next`` continues
-    from. ``encode_next`` appends its new row to a copy, and ``advance``
-    shares the rows of a state that ``encode`` built up front. An
-    ``EpisodeStepper`` owns its state's rows and compacts them in place
-    when lanes end, so a state it has left behind may lose its rows.
+    from, and ``encode_next`` appends its new row to a copy. An
+    ``EpisodeStepper`` keeps the rows that ``encode`` built up front, and
+    each proposal views them through a state whose ``consumed`` is
+    ``n_read + forced`` of the running lanes.
     """
 
-    __slots__ = ("h1", "h2", "rows", "consumed", "_keys")
+    __slots__ = ("h1", "h2", "rows", "consumed")
 
     def __init__(self, h1, h2, rows, consumed):
         self.h1 = h1
         self.h2 = h2
         self.rows = rows
         self.consumed = consumed
-        self._keys = None
 
     @classmethod
     def initial(cls, model: EnvModel) -> "EncoderState":
@@ -219,7 +218,7 @@ class EncoderState:
         copy of its rows. Row j depends only on ids up to j, so it equals the
         row that j + 1 ``encode_next`` calls emit, up to the last bits: the
         input projection is one GEMM over the packed rows. Rows past a lane's
-        length are zero. The state only ``advance``s.
+        length are zero. ``encode_next`` does not continue this state.
         """
         distinct, index = distinct_items(id_lists, tuple)
         padded, mask = _pad_batch(distinct)
@@ -234,24 +233,16 @@ class EncoderState:
         return cls(None, None, rows if index is None else rows[index],
                    np.zeros(len(id_lists), dtype=np.int64))
 
-    def advance(self, lanes) -> "EncoderState":
-        """This state with one more row read on each of ``lanes``."""
-        consumed = self.consumed.copy()
-        consumed[lanes] += 1
-        return EncoderState(self.h1, self.h2, self.rows, consumed)
-
     def keys(self):
         """Rows up to the longest lane, and the valid-row mask.
 
         The mask is None when every lane has read as many rows.
         """
-        if self._keys is None:
-            fewest, most = int(self.consumed.min()), int(self.consumed.max())
-            if fewest == 0:
-                raise ContractError("encoder state is empty; READ before attending")
-            mask = None if fewest == most else np.arange(most) < self.consumed[:, None]
-            self._keys = self.rows[:, :most], mask
-        return self._keys
+        fewest, most = int(self.consumed.min()), int(self.consumed.max())
+        if fewest == 0:
+            raise ContractError("encoder state is empty; READ before attending")
+        mask = None if fewest == most else np.arange(most) < self.consumed[:, None]
+        return self.rows[:, :most], mask
 
 
 @dataclass
@@ -294,7 +285,7 @@ def _attend(keys, query, mask=None):
 def encode_next(state: EncoderState, token_id: int, model: EnvModel) -> EncoderState:
     """Consume one more source token on a one-lane state, which gains one row."""
     if state.h1 is None:
-        raise ContractError("encode_next on a state encoded up front; advance() it instead")
+        raise ContractError("encode_next on a state encoded up front; it holds every row")
     if not 0 <= token_id < len(model.src_vocab):
         raise DataError(f"source token id {token_id} out of vocabulary range")
     h1 = ad.gru_step(model.src_emb.data[[token_id]], state.h1, model.enc1)
@@ -347,10 +338,11 @@ class EpisodeStepper:
     The rules of the game (Gu et al. 2017) live here. ``features`` has one
     entry per source, None on a text-only environment. The constructor
     encodes every lane's source plus EOS in one pass per encoder layer
-    (``EncoderState.encode``); a READ then makes the lane's next row
-    visible and runs no encoder. The first action is a forced READ, since
-    the decoder cannot attend to an empty prefix. Once a lane has read its
-    whole source, its EOS row becomes visible and WRITE is forced. A lane
+    (``EncoderState.encode``) into ``enc_rows``; a READ then makes the
+    lane's next row visible and runs no encoder. The first action is a
+    forced READ, since the decoder cannot attend to an empty prefix. Once a
+    lane has read its whole source, its EOS row becomes visible and WRITE
+    is forced: a lane sees its first ``n_read + forced`` rows. A lane
     ends on an EOS commit or at ``output_cap`` committed tokens. Per lane
     the stepper keeps the delays, the hypothesis ids and the action string:
     the transcript that ``metrics.step_rewards`` scores once the episode is
@@ -361,15 +353,15 @@ class EpisodeStepper:
     always current. ``proposal()`` computes the step's proposal on first
     call and caches it for the step; ``apply()`` asks for it only when some
     lane writes. ``running`` is the index array of the live lanes, in
-    order. The model states ``dec`` and ``enc`` and the projected features
-    ``projected`` hold one row per running lane, in ``running`` order, so
-    the proposal does too. ``apply()`` copies the proposal onto the decoder
-    rows of the lanes that write, in place, and drops the rows of the lanes
-    it ends. The decoder and encoder rows and ``projected`` are blocks made
-    for this stepper: dropping lanes moves the kept rows down in place and
-    keeps a prefix view, so no second block is allocated. The per-lane
-    bookkeeping (the ``n_read`` and ``n_written`` counters and the lists
-    above) is indexed by lane.
+    order. The decoder state ``dec``, the encoder rows ``enc_rows`` and the
+    projected features ``projected`` hold one row per running lane, in
+    ``running`` order, so the proposal does too. ``apply()`` copies the
+    proposal onto the decoder rows of the lanes that write, in place, and
+    drops the rows of the lanes it ends. The decoder and encoder rows and
+    ``projected`` are blocks made for this stepper: dropping lanes moves the
+    kept rows down in place and keeps a prefix view, so no second block is
+    allocated. The per-lane bookkeeping (the ``n_read`` and ``n_written``
+    counters, ``forced`` and the lists above) is indexed by lane.
     """
 
     def __init__(self, model: EnvModel, sources, features=None):
@@ -388,7 +380,7 @@ class EpisodeStepper:
         if not model.multimodal and any(f is not None for f in features or ()):
             raise ConfigError("episode: a text-only environment takes no visual features")
         self.projected = model.project_features(features) if model.multimodal else None
-        self.enc = EncoderState.encode(model, [ids + [EOS] for ids in self.src_ids])
+        self.enc_rows = EncoderState.encode(model, [ids + [EOS] for ids in self.src_ids]).rows
         self.dec = DecoderState.initial(model, n)
         self.running = np.arange(n)
         self.n_read = np.zeros(n, dtype=np.int64)
@@ -405,9 +397,11 @@ class EpisodeStepper:
     def proposal(self) -> Proposal:
         """The current step's proposal, one row per running lane, computed on first call."""
         if self._proposal is None:
-            if not len(self.running):
+            run = self.running
+            if not len(run):
                 raise ContractError("proposal: every lane has ended")
-            self._proposal = propose_next(self.dec, self.enc, self.model, self.projected)
+            enc = EncoderState(None, None, self.enc_rows, self.n_read[run] + self.forced[run])
+            self._proposal = propose_next(self.dec, enc, self.model, self.projected)
         return self._proposal
 
     def apply(self, write_mask) -> None:
@@ -415,15 +409,13 @@ class EpisodeStepper:
         forced and READ elsewhere, then start the next step."""
         live = self.running
         wrote = (write_mask | self.forced)[live]
-        writes, reads = wrote.nonzero()[0], (~wrote).nonzero()[0]  # row positions
+        writes = wrote.nonzero()[0]  # row positions
         proposal = self.proposal() if len(writes) else None
         if len(writes):
-            rows, dec = writes if len(reads) else slice(None), self.dec
+            rows, dec = slice(None) if wrote.all() else writes, self.dec
             dec.g1_h[rows] = proposal.g1_next[rows]
             dec.g2_h[rows] = proposal.g2_next[rows]
             dec.last_token[rows] = proposal.token[rows]
-        if len(reads):
-            self.enc = self.enc.advance(reads)
         ended = []  # row positions
         for k, (i, w) in enumerate(zip(live.tolist(), wrote.tolist())):
             self.actions[i].append(WRITE if w else READ)
@@ -435,21 +427,18 @@ class EpisodeStepper:
             self.n_written[i] += 1
             if token != EOS:
                 self.delays[i].append(int(self.n_read[i]))
-            if token == EOS or len(self.hyp_ids[i]) >= self._cap[i]:
+            if token == EOS or self.n_written[i] >= self._cap[i]:
                 ended.append(k)
         if ended:
             keep = np.delete(np.arange(len(live)), ended)
-            self.running, enc, dec = live[keep], self.enc, self.dec
+            self.running, dec = live[keep], self.dec
             self.dec = DecoderState(*(_compact(a, keep) for a in (dec.g1_h, dec.g2_h,
                                                                   dec.last_token)))
-            self.enc = EncoderState(None, None, _compact(enc.rows, keep), enc.consumed[keep])
+            self.enc_rows = _compact(self.enc_rows, keep)
             if self.projected is not None:
                 self.projected = _compact(self.projected, keep)
-        # start the next step; a row consumes n_read rows, plus its EOS row once forced
+        # start the next step: a lane that has read its whole source sees EOS and writes
         self.forced = self.n_read == self._src_len
-        eos = (self.enc.consumed == self._src_len[self.running]).nonzero()[0]
-        if len(eos):
-            self.enc = self.enc.advance(eos)
         self._proposal = None
 
 
@@ -527,11 +516,11 @@ def teacher_forced_loss(model: EnvModel, batch, tape, feats3=None):
     g1 = ad.gru_sequence(tape, ys, zeros, model.dec1, tgt_len)
     ctx, _ = ad.batched_attention(tape, h_all, h_all, g1, src_mask)
     if model.multimodal:
-        v_all = ad.linear_rows3(tape, feats3, model.w_vis)
+        v_all = ad.matmul(tape, Tensor(feats3), model.w_vis)
         vctx, _ = ad.batched_attention(tape, v_all, v_all, g1)
         ctx = ad.add(tape, ctx, vctx)
     g2 = ad.gru_sequence(tape, ctx, zeros, model.dec2, tgt_len)
-    feat = ad.concat(tape, [ys, ctx, g2], axis=2)
+    feat = ad.concat(tape, [ys, ctx, g2])
     logits = ad.add_bias(tape, ad.matmul(tape, feat, model.w_out), model.b_out)
     return ad.softmax_cross_entropy_rows(tape, logits, out_mat, out_mask,
                                          denom=float(out_mask.sum()))

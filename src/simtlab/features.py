@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, DataError, FormatError, ShapeError
 
 MAGIC = b"SIMTFEAT1"
 GRID, CONCEPTS = "grid", "concepts"
@@ -97,7 +97,10 @@ def write_features(path, feature_sets) -> None:
 
 def load_features(path):
     """The FeatureSets in ``path``; a broken layout or a bad sample raises ``FormatError``."""
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read features file: {exc.strerror}") from None
     if blob[:9] != MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:9]!r}")
     if len(blob) < 9 + 13:

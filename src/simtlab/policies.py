@@ -25,6 +25,7 @@ import numpy as np
 
 from .environment import READ, WRITE, EnvModel, EpisodeStepper
 from .errors import ContractError, DataError, NumericError
+from .metrics import delays_from_actions
 
 
 class Policy:
@@ -86,6 +87,14 @@ class Transcript:
         return [t for t in self.hyp if t != "<eos>"]
 
     def validate(self) -> None:
+        """Raise ``ContractError`` unless the record is one episode of the game.
+
+        The actions are a string of READs and WRITEs, and the delays are
+        the ones they give; the stepper records both, so this also checks it.
+        """
+        if not (isinstance(self.actions, str) and set(self.actions) <= {READ, WRITE}):
+            raise ContractError(f"transcript: actions must be a string of {READ} and {WRITE}, "
+                                f"got {self.actions!r}")
         writes = self.actions.count(WRITE)
         reads = self.actions.count(READ)
         if writes != len(self.hyp):
@@ -101,6 +110,9 @@ class Transcript:
                 raise ContractError("transcript: delays must be non-decreasing")
             if self.delays[0] < 1 or max(self.delays) > len(self.src):
                 raise ContractError("transcript: delays outside [1, |src|]")
+            want = delays_from_actions(self.actions, self.ended_with_eos)
+            if self.delays != want:
+                raise ContractError(f"transcript: delays {self.delays} vs {want} from the actions")
         if self.rewards and len(self.rewards) != len(self.actions):
             raise ContractError("transcript: rewards misaligned with actions")
         if self.attention is not None and len(self.attention) != len(self.actions):
@@ -151,6 +163,8 @@ def write_transcripts(path, transcripts) -> None:
 def read_transcripts(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read transcripts file: {exc.strerror}") from None
     except ValueError as exc:  # UnicodeDecodeError
         raise DataError(f"{path}: transcripts file is not UTF-8 text: {exc}") from None
     out = []

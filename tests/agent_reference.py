@@ -56,8 +56,8 @@ def replay_losses(batch, agent, baseline, cfg):
         if not net.cfg.use_att:
             return None, None
         feats3 = np.stack([e.features.matrix for e in entries])
-        return (ad.linear_rows3(tape, feats3, net.key_proj),
-                ad.linear_rows3(tape, feats3, net.val_proj))
+        return (ad.matmul(tape, Tensor(feats3), net.key_proj),
+                ad.matmul(tape, Tensor(feats3), net.val_proj))
 
     a_keys, a_vals = visual_setup(agent)
     b_keys, b_vals = visual_setup(baseline)
@@ -79,14 +79,14 @@ def replay_losses(batch, agent, baseline, cfg):
         parts = [Tensor(obs_text[:, t]), emb_const, Tensor(obs_prev[:, t])]
         if a_keys is not None:
             a_vis, _ = ad.batched_attention(tape, a_keys, a_vals, emb_const)
-            obs = ad.concat(tape, parts + [a_vis], axis=1)
+            obs = ad.concat(tape, parts + [a_vis])
         else:
-            obs = ad.concat(tape, parts, axis=1)
+            obs = ad.concat(tape, parts)
         if b_keys is not None:
             b_vis, _ = ad.batched_attention(tape, b_keys, b_vals, emb_const)
-            bobs = ad.concat(tape, parts + [b_vis], axis=1)
+            bobs = ad.concat(tape, parts + [b_vis])
         else:
-            bobs = ad.concat(tape, parts, axis=1)
+            bobs = ad.concat(tape, parts)
         bh, bout = _step(tape, baseline, bobs, bh)
         bval = ad.pick_rows(tape, bout, zeros_idx)
         mse_terms.append(ad.masked_sq_error(tape, bval, returns[:, t],

@@ -23,7 +23,7 @@ def _stack_steps(tape, mats):
             for s, m in enumerate(mats):
                 if m.requires_grad:
                     m.grad = g[:, s].copy() if m.grad is None else m.grad + g[:, s]
-        tape.record((out,), bwd)
+        tape.record(out, bwd)
     return out
 
 
@@ -41,7 +41,7 @@ def teacher_forced_loss_stepwise(model, batch, tape, feats3=None):
         h2 = ad.gru_cell(tape, h1, h2, model.enc2)
         rows.append(h2)
     h_all = _stack_steps(tape, rows)
-    v_all = ad.linear_rows3(tape, feats3, model.w_vis) if model.multimodal else None
+    v_all = ad.matmul(tape, ad.Tensor(feats3), model.w_vis) if model.multimodal else None
 
     in_mat, _ = _pad_batch([[BOS] + ids for ids in tgt_ids])
     out_mat, out_mask = _pad_batch([ids + [EOS] for ids in tgt_ids])
@@ -57,7 +57,7 @@ def teacher_forced_loss_stepwise(model, batch, tape, feats3=None):
             vctx, _ = ad.batched_attention(tape, v_all, v_all, g1)
             ctx = ad.add(tape, ctx, vctx)
         g2 = ad.gru_cell(tape, ctx, g2, model.dec2)
-        feat = ad.concat(tape, [x, ctx, g2], axis=1)
+        feat = ad.concat(tape, [x, ctx, g2])
         logits = ad.add_bias(tape, ad.matmul(tape, feat, model.w_out), model.b_out)
         losses.append(ad.softmax_cross_entropy_rows(
             tape, logits, out_mat[:, t], out_mask[:, t], denom=total_tokens))

@@ -290,7 +290,7 @@ def test_collection_does_each_distinct_source_once(untrained_env, monkeypatch):
     episodes = [e for e in episodes for _ in range(5)]
     encodes, sequences, products, steps, decisions = [], [], [], [], []
     real_encode, real_sequence = EncoderState.encode.__func__, ad.gru_sequence
-    real_rows3 = ad.linear_rows3
+    real_matmul, projections = ad.matmul, {id(env.w_vis), id(agent.key_proj), id(agent.val_proj)}
     real_step, real_decide = agent_module._LaneState.step, agent_module._SamplingPolicy.decide
 
     def encode(cls, model, id_lists):
@@ -301,9 +301,10 @@ def test_collection_does_each_distinct_source_once(untrained_env, monkeypatch):
         sequences.append((id(params), len(xs.data)))
         return real_sequence(tape, xs, h0, params, lengths)
 
-    def linear_rows3(tape, feats, w):
-        products.append((id(w), len(feats)))
-        return real_rows3(tape, feats, w)
+    def matmul(tape, a, w):
+        if id(w) in projections:
+            products.append((id(w), a.shape))
+        return real_matmul(tape, a, w)
 
     def step(self, *args):
         steps.append(len(decisions))
@@ -315,14 +316,15 @@ def test_collection_does_each_distinct_source_once(untrained_env, monkeypatch):
 
     monkeypatch.setattr(EncoderState, "encode", classmethod(encode))
     monkeypatch.setattr(ad, "gru_sequence", gru_sequence)
-    monkeypatch.setattr(ad, "linear_rows3", linear_rows3)
+    monkeypatch.setattr(ad, "matmul", matmul)
     monkeypatch.setattr(agent_module._LaneState, "step", step)
     monkeypatch.setattr(agent_module._SamplingPolicy, "decide", decide)
     batch = collect_trajectories(agent, baseline, env, episodes, RLTrainConfig(), global_seed=1)
     assert encodes == [30]
     assert sequences == [(id(env.enc1), 6), (id(env.enc2), 6)]
-    assert products == [(id(env.w_vis), 1)] * 6 + [(id(agent.key_proj), 6),
-                                                   (id(agent.val_proj), 6)]
+    rows = (env.cfg.feature_rows, env.cfg.feature_dim)
+    assert products == [(id(env.w_vis), rows)] * 6 + [(id(agent.key_proj), (6, *rows)),
+                                                      (id(agent.val_proj), (6, *rows))]
     assert steps == list(range(1, len(decisions) + 1))
     assert len(decisions) == max(len(e) for e in batch.entries) and decisions[0] == 30
 
@@ -336,18 +338,20 @@ def test_replay_does_each_distinct_source_once_and_the_agent_to_its_last_decisio
     cfg = RLTrainConfig()
     batch = collect_trajectories(agent, baseline, env, episodes, cfg, global_seed=1)
     sequences, products = [], []
-    real_sequence, real_rows3 = ad.gru_sequence, ad.linear_rows3
+    real_sequence, real_matmul = ad.gru_sequence, ad.matmul
+    projections = {id(w) for net in (agent, baseline) for w in (net.key_proj, net.val_proj)}
 
     def gru_sequence(tape, xs, h0, params, lengths=None):
         sequences.append((id(params), xs.data.shape[1], list(lengths)))
         return real_sequence(tape, xs, h0, params, lengths)
 
-    def linear_rows3(tape, feats, w):
-        products.append((id(w), len(feats)))
-        return real_rows3(tape, feats, w)
+    def matmul(tape, a, w):
+        if id(w) in projections:
+            products.append((id(w), len(a.data)))
+        return real_matmul(tape, a, w)
 
     monkeypatch.setattr(ad, "gru_sequence", gru_sequence)
-    monkeypatch.setattr(ad, "linear_rows3", linear_rows3)
+    monkeypatch.setattr(ad, "matmul", matmul)
     reinforce_update(batch, agent, baseline, cfg)
     assert products == [(id(baseline.key_proj), 6), (id(baseline.val_proj), 6),
                         (id(agent.key_proj), 6), (id(agent.val_proj), 6)]

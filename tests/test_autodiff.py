@@ -304,19 +304,20 @@ def test_dot_attention_empty_keys():
 
 
 def test_attention_gradcheck_context_and_weights():
+    # the context is differentiated; the weights are a constant, also on a tape
     rng = np.random.default_rng(5)
     kv = ad.Tensor(rng.normal(size=(1, 4, 3)), requires_grad=True)
     q = ad.Tensor(rng.normal(size=(1, 3)), requires_grad=True)
     wc = rng.normal(size=3)
-    ww = rng.normal(size=4)
 
     def forward():
-        ctx, w = ad.batched_attention(None, kv, kv, q)
-        return float(ctx.data[0] @ wc + w.data[0] @ ww)
+        ctx, _ = ad.batched_attention(None, kv, kv, q)
+        return float(ctx.data[0] @ wc)
 
     tape = ad.Tape()
     ctx, w = ad.batched_attention(tape, kv, kv, q)
-    ctx.grad, w.grad = wc[None].copy(), ww[None].copy()
+    assert ctx.requires_grad and not w.requires_grad
+    ctx.grad = wc[None].copy()
     ad.backward(tape, ad.Tensor(0.0))
     assert_grads_close(forward, [kv, q], [kv.grad, q.grad])
 
@@ -372,7 +373,6 @@ def test_batched_attention_many_queries():
     q = ad.Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
     mask = np.array([[True, True, False, False], [True, True, True, True]])
     wc = rng.normal(size=(2, 5, 2))
-    ww = rng.normal(size=(2, 5, 4))
 
     ctx, w = ad.batched_attention(None, keys, values, q, mask)
     for t in range(5):
@@ -381,12 +381,13 @@ def test_batched_attention_many_queries():
         assert np.allclose(w.data[:, t], w_t.data, rtol=0, atol=1e-14)
 
     def forward():
-        ctx, w = ad.batched_attention(None, keys, values, q, mask)
-        return float((ctx.data * wc).sum() + (w.data * ww).sum())
+        ctx, _ = ad.batched_attention(None, keys, values, q, mask)
+        return float((ctx.data * wc).sum())
 
     tape = ad.Tape()
     ctx, w = ad.batched_attention(tape, keys, values, q, mask)
-    ctx.grad, w.grad = wc.copy(), ww.copy()
+    assert not w.requires_grad
+    ctx.grad = wc.copy()
     ad.backward(tape, ad.Tensor(0.0))
     assert_grads_close(forward, [keys, values, q], [keys.grad, values.grad, q.grad])
 
@@ -482,22 +483,22 @@ def test_backward_rejects_non_scalar():
 
 
 def test_backward_replays_in_reverse_and_skips_ops_without_output_gradients():
-    x, y, z, loss = (ad.Tensor(0.0) for _ in range(4))
+    x, z, loss = (ad.Tensor(0.0) for _ in range(3))
     calls = []
     tape = ad.Tape()
-    tape.record((x, y), lambda gx, gy: calls.append(("xy", gx, gy)))
-    tape.record((z,), lambda gz: calls.append(("z", gz)))  # z never reaches the loss
+    tape.record(x, lambda gx: calls.append(("x", gx)))
+    tape.record(z, lambda gz: calls.append(("z", gz)))  # z never reaches the loss
 
     def loss_bwd(g):
         calls.append(("loss", float(g)))
-        y.grad = np.float64(5.0)
-    tape.record((loss,), loss_bwd)
+        x.grad = np.float64(5.0)
+    tape.record(loss, loss_bwd)
     ad.backward(tape, loss)
-    assert calls == [("loss", 1.0), ("xy", None, 5.0)]
+    assert calls == [("loss", 1.0), ("x", 5.0)]
 
 
 def _every_op(tape, requires_grad):
-    """Call each of the 16 ops once on inputs that do or do not require a gradient."""
+    """Call each of the 15 ops once on inputs that do or do not require a gradient."""
     rng = np.random.default_rng(17)
 
     def t(*shape):
@@ -509,10 +510,9 @@ def _every_op(tape, requires_grad):
     m, s = t(2, 3), t()
     rows = np.ones(2)
     return [ad.add(tape, m, t(2, 3)), ad.matmul(tape, m, t(3, 4)), ad.add_bias(tape, m, t(3)),
-            ad.concat(tape, [m, t(2, 1)], axis=1), ad.embedding(tape, t(5, 3), [0, 4]),
-            ad.linear_rows3(tape, rng.normal(size=(2, 4, 3)), t(3, 2)),
+            ad.concat(tape, [m, t(2, 1)]), ad.embedding(tape, t(5, 3), [0, 4]),
             ad.gru_cell(tape, m, t(2, 4), p), ad.gru_sequence(tape, t(2, 5, 3), t(2, 4), p),
-            *ad.batched_attention(tape, t(2, 4, 3), t(2, 4, 5), m),
+            ad.batched_attention(tape, t(2, 4, 3), t(2, 4, 5), m)[0],
             ad.softmax_cross_entropy_rows(tape, m, [0, 2], rows),
             ad.log_softmax_rows(tape, m), ad.pick_rows(tape, m, [1, 2]),
             ad.rows_entropy(tape, m), ad.weighted_sum(tape, m, np.ones((2, 3))),
@@ -526,26 +526,8 @@ def test_ops_record_only_on_a_tape_with_inputs_that_need_gradients():
         assert len(tape) == 0
         assert not any(out.requires_grad for out in outs)
     outs = _every_op(tape, True)
-    assert len(tape) == 16  # attention's two outputs share one record
+    assert len(tape) == 15
     assert all(out.requires_grad for out in outs)
-
-
-def test_attention_weights_alone_send_gradients_to_query_and_keys():
-    rng = np.random.default_rng(18)
-    keys = ad.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
-    values = ad.Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
-    query = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    score = rng.normal(size=(2, 4))
-
-    tape = ad.Tape()
-    ctx, weights = ad.batched_attention(tape, keys, values, query)
-    ad.backward(tape, ad.weighted_sum(tape, weights, score))
-    assert ctx.grad is None and values.grad is None
-
-    def fwd():
-        return float((ad.softmax(np.einsum("bk,bsk->bs", query.data, keys.data)) * score).sum())
-
-    assert_grads_close(fwd, [query, keys], [query.grad, keys.grad])
 
 
 def test_composed_graph_gradcheck():
@@ -583,7 +565,7 @@ def test_elementwise_ops_gradcheck(seed):
 
     def run(tape):
         m = ad.add_bias(tape, ad.add(tape, a, b), bias)
-        logits = ad.matmul(tape, ad.concat(tape, [m, a], axis=2), w)
+        logits = ad.matmul(tape, ad.concat(tape, [m, a]), w)
         return ad.softmax_cross_entropy_rows(tape, logits, targets, mask)
 
     tape = ad.Tape()
@@ -730,7 +712,7 @@ def test_concat_gradcheck():
     wc = rng.normal(size=(2, 5))
 
     tape = ad.Tape()
-    cat = ad.concat(tape, [a, b], axis=1)
+    cat = ad.concat(tape, [a, b])
     cols = [ad.weighted_sum(tape, ad.pick_rows(tape, cat, [j] * 2), wc[:, j])
             for j in range(5)]
     loss = ad.sum_scalars(tape, cols)
@@ -744,6 +726,7 @@ def test_concat_gradcheck():
 
 
 def test_linear_rows3_gradcheck():
+    # a constant (B, R, D) feature block projected by a (D, K) matrix through matmul
     rng = np.random.default_rng(16)
     w = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     feats = rng.normal(size=(2, 4, 3))
@@ -753,10 +736,10 @@ def test_linear_rows3_gradcheck():
         return float((np.einsum("brd,dk->brk", feats, w.data) * score).sum())
 
     tape = ad.Tape()
-    proj = ad.linear_rows3(tape, feats, w)
+    proj = ad.matmul(tape, ad.Tensor(feats), w)
     proj.grad = score.copy()
-    for outputs, bwd in reversed(tape._records):
-        bwd(*(t.grad for t in outputs))
+    for output, bwd in reversed(tape._records):
+        bwd(output.grad)
     assert max_rel_err(w.grad, finite_diff_grads(forward, [w])[0]) <= 1e-4
 
 
@@ -765,7 +748,7 @@ def _scaled_err(got, want):
 
 
 def _per_sample_linear_rows3(feats, w, g):
-    """Forward and weight gradient of linear_rows3, one feats[b] @ w at a time."""
+    """Forward and weight gradient of a (B, R, D) block times w, one feats[b] @ w at a time."""
     out = np.stack([feats[b] @ w for b in range(feats.shape[0])])
     grad = sum(feats[b].T @ g[b] for b in range(feats.shape[0]))
     return out, grad
@@ -785,10 +768,10 @@ def test_linear_rows3_matches_per_sample_products(k, layout):
     want_out, want_grad = _per_sample_linear_rows3(feats, w.data, g)
 
     tape = ad.Tape()
-    proj = ad.linear_rows3(tape, feats, w)
+    proj = ad.matmul(tape, ad.Tensor(feats), w)
     proj.grad = g.copy()
-    for outputs, bwd in reversed(tape._records):
-        bwd(*(t.grad for t in outputs))
+    for output, bwd in reversed(tape._records):
+        bwd(output.grad)
     assert proj.shape == (30, 72, k)
     assert _scaled_err(proj.data, want_out) <= 1e-12
     assert _scaled_err(w.grad, want_grad) <= 1e-12

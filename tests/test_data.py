@@ -32,7 +32,8 @@ def test_ambiguous_text_ceiling_picks_each_types_majority_realization():
 @pytest.mark.parametrize("field, value, problem", [
     ("vocab_size", 0, "vocab_size must be at least 1, got 0"),
     ("feature_noise", -1.0, "feature_noise must be at least 0, got -1.0"),
-    ("feature_noise", math.nan, "feature_noise must be at least 0, got nan")])
+    ("feature_noise", math.nan, "feature_noise must be at least 0, got nan"),
+    ("n_ambiguous_types", -1, "n_ambiguous_types must be at least 0, got -1")])
 def test_task_spec_rejects_an_empty_vocabulary_and_negative_or_nan_noise(field, value, problem):
     with pytest.raises(ConfigError, match=f"TaskSpec.{problem}"):
         TaskSpec(task="copy" if field == "vocab_size" else "ambiguous", **{field: value})

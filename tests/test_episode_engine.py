@@ -135,9 +135,15 @@ def test_multimodal_entry_points_need_features(visual_env):
                              [(src, tgt, None)], RLTrainConfig(), global_seed=0)
 
 
-def _take(enc, lanes):
-    """The rows and counters of ``lanes`` of a stepper's encoder state, copied."""
-    return EncoderState(None, None, enc.rows[lanes], enc.consumed[lanes])
+def _visible(episode):
+    """The encoder rows each running lane sees: ``n_read``, plus its EOS row once forced."""
+    run = episode.running
+    return episode.n_read[run] + episode.forced[run]
+
+
+def _take(episode, lanes):
+    """The encoder state of ``lanes`` (row positions) of a stepper's running lanes, copied."""
+    return EncoderState(None, None, episode.enc_rows[lanes], _visible(episode)[lanes])
 
 
 def _take_dec(dec, lanes):
@@ -146,17 +152,22 @@ def _take_dec(dec, lanes):
 
 
 def _check_rows_follow_running(episode):
-    """The stepper's model states and features hold one row per running lane, in order."""
+    """The stepper's model states and features hold one row per running lane, in order,
+    and a proposal on them attends to exactly the rows each lane sees."""
     m, run = len(episode.running), episode.running
     rows = [len(episode.dec.g1_h), len(episode.dec.g2_h), len(episode.dec.last_token),
-            len(episode.enc.rows), len(episode.enc.consumed)]
+            len(episode.enc_rows)]
     if episode.projected is not None:
         rows.append(len(episode.projected))
     assert rows == [m] * len(rows)
     # a running lane sees n_read rows, plus its EOS row once a step forced it to write
-    n_read, src_len = episode.n_read[run], np.array([len(episode.src_ids[i]) for i in run])
-    extra = episode.enc.consumed - n_read
-    assert np.all((extra == 0) | ((extra == 1) & (n_read == src_len)))
+    src_len = np.array([len(episode.src_ids[i]) for i in run])
+    assert np.array_equal(episode.forced[run], episode.n_read[run] == src_len)
+    if m:  # propose_next as imported here, which the tests' counters do not see
+        visible = _visible(episode)
+        weights = propose_next(episode.dec, _take(episode, np.arange(m)), episode.model,
+                               episode.projected).text_weights
+        assert np.array_equal(weights != 0, np.arange(visible.max()) < visible[:, None])
 
 
 def test_stepper_lanes_equal_single_lane_episodes(visual_env):
@@ -251,14 +262,14 @@ def _ragged(untrained_env, visual_env, multimodal):
 @pytest.mark.parametrize("multimodal", [False, True])
 def test_encoder_pass_equals_one_lane_encode_next(untrained_env, visual_env, multimodal):
     env, sources, feats = _ragged(untrained_env, visual_env, multimodal)
-    enc = EpisodeStepper(env, sources, feats).enc
+    episode = EpisodeStepper(env, sources, feats)
     # the constructor's first READ; lane 0 has read its only token, so its EOS row shows
-    assert enc.consumed.tolist() == [2] + [1] * 7
+    assert _visible(episode).tolist() == [2] + [1] * 7
     for i, src in enumerate(sources):
         ids = env.src_vocab.encode(src) + [EOS]
         alone = encode_sequence(env, ids).rows[0]
-        assert np.max(np.abs(enc.rows[i, :len(ids)] - alone)) <= 1e-12
-        assert not enc.rows[i, len(ids):].any()
+        assert np.max(np.abs(episode.enc_rows[i, :len(ids)] - alone)) <= 1e-12
+        assert not episode.enc_rows[i, len(ids):].any()
 
 
 def test_stepper_drops_ended_lanes_from_projected_in_place(visual_env):
@@ -281,7 +292,7 @@ def test_stepper_drops_ended_lanes_from_encoder_rows_in_place(visual_env):
     env, pairs, feats = visual_env
     sources = [src for src, _ in pairs[:8]]
     episode = EpisodeStepper(env, sources, feats[:8])
-    block = episode.enc.rows
+    block = episode.enc_rows
     lanes = EncoderState.encode(env, [env.src_vocab.encode(s) + [EOS] for s in sources]).rows
     rng = np.random.default_rng(12)
     partial = 0
@@ -289,8 +300,8 @@ def test_stepper_drops_ended_lanes_from_encoder_rows_in_place(visual_env):
         episode.apply(rng.random(8) < 0.4)
         run = episode.running
         if len(run):
-            assert np.shares_memory(episode.enc.rows, block)
-            assert np.array_equal(episode.enc.rows, lanes[run])
+            assert np.shares_memory(episode.enc_rows, block)
+            assert np.array_equal(episode.enc_rows, lanes[run])
             partial += len(run) < 8
     assert partial > 3
 
@@ -306,7 +317,7 @@ def test_proposal_on_lanes_equals_all_lane_rows(untrained_env, visual_env, multi
         whole, m = episode.proposal(), len(episode.running)
         for idx in (np.arange(m), np.sort(rng.permutation(m)[:3]), np.array([m - 1])):
             projected = None if episode.projected is None else episode.projected[idx]
-            got = propose_next(_take_dec(episode.dec, idx), _take(episode.enc, idx), env,
+            got = propose_next(_take_dec(episode.dec, idx), _take(episode, idx), env,
                                projected)
             assert np.array_equal(got.token, whole.token[idx])
             # BLAS may round a product's rows differently with another row count
@@ -318,14 +329,14 @@ def test_proposal_on_lanes_equals_all_lane_rows(untrained_env, visual_env, multi
             assert np.allclose(got.text_weights, whole.text_weights[idx, :width],
                                rtol=0, atol=1e-12)
             assert not whole.text_weights[idx, width:].any()
-        ragged_steps += len(set(episode.enc.consumed)) > 1
+        ragged_steps += len(set(_visible(episode))) > 1
         episode.apply(rng.random(8) < 0.4)
         _check_rows_follow_running(episode)
     assert ragged_steps > 3
     if multimodal:
         fresh = EpisodeStepper(env, sources, feats)
         with pytest.raises(ShapeError, match="projected feature blocks"):
-            propose_next(_take_dec(fresh.dec, [0, 1]), _take(fresh.enc, [0, 1]), env,
+            propose_next(_take_dec(fresh.dec, [0, 1]), _take(fresh, [0, 1]), env,
                          fresh.projected)
 
 
@@ -370,10 +381,10 @@ def test_apply_keeps_no_reference_to_the_proposal(untrained_env):
 
 def test_encode_next_rejects_a_state_encoded_up_front(untrained_env):
     env, pairs = untrained_env
-    episode = EpisodeStepper(env, [src for src, _ in pairs[:3]])
-    # the stepper's encoder state was encoded up front; READs only advance it
-    with pytest.raises(ContractError, match="advance"):
-        encode_next(episode.enc, 4, env)
+    enc = EncoderState.encode(env, [env.src_vocab.encode(src) + [EOS] for src, _ in pairs[:3]])
+    # a state encoded up front already holds every row
+    with pytest.raises(ContractError, match="encoded up front"):
+        encode_next(enc, 4, env)
 
 
 def test_steps_run_no_encoder_gru_and_only_live_rows(untrained_env, monkeypatch):

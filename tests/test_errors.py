@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from simtlab import autodiff as ad
-from simtlab.agent import AgentGreedyPolicy, RLTrainConfig, collect_trajectories
-from simtlab.checkpoint import MAGIC as CKPT_MAGIC, load_checkpoint
-from simtlab.data import load_manifest, load_parallel
+from simtlab.agent import AgentGreedyPolicy, AgentNetwork, RLTrainConfig, collect_trajectories
+from simtlab.checkpoint import MAGIC as CKPT_MAGIC, file_sha256, load_checkpoint
+from simtlab.data import load_manifest, load_parallel, load_split
 from simtlab.environment import EnvConfig, EnvModel, teacher_forced_loss, validation_bleu
 from simtlab.errors import (ConfigError, ContractError, DataError, FormatError, NumericError,
                            ShapeError)
@@ -187,6 +187,33 @@ CASES = {
     "transcripts-not-utf8": (
         DataError, "t.jsonl: transcripts file is not UTF-8 text",
         lambda tmp, env, pairs: read_transcripts(_file(tmp, "t.jsonl", NOT_UTF8))),
+    "env-metadata-missing": (
+        DataError, "env.meta: cannot read metadata: No such file or directory",
+        lambda tmp, env, pairs: EnvModel.load(tmp / "env")),
+    "agent-metadata-missing": (
+        DataError, "agent.meta: cannot read metadata: No such file or directory",
+        lambda tmp, env, pairs: AgentNetwork.load(tmp / "agent")),
+    "corpus-missing": (
+        DataError, "train.src: cannot read corpus file: No such file or directory",
+        lambda tmp, env, pairs: load_split(tmp, "train")),
+    "features-missing": (
+        DataError, "x.feat: cannot read features file: No such file or directory",
+        lambda tmp, env, pairs: load_features(tmp / "x.feat")),
+    "features-directory": (
+        DataError, "cannot read features file: Is a directory",
+        lambda tmp, env, pairs: load_features(tmp)),
+    "checkpoint-missing": (
+        DataError, "env.ckpt: cannot read checkpoint: No such file or directory",
+        lambda tmp, env, pairs: load_checkpoint(tmp / "env.ckpt")),
+    "checkpoint-sha256-missing": (
+        DataError, "env.ckpt: cannot read file: No such file or directory",
+        lambda tmp, env, pairs: file_sha256(tmp / "env.ckpt")),
+    "transcripts-missing": (
+        DataError, "t.jsonl: cannot read transcripts file: No such file or directory",
+        lambda tmp, env, pairs: read_transcripts(tmp / "t.jsonl")),
+    "manifest-directory": (
+        DataError, "dataset.json: cannot read dataset manifest: Is a directory",
+        lambda tmp, env, pairs: load_manifest((tmp / "dataset.json").mkdir() or tmp)),
 }
 
 

@@ -43,7 +43,7 @@ def test_no_einsum_contraction_in_src():
 
 
 def test_contraction_check_tells_contractions_from_outer_products():
-    assert not einsum_contracts("bs,bd->bsd")    # _sum_outer's outer product
+    assert not einsum_contracts("bs,bd->bsd")    # an outer product sums nothing
     assert not einsum_contracts("ii->i")         # a diagonal sums nothing
     assert not einsum_contracts("...i,...j->...ij")
     assert einsum_contracts("brd,dk->brk")
@@ -107,48 +107,57 @@ def test_nan_check_tells_strict_json_writes_from_permissive_ones():
         "m.py:9: dump() without allow_nan=False"]
 
 
+# the exceptions a try around each kind of read must catch
+READ_GUARDS = {"read_text": {"OSError", "ValueError"}, "read_bytes": {"OSError"},
+               "loads": {"ValueError"}}
+
+
 def unguarded_text_reads(source: str, name: str) -> list:
-    """One line per ``read_text(...)`` or ``json.loads(...)`` call in ``source`` that no
-    ``try`` body in the same function encloses with a handler naming ``ValueError``.
+    """One line per ``read_text(...)``, ``read_bytes(...)`` or ``json.loads(...)`` call in
+    ``source`` whose enclosing ``try`` bodies in the same function have no handler
+    naming each exception of ``READ_GUARDS`` for it.
 
     Bare ``loads`` calls count too, as a ``from json import`` would bind them.
     """
     problems = []
 
-    def catches_value_error(handler):
+    def caught_by(handler):
         types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
-        return any(getattr(t, "id", None) == "ValueError" for t in types)
+        return {getattr(t, "id", None) for t in types}
 
-    def visit(node, guarded):
+    def visit(node, caught):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            guarded = False  # a try around a definition does not enclose its calls
+            caught = set()  # a try around a definition does not enclose its calls
         elif isinstance(node, ast.Try):
+            inner = caught.union(*(caught_by(h) for h in node.handlers))
             for child in node.body:
-                visit(child, guarded or any(catches_value_error(h) for h in node.handlers))
+                visit(child, inner)
             for child in node.handlers + node.orelse + node.finalbody:
-                visit(child, guarded)
+                visit(child, caught)
             return
-        elif isinstance(node, ast.Call) and not guarded:
+        elif isinstance(node, ast.Call):
             func = node.func
             if isinstance(func, ast.Attribute):
                 on_json = getattr(func.value, "id", None) == "json"
-                called = func.attr if func.attr == "read_text" or on_json else None
+                called = func.attr if func.attr != "loads" or on_json else None
             else:
                 called = getattr(func, "id", None)
-            if called in ("read_text", "loads"):
+            missing = sorted(READ_GUARDS.get(called, set()) - caught)
+            if missing:
                 problems.append(f"{name}:{node.lineno}: {called}() outside a try that catches "
-                                f"ValueError")
+                                f"{' and '.join(missing)}")
         for child in ast.iter_child_nodes(node):
-            visit(child, guarded)
+            visit(child, caught)
 
-    visit(ast.parse(source), False)
+    visit(ast.parse(source), set())
     return problems
 
 
 def test_text_reads_in_src_map_decode_errors():
-    """A file that is not UTF-8 raises ``UnicodeDecodeError`` and text that is not JSON
-    raises ``JSONDecodeError``. Both are ``ValueError``s that no exit code maps, so each
-    read must turn them into a typed error naming the file."""
+    """A missing or unreadable file raises an ``OSError``, a file that is not UTF-8 raises
+    ``UnicodeDecodeError`` and text that is not JSON raises ``JSONDecodeError``; the last
+    two are ``ValueError``s. No exit code maps any of them, so each read must turn them
+    into a typed error naming the file."""
     problems = []
     for path in sorted(SRC.rglob("*.py")):
         problems += unguarded_text_reads(path.read_text(encoding="utf-8"), path.name)
@@ -162,27 +171,35 @@ def test_text_read_check_tells_guarded_reads_from_bare_ones():
               "    try:\n"
               "        text = path.read_text(encoding='utf-8')\n"
               "        obj = json.loads(line)\n"
+              "        blob = path.read_bytes()\n"
+              "    except OSError:\n"
+              "        raise\n"
               "    except (KeyError, ValueError):\n"
               "        path.read_text()\n"
               "    else:\n"
               "        json.loads(text)\n"
               "    try:\n"
               "        def inner():\n"
-              "            return path.read_text()\n"
+              "            return path.read_bytes()\n"
               "        loads(line)\n"
+              "        path.read_text()\n"
               "    except OSError:\n"
               "        pass\n"
               "    try:\n"
               "        for x in path.read_text().split():\n"
               "            pass\n"
+              "        blob = path.read_bytes()\n"
               "    except ValueError:\n"
               "        pass\n"
-              "    return obj, inner, other.loads(line), json.dumps(obj), a.b.loads(line)\n")
+              "    return obj, blob, inner, other.loads(line), json.dumps(obj), a.b.loads(line)\n")
     assert unguarded_text_reads(source, "m.py") == [
-        "m.py:8: read_text() outside a try that catches ValueError",
-        "m.py:10: loads() outside a try that catches ValueError",
-        "m.py:13: read_text() outside a try that catches ValueError",
-        "m.py:14: loads() outside a try that catches ValueError"]
+        "m.py:11: read_text() outside a try that catches OSError and ValueError",
+        "m.py:13: loads() outside a try that catches ValueError",
+        "m.py:16: read_bytes() outside a try that catches OSError",
+        "m.py:17: loads() outside a try that catches ValueError",
+        "m.py:18: read_text() outside a try that catches ValueError",
+        "m.py:22: read_text() outside a try that catches OSError",
+        "m.py:24: read_bytes() outside a try that catches OSError"]
 
 
 def unused_locals(source: str, name: str) -> list:
@@ -351,7 +368,7 @@ def test_function_import_check_tells_body_imports_from_module_ones():
         "m.py:14: fetch() imports in its body"]
 
 
-RECORDERS = {("autodiff.py", "_op"), ("autodiff.py", "batched_attention")}
+RECORDERS = {("autodiff.py", "_op")}
 
 
 def record_calls(source: str, name: str) -> list:
@@ -377,8 +394,8 @@ def record_calls(source: str, name: str) -> list:
 
 
 def test_tape_records_only_through_op():
-    """``_op`` (and two-output attention) are the one place an op is recorded, so the
-    tape's skip rule lives in ``backward`` alone instead of in each op."""
+    """``_op`` is the one place an op is recorded, so the tape's skip rule lives in
+    ``backward`` alone instead of in each op."""
     problems = []
     for path in sorted(SRC.rglob("*.py")):
         problems += [f"{where}: {fn}() calls .record("
@@ -389,12 +406,12 @@ def test_tape_records_only_through_op():
 
 def test_record_check_names_the_enclosing_function():
     source = ("def _op(tape, out, bwd):\n"
-              "    tape.record((out,), bwd)\n"
+              "    tape.record(out, bwd)\n"
               "class Net:\n"
               "    def step(self, tape):\n"
               "        def bwd(g):\n"
               "            return g\n"
-              "        tape.record((self.out,), bwd)\n"
+              "        tape.record(self.out, bwd)\n"
               "        self.log.record_event()\n"
               "def helper(tape):\n"
               "    def inner():\n"
@@ -495,7 +512,7 @@ def test_guard_check_tells_guarded_gradients_from_dropped_ones():
               "    def bwd(g):\n"
               "        if k.requires_grad:\n"
               "            _accum(q, g.T)\n"
-              "    tape.record((out,), bwd)\n")
+              "    tape.record(out, bwd)\n")
     assert unguarded_accums(source, "m.py") == [
         "m.py:4: two() computes b's gradient without testing b.requires_grad",
         "m.py:8: two() computes b's gradient without testing b.requires_grad",

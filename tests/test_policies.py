@@ -248,7 +248,7 @@ def test_project_features_peaks_at_its_output_plus_one_lane(untrained_env):
     assert peak <= got.nbytes + 2 * lane_temporaries
     # equal, bit for bit, to one GEMM over the stacked float64 lanes
     stacked = np.stack([f.matrix for f in feats], dtype=np.float64)
-    assert np.array_equal(got, ad.linear_rows3(None, stacked, env.w_vis).data)
+    assert np.array_equal(got, ad.matmul(None, ad.Tensor(stacked), env.w_vis).data)
 
 
 def _visual_training_batch(env, pairs, feats3_dtype):
@@ -281,10 +281,9 @@ def test_float32_features_give_the_results_of_their_float64_values(untrained_env
 def _replay_keeping_records(tape, loss):
     """Reverse replay that leaves every record on the tape, as backward once did."""
     loss.grad = np.ones(())
-    for outputs, bwd in reversed(tape._records):
-        grads = [t.grad for t in outputs]
-        if any(g is not None for g in grads):
-            bwd(*grads)
+    for output, bwd in reversed(tape._records):
+        if output.grad is not None:
+            bwd(output.grad)
 
 
 def test_visual_teacher_forced_backward_frees_the_tape_as_it_goes(untrained_env):
@@ -606,8 +605,15 @@ def test_write_transcripts_leaves_an_existing_file_unchanged_on_a_bad_record(tmp
      "'rewards' is not a list of finite numbers"),
     ('{"src": ["a"], "hyp": ["x"], "actions": "RW", "g": [1], "forced_overrides": -3}',
      "'forced_overrides' is not a non-negative int"),
+    ('{"src": ["a"], "hyp": [], "actions": "RX", "g": []}',
+     "actions must be a string of R and W, got 'RX'"),
+    ('{"src": ["a", "b"], "hyp": ["x", "y"], "actions": "WRW", "g": [1, 1]}',
+     r"delays \[1, 1\] vs \[0, 1\] from the actions"),
+    ('{"src": ["a"], "hyp": ["x"], "actions": ["R", "W"], "g": [1]}',
+     r"actions must be a string of R and W, got \['R', 'W'\]"),
 ], ids=["list", "int-g", "string-g", "no-actions", "bad-json", "inconsistent", "nan-rewards",
-        "string-rewards", "negative-overrides"])
+        "string-rewards", "negative-overrides", "unknown-action", "write-before-read",
+        "action-list"])
 def test_read_transcripts_rejects_bad_records_with_line(tmp_path, record, problem):
     good = json.dumps(Transcript(src=["a"], hyp=["x"], actions="RW", delays=[1]).to_json_obj())
     path = tmp_path / "episodes.jsonl"

@@ -12,14 +12,18 @@ reaches agent parameters.
 One code path serves every caller. ``_RecurrentNet.start`` gives the
 initial states and visual keys and values, projecting each distinct
 FeatureSet once, ``_observation`` assembles the input rows, and
-``_RecurrentNet.step_np`` steps without a tape. Both agent policies step
-the running lanes of an ``EpisodeStepper`` at once (the environment is
-frozen) on the rows of its proposal, one per running lane, through the
-agent's ``_LaneState``, and are driven by ``policies.run_episodes``:
-``AgentGreedyPolicy`` writes where the WRITE logit is the larger, and the
-collector's ``_SamplingPolicy`` samples Gumbel actions and records what
-the replay needs. Collection never steps the baseline. ``reinforce_update``
-then replays the recorded observation stream on a tape as one block per
+``_RecurrentNet.step_np`` steps without a tape. The att variant keeps one
+key and value block per distinct FeatureSet, never a copy per lane or
+episode: the samples of one source share its set, and an index points
+each at its block, over which ``autodiff.batched_attention`` attends for
+all of them in one product. Both agent policies step the running lanes of
+an ``EpisodeStepper`` at once (the environment is frozen) on the rows of
+its proposal, one per running lane, through the agent's ``_LaneState``,
+and are driven by ``policies.run_episodes``: ``AgentGreedyPolicy`` writes
+where the WRITE logit is the larger, and the collector's
+``_SamplingPolicy`` samples Gumbel actions and records what the replay
+needs. Collection never steps the baseline. ``reinforce_update`` then
+replays the recorded observation stream on a tape as one block per
 network: a single attention call, one ``autodiff.gru_sequence`` that steps
 each episode over its own length only, and one head matmul, then REINFORCE
 with the baseline's replayed values as control variates. The baseline
@@ -37,7 +41,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GRUParams, Tensor
 from .checkpoint import load_into, read_config, save_checkpoint, write_metadata
-from .environment import EnvModel, EpisodeStepper, _compact, distinct_items, require_positive
+from .environment import (EnvModel, EpisodeStepper, _compact, _keep_lanes, distinct_items,
+                          require_positive)
 from .errors import ConfigError, ContractError
 from .features import check_feature_sets
 from .metrics import RewardConfig, check_references, step_rewards
@@ -126,27 +131,27 @@ class _RecurrentNet:
     def start(self, tape, features, n: int):
         """Initial states and visual attention inputs for n episodes.
 
-        ``features`` is ``_feature_block``'s (block, index): each distinct
-        FeatureSet is projected once, and ``autodiff.embedding`` gathers the
-        episodes' rows by ``index``. Returns the (n, hidden) initial state (a
-        projection of the flattened features for the init variant, zeros
-        otherwise) and, for the att variant, the (n, R, key_dim) keys and
-        (n, R, text_dim) values, else None.
+        ``features`` is ``_feature_block``'s (block, index): each of the U
+        distinct FeatureSets is projected once, and episode i reads row
+        ``index[i]`` of the projections (row i when ``index`` is None).
+        Returns the (n, hidden) initial state (for the init variant a
+        projection of the flattened features, which ``autodiff.embedding``
+        gathers per episode; zeros otherwise) and, for the att variant, the
+        (U, R, key_dim) keys, the (U, R, text_dim) values and ``index``, else
+        None. Episodes that share a set attend over its one block.
         """
         cfg, (block, index) = self.cfg, features
-
-        def per_episode(t):
-            return t if index is None else ad.embedding(tape, t, index)
         if cfg.use_init:
-            h0 = per_episode(ad.matmul(tape, Tensor(block.reshape(len(block), -1)),
-                                       self.init_proj))
+            h0 = ad.matmul(tape, Tensor(block.reshape(len(block), -1)), self.init_proj)
+            if index is not None:
+                h0 = ad.embedding(tape, h0, index)
         else:
             h0 = Tensor(np.zeros((n, cfg.hidden_dim)))
-        visual_kv = None
+        visual = None
         if cfg.use_att:
-            visual_kv = tuple(per_episode(ad.matmul(tape, Tensor(block), w))
-                              for w in (self.key_proj, self.val_proj))
-        return h0, visual_kv
+            visual = (ad.matmul(tape, Tensor(block), self.key_proj),
+                      ad.matmul(tape, Tensor(block), self.val_proj), index)
+        return h0, visual
 
     def step_np(self, obs, h):
         """One tapeless step on (n, obs_dim) rows; returns (new hidden, head output)."""
@@ -218,19 +223,20 @@ def _feature_block(features, *nets):
     return np.stack([f.matrix for f in distinct], dtype=np.float64), index
 
 
-def _observation(tape, visual_kv, text_ctx, token_emb, prev_action):
+def _observation(tape, visual, text_ctx, token_emb, prev_action):
     """Agent input rows [text_ctx; token_emb; prev_action; visual context].
 
     The parts are (n, ·) lane rows or (B, T, ·) blocks. With an att
-    network's ``visual_kv`` the token embedding attends over its feature
-    rows. Returns the observation and the attention's (context, weights),
-    or None without ``visual_kv``.
+    network's ``visual`` (keys, values, index) the token embedding of row i
+    attends over feature block ``index[i]``. Returns the observation and the
+    attention's (context, weights), or None without ``visual``.
     """
     emb = Tensor(token_emb)
     parts = [Tensor(text_ctx), emb, Tensor(prev_action)]
     attention = None
-    if visual_kv is not None:
-        attention = ad.batched_attention(tape, *visual_kv, emb)
+    if visual is not None:
+        keys, values, index = visual
+        attention = ad.batched_attention(tape, keys, values, emb, index=index)
         parts.append(attention[0])
     return ad.concat(tape, parts), attention
 
@@ -238,17 +244,19 @@ def _observation(tape, visual_kv, text_ctx, token_emb, prev_action):
 class _LaneState:
     """The agent's tapeless state on the running lanes of one episode.
 
-    ``h``, the previous-action rows ``a_prev`` (READ at the start) and the
-    att variant's visual keys and values hold one row per lane in
-    ``lanes``. They start from ``_RecurrentNet.start``, which projects each
-    distinct feature set once. Lanes only end: when the running set
-    shrinks, all four, which this state owns, are compacted to it in place.
-    Each step replaces ``h``, and the policy replaces ``a_prev``, with a
-    fresh array, so compaction never changes a row that was recorded.
+    ``h`` and the previous-action rows ``a_prev`` (READ at the start) hold
+    one row per lane in ``lanes``. The att variant's ``visual`` holds the
+    keys and values of each distinct feature set once, and each lane's row
+    of them (``_RecurrentNet.start``). Lanes only end: when the running set
+    shrinks, ``h`` and ``a_prev`` are compacted to it in place, and of
+    ``visual`` the index is, a set's keys and values being dropped in place
+    only when its last lane ends. This state owns all of these. Each step
+    replaces ``h``, and the policy replaces ``a_prev``, with a fresh array,
+    so compaction never changes a row that was recorded.
     """
 
     def __init__(self, net: _RecurrentNet, features, n: int):
-        h0, self.visual_kv = net.start(None, features, n)
+        h0, self.visual = net.start(None, features, n)
         self.net, self.h, self.lanes = net, h0.data, np.arange(n)
         self.a_prev = np.tile(np.array([1.0, 0.0]), (n, 1))
 
@@ -262,10 +270,12 @@ class _LaneState:
         if len(running) != len(self.lanes):
             keep = np.searchsorted(self.lanes, running)  # both in ascending lane order
             self.h, self.a_prev = _compact(self.h, keep), _compact(self.a_prev, keep)
-            if self.visual_kv is not None:
-                self.visual_kv = tuple(Tensor(_compact(t.data, keep)) for t in self.visual_kv)
+            if self.visual is not None:
+                keys, values, index = self.visual
+                keys, values, index = _keep_lanes((keys.data, values.data, index), keep)
+                self.visual = Tensor(keys), Tensor(values), index
             self.lanes = running
-        obs, attention = _observation(None, self.visual_kv, text_ctx, token_emb, self.a_prev)
+        obs, attention = _observation(None, self.visual, text_ctx, token_emb, self.a_prev)
         self.h, out = self.net.step_np(obs.data, self.h)
         return out, attention
 
@@ -519,8 +529,8 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
 
     def head_outputs(net, steps, runs):
         """Head outputs over the first ``steps`` columns, row b's GRU running ``runs[b]``."""
-        h0, visual_kv = net.start(tape, features, n)
-        obs, _ = _observation(tape, visual_kv, obs_text[:, :steps], obs_emb[:, :steps],
+        h0, visual = net.start(tape, features, n)
+        obs, _ = _observation(tape, visual, obs_text[:, :steps], obs_emb[:, :steps],
                               obs_prev[:, :steps])
         return net.sequence(tape, obs, h0, runs)
 

@@ -445,13 +445,37 @@ def gru_sequence(tape, xs: Tensor, h0: Tensor, params: GRUParams, lengths=None) 
 # Attention
 # ---------------------------------------------------------------------------
 
-def batched_attention(tape, keys: Tensor, values: Tensor, query: Tensor, mask=None):
-    """Row-masked attention over (B, S, dk) keys and (B, S, dv) values.
+def _query_groups(index, blocks: int, rows: int):
+    """Each row's (block, slot) in a stacking of the rows by their block, and the widest group.
 
-    query is (B, dk), or (B, T, dk) for T queries per batch row; mask is a
-    (B, S) boolean array marking valid rows. Returns context (B, dv) and
-    weights (B, S), or (B, T, dv) and (B, T, S) for (B, T, dk) queries. Only
-    the context is recorded; the weights are a constant tensor.
+    Row b goes to slot s of block ``index[b]``, the rows of a block taking
+    slots 0, 1, ... in row order.
+    """
+    index = np.asarray(index)
+    if index.shape != (rows,) or index.dtype.kind not in "iu":
+        raise ShapeError(f"batched_attention: index {index.shape} {index.dtype} for {rows} rows")
+    if rows and (index.min() < 0 or index.max() >= blocks):
+        raise IndexError(f"batched_attention: index out of range [0, {blocks})")
+    counts = np.bincount(index, minlength=blocks)
+    slot = np.empty(rows, dtype=np.int64)
+    slot[np.argsort(index, kind="stable")] = np.arange(rows) - np.repeat(
+        np.cumsum(counts) - counts, counts)
+    return (index, slot), int(counts.max(initial=0))
+
+
+def batched_attention(tape, keys: Tensor, values: Tensor, query: Tensor, mask=None, index=None):
+    """Attention of (B, dk) or (B, T, dk) queries over key and value blocks.
+
+    Without ``index`` row b attends over block b of the (B, S, dk) keys and
+    (B, S, dv) values, and ``mask``, a (B, S) boolean array, may mark each
+    row's valid keys. With a (B,) ``index``, row b attends over block
+    ``index[b]`` of U shared blocks (U, S, ·). The query rows of each block
+    are stacked into one (U, c T, dk) product, c its largest group, and the
+    rows of smaller groups are zero queries, whose gradient is zero: key and
+    value gradients land in the U blocks, with no gather and no scatter-add.
+    ``index`` takes no ``mask``. Returns context (B, dv) and weights (B, S),
+    or (B, T, dv) and (B, T, S) for (B, T, dk) queries. Only the context is
+    recorded; the weights are a constant tensor.
     """
     kd, vd, qd = keys.data, values.data, query.data
     if kd.ndim != 3 or vd.ndim != 3 or qd.ndim not in (2, 3):
@@ -462,26 +486,44 @@ def batched_attention(tape, keys: Tensor, values: Tensor, query: Tensor, mask=No
         raise ShapeError(f"attention: {kd.shape[1]} keys vs {vd.shape[1]} values")
     single = qd.ndim == 2
     q3 = qd[:, None, :] if single else qd
-    scores = q3 @ kd.transpose(0, 2, 1)
+    if index is not None:
+        if mask is not None:
+            raise ContractError("batched_attention: an index takes no mask")
+        at, widest = _query_groups(index, len(kd), len(qd))
+
+    def grouped(x):
+        """(B, T, ·) rows stacked per block to (U, c T, ·), zero where a group is short."""
+        if index is None:
+            return x
+        out = np.zeros((len(kd), widest) + x.shape[1:])
+        out[at] = x
+        return out.reshape(len(kd), widest * x.shape[1], x.shape[2])
+
+    def per_row(x):
+        """The (B, T, ·) rows of a (U, c T, ·) block ``grouped`` stacked."""
+        return x if index is None else x.reshape(len(kd), widest, q3.shape[1], x.shape[2])[at]
+
+    qg = grouped(q3)
+    scores = qg @ kd.transpose(0, 2, 1)
     if mask is not None:
         if not mask.any(axis=1).all():
             raise ContractError("batched_attention: a batch row has no valid keys")
         scores = np.where(mask[:, None, :], scores, -np.inf)
     w = softmax(scores)
-    ctx = w @ vd
+    ctx, w_rows = per_row(w @ vd), per_row(w)
 
     def bwd(gc):
-        gc3 = gc[:, None, :] if single else gc
+        gc3 = grouped(gc[:, None, :] if single else gc)
         dw = gc3 @ vd.transpose(0, 2, 1)
         if values.requires_grad:
             _accum(values, w.transpose(0, 2, 1) @ gc3)
         ds = w * (dw - (w * dw).sum(axis=2, keepdims=True))
         if query.requires_grad:
-            _accum(query, (ds @ kd).reshape(qd.shape))
+            _accum(query, per_row(ds @ kd).reshape(qd.shape))
         if keys.requires_grad:
-            _accum(keys, ds.transpose(0, 2, 1) @ q3)
+            _accum(keys, ds.transpose(0, 2, 1) @ qg)
     return (_op(tape, ctx[:, 0] if single else ctx, (keys, values, query), bwd),
-            Tensor(w[:, 0] if single else w))
+            Tensor(w_rows[:, 0] if single else w_rows))
 
 
 # ---------------------------------------------------------------------------

@@ -117,15 +117,16 @@ class EnvModel:
         for name, t in self.named_tensors():
             t.data = snapshot[name].copy()
 
-    def project_features(self, features) -> np.ndarray:
-        """Map raw feature rows into the decoder space with w_vis: (n, R, h).
+    def project_features(self, features):
+        """Map raw feature rows into the decoder space with w_vis: (blocks, index).
 
         ``features`` is a list of n FeatureSets, one per lane, or a single
-        FeatureSet, which is one lane: (1, R, h). Each distinct FeatureSet
-        object is one tapeless ``matmul``, the op teacher forcing records,
-        into a float64 block that is the output unless lanes share a set: no
-        (n, R, D) stack is built. A lane's product equals its rows of one
-        GEMM over all lanes.
+        FeatureSet, which is one lane. Each of the U distinct FeatureSet
+        objects is one tapeless ``matmul``, the op teacher forcing records,
+        into its (R, h) float64 block of ``blocks``, which lanes that share
+        the set share: lane i reads block ``index[i]``, block i when every
+        lane has its own set and ``index`` is None. A block equals its rows
+        of one GEMM over all sets.
         """
         if not self.multimodal:
             raise ConfigError("project_features on a unimodal environment")
@@ -136,7 +137,7 @@ class EnvModel:
         projected = np.empty((len(distinct), self.cfg.feature_rows, self.cfg.hid_dim))
         for k, f in enumerate(distinct):
             projected[k] = ad.matmul(None, Tensor(f.matrix), self.w_vis).data
-        return projected if index is None else projected[index]
+        return projected, index
 
     def initial_decoder_state(self) -> "DecoderState":
         return DecoderState.initial(self, 1)
@@ -181,6 +182,26 @@ def _compact(block, keep):
         if row != k:
             block[row] = block[k]
     return block[:len(keep)]
+
+
+def _keep_lanes(shared, keep):
+    """``shared`` = (*blocks, index) for the ``keep`` lanes (ascending) alone.
+
+    Lane i reads row ``index[i]`` of every block, row i when ``index`` is
+    None; then the rows are compacted with their lanes (``_compact``).
+    Otherwise only the index is compacted, and a row is dropped, moving the
+    rows after it down in place, only when its last lane ends. The returned
+    index is None when each kept lane reads its own row, in order.
+    """
+    *blocks, index = shared
+    if index is None:
+        return (*[_compact(b, keep) for b in blocks], None)
+    index = index[keep]
+    used = np.bincount(index, minlength=len(blocks[0])) > 0
+    if not used.all():
+        blocks = [_compact(b, np.flatnonzero(used)) for b in blocks]
+        index = (np.cumsum(used) - 1)[index]
+    return (*blocks, None if np.array_equal(index, np.arange(len(index))) else index)
 
 
 class EncoderState:
@@ -275,10 +296,10 @@ class Proposal:
     g2_next: np.ndarray        # (n, h)
 
 
-def _attend(keys, query, mask=None):
+def _attend(keys, query, mask=None, index=None):
     """(context, weights) of dot-product attention with keys as values."""
     kv = Tensor(keys)
-    ctx, weights = ad.batched_attention(None, kv, kv, Tensor(query), mask)
+    ctx, weights = ad.batched_attention(None, kv, kv, Tensor(query), mask, index)
     return ctx.data, weights.data
 
 
@@ -305,8 +326,8 @@ def propose_next(dec: DecoderState, enc: EncoderState, model: EnvModel,
                  projected=None) -> Proposal:
     """Greedy candidate for the next target token on every lane; mutates nothing.
 
-    ``projected`` is ``project_features`` output, one (R, h) block per lane;
-    a multimodal environment needs it.
+    ``projected`` is ``project_features``' (blocks, index), which a
+    multimodal environment needs: lane i attends over block ``index[i]``.
     """
     keys, mask = enc.keys()
     prev_emb = model.tgt_emb.data[dec.last_token]
@@ -314,10 +335,12 @@ def propose_next(dec: DecoderState, enc: EncoderState, model: EnvModel,
     text_ctx, weights = _attend(keys, g1, mask)
     ctx = text_ctx
     if model.multimodal:
-        if len(projected) != len(g1):
-            raise ShapeError(f"propose_next: {len(projected)} projected feature blocks "
-                             f"for {len(g1)} lanes")
-        ctx = ctx + _attend(projected, g1)[0]
+        blocks, index = projected
+        lanes = len(blocks) if index is None else len(index)
+        if lanes != len(g1):
+            raise ShapeError(f"propose_next: projected feature blocks for {lanes} lanes, "
+                             f"not {len(g1)}")
+        ctx = ctx + _attend(blocks, g1, index=index)[0]
     g2 = ad.gru_step(ctx, dec.g2_h, model.dec2)
     logits = np.concatenate([prev_emb, ctx, g2], axis=1) @ model.w_out.data + model.b_out.data
     return Proposal(token=logits.argmax(axis=1), logits=logits, text_ctx=text_ctx,
@@ -353,15 +376,17 @@ class EpisodeStepper:
     always current. ``proposal()`` computes the step's proposal on first
     call and caches it for the step; ``apply()`` asks for it only when some
     lane writes. ``running`` is the index array of the live lanes, in
-    order. The decoder state ``dec``, the encoder rows ``enc_rows`` and the
-    projected features ``projected`` hold one row per running lane, in
-    ``running`` order, so the proposal does too. ``apply()`` copies the
-    proposal onto the decoder rows of the lanes that write, in place, and
-    drops the rows of the lanes it ends. The decoder and encoder rows and
-    ``projected`` are blocks made for this stepper: dropping lanes moves the
-    kept rows down in place and keeps a prefix view, so no second block is
-    allocated. The per-lane bookkeeping (the ``n_read`` and ``n_written``
-    counters, ``forced`` and the lists above) is indexed by lane.
+    order. The decoder state ``dec`` and the encoder rows ``enc_rows`` hold
+    one row per running lane, in ``running`` order, so the proposal does
+    too; ``projected`` (``project_features``' blocks and index) holds the
+    block of each distinct FeatureSet of the running lanes once. ``apply()``
+    copies the proposal onto the decoder rows of the lanes that write, in
+    place, and drops the rows of the lanes it ends, and a feature block when
+    its last lane ends (``_keep_lanes``). These are blocks made for this
+    stepper: dropping rows moves the kept rows down in place and keeps a
+    prefix view, so no second block is allocated. The per-lane bookkeeping
+    (the ``n_read`` and ``n_written`` counters, ``forced`` and the lists
+    above) is indexed by lane.
     """
 
     def __init__(self, model: EnvModel, sources, features=None):
@@ -436,7 +461,7 @@ class EpisodeStepper:
                                                                   dec.last_token)))
             self.enc_rows = _compact(self.enc_rows, keep)
             if self.projected is not None:
-                self.projected = _compact(self.projected, keep)
+                self.projected = _keep_lanes(self.projected, keep)
         # start the next step: a lane that has read its whole source sees EOS and writes
         self.forced = self.n_read == self._src_len
         self._proposal = None

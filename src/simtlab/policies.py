@@ -175,9 +175,12 @@ def read_transcripts(path):
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-            for key in ("src", "hyp", "g"):
-                if not isinstance(obj.get(key), list):
+            for key, kind in (("src", str), ("hyp", str), ("g", int)):
+                items = obj.get(key)
+                if not isinstance(items, list):
                     raise TypeError(f"'{key}' is not a list")
+                if not all(type(x) is kind for x in items):  # type: a bool is no delay
+                    raise TypeError(f"'{key}' is not a list of {kind.__name__}s")
             rewards = obj.get("rewards", [])  # bool is no number here, and NaN < inf is False
             if not (isinstance(rewards, list)
                     and all(type(r) in (int, float) and abs(r) < np.inf for r in rewards)):

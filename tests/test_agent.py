@@ -5,6 +5,7 @@ import pytest
 
 from simtlab import agent as agent_module
 from simtlab import autodiff as ad
+from simtlab import environment
 from simtlab.agent import (AgentConfig, AgentGreedyPolicy, AgentNetwork, BaselineNetwork,
                            RLTrainConfig, TrajectoryBatch, TrajectoryEntry,
                            collect_trajectories, compute_returns, patience_exceeded,
@@ -18,6 +19,7 @@ from simtlab.policies import Policy, simulate
 
 from agent_reference import ReferenceGreedyPolicy, ReferenceSamplingPolicy, replay_losses
 from gradcheck import assert_grads_close
+from memory import peak_bytes
 from recount import quality_rewards_by_recount, transcript_rewards
 
 
@@ -361,6 +363,75 @@ def test_replay_does_each_distinct_source_once_and_the_agent_to_its_last_decisio
     assert sequences == [(id(baseline.gru), max(full), full),
                          (id(agent.gru), max(decided), decided)]
     assert sum(decided) < sum(full) and max(decided) < max(full)
+
+
+def test_visual_attention_reads_each_distinct_feature_set_once(untrained_env, monkeypatch):
+    # counts, not seconds: over a 6 x 5 att collection and its update, every visual attention
+    # gets one key/value block per distinct FeatureSet its lanes or episodes read, and no key
+    # or value projection is gathered to one block per episode
+    env, agent, baseline, episodes = _visual_setup(*untrained_env, "att", 6, seed=7)
+    episodes = [e for e in episodes for _ in range(5)]
+    feats = [fs for _, _, fs in episodes]
+    running, gathers, agent_calls, env_calls = [None], [], [], []
+    real_embedding, real_attention = ad.embedding, ad.batched_attention
+    real_decide, real_propose = agent_module._SamplingPolicy.decide, environment.propose_next
+
+    def distinct_sets():
+        return len({id(feats[i]) for i in running[0]})
+
+    def embedding(tape, table, ids):
+        gathers.append(table.shape)
+        return real_embedding(tape, table, ids)
+
+    def batched_attention(tape, keys, values, query, mask=None, index=None):
+        if keys is not values:  # the agent's and baseline's visual attention
+            agent_calls.append((len(keys.data), len(values.data), distinct_sets(), len(query.data)))
+        return real_attention(tape, keys, values, query, mask, index)
+
+    def decide(self, episode):
+        running[0] = episode.running
+        return real_decide(self, episode)
+
+    def propose_next(dec, enc, model, projected=None):
+        env_calls.append((len(projected[0]), distinct_sets()))
+        return real_propose(dec, enc, model, projected)
+
+    monkeypatch.setattr(ad, "embedding", embedding)
+    monkeypatch.setattr(ad, "batched_attention", batched_attention)
+    monkeypatch.setattr(agent_module._SamplingPolicy, "decide", decide)
+    monkeypatch.setattr(environment, "propose_next", propose_next)
+    cfg = RLTrainConfig()
+    batch = collect_trajectories(agent, baseline, env, episodes, cfg, global_seed=1)
+    collected = len(agent_calls)
+    running[0] = np.arange(30)
+    reinforce_update(batch, agent, baseline, cfg)
+    assert gathers == []
+    assert collected == len(env_calls) > 3 and len(agent_calls) == collected + 2
+    assert all(keys == values == sets for keys, values, sets, _ in agent_calls)
+    assert all(blocks == sets for blocks, sets in env_calls)
+    assert agent_calls[0] == (6, 6, 6, 30) and agent_calls[-2:] == [(6, 6, 6, 30)] * 2
+    assert min(sets for *_, sets, _ in agent_calls) < 6  # some set's last lane ended
+
+
+def test_visual_start_holds_no_per_episode_block(untrained_env):
+    # 30 episodes over 6 bench-sized feature sets: the att variant's keys and values take
+    # one block per set, on a tape or not; a per-episode (30, R, text_dim) block would not fit
+    text_env, pairs = untrained_env
+    env = EnvModel(text_env.src_vocab, text_env.tgt_vocab,
+                   EnvConfig(emb_dim=20, hid_dim=96, feature_rows=72, feature_dim=100),
+                   np.random.default_rng(4))
+    cfg = AgentConfig(text_dim=96, emb_dim=20, hidden_dim=12, key_dim=20, use_att=True,
+                      feature_rows=72, feature_dim=100)
+    agent = AgentNetwork(cfg, np.random.default_rng(3))
+    rng = np.random.default_rng(5)
+    sets = [FeatureSet("grid", rng.normal(size=(72, 100))) for _ in range(6)]
+    features = agent_module._feature_block([f for f in sets for _ in range(5)], agent)
+    per_set = 6 * 72 * (100 + 20 + 96) * 8  # the stacked sets, their keys and their values
+    for tape in (None, ad.Tape()):
+        (h0, (keys, values, index)), peak = peak_bytes(lambda: agent.start(tape, features, 30))
+        assert keys.shape == (6, 72, 20) and values.shape == (6, 72, 96) and len(h0.data) == 30
+        assert np.array_equal(index, np.repeat(np.arange(6), 5))
+        assert peak <= per_set + 30 * 12 * 8 + 4096 < 30 * 72 * 96 * 8
 
 
 def test_an_all_forced_batch_updates_and_leaves_the_agent_a_zero_gradient(untrained_env):

@@ -392,6 +392,92 @@ def test_batched_attention_many_queries():
     assert_grads_close(forward, [keys, values, q], [keys.grad, values.grad, q.grad])
 
 
+# row b attends over block index[b]: rows share blocks, groups may be uneven, blocks may be
+# read out of order or by no row, and [1, 0] gives each row its own block but not block b
+INDEXES = {"even": [0, 0, 1, 1, 2, 2], "uneven": [0, 1, 0, 0, 2, 1, 0], "permuted": [1, 0, 1],
+           "swapped": [1, 0], "unused-block": [2, 0, 2]}
+
+
+def _indexed_inputs(index, steps, seed=21):
+    """Keys (U, 4, 3) and values (U, 4, 2) for index's blocks, queries and an output weighting."""
+    rng = np.random.default_rng(seed)
+    blocks = max(index) + 1
+    keys = ad.Tensor(rng.normal(size=(blocks, 4, 3)), requires_grad=True)
+    values = ad.Tensor(rng.normal(size=(blocks, 4, 2)), requires_grad=True)
+    q = ad.Tensor(rng.normal(size=(len(index), *steps, 3)), requires_grad=True)
+    return keys, values, q, rng.normal(size=(len(index), *steps, 2))
+
+
+def _attention_and_grads(attend, wc, *tensors):
+    """Context, weights and the gradients of (context * wc).sum() for ``tensors``."""
+    tape = ad.Tape()
+    ctx, w = attend(tape)
+    ctx.grad = wc.copy()
+    ad.backward(tape, ad.Tensor(0.0))
+    grads = [t.grad for t in tensors]
+    ad.zero_grads(tensors)
+    return ctx.data, w.data, grads
+
+
+@pytest.mark.parametrize("steps", [(), (3,)])
+@pytest.mark.parametrize("case", sorted(INDEXES))
+def test_indexed_attention_equals_attention_over_gathered_blocks(case, steps):
+    index = np.array(INDEXES[case])
+    keys, values, q, wc = _indexed_inputs(index, steps)
+    got = _attention_and_grads(
+        lambda tape: ad.batched_attention(tape, keys, values, q, index=index), wc, keys, values, q)
+    want = _attention_and_grads(
+        lambda tape: ad.batched_attention(tape, ad.embedding(tape, keys, index),
+                                          ad.embedding(tape, values, index), q),
+        wc, keys, values, q)
+    assert got[0].shape == want[0].shape and got[1].shape == want[1].shape
+    for g, w in zip([*got[:2], *got[2]], [*want[:2], *want[2]]):
+        assert np.allclose(g, w, rtol=0, atol=1e-12)
+    if case == "unused-block":
+        assert not got[2][0][1].any() and not got[2][1][1].any()
+
+
+@pytest.mark.parametrize("case", sorted(INDEXES))
+def test_indexed_attention_gradcheck(case):
+    index = np.array(INDEXES[case])
+    keys, values, q, wc = _indexed_inputs(index, (2,), seed=22)
+
+    def forward():
+        ctx, _ = ad.batched_attention(None, keys, values, q, index=index)
+        return float((ctx.data * wc).sum())
+
+    _, _, grads = _attention_and_grads(
+        lambda tape: ad.batched_attention(tape, keys, values, q, index=index), wc, keys, values, q)
+    assert_grads_close(forward, [keys, values, q], grads)
+
+
+def test_swapped_index_attends_to_the_named_blocks():
+    # [1, 0]: as many rows as blocks, yet row 0 reads block 1, not block 0
+    keys, values, q, _ = _indexed_inputs([1, 0], ())
+    ctx, w = ad.batched_attention(None, keys, values, q, index=np.array([1, 0]))
+    for row, block in enumerate([1, 0]):
+        alone, w_alone = ad.batched_attention(None, ad.Tensor(keys.data[block:block + 1]),
+                                              ad.Tensor(values.data[block:block + 1]),
+                                              ad.Tensor(q.data[row:row + 1]))
+        assert np.array_equal(ctx.data[row], alone.data[0])
+        assert np.array_equal(w.data[row], w_alone.data[0])
+    plain, _ = ad.batched_attention(None, keys, values, q)
+    assert not np.allclose(ctx.data, plain.data)
+
+
+def test_indexed_attention_contracts():
+    keys, values, q, _ = _indexed_inputs([0, 1], ())
+    with pytest.raises(ContractError, match="index takes no mask"):
+        ad.batched_attention(None, keys, values, q, np.ones((2, 4), dtype=bool),
+                             index=np.array([0, 1]))
+    with pytest.raises(ShapeError, match="index"):
+        ad.batched_attention(None, keys, values, q, index=np.array([0, 1, 1]))
+    with pytest.raises(ShapeError, match="index"):
+        ad.batched_attention(None, keys, values, q, index=np.array([0.0, 1.0]))
+    with pytest.raises(IndexError, match="index out of range"):
+        ad.batched_attention(None, keys, values, q, index=np.array([0, 2]))
+
+
 def _row_ce(tape, logits, targets):
     return ad.softmax_cross_entropy_rows(tape, logits, targets, np.ones(len(targets)))
 

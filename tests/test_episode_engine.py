@@ -151,14 +151,27 @@ def _take_dec(dec, lanes):
     return DecoderState(dec.g1_h[lanes], dec.g2_h[lanes], dec.last_token[lanes])
 
 
-def _check_rows_follow_running(episode):
-    """The stepper's model states and features hold one row per running lane, in order,
-    and a proposal on them attends to exactly the rows each lane sees."""
+def _lane_blocks(episode):
+    """Each running lane's projected feature block, through the stepper's index; copied."""
+    blocks, index = episode.projected
+    return blocks[np.arange(len(blocks)) if index is None else index]
+
+
+def _check_rows_follow_running(episode, features=None):
+    """The stepper's model states hold one row per running lane, in order, its projected
+    features one block per distinct set of the running lanes (``features``, one per lane)
+    and each lane's block, and a proposal on them attends to exactly the rows each lane sees."""
     m, run = len(episode.running), episode.running
     rows = [len(episode.dec.g1_h), len(episode.dec.g2_h), len(episode.dec.last_token),
             len(episode.enc_rows)]
     if episode.projected is not None:
-        rows.append(len(episode.projected))
+        rows.append(len(_lane_blocks(episode)))
+        blocks, index = episode.projected
+        # a block lives while a running lane reads it; no index when each lane reads its own
+        assert len(blocks) == len({id(features[i]) for i in run})
+        assert index is None or not np.array_equal(index, np.arange(m))
+        for block, i in zip(_lane_blocks(episode), run):  # its set's product, bit for bit
+            assert np.array_equal(block, episode.model.project_features(features[i])[0][0])
     assert rows == [m] * len(rows)
     # a running lane sees n_read rows, plus its EOS row once a step forced it to write
     src_len = np.array([len(episode.src_ids[i]) for i in run])
@@ -170,23 +183,31 @@ def _check_rows_follow_running(episode):
         assert np.array_equal(weights != 0, np.arange(visible.max()) < visible[:, None])
 
 
+# lanes 0, 4 and 6 share one feature set, lanes 1 and 3 another, lanes 2 and 7 a third; as
+# lanes end, the survivors come to read one set each, out of the sets' order
+SHARED_SETS = (0, 1, 2, 1, 0, 3, 0, 2)
+
+
 def test_stepper_lanes_equal_single_lane_episodes(visual_env):
-    # lanes of unequal lengths finish at different steps; each matches its own run
+    # lanes of unequal lengths finish at different steps; each matches its own run, with a
+    # feature set per lane and with lanes sharing sets
     env, pairs, feats = visual_env
-    episode = EpisodeStepper(env, [src for src, _ in pairs[:6]], feats[:6])
-    step = 0
-    while len(episode.running):
-        episode.proposal()
-        episode.apply(np.array([(step + i) % 3 == 0 for i in range(6)]))
-        _check_rows_follow_running(episode)
-        step += 1
-    for i, (src, tgt) in enumerate(pairs[:6]):
-        lane = Transcript(src, env.tgt_vocab.decode(episode.hyp_ids[i], strip_reserved=False),
-                          "".join(episode.actions[i]), episode.delays[i])
-        alone = simulate(ScriptedPolicy(lane.actions[1:]), env, src, feats[i])
-        assert (alone.actions, alone.hyp, alone.delays) == (lane.actions, lane.hyp, lane.delays)
-        assert np.allclose(transcript_rewards(alone, tgt, RewardConfig()),
-                           transcript_rewards(lane, tgt, RewardConfig()), rtol=0, atol=1e-12)
+    for lane_feats in (feats[:6], [feats[k] for k in SHARED_SETS[:6]]):
+        episode = EpisodeStepper(env, [src for src, _ in pairs[:6]], lane_feats)
+        step = 0
+        while len(episode.running):
+            episode.proposal()
+            episode.apply(np.array([(step + i) % 3 == 0 for i in range(6)]))
+            _check_rows_follow_running(episode, lane_feats)
+            step += 1
+        for i, (src, tgt) in enumerate(pairs[:6]):
+            lane = Transcript(src, env.tgt_vocab.decode(episode.hyp_ids[i], strip_reserved=False),
+                              "".join(episode.actions[i]), episode.delays[i])
+            alone = simulate(ScriptedPolicy(lane.actions[1:]), env, src, lane_feats[i])
+            assert ((alone.actions, alone.hyp, alone.delays)
+                    == (lane.actions, lane.hyp, lane.delays))
+            assert np.allclose(transcript_rewards(alone, tgt, RewardConfig()),
+                               transcript_rewards(lane, tgt, RewardConfig()), rtol=0, atol=1e-12)
 
 
 def _greedy_agent(env, variant):
@@ -273,19 +294,53 @@ def test_encoder_pass_equals_one_lane_encode_next(untrained_env, visual_env, mul
 
 
 def test_stepper_drops_ended_lanes_from_projected_in_place(visual_env):
+    # only the index follows the running lanes; a feature set's block is dropped, in place,
+    # when its last lane ends, and each lane's block stays its own set's product bit for bit
     env, pairs, feats = visual_env
-    episode = EpisodeStepper(env, [src for src, _ in pairs[:8]], feats[:8])
-    block, lanes = episode.projected, env.project_features(feats[:8])
-    rng = np.random.default_rng(12)
-    partial = 0
-    while len(episode.running):
-        episode.apply(rng.random(8) < 0.4)
-        run = episode.running
-        if len(run):
-            assert np.shares_memory(episode.projected, block)
-            assert np.array_equal(episode.projected, lanes[run])
-            partial += len(run) < 8
-    assert partial > 3
+    for shared, lane_feats in enumerate((feats[:8], [feats[k] for k in SHARED_SETS])):
+        episode = EpisodeStepper(env, [src for src, _ in pairs[:8]], lane_feats)
+        block = episode.projected[0]
+        assert len(block) == len({id(f) for f in lane_feats})
+        products = [env.project_features(f)[0][0] for f in lane_feats]
+        rng = np.random.default_rng(12)
+        partial, dropped, reordered = 0, 0, 0
+        while len(episode.running):
+            before = len(episode.projected[0])
+            episode.apply(rng.random(8) < 0.4)
+            run, (blocks, index) = episode.running, episode.projected
+            if len(run):
+                assert np.shares_memory(blocks, block)
+                assert len(blocks) == len({id(lane_feats[i]) for i in run})
+                assert np.array_equal(_lane_blocks(episode), [products[i] for i in run])
+                partial += len(run) < 8
+                dropped += len(blocks) < before
+                reordered += index is not None and len(index) == len(blocks)
+        # with shared sets, steps where each lane reads a block of its own, but not block i
+        assert partial > 3 and dropped > 1 and (reordered > 0) == shared
+
+
+def test_keep_lanes_compacts_the_index_and_drops_a_block_with_its_last_lane():
+    def shared(index):
+        blocks = np.arange(4.0)[:, None] * np.ones((4, 2))  # row k holds k
+        return blocks, -blocks, index
+
+    # lanes 0 and 2 read row 0, lane 1 row 1, lane 3 row 3; row 2 is read by no lane
+    for keep, rows, index in (([0, 1, 2, 3], [0, 1, 3], [0, 1, 0, 2]),
+                              ([1, 2, 3], [0, 1, 3], [1, 0, 2]),  # as many rows, out of order
+                              ([0, 3], [0, 3], None),
+                              ([2], [0], None), ([], [], None)):
+        before = shared(np.array([0, 1, 0, 3]))
+        keys, values, got = environment._keep_lanes(before, np.array(keep, dtype=np.int64))
+        assert np.array_equal(keys[:, 0], rows) and np.array_equal(values, -keys)
+        assert not rows or np.shares_memory(keys, before[0]) and np.shares_memory(values,
+                                                                                 before[1])
+        assert got is None if index is None else np.array_equal(got, index)
+    # [1, 0]: each lane reads a row of its own, but not its lane's row: the index stays
+    keys, _, got = environment._keep_lanes(shared(np.array([3, 1, 2, 0])), np.array([1, 3]))
+    assert np.array_equal(keys[:, 0], [0, 1]) and np.array_equal(got, [1, 0])
+    # no index: lane i reads row i, and a row goes with its lane
+    keys, _, got = environment._keep_lanes(shared(None), np.array([1, 3]))
+    assert np.array_equal(keys[:, 0], [1, 3]) and got is None
 
 
 def test_stepper_drops_ended_lanes_from_encoder_rows_in_place(visual_env):
@@ -310,29 +365,35 @@ def test_stepper_drops_ended_lanes_from_encoder_rows_in_place(visual_env):
 def test_proposal_on_lanes_equals_all_lane_rows(untrained_env, visual_env, multimodal):
     # proposing on some of the stepper's rows alone gives those rows of its proposal
     env, sources, feats = _ragged(untrained_env, visual_env, multimodal)
-    episode = EpisodeStepper(env, sources, feats)
-    rng = np.random.default_rng(5)
-    ragged_steps = 0
-    while len(episode.running):
-        whole, m = episode.proposal(), len(episode.running)
-        for idx in (np.arange(m), np.sort(rng.permutation(m)[:3]), np.array([m - 1])):
-            projected = None if episode.projected is None else episode.projected[idx]
-            got = propose_next(_take_dec(episode.dec, idx), _take(episode, idx), env,
-                               projected)
-            assert np.array_equal(got.token, whole.token[idx])
-            # BLAS may round a product's rows differently with another row count
-            for name in ("logits", "text_ctx", "g1_next", "g2_next"):
-                assert np.allclose(getattr(got, name), getattr(whole, name)[idx],
-                                   rtol=0, atol=1e-12), name
-            # attention spans the longest of the given rows' prefixes
-            width = got.text_weights.shape[1]
-            assert np.allclose(got.text_weights, whole.text_weights[idx, :width],
-                               rtol=0, atol=1e-12)
-            assert not whole.text_weights[idx, width:].any()
-        ragged_steps += len(set(_visible(episode))) > 1
-        episode.apply(rng.random(8) < 0.4)
-        _check_rows_follow_running(episode)
-    assert ragged_steps > 3
+    # with features: one set per lane, then lanes sharing sets
+    layouts = [feats, [feats[k] for k in SHARED_SETS]] if multimodal else [None]
+    for lane_feats in layouts:
+        episode = EpisodeStepper(env, sources, lane_feats)
+        rng = np.random.default_rng(5)
+        ragged_steps = 0
+        while len(episode.running):
+            whole, m = episode.proposal(), len(episode.running)
+            for idx in (np.arange(m), np.sort(rng.permutation(m)[:3]), np.array([m - 1])):
+                projected = None
+                if multimodal:  # the given lanes' rows of the stepper's blocks, all kept
+                    blocks, index = episode.projected
+                    projected = blocks, (np.arange(m) if index is None else index)[idx]
+                got = propose_next(_take_dec(episode.dec, idx), _take(episode, idx), env,
+                                   projected)
+                assert np.array_equal(got.token, whole.token[idx])
+                # BLAS may round a product's rows differently with another row count
+                for name in ("logits", "text_ctx", "g1_next", "g2_next"):
+                    assert np.allclose(getattr(got, name), getattr(whole, name)[idx],
+                                       rtol=0, atol=1e-12), name
+                # attention spans the longest of the given rows' prefixes
+                width = got.text_weights.shape[1]
+                assert np.allclose(got.text_weights, whole.text_weights[idx, :width],
+                                   rtol=0, atol=1e-12)
+                assert not whole.text_weights[idx, width:].any()
+            ragged_steps += len(set(_visible(episode))) > 1
+            episode.apply(rng.random(8) < 0.4)
+            _check_rows_follow_running(episode, lane_feats)
+        assert ragged_steps > 3
     if multimodal:
         fresh = EpisodeStepper(env, sources, feats)
         with pytest.raises(ShapeError, match="projected feature blocks"):

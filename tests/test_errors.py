@@ -211,6 +211,14 @@ CASES = {
     "transcripts-missing": (
         DataError, "t.jsonl: cannot read transcripts file: No such file or directory",
         lambda tmp, env, pairs: read_transcripts(tmp / "t.jsonl")),
+    "transcripts-token-not-string": (
+        DataError, r"t.jsonl:2: bad transcript record: 'src' is not a list of strs",
+        lambda tmp, env, pairs: read_transcripts(_file(
+            tmp, "t.jsonl", b'\n{"src": [1, null], "hyp": [2.5], "actions": "RW", "g": [1]}'))),
+    "transcripts-bool-delay": (
+        DataError, r"t.jsonl:1: bad transcript record: 'g' is not a list of ints",
+        lambda tmp, env, pairs: read_transcripts(_file(
+            tmp, "t.jsonl", b'{"src": ["a"], "hyp": ["x"], "actions": "RW", "g": [true]}'))),
     "manifest-directory": (
         DataError, "dataset.json: cannot read dataset manifest: Is a directory",
         lambda tmp, env, pairs: load_manifest((tmp / "dataset.json").mkdir() or tmp)),

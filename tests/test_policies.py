@@ -210,14 +210,18 @@ def test_project_features_equals_per_lane_products(untrained_env, n):
     env = _bench_sized_visual_env(untrained_env)
     rng = np.random.default_rng(n)
     feats = [FeatureSet("grid", rng.normal(size=(72, 100))) for _ in range(n)]
-    got = env.project_features(feats)
-    assert got.shape == (n, 72, 96)
+    got, index = env.project_features(feats)
+    assert got.shape == (n, 72, 96) and index is None  # lane i reads block i
     for f, lane in zip(feats, got):
         want = f.matrix @ env.w_vis.data
         assert np.max(np.abs(lane - want)) <= 1e-12 * np.max(np.abs(want))
-    single = env.project_features(feats[0])
-    assert single.shape == (1, 72, 96)
+    single, index = env.project_features(feats[0])
+    assert single.shape == (1, 72, 96) and index is None
     assert np.array_equal(single, got[:1])
+    # 5 lanes per set share its block: the same blocks, and each lane's index
+    shared, index = env.project_features([f for f in feats for _ in range(5)])
+    assert np.array_equal(shared, got)
+    assert np.array_equal(index, np.repeat(np.arange(n), 5))
 
 
 def test_tapeless_encode_keeps_no_backward_buffers(untrained_env):
@@ -242,13 +246,18 @@ def _file_precision_features(rng, n):
 def test_project_features_peaks_at_its_output_plus_one_lane(untrained_env):
     env = _bench_sized_visual_env(untrained_env)
     feats = _file_precision_features(np.random.default_rng(9), 200)
-    got, peak = peak_bytes(lambda: env.project_features(feats))
-    assert got.shape == (200, 72, 96) and got.dtype == np.float64
+    (got, index), peak = peak_bytes(lambda: env.project_features(feats))
+    assert got.shape == (200, 72, 96) and got.dtype == np.float64 and index is None
     lane_temporaries = (72 * 100 + 72 * 96) * 8  # one lane at float64, and its product
     assert peak <= got.nbytes + 2 * lane_temporaries
     # equal, bit for bit, to one GEMM over the stacked float64 lanes
     stacked = np.stack([f.matrix for f in feats], dtype=np.float64)
     assert np.array_equal(got, ad.matmul(None, ad.Tensor(stacked), env.w_vis).data)
+    # 200 lanes over 40 sets: 40 blocks, and no per-lane copy of them
+    (shared, index), peak = peak_bytes(lambda: env.project_features(
+        [feats[i // 5] for i in range(200)]))
+    assert shared.shape == (40, 72, 96) and np.array_equal(shared, got[:40])
+    assert peak <= shared.nbytes + index.nbytes + 2 * lane_temporaries
 
 
 def _visual_training_batch(env, pairs, feats3_dtype):
@@ -264,8 +273,12 @@ def test_float32_features_give_the_results_of_their_float64_values(untrained_env
     feats = _file_precision_features(np.random.default_rng(11), 5)
     wide = [FeatureSet(f.variant, f.matrix.astype(np.float64)) for f in feats]
     assert wide[0].matrix.dtype == np.float64
-    assert np.array_equal(env.project_features(feats), env.project_features(wide))
-    assert np.array_equal(env.project_features(feats[0]), env.project_features(wide[0]))
+    for narrow_sets, wide_sets in ((feats, wide), (feats[0], wide[0]),
+                                   ([feats[i // 2] for i in range(10)],
+                                    [wide[i // 2] for i in range(10)])):
+        (got, got_index), (want, want_index) = (env.project_features(narrow_sets),
+                                                env.project_features(wide_sets))
+        assert np.array_equal(got, want) and np.array_equal(got_index, want_index)
 
     results = []
     for dtype in (np.float32, np.float64):

@@ -1,7 +1,7 @@
 """Stochastic READ/WRITE agent, learned baseline, and REINFORCE training.
 
 The agent is a single GRU over per-step observations
-[text context; proposed-token embedding; previous-action probabilities;
+[text context; proposed-token embedding; one-hot of the previous action;
 optional visual context] with a 2-way softmax head. The init variant
 starts the GRU from a projection of the flattened visual features; the
 att variant attends over projected feature rows from the proposed
@@ -21,14 +21,15 @@ an ``EpisodeStepper`` at once (the environment is frozen) on the rows of
 its proposal, one per running lane, through the agent's ``_LaneState``,
 and are driven by ``policies.run_episodes``: ``AgentGreedyPolicy`` writes
 where the WRITE logit is the larger, and the collector's
-``_SamplingPolicy`` samples Gumbel actions and records what the replay
-needs. Collection never steps the baseline. ``reinforce_update`` then
-replays the recorded observation stream on a tape as one block per
-network: a single attention call, one ``autodiff.gru_sequence`` that steps
-each episode over its own length only, and one head matmul, then REINFORCE
-with the baseline's replayed values as control variates. The baseline
-replays every step; the agent only up to each episode's last unforced
-step, since later steps carry no loss.
+``_SamplingPolicy`` samples Gumbel-max actions and records what the replay
+needs. The previous-action slot holds the action taken, WRITE where forced.
+Collection never steps the baseline. ``reinforce_update`` then replays the
+recorded observations, the slot rebuilt from the actions, on a tape as one
+block per network: a single attention call, one ``autodiff.gru_sequence``
+that steps each episode over its own length only, and one head matmul, then
+REINFORCE with the baseline's replayed values as control variates. The
+baseline replays every step; the agent only up to each episode's last
+unforced step, since later steps carry no loss.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .optim import adam_step
 from .policies import Policy, Transcript, run_episodes
 
 ACT_READ, ACT_WRITE = 0, 1
+_ONE_HOT = np.eye(2)  # row a: the previous-action slot after action a
 
 # the AgentConfig fields a checkpoint's metadata records
 _META = {"text_dim": int, "emb_dim": int, "hidden_dim": int, "key_dim": int,
@@ -244,21 +246,21 @@ def _observation(tape, visual, text_ctx, token_emb, prev_action):
 class _LaneState:
     """The agent's tapeless state on the running lanes of one episode.
 
-    ``h`` and the previous-action rows ``a_prev`` (READ at the start) hold
-    one row per lane in ``lanes``. The att variant's ``visual`` holds the
-    keys and values of each distinct feature set once, and each lane's row
-    of them (``_RecurrentNet.start``). Lanes only end: when the running set
+    ``h`` and the previous-action one-hot rows ``a_prev`` (READ at the
+    start) hold one row per lane in ``lanes``. The att variant's ``visual``
+    holds the keys and values of each distinct feature set once, and each
+    lane's row of them (``_RecurrentNet.start``). Lanes only end: when the running set
     shrinks, ``h`` and ``a_prev`` are compacted to it in place, and of
     ``visual`` the index is, a set's keys and values being dropped in place
     only when its last lane ends. This state owns all of these. Each step
-    replaces ``h``, and the policy replaces ``a_prev``, with a fresh array,
-    so compaction never changes a row that was recorded.
+    replaces ``h``, and the policy replaces ``a_prev``, with a fresh array
+    that nothing else holds, so compacting them in place is safe.
     """
 
     def __init__(self, net: _RecurrentNet, features, n: int):
         h0, self.visual = net.start(None, features, n)
         self.net, self.h, self.lanes = net, h0.data, np.arange(n)
-        self.a_prev = np.tile(np.array([1.0, 0.0]), (n, 1))
+        self.a_prev = _ONE_HOT[np.full(n, ACT_READ)]
 
     def step(self, running, text_ctx, token_emb):
         """Step the ``running`` lanes on their (m, ·) observation parts, in ``running`` order.
@@ -289,23 +291,17 @@ def on_lanes(n: int, lanes, rows) -> np.ndarray:
     return out
 
 
-def gumbel_softmax_sample(logits, tau: float, rngs):
-    """Sample relaxed actions for (m, K) logits: (probs, hard_actions).
+def gumbel_max_sample(logits, rngs) -> np.ndarray:
+    """One action per row of (m, K) logits, an exact sample from its softmax.
 
-    Row i draws its K uniforms from ``rngs[i]``, so its sample does not
-    depend on the other rows. probs = softmax((logits + Gumbel noise) / tau);
-    each hard action is its row's argmax (an exact sample from
-    softmax(logits) for any tau > 0), while the probabilities feed the next
-    observation's previous-action slot.
+    Row i draws its K uniforms from ``rngs[i]``, so its action does not
+    depend on the other rows; the action is the argmax of the logits plus
+    Gumbel noise.
     """
-    if tau <= 0:
-        raise ContractError("gumbel_softmax_sample: temperature must be positive")
     logits = np.asarray(logits, dtype=np.float64)
     u = np.array([rng.random(logits.shape[-1]) for rng in rngs]).reshape(logits.shape)
     np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
-    noise = -np.log(-np.log(u))
-    probs = ad.softmax((logits + noise) / tau)
-    return probs, np.argmax(probs, axis=-1)
+    return np.argmax(logits - np.log(-np.log(u)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +314,13 @@ class TrajectoryEntry:
 
     Arrays cover agent decision steps; the initial forced READ that
     happens before the first proposal exists is part of the transcript
-    but not an agent step. ``reinforce_update`` computes the baseline values.
+    but not an agent step. ``reinforce_update`` computes the baseline values
+    and the previous-action slots. A forced step's ``log_probs`` and
+    ``entropies`` are recorded, but no loss reads them.
     """
 
     obs_text: np.ndarray      # (T, text_dim)
     obs_emb: np.ndarray       # (T, emb_dim)
-    obs_prev: np.ndarray      # (T, 2)
     features: object          # FeatureSet or None
     actions: np.ndarray       # (T,) 0=READ 1=WRITE
     forced: np.ndarray        # (T,) bool
@@ -351,13 +348,15 @@ class RLTrainConfig:
 
     Nothing reads ``seed`` yet: ``collect_trajectories`` takes its own
     ``global_seed``. ROADMAP item 3's ``train_agent`` will pass it there.
+    At ``discount`` < 1 the update uses discounted reward-to-go with no
+    gamma^t weight: the conventional estimator, not the gradient of the
+    discounted objective (Thomas 2014, ICML). At 1 it is the exact gradient.
     """
 
     lr: float = 0.0004
     batch_size: int = 6
     trajectories_per_pair: int = 5
     entropy_weight: float = 0.001
-    tau: float = 1.0
     discount: float = 0.95
     reward: RewardConfig = field(default_factory=RewardConfig)
     patience: int = 5
@@ -368,10 +367,8 @@ class RLTrainConfig:
 
     def __post_init__(self):
         require_positive(self, "batch_size", "trajectories_per_pair")
-        for name in ("lr", "tau"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"RLTrainConfig.{name} must be positive, "
-                                  f"got {getattr(self, name)}")
+        if self.lr <= 0:
+            raise ConfigError(f"RLTrainConfig.lr must be positive, got {self.lr}")
         if not 0 < self.discount <= 1.0:
             raise ConfigError("discount must be in (0, 1]")
         for name in ("val_cap", "seed"):
@@ -391,11 +388,11 @@ def compute_returns(rewards: np.ndarray, cfg: RLTrainConfig) -> np.ndarray:
 
 
 # what _SamplingPolicy records per step and lane, named as TrajectoryEntry's fields
-_RECORDED = ("obs_text", "obs_emb", "obs_prev", "actions", "forced", "log_probs", "entropies")
+_RECORDED = ("obs_text", "obs_emb", "actions", "forced", "log_probs", "entropies")
 
 
 class _SamplingPolicy(Policy):
-    """Gumbel-sampled agent actions on the running lanes.
+    """Gumbel-max sampled agent actions on the running lanes.
 
     Each lane owns an RNG, so the sampled noise does not depend on the
     batching. The agent reads the episodes' ``features`` here, the baseline
@@ -405,8 +402,8 @@ class _SamplingPolicy(Policy):
     """
 
     def __init__(self, agent: AgentNetwork, baseline: BaselineNetwork, env: EnvModel,
-                 tau: float, rngs, features):
-        self.agent, self.env, self.tau, self.rngs = agent, env, tau, rngs
+                 rngs, features):
+        self.agent, self.env, self.rngs = agent, env, rngs
         self.features = _feature_block(features, agent, baseline)
         self.reads_features = agent.visual or baseline.visual
 
@@ -421,21 +418,16 @@ class _SamplingPolicy(Policy):
         y_emb = self.env.tgt_emb.data[proposal.token]
 
         logits_a, _ = self.agent_lanes.step(run, text_ctx, y_emb)
-        a_prev = self.agent_lanes.a_prev  # recorded; replaced, not written, below
 
         ls = logits_a - logits_a.max(axis=1, keepdims=True)
         ls = ls - np.log(np.exp(ls).sum(axis=1, keepdims=True))
-        m = len(run)
-        sampled = np.zeros(m, dtype=np.int64)
-        soft = np.zeros((m, 2))
-        free = np.flatnonzero(~forced)
-        soft[free], sampled[free] = gumbel_softmax_sample(
-            logits_a[free], self.tau, [self.rngs[run[k]] for k in free])
-        action = np.where(forced, ACT_WRITE, sampled)
-        rows = (text_ctx, y_emb, a_prev, action, forced, ls[np.arange(m), action],
+        m, free = len(run), np.flatnonzero(~forced)
+        action = np.full(m, ACT_WRITE)
+        action[free] = gumbel_max_sample(logits_a[free], [self.rngs[run[k]] for k in free])
+        rows = (text_ctx, y_emb, action, forced, ls[np.arange(m), action],
                 -(np.exp(ls) * ls).sum(axis=1))
         self.steps.append(tuple(on_lanes(episode.n, run, r) for r in rows))
-        self.agent_lanes.a_prev = np.where(forced[:, None], np.eye(2)[action], soft)
+        self.agent_lanes.a_prev = _ONE_HOT[action]
         return on_lanes(episode.n, run, action == ACT_WRITE)
 
 
@@ -463,7 +455,7 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
     feats = [e[2] for e in episodes]
     rngs = [np.random.default_rng(np.random.SeedSequence((global_seed, start_index + i)))
             for i in range(len(episodes))]
-    policy = _SamplingPolicy(agent, baseline, env, cfg.tau, rngs, feats)
+    policy = _SamplingPolicy(agent, baseline, env, rngs, feats)
     transcripts = run_episodes(policy, env, [e[0] for e in episodes], feats)
     blocks = {name: np.stack(rows, axis=1)  # (n, steps, ...)
               for name, rows in zip(_RECORDED, zip(*policy.steps))}
@@ -518,9 +510,9 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
             out[i, :len(e)] = getattr(e, name)
         return out
 
-    obs_text, obs_emb, obs_prev, returns = map(padded, ("obs_text", "obs_emb", "obs_prev",
-                                                        "returns"))
+    obs_text, obs_emb, returns = map(padded, ("obs_text", "obs_emb", "returns"))
     actions, lengths = padded("actions", np.int64), np.array([len(e) for e in entries])
+    obs_prev = _ONE_HOT[np.pad(actions[:, :-1], ((0, 0), (1, 0)))]  # READ before the first
     active = np.arange(t_max) < lengths[:, None]
     learn = active & ~padded("forced", bool)
     # each episode's last unforced step + 1, or 0
@@ -575,7 +567,8 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
 class AgentGreedyPolicy(Policy):
     """Deterministic policy head on the running lanes: argmax actions, no Gumbel noise.
 
-    A lane writes where its WRITE logit is the larger; a tie reads.
+    A lane writes where its WRITE logit is the larger; a tie reads. As in
+    collection, the next slot holds the action taken, WRITE where forced.
     ``step_attention`` holds the att variant's (n, R) visual attention
     weights of the last decide, zero on lanes that had ended.
     """
@@ -596,10 +589,11 @@ class AgentGreedyPolicy(Policy):
         run, proposal = episode.running, episode.proposal()
         logits, attention = self._state.step(run, proposal.text_ctx,
                                              self.env.tgt_emb.data[proposal.token])
-        self._state.a_prev = ad.softmax(logits)
+        write = logits[:, ACT_WRITE] > logits[:, ACT_READ]
+        self._state.a_prev = _ONE_HOT[np.where(write | episode.forced[run], ACT_WRITE, ACT_READ)]
         if attention is not None:
             self.step_attention = on_lanes(episode.n, run, attention[1].data)
-        return on_lanes(episode.n, run, logits[:, ACT_WRITE] > logits[:, ACT_READ])
+        return on_lanes(episode.n, run, write)
 
 
 def select_model(history) -> int:

@@ -3,12 +3,14 @@
 ``replay_losses`` is the REINFORCE replay that ``agent.reinforce_update``
 ran before it became one GRU sequence per network: one ``gru_cell`` and one
 ``(B, dk)`` attention per timestep and network, with the loss summed term by
-term and each step's advantage taken from that step's baseline output.
+term and each step's advantage taken from that step's baseline output; it
+rebuilds the previous-action slot itself, step by step, from the actions.
 ``ReferenceGreedyPolicy`` is the greedy policy's earlier 1-D decide: its own
 observation vector, visual attention and GRU step per call, on the one lane
 of the stepper it is handed. ``ReferenceSamplingPolicy`` is
 the collector's Gumbel sampling written the same way, one episode at a
-time.
+time. In both, the slot holds the one-hot of the action taken, WRITE on a
+forced step.
 """
 
 import numpy as np
@@ -35,7 +37,6 @@ def replay_losses(batch, agent, baseline, cfg):
     text_dim, emb_dim = agent.cfg.text_dim, agent.cfg.emb_dim
     obs_text = np.zeros((n, t_max, text_dim))
     obs_emb = np.zeros((n, t_max, emb_dim))
-    obs_prev = np.zeros((n, t_max, 2))
     actions = np.zeros((n, t_max), dtype=np.int64)
     active = np.zeros((n, t_max), dtype=bool)
     learn = np.zeros((n, t_max))
@@ -44,7 +45,6 @@ def replay_losses(batch, agent, baseline, cfg):
         t = len(e)
         obs_text[i, :t] = e.obs_text
         obs_emb[i, :t] = e.obs_emb
-        obs_prev[i, :t] = e.obs_prev
         actions[i, :t] = e.actions
         active[i, :t] = True
         learn[i, :t] = ~e.forced
@@ -74,9 +74,11 @@ def replay_losses(batch, agent, baseline, cfg):
     pg_terms, ent_terms, mse_terms = [], [], []
     total_steps = float(active.sum())
     zeros_idx = np.zeros(n, dtype=np.int64)
+    prev = np.zeros(n, dtype=np.int64)  # READ before the first decision
     for t in range(t_max):
         emb_const = Tensor(obs_emb[:, t])
-        parts = [Tensor(obs_text[:, t]), emb_const, Tensor(obs_prev[:, t])]
+        parts = [Tensor(obs_text[:, t]), emb_const, Tensor(np.eye(2)[prev])]
+        prev = actions[:, t]
         if a_keys is not None:
             a_vis, _ = ad.batched_attention(tape, a_keys, a_vals, emb_const)
             obs = ad.concat(tape, parts + [a_vis])
@@ -151,8 +153,9 @@ class ReferenceGreedyPolicy(Policy):
                                 self._a_prev)
         if self._net.attention is not None:
             self.step_attention = self._net.attention[None]
-        self._a_prev = ad.softmax(logits)
-        return np.array([int(np.argmax(logits)) == 1])
+        write = int(np.argmax(logits)) == 1
+        self._a_prev = np.eye(2)[int(write or episode.forced[0])]
+        return np.array([write])
 
 
 class ReferenceSamplingPolicy(Policy):
@@ -160,21 +163,20 @@ class ReferenceSamplingPolicy(Policy):
 
     An unforced decision draws two uniforms from ``rng`` for its Gumbel
     noise; a forced one draws none and writes. ``record`` keeps, per
-    decision, the action, the WRITE probability, the action's
-    log-probability and the value of a per-call 1-D baseline step on the
-    same observation, which the collector no longer computes.
+    decision, the action, the action's log-probability and the value of a
+    per-call 1-D baseline step on the same observation, which the collector
+    no longer computes.
     """
 
-    def __init__(self, agent, baseline, env, tau, rng):
-        self.agent, self.baseline, self.env = agent, baseline, env
-        self.tau, self.rng = tau, rng
+    def __init__(self, agent, baseline, env, rng):
+        self.agent, self.baseline, self.env, self.rng = agent, baseline, env, rng
 
     def start_episode(self, sources, features) -> None:
         (features,) = features
         self._agent = _OneLane(self.agent, features)
         self._baseline = _OneLane(self.baseline, features)
         self._a_prev = np.array([1.0, 0.0])
-        self.record = {"actions": [], "write_probs": [], "log_probs": [], "baseline_values": []}
+        self.record = {"actions": [], "log_probs": [], "baseline_values": []}
 
     def decide(self, episode):
         proposal = episode.proposal()
@@ -182,14 +184,13 @@ class ReferenceSamplingPolicy(Policy):
         logits = self._agent.step(*obs)
         value = self._baseline.step(*obs)[0]
         if episode.forced[0]:
-            action, probs = 1, np.array([0.0, 1.0])
+            action = 1
         else:
             u = np.clip(self.rng.random(2), 1e-12, 1.0 - 1e-12)
-            probs = ad.softmax((logits - np.log(-np.log(u))) / self.tau)
-            action = int(np.argmax(probs))
+            action = int(np.argmax(logits - np.log(-np.log(u))))
         shifted = logits - logits.max()
-        for name, v in zip(self.record, (action, probs[1],
-                                         shifted[action] - np.log(np.exp(shifted).sum()), value)):
+        for name, v in zip(self.record, (action, shifted[action] - np.log(np.exp(shifted).sum()),
+                                         value)):
             self.record[name].append(v)
-        self._a_prev = probs
+        self._a_prev = np.eye(2)[action]
         return np.array([action == 1])

@@ -6,10 +6,10 @@ import pytest
 from simtlab import agent as agent_module
 from simtlab import autodiff as ad
 from simtlab import environment
-from simtlab.agent import (AgentConfig, AgentGreedyPolicy, AgentNetwork, BaselineNetwork,
-                           RLTrainConfig, TrajectoryBatch, TrajectoryEntry,
-                           collect_trajectories, compute_returns, patience_exceeded,
-                           reinforce_update, select_model)
+from simtlab.agent import (ACT_READ, ACT_WRITE, AgentConfig, AgentGreedyPolicy, AgentNetwork,
+                           BaselineNetwork, RLTrainConfig, TrajectoryBatch, TrajectoryEntry,
+                           collect_trajectories, compute_returns, gumbel_max_sample,
+                           patience_exceeded, reinforce_update, select_model)
 from simtlab.environment import EncoderState, EnvConfig, EnvModel, EpisodeStepper
 from simtlab.errors import ConfigError, ContractError, DataError
 from simtlab.features import FeatureSet
@@ -47,11 +47,11 @@ def test_agent_config_rejects_non_positive_dims(field):
 
 
 @pytest.mark.parametrize("field, value", [("batch_size", 0), ("trajectories_per_pair", -1),
-                                          ("lr", 0.0), ("tau", -0.5), ("seed", -1)])
+                                          ("lr", 0.0), ("seed", -1)])
 def test_rl_train_config_error_names_the_field(field, value):
     with pytest.raises(ConfigError, match=rf"RLTrainConfig.{field} must .*, got {value}"):
         RLTrainConfig(**{field: value})
-    RLTrainConfig(batch_size=1, trajectories_per_pair=1, lr=1e-9, tau=1e-9)
+    RLTrainConfig(batch_size=1, trajectories_per_pair=1, lr=1e-9)
 
 
 def test_rl_train_config_rejects_a_negative_val_cap():
@@ -260,7 +260,7 @@ def test_collection_does_not_depend_on_batching(untrained_env, variant):
         assert (a.transcript.actions, a.transcript.hyp) == (b.transcript.actions,
                                                             b.transcript.hyp)
         assert np.array_equal(a.actions, b.actions) and np.array_equal(a.forced, b.forced)
-        for name in ("log_probs", "rewards", "obs_text", "obs_emb", "obs_prev", "entropies"):
+        for name in ("log_probs", "rewards", "obs_text", "obs_emb", "entropies"):
             assert np.allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-12), name
 
 
@@ -281,7 +281,7 @@ def test_shared_sources_collect_as_distinct_equal_copies(untrained_env, variant)
                                                             b.transcript.hyp)
         assert np.allclose(a.transcript.rewards, b.transcript.rewards, rtol=0, atol=1e-12)
         assert np.array_equal(a.actions, b.actions) and np.array_equal(a.forced, b.forced)
-        for name in ("log_probs", "rewards", "obs_text", "obs_emb", "obs_prev"):
+        for name in ("log_probs", "rewards", "obs_text", "obs_emb"):
             assert np.allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-12), name
 
 
@@ -467,13 +467,10 @@ def test_collector_equals_per_episode_reference(untrained_env, variant):
     assert lengths[4] == min(lengths) and 3 * lengths[4] <= max(lengths)
     for k, ((src, _, fs), entry) in enumerate(zip(episodes, batch.entries)):
         rng = np.random.default_rng(np.random.SeedSequence((6, 2 + k)))
-        reference = ReferenceSamplingPolicy(agent, baseline, env, cfg.tau, rng)
+        reference = ReferenceSamplingPolicy(agent, baseline, env, rng)
         simulate(reference, env, src, fs)
         assert entry.actions.tolist() == reference.record["actions"]
         assert np.allclose(entry.log_probs, reference.record["log_probs"], rtol=0, atol=1e-12)
-        # the WRITE probability of a decision is the previous-action slot of the next one
-        assert np.allclose(entry.obs_prev[1:, 1], reference.record["write_probs"][:-1],
-                           rtol=0, atol=1e-12)
     assert {0, 1} <= {a for e in batch.entries for a in e.actions[~e.forced]}
 
 
@@ -487,7 +484,7 @@ def test_replayed_agent_loss_equals_recorded_log_probs(untrained_env, variant):
     # per-step 1-D baseline steps on each episode's observations
     recorded = 0.0
     for k, ((src, _, fs), e) in enumerate(zip(episodes, batch.entries)):
-        reference = ReferenceSamplingPolicy(agent, baseline, env, cfg.tau,
+        reference = ReferenceSamplingPolicy(agent, baseline, env,
                                             np.random.default_rng(np.random.SeedSequence((2, k))))
         simulate(reference, env, src, fs)
         assert e.actions.tolist() == reference.record["actions"]
@@ -496,6 +493,155 @@ def test_replayed_agent_loss_equals_recorded_log_probs(untrained_env, variant):
                                               + cfg.entropy_weight * e.entropies)))
     recorded /= len(batch.entries)
     assert abs(stats["agent_loss"] - recorded) <= 1e-12 * abs(recorded)
+
+
+def test_gumbel_max_sample_draws_from_the_softmax():
+    logits = np.array([0.7, -0.4, 1.5])
+    m = 24000
+    rng = np.random.default_rng(11)
+    actions = gumbel_max_sample(np.tile(logits, (m, 1)), [rng] * m)
+    p = np.exp(logits) / np.exp(logits).sum()
+    freq = np.bincount(actions, minlength=3) / m
+    assert np.all(np.abs(freq - p) <= 4 * np.sqrt(p * (1 - p) / m)), (freq, p)
+
+
+def test_gumbel_max_sample_row_depends_only_on_its_own_rng():
+    logits = np.random.default_rng(2).normal(scale=0.5, size=(40, 2))
+
+    def rngs(ids):
+        return [np.random.default_rng(np.random.SeedSequence((5, int(i)))) for i in ids]
+
+    alone = gumbel_max_sample(logits, rngs(range(40)))
+    assert 0 < alone.sum() < 40
+    perm = np.random.default_rng(3).permutation(40)
+    assert np.array_equal(gumbel_max_sample(logits[perm], rngs(perm)), alone[perm])
+    more = np.concatenate([logits, np.random.default_rng(4).normal(size=(9, 2))])
+    assert np.array_equal(gumbel_max_sample(more, rngs(range(49)))[:40], alone)
+    assert np.array_equal(gumbel_max_sample(logits[5:17], rngs(range(5, 17))), alone[5:17])
+
+
+def _every_path(run):
+    """Every unforced decision sequence of one episode, found by depth-first search.
+
+    ``run(script)`` runs the episode taking the decisions in ``script``, then
+    READ, and returns all the decisions it took; each later READ branches
+    to a WRITE.
+    """
+    paths, todo = [], [[]]
+    while todo:
+        script = todo.pop()
+        decisions = run(script)
+        paths.append(decisions)
+        todo += [decisions[:j] + [ACT_WRITE] for j in range(len(script), len(decisions))]
+    return paths
+
+
+@pytest.mark.parametrize("n_tokens", [2, 3])
+@pytest.mark.parametrize("variant", ["none", "att"])
+def test_update_is_the_exact_policy_gradient(untrained_env, monkeypatch, variant, n_tokens):
+    # with the action taken in the slot, a path's probability is the product of pi(a_t|o_t)
+    # over its unforced steps, so summing over every path gives the exact expectation: at
+    # discount 1 and no entropy bonus the expected update is the gradient of
+    # J = sum P(path) R(path), and the learned baseline's term sums to zero
+    env, pairs = untrained_env
+    dims = dict(text_dim=env.cfg.hid_dim, emb_dim=env.cfg.emb_dim, key_dim=env.cfg.emb_dim,
+                hidden_dim=6)
+    agent, baseline = _tiny_agent_pair(variant, seed=5, **dims)
+    no_baseline = _tiny_agent_pair(variant, init_scale=0.0, **dims)[1]  # values 0
+    src, ref = next((s, r) for s, r in pairs if len(s) >= n_tokens)
+    fs = FeatureSet("grid", np.random.default_rng(1).normal(size=(2, 3)))
+    episode = (src[:n_tokens], ref[:n_tokens], fs if variant == "att" else None)
+    cfg = RLTrainConfig(discount=1.0, entropy_weight=0.0)
+    script, taken = [], []
+
+    def scripted(logits, rngs):
+        for _ in rngs:
+            taken.append(script[len(taken)] if len(taken) < len(script) else ACT_READ)
+        return np.array(taken[len(taken) - len(rngs):], dtype=np.int64)
+
+    monkeypatch.setattr(agent_module, "gumbel_max_sample", scripted)
+
+    def collect(decisions):
+        script[:], taken[:] = decisions, []
+        (entry,) = collect_trajectories(agent, baseline, env, [episode], cfg,
+                                        global_seed=0).entries
+        assert entry.actions[~entry.forced].tolist() == taken
+        return entry
+
+    def decisions_taken(script):
+        collect(script)
+        return list(taken)
+
+    paths = _every_path(decisions_taken)
+    assert len({tuple(p) for p in paths}) == len(paths) > 2
+    entries = [collect(p) for p in paths]
+    assert sum(e.forced.any() for e in entries) > len(entries) // 2
+
+    def probabilities(entries):
+        # a forced step is no choice: probability 1, whatever the head says there
+        return np.array([np.exp(e.log_probs[~e.forced].sum()) for e in entries])
+
+    prob = probabilities(entries)
+    assert abs(prob.sum() - 1.0) <= 1e-12
+    # the head's probability of the forced WRITE would not do
+    assert abs(sum(np.exp(e.log_probs.sum()) for e in entries) - 1.0) > 1e-3
+    returns = np.array([e.returns[0] for e in entries])
+    params = [p for _, p in agent.named_tensors()]
+
+    def update(entry, base):
+        # the agent parameters' step direction, minus the agent loss's gradient
+        ad.zero_grads(params + [p for _, p in base.named_tensors()])
+        reinforce_update(TrajectoryBatch([entry]), agent, base, cfg)
+        return -np.concatenate([p.grad.ravel() for p in params])
+
+    with_b = np.array([update(e, baseline) for e in entries])
+    without_b = np.array([update(e, no_baseline) for e in entries])
+    expected = prob @ with_b
+    assert np.abs(with_b - without_b).max() > 1e-3  # the baseline moves each path's update
+    assert np.abs(expected - prob @ without_b).max() <= 1e-10 * np.abs(expected).max()
+
+    def objective(direction, eps):
+        """J at the agent's parameters moved by ``eps * direction``."""
+        saved = agent.snapshot()
+        offsets = np.cumsum([p.data.size for p in params])[:-1]
+        for p, d in zip(params, np.split(direction, offsets)):
+            p.data = p.data + eps * d.reshape(p.data.shape)
+        try:
+            return probabilities([collect(p) for p in paths]) @ returns
+        finally:
+            agent.restore(saved)
+
+    rng, eps = np.random.default_rng(8), 1e-4
+    for _ in range(3):
+        direction = rng.normal(size=expected.size)
+        direction /= np.linalg.norm(direction)
+        fd = (objective(direction, eps) - objective(direction, -eps)) / (2 * eps)
+        assert abs(fd - expected @ direction) <= 1e-6 * abs(fd), (fd, expected @ direction)
+
+
+def test_greedy_slot_holds_write_after_a_forced_step(untrained_env, monkeypatch):
+    # a head that always answers READ: every WRITE is forced, and the slot after it must be
+    # WRITE's one-hot, the slot that reinforce_update rebuilds from the actions taken
+    env, pairs = untrained_env
+    agent = _tiny_agent_pair("none", text_dim=env.cfg.hid_dim, emb_dim=env.cfg.emb_dim,
+                             key_dim=env.cfg.emb_dim)[0]
+    agent.b_head.data = np.array([50.0, -50.0])
+    slots, real_observation = [], agent_module._observation
+
+    def observation(tape, visual, text_ctx, token_emb, prev_action):
+        slots.append(prev_action[0].copy())
+        return real_observation(tape, visual, text_ctx, token_emb, prev_action)
+
+    monkeypatch.setattr(agent_module, "_observation", observation)
+    for src, _ in pairs[:4]:
+        slots.clear()
+        got = simulate(AgentGreedyPolicy(agent, env), env, src)
+        assert got.actions == "R" * len(src) + "W" * (len(got.actions) - len(src))
+        assert got.forced_overrides == len(got.actions) - len(src) > 1
+        # the slot of decision t is the one-hot of action t of the transcript, the initial
+        # forced READ being action 0
+        want = np.eye(2)[[int(a == "W") for a in got.actions[:len(slots)]]]
+        assert len(slots) == len(got.actions) - 1 and np.array_equal(np.array(slots), want)
 
 
 def _tiny_agent_pair(variant, seed=0, **overrides):
@@ -516,7 +662,6 @@ def _random_batch(cfg, lengths, seed=0):
         entries.append(TrajectoryEntry(
             obs_text=rng.normal(size=(t, cfg.text_dim)),
             obs_emb=rng.normal(size=(t, cfg.emb_dim)),
-            obs_prev=rng.dirichlet([1.0, 1.0], size=t),
             features=features if cfg.use_init or cfg.use_att else None,
             actions=rng.integers(0, 2, size=t),
             forced=rng.random(t) < 0.25,
@@ -563,7 +708,7 @@ def test_block_replay_equals_per_step_replay(untrained_env, variant, short):
     if short:  # one episode cut to its first two steps, far shorter than the rest
         e = batch.entries[5]
         batch.entries[5] = replace(e, **{name: getattr(e, name)[:2] for name in (
-            "obs_text", "obs_emb", "obs_prev", "actions", "forced", "rewards", "returns")})
+            "obs_text", "obs_emb", "actions", "forced", "rewards", "returns")})
         others = batch.entries[:5] + batch.entries[6:]
         assert min(len(e) for e in others) >= 4 * len(batch.entries[5])
 

@@ -622,3 +622,55 @@ def test_reference_check_tells_definitions_from_uses():
     names = referenced_names(source)
     assert {"Used", "called_as_attribute", "helper_attr", "np"} <= names
     assert not {"dead", "method", "_Private"} & names
+
+
+# *Config fields that nothing in src/ or perfbench/ reads yet, each with the ROADMAP item
+# that reads it; a field leaves this list when it gains a reader or is deleted
+UNREAD_FIELDS = {
+    "RLTrainConfig.updates_per_epoch": "ROADMAP 3b (train_agent evaluates every so many)",
+}
+
+
+def config_fields(source: str) -> list:
+    """``Class.field`` for each annotated field of a class in ``source`` named ``*Config``."""
+    return [f"{node.name}.{item.target.id}" for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def read_attributes(source: str) -> set:
+    """Every attribute name ``source`` reads; assigning one is no read."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_config_field_is_read():
+    """A knob that nothing reads only looks like it does something: read it or delete it."""
+    read = set()
+    for path in sorted(SRC.rglob("*.py")) + sorted(PERFBENCH.rglob("*.py")):
+        read |= read_attributes(path.read_text(encoding="utf-8"))
+    unread = {name for path in sorted(SRC.rglob("*.py"))
+              for name in config_fields(path.read_text(encoding="utf-8"))
+              if name.split(".")[1] not in read}
+    problems = [f"{name} is read nowhere in src/ or perfbench/"
+                for name in sorted(unread - set(UNREAD_FIELDS))]
+    problems += [f"{name} is allowlisted but now read or gone"
+                 for name in sorted(set(UNREAD_FIELDS) - unread)]
+    assert not problems, "\n".join(problems)
+
+
+def test_config_field_check_tells_reads_from_assignments():
+    source = ("@dataclass\n"
+              "class TinyConfig:\n"
+              "    \"\"\"Doc.\"\"\"\n"
+              "    used: int = 1\n"
+              "    stored: float = 0.5\n"
+              "    LIMIT = 3\n"
+              "class Helper:\n"
+              "    other: int = 0\n"
+              "def f(cfg):\n"
+              "    cfg.stored = cfg.used + 1\n")
+    assert config_fields(source) == ["TinyConfig.used", "TinyConfig.stored"]
+    read = read_attributes(source)
+    assert "used" in read and "stored" not in read

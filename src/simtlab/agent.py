@@ -22,7 +22,8 @@ its proposal, one per running lane, through the agent's ``_LaneState``,
 and are driven by ``policies.run_episodes``: ``AgentGreedyPolicy`` writes
 where the WRITE logit is the larger, and the collector's
 ``_SamplingPolicy`` samples Gumbel-max actions and records what the replay
-needs. The previous-action slot holds the action taken, WRITE where forced.
+needs. The previous-action slot holds the action taken, WRITE where forced,
+which the agent reads from the stepper's ``wrote``.
 Collection never steps the baseline. ``reinforce_update`` then replays the
 recorded observations, the slot rebuilt from the actions, on a tape as one
 block per network: a single attention call, one ``autodiff.gru_sequence``
@@ -44,7 +45,7 @@ from .autodiff import GRUParams, Tensor
 from .checkpoint import load_into, read_config, save_checkpoint, write_metadata
 from .environment import (EnvModel, EpisodeStepper, _compact, _keep_lanes, distinct_items,
                           require_positive)
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_field
 from .features import check_feature_sets
 from .metrics import RewardConfig, check_references, step_rewards
 from .optim import adam_step
@@ -74,6 +75,7 @@ class AgentConfig:
 
     def __post_init__(self):
         require_positive(self, "text_dim", "emb_dim", "hidden_dim", "key_dim")
+        check_field(self, "init_scale", 0 <= self.init_scale < np.inf, "finite and at least 0")
         if (self.use_init or self.use_att) and (self.feature_rows < 1 or self.feature_dim < 1):
             raise ConfigError("visual agent variants need feature_rows and feature_dim")
         if self.use_att and self.key_dim != self.emb_dim:
@@ -246,40 +248,42 @@ def _observation(tape, visual, text_ctx, token_emb, prev_action):
 class _LaneState:
     """The agent's tapeless state on the running lanes of one episode.
 
-    ``h`` and the previous-action one-hot rows ``a_prev`` (READ at the
-    start) hold one row per lane in ``lanes``. The att variant's ``visual``
+    ``h`` holds one row per lane in ``lanes``. The att variant's ``visual``
     holds the keys and values of each distinct feature set once, and each
-    lane's row of them (``_RecurrentNet.start``). Lanes only end: when the running set
-    shrinks, ``h`` and ``a_prev`` are compacted to it in place, and of
+    lane's row of them (``_RecurrentNet.start``). Lanes only end: when the
+    running set shrinks, ``h`` is compacted to it in place, and of
     ``visual`` the index is, a set's keys and values being dropped in place
     only when its last lane ends. This state owns all of these. Each step
-    replaces ``h``, and the policy replaces ``a_prev``, with a fresh array
-    that nothing else holds, so compacting them in place is safe.
+    replaces ``h`` with a fresh array that nothing else holds, so compacting
+    it in place is safe. The previous-action slot is read from the stepper.
     """
 
     def __init__(self, net: _RecurrentNet, features, n: int):
         h0, self.visual = net.start(None, features, n)
         self.net, self.h, self.lanes = net, h0.data, np.arange(n)
-        self.a_prev = _ONE_HOT[np.full(n, ACT_READ)]
 
-    def step(self, running, text_ctx, token_emb):
-        """Step the ``running`` lanes on their (m, ·) observation parts, in ``running`` order.
+    def step(self, episode: EpisodeStepper):
+        """Step the running lanes of ``episode`` on its observation, in ``running`` order.
 
-        The previous-action part is ``a_prev``. Returns the (m, head_dim)
-        head outputs and the attention's (context, weights), or None
-        without visual attention.
+        The observation is the proposal's text context, the proposed
+        token's embedding, both returned first, and the one-hot of each
+        lane's last action (``episode.wrote``). Also returns the (m, head_dim)
+        head outputs and the attention's (context, weights), or None.
         """
+        running, proposal = episode.running, episode.proposal()
+        text_ctx, token_emb = proposal.text_ctx, episode.model.tgt_emb.data[proposal.token]
         if len(running) != len(self.lanes):
             keep = np.searchsorted(self.lanes, running)  # both in ascending lane order
-            self.h, self.a_prev = _compact(self.h, keep), _compact(self.a_prev, keep)
+            self.h = _compact(self.h, keep)
             if self.visual is not None:
                 keys, values, index = self.visual
                 keys, values, index = _keep_lanes((keys.data, values.data, index), keep)
                 self.visual = Tensor(keys), Tensor(values), index
             self.lanes = running
-        obs, attention = _observation(None, self.visual, text_ctx, token_emb, self.a_prev)
+        obs, attention = _observation(None, self.visual, text_ctx, token_emb,
+                                      _ONE_HOT[episode.wrote[running].astype(int)])
         self.h, out = self.net.step_np(obs.data, self.h)
-        return out, attention
+        return (text_ctx, token_emb), out, attention
 
 
 def on_lanes(n: int, lanes, rows) -> np.ndarray:
@@ -367,14 +371,12 @@ class RLTrainConfig:
 
     def __post_init__(self):
         require_positive(self, "batch_size", "trajectories_per_pair")
-        if self.lr <= 0:
-            raise ConfigError(f"RLTrainConfig.lr must be positive, got {self.lr}")
-        if not 0 < self.discount <= 1.0:
-            raise ConfigError("discount must be in (0, 1]")
+        check_field(self, "lr", np.isfinite(self.lr), "finite")
+        check_field(self, "lr", self.lr > 0, "positive")
+        check_field(self, "entropy_weight", np.isfinite(self.entropy_weight), "finite")
+        check_field(self, "discount", 0 < self.discount <= 1.0, "in (0, 1]")
         for name in ("val_cap", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"RLTrainConfig.{name} must be at least 0, "
-                                  f"got {getattr(self, name)}")
+            check_field(self, name, getattr(self, name) >= 0, "at least 0")
 
 
 def compute_returns(rewards: np.ndarray, cfg: RLTrainConfig) -> np.ndarray:
@@ -401,9 +403,8 @@ class _SamplingPolicy(Policy):
     rows are zero once it has ended.
     """
 
-    def __init__(self, agent: AgentNetwork, baseline: BaselineNetwork, env: EnvModel,
-                 rngs, features):
-        self.agent, self.env, self.rngs = agent, env, rngs
+    def __init__(self, agent: AgentNetwork, baseline: BaselineNetwork, rngs, features):
+        self.agent, self.rngs = agent, rngs
         self.features = _feature_block(features, agent, baseline)
         self.reads_features = agent.visual or baseline.visual
 
@@ -412,22 +413,14 @@ class _SamplingPolicy(Policy):
         self.steps = []
 
     def decide(self, episode: EpisodeStepper) -> np.ndarray:
-        run, proposal = episode.running, episode.proposal()
-        forced = episode.forced[run]
-        text_ctx = proposal.text_ctx
-        y_emb = self.env.tgt_emb.data[proposal.token]
-
-        logits_a, _ = self.agent_lanes.step(run, text_ctx, y_emb)
-
-        ls = logits_a - logits_a.max(axis=1, keepdims=True)
-        ls = ls - np.log(np.exp(ls).sum(axis=1, keepdims=True))
+        run, forced = episode.running, episode.forced[episode.running]
+        obs, logits, _ = self.agent_lanes.step(episode)
+        ls = ad.log_softmax_rows(None, Tensor(logits))
         m, free = len(run), np.flatnonzero(~forced)
         action = np.full(m, ACT_WRITE)
-        action[free] = gumbel_max_sample(logits_a[free], [self.rngs[run[k]] for k in free])
-        rows = (text_ctx, y_emb, action, forced, ls[np.arange(m), action],
-                -(np.exp(ls) * ls).sum(axis=1))
+        action[free] = gumbel_max_sample(logits[free], [self.rngs[run[k]] for k in free])
+        rows = (*obs, action, forced, ls.data[np.arange(m), action], ad.rows_entropy(None, ls).data)
         self.steps.append(tuple(on_lanes(episode.n, run, r) for r in rows))
-        self.agent_lanes.a_prev = _ONE_HOT[action]
         return on_lanes(episode.n, run, action == ACT_WRITE)
 
 
@@ -455,7 +448,7 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
     feats = [e[2] for e in episodes]
     rngs = [np.random.default_rng(np.random.SeedSequence((global_seed, start_index + i)))
             for i in range(len(episodes))]
-    policy = _SamplingPolicy(agent, baseline, env, rngs, feats)
+    policy = _SamplingPolicy(agent, baseline, rngs, feats)
     transcripts = run_episodes(policy, env, [e[0] for e in episodes], feats)
     blocks = {name: np.stack(rows, axis=1)  # (n, steps, ...)
               for name, rows in zip(_RECORDED, zip(*policy.steps))}
@@ -576,7 +569,6 @@ class AgentGreedyPolicy(Policy):
     def __init__(self, agent: AgentNetwork, env: EnvModel):
         _check_env(env, agent)
         self.agent = agent
-        self.env = env
         self.step_attention = None
         self.reads_features = agent.visual
 
@@ -586,14 +578,11 @@ class AgentGreedyPolicy(Policy):
         self.step_attention = None
 
     def decide(self, episode: EpisodeStepper) -> np.ndarray:
-        run, proposal = episode.running, episode.proposal()
-        logits, attention = self._state.step(run, proposal.text_ctx,
-                                             self.env.tgt_emb.data[proposal.token])
+        _, logits, attention = self._state.step(episode)
         write = logits[:, ACT_WRITE] > logits[:, ACT_READ]
-        self._state.a_prev = _ONE_HOT[np.where(write | episode.forced[run], ACT_WRITE, ACT_READ)]
         if attention is not None:
-            self.step_attention = on_lanes(episode.n, run, attention[1].data)
-        return on_lanes(episode.n, run, write)
+            self.step_attention = on_lanes(episode.n, episode.running, attention[1].data)
+        return on_lanes(episode.n, episode.running, write)
 
 
 def select_model(history) -> int:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_field
 from .features import concept_table, synth_oracle_concepts, write_features
 from .metrics import corpus_bleu
 
@@ -45,13 +45,10 @@ class TaskSpec:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        if self.vocab_size < 1:
-            raise ConfigError(f"TaskSpec.vocab_size must be at least 1, got {self.vocab_size}")
-        if self.n_ambiguous_types < 0:
-            raise ConfigError(f"TaskSpec.n_ambiguous_types must be at least 0, "
-                              f"got {self.n_ambiguous_types}")
-        if not self.feature_noise >= 0.0:  # inf is pure noise; NaN fails too
-            raise ConfigError(f"TaskSpec.feature_noise must be at least 0, got {self.feature_noise}")
+        check_field(self, "vocab_size", self.vocab_size >= 1, "at least 1")
+        check_field(self, "n_ambiguous_types", self.n_ambiguous_types >= 0, "at least 0")
+        # inf is pure noise; NaN fails too
+        check_field(self, "feature_noise", self.feature_noise >= 0.0, "at least 0")
         if self.min_len < 1 or self.max_len < self.min_len:
             raise ConfigError("invalid sentence length range")
         if min(self.n_train, self.n_valid, self.n_test) < 1:

@@ -12,9 +12,10 @@ writer of decoder state: a WRITE copies the proposal's rows into its own.
 Its model states keep rows for the lanes still running only, so the
 proposal is computed on those lanes alone. A step on which every lane READs
 under a rule that reads only the counters runs no decoder work. The
-stepper records each episode's actions, delays and hypothesis and computes
-no reward: ``metrics.step_rewards`` scores the finished transcript. The same
-model trained and decoded with the full source is the consecutive baseline.
+stepper records each episode's actions, hypothesis, last action and
+overridden READs and computes no reward: ``metrics.step_rewards`` scores
+the finished transcript. The same model trained and decoded with the full
+source is the consecutive baseline.
 
 Architecture: 2-layer unidirectional GRU encoder, first decoder GRU
 producing attention queries, dot-product attention over emitted encoder
@@ -34,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GRUParams, Tensor
 from .checkpoint import load_into, read_config, save_checkpoint, write_metadata
-from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError, check_field
 from .features import check_feature_sets
 from .metrics import corpus_bleu
 from .optim import AdamState, adam_step
@@ -49,9 +50,7 @@ _META = {"emb_dim": int, "hid_dim": int, "feature_rows": int, "feature_dim": int
 def require_positive(cfg, *names) -> None:
     """Raise ``ConfigError`` naming the first of ``cfg``'s ``names`` that is below 1."""
     for name in names:
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{type(cfg).__name__}.{name} must be at least 1, "
-                              f"got {getattr(cfg, name)}")
+        check_field(cfg, name, getattr(cfg, name) >= 1, "at least 1")
 
 
 @dataclass
@@ -66,6 +65,7 @@ class EnvConfig:
 
     def __post_init__(self):
         require_positive(self, "emb_dim", "hid_dim")
+        check_field(self, "init_scale", 0 <= self.init_scale < np.inf, "finite and at least 0")
         geometry = (self.feature_rows, self.feature_dim)
         if not (geometry == (0, 0) or min(geometry) >= 1):
             raise ConfigError(f"EnvConfig.feature_rows and feature_dim must both be 0 or both "
@@ -367,9 +367,10 @@ class EpisodeStepper:
     lane has read its whole source, its EOS row becomes visible and WRITE
     is forced: a lane sees its first ``n_read + forced`` rows. A lane
     ends on an EOS commit or at ``output_cap`` committed tokens. Per lane
-    the stepper keeps the delays, the hypothesis ids and the action string:
-    the transcript that ``metrics.step_rewards`` scores once the episode is
-    over.
+    the stepper keeps the hypothesis ids and the actions, the transcript
+    that ``metrics.step_rewards`` scores once the episode is over, whether
+    the last action was a WRITE (``wrote``) and how many READ answers it
+    overrode (``forced_overrides``).
 
     The constructor takes the first READ and each ``apply()`` ends by
     starting the next step, so ``forced``, the step's forced-WRITE mask, is
@@ -386,7 +387,7 @@ class EpisodeStepper:
     stepper: dropping rows moves the kept rows down in place and keeps a
     prefix view, so no second block is allocated. The per-lane bookkeeping
     (the ``n_read`` and ``n_written`` counters, ``forced`` and the lists
-    above) is indexed by lane.
+    and arrays above) is indexed by lane.
     """
 
     def __init__(self, model: EnvModel, sources, features=None):
@@ -411,8 +412,9 @@ class EpisodeStepper:
         self.n_read = np.zeros(n, dtype=np.int64)
         self.n_written = np.zeros(n, dtype=np.int64)  # EOS included
         self.hyp_ids = [[] for _ in range(n)]
-        self.delays = [[] for _ in range(n)]
         self.actions = [[] for _ in range(n)]
+        self.wrote = np.zeros(n, dtype=bool)
+        self.forced_overrides = np.zeros(n, dtype=np.int64)
         self._src_len = np.array([len(s) for s in self.src_ids])
         self._cap = [output_cap(len(s)) for s in self.src_ids]
         self._proposal = None
@@ -433,7 +435,10 @@ class EpisodeStepper:
         """Take one action on every live lane, WRITE where ``write_mask`` or
         forced and READ elsewhere, then start the next step."""
         live = self.running
-        wrote = (write_mask | self.forced)[live]
+        answered = write_mask[live]
+        wrote = answered | self.forced[live]
+        self.wrote[live] = wrote
+        self.forced_overrides[live] += wrote != answered
         writes = wrote.nonzero()[0]  # row positions
         proposal = self.proposal() if len(writes) else None
         if len(writes):
@@ -450,8 +455,6 @@ class EpisodeStepper:
             token = int(proposal.token[k])
             self.hyp_ids[i].append(token)
             self.n_written[i] += 1
-            if token != EOS:
-                self.delays[i].append(int(self.n_read[i]))
             if token == EOS or self.n_written[i] >= self._cap[i]:
                 ended.append(k)
         if ended:
@@ -487,14 +490,11 @@ class EnvTrainConfig:
 
     def __post_init__(self):
         require_positive(self, "batch_size", "max_epochs")
-        if self.lr <= 0:
-            raise ConfigError(f"EnvTrainConfig.lr must be positive, got {self.lr}")
-        if self.seed < 0:
-            raise ConfigError(f"EnvTrainConfig.seed must be at least 0, got {self.seed}")
-        if self.val_cap < 0:
-            raise ConfigError(f"EnvTrainConfig.val_cap must be at least 0, got {self.val_cap}")
-        if not 0.0 <= self.stop_bleu <= 100.0:
-            raise ConfigError(f"EnvTrainConfig.stop_bleu must be in [0, 100], got {self.stop_bleu}")
+        check_field(self, "lr", np.isfinite(self.lr), "finite")
+        check_field(self, "lr", self.lr > 0, "positive")
+        check_field(self, "seed", self.seed >= 0, "at least 0")
+        check_field(self, "val_cap", self.val_cap >= 0, "at least 0")
+        check_field(self, "stop_bleu", 0.0 <= self.stop_bleu <= 100.0, "in [0, 100]")
 
 
 def _pad_batch(seqs):

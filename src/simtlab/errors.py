@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the config field check.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 NumericError -> 4. Everything else is an ordinary bug.
@@ -31,3 +31,9 @@ class NumericError(SimtError):
 
 class FormatError(DataError):
     """A binary or text artifact does not match its declared layout."""
+
+
+def check_field(cfg, name: str, ok: bool, want: str) -> None:
+    """Unless ``ok``, raise ``ConfigError``: ``cfg``'s field ``name`` must be ``want``."""
+    if not ok:
+        raise ConfigError(f"{type(cfg).__name__}.{name} must be {want}, got {getattr(cfg, name)}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError
+from .errors import ContractError, DataError, check_field
 
 MAX_ORDER = 4   # BLEU-4: n-grams of orders 1 to 4
 
@@ -40,10 +40,10 @@ class RewardConfig:
     d_star: float = 0.3
 
     def __post_init__(self):
-        if self.c_star < 1:
-            raise ConfigError(f"RewardConfig.c_star must be at least 1, got {self.c_star}")
-        if not 0.0 < self.d_star <= 1.0:
-            raise ConfigError(f"RewardConfig.d_star must be in (0, 1], got {self.d_star}")
+        check_field(self, "alpha", math.isfinite(self.alpha), "finite")
+        check_field(self, "beta", math.isfinite(self.beta), "finite")
+        check_field(self, "c_star", self.c_star >= 1, "at least 1")
+        check_field(self, "d_star", 0.0 < self.d_star <= 1.0, "in (0, 1]")
 
 
 # ---------------------------------------------------------------------------

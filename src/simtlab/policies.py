@@ -6,7 +6,8 @@ WRITE mask once per step. The stepper enforces legality: the first action
 is always READ (the decoder cannot attend to an empty prefix) and WRITE is
 forced once the source is exhausted. Policies are still asked on forced
 steps, so stateful agents see the full observation stream; an illegal READ
-there is overridden and counted per lane, never fatal. ``simulate`` is the
+there is overridden, never fatal, and the stepper counts it per lane. Each
+transcript's delays are derived from its actions. ``simulate`` is the
 one-lane call. The stepper encodes every source once when it is built, so
 a READ runs no encoder. Wait-k and consecutive decide from the stepper's
 counters and forced mask alone and never ask for the proposal, so their
@@ -36,16 +37,16 @@ class Policy:
     per lane. ``decide(episode)`` is called once per step, before the
     stepper's ``apply()``, and returns an (n,) bool WRITE mask. It may read
     the step's forced-WRITE mask ``episode.forced``, the counters
-    ``n_read`` and ``n_written``, the index array ``running`` of the live
-    lanes and ``episode.proposal()``, which has one row per running lane,
-    in ``running`` order; a policy that never asks for the proposal lets
-    READ steps skip the decoder.
+    ``n_read`` and ``n_written``, each lane's last action ``wrote``, the
+    index array ``running`` of the live lanes and ``episode.proposal()``,
+    which has one row per running lane, in ``running`` order; a policy that
+    never asks for the proposal lets READ steps skip the decoder.
     Answers on ended lanes are ignored, and a READ on a forced lane is
-    overridden and counted. Policies may expose ``step_attention``, (n, R)
-    agent-side attention weights from the last decide, to have them
-    recorded into the transcripts. ``reads_features`` says whether
-    ``start_episode`` uses the features; a text-only environment refuses
-    features that neither it nor the policy reads.
+    overridden, and the stepper counts it. Policies may expose
+    ``step_attention``, (n, R) agent-side attention weights from the last
+    decide, to have them recorded into the transcripts. ``reads_features``
+    says whether ``start_episode`` uses the features; a text-only
+    environment refuses features that neither it nor the policy reads.
     """
 
     step_attention = None
@@ -89,30 +90,27 @@ class Transcript:
     def validate(self) -> None:
         """Raise ``ContractError`` unless the record is one episode of the game.
 
-        The actions are a string of READs and WRITEs, and the delays are
-        the ones they give; the stepper records both, so this also checks it.
+        The actions are READs and WRITEs, starting with the forced READ,
+        reading no more than the source, one WRITE per token, and an EOS
+        commit last; the delays are the ones they give. This is the one
+        guard for these rules on files.
         """
         if not (isinstance(self.actions, str) and set(self.actions) <= {READ, WRITE}):
             raise ContractError(f"transcript: actions must be a string of {READ} and {WRITE}, "
                                 f"got {self.actions!r}")
         writes = self.actions.count(WRITE)
-        reads = self.actions.count(READ)
         if writes != len(self.hyp):
             raise ContractError(f"transcript: {writes} WRITEs vs {len(self.hyp)} tokens")
-        if reads > len(self.src):
+        if self.actions.count(READ) > len(self.src):
             raise ContractError("transcript: more READs than source tokens")
-        expected_delays = len(self.content_hyp)
-        if len(self.delays) != expected_delays:
-            raise ContractError(
-                f"transcript: {len(self.delays)} delays vs {expected_delays} content tokens")
-        if self.delays:
-            if any(b < a for a, b in zip(self.delays, self.delays[1:])):
-                raise ContractError("transcript: delays must be non-decreasing")
-            if self.delays[0] < 1 or max(self.delays) > len(self.src):
-                raise ContractError("transcript: delays outside [1, |src|]")
-            want = delays_from_actions(self.actions, self.ended_with_eos)
-            if self.delays != want:
-                raise ContractError(f"transcript: delays {self.delays} vs {want} from the actions")
+        want = delays_from_actions(self.actions, self.ended_with_eos)
+        if self.delays != want:
+            raise ContractError(f"transcript: delays {self.delays} vs {want} from the actions")
+        if not self.actions.startswith(READ):
+            raise ContractError(f"transcript: the first action must be {READ}, "
+                                f"got {self.actions!r}")
+        if "<eos>" in self.hyp[:-1] or (self.ended_with_eos and self.actions[-1] != WRITE):
+            raise ContractError("transcript: the EOS commit must be the last action")
         if self.rewards and len(self.rewards) != len(self.actions):
             raise ContractError("transcript: rewards misaligned with actions")
         if self.attention is not None and len(self.attention) != len(self.actions):
@@ -160,6 +158,12 @@ def write_transcripts(path, transcripts) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
+def _finite_numbers(items) -> bool:
+    """Whether ``items`` is a list of finite numbers (a bool is none; NaN < inf is False)."""
+    return isinstance(items, list) and all(type(x) in (int, float) and abs(x) < np.inf
+                                           for x in items)
+
+
 def read_transcripts(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -181,10 +185,12 @@ def read_transcripts(path):
                     raise TypeError(f"'{key}' is not a list")
                 if not all(type(x) is kind for x in items):  # type: a bool is no delay
                     raise TypeError(f"'{key}' is not a list of {kind.__name__}s")
-            rewards = obj.get("rewards", [])  # bool is no number here, and NaN < inf is False
-            if not (isinstance(rewards, list)
-                    and all(type(r) in (int, float) and abs(r) < np.inf for r in rewards)):
+            if not _finite_numbers(obj.get("rewards", [])):
                 raise TypeError("'rewards' is not a list of finite numbers")
+            attention = obj.get("attention")
+            if not (attention is None or isinstance(attention, list) and all(
+                    w is None or _finite_numbers(w) for w in attention)):
+                raise TypeError("'attention' is not a list of nulls and lists of finite numbers")
             overrides = obj.get("forced_overrides", 0)
             if not (type(overrides) is int and overrides >= 0):
                 raise TypeError("'forced_overrides' is not a non-negative int")
@@ -222,8 +228,9 @@ def run_episodes(policy: Policy, model: EnvModel, sources, features=None, *,
 
     ``features`` holds one entry per source, for the environment and the
     policy; neither reading them is a ``ConfigError``. A lane ends on an EOS
-    commit or at the output-length cap. The transcripts carry no rewards;
-    ``metrics.step_rewards`` computes them from a transcript.
+    commit or at the output-length cap. A transcript's delays come from its
+    actions and its override count from the stepper. The transcripts carry
+    no rewards; ``metrics.step_rewards`` computes them from a transcript.
     """
     sources = [list(s) for s in sources]
     n = len(sources)
@@ -233,7 +240,6 @@ def run_episodes(policy: Policy, model: EnvModel, sources, features=None, *,
         lane_features = [None] * len(features)  # the policy reads them; the stepper counts them
     episode = EpisodeStepper(model, sources, lane_features)
     policy.start_episode(sources, features)
-    overrides = [0] * n
     attention = [[] for _ in range(n)] if record_attention else None
     lanes = range(n)  # the stepper's first READ asks no policy
     while True:
@@ -244,25 +250,20 @@ def run_episodes(policy: Policy, model: EnvModel, sources, features=None, *,
         lanes = episode.running
         if not len(lanes):
             break
-        forced = episode.forced
         write = policy.decide(episode)
         if not (isinstance(write, np.ndarray) and write.dtype == bool and write.shape == (n,)):
             raise ContractError(f"policy returned unknown action mask {write!r}; "
                                 f"want a ({n},) bool array")
-        for i in lanes.tolist():
-            overrides[i] += bool(forced[i] and not write[i])
         episode.apply(write)
     transcripts = []
     for i, src in enumerate(sources):
-        ids = episode.hyp_ids[i]
+        hyp = model.tgt_vocab.decode(episode.hyp_ids[i], strip_reserved=False)
+        actions = "".join(episode.actions[i])
         transcript = Transcript(
-            src=src,
-            hyp=model.tgt_vocab.decode(ids, strip_reserved=False),
-            actions="".join(episode.actions[i]),
-            delays=episode.delays[i],
+            src=src, hyp=hyp, actions=actions,
+            delays=delays_from_actions(actions, hyp[-1:] == ["<eos>"]),
             attention=None if attention is None else attention[i],
-            forced_overrides=overrides[i],
-        )
+            forced_overrides=int(episode.forced_overrides[i]))
         transcript.validate()
         transcripts.append(transcript)
     return transcripts

@@ -47,11 +47,20 @@ def test_agent_config_rejects_non_positive_dims(field):
 
 
 @pytest.mark.parametrize("field, value", [("batch_size", 0), ("trajectories_per_pair", -1),
-                                          ("lr", 0.0), ("seed", -1)])
+                                          ("lr", 0.0), ("seed", -1), ("lr", np.nan),
+                                          ("lr", np.inf), ("entropy_weight", np.nan),
+                                          ("entropy_weight", -np.inf), ("discount", 0.0)])
 def test_rl_train_config_error_names_the_field(field, value):
     with pytest.raises(ConfigError, match=rf"RLTrainConfig.{field} must .*, got {value}"):
         RLTrainConfig(**{field: value})
     RLTrainConfig(batch_size=1, trajectories_per_pair=1, lr=1e-9)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -0.5])
+def test_agent_config_rejects_an_init_scale_that_is_not_finite_and_at_least_0(value):
+    with pytest.raises(ConfigError,
+                       match=rf"AgentConfig.init_scale must be finite and at least 0, got {value}"):
+        AgentConfig(init_scale=value)
 
 
 def test_rl_train_config_rejects_a_negative_val_cap():

@@ -12,7 +12,7 @@ from simtlab.environment import (READ, WRITE, DecoderState, EncoderState, EnvCon
                                  propose_next, train_consecutive, validation_bleu)
 from simtlab.errors import ConfigError, ContractError, DataError, ShapeError
 from simtlab.features import FeatureSet
-from simtlab.metrics import RewardConfig, corpus_bleu
+from simtlab.metrics import RewardConfig, corpus_bleu, delays_from_actions
 from simtlab.policies import (ConsecutivePolicy, Policy, Transcript, WaitKPolicy, run_episodes,
                               simulate)
 from simtlab.vocab import EOS
@@ -199,15 +199,31 @@ def test_stepper_lanes_equal_single_lane_episodes(visual_env):
             episode.proposal()
             episode.apply(np.array([(step + i) % 3 == 0 for i in range(6)]))
             _check_rows_follow_running(episode, lane_feats)
+            # each lane's last action, which the agents read as their previous-action slot
+            assert [bool(w) for w in episode.wrote] == [a[-1] == WRITE for a in episode.actions]
             step += 1
         for i, (src, tgt) in enumerate(pairs[:6]):
-            lane = Transcript(src, env.tgt_vocab.decode(episode.hyp_ids[i], strip_reserved=False),
-                              "".join(episode.actions[i]), episode.delays[i])
+            hyp = env.tgt_vocab.decode(episode.hyp_ids[i], strip_reserved=False)
+            actions = "".join(episode.actions[i])
+            lane = Transcript(src, hyp, actions, delays_from_actions(actions, hyp[-1] == "<eos>"))
             alone = simulate(ScriptedPolicy(lane.actions[1:]), env, src, lane_feats[i])
             assert ((alone.actions, alone.hyp, alone.delays)
                     == (lane.actions, lane.hyp, lane.delays))
             assert np.allclose(transcript_rewards(alone, tgt, RewardConfig()),
                                transcript_rewards(lane, tgt, RewardConfig()), rtol=0, atol=1e-12)
+
+
+def test_stepper_counts_the_read_answers_it_overrides(untrained_env):
+    # always READ: every WRITE is forced, and each forced step of a running lane is one override
+    env, pairs = untrained_env
+    episode = EpisodeStepper(env, [src for src, _ in pairs[:5]])
+    assert not episode.wrote.any() and not episode.forced_overrides.any()  # the first READ
+    want = np.zeros(5, dtype=np.int64)
+    while len(episode.running):
+        want[episode.running] += episode.forced[episode.running]
+        episode.apply(np.zeros(5, dtype=bool))
+    assert np.array_equal(episode.forced_overrides, want)
+    assert want.tolist() == [a.count(WRITE) for a in episode.actions] and want.all()
 
 
 def _greedy_agent(env, variant):

@@ -689,7 +689,9 @@ def test_reward_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [("c_star", 0), ("c_star", -1), ("d_star", 0.0),
-                                          ("d_star", 1.5), ("d_star", -0.2)])
+                                          ("d_star", 1.5), ("d_star", -0.2),
+                                          ("alpha", float("nan")), ("beta", float("inf")),
+                                          ("d_star", float("nan"))])
 def test_reward_config_error_names_the_field(field, value):
     with pytest.raises(ConfigError, match=rf"RewardConfig.{field} must .*, got {value}"):
         M.RewardConfig(**{field: value})

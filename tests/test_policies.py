@@ -72,9 +72,17 @@ def test_env_config_rejects_non_positive_dims(field, value):
     EnvConfig(emb_dim=1, hid_dim=1, init_scale=0.0)
 
 
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_env_config_rejects_an_init_scale_that_is_not_finite_and_at_least_0(value):
+    with pytest.raises(ConfigError,
+                       match=rf"EnvConfig.init_scale must be finite and at least 0, got {value}"):
+        EnvConfig(init_scale=value)
+
+
 @pytest.mark.parametrize("field, value, problem", [
     ("batch_size", 0, "at least 1, got 0"), ("max_epochs", -1, "at least 1, got -1"),
-    ("lr", 0.0, "positive, got 0.0"), ("lr", -1, "positive, got -1")])
+    ("lr", 0.0, "positive, got 0.0"), ("lr", -1, "positive, got -1"),
+    ("lr", float("nan"), "finite, got nan"), ("lr", float("inf"), "finite, got inf")])
 def test_env_train_config_rejects_non_positive_sizes(field, value, problem):
     with pytest.raises(ConfigError, match=rf"EnvTrainConfig.{field} must be {problem}"):
         EnvTrainConfig(**{field: value})
@@ -568,6 +576,9 @@ def test_transcript_jsonl_round_trip(tmp_path, untrained_env):
         t.rewards = transcript_rewards(t, pairs[s][1], RewardConfig())
     ts.append(simulate(AlwaysRead(), model, pairs[5][0]))
     assert ts[-1].forced_overrides > 0
+    # no weights before the first proposal, then one finite row per step
+    ts.append(Transcript(src=["a", "b"], hyp=["x"], actions="RRW", delays=[2],
+                         attention=[None, [0.25, 0.75], [1, 0.0]]))
     path = tmp_path / "episodes.jsonl"
     write_transcripts(path, ts)
     lines = path.read_text().splitlines()
@@ -579,6 +590,7 @@ def test_transcript_jsonl_round_trip(tmp_path, untrained_env):
         assert a.src == b.src and a.hyp == b.hyp and a.actions == b.actions
         assert a.delays == b.delays and a.ended_with_eos == b.ended_with_eos
         assert a.rewards == b.rewards and a.forced_overrides == b.forced_overrides
+        assert a.attention == b.attention
     del obj["forced_overrides"]
     assert Transcript.from_json_obj(obj).forced_overrides == 0
 
@@ -624,9 +636,23 @@ def test_write_transcripts_leaves_an_existing_file_unchanged_on_a_bad_record(tmp
      r"delays \[1, 1\] vs \[0, 1\] from the actions"),
     ('{"src": ["a"], "hyp": ["x"], "actions": ["R", "W"], "g": [1]}',
      r"actions must be a string of R and W, got \['R', 'W'\]"),
+    ('{"src": ["a"], "hyp": ["<eos>"], "actions": "W", "g": []}',
+     "the first action must be R, got 'W'"),
+    ('{"src": ["a", "b"], "hyp": ["<eos>"], "actions": "RWR", "g": []}',
+     "the EOS commit must be the last action"),
+    ('{"src": ["a"], "hyp": ["<eos>", "<eos>"], "actions": "RWW", "g": []}',
+     r"delays \[\] vs \[1\] from the actions"),
+    ('{"src": ["a"], "hyp": ["<eos>", "<eos>"], "actions": "RWW", "g": [1]}',
+     "the EOS commit must be the last action"),
+    ('{"src": ["a", "b"], "hyp": ["x"], "actions": "RRW", "g": [2], "attention": "abc"}',
+     "'attention' is not a list of nulls and lists of finite numbers"),
+    ('{"src": ["a", "b"], "hyp": ["x"], "actions": "RRW", "g": [2], '
+     '"attention": [null, [NaN], null]}',
+     "'attention' is not a list of nulls and lists of finite numbers"),
 ], ids=["list", "int-g", "string-g", "no-actions", "bad-json", "inconsistent", "nan-rewards",
         "string-rewards", "negative-overrides", "unknown-action", "write-before-read",
-        "action-list"])
+        "action-list", "write-first", "action-after-eos", "second-eos", "second-eos-delayed",
+        "string-attention", "nan-attention"])
 def test_read_transcripts_rejects_bad_records_with_line(tmp_path, record, problem):
     good = json.dumps(Transcript(src=["a"], hyp=["x"], actions="RW", delays=[1]).to_json_obj())
     path = tmp_path / "episodes.jsonl"

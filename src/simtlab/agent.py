@@ -22,15 +22,16 @@ its proposal, one per running lane, through the agent's ``_LaneState``,
 and are driven by ``policies.run_episodes``: ``AgentGreedyPolicy`` writes
 where the WRITE logit is the larger, and the collector's
 ``_SamplingPolicy`` samples Gumbel-max actions and records what the replay
-needs. The previous-action slot holds the action taken, WRITE where forced,
-which the agent reads from the stepper's ``wrote``.
+needs. ``_LaneState.step`` alone builds the recorded observation block
+[text context; proposed-token embedding]. The previous-action slot holds
+the action taken, WRITE where forced, read from the stepper's ``wrote``.
 Collection never steps the baseline. ``reinforce_update`` then replays the
 recorded observations, the slot rebuilt from the actions, on a tape as one
 block per network: a single attention call, one ``autodiff.gru_sequence``
 that steps each episode over its own length only, and one head matmul, then
-REINFORCE with the baseline's replayed values as control variates. The
-baseline replays every step; the agent only up to each episode's last
-unforced step, since later steps carry no loss.
+REINFORCE on the reward-to-go it derives from the rewards, with the
+baseline's replayed values as control variates. The baseline replays every
+step; the agent only up to each episode's last unforced step.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ class AgentConfig:
 
     @property
     def obs_dim(self) -> int:
+        """Input width: the recorded columns, the previous-action slot, the att context."""
         base = self.text_dim + self.emb_dim + 2
         return base + (self.text_dim if self.use_att else 0)
 
@@ -227,19 +229,20 @@ def _feature_block(features, *nets):
     return np.stack([f.matrix for f in distinct], dtype=np.float64), index
 
 
-def _observation(tape, visual, text_ctx, token_emb, prev_action):
-    """Agent input rows [text_ctx; token_emb; prev_action; visual context].
+def _observation(tape, net, visual, obs, slot):
+    """``net``'s input rows [obs; slot; visual context], (n, ·) lane rows or (B, T, ·) blocks.
 
-    The parts are (n, ·) lane rows or (B, T, ·) blocks. With an att
-    network's ``visual`` (keys, values, index) the token embedding of row i
-    attends over feature block ``index[i]``. Returns the observation and the
-    attention's (context, weights), or None without ``visual``.
+    ``obs`` holds the recorded columns, the proposed-token embedding at
+    ``text_dim:text_dim + emb_dim``. With an att network's ``visual`` (keys,
+    values, index) that embedding of row i attends over feature block
+    ``index[i]``. Returns the input and the attention's (context, weights),
+    or None without ``visual``.
     """
-    emb = Tensor(token_emb)
-    parts = [Tensor(text_ctx), emb, Tensor(prev_action)]
+    parts = [Tensor(obs), Tensor(slot)]
     attention = None
     if visual is not None:
         keys, values, index = visual
+        emb = Tensor(obs[..., net.cfg.text_dim:net.cfg.text_dim + net.cfg.emb_dim])
         attention = ad.batched_attention(tape, keys, values, emb, index=index)
         parts.append(attention[0])
     return ad.concat(tape, parts), attention
@@ -265,13 +268,13 @@ class _LaneState:
     def step(self, episode: EpisodeStepper):
         """Step the running lanes of ``episode`` on its observation, in ``running`` order.
 
-        The observation is the proposal's text context, the proposed
-        token's embedding, both returned first, and the one-hot of each
-        lane's last action (``episode.wrote``). Also returns the (m, head_dim)
-        head outputs and the attention's (context, weights), or None.
+        The observation is the recorded (m, text_dim + emb_dim) block [proposal
+        text context; proposed-token embedding], returned first, and the
+        one-hot of each lane's last action (``episode.wrote``). Also returns
+        the (m, head_dim) head outputs and the attention's (context, weights).
         """
         running, proposal = episode.running, episode.proposal()
-        text_ctx, token_emb = proposal.text_ctx, episode.model.tgt_emb.data[proposal.token]
+        obs = np.hstack([proposal.text_ctx, episode.model.tgt_emb.data[proposal.token]])
         if len(running) != len(self.lanes):
             keep = np.searchsorted(self.lanes, running)  # both in ascending lane order
             self.h = _compact(self.h, keep)
@@ -280,10 +283,10 @@ class _LaneState:
                 keys, values, index = _keep_lanes((keys.data, values.data, index), keep)
                 self.visual = Tensor(keys), Tensor(values), index
             self.lanes = running
-        obs, attention = _observation(None, self.visual, text_ctx, token_emb,
-                                      _ONE_HOT[episode.wrote[running].astype(int)])
-        self.h, out = self.net.step_np(obs.data, self.h)
-        return (text_ctx, token_emb), out, attention
+        x, attention = _observation(None, self.net, self.visual, obs,
+                                    _ONE_HOT[episode.wrote[running].astype(int)])
+        self.h, out = self.net.step_np(x.data, self.h)
+        return obs, out, attention
 
 
 def on_lanes(n: int, lanes, rows) -> np.ndarray:
@@ -318,20 +321,17 @@ class TrajectoryEntry:
 
     Arrays cover agent decision steps; the initial forced READ that
     happens before the first proposal exists is part of the transcript
-    but not an agent step. ``reinforce_update`` computes the baseline values
-    and the previous-action slots. A forced step's ``log_probs`` and
-    ``entropies`` are recorded, but no loss reads them.
+    but not an agent step; ``obs`` is [text context; proposed-token embedding].
+    ``reinforce_update`` derives the returns, the baseline values and the
+    previous-action slots. No loss reads a forced step's ``log_probs``.
     """
 
-    obs_text: np.ndarray      # (T, text_dim)
-    obs_emb: np.ndarray       # (T, emb_dim)
+    obs: np.ndarray           # (T, text_dim + emb_dim)
     features: object          # FeatureSet or None
     actions: np.ndarray       # (T,) 0=READ 1=WRITE
     forced: np.ndarray        # (T,) bool
     rewards: np.ndarray       # (T,)
-    returns: np.ndarray       # (T,)
     log_probs: np.ndarray     # (T,)
-    entropies: np.ndarray     # (T,)
     transcript: Transcript = None
 
     def __len__(self):
@@ -370,27 +370,18 @@ class RLTrainConfig:
     val_cap: int = 120
 
     def __post_init__(self):
-        require_positive(self, "batch_size", "trajectories_per_pair")
+        require_positive(self, "batch_size", "trajectories_per_pair", "max_epochs",
+                         "updates_per_epoch")
         check_field(self, "lr", np.isfinite(self.lr), "finite")
         check_field(self, "lr", self.lr > 0, "positive")
         check_field(self, "entropy_weight", np.isfinite(self.entropy_weight), "finite")
         check_field(self, "discount", 0 < self.discount <= 1.0, "in (0, 1]")
-        for name in ("val_cap", "seed"):
+        for name in ("val_cap", "seed", "patience"):
             check_field(self, name, getattr(self, name) >= 0, "at least 0")
 
 
-def compute_returns(rewards: np.ndarray, cfg: RLTrainConfig) -> np.ndarray:
-    """Discounted reward-to-go at each step."""
-    out = np.zeros_like(rewards)
-    acc = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        acc = rewards[t] + cfg.discount * acc
-        out[t] = acc
-    return out
-
-
 # what _SamplingPolicy records per step and lane, named as TrajectoryEntry's fields
-_RECORDED = ("obs_text", "obs_emb", "actions", "forced", "log_probs", "entropies")
+_RECORDED = ("obs", "actions", "forced", "log_probs")
 
 
 class _SamplingPolicy(Policy):
@@ -419,7 +410,7 @@ class _SamplingPolicy(Policy):
         m, free = len(run), np.flatnonzero(~forced)
         action = np.full(m, ACT_WRITE)
         action[free] = gumbel_max_sample(logits[free], [self.rngs[run[k]] for k in free])
-        rows = (*obs, action, forced, ls.data[np.arange(m), action], ad.rows_entropy(None, ls).data)
+        rows = (obs, action, forced, ls.data[np.arange(m), action])
         self.steps.append(tuple(on_lanes(episode.n, run, r) for r in rows))
         return on_lanes(episode.n, run, action == ACT_WRITE)
 
@@ -439,9 +430,10 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
     is encoded, and a shared FeatureSet projected, once. Only the agent is
     stepped; ``baseline`` is only checked, before any episode runs.
     """
-    if global_seed < 0:
-        raise ConfigError(
-            f"collect_trajectories: global_seed must be at least 0, got {global_seed}")
+    for name, seed in (("global_seed", global_seed), ("start_index", start_index)):
+        if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+            raise ConfigError(f"collect_trajectories: {name} must be an integer of at least 0, "
+                              f"got {seed!r}")
     _check_env(env, agent, baseline)
     refs = [e[1] for e in episodes]
     check_references(refs)
@@ -459,8 +451,7 @@ def collect_trajectories(agent: AgentNetwork, baseline: BaselineNetwork,
         rewards = np.array(t.rewards[1:])  # the initial forced READ is no agent step
         steps = {name: block[i, :len(rewards)] for name, block in blocks.items()}
         entries.append(TrajectoryEntry(
-            **steps, features=f, rewards=rewards, returns=compute_returns(rewards, cfg),
-            transcript=t if record_transcripts else None))
+            **steps, features=f, rewards=rewards, transcript=t if record_transcripts else None))
     return TrajectoryBatch(entries)
 
 
@@ -503,7 +494,9 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
             out[i, :len(e)] = getattr(e, name)
         return out
 
-    obs_text, obs_emb, returns = map(padded, ("obs_text", "obs_emb", "returns"))
+    obs, returns = padded("obs"), padded("rewards")
+    for t in range(t_max - 2, -1, -1):  # discounted reward-to-go; zero past each episode
+        returns[:, t] += cfg.discount * returns[:, t + 1]
     actions, lengths = padded("actions", np.int64), np.array([len(e) for e in entries])
     obs_prev = _ONE_HOT[np.pad(actions[:, :-1], ((0, 0), (1, 0)))]  # READ before the first
     active = np.arange(t_max) < lengths[:, None]
@@ -515,9 +508,8 @@ def reinforce_update(batch: TrajectoryBatch, agent: AgentNetwork,
     def head_outputs(net, steps, runs):
         """Head outputs over the first ``steps`` columns, row b's GRU running ``runs[b]``."""
         h0, visual = net.start(tape, features, n)
-        obs, _ = _observation(tape, visual, obs_text[:, :steps], obs_emb[:, :steps],
-                              obs_prev[:, :steps])
-        return net.sequence(tape, obs, h0, runs)
+        x, _ = _observation(tape, net, visual, obs[:, :steps], obs_prev[:, :steps])
+        return net.sequence(tape, x, h0, runs)
 
     values = ad.pick_rows(tape, head_outputs(baseline, t_max, lengths), np.zeros_like(actions))
     baseline_loss = ad.masked_sq_error(tape, values, returns, active, float(lengths.sum()))

@@ -489,11 +489,11 @@ class EnvTrainConfig:
     stop_bleu: float = 0.0  # stop once validation BLEU reaches this (0 = off)
 
     def __post_init__(self):
-        require_positive(self, "batch_size", "max_epochs")
+        require_positive(self, "batch_size", "max_epochs", "emb_dim", "hid_dim")
         check_field(self, "lr", np.isfinite(self.lr), "finite")
         check_field(self, "lr", self.lr > 0, "positive")
-        check_field(self, "seed", self.seed >= 0, "at least 0")
-        check_field(self, "val_cap", self.val_cap >= 0, "at least 0")
+        for name in ("seed", "val_cap", "patience"):
+            check_field(self, name, getattr(self, name) >= 0, "at least 0")
         check_field(self, "stop_bleu", 0.0 <= self.stop_bleu <= 100.0, "in [0, 100]")
 
 

@@ -146,13 +146,17 @@ class Transcript:
 def write_transcripts(path, transcripts) -> None:
     """Write one JSON line per transcript.
 
-    Every record is serialized before the file is opened, so a record that
-    is not finite raises ``NumericError`` and leaves ``path`` as it was.
+    Every record is validated and serialized before the file is opened, so
+    an inconsistent record raises ``ContractError``, one that is not finite
+    ``NumericError``, and ``path`` is left as it was.
     """
     lines = []
     for lineno, t in enumerate(transcripts, 1):
         try:
+            t.validate()
             lines.append(json.dumps(t.to_json_obj(), allow_nan=False) + "\n")
+        except ContractError as exc:
+            raise ContractError(f"{path}:{lineno}: {exc}") from exc
         except ValueError as exc:  # a NaN or infinite reward or attention weight
             raise NumericError(f"{path}:{lineno}: transcript record is not finite") from exc
     Path(path).write_text("".join(lines), encoding="utf-8")

@@ -4,7 +4,8 @@
 ran before it became one GRU sequence per network: one ``gru_cell`` and one
 ``(B, dk)`` attention per timestep and network, with the loss summed term by
 term and each step's advantage taken from that step's baseline output; it
-rebuilds the previous-action slot itself, step by step, from the actions.
+rebuilds the previous-action slot itself, step by step, from the actions,
+and each episode's discounted reward-to-go from its rewards.
 ``ReferenceGreedyPolicy`` is the greedy policy's earlier 1-D decide: its own
 observation vector, visual attention and GRU step per call, on the one lane
 of the stepper it is handed. ``ReferenceSamplingPolicy`` is
@@ -25,6 +26,14 @@ def _step(tape, net, obs, h):
     return h_new, ad.add_bias(tape, ad.matmul(tape, h_new, net.w_head), net.b_head)
 
 
+def _reward_to_go(rewards, discount):
+    out, acc = np.zeros(len(rewards)), 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        acc = rewards[t] + discount * acc
+        out[t] = acc
+    return out
+
+
 def replay_losses(batch, agent, baseline, cfg):
     """Replay ``batch`` step by step on a tape and backpropagate.
 
@@ -43,12 +52,12 @@ def replay_losses(batch, agent, baseline, cfg):
     returns = np.zeros((n, t_max))
     for i, e in enumerate(entries):
         t = len(e)
-        obs_text[i, :t] = e.obs_text
-        obs_emb[i, :t] = e.obs_emb
+        obs_text[i, :t] = e.obs[:, :text_dim]
+        obs_emb[i, :t] = e.obs[:, text_dim:]
         actions[i, :t] = e.actions
         active[i, :t] = True
         learn[i, :t] = ~e.forced
-        returns[i, :t] = e.returns
+        returns[i, :t] = _reward_to_go(e.rewards, cfg.discount)
 
     tape = ad.Tape()
 
@@ -163,9 +172,9 @@ class ReferenceSamplingPolicy(Policy):
 
     An unforced decision draws two uniforms from ``rng`` for its Gumbel
     noise; a forced one draws none and writes. ``record`` keeps, per
-    decision, the action, the action's log-probability and the value of a
-    per-call 1-D baseline step on the same observation, which the collector
-    no longer computes.
+    decision, the action, the action's log-probability, the policy's entropy
+    and the value of a per-call 1-D baseline step on the same observation;
+    the collector computes neither of the last two.
     """
 
     def __init__(self, agent, baseline, env, rng):
@@ -176,7 +185,7 @@ class ReferenceSamplingPolicy(Policy):
         self._agent = _OneLane(self.agent, features)
         self._baseline = _OneLane(self.baseline, features)
         self._a_prev = np.array([1.0, 0.0])
-        self.record = {"actions": [], "log_probs": [], "baseline_values": []}
+        self.record = {"actions": [], "log_probs": [], "entropies": [], "baseline_values": []}
 
     def decide(self, episode):
         proposal = episode.proposal()
@@ -189,7 +198,8 @@ class ReferenceSamplingPolicy(Policy):
             u = np.clip(self.rng.random(2), 1e-12, 1.0 - 1e-12)
             action = int(np.argmax(logits - np.log(-np.log(u))))
         shifted = logits - logits.max()
-        for name, v in zip(self.record, (action, shifted[action] - np.log(np.exp(shifted).sum()),
+        log_p = shifted - np.log(np.exp(shifted).sum())
+        for name, v in zip(self.record, (action, log_p[action], -(np.exp(log_p) * log_p).sum(),
                                          value)):
             self.record[name].append(v)
         self._a_prev = np.eye(2)[action]

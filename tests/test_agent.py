@@ -8,7 +8,7 @@ from simtlab import autodiff as ad
 from simtlab import environment
 from simtlab.agent import (ACT_READ, ACT_WRITE, AgentConfig, AgentGreedyPolicy, AgentNetwork,
                            BaselineNetwork, RLTrainConfig, TrajectoryBatch, TrajectoryEntry,
-                           collect_trajectories, compute_returns, gumbel_max_sample,
+                           collect_trajectories, gumbel_max_sample,
                            patience_exceeded, reinforce_update, select_model)
 from simtlab.environment import EncoderState, EnvConfig, EnvModel, EpisodeStepper
 from simtlab.errors import ConfigError, ContractError, DataError
@@ -49,11 +49,14 @@ def test_agent_config_rejects_non_positive_dims(field):
 @pytest.mark.parametrize("field, value", [("batch_size", 0), ("trajectories_per_pair", -1),
                                           ("lr", 0.0), ("seed", -1), ("lr", np.nan),
                                           ("lr", np.inf), ("entropy_weight", np.nan),
-                                          ("entropy_weight", -np.inf), ("discount", 0.0)])
+                                          ("entropy_weight", -np.inf), ("discount", 0.0),
+                                          ("max_epochs", 0), ("updates_per_epoch", 0),
+                                          ("patience", -1)])
 def test_rl_train_config_error_names_the_field(field, value):
     with pytest.raises(ConfigError, match=rf"RLTrainConfig.{field} must .*, got {value}"):
         RLTrainConfig(**{field: value})
-    RLTrainConfig(batch_size=1, trajectories_per_pair=1, lr=1e-9)
+    RLTrainConfig(batch_size=1, trajectories_per_pair=1, lr=1e-9, max_epochs=1,
+                  updates_per_epoch=1, patience=0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -0.5])
@@ -71,16 +74,31 @@ def test_rl_train_config_rejects_a_negative_val_cap():
 
 def test_collect_trajectories_rejects_a_negative_seed_before_any_episode(untrained_env,
                                                                         monkeypatch):
+    # and a seed that is not an integer: both seeds, before numpy could refuse them
     env, pairs = untrained_env
     agent, baseline = _agent_pair(env, hidden_dim=8)
+    episodes = [(src, ref, None) for src, ref in pairs[:2]]
 
     def no_episodes(*args, **kwargs):
         raise AssertionError("ran an episode before checking the seed")
 
     monkeypatch.setattr("simtlab.agent.run_episodes", no_episodes)
-    with pytest.raises(ConfigError, match=r"global_seed must be at least 0, got -1"):
-        collect_trajectories(agent, baseline, env, [(src, ref, None) for src, ref in pairs[:2]],
-                             RLTrainConfig(), global_seed=-1)
+    for name, seeds, shown in [
+            ("global_seed", dict(global_seed=-1), "-1"),
+            ("global_seed", dict(global_seed=2.5), "2.5"),
+            ("global_seed", dict(global_seed="3"), "'3'"),
+            ("start_index", dict(global_seed=0, start_index=-1), "-1"),
+            ("start_index", dict(global_seed=0, start_index=1.5), "1.5"),
+            ("start_index", dict(global_seed=0, start_index=np.int64(-2)),
+             r"(np.int64\(-2\)|-2)")]:
+        with pytest.raises(ConfigError,
+                           match=rf"{name} must be an integer of at least 0, got {shown}$"):
+            collect_trajectories(agent, baseline, env, episodes, RLTrainConfig(), **seeds)
+    monkeypatch.undo()
+    for seed, start in ((np.int64(3), np.uint8(1)), (0, 0)):
+        batch = collect_trajectories(agent, baseline, env, episodes, RLTrainConfig(),
+                                     global_seed=seed, start_index=start)
+        assert len(batch.entries) == 2
 
 
 def test_collect_trajectories_rejects_a_string_reference_before_any_step(untrained_env,
@@ -130,17 +148,6 @@ def test_patience_is_exceeded_once_the_best_is_patience_evaluations_old():
     assert patience_exceeded([best, worse, dict(best)], patience=2)
     assert not patience_exceeded([best] + [worse] * 4)
     assert patience_exceeded([best] + [worse] * 5)
-
-
-@pytest.mark.parametrize("discount", [0.95, 1.0])
-def test_compute_returns_is_discounted_reward_to_go(discount):
-    rewards = np.array([0.5, -1.0, 0.0, 2.0, 0.25, -0.125])
-    want = [sum(discount ** (k - t) * rewards[k] for k in range(t, len(rewards)))
-            for t in range(len(rewards))]
-    got = compute_returns(rewards, RLTrainConfig(discount=discount))
-    assert np.allclose(got, want, rtol=0, atol=1e-12)
-    if discount == 1.0:
-        assert np.allclose(got, np.cumsum(rewards[::-1])[::-1], rtol=0, atol=1e-12)
 
 
 def test_collect_and_update_with_agent_hidden_unlike_env(untrained_env):
@@ -269,7 +276,7 @@ def test_collection_does_not_depend_on_batching(untrained_env, variant):
         assert (a.transcript.actions, a.transcript.hyp) == (b.transcript.actions,
                                                             b.transcript.hyp)
         assert np.array_equal(a.actions, b.actions) and np.array_equal(a.forced, b.forced)
-        for name in ("log_probs", "rewards", "obs_text", "obs_emb", "entropies"):
+        for name in ("log_probs", "rewards", "obs"):
             assert np.allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-12), name
 
 
@@ -290,7 +297,7 @@ def test_shared_sources_collect_as_distinct_equal_copies(untrained_env, variant)
                                                             b.transcript.hyp)
         assert np.allclose(a.transcript.rewards, b.transcript.rewards, rtol=0, atol=1e-12)
         assert np.array_equal(a.actions, b.actions) and np.array_equal(a.forced, b.forced)
-        for name in ("log_probs", "rewards", "obs_text", "obs_emb"):
+        for name in ("log_probs", "rewards", "obs"):
             assert np.allclose(getattr(a, name), getattr(b, name), rtol=0, atol=1e-12), name
 
 
@@ -487,10 +494,12 @@ def test_collector_equals_per_episode_reference(untrained_env, variant):
 def test_replayed_agent_loss_equals_recorded_log_probs(untrained_env, variant):
     env, agent, baseline, episodes = _visual_setup(*untrained_env, variant, 12, seed=4)
     cfg = RLTrainConfig()
+    assert cfg.discount == 0.95
     batch = collect_trajectories(agent, baseline, env, episodes, cfg, global_seed=2)
     stats = reinforce_update(batch, agent, baseline, cfg)
-    # -1/n sum over unforced steps of (R - b) log pi(a|o) + w * entropy, with b from
-    # per-step 1-D baseline steps on each episode's observations
+    # -1/n sum over unforced steps of (R - b) log pi(a|o) + w * entropy, with R_t the closed
+    # form sum_k gamma^(k-t) r_k, and b and the entropy from per-step 1-D steps on each
+    # episode's observations
     recorded = 0.0
     for k, ((src, _, fs), e) in enumerate(zip(episodes, batch.entries)):
         reference = ReferenceSamplingPolicy(agent, baseline, env,
@@ -498,8 +507,11 @@ def test_replayed_agent_loss_equals_recorded_log_probs(untrained_env, variant):
         simulate(reference, env, src, fs)
         assert e.actions.tolist() == reference.record["actions"]
         values = np.array(reference.record["baseline_values"])
-        recorded -= float(np.sum(~e.forced * ((e.returns - values) * e.log_probs
-                                              + cfg.entropy_weight * e.entropies)))
+        entropies = np.array(reference.record["entropies"])
+        returns = np.array([sum(cfg.discount ** (k - t) * e.rewards[k] for k in range(t, len(e)))
+                            for t in range(len(e))])
+        recorded -= float(np.sum(~e.forced * ((returns - values) * e.log_probs
+                                              + cfg.entropy_weight * entropies)))
     recorded /= len(batch.entries)
     assert abs(stats["agent_loss"] - recorded) <= 1e-12 * abs(recorded)
 
@@ -594,7 +606,7 @@ def test_update_is_the_exact_policy_gradient(untrained_env, monkeypatch, variant
     assert abs(prob.sum() - 1.0) <= 1e-12
     # the head's probability of the forced WRITE would not do
     assert abs(sum(np.exp(e.log_probs.sum()) for e in entries) - 1.0) > 1e-3
-    returns = np.array([e.returns[0] for e in entries])
+    returns = np.array([e.rewards.sum() for e in entries])  # R(path) at discount 1
     params = [p for _, p in agent.named_tensors()]
 
     def update(entry, base):
@@ -637,9 +649,9 @@ def test_greedy_slot_holds_write_after_a_forced_step(untrained_env, monkeypatch)
     agent.b_head.data = np.array([50.0, -50.0])
     slots, real_observation = [], agent_module._observation
 
-    def observation(tape, visual, text_ctx, token_emb, prev_action):
-        slots.append(prev_action[0].copy())
-        return real_observation(tape, visual, text_ctx, token_emb, prev_action)
+    def observation(tape, net, visual, obs, slot):
+        slots.append(slot[0].copy())
+        return real_observation(tape, net, visual, obs, slot)
 
     monkeypatch.setattr(agent_module, "_observation", observation)
     for src, _ in pairs[:4]:
@@ -663,19 +675,17 @@ def _tiny_agent_pair(variant, seed=0, **overrides):
 
 
 def _random_batch(cfg, lengths, seed=0):
-    """Hand-built episodes of the given lengths with random observations and returns."""
+    """Hand-built episodes of the given lengths with random observations and rewards."""
     rng = np.random.default_rng(seed)
     entries = []
     for t in lengths:
         features = FeatureSet("grid", rng.normal(size=(cfg.feature_rows, cfg.feature_dim)))
         entries.append(TrajectoryEntry(
-            obs_text=rng.normal(size=(t, cfg.text_dim)),
-            obs_emb=rng.normal(size=(t, cfg.emb_dim)),
+            obs=rng.normal(size=(t, cfg.text_dim + cfg.emb_dim)),
             features=features if cfg.use_init or cfg.use_att else None,
             actions=rng.integers(0, 2, size=t),
             forced=rng.random(t) < 0.25,
-            rewards=rng.normal(size=t), returns=rng.normal(size=t),
-            log_probs=np.zeros(t), entropies=np.zeros(t)))
+            rewards=rng.normal(size=t), log_probs=np.zeros(t)))
     return TrajectoryBatch(entries)
 
 
@@ -717,7 +727,7 @@ def test_block_replay_equals_per_step_replay(untrained_env, variant, short):
     if short:  # one episode cut to its first two steps, far shorter than the rest
         e = batch.entries[5]
         batch.entries[5] = replace(e, **{name: getattr(e, name)[:2] for name in (
-            "obs_text", "obs_emb", "actions", "forced", "rewards", "returns")})
+            "obs", "actions", "forced", "rewards")})
         others = batch.entries[:5] + batch.entries[6:]
         assert min(len(e) for e in others) >= 4 * len(batch.entries[5])
 

@@ -82,11 +82,13 @@ def test_env_config_rejects_an_init_scale_that_is_not_finite_and_at_least_0(valu
 @pytest.mark.parametrize("field, value, problem", [
     ("batch_size", 0, "at least 1, got 0"), ("max_epochs", -1, "at least 1, got -1"),
     ("lr", 0.0, "positive, got 0.0"), ("lr", -1, "positive, got -1"),
-    ("lr", float("nan"), "finite, got nan"), ("lr", float("inf"), "finite, got inf")])
+    ("lr", float("nan"), "finite, got nan"), ("lr", float("inf"), "finite, got inf"),
+    ("hid_dim", 0, "at least 1, got 0"), ("emb_dim", -1, "at least 1, got -1"),
+    ("patience", -3, "at least 0, got -3")])
 def test_env_train_config_rejects_non_positive_sizes(field, value, problem):
     with pytest.raises(ConfigError, match=rf"EnvTrainConfig.{field} must be {problem}"):
         EnvTrainConfig(**{field: value})
-    EnvTrainConfig(batch_size=1, max_epochs=1, lr=1e-9)
+    EnvTrainConfig(batch_size=1, max_epochs=1, lr=1e-9, emb_dim=1, hid_dim=1, patience=0)
 
 
 def test_env_train_config_rejects_a_negative_seed():
@@ -615,6 +617,24 @@ def test_write_transcripts_leaves_an_existing_file_unchanged_on_a_bad_record(tmp
     with pytest.raises(NumericError):
         write_transcripts(path, _finite_then(float("nan")))
     assert path.read_text(encoding="utf-8") == "earlier log\n"
+
+
+@pytest.mark.parametrize("src, hyp, actions, delays, rewards, problem", [
+    (["a"], ["x"], "RW", [5], [], r"delays \[5\] vs \[1\] from the actions"),
+    (["a"], ["<eos>"], "W", [], [], "the first action must be R, got 'W'"),
+    (["a"], ["x"], "RRW", [2], [], "more READs than source tokens"),
+    (["a"], ["x"], "RW", [1], [1.0], "rewards misaligned with actions")])
+def test_write_transcripts_refuses_a_record_read_transcripts_would_refuse(
+        tmp_path, src, hyp, actions, delays, rewards, problem):
+    path = tmp_path / "episodes.jsonl"
+    path.write_text("earlier log\n", encoding="utf-8")
+    good = Transcript(src=["a"], hyp=["x"], actions="RW", delays=[1], rewards=[0.0, 1.5])
+    bad = Transcript(src=src, hyp=hyp, actions=actions, delays=delays, rewards=rewards)
+    with pytest.raises(ContractError, match=rf"episodes.jsonl:2: transcript: {problem}"):
+        write_transcripts(path, [good, bad])
+    assert path.read_text(encoding="utf-8") == "earlier log\n"
+    write_transcripts(path, [good])
+    assert len(read_transcripts(path)) == 1
 
 
 @pytest.mark.parametrize("record, problem", [
